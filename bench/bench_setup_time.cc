@@ -21,7 +21,10 @@
  * SetupEngine (scalar and SIMD kernel dispatch, plus Router::plan
  * end to end), and the batch sweep (1/8/64/256 at n = 12 and 14)
  * comparing the tiled-arena pipeline against flat setupMany, with
- * per-row working-set and arena accounting. Emits machine-readable
+ * per-row working-set and arena accounting. Its arbitrary rows time
+ * cold Router::plan on uniformly random permutations (TwoPass) at
+ * n = 8, 10 and 12 as median, p10 and p90 over a cold pool, each plan
+ * checked for strategy and payload. Emits machine-readable
  * BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the reduced CI
  * configuration.
  */
@@ -126,6 +129,18 @@ struct SetupRow
     double scalar_us;    //!< SetupEngine, scalar kernels forced
     double simd_us;      //!< SetupEngine, dispatched kernels
     double router_us;    //!< Router::plan end to end (uncached)
+};
+
+/** Cold Router::plan on uniformly random permutations (TwoPass). */
+struct ArbitraryRow
+{
+    unsigned n;
+    Word N;
+    std::size_t pool;
+    std::size_t samples;
+    double median_us;
+    double p10_us;
+    double p90_us;
 };
 
 struct BatchRow
@@ -302,8 +317,98 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
                  "batch-64 <= 1.25x batch-8)\n\n";
 }
 
+/** The @p q quantile of @p v (sorted in place), nearest rank. */
+double
+quantile(std::vector<double> &v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t k = static_cast<std::size_t>(q * (v.size() - 1) + 0.5);
+    return v[k];
+}
+
+/**
+ * The library's cold plan for arbitrary permutations: a uniformly
+ * random permutation is almost never in F(n) or Omega(n), so Router
+ * plans it TwoPass — the tag attempt, the looping factor and both
+ * verified factor passes. Every sample is a separately timed cold
+ * Router::plan (no plan cache) over a pool cycled so no plan repeats
+ * back to back. Returns false if a plan is not TwoPass or does not
+ * deliver Permutation::applyTo's payload.
+ */
+bool
+runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
+{
+    std::cout << "=== E2b: cold Router::plan, uniformly random "
+                 "permutations (TwoPass) ===\n\n";
+
+    TextTable table({"n", "N", "samples", "median us", "p10 us",
+                     "p90 us"});
+    const std::size_t pool_size = 32;
+    const std::size_t samples = smoke ? 64 : 256;
+    for (unsigned n = 8; n <= 12; n += 2) {
+        const Word N = Word{1} << n;
+        const Router router(n, false, /*plan_cache_capacity=*/0,
+                            /*cache_shards=*/1, /*metrics=*/nullptr);
+        Prng prng(300 + n);
+        std::vector<Permutation> pool;
+        std::vector<Word> data(N);
+        for (Word i = 0; i < N; ++i)
+            data[i] = 7 * i + 1;
+        for (std::size_t i = 0; i < pool_size; ++i) {
+            pool.push_back(Permutation::random(N, prng));
+            const RoutePlan plan = router.plan(pool.back());
+            if (plan.strategy != RouteStrategy::TwoPass) {
+                std::fprintf(stderr,
+                             "n=%u pool[%zu] planned %s, not "
+                             "two-pass\n",
+                             n, i, routeStrategyName(plan.strategy));
+                return false;
+            }
+            if (router.execute(plan, data) !=
+                pool.back().applyTo(data)) {
+                std::fprintf(stderr,
+                             "n=%u pool[%zu]: two-pass payload "
+                             "differs from applyTo\n",
+                             n, i);
+                return false;
+            }
+        }
+
+        std::vector<double> us;
+        us.reserve(samples);
+        for (std::size_t k = 0; k < samples; ++k) {
+            const Permutation &d = pool[k % pool_size];
+            const auto t0 = std::chrono::steady_clock::now();
+            auto plan = router.plan(d);
+            const auto t1 = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(plan.fast);
+            us.push_back(
+                std::chrono::duration<double, std::micro>(t1 - t0)
+                    .count());
+        }
+        const double med = quantile(us, 0.5);
+        const double p10 = quantile(us, 0.1);
+        const double p90 = quantile(us, 0.9);
+        rows.push_back({n, N, pool_size, samples, med, p10, p90});
+        table.newRow();
+        table.addCell(n);
+        table.addCell(N);
+        table.addCell(samples);
+        table.addCell(med, 1);
+        table.addCell(p10, 1);
+        table.addCell(p90, 1);
+    }
+    table.print(std::cout);
+    std::cout << "\n(every sample is a cold TwoPass plan, verified "
+                 "through both tag passes; compare the\n"
+                 "router.plan column above for an F member at the "
+                 "same n)\n\n";
+    return true;
+}
+
 bool
 writeSetupJson(const std::vector<SetupRow> &rows,
+               const std::vector<ArbitraryRow> &arbitrary,
                const std::vector<BatchRow> &batches)
 {
     const char *path = "BENCH_setup.json";
@@ -333,6 +438,23 @@ writeSetupJson(const std::vector<SetupRow> &rows,
             r.reference_us, r.scalar_us, r.simd_us, r.router_us,
             r.reference_us / r.simd_us,
             i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(jf,
+                 "  ],\n  \"arbitrary_workload\": \"uniformly random "
+                 "permutations, cold Router::plan (TwoPass), 32-perm "
+                 "cold pool\",\n  \"arbitrary\": [\n");
+    for (std::size_t i = 0; i < arbitrary.size(); ++i) {
+        const ArbitraryRow &r = arbitrary[i];
+        std::fprintf(
+            jf,
+            "    {\"n\": %u, \"N\": %llu, \"strategy\": "
+            "\"two-pass\", \"pool\": %zu, \"samples\": %zu, "
+            "\"router_plan_cold_us_median\": %.1f, "
+            "\"router_plan_cold_us_p10\": %.1f, "
+            "\"router_plan_cold_us_p90\": %.1f}%s\n",
+            r.n, static_cast<unsigned long long>(r.N), r.pool,
+            r.samples, r.median_us, r.p10_us, r.p90_us,
+            i + 1 < arbitrary.size() ? "," : "");
     }
     std::fprintf(jf, "  ],\n  \"batch\": [\n");
     for (std::size_t i = 0; i < batches.size(); ++i) {
@@ -421,9 +543,12 @@ main(int argc, char **argv)
                        !(smoke_env[0] == '0' && smoke_env[1] == '\0');
 
     std::vector<SetupRow> rows;
+    std::vector<ArbitraryRow> arbitrary;
     std::vector<BatchRow> batches;
     runBitslicedSetup(smoke, rows, batches);
-    if (!writeSetupJson(rows, batches))
+    if (!runArbitrarySetup(smoke, arbitrary))
+        return 1;
+    if (!writeSetupJson(rows, arbitrary, batches))
         return 1;
 
     printSetupComparison(smoke ? 10u : 16u);

@@ -73,6 +73,36 @@ EOF
     fi
 fi
 
+# Arbitrary-permutation rows: the cold TwoPass plan for uniformly
+# random permutations must stay in the committed trajectory at
+# n = 8, 10 and 12. Presence and shape only, no timing gate (the
+# bench itself fails if a plan is not TwoPass or misdelivers).
+if [ -f BENCH_setup.json ]; then
+    echo
+    echo "== arbitrary-permutation rows (TwoPass cold plans) =="
+    if ! python3 - <<'EOF'
+import json, sys
+rows = json.load(open("BENCH_setup.json")).get("arbitrary", [])
+by_n = {r.get("n"): r for r in rows}
+keys = ("router_plan_cold_us_median", "router_plan_cold_us_p10",
+        "router_plan_cold_us_p90")
+for n in (8, 10, 12):
+    r = by_n.get(n)
+    if r is None:
+        sys.exit(f"missing n={n} arbitrary row in BENCH_setup.json")
+    if r.get("strategy") != "two-pass":
+        sys.exit(f"n={n} arbitrary row is not two-pass")
+    missing = [k for k in keys if not isinstance(r.get(k), (int, float))]
+    if missing:
+        sys.exit(f"n={n} arbitrary row lacks {', '.join(missing)}")
+    print(f"  n={n}: median {r[keys[0]]:.1f} us  p10 {r[keys[1]]:.1f} "
+          f"us  p90 {r[keys[2]]:.1f} us")
+EOF
+    then
+        failed=1
+    fi
+fi
+
 # Packet-loss guard: the packet fabric must not shed uniform
 # traffic below saturation. bench_packet already exits nonzero on
 # the same condition; re-checking the committed JSON here keeps the

@@ -2,16 +2,23 @@
 # CI service soak: boot the real srbd daemon on an ephemeral
 # loopback port, drive it with the open-loop load generator in its
 # reduced SRBENES_BENCH_SMOKE configuration, then SIGTERM the daemon
-# and hold it to its drain contract.
+# and hold it to its drain contract. Two short phases, each against
+# a fresh daemon:
+#
+#   1. hot:  n=8, loadgen's default 16 patterns — plans are reused;
+#   2. cold: n=10, 1024 uniformly random patterns, above the 512
+#            shared-cache slots — srbd plans TwoPass cold plans and
+#            evicts them as it goes.
 #
 #     scripts/service_soak.sh [build-dir]     # default: build
 #
-# Pass criteria, all hard:
+# Pass criteria, all hard, in each phase:
 #   - loadgen exits 0 under --require-clean: nonzero completed
 #     serves, zero lost requests, zero payload mismatches, zero
 #     protocol errors;
 #   - the daemon's Prometheus exposition (fetched over the Stats
-#     verb) carries srbd_ series with a nonzero submit count;
+#     verb) carries srbd_ series with a nonzero submit count — and,
+#     in the cold phase, a nonzero two-pass plan count;
 #   - after SIGTERM the daemon exits 0 (graceful drain) within the
 #     timeout, reporting a clean drain on stdout.
 set -uo pipefail
@@ -29,72 +36,116 @@ for bin in "${srbd}" "${loadgen}"; do
 done
 
 workdir="$(mktemp -d)"
-log="${workdir}/srbd.log"
-metrics="${workdir}/metrics.txt"
+srbd_pid=""
 failed=0
 
-"${srbd}" --port=0 --n=8 > "${log}" 2>&1 &
-srbd_pid=$!
 cleanup() {
-    kill -KILL "${srbd_pid}" 2>/dev/null
+    [ -n "${srbd_pid}" ] && kill -KILL "${srbd_pid}" 2>/dev/null
     rm -rf "${workdir}"
 }
 trap cleanup EXIT
 
-# The daemon prints its bound address as its first line.
-port=""
-for _ in $(seq 1 50); do
-    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${log}")"
-    [ -n "${port}" ] && break
-    if ! kill -0 "${srbd_pid}" 2>/dev/null; then
-        echo "srbd died before binding:"
+# start_srbd N LOG: boot srbd at width N, logging to LOG; sets
+# srbd_pid and port, or exits the script if the daemon never binds.
+start_srbd() {
+    local n="$1" log="$2"
+    "${srbd}" --port=0 --n="${n}" > "${log}" 2>&1 &
+    srbd_pid=$!
+
+    # The daemon prints its bound address as its first line.
+    port=""
+    for _ in $(seq 1 50); do
+        port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${log}")"
+        [ -n "${port}" ] && break
+        if ! kill -0 "${srbd_pid}" 2>/dev/null; then
+            echo "srbd died before binding:"
+            cat "${log}"
+            exit 1
+        fi
+        sleep 0.1
+    done
+    if [ -z "${port}" ]; then
+        echo "srbd never reported its port:"
         cat "${log}"
         exit 1
     fi
-    sleep 0.1
-done
-if [ -z "${port}" ]; then
-    echo "srbd never reported its port:"
+    echo "== srbd n=${n} up on 127.0.0.1:${port} (pid ${srbd_pid}) =="
+}
+
+# drain_srbd LOG: SIGTERM the daemon and hold it to the drain
+# contract.
+drain_srbd() {
+    local log="$1"
+    echo "== SIGTERM drain =="
+    kill -TERM "${srbd_pid}"
+    # Watchdog: a drain that hangs past 30s gets SIGKILLed, which
+    # surfaces as a nonzero exit below.
+    ( sleep 30; kill -KILL "${srbd_pid}" 2>/dev/null ) &
+    local watchdog=$!
+    wait "${srbd_pid}"
+    local rc=$?
+    srbd_pid=""
+    kill "${watchdog}" 2>/dev/null
+    wait "${watchdog}" 2>/dev/null
+    if [ "${rc}" -ne 0 ]; then
+        echo "FAILED: srbd exited ${rc} (dirty or hung drain)"
+        failed=1
+    fi
     cat "${log}"
-    exit 1
-fi
-echo "== srbd up on 127.0.0.1:${port} (pid ${srbd_pid}) =="
+    if ! grep -q 'drained clean' "${log}"; then
+        echo "FAILED: srbd did not report a clean drain"
+        failed=1
+    fi
+}
 
-echo "== loadgen soak (smoke configuration) =="
-if ! SRBENES_BENCH_SMOKE=1 "${loadgen}" \
-        --port="${port}" --require-clean \
-        --dump-metrics="${metrics}"; then
-    echo "FAILED: loadgen was not clean"
-    failed=1
-fi
+# soak_phase NAME N METRICS [loadgen flags...]: one clean loadgen
+# run against the daemon on ${port}, dumping the exposition to
+# METRICS and checking its submit count.
+soak_phase() {
+    local name="$1" metrics="$2"
+    shift 2
+    echo "== loadgen soak: ${name} (smoke configuration) =="
+    if ! SRBENES_BENCH_SMOKE=1 "${loadgen}" \
+            --port="${port}" --require-clean \
+            --dump-metrics="${metrics}" "$@"; then
+        echo "FAILED: loadgen was not clean (${name})"
+        failed=1
+    fi
 
-echo "== srbd metrics exposition =="
-if grep -q '^srbd_submits_total [1-9]' "${metrics}"; then
-    grep '^srbd_' "${metrics}" | grep -v '_bucket{' | head -20
+    echo "== srbd metrics exposition (${name}) =="
+    if grep -q '^srbd_submits_total [1-9]' "${metrics}"; then
+        grep '^srbd_' "${metrics}" | grep -v '_bucket{' | head -20
+    else
+        echo "FAILED: no nonzero srbd_submits_total in the exposition"
+        sed -n '1,40p' "${metrics}"
+        failed=1
+    fi
+}
+
+# Phase 1: the hot set.
+log="${workdir}/srbd-hot.log"
+metrics="${workdir}/metrics-hot.txt"
+start_srbd 8 "${log}"
+soak_phase "hot, n=8" "${metrics}"
+drain_srbd "${log}"
+
+# Phase 2: the cold path. 1024 patterns cycled round robin overflow
+# the shared plan cache, so every serve is a cold plan and nearly
+# all random permutations of 1024 lines plan TwoPass.
+log="${workdir}/srbd-cold.log"
+metrics="${workdir}/metrics-cold.txt"
+start_srbd 10 "${log}"
+soak_phase "cold, n=10" "${metrics}" --patterns=1024
+two_pass_re='^srbenes_router_plans_total{[^}]*strategy="two-pass"[^}]*} [1-9]'
+if grep -q "${two_pass_re}" "${metrics}"; then
+    grep '^srbenes_router_plans_total{' "${metrics}"
+    grep '^srbenes_router_plan_cache_evictions_total{' "${metrics}" \
+        | head -4
 else
-    echo "FAILED: no nonzero srbd_submits_total in the exposition"
-    sed -n '1,40p' "${metrics}"
+    echo "FAILED: no two-pass plans in the cold phase's exposition"
+    grep '^srbenes_router_' "${metrics}" | grep -v '_bucket{' | head -20
     failed=1
 fi
-
-echo "== SIGTERM drain =="
-kill -TERM "${srbd_pid}"
-# Watchdog: a drain that hangs past 30s gets SIGKILLed, which
-# surfaces as a nonzero exit below.
-( sleep 30; kill -KILL "${srbd_pid}" 2>/dev/null ) &
-watchdog=$!
-wait "${srbd_pid}"
-rc=$?
-kill "${watchdog}" 2>/dev/null
-wait "${watchdog}" 2>/dev/null
-if [ "${rc}" -ne 0 ]; then
-    echo "FAILED: srbd exited ${rc} (dirty or hung drain)"
-    failed=1
-fi
-cat "${log}"
-if ! grep -q 'drained clean' "${log}"; then
-    echo "FAILED: srbd did not report a clean drain"
-    failed=1
-fi
+drain_srbd "${log}"
 
 exit "${failed}"

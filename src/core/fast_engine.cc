@@ -215,23 +215,18 @@ void
 FastEngine::finishPlan(FastPlan &plan, const Permutation &d,
                        const std::vector<Word> &planes) const
 {
+    // Success iff the final planes equal the home pattern: every
+    // output's tag is its own index.
+    if (planesAtHome(planes)) {
+        finishHome(plan, d);
+        return;
+    }
+
     const Word size = num_lines_;
+    plan.success = false;
     plan.dest.resize(size);
     plan.src.resize(size);
     plan.misrouted_outputs.clear();
-
-    // Success iff the final planes equal the home pattern: every
-    // output's tag is its own index.
-    plan.success = planesAtHome(planes);
-    if (plan.success) {
-        // Tags ride with their signals, and d is a permutation, so
-        // success pins the whole lane mapping to d itself.
-        for (Word i = 0; i < size; ++i) {
-            plan.dest[i] = d[i];
-            plan.src[d[i]] = i;
-        }
-        return;
-    }
 
     // Misroute path (non-F self-routing attempts, fault studies):
     // unpack each slot's tag and recover its origin through d^-1.
@@ -255,6 +250,17 @@ FastEngine::finishPlan(FastPlan &plan, const Permutation &d,
               plan.misrouted_outputs.end());
 }
 
+void
+FastEngine::finishHome(FastPlan &plan, const Permutation &d) const
+{
+    // Tags ride with their signals, and d is a permutation, so
+    // success pins the whole lane mapping to d itself.
+    plan.success = true;
+    plan.dest = d.dest();
+    inverseInto(d, plan.src);
+    plan.misrouted_outputs.clear();
+}
+
 FastPlan
 FastEngine::routePlan(const Permutation &d, RoutingMode mode) const
 {
@@ -267,6 +273,23 @@ FastEngine::routePlan(const Permutation &d, RoutingMode mode) const
     finishPlan(plan, d, t_planes);
     if (routes_planned_)
         routes_planned_->inc();
+    return plan;
+}
+
+std::optional<FastPlan>
+FastEngine::routePlanIfHome(const Permutation &d, RoutingMode mode) const
+{
+    if (d.size() != num_lines_)
+        fatal("permutation size %zu does not match network N = %llu",
+              d.size(), static_cast<unsigned long long>(num_lines_));
+    FastPlan plan;
+    loadTagPlanes(d, t_planes);
+    runPlanes(t_planes, plan, nullptr, mode);
+    if (routes_planned_)
+        routes_planned_->inc();
+    if (!planesAtHome(t_planes))
+        return std::nullopt;
+    finishHome(plan, d);
     return plan;
 }
 

@@ -49,6 +49,7 @@
 #ifndef SRBENES_CORE_FAST_ENGINE_HH
 #define SRBENES_CORE_FAST_ENGINE_HH
 
+#include <optional>
 #include <vector>
 
 #include "core/plan_arena.hh"
@@ -212,8 +213,17 @@ class FastEngine
      *  bytes needed beyond the permutation itself. */
     void inverseInto(const Permutation &d, std::vector<Word> &src) const;
     /** @} */
+    /**
+     * routePlan without the misroute bookkeeping: the plan when
+     * every tag reached home, nullopt otherwise (then nothing beyond
+     * the pass itself was paid).
+     */
+    std::optional<FastPlan> routePlanIfHome(const Permutation &d,
+                                            RoutingMode mode) const;
     void finishPlan(FastPlan &plan, const Permutation &d,
                     const std::vector<Word> &planes) const;
+    /** Lane mapping of a plan whose tags all reached home. */
+    void finishHome(FastPlan &plan, const Permutation &d) const;
     RouteResult toRouteResult(const FastPlan &plan,
                               const Permutation &d) const;
 

@@ -153,21 +153,19 @@ Router::planImpl(const Permutation &d) const
     // first: the engine's conflict detection IS the F-membership
     // test (a permutation self-routes iff it is in F), and one
     // bit-sliced routing pass costs a fraction of the structural
-    // inFClass check. All self-routed passes go through the
+    // inFClass check. A failed attempt is simply dropped, so it
+    // goes through the success-only call and pays no misroute
+    // bookkeeping. All self-routed passes go through the
     // SetupEngine so cold planning stays on the bit-sliced path.
-    {
-        auto fast = std::make_shared<FastPlan>(setup_.plan(d));
-        if (fast->success)
-            return RoutePlan{RouteStrategy::SelfRouting, d, {}, {}, 1,
-                             std::move(fast)};
-    }
+    if (auto fast = setup_.planIfRoutes(d))
+        return RoutePlan{RouteStrategy::SelfRouting, d, {}, {}, 1,
+                         std::make_shared<FastPlan>(std::move(*fast))};
     if (isOmega(d)) {
-        auto fast = std::make_shared<FastPlan>(
-            setup_.plan(d, RoutingMode::OmegaBit));
-        if (!fast->success)
+        auto fast = setup_.planIfRoutes(d, RoutingMode::OmegaBit);
+        if (!fast)
             panic("omega-bit plan failed for a planned Omega member");
         return RoutePlan{RouteStrategy::OmegaBit, d, {}, {}, 1,
-                         std::move(fast)};
+                         std::make_shared<FastPlan>(std::move(*fast))};
     }
     if (prefer_waksman_) {
         SwitchStates states = waksmanSetup(net_.topology(), d);
@@ -180,22 +178,19 @@ Router::planImpl(const Permutation &d) const
     }
 
     TwoPassPlan tp = twoPassPlan(net_, d);
-    const FastPlan p1 = setup_.plan(tp.first);
-    const FastPlan p2 =
-        setup_.plan(tp.second, RoutingMode::OmegaBit);
-    if (!p1.success || !p2.success)
+    if (!setup_.planIfRoutes(tp.first) ||
+        !setup_.planIfRoutes(tp.second, RoutingMode::OmegaBit))
         panic("two-pass plan failed one of its self-routed passes");
-    // Compose the two verified passes into one execution mapping;
-    // the per-pass switch states live in the TwoPassPlan if needed.
+    // Both passes verified, and the factorization composes to d by
+    // construction (second[first[i]] = d[i]), so the execution
+    // mapping is d's own gather table; the per-pass switch states
+    // live in the TwoPassPlan if needed.
     auto fast = std::make_shared<FastPlan>();
-    fast->n = p1.n;
+    fast->n = engine_.n();
     fast->success = true;
-    fast->dest.resize(d.size());
     fast->src.resize(d.size());
     for (Word i = 0; i < d.size(); ++i)
-        fast->dest[i] = p2.dest[p1.dest[i]];
-    for (Word i = 0; i < d.size(); ++i)
-        fast->src[fast->dest[i]] = i;
+        fast->src[d[i]] = i;
     return RoutePlan{RouteStrategy::TwoPass, d, std::move(tp), {}, 2,
                      std::move(fast)};
 }
@@ -203,8 +198,8 @@ Router::planImpl(const Permutation &d) const
 void
 Router::compactForCache(RoutePlan &p, CacheShard &sh) const
 {
-    if (!p.fast || p.fast->ctrl.empty())
-        return; // composed TwoPass mappings carry no masks to pack
+    if (!p.fast)
+        return;
     // Insert-time slimming of a plan planImpl built a moment ago:
     // this planCached call still holds the only reference, so the
     // const on the element type (which guards the aliases handed
@@ -213,25 +208,29 @@ Router::compactForCache(RoutePlan &p, CacheShard &sh) const
 
     // The switch settings survive in succinct switch-packed form
     // ((2n-1) * N/2 bits, a word-rounding of Waksman's
-    // N lg N - N + 1 bound) inside the shard's arena; the flat
-    // masks, the dest table (== perm on a success plan), and the
-    // (empty) misroute list are dropped. src stays flat — it is the
-    // gather table execute reads on every hit.
-    PackedStates packed = setup_.packedStates(fp);
-    const std::size_t words = packed.words.size();
-    Word *block = sh.arena->alloc(words);
-    std::copy(packed.words.begin(), packed.words.end(), block);
-    std::shared_ptr<PlanArena> arena = sh.arena;
-    p.packed_block = std::shared_ptr<const Word>(
-        block, [arena, words](const Word *b) {
-            arena->release(const_cast<Word *>(b), words);
-        });
-    p.packed_ctrl.n = fp.n;
-    p.packed_ctrl.words_per_stage = packed.words_per_stage;
-    p.packed_ctrl.stage_stride = packed.words_per_stage;
-    p.packed_ctrl.words = p.packed_block.get();
+    // N lg N - N + 1 bound) inside the shard's arena. Composed
+    // TwoPass mappings carry no masks to pack; their per-pass
+    // factors stay in two_pass.
+    if (!fp.ctrl.empty()) {
+        PackedStates packed = setup_.packedStates(fp);
+        const std::size_t words = packed.words.size();
+        Word *block = sh.arena->alloc(words);
+        std::copy(packed.words.begin(), packed.words.end(), block);
+        std::shared_ptr<PlanArena> arena = sh.arena;
+        p.packed_block = std::shared_ptr<const Word>(
+            block, [arena, words](const Word *b) {
+                arena->release(const_cast<Word *>(b), words);
+            });
+        p.packed_ctrl.n = fp.n;
+        p.packed_ctrl.words_per_stage = packed.words_per_stage;
+        p.packed_ctrl.stage_stride = packed.words_per_stage;
+        p.packed_ctrl.words = p.packed_block.get();
+        fp.ctrl = {};
+    }
 
-    fp.ctrl = {};
+    // The dest table (== perm on a success plan) and the (empty)
+    // misroute list are dropped for every strategy. src stays flat —
+    // it is the gather table execute reads on every hit.
     if (fp.success)
         fp.dest = {};
     fp.misrouted_outputs = {};

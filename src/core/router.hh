@@ -80,16 +80,18 @@ struct RoutePlan
     unsigned passes = 1;
     /**
      * Realized lane mapping, verified through the FastEngine at
-     * planning time (for TwoPass, the composition of both passes; its
-     * ctrl masks are then empty). Plans built by Router always carry
-     * it; a hand-assembled plan without it falls back to the
-     * reference fabric simulation in execute().
+     * planning time. Plans built by Router always carry it; a
+     * hand-assembled plan without it falls back to the reference
+     * fabric simulation in execute(). For TwoPass, both factor passes
+     * are verified through the tag pass and the mapping is the
+     * composition, which is d itself: the plan carries only src (the
+     * inverse of perm), with empty ctrl masks and dest.
      *
      * Plans resident in the Router's cache are COMPACTED: the flat
      * ctrl masks and the dest table (derivable from perm on a
-     * success plan) are dropped and the switch settings live on as
-     * packed_ctrl below. Only the src gather table — what execute
-     * actually reads — stays flat.
+     * success plan) are dropped, for every strategy, and the switch
+     * settings live on as packed_ctrl below. Only the src gather
+     * table — what execute actually reads — stays flat.
      */
     std::shared_ptr<const FastPlan> fast;
     /**
@@ -288,10 +290,11 @@ class Router
     RoutePlan planImpl(const Permutation &d) const;
     /**
      * Compact a freshly planned RoutePlan for cache residency: the
-     * flat ctrl masks become switch-packed bits in @p sh's arena
-     * (packed_ctrl / packed_block) and the derivable dest table and
-     * misroute list are dropped; only src stays flat. No-op for
-     * mappings that carry no masks (TwoPass compositions).
+     * flat ctrl masks, if any, become switch-packed bits in @p sh's
+     * arena (packed_ctrl / packed_block), and the derivable dest
+     * table and misroute list are dropped; only src stays flat.
+     * TwoPass compositions carry no masks; their factors stay in
+     * two_pass, which the resilient layer replays.
      */
     void compactForCache(RoutePlan &p, CacheShard &sh) const;
     /** Resident bytes of one plan as cached (heap payloads only). */

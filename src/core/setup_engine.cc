@@ -196,6 +196,15 @@ SetupEngine::plan(const Permutation &d, RoutingMode mode) const
     return p;
 }
 
+std::optional<FastPlan>
+SetupEngine::planIfRoutes(const Permutation &d, RoutingMode mode) const
+{
+    std::optional<FastPlan> p = eng_.routePlanIfHome(d, mode);
+    if (plans_)
+        plans_->inc();
+    return p;
+}
+
 PackedStates
 SetupEngine::packedStates(const FastPlan &plan) const
 {

@@ -53,6 +53,7 @@
 #define SRBENES_CORE_SETUP_ENGINE_HH
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -88,9 +89,23 @@ class SetupEngine
 
     const FastEngine &engine() const { return eng_; }
 
-    /** Cold-plan @p d through the bit-sliced fabric. */
+    /**
+     * Cold-plan @p d through the bit-sliced fabric. A failed pass
+     * still yields the realized mapping and its misrouted outputs
+     * (diagnostics read them).
+     */
     FastPlan plan(const Permutation &d,
                   RoutingMode mode = RoutingMode::SelfRouting) const;
+
+    /**
+     * The same pass, success only: plan(d, mode) when every tag
+     * reached home, nullopt otherwise — without unpacking the final
+     * tags or collecting misrouted outputs. The cheap F-membership
+     * attempt and pass verification the Router needs.
+     */
+    std::optional<FastPlan>
+    planIfRoutes(const Permutation &d,
+                 RoutingMode mode = RoutingMode::SelfRouting) const;
 
     /**
      * Physical-order PackedStates of @p plan, produced word-parallel

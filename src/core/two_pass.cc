@@ -1,5 +1,8 @@
 #include "core/two_pass.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/logging.hh"
 
 namespace srbenes
@@ -21,86 +24,165 @@ mixFactorKey(std::uint64_t x)
 }
 
 /**
- * Recursive worker: run the looping 2-coloring of the Waksman
- * algorithm, but instead of emitting switch states, record for each
- * original input the upper/lower decision at every recursion level.
- * Those decision bits ARE the middle-stage line label M_i in the
- * recursive numbering of B(n):
+ * Flat scratch of the level-by-level factor, one set per thread;
+ * capacity persists across plans. Level l holds its 2^l
+ * sub-problems of size s = 2^(n-l) side by side: sub-problem k
+ * occupies [k*s, (k+1)*s), and its children at level l+1 take the
+ * upper and lower halves of that same range. Indices inside a
+ * sub-problem are local, in [0, s).
+ */
+struct FactorScratch
+{
+    /** Input feeding each local output. */
+    std::vector<std::uint32_t> dinv, dinv_next;
+    /** Original input id carried by each slot. */
+    std::vector<std::uint32_t> ids, ids_next;
+    /** Loop successor of each slot, nxt[x] = dinv[d[x^1]^1]. */
+    std::vector<std::uint32_t> nxt;
+    /** 0 = uncolored, 1 = upper subnetwork, 2 = lower. */
+    std::vector<std::uint8_t> color;
+};
+
+thread_local FactorScratch t_factor;
+
+/**
+ * The looping 2-coloring of the Waksman algorithm, run one whole
+ * recursion level at a time: instead of emitting switch states, it
+ * records for each original input the upper/lower decision at every
+ * level. Those decision bits ARE the middle-stage line label M_i in
+ * the recursive numbering of B(n):
  *
  *  - the level-l decision becomes bit l of M_i (which B(n-1-l)
  *    subnetwork the signal uses);
  *  - the port of the final B(1) block (the signal's local input
  *    index there) becomes the top bit.
  *
- * By construction M separates every input pair and every output pair
- * at every granularity, which is exactly Lawrie's pair of window
- * conditions: M is in InverseOmega(n) and D o M^-1 is in Omega(n).
+ * Because each level packs a parent's upper child into the first
+ * half of its range and the lower child into the second, an input's
+ * final slot spells its decisions from the top bit down: M_i is the
+ * n-bit reversal of that slot.
  *
- * @param d    local sub-permutation (size 2^m);
- * @param ids  original input index carried by each local input;
- * @param level current recursion depth (0 = outermost);
- * @param n    total index width;
- * @param mid  output: M, indexed by original input;
+ * By construction M separates every input pair and every output
+ * pair at every granularity, which is exactly Lawrie's pair of
+ * window conditions: M is in InverseOmega(n) and D o M^-1 is in
+ * Omega(n). Writes M into @p mid and D o M^-1 into @p second.
+ *
  * @param seed loop-coloring seed; 0 = canonical (always pick 0).
  */
 void
-factorRecurse(const std::vector<Word> &d, const std::vector<Word> &ids,
-              unsigned level, unsigned n, std::vector<Word> &mid,
-              std::uint64_t seed)
+factorLevels(const std::vector<Word> &dest, unsigned n,
+             std::uint64_t seed, std::vector<Word> &mid,
+             std::vector<Word> &second)
 {
-    const Word size = d.size();
-    if (size == 2) {
-        // Final B(1): the local input index is the middle-stage port.
-        mid[ids[0]] |= Word{0} << (n - 1);
-        mid[ids[1]] |= Word{1} << (n - 1);
-        return;
+    const std::uint32_t size = std::uint32_t{1} << n;
+    FactorScratch &sc = t_factor;
+    sc.dinv.resize(size);
+    sc.dinv_next.resize(size);
+    sc.ids.resize(size);
+    sc.ids_next.resize(size);
+    sc.nxt.resize(size);
+    sc.color.resize(size);
+
+    for (std::uint32_t x = 0; x < size; ++x) {
+        sc.dinv[dest[x]] = x;
+        sc.ids[x] = x;
     }
 
-    std::vector<Word> dinv(size);
-    for (Word x = 0; x < size; ++x)
-        dinv[d[x]] = x;
+    for (unsigned level = 0; level + 1 < n; ++level) {
+        const std::uint32_t s = size >> level;
+        const std::uint32_t half = s / 2;
+        const std::uint32_t *dinv = sc.dinv.data();
+        const std::uint32_t *ids = sc.ids.data();
+        std::uint32_t *nxt = sc.nxt.data();
+        std::uint8_t *color = sc.color.data();
 
-    // The alternating loop of the Waksman setup: inputs of one pair
-    // must part ways, and so must the inputs feeding one output
-    // pair. Each loop's starting color is the algorithm's free
-    // choice; the seeded draw keys on the loop's starting ORIGINAL
-    // input id, which is unique per loop across the whole level.
-    std::vector<int> up(size, -1);
-    for (Word p = 0; p < size / 2; ++p) {
-        if (up[2 * p] != -1)
-            continue;
-        Word x = 2 * p;
-        // Top bit: bit 0 of the finalizer is biased over these
-        // small structured keys (see waksman.cc seededColor).
-        int val = seed == 0
-                      ? 0
-                      : static_cast<int>(
-                            mixFactorKey(
-                                seed ^
-                                (std::uint64_t{level} << 48) ^
-                                ids[2 * p]) >>
-                            63);
-        while (up[x] == -1) {
-            up[x] = val;
-            up[x ^ 1] = 1 - val;
-            x = dinv[d[x ^ 1] ^ 1];
+        // The alternating loop of the Waksman setup: inputs of one
+        // pair must part ways, and so must the inputs a and b
+        // feeding one output pair — so the loop leaving a's partner
+        // continues at b, and the one leaving b's partner at a.
+        // Precomputing those successors leaves a single dependent
+        // load per step of the chase below.
+        for (std::uint32_t y = 0; y < size; y += 2) {
+            const std::uint32_t o = y & ~(s - 1);
+            const std::uint32_t a = dinv[y];
+            const std::uint32_t b = dinv[y + 1];
+            nxt[o | (a ^ 1)] = o | b;
+            nxt[o | (b ^ 1)] = o | a;
         }
+
+        // Each loop's starting color is the algorithm's free
+        // choice; the seeded draw keys on the loop's starting
+        // ORIGINAL input id, which is unique per loop across the
+        // whole level. Loops never leave their sub-problem, so
+        // walking the level's pairs in order colors every
+        // sub-problem exactly as a per-node recursion would.
+        std::fill(sc.color.begin(), sc.color.end(), 0);
+        for (std::uint32_t p = 0; p < size; p += 2) {
+            if (color[p])
+                continue;
+            // Top bit: bit 0 of the finalizer is biased over these
+            // small structured keys (see waksman.cc seededColor).
+            const unsigned val =
+                seed == 0
+                    ? 0
+                    : static_cast<unsigned>(
+                          mixFactorKey(seed ^
+                                       (std::uint64_t{level} << 48) ^
+                                       ids[p]) >>
+                          63);
+            const auto mine = static_cast<std::uint8_t>(1 + val);
+            const auto other = static_cast<std::uint8_t>(2 - val);
+            // nxt is a bijection whose cycles are the loops, and a
+            // loop never reaches its start's partner (every
+            // permutation has a valid coloring), so it closes at p.
+            std::uint32_t x = p;
+            do {
+                color[x] = mine;
+                color[x ^ 1] = other;
+                x = nxt[x];
+            } while (x != p);
+        }
+
+        // Split every sub-problem: the upper child takes the first
+        // half of its range, the lower child the second. Input pair
+        // i becomes local input i of both children, output pair j
+        // local output j.
+        std::uint32_t *dinv_next = sc.dinv_next.data();
+        std::uint32_t *ids_next = sc.ids_next.data();
+        for (std::uint32_t o = 0; o < size; o += s) {
+            for (std::uint32_t j = 0; j < half; ++j) {
+                // The upper one of the pair's inputs a and b feeds
+                // the upper child. Select without a branch: which
+                // one it is, is a coin flip.
+                const std::uint32_t a = dinv[o + 2 * j];
+                const std::uint32_t b = dinv[o + 2 * j + 1];
+                const std::uint32_t swap =
+                    (a ^ b) & (0u - (color[o + a] == 1 ? 1u : 0u));
+                dinv_next[o + j] = (b ^ swap) >> 1;
+                dinv_next[o + half + j] = (a ^ swap) >> 1;
+            }
+            for (std::uint32_t i = 0; i < half; ++i) {
+                const std::uint32_t x_up =
+                    o + 2 * i + (color[o + 2 * i] == 2 ? 1 : 0);
+                ids_next[o + i] = ids[x_up];
+                ids_next[o + half + i] = ids[x_up ^ 1];
+            }
+        }
+        sc.dinv.swap(sc.dinv_next);
+        sc.ids.swap(sc.ids_next);
     }
 
-    std::vector<Word> usub(size / 2), lsub(size / 2);
-    std::vector<Word> uids(size / 2), lids(size / 2);
-    for (Word i = 0; i < size / 2; ++i) {
-        const Word x_up = 2 * i + static_cast<Word>(up[2 * i] != 0);
-        const Word x_dn = x_up ^ 1;
-        usub[i] = d[x_up] >> 1;
-        lsub[i] = d[x_dn] >> 1;
-        uids[i] = ids[x_up];
-        lids[i] = ids[x_dn];
-        mid[ids[x_dn]] |= Word{1} << level;
+    // Every sub-problem is now a final B(1). The bit reversal of
+    // each slot is built in the spent successor array.
+    std::uint32_t *rev = sc.nxt.data();
+    rev[0] = 0;
+    for (std::uint32_t x = 1; x < size; ++x)
+        rev[x] = (rev[x >> 1] >> 1) | ((x & 1) << (n - 1));
+    for (std::uint32_t x = 0; x < size; ++x) {
+        const std::uint32_t id = sc.ids[x];
+        mid[id] = rev[x];
+        second[rev[x]] = dest[id];
     }
-
-    factorRecurse(usub, uids, level + 1, n, mid, seed);
-    factorRecurse(lsub, lids, level + 1, n, mid, seed);
 }
 
 } // namespace
@@ -126,15 +208,9 @@ twoPassPlanSeeded(const SelfRoutingBenes &net, const Permutation &d,
         return {Permutation::identity(size), d};
     }
 
-    std::vector<Word> mid(size, 0);
-    std::vector<Word> ids(size);
-    for (Word i = 0; i < size; ++i)
-        ids[i] = i;
-    factorRecurse(d.dest(), ids, 0, n, mid, seed);
-
+    std::vector<Word> mid(size);
     std::vector<Word> second(size);
-    for (Word i = 0; i < size; ++i)
-        second[mid[i]] = d[i];
+    factorLevels(d.dest(), n, seed, mid, second);
     return {Permutation(std::move(mid)),
             Permutation(std::move(second))};
 }

@@ -21,6 +21,14 @@
  * operational: the fabric never needs its self-setting logic
  * disabled or its (2n-1) N/2 switch states loaded -- each pass is
  * driven by the N-word destination-tag vector alone.
+ *
+ * The looping pass runs level-flat: the 2^l sub-problems of
+ * recursion level l sit side by side in flat per-thread arrays of
+ * 32-bit indices, each level is one successor pass, one loop chase
+ * and one split over those arrays, and nothing is allocated per
+ * node. It walks the same loops in the same order with the same
+ * colors as the textbook recursion, so every seed's factorization is
+ * unchanged (tests/test_two_pass.cc pins them by digest).
  */
 
 #ifndef SRBENES_CORE_TWO_PASS_HH
@@ -43,7 +51,8 @@ struct TwoPassPlan
 /**
  * Factor @p d into an inverse-omega and an omega permutation by
  * splitting a Waksman-routed pass through @p net at the middle
- * stage. Valid for every permutation of N = 2^n elements.
+ * stage. Valid for every permutation of N = 2^n elements; the
+ * factors compose to @p d by construction (second[first[i]] = d[i]).
  */
 TwoPassPlan twoPassPlan(const SelfRoutingBenes &net,
                         const Permutation &d);
@@ -54,9 +63,12 @@ TwoPassPlan twoPassPlan(const SelfRoutingBenes &net,
  * (first in InverseOmega, second in Omega, composition == d), and
  * different seeds generally yield different factors — so the two
  * passes exercise DIFFERENT switch states on the fabric. Seed 0 is
- * canonical (identical to twoPassPlan). The degraded-mode TwoPass
- * tier samples seeds hunting for a factorization whose two
- * tag-driven passes both verify on a faulty fabric.
+ * canonical (identical to twoPassPlan). The draw for a loop keys on
+ * the seed, the recursion level and the loop's starting original
+ * input id, so it does not depend on the order loops are walked in.
+ * The degraded-mode TwoPass tier samples seeds hunting for a
+ * factorization whose two tag-driven passes both verify on a faulty
+ * fabric.
  */
 TwoPassPlan twoPassPlanSeeded(const SelfRoutingBenes &net,
                               const Permutation &d,

@@ -347,7 +347,13 @@ TEST(Router, FastPathDeliversUnderEveryStrategy)
             const auto plan = router.plan(d);
             ASSERT_TRUE(plan.fast != nullptr);
             ASSERT_TRUE(plan.fast->success);
-            EXPECT_EQ(plan.fast->dest, d.dest());
+            // Every strategy realizes d: execute gathers through its
+            // inverse. A TwoPass plan carries only that gather table.
+            EXPECT_EQ(plan.fast->src, d.inverse().dest());
+            if (plan.strategy == RouteStrategy::TwoPass)
+                EXPECT_TRUE(plan.fast->dest.empty());
+            else
+                EXPECT_EQ(plan.fast->dest, d.dest());
             EXPECT_EQ(router.execute(plan, data), d.applyTo(data));
 
             std::vector<Word> out;

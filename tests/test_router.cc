@@ -180,6 +180,27 @@ TEST(Router, CachedPlansAreCompacted)
         EXPECT_EQ(out[f[i]], data[i]);
 
     EXPECT_GT(router.planCacheBytes(), 0u);
+
+    // A resident TwoPass plan has no masks to pack, but it drops the
+    // dest table all the same: only the src gather table stays flat,
+    // next to the factors the resilient layer replays.
+    for (int trial = 0;; ++trial) {
+        ASSERT_LT(trial, 50) << "no two-pass permutation sampled";
+        const Permutation d = Permutation::random(N, prng);
+        const auto tp = router.planCached(d);
+        if (tp->strategy != RouteStrategy::TwoPass)
+            continue;
+        ASSERT_TRUE(tp->fast);
+        EXPECT_TRUE(tp->fast->ctrl.empty());
+        EXPECT_TRUE(tp->fast->dest.empty());
+        EXPECT_EQ(tp->fast->src, d.inverse().dest());
+        ASSERT_TRUE(tp->two_pass);
+        EXPECT_EQ(tp->two_pass->first.then(tp->two_pass->second), d);
+        const auto tp_out = router.execute(*tp, data);
+        for (Word i = 0; i < N; ++i)
+            EXPECT_EQ(tp_out[d[i]], data[i]);
+        break;
+    }
 }
 
 TEST(Router, TwoPassPlansCacheWithoutPackedBits)

@@ -5,13 +5,15 @@
  * FastEngine::planPackedStates (the per-switch scalar reference) —
  * exhaustively at n <= 3, randomized at n = 4..12 including non-F
  * permutations rejected identically, across every supported SIMD
- * level and under the SRBENES_DISABLE_SIMD escape hatch. Also covers
+ * level and under the SRBENES_DISABLE_SIMD escape hatch. The same
+ * sweeps hold the success-only planIfRoutes to plan(). Also covers
  * the batch API (threaded and serial shard paths agree with per-item
  * planning) and construction at larger n.
  */
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "core/router.hh"
 #include "core/self_routing.hh"
 #include "core/setup_engine.hh"
+#include "core/two_pass.hh"
 #include "perm/f_class.hh"
 #include "perm/permutation.hh"
 
@@ -82,6 +85,14 @@ expectPackedParity(const FastEngine &eng, const SetupEngine &setup,
     const SetupResult fused = setup.setupPacked(d, mode);
     EXPECT_EQ(fused.plan.success, plan.success) << what;
     EXPECT_EQ(fused.packed.words, scalar_ref.words) << what;
+
+    // The success-only pass: a plan exactly when plan() succeeds,
+    // and then that very plan.
+    const std::optional<FastPlan> routed = setup.planIfRoutes(d, mode);
+    EXPECT_EQ(routed.has_value(), plan.success)
+        << what << " n=" << eng.n();
+    if (routed)
+        expectSamePlan(*routed, plan, eng.n(), what);
 }
 
 TEST(SetupEngine, ExhaustivePackedParityAtSmallN)
@@ -98,9 +109,10 @@ TEST(SetupEngine, ExhaustivePackedParityAtSmallN)
             const Permutation d(dest);
             for (SimdLevel level : supportedLevels()) {
                 setSimdLevel(level);
-                expectPackedParity(eng, setup, d,
-                                   RoutingMode::SelfRouting,
-                                   simdLevelName(level));
+                for (RoutingMode mode :
+                     {RoutingMode::SelfRouting, RoutingMode::OmegaBit})
+                    expectPackedParity(eng, setup, d, mode,
+                                       simdLevelName(level));
             }
         } while (std::next_permutation(dest.begin(), dest.end()));
     }
@@ -112,18 +124,25 @@ TEST(SetupEngine, RandomizedPackedParityIncludingMisroutes)
     Prng prng(91);
     for (unsigned n = 4; n <= 12; ++n) {
         const Word N = Word{1} << n;
+        const SelfRoutingBenes net(n);
         const FastEngine eng(n);
         const SetupEngine setup(eng);
         for (int rep = 0, reps = randIters(n <= 8 ? 6 : 2); rep < reps; ++rep) {
-            // An F member self-routes; an arbitrary permutation
-            // usually does not — both must plan and pack identically
-            // to the scalar reference, rejection included.
+            // An F member self-routes and an Omega member (a TwoPass
+            // second factor) routes with the omega bit; an arbitrary
+            // permutation usually does neither — all must plan and
+            // pack identically to the scalar reference, rejection
+            // included.
             const Permutation f = randomFMember(n, prng);
             const Permutation any = Permutation::random(N, prng);
+            const Permutation omega = twoPassPlan(net, any).second;
             for (SimdLevel level : supportedLevels()) {
                 setSimdLevel(level);
                 expectPackedParity(eng, setup, f,
                                    RoutingMode::SelfRouting,
+                                   simdLevelName(level));
+                expectPackedParity(eng, setup, omega,
+                                   RoutingMode::OmegaBit,
                                    simdLevelName(level));
                 expectPackedParity(eng, setup, any,
                                    RoutingMode::SelfRouting,
@@ -166,13 +185,20 @@ TEST(SetupEngine, DisableSimdEnvKeepsParity)
     ASSERT_EQ(activeSimdLevel(), SimdLevel::Scalar);
 
     Prng prng(93);
-    for (unsigned n : {4u, 7u, 10u}) {
+    for (unsigned n : {4u, 7u, 10u, 12u}) {
         const FastEngine eng(n);
         const SetupEngine setup(eng);
-        for (int rep = 0; rep < randIters(4); ++rep)
+        for (int rep = 0; rep < randIters(4); ++rep) {
             expectPackedParity(eng, setup, randomFMember(n, prng),
                                RoutingMode::SelfRouting,
                                "SRBENES_DISABLE_SIMD");
+            const Permutation any =
+                Permutation::random(eng.numLines(), prng);
+            for (RoutingMode mode :
+                 {RoutingMode::SelfRouting, RoutingMode::OmegaBit})
+                expectPackedParity(eng, setup, any, mode,
+                                   "SRBENES_DISABLE_SIMD");
+        }
     }
     ASSERT_EQ(unsetenv("SRBENES_DISABLE_SIMD"), 0);
 }
