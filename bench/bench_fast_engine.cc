@@ -1,20 +1,19 @@
 /**
  * @file
  * The bit-sliced flat routing engine against the scalar reference
- * simulator: plan cost and batched end-to-end transport across
- * n = 4..16 and batch sizes 1/8/64, single-threaded, lane-sharded
- * threaded, and through the Router's warm plan cache.
+ * simulator: plan cost and end-to-end transport of a batch of
+ * payload vectors across n = 4..16 and batch sizes 1/8/64, fresh
+ * and through the Router's warm plan cache.
  *
  *   scalar    : SelfRoutingBenes::route per payload vector plus the
  *               realized-destination scatter (the pre-engine
  *               Router::execute behavior);
- *   bitsliced : FastEngine::routePlan once, then one contiguous
- *               gather per payload vector;
- *   threaded  : same plan, lanes sharded across 4 std::thread
- *               workers;
- *   cached    : Router::routeBatch with a warm LRU plan cache (the
- *               paper's SIMD setting — a recurring pattern pays
- *               nothing but the gathers).
+ *   bitsliced : FastEngine::routePlan once, then one executeInto
+ *               (a contiguous gather) per payload vector;
+ *   cached    : Router::planCached with a warm plan cache, then one
+ *               Router::executeInto per payload vector (the paper's
+ *               SIMD setting — a recurring pattern pays nothing but
+ *               the gathers).
  *
  * Emits a fixed-width table on stdout and machine-readable
  * BENCH_fast_engine.json in the working directory so the perf
@@ -86,7 +85,6 @@ struct Row
     std::size_t batch;
     double scalar_ns;
     double bitsliced_ns;
-    double threaded_ns;
     double cached_ns;
     double plan_scalar_ns;
     double plan_fast_ns;
@@ -123,8 +121,7 @@ main()
     Prng prng(2026);
 
     TextTable table({"n", "N", "batch", "scalar ns", "bitsliced ns",
-                     "threaded ns", "cached ns", "speedup",
-                     "thr speedup", "cached speedup"});
+                     "cached ns", "speedup", "cached speedup"});
 
     // SRBENES_BENCH_SMOKE=1: the CI smoke configuration — fewer
     // sizes, so the run proves the binary and its JSON are healthy
@@ -173,21 +170,20 @@ main()
 
             // Bit-sliced: plan once, gather per vector.
             row.bitsliced_ns = timeNs([&]() {
-                const auto outs = engine.routeBatch(d, batch);
-                bench::sink(outs[0][0]);
-            });
-
-            // Same plan, lanes sharded across 4 workers.
-            row.threaded_ns = timeNs([&]() {
-                const auto outs = engine.routeBatch(
-                    d, batch, RoutingMode::SelfRouting, 4);
+                const FastPlan plan = engine.routePlan(d);
+                std::vector<std::vector<Word>> outs(B);
+                for (std::size_t v = 0; v < B; ++v)
+                    engine.executeInto(plan, batch[v], outs[v]);
                 bench::sink(outs[0][0]);
             });
 
             // Warm plan cache: classification and planning skipped.
-            (void)router.routeBatch(d, batch);
+            (void)router.planCached(d);
             row.cached_ns = timeNs([&]() {
-                const auto outs = router.routeBatch(d, batch);
+                const auto plan = router.planCached(d);
+                std::vector<std::vector<Word>> outs(B);
+                for (std::size_t v = 0; v < B; ++v)
+                    router.executeInto(*plan, batch[v], outs[v]);
                 bench::sink(outs[0][0]);
             });
 
@@ -209,10 +205,8 @@ main()
             table.addCell(B);
             table.addCell(fmt(row.scalar_ns));
             table.addCell(fmt(row.bitsliced_ns));
-            table.addCell(fmt(row.threaded_ns));
             table.addCell(fmt(row.cached_ns));
             table.addCell(fmtX(row.scalar_ns / row.bitsliced_ns));
-            table.addCell(fmtX(row.scalar_ns / row.threaded_ns));
             table.addCell(fmtX(row.scalar_ns / row.cached_ns));
         }
     }
@@ -250,15 +244,14 @@ main()
             jf,
             "    {\"n\": %u, \"N\": %llu, \"batch\": %zu, "
             "\"scalar_ns\": %.0f, \"bitsliced_ns\": %.0f, "
-            "\"threaded_ns\": %.0f, \"cached_ns\": %.0f, "
+            "\"cached_ns\": %.0f, "
             "\"plan_scalar_ns\": %.0f, \"plan_fast_ns\": %.0f, "
-            "\"speedup_bitsliced\": %.2f, \"speedup_threaded\": %.2f, "
+            "\"speedup_bitsliced\": %.2f, "
             "\"speedup_cached\": %.2f}%s\n",
             r.n, static_cast<unsigned long long>(r.N), r.batch,
-            r.scalar_ns, r.bitsliced_ns, r.threaded_ns, r.cached_ns,
+            r.scalar_ns, r.bitsliced_ns, r.cached_ns,
             r.plan_scalar_ns, r.plan_fast_ns,
-            r.scalar_ns / r.bitsliced_ns, r.scalar_ns / r.threaded_ns,
-            r.scalar_ns / r.cached_ns,
+            r.scalar_ns / r.bitsliced_ns, r.scalar_ns / r.cached_ns,
             i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(jf, "  ]\n}\n");

@@ -18,12 +18,10 @@
  *
  * Section E2b extends the experiment to the library's own cold-plan
  * path: the per-switch reference simulator against the bit-sliced
- * SetupEngine (scalar and SIMD kernel dispatch, plus Router::plan
- * end to end), and the batch sweep (1/8/64/256 at n = 12 and 14)
- * comparing the tiled-arena pipeline against flat setupMany, with
- * per-row working-set and arena accounting. Its arbitrary rows time
- * cold Router::plan on uniformly random permutations (TwoPass) at
- * n = 8, 10 and 12 as median, p10 and p90 over a cold pool, each plan
+ * SetupEngine::plan (scalar and SIMD kernel dispatch, plus
+ * Router::plan end to end). Its arbitrary rows time cold
+ * Router::plan on uniformly random permutations (TwoPass) at n = 8,
+ * 10 and 12 as median, p10 and p90 over a cold pool, each plan
  * checked for strategy and payload. Emits machine-readable
  * BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the reduced CI
  * configuration.
@@ -143,29 +141,14 @@ struct ArbitraryRow
     double p90_us;
 };
 
-struct BatchRow
-{
-    unsigned n;
-    unsigned batch;
-    double perms_per_sec;        //!< tiled pipeline
-    double us_per_perm;          //!< tiled pipeline (the headline)
-    double legacy_us_per_perm;   //!< setupMany FastPlan path
-    std::size_t working_set_bytes;        //!< tiled plan bytes/rep
-    std::size_t legacy_working_set_bytes; //!< FastPlan bytes/rep
-    std::size_t arena_resident_bytes;
-    std::size_t arena_capacity_bytes;
-    double arena_occupancy;
-};
-
 /**
  * E2b: the library's own cold-plan path. Every sample is cold — a
  * pool of distinct F members is cycled so no plan is ever repeated
- * back-to-back — and the contract is identical on both sides: plan
- * plus physical-order PackedStates for one permutation.
+ * back-to-back — and the contract is identical on both sides: one
+ * routed pass with its switch settings and realized mapping.
  */
 void
-runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
-                  std::vector<BatchRow> &batches)
+runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows)
 {
     std::cout << "=== E2b: cold-plan production, per-switch "
                  "reference vs bit-sliced SetupEngine ===\n\n";
@@ -198,21 +181,21 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
         setSimdLevel(SimdLevel::Scalar);
         const double scalar_us = timeUs(
             [&] {
-                auto res = setup.setupPacked(next());
-                benchmark::DoNotOptimize(res.plan.success);
+                auto res = setup.plan(next());
+                benchmark::DoNotOptimize(res.success);
             },
             reps);
         setSimdLevel(detectSimdLevel());
         const double simd_us = timeUs(
             [&] {
-                auto res = setup.setupPacked(next());
-                benchmark::DoNotOptimize(res.plan.success);
+                auto res = setup.plan(next());
+                benchmark::DoNotOptimize(res.success);
             },
             reps);
         const double router_us = timeUs(
             [&] {
                 auto plan = router.plan(next());
-                benchmark::DoNotOptimize(plan.fast);
+                benchmark::DoNotOptimize(plan.src.data());
             },
             reps);
 
@@ -229,92 +212,9 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
     }
     table.print(std::cout);
     std::cout << "\n(every sample is a cold plan; 'speedup' is the "
-                 "reference simulator over the fused\n bit-sliced "
-                 "setupPacked — the acceptance floor at n = 12 is "
-                 "3x)\n\n";
-
-    std::cout << "=== E2b: batch setup, tiled arena pipeline vs "
-                 "flat setupMany (F members) ===\n\n";
-    for (const unsigned n : {12u, 14u}) {
-        const Word N = Word{1} << n;
-        const FastEngine eng(n);
-        const SetupEngine setup(eng, nullptr);
-        Prng prng(2015 + n);
-        TextTable btab({"n", "batch", "tiled us/perm",
-                        "flat us/perm", "tiled ws KiB",
-                        "flat ws KiB", "arena occ"});
-        for (unsigned B : {1u, 8u, 64u, 256u}) {
-            std::vector<Permutation> batch;
-            for (unsigned i = 0; i < B; ++i)
-                batch.push_back(randomFMember(n, prng));
-            const int breps = std::max(
-                2, (smoke ? 64 : 256) / static_cast<int>(B));
-
-            // The tiled path: succinct stage-major plans in a
-            // PlanArena, no per-plan FastPlan materialization. The
-            // arena persists across reps (blocks recycle through
-            // its free lists), the cache-steady state a server has.
-            // One untimed rep first so tile allocation and page
-            // faults land outside the measurement at every B alike.
-            auto arena = std::make_shared<PlanArena>();
-            {
-                auto warm = setup.setupTiled(
-                    batch, RoutingMode::SelfRouting, 1, arena);
-                benchmark::DoNotOptimize(warm.size());
-            }
-            const double tiled_us = timeUs(
-                [&] {
-                    auto plans = setup.setupTiled(
-                        batch, RoutingMode::SelfRouting, 1, arena);
-                    benchmark::DoNotOptimize(plans.size());
-                },
-                breps);
-
-            // The flat path this PR's tiling fixes: one full
-            // FastPlan (slot-order ctrl + dest/src tables) per perm.
-            {
-                auto warm = setup.setupMany(batch);
-                benchmark::DoNotOptimize(warm.size());
-            }
-            const double flat_us = timeUs(
-                [&] {
-                    auto plans = setup.setupMany(batch);
-                    benchmark::DoNotOptimize(plans.size());
-                },
-                breps);
-
-            // Working sets: bytes of plan state one rep writes.
-            const TiledPlans probe = setup.setupTiled(
-                batch, RoutingMode::SelfRouting, 1, arena);
-            const std::size_t tiled_ws = probe.planBytes();
-            const PlanArenaStats astats = probe.arenaStats();
-            const std::size_t flat_ws =
-                std::size_t{B} *
-                ((Word{2 * n - 1} * eng.laneWords() + 2 * N) *
-                 sizeof(Word));
-
-            const double tpps = B / (tiled_us * 1e-6);
-            batches.push_back({n, B, tpps, tiled_us / B,
-                               flat_us / B, tiled_ws, flat_ws,
-                               astats.resident_bytes,
-                               astats.capacity_bytes,
-                               astats.occupancy});
-            btab.newRow();
-            btab.addCell(n);
-            btab.addCell(B);
-            btab.addCell(tiled_us / B, 1);
-            btab.addCell(flat_us / B, 1);
-            btab.addCell(tiled_ws / 1024.0, 0);
-            btab.addCell(flat_ws / 1024.0, 0);
-            btab.addCell(astats.occupancy, 2);
-        }
-        btab.print(std::cout);
-        std::cout << "\n";
-    }
-    std::cout << "(the tiled column is the fused-pipeline batch "
-                 "path; its us/perm must stay flat across batch\n"
-                 "sizes — the CI smoke gate asserts n = 12 "
-                 "batch-64 <= 1.25x batch-8)\n\n";
+                 "reference simulator over the\n bit-sliced "
+                 "SetupEngine::plan — the acceptance floor at n = 12 "
+                 "is 3x)\n\n";
 }
 
 /** The @p q quantile of @p v (sorted in place), nearest rank. */
@@ -381,7 +281,7 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
             const auto t0 = std::chrono::steady_clock::now();
             auto plan = router.plan(d);
             const auto t1 = std::chrono::steady_clock::now();
-            benchmark::DoNotOptimize(plan.fast);
+            benchmark::DoNotOptimize(plan.src.data());
             us.push_back(
                 std::chrono::duration<double, std::micro>(t1 - t0)
                     .count());
@@ -408,8 +308,7 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
 
 bool
 writeSetupJson(const std::vector<SetupRow> &rows,
-               const std::vector<ArbitraryRow> &arbitrary,
-               const std::vector<BatchRow> &batches)
+               const std::vector<ArbitraryRow> &arbitrary)
 {
     const char *path = "BENCH_setup.json";
     std::FILE *jf = std::fopen(path, "w");
@@ -420,8 +319,9 @@ writeSetupJson(const std::vector<SetupRow> &rows,
     std::fprintf(jf,
                  "{\n  \"benchmark\": \"setup\",\n"
                  "  \"unit\": \"us_per_cold_plan\",\n"
-                 "  \"workload\": \"random F(n) members, fused plan "
-                 "+ packed states, 32-perm cold pool\",\n"
+                 "  \"workload\": \"random F(n) members, "
+                 "SetupEngine::plan (one tag pass, no state packing), "
+                 "32-perm cold pool\",\n"
                  "  \"simd\": \"%s\",\n  \"results\": [\n",
                  activeKernels().name);
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -455,26 +355,6 @@ writeSetupJson(const std::vector<SetupRow> &rows,
             r.n, static_cast<unsigned long long>(r.N), r.pool,
             r.samples, r.median_us, r.p10_us, r.p90_us,
             i + 1 < arbitrary.size() ? "," : "");
-    }
-    std::fprintf(jf, "  ],\n  \"batch\": [\n");
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-        const BatchRow &b = batches[i];
-        std::fprintf(
-            jf,
-            "    {\"n\": %u, \"batch\": %u, "
-            "\"perms_per_sec\": %.0f, "
-            "\"us_per_perm\": %.1f, "
-            "\"legacy_us_per_perm\": %.1f, "
-            "\"working_set_bytes\": %zu, "
-            "\"legacy_working_set_bytes\": %zu, "
-            "\"arena_resident_bytes\": %zu, "
-            "\"arena_capacity_bytes\": %zu, "
-            "\"arena_occupancy\": %.2f}%s\n",
-            b.n, b.batch, b.perms_per_sec, b.us_per_perm,
-            b.legacy_us_per_perm, b.working_set_bytes,
-            b.legacy_working_set_bytes, b.arena_resident_bytes,
-            b.arena_capacity_bytes, b.arena_occupancy,
-            i + 1 < batches.size() ? "," : "");
     }
     std::fprintf(jf, "  ]\n}\n");
     std::fclose(jf);
@@ -544,11 +424,10 @@ main(int argc, char **argv)
 
     std::vector<SetupRow> rows;
     std::vector<ArbitraryRow> arbitrary;
-    std::vector<BatchRow> batches;
-    runBitslicedSetup(smoke, rows, batches);
+    runBitslicedSetup(smoke, rows);
     if (!runArbitrarySetup(smoke, arbitrary))
         return 1;
-    if (!writeSetupJson(rows, arbitrary, batches))
+    if (!writeSetupJson(rows, arbitrary))
         return 1;
 
     printSetupComparison(smoke ? 10u : 16u);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming throughput: the StreamEngine's lock-free pipeline
- * against the same number of plain threads calling Router::route on
- * a shared router.
+ * against the same number of plain threads calling
+ * Router::routeOutcome on a shared router.
  *
  * Workload (open loop, both sides identical): a pregenerated
  * schedule over a 16-pattern hot set of F(n) members with a
@@ -20,9 +20,9 @@
  * so both sides use the same total thread count. Both sides get an
  * untimed warm prefix.
  *
- *   baseline : per request, Router::route — a scalar FNV hash of the
- *              destination vector, a locked shared-cache probe, and a
- *              freshly allocated result vector;
+ *   baseline : per request, Router::routeOutcome — a scalar FNV
+ *              hash of the destination vector, a locked shared-cache
+ *              probe, and a freshly allocated result vector;
  *   stream   : per request, a memoized 128-bit hash, an SPSC ring
  *              hop, a lock-free local plan-table probe, a SIMD
  *              gather into recycled storage, and a ring hop back.
@@ -131,7 +131,8 @@ makeSchedule(unsigned n, std::uint64_t requests, Prng &prng)
 
 /**
  * 1 + kWorkers plain threads splitting @p sched, each calling
- * Router::route on one shared router. Returns aggregate perms/sec.
+ * Router::routeOutcome on one shared router. Returns aggregate
+ * perms/sec.
  */
 double
 baselineRun(unsigned n,
@@ -145,7 +146,8 @@ baselineRun(unsigned n,
     for (std::uint64_t r = 0; r < std::min<std::uint64_t>(
                                   sched.size(), kHotSet);
          ++r)
-        bench::sink(router.route(*sched[r], iotaPayload(N, r))[0]);
+        bench::sink(
+            router.routeOutcome(*sched[r], iotaPayload(N, r)).value()[0]);
 
     std::atomic<bool> go{false};
     std::vector<std::thread> threads;
@@ -165,7 +167,8 @@ baselineRun(unsigned n,
                 if (r % kParityEvery == 0)
                     for (Word i = 0; i < N; ++i)
                         payload[i] = r + i;
-                bench::sink(router.route(*sched[r], payload)[0]);
+                bench::sink(
+                    router.routeOutcome(*sched[r], payload).value()[0]);
             }
         });
     }
@@ -349,7 +352,7 @@ main()
 {
     std::printf(
         "=== streaming throughput: StreamEngine vs plain threads on "
-        "Router::route ===\n"
+        "Router::routeOutcome ===\n"
         "(open-loop schedule: %u-pattern hot set of F members, 1/%u "
         "cold draws;\n both sides use %u threads total; kernels: "
         "%s)\n\n",

@@ -122,27 +122,6 @@ isPowerOfTwo(Word v)
  */
 unsigned exactLog2(Word v);
 
-/**
- * Hint the cache hierarchy to start pulling in the first stretch of
- * a Word stream the caller is about to read — the tile pipelines use
- * this to overlap the next tile's permutation/payload fetch with the
- * current tile's compute. Bounded to a ~4 KiB lead (a longer one
- * just evicts what the current tile is using); a no-op where the
- * builtin is unavailable.
- */
-inline void
-prefetchWords(const Word *p, Word words)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    const Word lim = words < Word{512} ? words : Word{512};
-    for (Word w = 0; w < lim; w += 8)
-        __builtin_prefetch(p + w, /*rw=*/0, /*locality=*/3);
-#else
-    (void)p;
-    (void)words;
-#endif
-}
-
 } // namespace srbenes
 
 #endif // SRBENES_COMMON_BITOPS_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "common/logging.hh"
 #include "core/fast_kernels.hh"
@@ -98,8 +97,6 @@ FastEngine::FastEngine(unsigned n, obs::MetricsRegistry *metrics)
             "srbenes_engine_routes_planned_total", {{"engine", inst}});
         executes_ = &metrics->counter(
             "srbenes_engine_executes_total", {{"engine", inst}});
-        batch_vectors_ = &metrics->histogram(
-            "srbenes_engine_batch_vectors", {{"engine", inst}});
     }
 }
 
@@ -159,26 +156,6 @@ FastEngine::planesAtHome(const std::vector<Word> &planes) const
 {
     return std::equal(planes.begin(), planes.end(),
                       success_pattern_.begin());
-}
-
-void
-FastEngine::srcFromPlanes(const Permutation &d,
-                          const std::vector<Word> &planes,
-                          std::vector<Word> &src) const
-{
-    const Word size = num_lines_;
-    src.resize(size);
-    std::vector<Word> dinv(size);
-    for (Word i = 0; i < size; ++i)
-        dinv[d[i]] = i;
-    for (Word x = 0; x < size; ++x) {
-        const Word w = x >> 6;
-        const unsigned sh = x & 63;
-        Word tag = 0;
-        for (unsigned b = 0; b < n_; ++b)
-            tag |= ((planes[Word{b} * lane_words_ + w] >> sh) & 1u) << b;
-        src[output_of_slot_[x]] = dinv[tag];
-    }
 }
 
 void
@@ -367,20 +344,28 @@ FastEngine::routeWithStates(const Permutation &d,
 }
 
 void
-FastEngine::executeInto(const FastPlan &plan,
-                        const std::vector<Word> &data,
-                        std::vector<Word> &out) const
+FastEngine::gatherInto(const std::vector<Word> &src,
+                       const std::vector<Word> &data,
+                       std::vector<Word> &out) const
 {
     if (data.size() != num_lines_)
         fatal("payload vector size %zu != N = %llu", data.size(),
               static_cast<unsigned long long>(num_lines_));
-    if (plan.src.size() != num_lines_)
+    if (src.size() != num_lines_)
         fatal("plan shaped for another network");
     out.resize(num_lines_);
-    activeKernels().gather(out.data(), data.data(), plan.src.data(),
+    activeKernels().gather(out.data(), data.data(), src.data(),
                            num_lines_);
     if (executes_)
         executes_->inc();
+}
+
+void
+FastEngine::executeInto(const FastPlan &plan,
+                        const std::vector<Word> &data,
+                        std::vector<Word> &out) const
+{
+    gatherInto(plan.src, data, out);
 }
 
 std::vector<Word>
@@ -390,68 +375,6 @@ FastEngine::execute(const FastPlan &plan,
     std::vector<Word> out;
     executeInto(plan, data, out);
     return out;
-}
-
-std::vector<std::vector<Word>>
-FastEngine::executeMany(const FastPlan &plan,
-                        const std::vector<std::vector<Word>> &batch,
-                        unsigned num_threads) const
-{
-    std::vector<std::vector<Word>> outs(batch.size());
-    if (batch_vectors_)
-        batch_vectors_->observe(batch.size());
-    if (num_threads <= 1 || batch.empty()) {
-        for (std::size_t v = 0; v < batch.size(); ++v) {
-            // Start the next payload's stream while this gather runs.
-            if (v + 1 < batch.size())
-                prefetchWords(batch[v + 1].data(), num_lines_);
-            executeInto(plan, batch[v], outs[v]);
-        }
-        return outs;
-    }
-
-    for (std::size_t v = 0; v < batch.size(); ++v) {
-        if (batch[v].size() != num_lines_)
-            fatal("payload vector size %zu != N = %llu",
-                  batch[v].size(),
-                  static_cast<unsigned long long>(num_lines_));
-        outs[v].resize(num_lines_);
-    }
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const Word T = std::min<Word>(std::min(num_threads, hw), num_lines_);
-    const Word *src = plan.src.data();
-    const KernelTable &kern = activeKernels();
-    auto worker = [&](Word lo, Word hi) {
-        for (std::size_t v = 0; v < batch.size(); ++v) {
-            if (v + 1 < batch.size())
-                prefetchWords(batch[v + 1].data() + lo, hi - lo);
-            kern.gather(outs[v].data() + lo, batch[v].data(), src + lo,
-                        hi - lo);
-        }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(T);
-    const Word chunk = (num_lines_ + T - 1) / T;
-    for (Word t = 0; t < T; ++t) {
-        const Word lo = t * chunk;
-        const Word hi = std::min(num_lines_, lo + chunk);
-        if (lo >= hi)
-            break;
-        threads.emplace_back(worker, lo, hi);
-    }
-    for (auto &th : threads)
-        th.join();
-    if (executes_)
-        executes_->inc(batch.size());
-    return outs;
-}
-
-std::vector<std::vector<Word>>
-FastEngine::routeBatch(const Permutation &d,
-                       const std::vector<std::vector<Word>> &batch,
-                       RoutingMode mode, unsigned num_threads) const
-{
-    return executeMany(routePlan(d, mode), batch, num_threads);
 }
 
 SwitchStates
@@ -471,27 +394,6 @@ FastEngine::planStates(const FastPlan &plan) const
         }
     }
     return out;
-}
-
-PackedStates
-FastEngine::planPackedStates(const FastPlan &plan) const
-{
-    if (plan.ctrl.size() != Word{numStages()} * lane_words_)
-        fatal("plan carries no per-stage control masks");
-    PackedStates packed;
-    packed.n = n_;
-    packed.words_per_stage = (switchesPerStage() + 63) / 64;
-    packed.words.assign(Word{numStages()} * packed.words_per_stage, 0);
-    for (unsigned s = 0; s < numStages(); ++s) {
-        const Word *ctrl = plan.ctrl.data() + Word{s} * lane_words_;
-        const Word *slot = switch_slot_.data() + Word{s} * switchesPerStage();
-        for (Word i = 0; i < switchesPerStage(); ++i) {
-            const Word x = slot[i];
-            if ((ctrl[x >> 6] >> (x & 63)) & 1u)
-                packed.set(s, i, true);
-        }
-    }
-    return packed;
 }
 
 PackedStates

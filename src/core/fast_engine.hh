@@ -41,9 +41,8 @@
  *
  * The execution side is split from planning the way Router plans
  * are: routePlan() runs the fabric once bit-sliced and materializes
- * the realized lane mapping; executeMany() then applies one routed
- * configuration to B payload vectors as contiguous gathers,
- * optionally sharding lanes across std::thread workers for large N.
+ * the realized lane mapping; every payload vector after that is one
+ * contiguous gather through it (gatherInto).
  */
 
 #ifndef SRBENES_CORE_FAST_ENGINE_HH
@@ -52,7 +51,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/plan_arena.hh"
 #include "core/self_routing.hh"
 #include "core/topology.hh"
 #include "obs/metrics.hh"
@@ -60,6 +58,36 @@
 
 namespace srbenes
 {
+
+/**
+ * Switch states packed one bit per switch, stage-major, switch i of
+ * a stage at word i/64 bit i%64 — the same bit order state_io uses,
+ * but word-addressed so a stage's 64-switch groups are single loads.
+ * The form externally set states (Waksman) enter the engine in.
+ */
+struct PackedStates
+{
+    unsigned n = 0;
+    /** Words per stage, ceil((N/2) / 64). */
+    Word words_per_stage = 0;
+    /** (2n-1) * words_per_stage words, contiguous. */
+    std::vector<Word> words;
+
+    bool
+    get(unsigned stage, Word sw) const
+    {
+        const Word w = words[stage * words_per_stage + (sw >> 6)];
+        return (w >> (sw & 63)) & 1u;
+    }
+
+    void
+    set(unsigned stage, Word sw, bool v)
+    {
+        Word &w = words[stage * words_per_stage + (sw >> 6)];
+        const Word m = Word{1} << (sw & 63);
+        w = v ? (w | m) : (w & ~m);
+    }
+};
 
 /**
  * One routed configuration, kept in the engine's native form. The
@@ -78,8 +106,7 @@ struct FastPlan
      * laneWords() words; bit x of stage s's mask is the state of the
      * exchange on slots {x, x ^ 2^controlBit(s)} (only bits with
      * slot-bit controlBit(s) clear are used). Convert with
-     * FastEngine::planStates / planPackedStates. Empty for composed
-     * plans that only carry an execution mapping.
+     * FastEngine::planStates.
      */
     std::vector<Word> ctrl;
     /** Output terminal reached by each input's signal. */
@@ -95,8 +122,8 @@ class FastEngine
   public:
     /**
      * @param metrics registry receiving this engine's instruments
-     *        (routes planned, vectors executed, batch-size
-     *        histogram). nullptr disables instrumentation.
+     *        (routes planned, vectors executed). nullptr disables
+     *        instrumentation.
      */
     explicit FastEngine(unsigned n,
                         obs::MetricsRegistry *metrics =
@@ -153,27 +180,16 @@ class FastEngine
                      std::vector<Word> &out) const;
 
     /**
-     * Apply one routed configuration to B payload vectors. With
-     * @p num_threads > 1 the N output lanes are sharded across
-     * std::thread workers (worth it for large N * B only; callers
-     * pick the threshold).
+     * The one transport kernel: out[j] = data[src[j]] for a lane
+     * mapping @p src of N entries, through the runtime-dispatched
+     * gather; @p out is resized to N.
      */
-    std::vector<std::vector<Word>>
-    executeMany(const FastPlan &plan,
-                const std::vector<std::vector<Word>> &batch,
-                unsigned num_threads = 1) const;
-
-    /** Plan once, then executeMany: route + batched transport. */
-    std::vector<std::vector<Word>>
-    routeBatch(const Permutation &d,
-               const std::vector<std::vector<Word>> &batch,
-               RoutingMode mode = RoutingMode::SelfRouting,
-               unsigned num_threads = 1) const;
+    void gatherInto(const std::vector<Word> &src,
+                    const std::vector<Word> &data,
+                    std::vector<Word> &out) const;
 
     /** Physical-order switch states of a routed plan. */
     SwitchStates planStates(const FastPlan &plan) const;
-    /** Packed physical-order switch states of a routed plan. */
-    PackedStates planPackedStates(const FastPlan &plan) const;
 
     /** SwitchStates -> packed bitset (state_io bit order). */
     PackedStates packStates(const SwitchStates &states) const;
@@ -181,11 +197,7 @@ class FastEngine
     SwitchStates unpackStates(const PackedStates &packed) const;
 
   private:
-    /**
-     * SetupEngine reads switch_slot_ to precompute the per-stage
-     * slot-rank -> switch-index bit permutations that let it emit
-     * PackedStates word-parallel.
-     */
+    /** SetupEngine's success-only pass is routePlanIfHome. */
     friend class SetupEngine;
 
     void loadTagPlanes(const Permutation &d,
@@ -193,26 +205,18 @@ class FastEngine
     void runPlanes(std::vector<Word> &planes, FastPlan &plan,
                    const std::vector<Word> *forced,
                    RoutingMode mode) const;
-    /**
-     * @{ Stage-granular pieces of runPlanes, shared with the tiled
-     * setup pipeline (SetupEngine::setupTiled) so the Fig. 3 control
-     * rule and the exchange have exactly one implementation whether
-     * the masks land in a FastPlan or in an arena tile row.
-     */
+    /** @{ One stage of runPlanes: the Fig. 3 control rule, then the
+     *  conditional exchange it selects. */
     void stageCtrl(unsigned s, const Word *planes, RoutingMode mode,
                    Word *ctrl) const;
     void stageExchange(unsigned s, Word *planes,
                        const Word *ctrl) const;
+    /** @} */
     /** True iff @p planes equal the all-tags-home pattern. */
     bool planesAtHome(const std::vector<Word> &planes) const;
-    /** Gather table realized by final @p planes (misroute-safe). */
-    void srcFromPlanes(const Permutation &d,
-                       const std::vector<Word> &planes,
-                       std::vector<Word> &src) const;
     /** Gather table of a SUCCESS plan: src[d[i]] = i, no plan
      *  bytes needed beyond the permutation itself. */
     void inverseInto(const Permutation &d, std::vector<Word> &src) const;
-    /** @} */
     /**
      * routePlan without the misroute bookkeeping: the plan when
      * every tag reached home, nullopt otherwise (then nothing beyond
@@ -244,7 +248,6 @@ class FastEngine
     /** @{ Observability (obs/metrics.hh); null when disabled. */
     obs::Counter *routes_planned_ = nullptr;
     obs::Counter *executes_ = nullptr;
-    obs::Histogram *batch_vectors_ = nullptr;
     /** @} */
 };
 

@@ -5,12 +5,12 @@
  * Before this header the stack had four ways to say "it worked":
  * SelfRoutingBenes returned a RouteResult with a success bool,
  * permutePayloads an optional, PermutationNetwork::tryRoute a bare
- * bool, and Router::route simply never failed (panicking on internal
- * contradictions). A serving layer that can detect faults, miss
- * deadlines, and shed load needs one structured answer instead:
- * RouteOutcome carries either the routed payload (plus WHICH serving
- * tier produced it) or a RouteError naming the failure class and the
- * suspected switches.
+ * bool, and the Router's plan-and-execute call simply never failed
+ * (panicking on internal contradictions). A serving layer that can
+ * detect faults, miss deadlines, and shed load needs one structured
+ * answer instead: RouteOutcome carries either the routed payload
+ * (plus WHICH serving tier produced it) or a RouteError naming the
+ * failure class and the suspected switches.
  *
  * The taxonomy is deliberately small and closed:
  *
@@ -38,20 +38,6 @@
 #include <vector>
 
 #include "common/bitops.hh"
-
-/**
- * Deprecation decoration for the thin back-compat shims (the old
- * bool/optional/vector signatures kept while callers migrate to
- * RouteOutcome). Off by default so the in-tree callers that
- * deliberately exercise the shims build warning-clean; downstreams
- * define SRBENES_STRICT_DEPRECATION to make the compiler enforce the
- * migration.
- */
-#ifdef SRBENES_STRICT_DEPRECATION
-#define SRB_DEPRECATED_API(msg) [[deprecated(msg)]]
-#else
-#define SRB_DEPRECATED_API(msg)
-#endif
 
 namespace srbenes
 {

@@ -58,10 +58,8 @@ Router::Router(unsigned n, bool prefer_waksman,
     if (cache_capacity_ > 0)
         nshards = std::min(nshards, cache_capacity_);
     shards_.reserve(nshards);
-    for (std::size_t i = 0; i < nshards; ++i) {
+    for (std::size_t i = 0; i < nshards; ++i)
         shards_.push_back(std::make_unique<CacheShard>());
-        shards_[i]->arena = std::make_shared<PlanArena>();
-    }
 
     if (!metrics_)
         return;
@@ -77,11 +75,6 @@ Router::Router(unsigned n, bool prefer_waksman,
             "srbenes_router_plan_cache_evictions_total", labels);
         shards_[i]->bytes_g = &metrics_->gauge(
             "srbenes_router_plan_cache_resident_bytes", labels);
-        shards_[i]->arena->attachGauges(
-            &metrics_->gauge("srbenes_router_plan_arena_resident_bytes",
-                             labels),
-            &metrics_->gauge("srbenes_router_plan_arena_capacity_bytes",
-                             labels));
     }
     for (RouteStrategy s :
          {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
@@ -158,23 +151,26 @@ Router::planImpl(const Permutation &d) const
     // bookkeeping. All self-routed passes go through the
     // SetupEngine so cold planning stays on the bit-sliced path.
     if (auto fast = setup_.planIfRoutes(d))
-        return RoutePlan{RouteStrategy::SelfRouting, d, {}, {}, 1,
-                         std::make_shared<FastPlan>(std::move(*fast))};
+        return RoutePlan{.strategy = RouteStrategy::SelfRouting,
+                         .perm = d,
+                         .src = std::move(fast->src)};
     if (isOmega(d)) {
         auto fast = setup_.planIfRoutes(d, RoutingMode::OmegaBit);
         if (!fast)
             panic("omega-bit plan failed for a planned Omega member");
-        return RoutePlan{RouteStrategy::OmegaBit, d, {}, {}, 1,
-                         std::make_shared<FastPlan>(std::move(*fast))};
+        return RoutePlan{.strategy = RouteStrategy::OmegaBit,
+                         .perm = d,
+                         .src = std::move(fast->src)};
     }
     if (prefer_waksman_) {
         SwitchStates states = waksmanSetup(net_.topology(), d);
-        auto fast =
-            std::make_shared<FastPlan>(engine_.planWithStates(d, states));
-        if (!fast->success)
+        FastPlan fast = engine_.planWithStates(d, states);
+        if (!fast.success)
             panic("waksman plan failed to realize its permutation");
-        return RoutePlan{RouteStrategy::Waksman, d, {},
-                         std::move(states), 1, std::move(fast)};
+        return RoutePlan{.strategy = RouteStrategy::Waksman,
+                         .perm = d,
+                         .src = std::move(fast.src),
+                         .states = std::move(states)};
     }
 
     TwoPassPlan tp = twoPassPlan(net_, d);
@@ -183,73 +179,23 @@ Router::planImpl(const Permutation &d) const
         panic("two-pass plan failed one of its self-routed passes");
     // Both passes verified, and the factorization composes to d by
     // construction (second[first[i]] = d[i]), so the execution
-    // mapping is d's own gather table; the per-pass switch states
-    // live in the TwoPassPlan if needed.
-    auto fast = std::make_shared<FastPlan>();
-    fast->n = engine_.n();
-    fast->success = true;
-    fast->src.resize(d.size());
+    // mapping is d's own gather table; the per-pass factors stay in
+    // the TwoPassPlan for the resilient layer.
+    std::vector<Word> src(d.size());
     for (Word i = 0; i < d.size(); ++i)
-        fast->src[d[i]] = i;
-    return RoutePlan{RouteStrategy::TwoPass, d, std::move(tp), {}, 2,
-                     std::move(fast)};
-}
-
-void
-Router::compactForCache(RoutePlan &p, CacheShard &sh) const
-{
-    if (!p.fast)
-        return;
-    // Insert-time slimming of a plan planImpl built a moment ago:
-    // this planCached call still holds the only reference, so the
-    // const on the element type (which guards the aliases handed
-    // out to callers later) can be set aside for the compaction.
-    FastPlan &fp = const_cast<FastPlan &>(*p.fast);
-
-    // The switch settings survive in succinct switch-packed form
-    // ((2n-1) * N/2 bits, a word-rounding of Waksman's
-    // N lg N - N + 1 bound) inside the shard's arena. Composed
-    // TwoPass mappings carry no masks to pack; their per-pass
-    // factors stay in two_pass.
-    if (!fp.ctrl.empty()) {
-        PackedStates packed = setup_.packedStates(fp);
-        const std::size_t words = packed.words.size();
-        Word *block = sh.arena->alloc(words);
-        std::copy(packed.words.begin(), packed.words.end(), block);
-        std::shared_ptr<PlanArena> arena = sh.arena;
-        p.packed_block = std::shared_ptr<const Word>(
-            block, [arena, words](const Word *b) {
-                arena->release(const_cast<Word *>(b), words);
-            });
-        p.packed_ctrl.n = fp.n;
-        p.packed_ctrl.words_per_stage = packed.words_per_stage;
-        p.packed_ctrl.stage_stride = packed.words_per_stage;
-        p.packed_ctrl.words = p.packed_block.get();
-        fp.ctrl = {};
-    }
-
-    // The dest table (== perm on a success plan) and the (empty)
-    // misroute list are dropped for every strategy. src stays flat —
-    // it is the gather table execute reads on every hit.
-    if (fp.success)
-        fp.dest = {};
-    fp.misrouted_outputs = {};
+        src[d[i]] = i;
+    return RoutePlan{.strategy = RouteStrategy::TwoPass,
+                     .perm = d,
+                     .src = std::move(src),
+                     .two_pass = std::move(tp),
+                     .passes = 2};
 }
 
 std::size_t
 Router::planResidentBytes(const RoutePlan &p)
 {
     std::size_t b = sizeof(RoutePlan);
-    b += p.perm.dest().size() * sizeof(Word);
-    if (p.fast) {
-        b += sizeof(FastPlan);
-        b += (p.fast->ctrl.size() + p.fast->dest.size() +
-              p.fast->src.size() + p.fast->misrouted_outputs.size()) *
-             sizeof(Word);
-    }
-    if (p.packed_ctrl.words)
-        b += std::size_t{2} * p.packed_ctrl.n *
-             p.packed_ctrl.words_per_stage * sizeof(Word);
+    b += (p.perm.dest().size() + p.src.size()) * sizeof(Word);
     if (p.two_pass)
         b += (p.two_pass->first.dest().size() +
               p.two_pass->second.dest().size()) *
@@ -325,13 +271,9 @@ Router::planCached(const Permutation &d) const
         sh.misses->inc();
 
     // Plan outside the lock; concurrent misses on the same pattern
-    // just plan twice and the later insert wins. Cache residents are
-    // compacted: control bits move into the shard arena in succinct
-    // form and the derivable tables are dropped.
-    RoutePlan fresh = plan(d);
-    compactForCache(fresh, sh);
-    const std::size_t bytes = planResidentBytes(fresh);
-    auto planned = std::make_shared<const RoutePlan>(std::move(fresh));
+    // just plan twice and the later insert wins.
+    auto planned = std::make_shared<const RoutePlan>(plan(d));
+    const std::size_t bytes = planResidentBytes(*planned);
     // The recency clock only feeds the LRU heuristic (see the hit
     // path above).
     const std::uint64_t now = tick_.next();
@@ -364,41 +306,9 @@ std::vector<Word>
 Router::execute(const RoutePlan &plan,
                 const std::vector<Word> &data) const
 {
-    if (plan.fast && plan.fast->success)
-        return engine_.execute(*plan.fast, data);
-
-    switch (plan.strategy) {
-      case RouteStrategy::SelfRouting: {
-        const auto out = net_.permutePayloads(plan.perm, data);
-        if (!out)
-            panic("self-routing plan failed for a planned F member");
-        return *out;
-      }
-      case RouteStrategy::OmegaBit: {
-        const auto out = net_.permutePayloads(plan.perm, data,
-                                              RoutingMode::OmegaBit);
-        if (!out)
-            panic("omega-bit plan failed for a planned Omega "
-                  "member");
-        return *out;
-      }
-      case RouteStrategy::TwoPass:
-        if (!plan.two_pass)
-            panic("two-pass plan is missing its factorization");
-        return twoPassPermute(net_, *plan.two_pass, data);
-      case RouteStrategy::Waksman: {
-        if (!plan.states)
-            panic("waksman plan is missing its switch states");
-        const auto res = net_.routeWithStates(plan.perm, *plan.states);
-        if (!res.success)
-            panic("waksman plan failed to realize its permutation");
-        std::vector<Word> out(data.size());
-        for (std::size_t i = 0; i < data.size(); ++i)
-            out[res.realized_dest[i]] = data[i];
-        return out;
-      }
-    }
-    panic("unreachable routing strategy");
+    std::vector<Word> out;
+    executeInto(plan, data, out);
+    return out;
 }
 
 void
@@ -406,24 +316,7 @@ Router::executeInto(const RoutePlan &plan,
                     const std::vector<Word> &data,
                     std::vector<Word> &out) const
 {
-    if (plan.fast && plan.fast->success) {
-        engine_.executeInto(*plan.fast, data, out);
-        return;
-    }
-    out = execute(plan, data);
-}
-
-std::vector<std::vector<Word>>
-Router::executeMany(const RoutePlan &plan,
-                    const std::vector<std::vector<Word>> &batch,
-                    unsigned num_threads) const
-{
-    if (plan.fast && plan.fast->success)
-        return engine_.executeMany(*plan.fast, batch, num_threads);
-    std::vector<std::vector<Word>> outs(batch.size());
-    for (std::size_t v = 0; v < batch.size(); ++v)
-        outs[v] = execute(plan, batch[v]);
-    return outs;
+    engine_.gatherInto(plan.src, data, out);
 }
 
 RouteOutcome
@@ -434,21 +327,6 @@ Router::routeOutcome(const Permutation &d,
         fatal("payload size %zu does not match permutation size %zu",
               data.size(), d.size());
     return RouteOutcome::success(execute(*planCached(d), data));
-}
-
-std::vector<Word>
-Router::route(const Permutation &d,
-              const std::vector<Word> &data) const
-{
-    return execute(*planCached(d), data);
-}
-
-std::vector<std::vector<Word>>
-Router::routeBatch(const Permutation &d,
-                   const std::vector<std::vector<Word>> &batch,
-                   unsigned num_threads) const
-{
-    return executeMany(*planCached(d), batch, num_threads);
 }
 
 std::vector<CacheShardStats>
@@ -466,9 +344,6 @@ Router::cacheStats() const
         s.hits = sh->hits ? sh->hits->value() : 0;
         s.misses = sh->misses ? sh->misses->value() : 0;
         s.evictions = sh->evictions ? sh->evictions->value() : 0;
-        const PlanArenaStats a = sh->arena->stats();
-        s.arena_resident_bytes = a.resident_bytes;
-        s.arena_capacity_bytes = a.capacity_bytes;
         stats.push_back(s);
     }
     return stats;

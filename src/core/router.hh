@@ -21,15 +21,16 @@
  *
  * Two layers make the reuse path near-free:
  *
- *  - every plan is verified through the bit-sliced FastEngine at
+ *  - every plan is verified through the bit-sliced tag pass at
  *    planning time and carries the realized lane mapping, so
  *    execute() is a single contiguous gather — no fabric
  *    re-simulation, no allocation beyond the result (and none at
  *    all via executeInto);
- *  - route() consults a sharded, read-mostly plan cache keyed by a
- *    permutation hash, so a recurring pattern skips classification
- *    and planning entirely after its first appearance, and
- *    concurrent readers on different shards never serialize.
+ *  - planCached() consults a sharded, read-mostly plan cache keyed
+ *    by a permutation hash, so a recurring pattern skips
+ *    classification and planning entirely after its first
+ *    appearance, and concurrent readers on different shards never
+ *    serialize.
  */
 
 #ifndef SRBENES_CORE_ROUTER_HH
@@ -46,7 +47,6 @@
 #include "common/thread_annotations.hh"
 #include "core/cache_recency.hh"
 #include "core/fast_engine.hh"
-#include "core/plan_arena.hh"
 #include "core/route_outcome.hh"
 #include "core/self_routing.hh"
 #include "core/setup_engine.hh"
@@ -72,41 +72,20 @@ struct RoutePlan
 {
     RouteStrategy strategy;
     Permutation perm;
-    /** TwoPass only. */
-    std::optional<TwoPassPlan> two_pass;
+    /**
+     * The verified lane mapping: output j gathers input src[j]. Every
+     * strategy realizes perm exactly, so this is perm's inverse; it
+     * is built once at planning time, after the tag pass (both factor
+     * passes for TwoPass, the forced-state pass for Waksman) has
+     * confirmed that every tag reached home.
+     */
+    std::vector<Word> src;
+    /** TwoPass only: the factors the resilient layer replays. */
+    std::optional<TwoPassPlan> two_pass = std::nullopt;
     /** Waksman only. */
-    std::optional<SwitchStates> states;
+    std::optional<SwitchStates> states = std::nullopt;
     /** Passes through the fabric per executed vector. */
     unsigned passes = 1;
-    /**
-     * Realized lane mapping, verified through the FastEngine at
-     * planning time. Plans built by Router always carry it; a
-     * hand-assembled plan without it falls back to the reference
-     * fabric simulation in execute(). For TwoPass, both factor passes
-     * are verified through the tag pass and the mapping is the
-     * composition, which is d itself: the plan carries only src (the
-     * inverse of perm), with empty ctrl masks and dest.
-     *
-     * Plans resident in the Router's cache are COMPACTED: the flat
-     * ctrl masks and the dest table (derivable from perm on a
-     * success plan) are dropped, for every strategy, and the switch
-     * settings live on as packed_ctrl below. Only the src gather
-     * table — what execute actually reads — stays flat.
-     */
-    std::shared_ptr<const FastPlan> fast;
-    /**
-     * Succinct switch-packed control bits of a cache-compacted plan
-     * (a view into a per-shard PlanArena block; words == nullptr on
-     * uncompacted plans and on composed TwoPass mappings, which
-     * carry per-pass states in two_pass instead).
-     */
-    PackedPlanBits packed_ctrl;
-    /**
-     * Owner of packed_ctrl.words: its deleter returns the block to
-     * the shard's arena (and keeps the arena alive), so a plan
-     * handed out by planCached stays valid across eviction.
-     */
-    std::shared_ptr<const Word> packed_block;
 };
 
 /** One plan-cache shard's counters, as returned by cacheStats(). */
@@ -117,11 +96,8 @@ struct CacheShardStats
     std::size_t misses = 0;
     std::size_t evictions = 0;
     /** Resident bytes of the shard's cached plans (perm + src +
-     *  packed control bits + strategy extras). */
+     *  strategy extras). */
     std::size_t bytes = 0;
-    /** Shard plan-arena residency/footprint (packed_ctrl blocks). */
-    std::size_t arena_resident_bytes = 0;
-    std::size_t arena_capacity_bytes = 0;
 };
 
 class Router
@@ -139,7 +115,7 @@ class Router
      *        [1, plan_cache_capacity] when the cache is enabled.
      * @param metrics registry receiving this router's instruments
      *        (plan-cache hit/miss/eviction per shard, resident-byte
-     *        and arena gauges, strategy counts, cold-plan latency).
+     *        gauges, strategy counts, cold-plan latency).
      *        nullptr disables instrumentation; the default is the
      *        process-global registry.
      * @param plan_cache_bytes resident-byte budget across all
@@ -182,21 +158,12 @@ class Router
                               const std::vector<Word> &data) const;
 
     /**
-     * Allocation-free execute for plans carrying a fast mapping:
-     * gathers into @p out, reusing its capacity.
+     * Allocation-free execute: one gather through plan.src into
+     * @p out, reusing its capacity.
      */
     void executeInto(const RoutePlan &plan,
                      const std::vector<Word> &data,
                      std::vector<Word> &out) const;
-
-    /**
-     * Apply one plan to B payload vectors; lanes are sharded across
-     * @p num_threads std::thread workers when > 1.
-     */
-    std::vector<std::vector<Word>>
-    executeMany(const RoutePlan &plan,
-                const std::vector<std::vector<Word>> &batch,
-                unsigned num_threads = 1) const;
 
     /**
      * Convenience: cached plan + execute in one call, answering in
@@ -207,22 +174,6 @@ class Router
      */
     RouteOutcome routeOutcome(const Permutation &d,
                               const std::vector<Word> &data) const;
-
-    /**
-     * Cached plan + execute in one call.
-     * @deprecated Superseded by routeOutcome(); kept as a thin shim
-     * for source compatibility. The warning fires only under
-     * -DSRBENES_STRICT_DEPRECATION so in-tree builds stay clean.
-     */
-    SRB_DEPRECATED_API("use Router::routeOutcome()")
-    std::vector<Word> route(const Permutation &d,
-                            const std::vector<Word> &data) const;
-
-    /** Cached plan + executeMany in one call. */
-    std::vector<std::vector<Word>>
-    routeBatch(const Permutation &d,
-               const std::vector<std::vector<Word>> &batch,
-               unsigned num_threads = 1) const;
 
     /** @{ Plan-cache introspection (for tests and telemetry). */
     std::size_t planCacheSize() const;
@@ -274,10 +225,6 @@ class Router
             SRB_GUARDED_BY(mu);
         /** Sum of the entries' bytes, maintained incrementally. */
         std::size_t bytes SRB_GUARDED_BY(mu) = 0;
-        /** Arena holding the packed_ctrl blocks of this shard's
-         *  compacted plans; blocks outlive eviction through each
-         *  plan's packed_block deleter. */
-        std::shared_ptr<PlanArena> arena;
         /** Registry-served counters; null when metrics are off. */
         obs::Counter *hits = nullptr;
         obs::Counter *misses = nullptr;
@@ -288,15 +235,6 @@ class Router
 
     CacheShard &shardFor(std::uint64_t hash) const;
     RoutePlan planImpl(const Permutation &d) const;
-    /**
-     * Compact a freshly planned RoutePlan for cache residency: the
-     * flat ctrl masks, if any, become switch-packed bits in @p sh's
-     * arena (packed_ctrl / packed_block), and the derivable dest
-     * table and misroute list are dropped; only src stays flat.
-     * TwoPass compositions carry no masks; their factors stay in
-     * two_pass, which the resilient layer replays.
-     */
-    void compactForCache(RoutePlan &p, CacheShard &sh) const;
     /** Resident bytes of one plan as cached (heap payloads only). */
     static std::size_t planResidentBytes(const RoutePlan &p);
     /** Evict globally-LRU entries while @p over() says so. */

@@ -483,8 +483,7 @@ StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
 
         // Gather into the caller's scratch, then swap storage with
         // the request payload: steady state allocates nothing.
-        router_.engine().executeInto(*plan->fast, req.payload,
-                                     scratch);
+        router_.executeInto(*plan, req.payload, scratch);
         scratch.swap(req.payload);
         res.payload = std::move(req.payload);
     }

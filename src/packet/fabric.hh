@@ -85,8 +85,8 @@ enum class MidpathPolicy
     LeastOccupancy,
     /** Uniform coin flip (Valiant-style randomized balancing). */
     Random,
-    /** Bit controlBit(s) of the tag: the single-path baseline the
-     *  old PacketBenes used; no balancing, kept for comparison. */
+    /** Bit controlBit(s) of the tag: the single-path baseline of
+     *  plain tag routing; no balancing, kept for comparison. */
     TagBits,
 };
 

@@ -220,9 +220,9 @@ class PermutationTraffic : public RandomTrafficBase
 
 /**
  * Deterministic playback: call k returns schedule[k] (nothing once
- * the schedule is exhausted). Used by the deprecated PacketBenes
- * shim to reproduce its batch-per-cycle injection and by tests that
- * need exact arrival patterns.
+ * the schedule is exhausted). Used to inject whole permutation
+ * batches one per cycle and by tests that need exact arrival
+ * patterns.
  */
 class ScheduleTraffic : public TrafficSource
 {

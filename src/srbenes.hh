@@ -6,8 +6,9 @@
  *
  * Stability tiers:
  *
- *  STABLE -- covered by the deprecation policy (old signatures keep
- *  compiling for one release behind SRB_DEPRECATED_API shims):
+ *  STABLE -- covered by the deprecation policy (a superseded
+ *  signature keeps compiling for one release as a documented shim
+ *  before it is removed):
  *
  *   - perm/       Permutation, BPC/linear/omega/F classification,
  *                 composition, cycle structure, named families;
@@ -15,13 +16,13 @@
  *                 setup algorithms (waksman, two_pass,
  *                 parallel_setup), the fault model (faults.hh), the
  *                 unified outcome taxonomy (route_outcome.hh), the
- *                 planning Router, the batched SetupEngine, the
+ *                 planning Router, the SetupEngine, the
  *                 ResilientRouter serving layer, and the
  *                 StreamEngine;
  *   - networks/   the PermutationNetwork comparison interface and
  *                 every adapter behind allNetworks();
- *   - packet/     the packet-switched Fabric, the TrafficSource
- *                 matrices, and the deprecated PacketBenes shim;
+ *   - packet/     the packet-switched Fabric and the TrafficSource
+ *                 matrices;
  *   - obs/        metrics registry, exporters, tracing.
  *
  *  INTERNAL -- reachable but NOT part of the stable surface; shapes
@@ -52,7 +53,6 @@
 #include "core/parallel_setup.hh"
 #include "core/partial.hh"
 #include "core/pipeline.hh"
-#include "core/plan_arena.hh"
 #include "core/render.hh"
 #include "core/resilient.hh"
 #include "core/route_outcome.hh"
@@ -79,7 +79,6 @@
 
 // Packet-switched operation under non-permutation traffic.
 #include "packet/fabric.hh"
-#include "packet/packet_benes.hh"
 #include "packet/traffic.hh"
 
 // Observability.

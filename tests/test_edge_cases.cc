@@ -14,7 +14,7 @@
 #include "core/self_routing.hh"
 #include "core/waksman.hh"
 #include "networks/gcn.hh"
-#include "packet/packet_benes.hh"
+#include "packet/fabric.hh"
 #include "perm/bpc.hh"
 #include "perm/compose.hh"
 #include "simd/permute.hh"
@@ -51,9 +51,15 @@ TEST(EdgeCases, SmallestFabricEverywhere)
     EXPECT_EQ(gcn.routeMapping({1, 1}, {5, 6}),
               (std::vector<Word>{6, 6}));
 
-    PacketBenes pkt(1);
-    EXPECT_TRUE(pkt.runPermutation(Permutation({1, 0}))
-                    .all_delivered);
+    // Packet mode as plain tag routing: TagBits midpath,
+    // backpressure, two-deep rings, metrics off.
+    packet::PacketOptions popts;
+    popts.queue_capacity = 2;
+    popts.ingress_capacity = 1;
+    popts.contention = packet::ContentionPolicy::Backpressure;
+    popts.midpath = packet::MidpathPolicy::TagBits;
+    packet::Fabric pkt(1, popts, nullptr);
+    EXPECT_TRUE(pkt.runPermutation(Permutation({1, 0})).allDelivered());
 }
 
 TEST(EdgeCases, SizeMismatchesDie)

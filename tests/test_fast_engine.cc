@@ -5,8 +5,8 @@
  * randomized over every permutation class at n = 4..10, in both
  * routing modes and under forced (Waksman) states — states,
  * output_tags, realized_dest, misrouted_outputs and success must
- * match bit for bit. Also covers the packed-state round trips, the
- * batched executors, and the Router plan cache.
+ * match bit for bit. Also covers the packed-state round trips,
+ * execution against Permutation::applyTo, and the Router plan cache.
  */
 
 #include <algorithm>
@@ -158,7 +158,7 @@ TEST(FastEngine, PackedStatesRoundTrip)
     }
 }
 
-TEST(FastEngine, PlanStatesMatchReferenceAndPackedForm)
+TEST(FastEngine, PlanStatesMatchReference)
 {
     Prng prng(17);
     for (unsigned n = 2; n <= 9; ++n) {
@@ -167,10 +167,7 @@ TEST(FastEngine, PlanStatesMatchReferenceAndPackedForm)
         const Permutation d = randomFMember(n, prng);
         const FastPlan plan = eng.routePlan(d);
         ASSERT_TRUE(plan.success);
-        const SwitchStates states = eng.planStates(plan);
-        EXPECT_EQ(states, net.route(d).states);
-        EXPECT_EQ(eng.unpackStates(eng.planPackedStates(plan)),
-                  states);
+        EXPECT_EQ(eng.planStates(plan), net.route(d).states);
     }
 }
 
@@ -214,31 +211,6 @@ TEST(FastEngine, ExecuteMatchesPermutationApply)
     }
 }
 
-TEST(FastEngine, RouteBatchSerialAndThreaded)
-{
-    Prng prng(29);
-    const unsigned n = 8;
-    const std::size_t size = std::size_t{1} << n;
-    const FastEngine eng(n);
-    const Permutation d = randomFMember(n, prng);
-
-    std::vector<std::vector<Word>> batch(10);
-    for (std::size_t v = 0; v < batch.size(); ++v) {
-        batch[v].resize(size);
-        for (std::size_t i = 0; i < size; ++i)
-            batch[v][i] = v * 10000 + i;
-    }
-
-    const auto serial = eng.routeBatch(d, batch);
-    const auto threaded =
-        eng.routeBatch(d, batch, RoutingMode::SelfRouting, 4);
-    ASSERT_EQ(serial.size(), batch.size());
-    for (std::size_t v = 0; v < batch.size(); ++v) {
-        EXPECT_EQ(serial[v], d.applyTo(batch[v]));
-        EXPECT_EQ(threaded[v], serial[v]);
-    }
-}
-
 TEST(FastEngine, RouteIntoReusesResultBuffers)
 {
     Prng prng(31);
@@ -253,6 +225,16 @@ TEST(FastEngine, RouteIntoReusesResultBuffers)
     }
 }
 
+/** Router::routeOutcome's payload; every healthy route is ok. */
+std::vector<Word>
+routeValue(const Router &router, const Permutation &d,
+           const std::vector<Word> &data)
+{
+    RouteOutcome out = router.routeOutcome(d, data);
+    EXPECT_TRUE(out.ok());
+    return out.takeValue();
+}
+
 TEST(RouterCache, HitsAndMisses)
 {
     Prng prng(37);
@@ -265,17 +247,17 @@ TEST(RouterCache, HitsAndMisses)
     const auto d2 = Permutation::random(size, prng);
 
     EXPECT_EQ(router.planCacheSize(), 0u);
-    const auto out1 = router.route(d1, data);
+    const auto out1 = routeValue(router, d1, data);
     EXPECT_EQ(router.planCacheMisses(), 1u);
     EXPECT_EQ(router.planCacheHits(), 0u);
 
-    const auto out1b = router.route(d1, data);
+    const auto out1b = routeValue(router, d1, data);
     EXPECT_EQ(router.planCacheMisses(), 1u);
     EXPECT_EQ(router.planCacheHits(), 1u);
     EXPECT_EQ(out1, out1b);
     EXPECT_EQ(out1, d1.applyTo(data));
 
-    const auto out2 = router.route(d2, data);
+    const auto out2 = routeValue(router, d2, data);
     EXPECT_EQ(router.planCacheMisses(), 2u);
     EXPECT_EQ(router.planCacheSize(), 2u);
     EXPECT_EQ(out2, d2.applyTo(data));
@@ -302,15 +284,15 @@ TEST(RouterCache, LruEviction)
     const auto b = Permutation::random(size, prng);
     const auto c = Permutation::random(size, prng);
 
-    router.route(a, data); // cache: a
-    router.route(b, data); // cache: b a
-    router.route(a, data); // hit -> a b
+    routeValue(router, a, data); // cache: a
+    routeValue(router, b, data); // cache: b a
+    routeValue(router, a, data); // hit -> a b
     EXPECT_EQ(router.planCacheHits(), 1u);
-    router.route(c, data); // evicts b -> c a
+    routeValue(router, c, data); // evicts b -> c a
     EXPECT_EQ(router.planCacheSize(), 2u);
-    router.route(a, data); // still cached
+    routeValue(router, a, data); // still cached
     EXPECT_EQ(router.planCacheHits(), 2u);
-    router.route(b, data); // evicted: a miss again
+    routeValue(router, b, data); // evicted: a miss again
     EXPECT_EQ(router.planCacheMisses(), 4u);
 }
 
@@ -322,8 +304,8 @@ TEST(RouterCache, ZeroCapacityDisablesCaching)
     std::vector<Word> data(size);
     std::iota(data.begin(), data.end(), Word{0});
     const auto d = Permutation::random(size, prng);
-    router.route(d, data);
-    router.route(d, data);
+    routeValue(router, d, data);
+    routeValue(router, d, data);
     EXPECT_EQ(router.planCacheSize(), 0u);
     EXPECT_EQ(router.planCacheHits(), 0u);
 }
@@ -345,49 +327,19 @@ TEST(Router, FastPathDeliversUnderEveryStrategy)
         };
         for (const auto &d : mix) {
             const auto plan = router.plan(d);
-            ASSERT_TRUE(plan.fast != nullptr);
-            ASSERT_TRUE(plan.fast->success);
             // Every strategy realizes d: execute gathers through its
-            // inverse. A TwoPass plan carries only that gather table.
-            EXPECT_EQ(plan.fast->src, d.inverse().dest());
-            if (plan.strategy == RouteStrategy::TwoPass)
-                EXPECT_TRUE(plan.fast->dest.empty());
-            else
-                EXPECT_EQ(plan.fast->dest, d.dest());
+            // inverse.
+            EXPECT_EQ(plan.src, d.inverse().dest());
             EXPECT_EQ(router.execute(plan, data), d.applyTo(data));
 
+            // executeInto reuses the output buffer.
             std::vector<Word> out;
-            router.executeInto(plan, data, out);
-            EXPECT_EQ(out, d.applyTo(data));
-
-            const std::vector<std::vector<Word>> batch{data, data};
-            for (const auto &o : router.executeMany(plan, batch, 2))
-                EXPECT_EQ(o, d.applyTo(data));
+            for (int rep = 0; rep < 2; ++rep) {
+                router.executeInto(plan, data, out);
+                EXPECT_EQ(out, d.applyTo(data));
+            }
         }
     }
-}
-
-TEST(Router, RouteBatchMatchesPerVectorRoute)
-{
-    Prng prng(53);
-    const Router router(6);
-    const std::size_t size = 64;
-    const auto d = Permutation::random(size, prng);
-    std::vector<std::vector<Word>> batch(5);
-    for (std::size_t v = 0; v < batch.size(); ++v) {
-        batch[v].resize(size);
-        for (std::size_t i = 0; i < size; ++i)
-            batch[v][i] = v * 1000 + i;
-    }
-    const auto outs = router.routeBatch(d, batch);
-    ASSERT_EQ(outs.size(), batch.size());
-    for (std::size_t v = 0; v < batch.size(); ++v)
-        EXPECT_EQ(outs[v], d.applyTo(batch[v]));
-
-    // A second batch with the same pattern hits the plan cache.
-    const auto again = router.routeBatch(d, batch, 2);
-    EXPECT_EQ(again, outs);
-    EXPECT_EQ(router.planCacheHits(), 1u);
 }
 
 } // namespace

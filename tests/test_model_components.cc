@@ -2,13 +2,13 @@
  * @file
  * Model-checked invariants for the production components ported onto
  * the common/sync.hh shim (layer 3 of the srb_model subsystem):
- * SpscRing and Doorbell (core/stream.hh), PlanArena free lists
- * (core/plan_arena.hh), the plan cache's recency stamps
- * (core/cache_recency.hh), the metrics instruments (obs/metrics.hh),
- * and the LifecycleStamps publication protocol. Each test explores
- * ALL schedules at 2-3 lanes under the configured preemption bound
- * (SRBENES_MODEL_PREEMPTIONS overrides for the nightly sweep), so a
- * green run is an exhaustive bounded proof, not a lucky interleaving.
+ * SpscRing and Doorbell (core/stream.hh), the plan cache's recency
+ * stamps (core/cache_recency.hh), the metrics instruments
+ * (obs/metrics.hh), and the LifecycleStamps publication protocol.
+ * Each test explores ALL schedules at 2-3 lanes under the configured
+ * preemption bound (SRBENES_MODEL_PREEMPTIONS overrides for the
+ * nightly sweep), so a green run is an exhaustive bounded proof, not
+ * a lucky interleaving.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/cache_recency.hh"
-#include "core/plan_arena.hh"
 #include "core/stream.hh"
 #include "model/model.hh"
 #include "obs/metrics.hh"
@@ -183,35 +182,6 @@ TEST(ModelComponents, DoorbellEpochWraparound)
         bell.ring(); // seq_: UINT64_MAX - 1 -> UINT64_MAX
         bell.ring(); // seq_: UINT64_MAX -> 0 (the wrap)
         joinAll();
-    });
-    EXPECT_TRUE(res.ok) << res.report();
-}
-
-/** Two lanes allocating concurrently must never receive overlapping
- *  blocks, and released blocks recycle exactly (free-list hit). */
-TEST(ModelComponents, PlanArenaNoDoubleAllocatedBlocks)
-{
-    const Result res = explore(boundedOpts("arena-alloc"), [] {
-        PlanArena arena(256);
-        Word *a = nullptr;
-        Word *b = nullptr;
-        spawn([&] { a = arena.alloc(4); });
-        spawn([&] { b = arena.alloc(4); });
-        joinAll();
-        modelAssert(a != nullptr && b != nullptr, "alloc failed");
-        modelAssert(a + 4 <= b || b + 4 <= a,
-                    "double-allocated (overlapping) blocks");
-        modelAssert(arena.stats().live_blocks == 2,
-                    "live-block accounting drifted");
-        arena.release(a, 4);
-        arena.release(b, 4);
-        modelAssert(arena.residentBytes() == 0,
-                    "resident bytes leaked");
-        // Recycling: the free list must hand the same storage back.
-        Word *c = arena.alloc(4);
-        Word *d = arena.alloc(4);
-        modelAssert((c == a && d == b) || (c == b && d == a),
-                    "free list failed to recycle exactly");
     });
     EXPECT_TRUE(res.ok) << res.report();
 }

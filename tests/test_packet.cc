@@ -5,8 +5,9 @@
  * conservation accounting under every traffic-matrix/policy
  * combination, eventual delivery under backpressure (feed-forward
  * => deadlock-free), bit-exact payload delivery against
- * Permutation::applyTo, registry wiring, and the deprecated
- * PacketBenes shim (the old suite, still green through the shim).
+ * Permutation::applyTo, registry wiring, and plain tag routing (the
+ * E17 packet-mode evidence: a fabric with TagBits midpath,
+ * backpressure and shallow rings).
  */
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "packet/fabric.hh"
-#include "packet/packet_benes.hh"
 #include "packet/traffic.hh"
 #include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
@@ -360,44 +360,60 @@ TEST(Fabric, SameSeedReplaysSameSchedule)
     EXPECT_EQ(a.max_latency, b.max_latency);
 }
 
-// --- The pre-Fabric suite, kept verbatim against the deprecated --
-// --- PacketBenes shim: the old surface must stay green for one  --
-// --- release.                                                   --
+// --- Plain tag routing (E17): every stage steers by its tag bit --
+// --- and a blocked head waits.                                   --
 
-TEST(PacketShim, IdentityFlowsWithoutStalls)
+/**
+ * A fabric run as plain tag routing: TagBits midpath, backpressure,
+ * @p fifo-deep rings at stages >= 1, ingress room for @p batches
+ * whole permutation batches (so no offer is ever refused), and
+ * metrics off.
+ */
+Fabric
+tagRoutedFabric(unsigned n, std::size_t fifo = 2, std::size_t batches = 1)
+{
+    PacketOptions opts;
+    opts.queue_capacity = fifo;
+    opts.ingress_capacity = batches;
+    opts.contention = ContentionPolicy::Backpressure;
+    opts.midpath = MidpathPolicy::TagBits;
+    return Fabric(n, opts, nullptr);
+}
+
+TEST(PacketTagRouting, IdentityFlowsWithoutStalls)
 {
     for (unsigned n : {2u, 4u, 6u}) {
-        PacketBenes fabric(n);
-        const auto stats = fabric.runPermutation(
+        Fabric fabric = tagRoutedFabric(n);
+        const FabricStats stats = fabric.runPermutation(
             Permutation::identity(std::size_t{1} << n));
-        EXPECT_TRUE(stats.all_delivered);
+        EXPECT_TRUE(stats.allDelivered());
         EXPECT_EQ(stats.stalls, 0u);
         EXPECT_EQ(stats.min_latency, 2 * n - 1);
         EXPECT_EQ(stats.max_latency, 2 * n - 1);
     }
 }
 
-TEST(PacketShim, AllPermutationsDeliverN8)
+TEST(PacketTagRouting, AllPermutationsDeliverN8)
 {
-    PacketBenes fabric(3);
+    Fabric fabric = tagRoutedFabric(3);
     std::vector<Word> dest(8);
     std::iota(dest.begin(), dest.end(), 0);
     do {
-        const auto stats =
+        const FabricStats stats =
             fabric.runPermutation(Permutation(dest));
-        ASSERT_TRUE(stats.all_delivered)
+        ASSERT_TRUE(stats.allDelivered())
             << Permutation(dest).toString();
     } while (std::next_permutation(dest.begin(), dest.end()));
 }
 
-TEST(PacketShim, LatencyLowerBoundIsStageCount)
+TEST(PacketTagRouting, LatencyLowerBoundIsStageCount)
 {
-    PacketBenes fabric(4);
+    Fabric fabric = tagRoutedFabric(4);
     Prng prng(3);
     for (int trial = 0; trial < 20; ++trial) {
-        const auto stats = fabric.runPermutation(
+        const FabricStats stats = fabric.runPermutation(
             Permutation::random(16, prng));
-        EXPECT_TRUE(stats.all_delivered);
+        EXPECT_TRUE(stats.allDelivered());
         EXPECT_GE(stats.min_latency, 7u);
         EXPECT_GE(stats.max_latency, stats.min_latency);
         EXPECT_GE(stats.avg_latency,
@@ -405,7 +421,7 @@ TEST(PacketShim, LatencyLowerBoundIsStageCount)
     }
 }
 
-TEST(PacketShim, BitReversalStallsDespiteBeingInF)
+TEST(PacketTagRouting, BitReversalStallsDespiteBeingInF)
 {
     // The central comparison: the circuit-switched rule carries bit
     // reversal conflict-free (it is in F), but per-packet tag
@@ -414,65 +430,63 @@ TEST(PacketShim, BitReversalStallsDespiteBeingInF)
     const unsigned n = 4;
     const Permutation d = named::bitReversal(n).toPermutation();
     ASSERT_TRUE(inFClass(d));
-    PacketBenes fabric(n);
-    const auto stats = fabric.runPermutation(d);
-    EXPECT_TRUE(stats.all_delivered);
+    Fabric fabric = tagRoutedFabric(n);
+    const FabricStats stats = fabric.runPermutation(d);
+    EXPECT_TRUE(stats.allDelivered());
     EXPECT_GT(stats.max_latency, 2 * n - 1);
 }
 
-TEST(PacketShim, StreamThroughputApproachesOneBatchPerCycle)
+TEST(PacketTagRouting, StreamThroughputApproachesOneBatchPerCycle)
 {
     // Identity batches stream at full rate: K batches in
-    // (2n-1) + K cycles (one extra for the injection offset).
+    // (2n-1) + K cycles (one extra for the injection offset). One
+    // whole batch is offered per cycle.
     const unsigned n = 3;
-    PacketBenes fabric(n);
-    const int batches = 32;
-    const std::vector<Permutation> stream(
-        batches, Permutation::identity(8));
-    const auto stats = fabric.runStream(stream);
-    EXPECT_TRUE(stats.all_delivered);
+    const std::size_t batches = 32;
+    Fabric fabric = tagRoutedFabric(n, 2, batches);
+    std::vector<std::vector<packet::Arrival>> schedule(batches);
+    for (auto &batch : schedule)
+        for (Word i = 0; i < 8; ++i)
+            batch.push_back(packet::Arrival{i, i});
+    packet::ScheduleTraffic source(std::move(schedule));
+    const FabricStats stats = fabric.run(source, batches);
+    EXPECT_TRUE(stats.allDelivered());
+    EXPECT_EQ(stats.rejected, 0u);
     EXPECT_EQ(stats.stalls, 0u);
     EXPECT_LE(stats.cycles, (2 * n - 1) + batches + 1u);
 }
 
-TEST(PacketShim, TinyFifosStillDeliver)
+TEST(PacketTagRouting, TinyFifosStillDeliver)
 {
-    PacketConfig cfg;
-    cfg.fifo_capacity = 1;
-    PacketBenes fabric(4, cfg);
+    Fabric fabric = tagRoutedFabric(4, /*fifo=*/1);
     Prng prng(5);
     for (int trial = 0; trial < 10; ++trial) {
-        const auto stats = fabric.runPermutation(
+        const FabricStats stats = fabric.runPermutation(
             Permutation::random(16, prng));
-        EXPECT_TRUE(stats.all_delivered);
+        EXPECT_TRUE(stats.allDelivered());
     }
 }
 
-TEST(PacketShim, DeeperFifosReduceStalls)
+TEST(PacketTagRouting, DeeperFifosReduceStalls)
 {
     const unsigned n = 5;
     Prng prng(7);
     const auto d = Permutation::random(32, prng);
 
-    PacketConfig shallow;
-    shallow.fifo_capacity = 1;
-    PacketConfig deep;
-    deep.fifo_capacity = 8;
-
-    const auto s1 = PacketBenes(n, shallow).runPermutation(d);
-    const auto s2 = PacketBenes(n, deep).runPermutation(d);
-    EXPECT_TRUE(s1.all_delivered);
-    EXPECT_TRUE(s2.all_delivered);
+    const FabricStats s1 =
+        tagRoutedFabric(n, /*fifo=*/1).runPermutation(d);
+    const FabricStats s2 =
+        tagRoutedFabric(n, /*fifo=*/8).runPermutation(d);
+    EXPECT_TRUE(s1.allDelivered());
+    EXPECT_TRUE(s2.allDelivered());
     EXPECT_LE(s2.stalls, s1.stalls);
 }
 
-TEST(PacketShim, OccupancyBoundedByCapacity)
+TEST(PacketTagRouting, OccupancyBoundedByCapacity)
 {
-    PacketConfig cfg;
-    cfg.fifo_capacity = 3;
-    PacketBenes fabric(4, cfg);
+    Fabric fabric = tagRoutedFabric(4, /*fifo=*/3);
     Prng prng(11);
-    const auto stats =
+    const FabricStats stats =
         fabric.runPermutation(Permutation::random(16, prng));
     EXPECT_LE(stats.max_occupancy, 3u);
 }

@@ -108,23 +108,9 @@ TEST(RouteOutcomeTest, Names)
     EXPECT_STREQ(switchHealthName(SwitchHealth::Suspect), "suspect");
 }
 
-// ------------------------------------------------- deprecated shims
+// ------------------------------------------------ Router::routeOutcome
 
-TEST(DeprecatedShims, OldRouterRouteStillWorks)
-{
-    // The pre-taxonomy signature must keep compiling and returning
-    // the routed payload (release-note promise for one cycle).
-    const unsigned n = 4;
-    const Word N = Word{1} << n;
-    const Router router(n);
-    Prng prng(71);
-    const Permutation d = Permutation::random(N, prng);
-    const auto out = router.route(d, iotaPayload(N));
-    for (Word i = 0; i < N; ++i)
-        EXPECT_EQ(out[d[i]], i);
-}
-
-TEST(DeprecatedShims, RouterRouteOutcomeMatchesShim)
+TEST(RouterOutcome, MatchesApplyTo)
 {
     const unsigned n = 4;
     const Word N = Word{1} << n;
@@ -135,7 +121,7 @@ TEST(DeprecatedShims, RouterRouteOutcomeMatchesShim)
         const auto outcome = router.routeOutcome(d, iotaPayload(N));
         ASSERT_TRUE(outcome.ok());
         EXPECT_EQ(outcome.tier(), ServeTier::Primary);
-        EXPECT_EQ(outcome.value(), router.route(d, iotaPayload(N)));
+        EXPECT_EQ(outcome.value(), d.applyTo(iotaPayload(N)));
     }
 }
 

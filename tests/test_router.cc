@@ -93,7 +93,9 @@ TEST(Router, DeliversUnderEveryStrategy)
             Permutation::random(32, prng),
         };
         for (const auto &d : mix) {
-            const auto out = router.route(d, data);
+            const auto outcome = router.routeOutcome(d, data);
+            ASSERT_TRUE(outcome.ok());
+            const auto &out = outcome.value();
             for (Word i = 0; i < 32; ++i)
                 ASSERT_EQ(out[d[i]], data[i])
                     << d.toString() << " waksman="
@@ -137,112 +139,64 @@ TEST(Router, SizeMismatchDies)
                  "does not match");
 }
 
-TEST(Router, CachedPlansAreCompacted)
+/**
+ * A permutation @p router plans with strategy @p want: a random F
+ * member, a TwoPass second factor (an Omega member, rarely in F), or
+ * random permutations until one takes the general strategy.
+ */
+Permutation
+planTakes(const Router &router, RouteStrategy want, Prng &prng)
+{
+    const unsigned n = router.fabric().topology().n();
+    const Word N = router.fabric().numLines();
+    if (want == RouteStrategy::SelfRouting)
+        return randomFMember(n, prng);
+    for (int trial = 0; trial < 50; ++trial) {
+        Permutation d = Permutation::random(N, prng);
+        if (want == RouteStrategy::OmegaBit)
+            d = twoPassPlan(router.fabric(), d).second;
+        if (router.plan(d).strategy == want)
+            return d;
+    }
+    ADD_FAILURE() << "no " << routeStrategyName(want)
+                  << " permutation sampled";
+    return Permutation::identity(N);
+}
+
+TEST(Router, FreshAndCachedPlansHaveOneShape)
 {
     Prng prng(11);
     const unsigned n = 6;
     const Word N = Word{1} << n;
-    const Router router(n);
-    const Permutation f = randomFMember(n, prng);
-
-    // The uncompacted plan carries the flat ctrl masks and dest.
-    const RoutePlan fresh = router.plan(f);
-    ASSERT_TRUE(fresh.fast);
-    EXPECT_FALSE(fresh.fast->ctrl.empty());
-    EXPECT_FALSE(fresh.fast->dest.empty());
-    EXPECT_EQ(fresh.packed_ctrl.words, nullptr);
-
-    // The cached one is slimmed to packed bits + the src gather
-    // table execute() reads.
-    const auto cached = router.planCached(f);
-    ASSERT_TRUE(cached->fast);
-    EXPECT_TRUE(cached->fast->ctrl.empty());
-    EXPECT_TRUE(cached->fast->dest.empty());
-    EXPECT_FALSE(cached->fast->src.empty());
-    ASSERT_NE(cached->packed_ctrl.words, nullptr);
-
-    // The packed bits are the plan's switch settings, bit for bit.
-    const PackedStates want =
-        router.setupEngine().packedStates(*fresh.fast);
-    EXPECT_EQ(cached->packed_ctrl.n, want.n);
-    EXPECT_EQ(cached->packed_ctrl.words_per_stage,
-              want.words_per_stage);
-    for (unsigned s = 0; s < 2 * n - 1; ++s)
-        for (Word sw = 0; sw < N / 2; ++sw)
-            ASSERT_EQ(cached->packed_ctrl.get(s, sw),
-                      want.get(s, sw))
-                << "stage " << s << " switch " << sw;
-
-    // And the compacted plan still delivers.
     const auto data = iotaData(N);
-    const auto out = router.execute(*cached, data);
-    for (Word i = 0; i < N; ++i)
-        EXPECT_EQ(out[f[i]], data[i]);
-
-    EXPECT_GT(router.planCacheBytes(), 0u);
-
-    // A resident TwoPass plan has no masks to pack, but it drops the
-    // dest table all the same: only the src gather table stays flat,
-    // next to the factors the resilient layer replays.
-    for (int trial = 0;; ++trial) {
-        ASSERT_LT(trial, 50) << "no two-pass permutation sampled";
-        const Permutation d = Permutation::random(N, prng);
-        const auto tp = router.planCached(d);
-        if (tp->strategy != RouteStrategy::TwoPass)
-            continue;
-        ASSERT_TRUE(tp->fast);
-        EXPECT_TRUE(tp->fast->ctrl.empty());
-        EXPECT_TRUE(tp->fast->dest.empty());
-        EXPECT_EQ(tp->fast->src, d.inverse().dest());
-        ASSERT_TRUE(tp->two_pass);
-        EXPECT_EQ(tp->two_pass->first.then(tp->two_pass->second), d);
-        const auto tp_out = router.execute(*tp, data);
-        for (Word i = 0; i < N; ++i)
-            EXPECT_EQ(tp_out[d[i]], data[i]);
-        break;
-    }
-}
-
-TEST(Router, TwoPassPlansCacheWithoutPackedBits)
-{
-    Prng prng(13);
-    const unsigned n = 4;
-    const Word N = Word{1} << n;
-    const Router router(n);
-    for (int trial = 0; trial < 50; ++trial) {
-        const auto d = Permutation::random(N, prng);
+    for (RouteStrategy strategy :
+         {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
+          RouteStrategy::TwoPass, RouteStrategy::Waksman}) {
+        const Router router(n, strategy == RouteStrategy::Waksman);
+        const Permutation d = planTakes(router, strategy, prng);
+        const RoutePlan fresh = router.plan(d);
         const auto cached = router.planCached(d);
-        if (cached->strategy != RouteStrategy::TwoPass)
-            continue;
-        // The composed mapping carries no ctrl masks, so there is
-        // nothing to compact — and it must still execute.
-        EXPECT_EQ(cached->packed_ctrl.words, nullptr);
-        const auto data = iotaData(N);
-        const auto out = router.execute(*cached, data);
-        for (Word i = 0; i < N; ++i)
-            EXPECT_EQ(out[d[i]], data[i]);
-        return;
+        for (const RoutePlan *p : {&fresh, cached.get()}) {
+            SCOPED_TRACE(routeStrategyName(strategy));
+            EXPECT_EQ(p->strategy, strategy);
+            EXPECT_EQ(p->perm, d);
+            // The verified gather table is d's inverse, built once
+            // at plan time; the cache keeps the plan as planned.
+            EXPECT_EQ(p->src, d.inverse().dest());
+            // The TwoPass factors and the Waksman states stay: the
+            // resilient layer replays them.
+            EXPECT_EQ(p->two_pass.has_value(),
+                      strategy == RouteStrategy::TwoPass);
+            if (p->two_pass) {
+                EXPECT_EQ(p->two_pass->first.then(p->two_pass->second),
+                          d);
+            }
+            EXPECT_EQ(p->states.has_value(),
+                      strategy == RouteStrategy::Waksman);
+            EXPECT_EQ(router.execute(*p, data), d.applyTo(data));
+        }
+        EXPECT_GT(router.planCacheBytes(), 0u);
     }
-    FAIL() << "no two-pass permutation sampled";
-}
-
-TEST(Router, CachedWaksmanPlansKeepTheirStates)
-{
-    // The resilient layer replays cached Waksman plans from
-    // plan->states; compaction must leave them intact.
-    Prng prng(15);
-    const unsigned n = 4;
-    const Word N = Word{1} << n;
-    const Router router(n, /*prefer_waksman=*/true);
-    for (int trial = 0; trial < 50; ++trial) {
-        const auto d = Permutation::random(N, prng);
-        const auto cached = router.planCached(d);
-        if (cached->strategy != RouteStrategy::Waksman)
-            continue;
-        EXPECT_TRUE(cached->states.has_value());
-        return;
-    }
-    FAIL() << "no waksman permutation sampled";
 }
 
 TEST(Router, ByteAccountingTracksInsertsAndClear)
@@ -259,15 +213,11 @@ TEST(Router, ByteAccountingTracksInsertsAndClear)
         prev = router.planCacheBytes();
     }
 
-    // cacheStats' per-shard bytes sum to the total, and the shard
-    // arenas report the packed blocks resident.
-    std::size_t sum = 0, arena_resident = 0;
-    for (const CacheShardStats &s : router.cacheStats()) {
+    // cacheStats' per-shard bytes sum to the total.
+    std::size_t sum = 0;
+    for (const CacheShardStats &s : router.cacheStats())
         sum += s.bytes;
-        arena_resident += s.arena_resident_bytes;
-    }
     EXPECT_EQ(sum, router.planCacheBytes());
-    EXPECT_GT(arena_resident, 0u);
 
     router.clearPlanCache();
     EXPECT_EQ(router.planCacheBytes(), 0u);
@@ -304,9 +254,7 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
     EXPECT_LT(router.planCacheSize(), perms.size());
     EXPECT_GT(router.planCacheEvictions(), 0u);
 
-    // The held (evicted) plan's packed block outlives eviction: the
-    // deleter keeps the shard arena alive and the plan executes.
-    ASSERT_NE(held->packed_ctrl.words, nullptr);
+    // The held plan outlives its eviction and still executes.
     const Word N = Word{1} << n;
     const auto data = iotaData(N);
     const auto out = router.execute(*held, data);

@@ -352,7 +352,7 @@ TEST(Srb009, TagOnlyCountsOnTheOpeningLines)
 int a;
 int b;
 int c;
-// files tagged srb-lint: arena must use PlanArena
+// files tagged srb-lint: arena must use the arena
 std::vector<Word> words;
 )__",
                          "SRB009"));

@@ -4,8 +4,8 @@
  * determinism under reset (equal seeds replay equal streams), the
  * offered-load calibration of every generator, matrix-specific
  * shape (hot-spot skew, burstiness, partial injectivity, multicast
- * fanout), and the ScheduleTraffic playback used by the PacketBenes
- * shim.
+ * fanout), and the ScheduleTraffic playback the packet tag-routing
+ * tests use to offer one whole permutation batch per cycle.
  */
 
 #include <algorithm>

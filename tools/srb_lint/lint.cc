@@ -412,13 +412,13 @@ ruleBitslicedNoScalarWalk(Ctx &ctx)
 }
 
 /**
- * SRB009: a file tagged `// srb-lint: arena` stores plan bytes in a
- * PlanArena — the contract that keeps batched plans in tiled,
- * cache-budget-sized blocks. A std::vector<Word> buffer or a naked
- * new/make_unique Word[] allocation reintroduces exactly the
- * per-plan heap traffic the arena exists to remove; flag it so the
- * escape hatch (the flat PackedStates compat form) needs a reviewed
- * allow() to land.
+ * SRB009: a file tagged `// srb-lint: arena` promises to carve its
+ * plan bytes from a tiled, cache-budget-sized arena. A
+ * std::vector<Word> buffer or a naked new/make_unique Word[]
+ * allocation reintroduces exactly the per-plan heap traffic such an
+ * arena exists to remove; flag it so any escape hatch needs a
+ * reviewed allow() to land. No file in the tree carries the tag
+ * today; the rule waits for the next arena-backed plan store.
  */
 void
 ruleArenaNoHeapPlanBytes(Ctx &ctx)
@@ -439,7 +439,7 @@ ruleArenaNoHeapPlanBytes(Ctx &ctx)
         if (std::regex_search(ctx.view.code[i], re))
             ctx.report("SRB009", i,
                        "heap-allocated plan bytes in a file tagged "
-                       "arena; carve the block from a PlanArena (or "
+                       "arena; carve the block from the arena (or "
                        "justify the compat form with an allow)");
 }
 
@@ -497,7 +497,7 @@ ruleCatalog()
         {"SRB008", "no per-switch scalar walks in files tagged "
                    "'srb-lint: bitsliced'"},
         {"SRB009", "no heap-allocated plan bytes in files tagged "
-                   "'srb-lint: arena'; use PlanArena"},
+                   "'srb-lint: arena'; use the arena"},
         {"SRB010", "no raw std::atomic/std::mutex/SYS_futex in files "
                    "tagged 'srb-lint: modeled'; use common/sync.hh"},
     };
