@@ -8,10 +8,11 @@
  *
  *   sweep    : offered-rate sweep — serves/s, p50/p99 client-side
  *              submit→response latency, and shed counts at each
- *              step. Open loop, so overload shows up as latency and
+ *              step, run past saturation (up to 200K offered/s).
+ *              Open loop, so overload shows up as latency and
  *              sheds, never as a silently throttled offered rate.
- *   deadline : the sweep's top rate with a tight per-request
- *              deadline, exercising the wire deadline plumbing
+ *   deadline : 50K offered/s with a tight per-request deadline,
+ *              exercising the wire deadline plumbing
  *              (DeadlineExceeded responses are legal here).
  *   quota    : per-tenant token buckets enabled at a rate below the
  *              offered load; a healthy run REFUSES work here
@@ -73,7 +74,11 @@ main()
     const std::uint64_t phase_ms = smoke ? 1000 : 5000;
     const std::vector<double> sweep_rates =
         smoke ? std::vector<double>{1000, 4000}
-              : std::vector<double>{5000, 20000, 50000};
+              : std::vector<double>{5000, 20000, 50000, 100000,
+                                    200000};
+    // The deadline and quota phases stay at one fixed rate, so their
+    // rows compare across runs however far the sweep goes.
+    const double phase_rate = smoke ? 4000 : 50000;
 
     std::printf("=== srbd service SLO: open-loop loadgen over "
                 "loopback (n=%u, N=%u, %u workers, %llu ms/phase) "
@@ -114,7 +119,7 @@ main()
     }
     {
         LoadgenOptions opts;
-        opts.rate_per_sec = sweep_rates.back();
+        opts.rate_per_sec = phase_rate;
         opts.connections = 2;
         // Tight but attainable: an order above the idle p99.
         opts.deadline_rel_ns = 20'000'000;
@@ -145,7 +150,7 @@ main()
     server->start();
     {
         LoadgenOptions opts;
-        opts.rate_per_sec = sweep_rates.back();
+        opts.rate_per_sec = phase_rate;
         opts.connections = 2;
         opts.tenants = 4;
         Phase *p = runPhase("quota", opts);

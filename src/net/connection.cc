@@ -2,8 +2,8 @@
  * @file
  * Connection I/O. Both directions run until EAGAIN so the server
  * can use level-triggered epoll without starving anyone: reads stop
- * when the kernel buffer is dry, writes stop when the socket stops
- * accepting.
+ * when the kernel buffer is dry or the pass's read budget is spent,
+ * writes stop when the socket stops accepting.
  */
 
 #include "net/connection.hh"
@@ -12,14 +12,26 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "obs/metrics.hh"
+
 namespace srbenes
 {
 namespace net
 {
+namespace
+{
+
+// One read pass takes at most this many bytes. A client that writes
+// as fast as srbd reads could otherwise keep a single pass going,
+// and the watermark check that follows it, without bound; epoll is
+// level-triggered, so the rest is read on the next pass.
+constexpr std::size_t kReadBudget = 1u << 20;
+
+} // namespace
 
 Connection::Connection(int fd, std::uint64_t id,
-                       std::size_t max_frame)
-    : fd_(fd), id_(id), decoder_(max_frame)
+                       std::size_t max_frame, obs::Counter *writes)
+    : fd_(fd), id_(id), writes_(writes), decoder_(max_frame)
 {
 }
 
@@ -33,12 +45,13 @@ Connection::ReadResult
 Connection::readReady(std::vector<Message> &msgs, std::string *error)
 {
     std::uint8_t chunk[65536];
-    for (;;) {
+    for (std::size_t taken = 0; taken < kReadBudget;) {
         const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (got > 0) {
             decoder_.feed(chunk, static_cast<std::size_t>(got));
             if (static_cast<std::size_t>(got) < sizeof(chunk))
                 break; // kernel buffer drained
+            taken += static_cast<std::size_t>(got);
             continue;
         }
         if (got == 0)
@@ -83,6 +96,8 @@ Connection::flush()
         const ssize_t sent =
             ::send(fd_, out_.data() + out_pos_, pendingOut(),
                    MSG_NOSIGNAL);
+        if (writes_ != nullptr)
+            writes_->inc();
         if (sent > 0) {
             out_pos_ += static_cast<std::size_t>(sent);
             continue;

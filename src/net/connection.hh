@@ -9,12 +9,15 @@
  * length-prefixed stream cannot resynchronize.
  *
  * Writes queue into an out-buffer flushed opportunistically: the
- * server tries an inline flush after queueing and falls back to
+ * server queues every answer one loop pass produces, flushes each
+ * touched connection once at the end of the pass, and falls back to
  * EPOLLOUT when the socket would block. The out-buffer size is the
  * per-connection backpressure signal — above the server's high
  * watermark the connection stops being read (its EPOLLIN is
  * dropped), which in turn stops admission from that client, the
- * socket analogue of the stream engine's shed-on-full-ring.
+ * socket analogue of the stream engine's shed-on-full-ring. The
+ * connection remembers the event mask last registered for its fd,
+ * so the server issues EPOLL_CTL_MOD only when that mask changes.
  *
  * Owned and driven exclusively by the server's event-loop thread.
  */
@@ -30,13 +33,20 @@
 
 namespace srbenes
 {
+namespace obs
+{
+class Counter;
+} // namespace obs
+
 namespace net
 {
 
 class Connection
 {
   public:
-    Connection(int fd, std::uint64_t id, std::size_t max_frame);
+    /** @p writes, when not null, counts every send() flush() makes. */
+    Connection(int fd, std::uint64_t id, std::size_t max_frame,
+               obs::Counter *writes);
     ~Connection();
 
     Connection(const Connection &) = delete;
@@ -53,9 +63,9 @@ class Connection
     };
 
     /**
-     * Drain the socket's readable bytes and append every complete
-     * message to @p msgs. On ProtocolError @p error carries the
-     * decoder's explanation.
+     * Drain the socket's readable bytes, up to a per-pass budget
+     * (1 MiB), and append every complete message to @p msgs. On
+     * ProtocolError @p error carries the decoder's explanation.
      */
     ReadResult readReady(std::vector<Message> &msgs,
                          std::string *error = nullptr);
@@ -77,11 +87,16 @@ class Connection
     /** @{ Server-maintained admission state. */
     std::size_t inflight = 0;
     bool reading_paused = false;
+    /** Event mask last registered with epoll for fd(). */
+    std::uint32_t registered_events = 0;
+    /** Queued answers this loop pass; flushed once at its end. */
+    bool flush_pending = false;
     /** @} */
 
   private:
     int fd_;
     std::uint64_t id_;
+    obs::Counter *writes_;
     Decoder decoder_;
     std::vector<std::uint8_t> out_;
     std::size_t out_pos_ = 0;

@@ -6,10 +6,16 @@
  * treats ANY deviation — short body, long body, unknown type,
  * counts that disagree with the body length — as a poisoning
  * protocol error.
+ *
+ * Header fields go through putU*()/getU*() one at a time; the
+ * dest and payload arrays are converted in bulk (one bounds check
+ * and one resize per array, then memcpy), which on a little-endian
+ * host is a straight copy for the u64 arrays.
  */
 
 #include "net/protocol.hh"
 
+#include <bit>
 #include <cstring>
 
 namespace srbenes
@@ -18,6 +24,9 @@ namespace net
 {
 namespace
 {
+
+constexpr bool kLittleEndian =
+    std::endian::native == std::endian::little;
 
 // ------------------------------------------------------------ writer
 
@@ -41,6 +50,41 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
     putU32(out, static_cast<std::uint32_t>(v));
     putU32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+/** Append @p words as little-endian u32s (dest tags; narrowed). */
+void
+putU32s(std::vector<std::uint8_t> &out, const std::vector<Word> &words)
+{
+    const std::size_t at = out.size();
+    out.resize(at + words.size() * 4);
+    std::uint8_t *p = out.data() + at;
+    for (Word w : words) {
+        std::uint32_t v = static_cast<std::uint32_t>(w);
+        if constexpr (!kLittleEndian)
+            v = __builtin_bswap32(v);
+        std::memcpy(p, &v, 4);
+        p += 4;
+    }
+}
+
+/** Append @p words as little-endian u64s. */
+void
+putU64s(std::vector<std::uint8_t> &out, const std::vector<Word> &words)
+{
+    const std::size_t at = out.size();
+    out.resize(at + words.size() * 8);
+    std::uint8_t *p = out.data() + at;
+    if constexpr (kLittleEndian) {
+        if (!words.empty())
+            std::memcpy(p, words.data(), words.size() * 8);
+    } else {
+        for (Word w : words) {
+            const std::uint64_t v = __builtin_bswap64(w);
+            std::memcpy(p, &v, 8);
+            p += 8;
+        }
+    }
 }
 
 // ------------------------------------------------------------ reader
@@ -97,6 +141,44 @@ struct Reader
         return lo | hi << 32;
     }
 
+    /** Read @p count little-endian u32s into @p out (one check). */
+    void
+    getU32s(std::size_t count, std::vector<Word> &out)
+    {
+        if (!need(count * 4))
+            return;
+        out.resize(count);
+        const std::uint8_t *src = p + pos;
+        for (std::size_t i = 0; i < count; ++i) {
+            std::uint32_t v;
+            std::memcpy(&v, src + i * 4, 4);
+            if constexpr (!kLittleEndian)
+                v = __builtin_bswap32(v);
+            out[i] = v;
+        }
+        pos += count * 4;
+    }
+
+    /** Read @p count little-endian u64s into @p out (one check). */
+    void
+    getU64s(std::size_t count, std::vector<Word> &out)
+    {
+        if (!need(count * 8))
+            return;
+        out.resize(count);
+        if constexpr (kLittleEndian) {
+            if (count != 0)
+                std::memcpy(out.data(), p + pos, count * 8);
+        } else {
+            for (std::size_t i = 0; i < count; ++i) {
+                std::uint64_t v;
+                std::memcpy(&v, p + pos + i * 8, 8);
+                out[i] = __builtin_bswap64(v);
+            }
+        }
+        pos += count * 8;
+    }
+
     bool consumed() const { return ok && pos == len; }
 };
 
@@ -111,11 +193,9 @@ encodeBody(const SubmitMsg &m, std::vector<std::uint8_t> &out)
     putU64(out, m.deadline_rel_ns);
     putU32(out, static_cast<std::uint32_t>(m.dest.size()));
     putU8(out, m.has_payload ? 1 : 0);
-    for (Word d : m.dest)
-        putU32(out, static_cast<std::uint32_t>(d));
+    putU32s(out, m.dest);
     if (m.has_payload)
-        for (Word w : m.payload)
-            putU64(out, w);
+        putU64s(out, m.payload);
 }
 
 void
@@ -127,8 +207,7 @@ encodeBody(const SubmitResultMsg &m, std::vector<std::uint8_t> &out)
     putU8(out, static_cast<std::uint8_t>(m.tier));
     putU64(out, m.server_ns);
     putU32(out, static_cast<std::uint32_t>(m.payload.size()));
-    for (Word w : m.payload)
-        putU64(out, w);
+    putU64s(out, m.payload);
 }
 
 void
@@ -189,17 +268,12 @@ decodeBody(Reader &r, SubmitMsg &m, std::string *error)
             *error = "submit body length disagrees with line count";
         return false;
     }
-    m.dest.resize(lines);
-    for (std::uint32_t i = 0; i < lines; ++i)
-        m.dest[i] = r.getU32();
+    r.getU32s(lines, m.dest);
     m.has_payload = has_payload != 0;
     m.payload.clear();
-    if (m.has_payload) {
-        m.payload.resize(lines);
-        for (std::uint32_t i = 0; i < lines; ++i)
-            m.payload[i] = r.getU64();
-    }
-    return true;
+    if (m.has_payload)
+        r.getU64s(lines, m.payload);
+    return r.ok;
 }
 
 bool
@@ -216,10 +290,8 @@ decodeBody(Reader &r, SubmitResultMsg &m, std::string *error)
                      "payload count";
         return false;
     }
-    m.payload.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        m.payload[i] = r.getU64();
-    return true;
+    r.getU64s(count, m.payload);
+    return r.ok;
 }
 
 bool

@@ -33,6 +33,10 @@
  * parse exactly (trailing bytes included) yields
  * DecodeStatus::Error, after which the connection must be closed —
  * there is no resynchronization in a length-prefixed stream.
+ *
+ * A Submit's largest frame grows 12 bytes a line, so under the
+ * default 1 MiB cap the largest fabric that can be served is n = 16
+ * (a 786,462-byte body; n = 17 would need 1,572,894).
  */
 
 #ifndef SRBENES_NET_PROTOCOL_HH
@@ -183,6 +187,12 @@ enum class DecodeStatus
  * Incremental frame parser: feed() raw bytes as they arrive, pull
  * complete messages with next(). After Error the decoder is poisoned
  * and every further next() returns Error.
+ *
+ * Array fields (Submit dest and payload, SubmitResult payload) are
+ * checked against the body once — the declared count must account
+ * for exactly the bytes that remain, computed in 64 bits so no count
+ * can wrap — and then copied in bulk: one resize and one memcpy-based
+ * conversion per array, never a bounds-checked call per element.
  */
 class Decoder
 {

@@ -11,6 +11,7 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -45,11 +46,30 @@ counterValue(const obs::Counter *c)
     return c != nullptr ? c->value() : 0;
 }
 
+/** Body bytes of the largest Submit at @p n: one with a payload. */
+std::size_t
+largestSubmitBody(unsigned n)
+{
+    // type, id, tenant, deadline, num_lines, has_payload; then a u32
+    // tag and a u64 payload word per line.
+    constexpr std::size_t kHeader = 1 + 3 * 8 + 4 + 1;
+    return n >= 32 ? SIZE_MAX : kHeader + (std::size_t{12} << n);
+}
+
 } // namespace
 
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)), quotas_(opts_.quota, opts_.metrics)
 {
+    // A fabric whose own full-size requests the decoder would refuse
+    // could only ever answer with a protocol error: refuse to serve.
+    if (largestSubmitBody(opts_.n) > opts_.max_frame_bytes) {
+        warn("srbd: n=%u needs Submit frames of %zu bytes, over the "
+             "%zu-byte frame cap",
+             opts_.n, largestSubmitBody(opts_.n),
+             opts_.max_frame_bytes);
+        return;
+    }
     // The event loop is the engine's single producer; its workers
     // wake the loop through the eventfd when a result lands.
     opts_.stream.producers = 1;
@@ -79,6 +99,8 @@ Server::Server(ServerOptions opts)
             "srbd_responses_total", {{"status", "draining"}});
         c_orphaned_ = &reg->counter("srbd_orphaned_results_total");
         c_responses_ = &reg->counter("srbd_responses_sent_total");
+        c_socket_writes_ = &reg->counter("srbd_socket_writes_total");
+        c_epoll_mods_ = &reg->counter("srbd_epoll_mods_total");
         g_connections_ = &reg->gauge("srbd_active_connections");
         g_inflight_ = &reg->gauge("srbd_inflight_requests");
         h_serve_ns_ = &reg->histogram("srbd_serve_ns");
@@ -284,10 +306,11 @@ Server::onAccept()
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         const std::uint64_t id = next_conn_id_++;
         auto conn = std::make_unique<Connection>(
-            fd, id, opts_.max_frame_bytes);
+            fd, id, opts_.max_frame_bytes, c_socket_writes_);
         loop_.add(fd, EPOLLIN, [this, id](std::uint32_t events) {
             onConnEvent(id, events);
         });
+        conn->registered_events = EPOLLIN;
         conns_.emplace(id, std::move(conn));
         if (c_accepted_)
             c_accepted_->inc();
@@ -432,8 +455,12 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
         respond(conn, std::move(refusal));
         return;
     }
-    if (m.dest.size() != numLines() ||
-        !Permutation::isValid(m.dest)) {
+    // The one validation of the pattern: tryFrom checks it and the
+    // engine receives the vector it checked.
+    std::optional<Permutation> perm;
+    if (m.dest.size() == numLines())
+        perm = Permutation::tryFrom(std::move(m.dest));
+    if (!perm) {
         refusal.status = Status::BadRequest;
         respond(conn, std::move(refusal));
         return;
@@ -450,8 +477,6 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
         return;
     }
 
-    auto perm =
-        std::make_shared<const Permutation>(std::move(m.dest));
     std::vector<Word> payload;
     if (m.has_payload) {
         payload = std::move(m.payload);
@@ -466,8 +491,9 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
         m.deadline_rel_ns != 0 ? now + m.deadline_rel_ns : 0;
 
     const std::uint64_t sid = next_request_id_++;
-    if (!producer_->trySubmit(sid, std::move(perm), payload,
-                              deadline)) {
+    if (!producer_->trySubmit(
+            sid, std::make_shared<const Permutation>(std::move(*perm)),
+            payload, deadline)) {
         // Engine backpressure: the affine ring and its spill
         // neighbour are full. This is the wire form of
         // shed-on-full-ring.
@@ -520,10 +546,25 @@ Server::pumpResults()
         if (h_serve_ns_)
             h_serve_ns_->observe(res.latencyNs());
         respond(conn, std::move(out));
-        flushConnection(conn);
+        if (!conn.flush_pending) {
+            conn.flush_pending = true;
+            flush_ids_.push_back(conn.id());
+        }
     }
     if (any && g_inflight_)
         g_inflight_->set(static_cast<std::int64_t>(pending_.size()));
+
+    // One flush per connection per pass, however many answers the
+    // pass queued on it; the watermark check in updateMask() runs
+    // once per pass with it.
+    for (std::uint64_t id : flush_ids_) {
+        auto cit = conns_.find(id);
+        if (cit == conns_.end())
+            continue;
+        cit->second->flush_pending = false;
+        flushConnection(*cit->second);
+    }
+    flush_ids_.clear();
 }
 
 void
@@ -553,7 +594,12 @@ Server::updateMask(Connection &conn)
         conn.reading_paused ? 0u : static_cast<std::uint32_t>(EPOLLIN);
     if (conn.wantsWrite())
         events |= EPOLLOUT;
-    loop_.mod(conn.fd(), events);
+    if (events == conn.registered_events)
+        return;
+    if (c_epoll_mods_)
+        c_epoll_mods_->inc();
+    if (loop_.mod(conn.fd(), events))
+        conn.registered_events = events;
 }
 
 void
@@ -586,6 +632,8 @@ Server::stats() const
     s.sheds = counterValue(c_sheds_);
     s.draining_rejected = counterValue(c_draining_rejected_);
     s.orphaned_results = counterValue(c_orphaned_);
+    s.socket_writes = counterValue(c_socket_writes_);
+    s.epoll_mods = counterValue(c_epoll_mods_);
     s.inflight =
         g_inflight_ != nullptr
             ? static_cast<std::uint64_t>(g_inflight_->value())

@@ -24,6 +24,11 @@
  * stops reading that socket (EPOLLIN off) until it drains — TCP
  * then pushes back on the client.
  *
+ * Writes are coalesced per loop pass: every answer a pass produces
+ * is queued first, then each connection it touched is flushed once
+ * (one send() however many answers it carries), and EPOLL_CTL_MOD
+ * is issued only when a connection's event mask actually changes.
+ *
  * Graceful drain (SIGTERM → requestDrain(), async-signal-safe):
  * stop accepting, answer new submits with Draining, let every
  * in-flight request finish through the engine
@@ -68,9 +73,14 @@ struct ServerOptions
     std::size_t max_connections = 256;
     /** Per-connection in-flight cap before submits shed. */
     std::size_t max_conn_inflight = 4096;
-    /** Pause reading a connection above this many queued-out bytes. */
+    /**
+     * Pause reading a connection above this many queued-out bytes.
+     * Checked once per loop pass, after the pass's flush: an
+     * out-buffer can pass it by at most one pass's answers (one
+     * read budget's worth of submits) before reading pauses.
+     */
     std::size_t write_high_watermark = 4u << 20;
-    /** Resume reading below this. */
+    /** Resume reading below this (also checked once per pass). */
     std::size_t write_low_watermark = 1u << 20;
     /** Force-close connections still unflushed this long into a
      *  drain. */
@@ -98,6 +108,10 @@ struct ServerStats
     std::uint64_t sheds = 0;
     std::uint64_t draining_rejected = 0;
     std::uint64_t orphaned_results = 0;
+    /** send() calls on client sockets. */
+    std::uint64_t socket_writes = 0;
+    /** EPOLL_CTL_MOD calls (event-mask changes). */
+    std::uint64_t epoll_mods = 0;
     std::uint64_t inflight = 0;
 };
 
@@ -176,6 +190,8 @@ class Server
     std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
         conns_;
     std::unordered_map<std::uint64_t, Pending> pending_;
+    /** Connections pumpResults() queued answers on this pass. */
+    std::vector<std::uint64_t> flush_ids_;
     std::uint64_t next_conn_id_ = 1;
     std::uint64_t next_request_id_ = 1;
     std::uint64_t start_ns_ = 0;
@@ -201,6 +217,8 @@ class Server
     obs::Counter *c_draining_rejected_ = nullptr;
     obs::Counter *c_orphaned_ = nullptr;
     obs::Counter *c_responses_ = nullptr;
+    obs::Counter *c_socket_writes_ = nullptr;
+    obs::Counter *c_epoll_mods_ = nullptr;
     obs::Gauge *g_connections_ = nullptr;
     obs::Gauge *g_inflight_ = nullptr;
     obs::Histogram *h_serve_ns_ = nullptr;

@@ -39,16 +39,30 @@ Permutation::Permutation(std::initializer_list<Word> dest)
 {
 }
 
+std::optional<Permutation>
+Permutation::tryFrom(std::vector<Word> dest)
+{
+    if (!isValid(dest))
+        return std::nullopt;
+    return Permutation(Validated{}, std::move(dest));
+}
+
 bool
 Permutation::isValid(const std::vector<Word> &dest)
 {
     if (dest.empty())
         return false;
-    std::vector<bool> seen(dest.size(), false);
+    // One bit per output in 64-bit words: a test-and-set per tag
+    // without vector<bool>'s proxy arithmetic.
+    std::vector<std::uint64_t> seen((dest.size() + 63) / 64, 0);
     for (Word d : dest) {
-        if (d >= dest.size() || seen[d])
+        if (d >= dest.size())
             return false;
-        seen[d] = true;
+        const std::uint64_t bit = std::uint64_t{1} << (d & 63);
+        std::uint64_t &word = seen[d >> 6];
+        if ((word & bit) != 0)
+            return false;
+        word |= bit;
     }
     return true;
 }

@@ -13,7 +13,9 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -25,7 +27,8 @@ namespace srbenes
 /**
  * An immutable-size permutation of (0, ..., N-1) in destination-tag
  * form. Construction validates the vector; a malformed vector is a
- * user error and calls fatal().
+ * user error and calls fatal(). tryFrom() is the non-fatal way in
+ * for untrusted input.
  */
 class Permutation
 {
@@ -42,6 +45,15 @@ class Permutation
      */
     explicit Permutation(std::vector<Word> dest);
     Permutation(std::initializer_list<Word> dest);
+
+    /**
+     * Build from untrusted input: validates @p dest once and returns
+     * nullopt instead of calling fatal() when it is not a
+     * permutation. For callers (srbd's submit path) that must answer
+     * a malformed request rather than die, and that would otherwise
+     * pay for isValid() and the checking constructor's second pass.
+     */
+    static std::optional<Permutation> tryFrom(std::vector<Word> dest);
 
     /** Check whether @p dest is a valid permutation vector. */
     static bool isValid(const std::vector<Word> &dest);
@@ -90,6 +102,15 @@ class Permutation
     std::string toString() const;
 
   private:
+    struct Validated
+    {
+    };
+    /** Adopt @p dest, which the caller has already validated. */
+    Permutation(Validated, std::vector<Word> dest)
+        : dest_(std::move(dest))
+    {
+    }
+
     std::vector<Word> dest_;
 };
 

@@ -3,7 +3,9 @@
  * Wire-protocol codec tests: every message type must survive an
  * encode→decode round trip bit-exactly, and the decoder must reject
  * truncated, oversized, and garbage frames without crashing,
- * over-reading, or resynchronizing.
+ * over-reading, or resynchronizing. Golden frames, written out by
+ * hand, pin the byte layout itself: a codec changed symmetrically
+ * on both sides would pass every round trip but not these.
  */
 
 #include <gtest/gtest.h>
@@ -20,11 +22,18 @@ namespace net
 namespace
 {
 
-Message
-roundTrip(const Message &in)
+std::vector<std::uint8_t>
+encoded(const Message &m)
 {
     std::vector<std::uint8_t> wire;
-    encode(in, wire);
+    encode(m, wire);
+    return wire;
+}
+
+/** Decode exactly one message from @p wire, which it must fill. */
+Message
+decodeOne(const std::vector<std::uint8_t> &wire)
+{
     Decoder dec;
     dec.feed(wire.data(), wire.size());
     Message out;
@@ -32,6 +41,12 @@ roundTrip(const Message &in)
     EXPECT_EQ(dec.next(out, &error), DecodeStatus::Ok) << error;
     EXPECT_EQ(dec.buffered(), 0u);
     return out;
+}
+
+Message
+roundTrip(const Message &in)
+{
+    return decodeOne(encoded(in));
 }
 
 TEST(NetProtocol, SubmitRoundTripWithPayload)
@@ -309,6 +324,195 @@ TEST(NetProtocol, PoisonedDecoderStaysPoisoned)
     dec.feed(good.data(), good.size());
     EXPECT_EQ(dec.next(out), DecodeStatus::Error);
     EXPECT_EQ(dec.next(out), DecodeStatus::Error);
+}
+
+// ------------------------------------------------------ golden frames
+
+/** A Submit with a payload: two lines, every field byte-distinct. */
+const std::vector<std::uint8_t> kGoldenSubmit = {
+    0x36, 0x00, 0x00, 0x00,                         // body length 54
+    0x01,                                           // type Submit
+    0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // id
+    0xA8, 0xA7, 0xA6, 0xA5, 0xA4, 0xA3, 0xA2, 0xA1, // tenant
+    0xEF, 0xBE, 0xAD, 0xDE, 0x00, 0x00, 0x00, 0x00, // deadline_rel_ns
+    0x02, 0x00, 0x00, 0x00,                         // num_lines 2
+    0x01,                                           // has_payload
+    0x04, 0x03, 0x02, 0x01,                         // dest[0]
+    0x01, 0x00, 0x00, 0x80,                         // dest[1]
+    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // payload[0]
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // payload[1]
+};
+
+SubmitMsg
+goldenSubmit()
+{
+    SubmitMsg m;
+    m.id = 0x1122334455667788ULL;
+    m.tenant = 0xA1A2A3A4A5A6A7A8ULL;
+    m.deadline_rel_ns = 0xDEADBEEFULL;
+    m.dest = {0x01020304, 0x80000001};
+    m.has_payload = true;
+    m.payload = {0x0102030405060708ULL, 0x8000000000000001ULL};
+    return m;
+}
+
+/** A control-plane Submit: dest only, no payload. */
+const std::vector<std::uint8_t> kGoldenControlSubmit = {
+    0x26, 0x00, 0x00, 0x00,                         // body length 38
+    0x01,                                           // type Submit
+    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // id
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // tenant
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // deadline_rel_ns
+    0x02, 0x00, 0x00, 0x00,                         // num_lines 2
+    0x00,                                           // no payload
+    0x04, 0x03, 0x02, 0x01,                         // dest[0]
+    0x0D, 0x0C, 0x0B, 0x0A,                         // dest[1]
+};
+
+SubmitMsg
+goldenControlSubmit()
+{
+    SubmitMsg m;
+    m.id = 0x0102030405060708ULL;
+    m.tenant = 2;
+    m.dest = {0x01020304, 0x0A0B0C0D};
+    return m;
+}
+
+/** A SubmitResult carrying a two-word payload. */
+const std::vector<std::uint8_t> kGoldenSubmitResult = {
+    0x27, 0x00, 0x00, 0x00,                         // body length 39
+    0x02,                                           // type SubmitResult
+    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // id
+    0x00,                                           // status Ok
+    0x02,                                           // tier TwoPass
+    0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // server_ns
+    0x02, 0x00, 0x00, 0x00,                         // payload_count 2
+    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // payload[0]
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // payload[1]
+};
+
+SubmitResultMsg
+goldenSubmitResult()
+{
+    SubmitResultMsg m;
+    m.id = 0x0102030405060708ULL;
+    m.status = Status::Ok;
+    m.tier = ServeTier::TwoPass;
+    m.server_ns = 0x1122334455667788ULL;
+    m.payload = {0x0102030405060708ULL, 0x8000000000000001ULL};
+    return m;
+}
+
+DecodeStatus
+decodeStatus(const std::vector<std::uint8_t> &wire)
+{
+    Decoder dec;
+    dec.feed(wire.data(), wire.size());
+    Message out;
+    return dec.next(out);
+}
+
+/** Overwrite the little-endian u32 at body offset @p at. */
+void
+patchU32(std::vector<std::uint8_t> &wire, std::size_t at,
+         std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        wire[4 + at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Set the length prefix to the body actually present. */
+void
+reframe(std::vector<std::uint8_t> &wire)
+{
+    const std::uint32_t len =
+        static_cast<std::uint32_t>(wire.size() - 4);
+    for (int i = 0; i < 4; ++i)
+        wire[i] = static_cast<std::uint8_t>(len >> (8 * i));
+}
+
+// Body offsets of the count fields the bulk reads trust.
+constexpr std::size_t kSubmitLinesAt = 1 + 3 * 8;
+constexpr std::size_t kSubmitHasPayloadAt = kSubmitLinesAt + 4;
+constexpr std::size_t kResultCountAt = 1 + 8 + 1 + 1 + 8;
+
+TEST(NetProtocol, GoldenSubmitWithPayload)
+{
+    EXPECT_EQ(encoded(Message{goldenSubmit()}), kGoldenSubmit);
+    const Message out = decodeOne(kGoldenSubmit);
+    ASSERT_TRUE(std::holds_alternative<SubmitMsg>(out));
+    EXPECT_EQ(std::get<SubmitMsg>(out), goldenSubmit());
+}
+
+TEST(NetProtocol, GoldenControlPlaneSubmit)
+{
+    EXPECT_EQ(encoded(Message{goldenControlSubmit()}),
+              kGoldenControlSubmit);
+    const Message out = decodeOne(kGoldenControlSubmit);
+    ASSERT_TRUE(std::holds_alternative<SubmitMsg>(out));
+    EXPECT_EQ(std::get<SubmitMsg>(out), goldenControlSubmit());
+}
+
+TEST(NetProtocol, GoldenSubmitResultWithPayload)
+{
+    EXPECT_EQ(encoded(Message{goldenSubmitResult()}),
+              kGoldenSubmitResult);
+    const Message out = decodeOne(kGoldenSubmitResult);
+    ASSERT_TRUE(std::holds_alternative<SubmitResultMsg>(out));
+    EXPECT_EQ(std::get<SubmitResultMsg>(out), goldenSubmitResult());
+}
+
+TEST(NetProtocol, RejectsSubmitLineCountOffByOne)
+{
+    for (std::uint32_t lines : {1u, 3u}) {
+        std::vector<std::uint8_t> wire = kGoldenSubmit;
+        patchU32(wire, kSubmitLinesAt, lines);
+        EXPECT_EQ(decodeStatus(wire), DecodeStatus::Error)
+            << "num_lines " << lines << " against a 2-line body";
+    }
+    for (std::uint32_t lines : {1u, 3u}) {
+        std::vector<std::uint8_t> wire = kGoldenControlSubmit;
+        patchU32(wire, kSubmitLinesAt, lines);
+        EXPECT_EQ(decodeStatus(wire), DecodeStatus::Error)
+            << "num_lines " << lines << " against a 2-line dest";
+    }
+}
+
+TEST(NetProtocol, RejectsPayloadFlagOnDestOnlyBody)
+{
+    std::vector<std::uint8_t> wire = kGoldenControlSubmit;
+    wire[4 + kSubmitHasPayloadAt] = 1;
+    EXPECT_EQ(decodeStatus(wire), DecodeStatus::Error);
+}
+
+TEST(NetProtocol, RejectsSubmitResultCountOffByOne)
+{
+    for (std::uint32_t count : {1u, 3u}) {
+        std::vector<std::uint8_t> wire = kGoldenSubmitResult;
+        patchU32(wire, kResultCountAt, count);
+        EXPECT_EQ(decodeStatus(wire), DecodeStatus::Error)
+            << "payload_count " << count << " against 2 words";
+    }
+}
+
+TEST(NetProtocol, RejectsLineCountWhoseByteSizeWrapsAt32Bits)
+{
+    // 2^30 + 1 lines: 12 bytes a line is 3 * 2^32 + 12 and 4 bytes a
+    // line is 2^32 + 4, so a length check done in 32 bits would see
+    // exactly the one line these bodies carry.
+    constexpr std::uint32_t kWrapLines = (1u << 30) + 1;
+    std::vector<std::uint8_t> with_payload = kGoldenSubmit;
+    patchU32(with_payload, kSubmitLinesAt, kWrapLines);
+    with_payload.resize(with_payload.size() - 12); // one line left
+    reframe(with_payload);
+    EXPECT_EQ(decodeStatus(with_payload), DecodeStatus::Error);
+
+    std::vector<std::uint8_t> dest_only = kGoldenControlSubmit;
+    patchU32(dest_only, kSubmitLinesAt, kWrapLines);
+    dest_only.resize(dest_only.size() - 4); // one dest word left
+    reframe(dest_only);
+    EXPECT_EQ(decodeStatus(dest_only), DecodeStatus::Error);
 }
 
 TEST(NetProtocol, GarbageFuzzNeverCrashes)

@@ -4,8 +4,10 @@
  * composition convention (Section II closing example).
  */
 
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,33 @@ TEST(Permutation, ValidityChecks)
     EXPECT_FALSE(Permutation::isValid({0, 0, 2, 3})); // duplicate
     EXPECT_FALSE(Permutation::isValid({0, 1, 2, 4})); // out of range
     EXPECT_FALSE(Permutation::isValid({}));           // empty
+
+    // Sizes around the 64-bit words of the seen-bitmap: a duplicate
+    // or an out-of-range tag in the last, partial word still counts.
+    for (std::size_t n : {63u, 64u, 65u, 128u, 129u}) {
+        std::vector<Word> d(n);
+        for (std::size_t i = 0; i < n; ++i)
+            d[i] = n - 1 - i;
+        EXPECT_TRUE(Permutation::isValid(d)) << n;
+        std::vector<Word> dup = d;
+        dup[n - 1] = dup[0];
+        EXPECT_FALSE(Permutation::isValid(dup)) << n;
+        std::vector<Word> out = d;
+        out[0] = n;
+        EXPECT_FALSE(Permutation::isValid(out)) << n;
+    }
+}
+
+TEST(Permutation, TryFromValidatesOnceWithoutDying)
+{
+    const std::optional<Permutation> p =
+        Permutation::tryFrom({3, 1, 0, 2});
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(*p, Permutation({3, 1, 0, 2}));
+    // Malformed input is an answer (nullopt), not a fatal().
+    EXPECT_FALSE(Permutation::tryFrom({0, 0, 2, 3}).has_value());
+    EXPECT_FALSE(Permutation::tryFrom({0, 1, 2, 4}).has_value());
+    EXPECT_FALSE(Permutation::tryFrom({}).has_value());
 }
 
 TEST(Permutation, IdentityMapsEachToItself)

@@ -3,8 +3,9 @@
  * End-to-end tests of the srbd server over real loopback sockets:
  * payload-exact serving, admission control (bad request, quota,
  * shed, draining), protocol-error handling with counter bumps,
- * graceful drain with requests in flight, and concurrent client
- * threads sharing one server (the tsan target).
+ * graceful drain with requests in flight, slow-reader backpressure,
+ * write coalescing, the fabric-size limit the frame cap sets, and
+ * concurrent client threads sharing one server (the tsan target).
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,14 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <poll.h>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,6 +40,58 @@ namespace net
 {
 namespace
 {
+
+/** A plain blocking socket to the server, for hand-built traffic. */
+int
+connectRaw(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read one message from @p fd, polling at most @p timeout_ms. */
+bool
+receiveRaw(int fd, Decoder &dec, Message &out, int timeout_ms)
+{
+    for (;;) {
+        switch (dec.next(out)) {
+          case DecodeStatus::Ok:
+            return true;
+          case DecodeStatus::Error:
+            return false;
+          case DecodeStatus::NeedMore:
+            break;
+        }
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, timeout_ms) != 1)
+            return false;
+        std::uint8_t chunk[65536];
+        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (got <= 0)
+            return false;
+        dec.feed(chunk, static_cast<std::size_t>(got));
+    }
+}
+
+/** The autotuning ceiling (third field) of a TCP buffer sysctl. */
+std::size_t
+tcpBufferCeiling(const std::string &name, std::size_t fallback)
+{
+    std::ifstream in("/proc/sys/net/ipv4/" + name);
+    std::size_t lo = 0, dflt = 0, hi = 0;
+    return (in >> lo >> dflt >> hi) ? hi : fallback;
+}
 
 /** A served fixture: its own registry, n=6 (N=64), two workers. */
 class SrbdTest : public ::testing::Test
@@ -279,15 +338,8 @@ TEST_F(SrbdTest, GarbageFrameClosesConnectionAndCounts)
     // Hand-roll an unknown-type frame over a plain socket: the
     // Message API cannot produce one.
     const std::vector<std::uint8_t> wire = {1, 0, 0, 0, 0x7F};
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectRaw(server_->port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server_->port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
     ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
               static_cast<ssize_t>(wire.size()));
     // The server must close on us without crashing.
@@ -420,6 +472,200 @@ TEST_F(SrbdTest, RefusesSubmitsWhileDrainingButStillAnswers)
     EXPECT_TRUE(saw_draining_or_all_ok);
     client.close();
     EXPECT_TRUE(server_->awaitStop());
+}
+
+TEST_F(SrbdTest, PipelinedBurstIsAnsweredInFewWrites)
+{
+    ServerOptions opts = defaults();
+    opts.n = 4;
+    startServer(std::move(opts));
+
+    // 16 submits in ONE client send(): srbd reads them in one pass,
+    // so their answers share a flush, and nothing in the exchange
+    // changes the connection's event mask.
+    constexpr std::uint64_t kBurst = 16;
+    Prng prng(43);
+    std::vector<std::uint8_t> wire;
+    std::vector<std::vector<Word>> expected(kBurst);
+    for (std::uint64_t id = 0; id < kBurst; ++id)
+        encode(Message{randomSubmit(id, prng, &expected[id])}, wire);
+    const int fd = connectRaw(server_->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+
+    Decoder dec;
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+        Message response;
+        ASSERT_TRUE(receiveRaw(fd, dec, response, 5000))
+            << "answer " << i << " never arrived";
+        auto *res = std::get_if<SubmitResultMsg>(&response);
+        ASSERT_NE(res, nullptr);
+        ASSERT_LT(res->id, kBurst);
+        EXPECT_EQ(res->status, Status::Ok);
+        EXPECT_EQ(res->payload, expected[res->id]);
+    }
+    const ServerStats stats = server_->stats();
+    EXPECT_EQ(stats.responses, kBurst);
+    EXPECT_LT(stats.socket_writes, kBurst);
+    EXPECT_EQ(stats.epoll_mods, 0u);
+    ::close(fd);
+    EXPECT_TRUE(stopServer());
+}
+
+TEST_F(SrbdTest, SlowReaderPausesReadingUntilItCatchesUp)
+{
+    constexpr unsigned kN = 8;
+    constexpr Word N = Word{1} << kN;
+    constexpr std::size_t kHighWatermark = 64u << 10;
+
+    // Size the burst so srbd must pause with submits still unsent.
+    // Before its out-buffer can pass the high watermark, the answers
+    // must fill srbd's send buffer and our receive buffer; the pass
+    // that passes it may have read one read budget (1 MiB) of
+    // submits; and the submits srbd then never reads sit in its
+    // receive buffer and our send buffer. Each socket buffer is
+    // bounded by its autotuning ceiling.
+    constexpr std::size_t kReadBudget = 1u << 20;
+    const std::size_t submit_bytes = 4 + 30 + 12 * N;
+    const std::size_t answer_bytes = 4 + 22 + 8 * N;
+    const std::size_t wmem = tcpBufferCeiling("tcp_wmem", 4u << 20);
+    const std::size_t rmem = tcpBufferCeiling("tcp_rmem", 6u << 20);
+    const std::uint64_t burst =
+        (wmem + rmem + kHighWatermark) / answer_bytes +
+        (kReadBudget + rmem + wmem) / submit_bytes + 256;
+
+    ServerOptions opts = defaults();
+    opts.n = kN;
+    opts.write_high_watermark = kHighWatermark;
+    opts.write_low_watermark = 16u << 10;
+    // Only the write watermark may hold this client back, so
+    // neither the connection's in-flight cap nor the engine's result
+    // ring may shed any of the burst.
+    opts.max_conn_inflight = burst;
+    opts.stream.ring_capacity = std::bit_ceil(burst);
+    // Bounds the failure path: a connection srbd never resumes is
+    // force-closed this long into the drain, which frees the sender.
+    opts.drain_grace_ms = 2000;
+    startServer(std::move(opts));
+
+    constexpr std::uint64_t kPatterns = 16;
+    Prng prng(41);
+    std::vector<Permutation> perms;
+    for (std::uint64_t i = 0; i < kPatterns; ++i)
+        perms.push_back(Permutation::random(N, prng));
+    const auto payloadOf = [N](std::uint64_t id) {
+        std::vector<Word> p(N);
+        for (Word i = 0; i < N; ++i)
+            p[i] = id * N + i;
+        return p;
+    };
+
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+    std::atomic<bool> sender_ok{true};
+    std::thread sender([&] {
+        for (std::uint64_t id = 0; id < burst; ++id) {
+            SubmitMsg m;
+            m.id = id;
+            m.dest = perms[id % kPatterns].dest();
+            m.has_payload = true;
+            m.payload = payloadOf(id);
+            if (!client.send(Message{std::move(m)})) {
+                sender_ok = false;
+                return;
+            }
+        }
+    });
+
+    // Not reading: admission must stop short of the burst. Settled
+    // means the event mask has changed (pausing drops EPOLLIN) and
+    // no new submit arrived for half a second; the mask condition
+    // keeps a loopback retransmit stall from passing for a pause.
+    std::uint64_t admitted = 0;
+    int quiet_polls = 0;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (quiet_polls < 5 &&
+           std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        const ServerStats now = server_->stats();
+        quiet_polls = now.submits == admitted && now.epoll_mods > 0
+                          ? quiet_polls + 1
+                          : 0;
+        admitted = now.submits;
+    }
+    EXPECT_LT(admitted, burst)
+        << "srbd kept reading a client that does not read";
+    EXPECT_GE(server_->stats().epoll_mods, 1u)
+        << "reading paused without an event-mask change";
+
+    // Now read: srbd must resume, and every submit gets its answer.
+    std::uint64_t answered = 0, correct = 0;
+    while (answered < burst) {
+        Message response;
+        bool timed_out = false;
+        if (!client.receiveFor(response, 5000, timed_out))
+            break;
+        auto *res = std::get_if<SubmitResultMsg>(&response);
+        if (res == nullptr || res->id >= burst)
+            break;
+        ++answered;
+        if (res->status == Status::Ok &&
+            res->payload ==
+                perms[res->id % kPatterns].applyTo(payloadOf(res->id)))
+            ++correct;
+    }
+    EXPECT_EQ(answered, burst) << "reading never resumed";
+    EXPECT_EQ(correct, answered);
+    if (answered < burst) {
+        // The drain's grace expiry closes our socket under the
+        // blocked sender.
+        server_->requestDrain();
+        server_->awaitStop();
+        sender.join();
+        return;
+    }
+    sender.join();
+    EXPECT_TRUE(sender_ok);
+    client.close();
+    EXPECT_TRUE(stopServer()) << "drain was not clean";
+    EXPECT_EQ(server_->stats().ok, burst);
+    EXPECT_EQ(server_->stats().protocol_errors, 0u);
+}
+
+TEST_F(SrbdTest, RefusesAFabricWhoseSubmitsExceedTheFrameCap)
+{
+    // n=17: a payload Submit has a 1,572,894-byte body, over the
+    // 1 MiB cap, so every full request would be a protocol error.
+    ServerOptions opts = defaults();
+    opts.n = 17;
+    opts.metrics = &registry_;
+    opts.stream.metrics = &registry_;
+    Server server(std::move(opts));
+    EXPECT_FALSE(server.valid());
+}
+
+TEST_F(SrbdTest, ServesTheLargestFabricThatFitsAFrame)
+{
+    // n=16: a 786,462-byte Submit body and a 524,311-byte answer.
+    ServerOptions opts = defaults();
+    opts.n = 16;
+    startServer(std::move(opts));
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+
+    Prng prng(47);
+    std::vector<Word> expected;
+    Message response;
+    ASSERT_TRUE(client.roundTrip(
+        Message{randomSubmit(1, prng, &expected)}, response));
+    auto *res = std::get_if<SubmitResultMsg>(&response);
+    ASSERT_NE(res, nullptr);
+    EXPECT_EQ(res->status, Status::Ok);
+    EXPECT_EQ(res->payload, expected);
+    client.close();
+    EXPECT_TRUE(stopServer());
 }
 
 TEST_F(SrbdTest, ConcurrentClientsShareOneEngine)

@@ -103,8 +103,10 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (opts.n < 1 || opts.n > 20) {
-        std::fprintf(stderr, "srbd: --n must be in [1, 20]\n");
+    // n=16 is the largest fabric whose payload Submit (12 bytes a
+    // line) fits the protocol's 1 MiB frame cap.
+    if (opts.n < 1 || opts.n > 16) {
+        std::fprintf(stderr, "srbd: --n must be in [1, 16]\n");
         return 2;
     }
 
