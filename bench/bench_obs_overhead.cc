@@ -7,11 +7,12 @@
  *
  * Workload: the throughput bench's n = 12 open-loop schedule — a
  * 16-pattern hot set of F(n) members with 1/256 cold draws — pumped
- * by one producer through kWorkers stream workers. Per request the
+ * by one producer through kWorkers stream workers (the producer
+ * serves plan hits itself; the workers plan misses). Per request the
  * instrumented side pays a handful of relaxed atomic adds (request
- * counter, latency histogram, queue-depth gauge) against several
- * microseconds of hashing, ring hops, and a 4096-lane gather, so
- * the budgeted ceiling is 2%.
+ * and plan-tier counters, latency histogram, queue-depth gauge)
+ * against several microseconds of hashing, a plan-tier probe and a
+ * 4096-lane gather, so the budgeted ceiling is 2%.
  *
  * Both configurations run kReps times, interleaved with the order
  * inside each pair alternating (off/on, on/off, ...) so scheduler
@@ -103,7 +104,6 @@ runOnce(const std::vector<std::shared_ptr<const Permutation>> &sched,
     opts.workers = kWorkers;
     opts.shared_cache_capacity = 512;
     opts.shared_cache_shards = 8;
-    opts.verify_local_hits = false;
     opts.metrics = metrics;
     StreamEngine eng(kN, opts);
     eng.start();

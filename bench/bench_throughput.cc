@@ -20,26 +20,18 @@
  * so both sides use the same total thread count. Both sides get an
  * untimed warm prefix.
  *
- *   baseline : per request, Router::routeOutcome — a scalar FNV
- *              hash of the destination vector, a locked shared-cache
- *              probe, and a freshly allocated result vector;
- *   stream   : per request, a memoized 128-bit hash, an SPSC ring
- *              hop, a lock-free local plan-table probe, a SIMD
- *              gather into recycled storage, and a ring hop back.
- *              At n <= 9 the engine's inline fast path serves the
- *              request on the producer thread instead — no ring
- *              hops at all (the `inline_served` JSON field records
- *              how many requests took it).
- *
- * A final CROSS-WORKER PRESSURE row reruns n = 12 with deliberately
- * hostile stream knobs — tiny per-worker rings (4), a local plan
- * table smaller than the hot set (8 slots), and a deep in-flight
- * window (64) — so affine rings overflow, requests spill to the
- * neighbouring worker, and thrashed local tables fall through to the
- * shared Router tier for plans another worker already planted. This
- * exercises the shared tier's HIT path end-to-end (shared_hits was
- * structurally zero under the affinity-friendly default knobs); the
- * bench exits nonzero if the pressure row records no shared hits.
+ *   baseline : per request, Router::routeOutcome — a 128-bit
+ *              content hash of the destination vector, a locked
+ *              plan-cache probe, and a freshly allocated result
+ *              vector, on each of its 1+K threads;
+ *   stream   : per request, a memoized 128-bit hash and a plan-tier
+ *              probe; a hit (all but the cold draws once warm) is
+ *              gathered into recycled storage on the ONE producer
+ *              thread (the `inline_served` JSON field counts them),
+ *              and only a miss crosses an SPSC ring to a worker and
+ *              back. So the hot set runs on one thread against the
+ *              baseline's three, and the speedup can fall below 1
+ *              where per-request work is largest (n = 10 and 12).
  *
  * Every ~97th streamed result is checked bit-for-bit against the
  * reference SelfRoutingBenes simulator, outside the timed region.
@@ -191,46 +183,20 @@ struct StreamRun
 };
 
 /**
- * Hostile knobs for the cross-worker pressure row: rings small
- * enough to overflow (spilling requests to the neighbouring worker),
- * a local plan table too small for the hot set (so it thrashes and
- * keeps consulting the shared tier), and an in-flight window deep
- * enough to keep both rings saturated.
- */
-struct PressureKnobs
-{
-    std::size_t ring_capacity = 4;
-    std::size_t local_cache_slots = 8;
-    std::uint64_t max_out = 64;
-};
-
-/**
  * One producer (this thread) pumping the whole schedule through a
  * StreamEngine with kWorkers workers; payload storage is recycled
- * from polled results, so steady state allocates nothing. When
- * @p pressure is set its knobs replace the throughput-tuned
- * defaults (the cross-worker pressure row).
+ * from polled results, so steady state allocates nothing.
  */
 StreamRun
 streamRun(unsigned n,
-          const std::vector<std::shared_ptr<const Permutation>> &sched,
-          const PressureKnobs *pressure = nullptr)
+          const std::vector<std::shared_ptr<const Permutation>> &sched)
 {
     const Word N = Word{1} << n;
-    const std::uint64_t max_out =
-        pressure ? pressure->max_out : maxOutstandingFor(N);
+    const std::uint64_t max_out = maxOutstandingFor(N);
     StreamOptions opts;
     opts.workers = kWorkers;
     opts.shared_cache_capacity = 512;
     opts.shared_cache_shards = 8;
-    if (pressure) {
-        opts.ring_capacity = pressure->ring_capacity;
-        opts.local_cache_slots = pressure->local_cache_slots;
-    }
-    // Correctness here is covered by the sampled parity check below;
-    // trust the 128-bit content hash on local hits, as a throughput
-    // deployment would.
-    opts.verify_local_hits = false;
     StreamEngine eng(n, opts);
     eng.start();
     auto &prod = eng.producer(0);
@@ -248,25 +214,23 @@ streamRun(unsigned n,
             pool.push_back(std::move(r.payload));
     };
 
-    // Untimed warmup, mirroring the baseline's warm prefix: push the
-    // schedule's hot patterns through every worker so the timed
-    // region starts with warm local plan tables, then restart the
-    // stats clock on the drained (quiescent) engine.
+    // Untimed warmup, mirroring the baseline's warm prefix: the
+    // workers plan the schedule's first patterns into the plan tier,
+    // then the stats clock restarts on the drained (quiescent)
+    // engine.
     {
         std::uint64_t wid = 0;
-        for (unsigned pass = 0; pass < 2 * kWorkers; ++pass)
-            for (std::uint64_t r = 0;
-                 r < std::min<std::uint64_t>(sched.size(), kHotSet);
-                 ++r) {
-                std::vector<Word> payload = iotaPayload(N, wid);
-                while (!prod.trySubmit(wid, sched[r], payload)) {
-                    prod.awaitResult(res);
-                    pool.push_back(std::move(res.payload));
-                }
-                ++wid;
-                while (prod.tryPoll(res))
-                    pool.push_back(std::move(res.payload));
+        for (std::uint64_t r = 0;
+             r < std::min<std::uint64_t>(sched.size(), kHotSet); ++r) {
+            std::vector<Word> payload = iotaPayload(N, wid);
+            while (!prod.trySubmit(wid, sched[r], payload)) {
+                prod.awaitResult(res);
+                pool.push_back(std::move(res.payload));
             }
+            ++wid;
+            while (prod.tryPoll(res))
+                pool.push_back(std::move(res.payload));
+        }
         while (prod.received() < prod.submitted()) {
             prod.awaitResult(res);
             pool.push_back(std::move(res.payload));
@@ -321,7 +285,6 @@ streamRun(unsigned n,
 
 struct Row
 {
-    const char *workload = "hotset";
     unsigned n;
     Word N;
     std::uint64_t requests;
@@ -360,10 +323,9 @@ main()
 
     Prng prng(2026);
     std::vector<Row> rows;
-    TextTable table({"workload", "n", "N", "requests",
-                     "baseline p/s", "stream p/s", "speedup", "GB/s",
-                     "p50 us", "p99 us", "local hit%",
-                     "shared hits"});
+    TextTable table({"n", "N", "requests", "baseline p/s",
+                     "stream p/s", "speedup", "GB/s", "p50 us",
+                     "p99 us", "producer%", "tier hits"});
 
     struct Config
     {
@@ -388,7 +350,6 @@ main()
     const auto emitRow = [&](const Row &row) {
         const StreamStats &st = row.stream.stats;
         table.newRow();
-        table.addCell(row.workload);
         table.addCell(row.n);
         table.addCell(row.N);
         table.addCell(row.requests);
@@ -399,7 +360,7 @@ main()
         table.addCell(fmt2(st.p50_ns / 1e3));
         table.addCell(fmt2(st.p99_ns / 1e3));
         table.addCell(
-            fmt2(100.0 * st.local_hits / st.requests) + "%");
+            fmt2(100.0 * st.inline_served / st.requests) + "%");
         table.addCell(sharedHitsOf(st));
         if (row.stream.parity_failures)
             std::fprintf(stderr,
@@ -425,34 +386,6 @@ main()
         emitRow(row);
     }
 
-    // Cross-worker pressure: same schedule shape at n = 12, hostile
-    // knobs. Affine rings overflow and spill, so the neighbouring
-    // worker serves patterns it never planned — shared-tier hits.
-    bool pressure_ok = true;
-    {
-        const PressureKnobs knobs;
-        const unsigned n = 12;
-        const std::uint64_t requests = smoke ? 1000 : 15000;
-        const auto sched = makeSchedule(n, requests, prng);
-
-        Row row;
-        row.workload = "pressure";
-        row.n = n;
-        row.N = Word{1} << n;
-        row.requests = requests;
-        row.baseline_ps = baselineRun(n, sched);
-        row.stream = streamRun(n, sched, &knobs);
-        rows.push_back(row);
-        emitRow(row);
-
-        if (sharedHitsOf(row.stream.stats) == 0) {
-            pressure_ok = false;
-            std::fprintf(stderr,
-                         "PRESSURE FAILURE: the cross-worker row "
-                         "recorded no shared-tier hits\n");
-        }
-    }
-
     table.print(std::cout);
 
     const char *path = "BENCH_throughput.json";
@@ -465,7 +398,9 @@ main()
                  "{\n  \"benchmark\": \"throughput\",\n"
                  "  \"unit\": \"perms_per_sec\",\n"
                  "  \"workload\": \"%u-pattern hot set of F members, "
-                 "1/%u cold draws, open loop\",\n"
+                 "1/%u cold draws, open loop; the stream side serves "
+                 "plan hits on its one producer thread and sends only "
+                 "misses to its workers\",\n"
                  "  \"threads_total\": %u,\n"
                  "  \"stream_workers\": %u,\n"
                  "  \"simd\": \"%s\",\n  \"results\": [\n",
@@ -485,24 +420,21 @@ main()
         parity_ok = parity_ok && r.stream.parity_failures == 0;
         std::fprintf(
             jf,
-            "    {\"workload\": \"%s\", \"n\": %u, \"N\": %llu, "
+            "    {\"workload\": \"hotset\", \"n\": %u, \"N\": %llu, "
             "\"requests\": %llu, "
             "\"baseline_perms_per_sec\": %.0f, "
             "\"stream_perms_per_sec\": %.0f, \"speedup\": %.2f, "
             "\"payload_gb_per_sec\": %.3f, \"p50_ns\": %llu, "
-            "\"p99_ns\": %llu, \"local_hits\": %llu, "
-            "\"shared_lookups\": %llu, \"shared_hits\": %llu, "
+            "\"p99_ns\": %llu, \"shared_hits\": %llu, "
             "\"shared_misses\": %llu, \"shared_evictions\": %llu, "
             "\"inline_served\": %llu, \"sheds\": %llu, "
             "\"parity_samples\": %llu, \"parity_ok\": %s}%s\n",
-            r.workload, r.n, static_cast<unsigned long long>(r.N),
+            r.n, static_cast<unsigned long long>(r.N),
             static_cast<unsigned long long>(r.requests),
             r.baseline_ps, st.perms_per_sec,
             st.perms_per_sec / r.baseline_ps, st.payload_gb_per_sec,
             static_cast<unsigned long long>(st.p50_ns),
             static_cast<unsigned long long>(st.p99_ns),
-            static_cast<unsigned long long>(st.local_hits),
-            static_cast<unsigned long long>(st.shared_lookups),
             static_cast<unsigned long long>(shared_hits),
             static_cast<unsigned long long>(shared_misses),
             static_cast<unsigned long long>(shared_evictions),
@@ -515,5 +447,5 @@ main()
     std::fprintf(jf, "  ]\n}\n");
     std::fclose(jf);
     std::printf("\nwrote %s\n", path);
-    return parity_ok && pressure_ok ? 0 : 1;
+    return parity_ok ? 0 : 1;
 }

@@ -2,13 +2,16 @@
 # CI service soak: boot the real srbd daemon on an ephemeral
 # loopback port, drive it with the open-loop load generator in its
 # reduced SRBENES_BENCH_SMOKE configuration, then SIGTERM the daemon
-# and hold it to its drain contract. Two short phases, each against
+# and hold it to its drain contract. Three short phases, each against
 # a fresh daemon:
 #
 #   1. hot:  n=8, loadgen's default 16 patterns — plans are reused;
 #   2. cold: n=10, 1024 uniformly random patterns, above the 512
-#            shared-cache slots — srbd plans TwoPass cold plans and
-#            evicts them as it goes.
+#            plan-cache slots — srbd plans TwoPass cold plans and
+#            evicts them as it goes;
+#   3. hits: n=10, loadgen's default 16 patterns — once planned,
+#            every request is a plan hit that srbd's event loop
+#            serves itself, without a worker.
 #
 #     scripts/service_soak.sh [build-dir]     # default: build
 #
@@ -18,7 +21,9 @@
 #     protocol errors;
 #   - the daemon's Prometheus exposition (fetched over the Stats
 #     verb) carries srbd_ series with a nonzero submit count — and,
-#     in the cold phase, a nonzero two-pass plan count;
+#     in the cold phase, a nonzero two-pass plan count; in the hits
+#     phase, a nonzero srbenes_stream_inline_served_total (hits
+#     served on the loop);
 #   - after SIGTERM the daemon exits 0 (graceful drain) within the
 #     timeout, reporting a clean drain on stdout.
 set -uo pipefail
@@ -144,6 +149,22 @@ if grep -q "${two_pass_re}" "${metrics}"; then
 else
     echo "FAILED: no two-pass plans in the cold phase's exposition"
     grep '^srbenes_router_' "${metrics}" | grep -v '_bucket{' | head -20
+    failed=1
+fi
+drain_srbd "${log}"
+
+# Phase 3: plan hits at n=10 are served on the event loop, not
+# handed to a worker.
+log="${workdir}/srbd-hits.log"
+metrics="${workdir}/metrics-hits.txt"
+start_srbd 10 "${log}"
+soak_phase "hits, n=10" "${metrics}"
+inline_re='^srbenes_stream_inline_served_total{[^}]*} [1-9]'
+if grep -q "${inline_re}" "${metrics}"; then
+    grep '^srbenes_stream_inline_served_total{' "${metrics}"
+else
+    echo "FAILED: no hits served on the loop in the n=10 hits phase"
+    grep '^srbenes_stream_' "${metrics}" | grep -v '_bucket{' | head -20
     failed=1
 fi
 drain_srbd "${log}"

@@ -13,20 +13,71 @@
 namespace srbenes
 {
 
+namespace
+{
+
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    // splitmix64 finalizer
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+} // namespace
+
+Hash128
+hashPermutation128(const Permutation &d)
+{
+    constexpr unsigned L = 8;
+    std::uint64_t a[L], b[L];
+    for (unsigned l = 0; l < L; ++l) {
+        a[l] = mix64(0x243f6a8885a308d3ULL + l);
+        b[l] = mix64(0x13198a2e03707344ULL + l);
+    }
+
+    const std::vector<Word> &v = d.dest();
+    const std::size_t size = v.size();
+    const std::size_t full = size - size % L;
+    for (std::size_t i = 0; i < full; i += L) {
+        for (unsigned l = 0; l < L; ++l) {
+            const std::uint64_t x = v[i + l];
+            a[l] = (a[l] ^ x) * 0x9e3779b97f4a7c15ULL;
+            a[l] ^= a[l] >> 32;
+            b[l] = (b[l] ^ (x + i)) * 0xc2b2ae3d27d4eb4fULL;
+            b[l] ^= b[l] >> 29;
+        }
+    }
+    for (std::size_t i = full; i < size; ++i) {
+        const unsigned l = i % L;
+        a[l] = (a[l] ^ v[i]) * 0x9e3779b97f4a7c15ULL;
+        a[l] ^= a[l] >> 32;
+        b[l] = (b[l] ^ (v[i] + i)) * 0xc2b2ae3d27d4eb4fULL;
+        b[l] ^= b[l] >> 29;
+    }
+
+    Hash128 h;
+    h.lo = mix64(size);
+    h.hi = mix64(~std::uint64_t{size});
+    for (unsigned l = 0; l < L; ++l) {
+        h.lo = mix64(h.lo ^ a[l]);
+        h.hi = mix64(h.hi ^ b[l]);
+    }
+    return h;
+}
+
 /**
- * FNV-1a over the destination words. Collisions only cost a cache
- * miss: planCached compares the stored permutation before reuse.
+ * Collisions only cost a cache miss: every lookup compares the
+ * stored permutation before reuse.
  */
 std::uint64_t
 Router::hashPermutation(const Permutation &d)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (Word v : d.dest()) {
-        h ^= v;
-        h *= 1099511628211ULL;
-        h ^= h >> 29; // spread the low-entropy small values
-    }
-    return h;
+    return hashPermutation128(d).lo;
 }
 
 const char *
@@ -248,25 +299,38 @@ Router::evictWhile(Over over) const
 }
 
 std::shared_ptr<const RoutePlan>
+Router::findCached(const Permutation &d, std::uint64_t key) const
+{
+    if (cache_capacity_ == 0)
+        return nullptr;
+    CacheShard &sh = shardFor(key);
+    ReaderLock lock(sh.mu);
+    auto it = sh.map.find(key);
+    if (it == sh.map.end() || it->second.plan->perm != d)
+        return nullptr;
+    if (sh.hits)
+        sh.hits->inc();
+    // Relaxed clock and stamp; a stale LRU stamp only costs a
+    // suboptimal eviction (cache_recency.hh).
+    it->second.last_used.touch(tick_);
+    return it->second.plan;
+}
+
+std::shared_ptr<const RoutePlan>
 Router::planCached(const Permutation &d) const
+{
+    return planCached(d, hashPermutation(d));
+}
+
+std::shared_ptr<const RoutePlan>
+Router::planCached(const Permutation &d, std::uint64_t key) const
 {
     if (cache_capacity_ == 0)
         return std::make_shared<const RoutePlan>(plan(d));
 
-    const std::uint64_t h = hashPermutation(d);
-    CacheShard &sh = shardFor(h);
-    {
-        ReaderLock lock(sh.mu);
-        auto it = sh.map.find(h);
-        if (it != sh.map.end() && it->second.plan->perm == d) {
-            if (sh.hits)
-                sh.hits->inc();
-            // Relaxed clock and stamp; a stale LRU stamp only
-            // costs a suboptimal eviction (cache_recency.hh).
-            it->second.last_used.touch(tick_);
-            return it->second.plan;
-        }
-    }
+    if (auto hit = findCached(d, key))
+        return hit;
+    CacheShard &sh = shardFor(key);
     if (sh.misses)
         sh.misses->inc();
 
@@ -274,19 +338,20 @@ Router::planCached(const Permutation &d) const
     // just plan twice and the later insert wins.
     auto planned = std::make_shared<const RoutePlan>(plan(d));
     const std::size_t bytes = planResidentBytes(*planned);
-    // The recency clock only feeds the LRU heuristic (see the hit
-    // path above).
+    // The recency clock only feeds the LRU heuristic (see
+    // findCached).
     const std::uint64_t now = tick_.next();
     {
         WriterLock lock(sh.mu);
-        auto [it, inserted] = sh.map.try_emplace(h, planned, now, bytes);
+        auto [it, inserted] =
+            sh.map.try_emplace(key, planned, now, bytes);
         if (!inserted) {
             // Same hash: either a racing insert of this pattern or a
             // collision; either way the newcomer replaces the plan.
             sh.bytes -= it->second.bytes;
             it->second.plan = planned;
             it->second.bytes = bytes;
-            // LRU stamp drawn before the lock; see the hit path.
+            // LRU stamp drawn before the lock; see findCached.
             it->second.last_used.stamp(now);
         }
         sh.bytes += bytes;

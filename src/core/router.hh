@@ -30,7 +30,9 @@
  *    by a permutation hash, so a recurring pattern skips
  *    classification and planning entirely after its first
  *    appearance, and concurrent readers on different shards never
- *    serialize.
+ *    serialize. findCached() is the same lookup without the
+ *    planning: the streaming layer's producer serves a hit itself
+ *    and hands only a miss to a worker.
  */
 
 #ifndef SRBENES_CORE_ROUTER_HH
@@ -66,6 +68,25 @@ enum class RouteStrategy
 };
 
 const char *routeStrategyName(RouteStrategy s);
+
+/**
+ * 128-bit content hash of a permutation: two independent 8-lane
+ * multiply-xorshift chains, folded with a splitmix finalizer. The
+ * independent lanes break the sequential multiply dependency that
+ * makes a classic FNV pass latency-bound, so hashing an N-word
+ * destination vector runs at near store-bandwidth. The low word is
+ * the plan cache's key (Router::hashPermutation); the streaming
+ * layer computes the hash once per request and dispatches a miss by
+ * the high word.
+ */
+struct Hash128
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    bool operator==(const Hash128 &other) const = default;
+};
+
+Hash128 hashPermutation128(const Permutation &d);
 
 /** An immutable, reusable routing plan for one permutation. */
 struct RoutePlan
@@ -142,15 +163,34 @@ class Router
     /**
      * Plan through the sharded plan cache: a repeated pattern
      * returns the cached plan without re-classifying or re-routing.
-     * Thread-safe; hits take one shard's reader lock only.
+     * Thread-safe; hits take one shard's reader lock only. Computes
+     * the key and calls the two-argument form.
      */
     std::shared_ptr<const RoutePlan>
     planCached(const Permutation &d) const;
 
     /**
-     * The cache hash; exposed so callers that pre-compute it (the
-     * streaming layer) shard their own tiers consistently.
+     * planCached with the key precomputed: @p key must be
+     * hashPermutation(d) (equivalently hashPermutation128(d).lo), so
+     * a caller that already hashed the pattern does not hash it
+     * again. A hit is findCached(d, key); a miss plans and inserts.
      */
+    std::shared_ptr<const RoutePlan>
+    planCached(const Permutation &d, std::uint64_t key) const;
+
+    /**
+     * The resident plan for @p d under @p key (as for planCached),
+     * or null; never plans, so a miss changes neither the cache nor
+     * its miss count. Identity is confirmed by comparing the plan's
+     * stored permutation with @p d, never by the key alone. A hit
+     * counts a shard hit and refreshes the entry's recency stamp,
+     * exactly like planCached's hit. Thread-safe; takes one shard's
+     * reader lock.
+     */
+    std::shared_ptr<const RoutePlan>
+    findCached(const Permutation &d, std::uint64_t key) const;
+
+    /** The plan-cache key: the low 64 bits of hashPermutation128. */
     static std::uint64_t hashPermutation(const Permutation &d);
 
     /** Move a data vector along a previously computed plan. */

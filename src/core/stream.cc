@@ -53,46 +53,6 @@ constexpr unsigned kIdleSpins = 16;
 
 } // namespace
 
-Hash128
-hashPermutation128(const Permutation &d)
-{
-    constexpr unsigned L = 8;
-    std::uint64_t a[L], b[L];
-    for (unsigned l = 0; l < L; ++l) {
-        a[l] = mix64(0x243f6a8885a308d3ULL + l);
-        b[l] = mix64(0x13198a2e03707344ULL + l);
-    }
-
-    const std::vector<Word> &v = d.dest();
-    const std::size_t size = v.size();
-    const std::size_t full = size - size % L;
-    for (std::size_t i = 0; i < full; i += L) {
-        for (unsigned l = 0; l < L; ++l) {
-            const std::uint64_t x = v[i + l];
-            a[l] = (a[l] ^ x) * 0x9e3779b97f4a7c15ULL;
-            a[l] ^= a[l] >> 32;
-            b[l] = (b[l] ^ (x + i)) * 0xc2b2ae3d27d4eb4fULL;
-            b[l] ^= b[l] >> 29;
-        }
-    }
-    for (std::size_t i = full; i < size; ++i) {
-        const unsigned l = i % L;
-        a[l] = (a[l] ^ v[i]) * 0x9e3779b97f4a7c15ULL;
-        a[l] ^= a[l] >> 32;
-        b[l] = (b[l] ^ (v[i] + i)) * 0xc2b2ae3d27d4eb4fULL;
-        b[l] ^= b[l] >> 29;
-    }
-
-    Hash128 h;
-    h.lo = mix64(size);
-    h.hi = mix64(~std::uint64_t{size});
-    for (unsigned l = 0; l < L; ++l) {
-        h.lo = mix64(h.lo ^ a[l]);
-        h.hi = mix64(h.hi ^ b[l]);
-    }
-    return h;
-}
-
 StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
     : owned_router_(opts.resilient
                         ? nullptr
@@ -115,10 +75,6 @@ StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
               n);
     opts_.ring_capacity = ceilPow2(std::max<std::size_t>(
         2, opts_.ring_capacity));
-    opts_.local_cache_slots = ceilPow2(std::max<std::size_t>(
-        8, opts_.local_cache_slots));
-    inline_enabled_ =
-        opts_.inline_max_n > 0 && n <= opts_.inline_max_n;
 
     const std::size_t pairs =
         std::size_t{opts_.producers} * opts_.workers;
@@ -140,12 +96,10 @@ StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
     for (unsigned p = 0; p < opts_.producers; ++p) {
         producers_[p].eng_ = this;
         producers_[p].index_ = p;
-        if (inline_enabled_) {
-            producers_[p].table_.resize(opts_.local_cache_slots);
+        if (!resilient_)
             producers_[p].inline_results_ =
                 std::make_unique<SpscRing<StreamResult>>(
                     opts_.ring_capacity);
-        }
     }
 
     workers_.reserve(opts_.workers);
@@ -160,17 +114,12 @@ StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
     }
     for (unsigned w = 0; w < opts_.workers; ++w) {
         auto ws = std::make_unique<WorkerState>();
-        ws->table.resize(opts_.local_cache_slots);
         if (opts_.metrics) {
             obs::MetricsRegistry &reg = *opts_.metrics;
             const obs::Labels labels = {{"stream", inst},
                                         {"worker", std::to_string(w)}};
             ws->requests = &reg.counter(
                 "srbenes_stream_requests_total", labels);
-            ws->local_hits = &reg.counter(
-                "srbenes_stream_local_hits_total", labels);
-            ws->shared_lookups = &reg.counter(
-                "srbenes_stream_shared_lookups_total", labels);
             ws->doorbell_wakes = &reg.counter(
                 "srbenes_stream_doorbell_wakes_total", labels);
             ws->deadline_expired = &reg.counter(
@@ -230,60 +179,47 @@ StreamEngine::Producer::trySubmit(std::uint64_t id,
         fatal("stream request payload size %zu != N = %zu",
               payload.size(), perm->size());
 
-    if (eng.inline_enabled_) {
-        // Small-N inline path: a ring round-trip costs more than the
-        // route itself, so do the work right here. The full check
-        // comes FIRST so a shed leaves @p payload untouched, exactly
-        // like a refused ring push.
-        if (inline_results_->full()) {
-            if (eng.sheds_)
-                eng.sheds_->inc();
-            return false;
-        }
-        StreamRequest req;
-        req.id = id;
-        req.producer = index_;
-        req.hash = memoizedHash(perm);
-        req.perm = std::move(perm);
-        req.payload = std::move(payload);
-        // Counters still attribute to the affine worker (its
-        // instruments are thread-sharded, so cross-thread increments
-        // are safe); the plan table and scratch are this handle's.
-        const unsigned w =
-            static_cast<unsigned>(req.hash.hi % eng.opts_.workers);
-        req.submit_ns = nowNs();
-        req.deadline_ns = deadline_ns;
-        StreamResult res;
-        eng.serve(*eng.workers_[w], w, req, res, table_, op_,
-                  scratch_);
-        // Cannot fail: full() was false above and this handle is the
-        // queue's only pusher.
-        if (!inline_results_->tryPush(std::move(res)))
-            fatal("inline result queue overflow");
-        ++submitted_;
-        if (eng.inline_served_)
-            eng.inline_served_->inc();
-        return true;
-    }
-
     StreamRequest req;
     req.id = id;
     req.producer = index_;
     req.hash = memoizedHash(perm);
     req.perm = std::move(perm);
     req.payload = std::move(payload);
-
-    // Pattern-affine dispatch: the same permutation always reaches
-    // the same worker, so local plan caches never duplicate entries.
     const unsigned w =
         static_cast<unsigned>(req.hash.hi % eng.opts_.workers);
     req.submit_ns = nowNs();
     req.deadline_ns = deadline_ns;
+
+    // Run to completion: a resident plan needs only the gather, so
+    // a hit is served on this thread while its result queue has
+    // room. Counters attribute to the hash-affine worker (its
+    // instruments are thread-sharded). A request already past its
+    // deadline is not looked up: like every request that reaches a
+    // worker expired, it never touches the plan tier.
+    if (inline_results_ && !inline_results_->full() &&
+        (deadline_ns == 0 || req.submit_ns < deadline_ns)) {
+        if (std::shared_ptr<const RoutePlan> hit =
+                eng.router_.findCached(*req.perm, req.hash.lo)) {
+            StreamResult res;
+            eng.serve(*eng.workers_[w], w, req, res, std::move(hit),
+                      scratch_);
+            // Cannot fail: full() was false above and this handle is
+            // the queue's only pusher.
+            if (!inline_results_->tryPush(std::move(res)))
+                fatal("inline result queue overflow");
+            ++submitted_;
+            if (eng.inline_served_)
+                eng.inline_served_->inc();
+            return true;
+        }
+    }
+
+    // Anything else goes to the hash-affine worker: two concurrent
+    // misses of one pattern reach one worker, so the second finds
+    // the first's plan instead of planning it again.
     if (!eng.submitRing(index_, w).tryPush(std::move(req))) {
         // Affine ring full: spill once to the next worker before
-        // shedding. The spill target misses locally and pulls the
-        // plan from the shared tier — the cross-worker shared hit
-        // that load-balances a burst.
+        // shedding.
         const unsigned K = eng.opts_.workers;
         const unsigned spill = (w + 1) % K;
         if (K > 1 &&
@@ -390,60 +326,10 @@ StreamEngine::Producer::drain(
     }
 }
 
-const RoutePlan *
-StreamEngine::lookupPlan(WorkerState &ws, const StreamRequest &req)
-{
-    return lookupIn(ws.table, ws.op, ws, req);
-}
-
-const RoutePlan *
-StreamEngine::lookupIn(std::vector<LocalSlot> &table,
-                       std::uint64_t &op, WorkerState &ws,
-                       const StreamRequest &req)
-{
-    const std::size_t mask = table.size() - 1;
-    const std::size_t base = req.hash.lo & mask;
-    constexpr std::size_t kProbe = 4;
-
-    ++op;
-    for (std::size_t i = 0; i < kProbe; ++i) {
-        LocalSlot &slot = table[(base + i) & mask];
-        if (slot.plan && slot.hash == req.hash &&
-            (!opts_.verify_local_hits ||
-             slot.plan->perm == *req.perm)) {
-            slot.stamp = op;
-            if (ws.local_hits)
-                ws.local_hits->inc();
-            return slot.plan.get();
-        }
-    }
-
-    // Local miss: shared sharded tier (plans if genuinely new),
-    // then adopt into the probe window, evicting the stalest slot.
-    if (ws.shared_lookups)
-        ws.shared_lookups->inc();
-    std::shared_ptr<const RoutePlan> plan =
-        router_.planCached(*req.perm);
-    LocalSlot *victim = &table[base];
-    for (std::size_t i = 0; i < kProbe; ++i) {
-        LocalSlot &slot = table[(base + i) & mask];
-        if (!slot.plan) {
-            victim = &slot;
-            break;
-        }
-        if (slot.stamp < victim->stamp)
-            victim = &slot;
-    }
-    victim->hash = req.hash;
-    victim->plan = std::move(plan);
-    victim->stamp = op;
-    return victim->plan.get();
-}
-
 void
 StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
                     StreamResult &res,
-                    std::vector<LocalSlot> &table, std::uint64_t &op,
+                    std::shared_ptr<const RoutePlan> plan,
                     std::vector<Word> &scratch)
 {
     res.id = req.id;
@@ -451,7 +337,7 @@ StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
     res.submit_ns = req.submit_ns;
 
     if (req.deadline_ns != 0 && nowNs() >= req.deadline_ns) {
-        // Expired while queued: hand the payload back unrouted.
+        // Expired before service: hand the payload back unrouted.
         res.status = RouteErrc::DeadlineExceeded;
         res.tier = ServeTier::Failed;
         res.payload = std::move(req.payload);
@@ -479,7 +365,8 @@ StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
             }
         }
     } else {
-        const RoutePlan *plan = lookupIn(table, op, ws, req);
+        if (!plan)
+            plan = router_.planCached(*req.perm, req.hash.lo);
 
         // Gather into the caller's scratch, then swap storage with
         // the request payload: steady state allocates nothing.
@@ -499,7 +386,7 @@ void
 StreamEngine::process(WorkerState &ws, unsigned w, StreamRequest &req)
 {
     StreamResult res;
-    serve(ws, w, req, res, ws.table, ws.op, ws.scratch);
+    serve(ws, w, req, res, nullptr, ws.scratch);
 
     SpscRing<StreamResult> &ring = resultRing(req.producer, w);
     if (!ring.tryPush(std::move(res))) {
@@ -611,10 +498,6 @@ StreamEngine::resetStats()
     for (auto &ws : workers_) {
         if (ws->requests)
             ws->requests->reset();
-        if (ws->local_hits)
-            ws->local_hits->reset();
-        if (ws->shared_lookups)
-            ws->shared_lookups->reset();
         if (ws->doorbell_wakes)
             ws->doorbell_wakes->reset();
         if (ws->deadline_expired)
@@ -643,10 +526,6 @@ StreamEngine::stats() const
     for (const auto &ws : workers_) {
         if (ws->requests)
             st.requests += ws->requests->value();
-        if (ws->local_hits)
-            st.local_hits += ws->local_hits->value();
-        if (ws->shared_lookups)
-            st.shared_lookups += ws->shared_lookups->value();
         if (ws->doorbell_wakes)
             st.doorbell_wakes += ws->doorbell_wakes->value();
         if (ws->deadline_expired)

@@ -10,35 +10,38 @@
  *
  *   producers ──SPSC──▶ K worker threads ──SPSC──▶ producers
  *
- *  - Each (producer, worker) pair owns one lock-free single-producer
- *    single-consumer ring for requests and one for results, so the
- *    aggregate is a multi-producer pipeline with no shared queue and
- *    no lock on the hot path.
- *  - A request is dispatched to the worker chosen by its permutation
- *    hash, so a recurring pattern always lands on the same worker and
- *    its THREAD-LOCAL plan cache: a hit costs a probe of a small
- *    open-addressed table — no lock, no reference-count traffic.
- *    When the affine worker's ring is full the request spills to the
- *    next worker instead of shedding immediately: the spill target
- *    misses locally, pulls the plan from the shared tier (a
- *    cross-worker shared hit), and load balances the burst.
- *  - Local misses fall through to the Router's sharded read-mostly
- *    tier (shared across workers), and only a genuinely new pattern
- *    pays for planning.
- *  - For small fabrics (n <= StreamOptions::inline_max_n) a ring
- *    round-trip costs more than the route itself, so trySubmit()
- *    executes the request INLINE on the producer thread — same plan
- *    tiers (a producer-local table over the shared Router tier),
- *    same deadline, shed and tier-stamping semantics, with results
- *    delivered through the normal poll interface.
+ *  - Run to completion: a plan-tier hit never leaves the producer
+ *    thread. trySubmit() looks the pattern up in the Router's
+ *    sharded plan tier (Router::findCached, keyed by the 128-bit
+ *    hash the producer computes once per request) and, on a hit,
+ *    gathers the payload right there into a bounded result queue
+ *    that tryPoll drains — no ring, no doorbell, no worker wakeup.
+ *    For a recurring pattern a lookup and one gather is the whole
+ *    request, so a ring round-trip would cost more than the work.
+ *  - Only a miss crosses to a worker: each (producer, worker) pair
+ *    owns one lock-free single-producer single-consumer ring for
+ *    requests and one for results, so the aggregate is a
+ *    multi-producer pipeline with no shared queue and no lock on
+ *    the hot path. The worker plans through the same tier
+ *    (Router::planCached with the producer's key) and answers
+ *    through the result ring.
+ *  - A miss is dispatched to the worker chosen by its hash, so two
+ *    concurrent misses of one pattern reach one worker and the
+ *    second finds the first's plan instead of planning it again.
+ *    When that ring is full the request spills once to the next
+ *    worker, then sheds. A hit whose result queue is full takes the
+ *    same ring path instead of being shed.
+ *  - The one plan tier is the Router's: no plan is held outside it
+ *    except by a request in flight, so its entry-count and byte
+ *    budgets bound every resident plan.
  *  - Execution is one contiguous payload gather through the
- *    runtime-dispatched SIMD kernels, into a worker-owned scratch
+ *    runtime-dispatched SIMD kernels, into a thread-owned scratch
  *    buffer that is swapped with the request's payload storage —
  *    zero allocation per request in steady state.
  *
- * Each request carries its submit timestamp; workers stamp
- * completion, so StreamStats reports true submit→complete latency
- * (p50/p99) along with perms/sec and payload GB/s.
+ * Each request carries its submit timestamp; the serving thread
+ * stamps completion, so StreamStats reports true submit→complete
+ * latency (p50/p99) along with perms/sec and payload GB/s.
  *
  * All accounting lives in an obs::MetricsRegistry
  * (StreamOptions::metrics): per-worker request/hit counters, a
@@ -72,23 +75,6 @@ namespace srbenes
 {
 
 class ResilientRouter;
-
-/**
- * 128-bit content hash of a permutation: two independent 8-lane
- * multiply-xorshift chains, folded with a splitmix finalizer. The
- * independent lanes break the sequential multiply dependency that
- * makes a classic FNV pass latency-bound, so hashing an N-word
- * destination vector runs at near store-bandwidth. Computed once at
- * submit time and reused for worker dispatch and both cache tiers.
- */
-struct Hash128
-{
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    bool operator==(const Hash128 &other) const = default;
-};
-
-Hash128 hashPermutation128(const Permutation &d);
 
 /**
  * Start/stop lifecycle for a component whose running()/stats() are
@@ -382,8 +368,8 @@ struct StreamRequest
     std::vector<Word> payload;
     std::uint64_t submit_ns = 0;
     /** Absolute obs::monotonicNs() deadline; 0 = none. Checked when
-     *  the worker pops the request (queue expiry) and forwarded to
-     *  the resilient serving path. */
+     *  the request is served (queue expiry) and forwarded to the
+     *  resilient serving path. */
     std::uint64_t deadline_ns = 0;
 };
 
@@ -412,26 +398,22 @@ struct StreamOptions
     unsigned workers = 2;
     /** Producer handles that will submit (fixed up front). */
     unsigned producers = 1;
-    /** Requests per (producer, worker) ring; power of two. */
+    /** Requests per (producer, worker) ring, and results per
+     *  producer's queue of hits served on its own thread; power of
+     *  two. */
     std::size_t ring_capacity = 1024;
-    /** Per-worker local plan-cache slots; power of two. */
-    std::size_t local_cache_slots = 256;
-    /** Shared Router tier capacity / shards. */
+    /** Plan-tier (Router plan cache) capacity / shards. 0 disables
+     *  the tier: every request then crosses a ring and is planned
+     *  afresh by a worker. */
     std::size_t shared_cache_capacity = 512;
     unsigned shared_cache_shards = 8;
-    /** Shared-tier resident-byte budget (Router plan_cache_bytes);
+    /** Plan-tier resident-byte budget (Router plan_cache_bytes);
      *  0 keeps the entry-count capacity as the only limit. */
     std::size_t shared_cache_bytes = 0;
     bool prefer_waksman = false;
     /**
-     * Confirm local-tier hits with a full permutation comparison
-     * (the shared Router tier always confirms). Off trusts the
-     * 128-bit content hash as identity.
-     */
-    bool verify_local_hits = true;
-    /**
      * Registry receiving the engine's instruments (and, through it,
-     * the shared Router tier's). nullptr disables instrumentation
+     * the Router plan tier's). nullptr disables instrumentation
      * and leaves stats() dark — the overhead bench's baseline.
      */
     obs::MetricsRegistry *metrics = obs::defaultRegistry();
@@ -442,7 +424,9 @@ struct StreamOptions
      * fallback chain per request and stamp the serving tier and
      * status into the StreamResult. The engine then builds no
      * Router of its own — plans come from the resilient router's
-     * inner one. Must outlive the engine. nullptr = fast path.
+     * inner one — and every request crosses a ring, since the chain
+     * may probe and retry. Must outlive the engine. nullptr = fast
+     * path.
      */
     ResilientRouter *resilient = nullptr;
     /**
@@ -452,24 +436,14 @@ struct StreamOptions
      */
     std::uint64_t default_deadline_ns = 0;
     /**
-     * Fabrics with n <= inline_max_n execute every request inline
-     * on the producer thread instead of crossing the worker rings —
-     * below this size plan + gather is cheaper than a ring
-     * round-trip plus wakeup. 0 disables the inline path. Outcomes
-     * are indistinguishable from the ring path (deadlines, shed,
-     * tier stamping, counters); only the thread that does the work
-     * changes.
-     */
-    unsigned inline_max_n = 9;
-    /**
      * Called on the WORKER thread right after a result becomes
      * pollable for producer p (doorbell already rung). For callers
      * whose producer thread blocks somewhere other than
      * awaitResult — the srbd server sleeps in epoll_wait — this is
      * the hook that turns a completion into an external wakeup
      * (e.g. an eventfd write). Must be cheap and thread-safe.
-     * Inline-path results never notify: they are pollable before
-     * trySubmit returns on the producer's own thread.
+     * Requests served on the producer thread never notify: their
+     * results are pollable before trySubmit returns.
      */
     std::function<void(unsigned producer)> result_notify;
 };
@@ -492,15 +466,11 @@ struct StreamStats
      */
     std::uint64_t p50_ns = 0;
     std::uint64_t p99_ns = 0;
-    /** Plan lookups resolved in a worker's local table. */
-    std::uint64_t local_hits = 0;
-    /** Local misses that consulted the shared Router tier. */
-    std::uint64_t shared_lookups = 0;
     /** Times a worker slept on its doorbell and was woken. */
     std::uint64_t doorbell_wakes = 0;
     /** trySubmit refusals on a full ring (the shed-load signal). */
     std::uint64_t sheds = 0;
-    /** Requests served inline on a producer thread (small-N path). */
+    /** Plan-tier hits served on their producer's thread. */
     std::uint64_t inline_served = 0;
     /** Requests that expired (queued past their deadline, or the
      *  resilient chain ran out of time). */
@@ -509,15 +479,12 @@ struct StreamStats
     std::uint64_t degraded = 0;
     /** Requests the resilient chain failed (fault_detected). */
     std::uint64_t route_failures = 0;
-    /** The shared tier's per-shard counters. */
+    /** The plan tier's per-shard counters. */
     std::vector<CacheShardStats> shared_shards;
 };
 
 class StreamEngine
 {
-    /** One slot of an open-addressed plan table (defined below). */
-    struct LocalSlot;
-
   public:
     explicit StreamEngine(unsigned n, StreamOptions opts = {});
     ~StreamEngine();
@@ -539,18 +506,21 @@ class StreamEngine
     {
       public:
         /**
-         * Hash @p perm, stamp the submit time, and enqueue on the
-         * owning worker's ring — or, on a small fabric (n <=
-         * StreamOptions::inline_max_n), execute it inline right here
-         * and stage the result for tryPoll. @p payload is consumed
-         * only on success; false means the request was shed: the
-         * affine worker's ring AND its spillover neighbour were
-         * full (or the inline result queue was), so poll results,
-         * then retry. Re-submissions of a recently seen shared
-         * Permutation object skip re-hashing: the handle memoizes
-         * hashes by pointer identity in a small direct-mapped
-         * table, holding a reference per slot so a memoized address
-         * can never be recycled under it.
+         * Hash @p perm and stamp the submit time. While this
+         * handle's result queue has room, a pattern resident in the
+         * plan tier (Router::findCached) is served right here —
+         * deadline check, gather, tier stamping, counters — and its
+         * result staged for tryPoll. Anything else (a miss, a full
+         * result queue, a request already past its deadline, or any
+         * request to a ResilientRouter engine) is enqueued on the
+         * hash-affine worker's ring, spilling once to the next
+         * worker. @p payload is consumed only on success; false
+         * means the request was shed because both rings were full,
+         * so poll results, then retry. Re-submissions of a recently
+         * seen shared Permutation object skip re-hashing: the handle
+         * memoizes hashes by pointer identity in a small
+         * direct-mapped table, holding a reference per slot so a
+         * memoized address can never be recycled under it.
          */
         bool trySubmit(std::uint64_t id,
                        std::shared_ptr<const Permutation> perm,
@@ -560,8 +530,9 @@ class StreamEngine
          * trySubmit with an explicit ABSOLUTE obs::monotonicNs()
          * deadline (0 = none), overriding
          * StreamOptions::default_deadline_ns. A false return is the
-         * shed-load signal: the target worker's ring is full and the
-         * request was refused, counted in StreamStats::sheds.
+         * shed-load signal: the target worker's ring and its spill
+         * neighbour's are full and the request was refused, counted
+         * in StreamStats::sheds.
          */
         bool trySubmit(std::uint64_t id,
                        std::shared_ptr<const Permutation> perm,
@@ -622,14 +593,12 @@ class StreamEngine
         MemoSlot memo_[kMemoSlots];
 
         /**
-         * @{ Small-N inline path (producer-thread-owned): a private
-         * plan table in front of the shared Router tier, a scratch
-         * vector for the gather, and a bounded queue of completed
-         * results drained by tryPoll. Its capacity mirrors
-         * ring_capacity, preserving shed-on-full semantics.
+         * @{ Hits served on this handle's thread: a scratch vector
+         * for the gather, and a bounded queue of completed results
+         * drained by tryPoll (ring_capacity slots; null on a
+         * ResilientRouter engine). When it is full, hits take the
+         * ring path.
          */
-        std::vector<LocalSlot> table_;
-        std::uint64_t op_ = 0;
         std::vector<Word> scratch_;
         std::unique_ptr<SpscRing<StreamResult>> inline_results_;
         /** @} */
@@ -668,36 +637,20 @@ class StreamEngine
      * histograms) and restart the elapsed-time clock, so a benchmark
      * can exclude its warmup phase. The engine must be quiescent:
      * every submitted request drained and no concurrent submissions.
-     * Cached plans (local tables and the shared tier) survive; the
-     * shared-tier hit/miss/eviction counters span the engine's whole
-     * lifetime.
+     * Cached plans survive; the plan tier's hit/miss/eviction
+     * counters span the engine's whole lifetime.
      */
     void resetStats();
 
   private:
-    /**
-     * One slot of an open-addressed plan table — worker-local on
-     * the ring path, producer-local on the inline path.
-     */
-    struct LocalSlot
-    {
-        Hash128 hash;
-        std::shared_ptr<const RoutePlan> plan;
-        std::uint64_t stamp = 0;
-    };
-
     struct alignas(64) WorkerState
     {
-        std::vector<LocalSlot> table;
-        std::uint64_t op = 0;
         std::vector<Word> scratch;
         /** Rung by producers on submit and on result-ring drain. */
         Doorbell bell;
 
         /** @{ Registry-served instruments; null when metrics off. */
         obs::Counter *requests = nullptr;
-        obs::Counter *local_hits = nullptr;
-        obs::Counter *shared_lookups = nullptr;
         obs::Counter *doorbell_wakes = nullptr;
         obs::Counter *deadline_expired = nullptr;
         obs::Counter *degraded = nullptr;
@@ -723,21 +676,17 @@ class StreamEngine
     void workerMain(unsigned w);
     void process(WorkerState &ws, unsigned w, StreamRequest &req);
     /**
-     * The serving core shared by the ring and inline paths: deadline
-     * expiry, resilient chain or plan-lookup + gather, tier and
-     * timestamp stamping, counter attribution to @p ws. The plan
-     * table / scratch are the caller's (worker-owned or
-     * producer-owned); @p ws's instruments are thread-sharded, so
-     * attribution from a producer thread is safe.
+     * The serving core shared by a producer serving a hit and a
+     * worker serving a miss: deadline expiry, resilient chain or
+     * gather, tier and timestamp stamping, counter attribution to
+     * @p ws. @p plan is the producer's hit; null on a worker, which
+     * then plans through the tier with the request's key. The
+     * scratch is the calling thread's; @p ws's instruments are
+     * thread-sharded, so attribution from a producer thread is safe.
      */
     void serve(WorkerState &ws, unsigned w, StreamRequest &req,
-               StreamResult &res, std::vector<LocalSlot> &table,
-               std::uint64_t &op, std::vector<Word> &scratch);
-    const RoutePlan *lookupPlan(WorkerState &ws,
-                                const StreamRequest &req);
-    const RoutePlan *lookupIn(std::vector<LocalSlot> &table,
-                              std::uint64_t &op, WorkerState &ws,
-                              const StreamRequest &req);
+               StreamResult &res, std::shared_ptr<const RoutePlan> plan,
+               std::vector<Word> &scratch);
 
     /**
      * Fast path: the engine owns its Router. Resilient path: plans
@@ -749,11 +698,9 @@ class StreamEngine
     const Router &router_;
     ResilientRouter *resilient_ = nullptr;
     StreamOptions opts_;
-    /** True when this fabric takes the small-N inline path. */
-    bool inline_enabled_ = false;
     /** Submit refusals on full rings; null when metrics off. */
     obs::Counter *sheds_ = nullptr;
-    /** Requests served inline; null when metrics off. */
+    /** Requests served on a producer thread; null when metrics off. */
     obs::Counter *inline_served_ = nullptr;
     std::vector<std::unique_ptr<SpscRing<StreamRequest>>> submit_rings_;
     std::vector<std::unique_ptr<SpscRing<StreamResult>>> result_rings_;

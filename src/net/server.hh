@@ -2,21 +2,25 @@
  * @file
  * srbd: the network front door of the routing fabric (DESIGN.md
  * "serving" layer). One epoll thread owns every socket and acts as
- * the single producer of a StreamEngine; the engine's worker
- * threads do the routing and wake the loop back up through
+ * the single producer of a StreamEngine, so it runs every plan hit
+ * to completion itself — lookup, gather, answer — at any fabric
+ * size. Only a plan miss crosses a ring: the engine's worker
+ * threads plan it and wake the loop back up through
  * StreamOptions::result_notify.
  *
- *   clients ──TCP──▶ event loop ──StreamEngine rings──▶ workers
- *      ▲                 │  ▲                              │
- *      └── SubmitResult ─┘  └──── result_notify (eventfd) ─┘
+ *   clients ──TCP──▶ event loop ──rings (misses)──▶ workers
+ *      ▲                 │  ▲                         │
+ *      └── SubmitResult ─┘  └─ result_notify (eventfd)┘
  *
- * Admission runs in strict order before a request touches a ring:
+ * Admission runs in strict order before a request reaches the
+ * engine:
  *
  *   draining?            → Status::Draining
  *   shape/validity wrong → Status::BadRequest
  *   tenant bucket empty  → Status::OverQuota   (QuotaManager)
  *   connection at cap, or
- *   engine rings full    → Status::Shed        (backpressure)
+ *   engine rings full    → Status::Shed        (backpressure; a hit
+ *                          the loop cannot queue takes a ring)
  *
  * so the engine's shed-on-full-ring semantics surface on the wire
  * unchanged, and a slow READER is handled one layer up: when a

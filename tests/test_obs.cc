@@ -478,6 +478,11 @@ TEST(ObsIntegration, StreamStatsRoundTripThroughRegistryAndJson)
         while (!prod.trySubmit(i, perms[i % perms.size()], payload))
             while (prod.tryPoll(res)) {
             }
+        // Each pattern's first request is planned by a worker before
+        // the rest are submitted, so every later one is a hit served
+        // on this thread.
+        if (i < perms.size())
+            prod.awaitResult(res);
         while (prod.tryPoll(res)) {
         }
     }
@@ -487,19 +492,26 @@ TEST(ObsIntegration, StreamStatsRoundTripThroughRegistryAndJson)
 
     const StreamStats st = eng.stats();
     EXPECT_EQ(st.requests, kTotal);
-    EXPECT_EQ(st.local_hits + st.shared_lookups, kTotal);
+    // The four first-seen patterns were the only misses; every other
+    // request was a hit served on the producer.
+    EXPECT_EQ(eng.router().planCacheMisses(), perms.size());
+    EXPECT_EQ(eng.router().planCacheHits(), kTotal - perms.size());
+    EXPECT_EQ(st.inline_served, kTotal - perms.size());
     EXPECT_GE(st.p99_ns, st.p50_ns);
 
     // StreamStats must be the registry's numbers, not a shadow copy.
-    std::uint64_t reg_requests = 0, reg_wakes = 0;
+    std::uint64_t reg_requests = 0, reg_wakes = 0, reg_inline = 0;
     reg.visit([&](const obs::MetricsRegistry::View &v) {
         if (v.name == "srbenes_stream_requests_total")
             reg_requests += v.counter->value();
         if (v.name == "srbenes_stream_doorbell_wakes_total")
             reg_wakes += v.counter->value();
+        if (v.name == "srbenes_stream_inline_served_total")
+            reg_inline += v.counter->value();
     });
     EXPECT_EQ(reg_requests, st.requests);
     EXPECT_EQ(reg_wakes, st.doorbell_wakes);
+    EXPECT_EQ(reg_inline, st.inline_served);
 
     // And the whole run must export as well-formed JSON and text.
     const std::string json = obs::exportJson(reg);

@@ -416,7 +416,6 @@ TEST(ResilientStream, ServesThroughFaultsWithTierStamps)
     StreamOptions opts;
     opts.workers = 2;
     opts.resilient = &rr;
-    opts.inline_max_n = 0; // worker-thread serving under test
     StreamEngine eng(n, opts);
     eng.start();
 
@@ -471,7 +470,6 @@ TEST(ResilientStream, ExpiredDeadlineComesBackStructured)
     ResilientRouter rr(n, quietOptions());
     StreamOptions opts;
     opts.resilient = &rr;
-    opts.inline_max_n = 0; // the queued-expiry path under test
     StreamEngine eng(n, opts);
     eng.start();
 
@@ -494,12 +492,14 @@ TEST(ResilientStream, ExpiredDeadlineComesBackStructured)
     EXPECT_EQ(eng.stats().deadline_expired, 1u);
 }
 
-TEST(ResilientStream, InlinePathWalksTheFallbackChainIdentically)
+TEST(ResilientStream, EveryRequestCrossesTheRingWithTierStamps)
 {
-    // The small-N inline path must serve through the resilient
-    // chain exactly like a worker: tier stamps (including degraded
-    // fallbacks under a fault), structured deadline failures, and
-    // the degraded/deadline counters.
+    // A ResilientRouter engine serves nothing on the producer, not
+    // even a pattern resident in the inner Router's tier: its chain
+    // may probe and retry, so every request goes to a worker. Tier
+    // stamps (including degraded fallbacks under a fault),
+    // structured deadline failures, and the degraded/deadline
+    // counters come back through the rings.
     const unsigned n = 4;
     const Word N = Word{1} << n;
     ResilientRouter rr(n, quietOptions());
@@ -507,39 +507,56 @@ TEST(ResilientStream, InlinePathWalksTheFallbackChainIdentically)
 
     StreamOptions opts;
     opts.resilient = &rr;
-    StreamEngine eng(n, opts); // default inline_max_n covers n = 4
-    eng.start();
+    StreamEngine eng(n, opts);
 
     Prng prng(82);
     auto &prod = eng.producer(0);
     StreamResult res;
-    std::uint64_t degraded = 0;
-    for (std::uint64_t id = 0; id < 40; ++id) {
-        const Permutation d = Permutation::random(N, prng);
-        auto perm = std::make_shared<const Permutation>(d);
+    std::vector<Permutation> sent;
+    auto submit = [&](std::uint64_t deadline_ns) {
+        const std::uint64_t id = sent.size();
+        sent.push_back(Permutation::random(N, prng));
+        // Resident in the tier: a fast-path engine would serve it on
+        // this thread.
+        (void)eng.router().planCached(sent.back());
+        auto perm = std::make_shared<const Permutation>(sent.back());
         std::vector<Word> payload = iotaPayload(N, id);
-        ASSERT_TRUE(prod.trySubmit(id, perm, payload));
-        ASSERT_TRUE(prod.tryPoll(res)) << "inline result is instant";
+        ASSERT_TRUE(prod.trySubmit(id, perm, payload, deadline_ns));
+    };
+    // Not started: every request waits for a worker.
+    for (int i = 0; i < 8; ++i) {
+        submit(0);
+        EXPECT_FALSE(prod.tryPoll(res)) << "served without a worker";
+    }
+    eng.start();
+    for (int i = 0; i < 32; ++i)
+        submit(0);
+    // A long-expired deadline fails structured.
+    submit(1);
+
+    std::uint64_t degraded = 0, expired = 0;
+    while (prod.received() < prod.submitted()) {
+        ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+        if (res.id == 40) {
+            ++expired;
+            EXPECT_EQ(res.status, RouteErrc::DeadlineExceeded);
+            EXPECT_EQ(res.tier, ServeTier::Failed);
+            EXPECT_EQ(res.payload, iotaPayload(N, 40));
+            continue;
+        }
         ASSERT_TRUE(res.ok()) << routeErrcName(res.status);
-        EXPECT_EQ(res.payload, d.applyTo(iotaPayload(N, id)));
+        EXPECT_EQ(res.payload, sent[res.id].applyTo(iotaPayload(N, res.id)));
         if (res.tier != ServeTier::Primary)
             ++degraded;
     }
-    // A long-expired deadline fails structured, same as the ring.
-    auto perm = std::make_shared<const Permutation>(
-        Permutation::identity(N));
-    std::vector<Word> payload = iotaPayload(N, 7);
-    ASSERT_TRUE(prod.trySubmit(99, perm, payload, 1));
-    ASSERT_TRUE(prod.tryPoll(res));
-    EXPECT_EQ(res.status, RouteErrc::DeadlineExceeded);
-    EXPECT_EQ(res.tier, ServeTier::Failed);
-    EXPECT_EQ(res.payload, iotaPayload(N, 7));
     eng.stop();
 
+    EXPECT_EQ(expired, 1u);
     EXPECT_GT(degraded, 0u) << "the stuck switch must force a "
                                "fallback tier on some request";
     const StreamStats st = eng.stats();
-    EXPECT_EQ(st.inline_served, 41u);
+    EXPECT_EQ(st.inline_served, 0u);
+    EXPECT_EQ(st.requests, 41u);
     EXPECT_EQ(st.degraded, degraded);
     EXPECT_EQ(st.deadline_expired, 1u);
     EXPECT_EQ(st.route_failures, 0u);
@@ -551,7 +568,7 @@ TEST(ResilientStream, FullRingShedsInsteadOfBlocking)
     const Word N = Word{1} << n;
     StreamOptions opts;
     opts.ring_capacity = 4;
-    opts.inline_max_n = 0; // ring shed (not inline shed) under test
+    opts.shared_cache_capacity = 0; // ring mechanics under test
     StreamEngine eng(n, opts);
     // Deliberately NOT started: the rings fill and stay full. One
     // pattern targets one affine worker, whose full ring spills once
@@ -599,7 +616,6 @@ TEST(ResilientConcurrency, ProbesRaceInjectionAndServing)
     opts.workers = 2;
     opts.producers = 2;
     opts.resilient = &rr;
-    opts.inline_max_n = 0; // worker threads must race the chaos
     StreamEngine eng(n, opts);
     eng.start();
 

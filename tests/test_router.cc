@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the routing facade: strategy selection, plan reuse,
- * correct delivery under every strategy, and the Waksman
- * preference knob.
+ * correct delivery under every strategy, the Waksman preference
+ * knob, and the plan cache's lookups and budgets.
  */
 
 #include <gtest/gtest.h>
@@ -260,6 +260,64 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
     const auto out = router.execute(*held, data);
     for (Word i = 0; i < N; ++i)
         EXPECT_EQ(out[perms[0][i]], data[i]);
+}
+
+TEST(Router, FindCachedNeverPlans)
+{
+    Prng prng(23);
+    const unsigned n = 6;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation d = Permutation::random(Word{1} << n, prng);
+    const std::uint64_t key = Router::hashPermutation(d);
+    EXPECT_EQ(key, hashPermutation128(d).lo);
+
+    // A miss neither plans, inserts, nor counts.
+    EXPECT_EQ(router.findCached(d, key), nullptr);
+    EXPECT_EQ(router.planCacheSize(), 0u);
+    EXPECT_EQ(router.planCacheMisses(), 0u);
+    EXPECT_EQ(router.planCacheHits(), 0u);
+
+    const auto planned = router.planCached(d);
+    EXPECT_EQ(router.planCacheMisses(), 1u);
+    // A hit returns the resident object itself and counts like
+    // planCached's hit.
+    const auto found = router.findCached(d, key);
+    EXPECT_EQ(found.get(), planned.get());
+    EXPECT_EQ(router.planCacheHits(), 1u);
+    EXPECT_EQ(router.planCached(d, key).get(), planned.get());
+    EXPECT_EQ(router.planCacheHits(), 2u);
+    EXPECT_EQ(router.planCacheMisses(), 1u);
+    EXPECT_EQ(router.planCacheSize(), 1u);
+
+    // With the cache disabled there is nothing to find.
+    const Router uncached(n, false, /*capacity=*/0);
+    (void)uncached.planCached(d);
+    EXPECT_EQ(uncached.findCached(d, key), nullptr);
+}
+
+TEST(Router, KeyCollisionIsNeverIdentity)
+{
+    Prng prng(29);
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation d1 = Permutation::random(N, prng);
+    const Permutation d2 = Permutation::random(N, prng);
+    const std::uint64_t key1 = Router::hashPermutation(d1);
+    (void)router.planCached(d1);
+
+    // d2 under d1's key finds d1's entry and refuses it.
+    EXPECT_EQ(router.findCached(d2, key1), nullptr);
+    EXPECT_EQ(router.planCacheHits(), 0u);
+
+    // A forced collision plans d2 and replaces the entry; the plan
+    // it returns routes d2, and d1 no longer matches it.
+    const auto p2 = router.planCached(d2, key1);
+    EXPECT_EQ(p2->perm, d2);
+    const auto data = iotaData(N);
+    EXPECT_EQ(router.execute(*p2, data), d2.applyTo(data));
+    EXPECT_EQ(router.findCached(d1, key1), nullptr);
+    EXPECT_EQ(router.findCached(d2, key1).get(), p2.get());
 }
 
 } // namespace

@@ -386,9 +386,9 @@ TEST_F(SrbdTest, WireDeadlineSurfacesAsDeadlineExceeded)
     Client client;
     ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
 
-    // A 1 ns relative deadline is expired by the time any worker
-    // (or the inline path) picks the request up: the engine's
-    // deadline taxonomy must cross the wire intact.
+    // A 1 ns relative deadline is expired by the time the engine
+    // serves the request: the engine's deadline taxonomy must cross
+    // the wire intact.
     Prng prng(31);
     SubmitMsg m = randomSubmit(1, prng);
     m.deadline_rel_ns = 1;
@@ -509,6 +509,77 @@ TEST_F(SrbdTest, PipelinedBurstIsAnsweredInFewWrites)
     EXPECT_EQ(stats.responses, kBurst);
     EXPECT_LT(stats.socket_writes, kBurst);
     EXPECT_EQ(stats.epoll_mods, 0u);
+    ::close(fd);
+    EXPECT_TRUE(stopServer());
+}
+
+TEST_F(SrbdTest, HitsOverflowingTheLoopQueueTakeTheRingsNotShed)
+{
+    // Regression: the loop serves plan hits into a result queue of
+    // ring_capacity slots that it drains only after a pass, so a
+    // pipelined burst of hits used to overflow it and be answered
+    // Shed while both worker rings sat empty. Now the overflow
+    // crosses to the rings: 2 answered on the loop plus 2 rings of
+    // 2 slots each hold all 6, whatever the workers' timing.
+    ServerOptions opts = defaults();
+    opts.n = 4;
+    opts.stream.ring_capacity = 2;
+    startServer(std::move(opts));
+
+    const Word N = server_->numLines();
+    Prng prng(47);
+    const Permutation perm = Permutation::random(N, prng);
+    auto submitOf = [&](std::uint64_t id) {
+        SubmitMsg m;
+        m.id = id;
+        m.dest = perm.dest();
+        m.has_payload = true;
+        m.payload.resize(N);
+        for (Word i = 0; i < N; ++i)
+            m.payload[i] = id * 1000 + i;
+        return m;
+    };
+
+    const int fd = connectRaw(server_->port());
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Message response;
+    // Warm the pattern into the plan tier with one round trip.
+    std::vector<std::uint8_t> wire;
+    encode(Message{submitOf(0)}, wire);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    ASSERT_TRUE(receiveRaw(fd, dec, response, 5000));
+    ASSERT_EQ(std::get<SubmitResultMsg>(response).status, Status::Ok);
+
+    constexpr std::uint64_t kBurst = 6;
+    wire.clear();
+    for (std::uint64_t id = 1; id <= kBurst; ++id)
+        encode(Message{submitOf(id)}, wire);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    std::uint64_t ok = 0;
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+        ASSERT_TRUE(receiveRaw(fd, dec, response, 5000))
+            << "answer " << i << " never arrived";
+        auto *res = std::get_if<SubmitResultMsg>(&response);
+        ASSERT_NE(res, nullptr);
+        EXPECT_EQ(res->status, Status::Ok) << "id " << res->id;
+        if (res->status == Status::Ok &&
+            res->payload == perm.applyTo(submitOf(res->id).payload))
+            ++ok;
+    }
+    EXPECT_EQ(ok, kBurst);
+    EXPECT_EQ(server_->stats().sheds, 0u);
+    std::uint64_t engine_sheds = 0, loop_served = 0;
+    registry_.visit([&](const obs::MetricsRegistry::View &v) {
+        if (v.name == "srbenes_stream_sheds_total")
+            engine_sheds += v.counter->value();
+        if (v.name == "srbenes_stream_inline_served_total")
+            loop_served += v.counter->value();
+    });
+    EXPECT_EQ(engine_sheds, 0u);
+    EXPECT_GE(loop_served, 2u);
     ::close(fd);
     EXPECT_TRUE(stopServer());
 }

@@ -3,7 +3,9 @@
  * Streaming-engine tests: the lock-free SPSC ring, the 128-bit
  * permutation hash, an 8-thread hammer on the Router's sharded plan
  * cache, and end-to-end StreamEngine runs checked payload-for-payload
- * against Permutation::applyTo and the reference simulator.
+ * against Permutation::applyTo and the reference simulator — over
+ * the rings (plan tier disabled) and with plan hits served on the
+ * producer thread.
  */
 
 #include <algorithm>
@@ -157,23 +159,44 @@ TEST(SpscRingTest, TwoThreadStressPreservesFifo)
 TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
 {
     // 8 threads route a working set larger than the cache through one
-    // shared Router: every output must still be exact, and the
-    // sharded counters must balance (probes == hits + misses, final
-    // size within capacity).
+    // shared Router while 2 more race findCached against their
+    // inserts and evictions: every output and every found plan must
+    // still be exact, and the sharded counters must balance (probes
+    // == hits + misses, final size within capacity).
     const unsigned n = 5;
     const Word N = Word{1} << n;
     constexpr unsigned kThreads = 8;
+    constexpr unsigned kFinders = 2;
     constexpr int kPatterns = 12;
     constexpr int kIters = 60;
     const Router router(n, false, /*capacity=*/8, /*shards=*/4);
 
     Prng seed_prng(43);
     std::vector<Permutation> patterns;
-    for (int i = 0; i < kPatterns; ++i)
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < kPatterns; ++i) {
         patterns.push_back(randomFMember(n, seed_prng));
+        keys.push_back(Router::hashPermutation(patterns.back()));
+    }
 
     std::vector<std::thread> threads;
-    std::vector<int> failures(kThreads, 0);
+    std::vector<int> failures(kThreads + kFinders, 0);
+    std::vector<std::size_t> found(kFinders, 0);
+    for (unsigned f = 0; f < kFinders; ++f) {
+        threads.emplace_back([&, f] {
+            Prng prng(200 + f);
+            for (int it = 0; it < 4 * kIters; ++it) {
+                const std::size_t pi = prng.below(kPatterns);
+                const auto plan =
+                    router.findCached(patterns[pi], keys[pi]);
+                if (!plan)
+                    continue;
+                ++found[f];
+                if (plan->perm != patterns[pi])
+                    ++failures[kThreads + f];
+            }
+        });
+    }
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             Prng prng(100 + t);
@@ -209,7 +232,7 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
     }
     for (auto &t : threads)
         t.join();
-    for (unsigned t = 0; t < kThreads; ++t)
+    for (unsigned t = 0; t < kThreads + kFinders; ++t)
         EXPECT_EQ(failures[t], 0) << "thread " << t;
 
     const auto stats = router.cacheStats();
@@ -222,8 +245,10 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
     }
     EXPECT_EQ(hits, router.planCacheHits());
     EXPECT_EQ(misses, router.planCacheMisses());
+    // A findCached hit counts like planCached's; its miss counts
+    // nothing.
     EXPECT_EQ(hits + misses,
-              std::size_t{kThreads} * kIters);
+              std::size_t{kThreads} * kIters + found[0] + found[1]);
     EXPECT_LE(size, 8u);
     EXPECT_GT(hits, 0u);
     // 12 patterns can't fit in 8 slots, so evictions must occur.
@@ -269,8 +294,8 @@ TEST(StreamEngineTest, RoutesEveryRequestExactly)
     const Word N = Word{1} << n;
     StreamOptions opts;
     opts.workers = 2;
-    opts.ring_capacity = 32; // small: exercises backpressure
-    opts.inline_max_n = 0;   // ring mechanics under test
+    opts.ring_capacity = 32;        // small: exercises backpressure
+    opts.shared_cache_capacity = 0; // ring mechanics under test
     StreamEngine eng(n, opts);
 
     Prng prng(44);
@@ -322,10 +347,11 @@ TEST(StreamEngineTest, RoutesEveryRequestExactly)
     const StreamStats st = eng.stats();
     EXPECT_EQ(st.requests, kTotal);
     EXPECT_EQ(st.payload_words, kTotal * N);
-    EXPECT_EQ(st.local_hits + st.shared_lookups, kTotal);
-    // Six recurring patterns: nearly everything after warmup is a
-    // local hit.
-    EXPECT_GE(st.local_hits, kTotal - 64);
+    // With no plan tier every request crossed a ring and was planned
+    // on a worker; the disabled tier counts nothing.
+    EXPECT_EQ(st.inline_served, 0u);
+    EXPECT_EQ(eng.router().planCacheHits(), 0u);
+    EXPECT_EQ(eng.router().planCacheMisses(), 0u);
     EXPECT_GT(st.perms_per_sec, 0.0);
     EXPECT_GE(st.p99_ns, st.p50_ns);
     EXPECT_EQ(st.shared_shards.size(), eng.router().planCacheShards());
@@ -339,7 +365,7 @@ TEST(StreamEngineTest, MatchesReferenceSimulatorForFMembers)
     const Word N = Word{1} << n;
     const SelfRoutingBenes net(n);
     StreamOptions opts;
-    opts.inline_max_n = 0; // ring mechanics under test
+    opts.shared_cache_capacity = 0; // ring mechanics under test
     StreamEngine eng(n, opts);
 
     Prng prng(46);
@@ -382,15 +408,14 @@ TEST(StreamEngineTest, MatchesReferenceSimulatorForFMembers)
 TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
 {
     // Two producer threads, each mixing a hot set with freshly drawn
-    // cold patterns (forcing shared-tier traffic and evictions).
+    // cold patterns: both producers serve hits from the plan tier
+    // while the workers plan misses into it and evict.
     const unsigned n = 5;
     const Word N = Word{1} << n;
     StreamOptions opts;
     opts.workers = 2;
     opts.producers = 2;
     opts.shared_cache_capacity = 16;
-    opts.local_cache_slots = 8;
-    opts.inline_max_n = 0; // ring mechanics under test
     StreamEngine eng(n, opts);
     eng.start();
 
@@ -408,8 +433,12 @@ TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
                     randomFMember(n, prng)));
             StreamResult res;
             for (std::uint64_t id = 0; id < kPerProducer; ++id) {
+                // The hot set goes first, each planned before the
+                // next submit, so later hot requests can hit.
                 std::shared_ptr<const Permutation> perm;
-                if (prng.below(8) == 0) // cold draw
+                if (id < hot.size())
+                    perm = hot[id];
+                else if (prng.below(8) == 0) // cold draw
                     perm = std::make_shared<const Permutation>(
                         randomFMember(n, prng));
                 else
@@ -419,8 +448,14 @@ TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
                 while (!prod.trySubmit(id, perm, payload))
                     if (prod.tryPoll(res))
                         got[p].push_back(std::move(res));
-                if (prod.tryPoll(res))
+                if (id < hot.size()) {
+                    while (prod.received() < prod.submitted()) {
+                        prod.awaitResult(res);
+                        got[p].push_back(std::move(res));
+                    }
+                } else if (prod.tryPoll(res)) {
                     got[p].push_back(std::move(res));
+                }
             }
             while (prod.received() < prod.submitted())
                 if (prod.tryPoll(res))
@@ -440,7 +475,14 @@ TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
     }
     const StreamStats st = eng.stats();
     EXPECT_EQ(st.requests, 2 * kPerProducer);
-    EXPECT_GT(st.shared_lookups, 0u);
+    // Every request counts exactly one tier hit or miss, wherever it
+    // was served; a producer-served request is always a hit.
+    EXPECT_EQ(eng.router().planCacheHits() +
+                  eng.router().planCacheMisses(),
+              2 * kPerProducer);
+    EXPECT_GT(st.inline_served, 0u);
+    EXPECT_LE(st.inline_served, eng.router().planCacheHits());
+    EXPECT_GT(eng.router().planCacheMisses(), 0u);
     std::size_t shard_size = 0;
     for (const auto &s : st.shared_shards)
         shard_size += s.size;
@@ -452,7 +494,7 @@ TEST(StreamEngineTest, ResultsRemainPollableAfterStop)
     const unsigned n = 3;
     const Word N = Word{1} << n;
     StreamOptions opts;
-    opts.inline_max_n = 0; // ring mechanics under test
+    opts.shared_cache_capacity = 0; // ring mechanics under test
     StreamEngine eng(n, opts);
     auto perm = std::make_shared<const Permutation>(
         Permutation::identity(N));
@@ -484,7 +526,7 @@ TEST(StreamEngineTest, PumpHelperSurvivesRandomMix)
     const unsigned n = 7;
     StreamOptions opts;
     opts.workers = 3;
-    opts.inline_max_n = 0; // ring mechanics under test
+    opts.shared_cache_capacity = 0; // ring mechanics under test
     StreamEngine eng(n, opts);
     Prng prng(49);
     std::vector<std::shared_ptr<const Permutation>> patterns;
@@ -509,7 +551,7 @@ TEST(StreamEngineTest, StatsAreSafeAgainstLifecycleTransitions)
     const unsigned n = 4;
     const Word N = Word{1} << n;
     StreamOptions opts;
-    opts.inline_max_n = 0; // worker threads must race stats()
+    opts.shared_cache_capacity = 0; // worker threads must race stats()
     StreamEngine eng(n, opts);
     auto perm = std::make_shared<const Permutation>(
         Permutation::identity(N));
@@ -549,70 +591,156 @@ TEST(StreamEngineTest, StatsAreSafeAgainstLifecycleTransitions)
     EXPECT_GT(eng.stats().elapsed_sec, 0.0);
 }
 
-// ------------------------------------------- spillover + shared tier
+// --------------------------------------------- run to completion
 
-TEST(StreamEngineTest, SpilloverPromotesSharedCacheHits)
+TEST(StreamEngineTest, HitIsServedOnTheProducerWithNoWorker)
 {
-    // Regression: pattern-affine dispatch alone sends each pattern
-    // to exactly ONE worker, so the shared tier records plans but
-    // never a cross-worker hit (shared_hits == 0 in the throughput
-    // bench). A full affine ring must now spill to the next worker,
-    // whose local miss HITS the shared tier instead of re-planning.
+    // A pattern resident in the plan tier is served inside trySubmit:
+    // the engine is not even started, yet tryPoll returns the result
+    // at once. A first-seen pattern stays queued for a worker until
+    // start().
+    const unsigned n = 5;
+    const Word N = Word{1} << n;
+    StreamEngine eng(n, {});
+    Prng prng(53);
+    auto hot = std::make_shared<const Permutation>(
+        randomFMember(n, prng));
+    auto cold = std::make_shared<const Permutation>(
+        Permutation::random(N, prng));
+    (void)eng.router().planCached(*hot);
+    const std::size_t hits0 = eng.router().planCacheHits();
+
+    auto &prod = eng.producer(0);
+    StreamResult res;
+    for (std::uint64_t id = 0; id < 8; ++id) {
+        std::vector<Word> payload = iotaPayload(N, id);
+        ASSERT_TRUE(prod.trySubmit(id, hot, payload));
+        ASSERT_TRUE(prod.tryPoll(res)) << "a hit needs no worker";
+        EXPECT_EQ(res.id, id);
+        EXPECT_TRUE(res.ok());
+        EXPECT_EQ(res.tier, ServeTier::Primary);
+        EXPECT_EQ(res.payload, hot->applyTo(iotaPayload(N, id)));
+    }
+    EXPECT_EQ(eng.router().planCacheHits(), hits0 + 8);
+
+    std::vector<Word> payload = iotaPayload(N, 100);
+    ASSERT_TRUE(prod.trySubmit(100, cold, payload));
+    EXPECT_FALSE(prod.tryPoll(res)) << "a miss waits for a worker";
+    EXPECT_EQ(prod.inFlight(), 1u);
+
+    eng.start();
+    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+    EXPECT_EQ(res.id, 100u);
+    EXPECT_EQ(res.payload, cold->applyTo(iotaPayload(N, 100)));
+    eng.stop();
+
+    const StreamStats st = eng.stats();
+    EXPECT_EQ(st.inline_served, 8u);
+    EXPECT_EQ(st.requests, 9u);
+    EXPECT_EQ(st.sheds, 0u);
+}
+
+TEST(StreamEngineTest, MissPlanBecomesTheNextSubmitsHit)
+{
+    // The worker's plan for a miss goes into the one tier, so the
+    // very next submit of that pattern is served on the producer.
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    StreamEngine eng(n, {});
+    Prng prng(54);
+    auto perm = std::make_shared<const Permutation>(
+        Permutation::random(N, prng));
+    eng.start();
+    auto &prod = eng.producer(0);
+
+    std::vector<Word> payload = iotaPayload(N, 0);
+    ASSERT_TRUE(prod.trySubmit(0, perm, payload));
+    StreamResult res;
+    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+    EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, 0)));
+    EXPECT_EQ(eng.router().planCacheMisses(), 1u);
+    EXPECT_EQ(eng.stats().inline_served, 0u);
+
+    payload = iotaPayload(N, 1);
+    ASSERT_TRUE(prod.trySubmit(1, perm, payload));
+    ASSERT_TRUE(prod.tryPoll(res)) << "the planned miss is now a hit";
+    EXPECT_EQ(res.id, 1u);
+    EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, 1)));
+    eng.stop();
+
+    EXPECT_EQ(eng.stats().inline_served, 1u);
+    EXPECT_EQ(eng.router().planCacheMisses(), 1u);
+    EXPECT_EQ(eng.router().planCacheHits(), 1u);
+}
+
+TEST(StreamEngineTest, HitWithFullResultQueueTakesARingThenSheds)
+{
+    // The producer's result queue holds ring_capacity results. A hit
+    // that finds it full is not shed: it crosses to the affine
+    // worker's ring, then spills to the neighbour's, and only when
+    // both rings are full as well is it refused — leaving the payload
+    // untouched. Nothing is started, so nothing drains.
     const unsigned n = 5;
     const Word N = Word{1} << n;
     StreamOptions opts;
     opts.workers = 2;
-    opts.ring_capacity = 2; // the clamp floor: 3rd submit spills
-    opts.inline_max_n = 0;  // the spill is a ring-path mechanism
+    opts.ring_capacity = 2; // the clamp floor
     StreamEngine eng(n, opts);
-
     Prng prng(50);
     auto perm = std::make_shared<const Permutation>(
         randomFMember(n, prng));
-    // Warm the pattern into the shared tier from this thread — the
-    // stand-in for another worker having planned it earlier.
     (void)eng.router().planCached(*perm);
     const std::size_t hits0 = eng.router().planCacheHits();
 
-    // Pre-start so nothing drains: the affine ring fills at 2 and
-    // the next two submissions spill to the second worker.
     auto &prod = eng.producer(0);
-    for (std::uint64_t id = 0; id < 4; ++id) {
+    for (std::uint64_t id = 0; id < 6; ++id) {
         std::vector<Word> payload = iotaPayload(N, id);
         ASSERT_TRUE(prod.trySubmit(id, perm, payload)) << "id " << id;
     }
+    std::vector<Word> seventh = iotaPayload(N, 6);
+    EXPECT_FALSE(prod.trySubmit(6, perm, seventh));
+    EXPECT_EQ(seventh, iotaPayload(N, 6)) << "shed must not consume";
+    EXPECT_EQ(eng.stats().sheds, 1u);
+    EXPECT_EQ(eng.stats().inline_served, 2u);
+
     eng.start();
     StreamResult res;
-    std::set<unsigned> served_by;
-    for (unsigned got = 0; got < 4; ++got) {
-        prod.awaitResult(res);
+    std::set<unsigned> ring_workers;
+    for (unsigned got = 0; got < 6; ++got) {
+        ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+        EXPECT_TRUE(res.ok());
         EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, res.id)));
-        served_by.insert(res.worker);
+        if (res.id >= 2)
+            ring_workers.insert(res.worker);
     }
+    EXPECT_EQ(ring_workers.size(), 2u)
+        << "the spill must reach the second worker";
+    // The queue has room again: the next hit is served at once.
+    EXPECT_TRUE(prod.trySubmit(6, perm, seventh));
+    ASSERT_TRUE(prod.tryPoll(res));
+    EXPECT_EQ(res.id, 6u);
     eng.stop();
 
     const StreamStats st = eng.stats();
-    EXPECT_EQ(st.sheds, 0u);
-    EXPECT_EQ(st.requests, 4u);
-    EXPECT_EQ(served_by.size(), 2u)
-        << "the spill must reach the second worker";
-    // Both workers' first-touch local misses consulted the shared
-    // tier and HIT the pre-planned entry.
-    EXPECT_GE(eng.router().planCacheHits(), hits0 + 2);
-    EXPECT_GE(st.shared_lookups, 2u);
+    EXPECT_EQ(st.sheds, 1u);
+    EXPECT_EQ(st.requests, 7u);
+    EXPECT_EQ(st.inline_served, 3u);
+    // Producer and workers alike found the resident plan; the one
+    // miss is the warm-up's.
+    EXPECT_EQ(eng.router().planCacheHits(), hits0 + 7);
+    EXPECT_EQ(eng.router().planCacheMisses(), 1u);
+    EXPECT_EQ(prod.submitted(), prod.received());
 }
 
-// ------------------------------------------------- inline small-N path
-
-TEST(StreamEngineTest, InlinePathMatchesRingPathOutcomes)
+TEST(StreamEngineTest, ProducerHitsMatchRingOutcomes)
 {
-    // The same request sequence through an inline-path engine and a
-    // ring-path engine must produce indistinguishable outcomes:
-    // payloads, status, tier, and the plan-tier counter identity.
+    // The same request sequence through a default engine (hits on
+    // the producer, misses on workers) and through one with the plan
+    // tier disabled (everything over the rings) must produce
+    // identical outcomes: payloads, status, tier — and an expired
+    // deadline's payload comes back unrouted on both.
     const unsigned n = 4;
     const Word N = Word{1} << n;
-    ASSERT_LE(n, StreamOptions{}.inline_max_n)
-        << "n must sit under the default inline threshold";
 
     Prng prng(51);
     std::vector<std::shared_ptr<const Permutation>> patterns;
@@ -621,18 +749,20 @@ TEST(StreamEngineTest, InlinePathMatchesRingPathOutcomes)
             randomFMember(n, prng)));
 
     StreamOptions ring_opts;
-    ring_opts.inline_max_n = 0;
+    ring_opts.shared_cache_capacity = 0;
     StreamEngine ring_eng(n, ring_opts);
-    StreamEngine inline_eng(n, {}); // default: inline at n = 4
+    StreamEngine tier_eng(n, {});
 
     constexpr std::uint64_t kTotal = 200;
     Prng choose(52);
     std::vector<std::size_t> pattern_of;
     std::vector<std::uint64_t> deadline_of;
     for (std::uint64_t id = 0; id < kTotal; ++id) {
-        pattern_of.push_back(choose.below(patterns.size()));
+        pattern_of.push_back(id < patterns.size()
+                                 ? id
+                                 : choose.below(patterns.size()));
         // Every 16th request carries a long-expired absolute
-        // deadline; both paths must fail it identically.
+        // deadline; both engines must fail it identically.
         deadline_of.push_back(id % 16 == 15 ? 1 : 0);
     }
 
@@ -647,8 +777,14 @@ TEST(StreamEngineTest, InlinePathMatchesRingPathOutcomes)
                                    payload, deadline_of[id]))
                 if (prod.tryPoll(res))
                     results[res.id] = std::move(res);
-            if (prod.tryPoll(res))
+            if (id < patterns.size()) {
+                // Warm-up: each pattern planned before the next
+                // submit, so the tier engine's later requests hit.
+                prod.awaitResult(res);
                 results[res.id] = std::move(res);
+            } else if (prod.tryPoll(res)) {
+                results[res.id] = std::move(res);
+            }
         }
         while (prod.received() < prod.submitted())
             if (prod.tryPoll(res))
@@ -657,16 +793,16 @@ TEST(StreamEngineTest, InlinePathMatchesRingPathOutcomes)
         return results;
     };
     const auto ring_results = run(ring_eng);
-    const auto inline_results = run(inline_eng);
+    const auto tier_results = run(tier_eng);
 
     for (std::uint64_t id = 0; id < kTotal; ++id) {
         const StreamResult &a = ring_results[id];
-        const StreamResult &b = inline_results[id];
+        const StreamResult &b = tier_results[id];
         EXPECT_EQ(a.status, b.status) << "id " << id;
         EXPECT_EQ(a.tier, b.tier) << "id " << id;
         EXPECT_EQ(a.payload, b.payload) << "id " << id;
         if (deadline_of[id] != 0) {
-            // Expired before service on both paths: the original
+            // Expired before service in both engines: the original
             // payload comes back unrouted.
             EXPECT_EQ(b.status, RouteErrc::DeadlineExceeded);
             EXPECT_EQ(b.tier, ServeTier::Failed);
@@ -680,80 +816,24 @@ TEST(StreamEngineTest, InlinePathMatchesRingPathOutcomes)
     }
 
     const StreamStats rs = ring_eng.stats();
-    const StreamStats is = inline_eng.stats();
+    const StreamStats ts = tier_eng.stats();
     EXPECT_EQ(rs.inline_served, 0u);
-    EXPECT_EQ(is.inline_served, kTotal);
-    EXPECT_EQ(is.requests, kTotal);
-    // Deadline-expired requests never reach the plan tiers; every
-    // other request resolves in exactly one of them — on both paths.
-    EXPECT_EQ(is.local_hits + is.shared_lookups + is.deadline_expired,
-              is.requests);
-    EXPECT_EQ(rs.local_hits + rs.shared_lookups + rs.deadline_expired,
-              rs.requests);
-    EXPECT_EQ(is.deadline_expired, rs.deadline_expired);
-    EXPECT_GT(is.local_hits, 0u);
-}
-
-TEST(StreamEngineTest, InlinePathShedsOnFullResultQueue)
-{
-    // The inline result queue mirrors ring_capacity, preserving the
-    // shed-on-full contract: a refused submit leaves the payload
-    // untouched and counts a shed, and draining reopens the path.
-    const unsigned n = 3;
-    const Word N = Word{1} << n;
-    StreamOptions opts;
-    opts.ring_capacity = 2; // inline queue capacity after the clamp
-    StreamEngine eng(n, opts);
-    auto perm = std::make_shared<const Permutation>(
-        Permutation::identity(N));
-    auto &prod = eng.producer(0);
-
-    std::vector<Word> payload = iotaPayload(N, 0);
-    ASSERT_TRUE(prod.trySubmit(0, perm, payload));
-    payload = iotaPayload(N, 1);
-    ASSERT_TRUE(prod.trySubmit(1, perm, payload));
-    std::vector<Word> third = iotaPayload(N, 2);
-    EXPECT_FALSE(prod.trySubmit(2, perm, third));
-    EXPECT_EQ(third, iotaPayload(N, 2)) << "shed must not consume";
-    EXPECT_EQ(eng.stats().sheds, 1u);
-    EXPECT_EQ(eng.stats().inline_served, 2u);
-
-    StreamResult res;
-    ASSERT_TRUE(prod.tryPoll(res));
-    EXPECT_EQ(res.payload, iotaPayload(N, res.id));
-    ASSERT_TRUE(prod.tryPoll(res));
-    EXPECT_FALSE(prod.tryPoll(res));
-    EXPECT_TRUE(prod.trySubmit(2, perm, third));
-    ASSERT_TRUE(prod.tryPoll(res));
-    EXPECT_EQ(res.id, 2u);
-    EXPECT_EQ(prod.submitted(), prod.received());
-}
-
-TEST(StreamEngineTest, InlinePathServesWithoutWorkerRoundTrip)
-{
-    // Results are available to tryPoll immediately after trySubmit —
-    // no start() and no worker wakeup involved — and the blocking
-    // pollers see them too.
-    const unsigned n = 5;
-    const Word N = Word{1} << n;
-    StreamEngine eng(n, {});
-    Prng prng(53);
-    auto perm = std::make_shared<const Permutation>(
-        randomFMember(n, prng));
-    eng.start();
-    auto &prod = eng.producer(0);
-    for (std::uint64_t id = 0; id < 8; ++id) {
-        std::vector<Word> payload = iotaPayload(N, id);
-        ASSERT_TRUE(prod.trySubmit(id, perm, payload));
-        StreamResult res;
-        ASSERT_TRUE(prod.awaitResultFor(res, 1'000'000'000ull));
-        EXPECT_EQ(res.id, id);
-        EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, id)));
-    }
-    eng.stop();
-    const StreamStats st = eng.stats();
-    EXPECT_EQ(st.inline_served, 8u);
-    EXPECT_EQ(st.requests, 8u);
+    EXPECT_EQ(rs.requests, kTotal);
+    EXPECT_EQ(ts.requests, kTotal);
+    EXPECT_EQ(ts.deadline_expired, rs.deadline_expired);
+    EXPECT_EQ(ts.deadline_expired, kTotal / 16);
+    // Deadline-expired requests never reach the plan tier; every
+    // other request counts exactly one tier hit or miss. After the
+    // warm-up's four misses, every live request was a hit served on
+    // the producer.
+    const Router &tier = tier_eng.router();
+    EXPECT_EQ(tier.planCacheHits() + tier.planCacheMisses() +
+                  ts.deadline_expired,
+              ts.requests);
+    EXPECT_EQ(tier.planCacheMisses(), patterns.size());
+    EXPECT_EQ(ts.inline_served, tier.planCacheHits());
+    EXPECT_EQ(ts.inline_served,
+              kTotal - patterns.size() - ts.deadline_expired);
 }
 
 } // namespace
