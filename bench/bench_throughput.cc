@@ -24,7 +24,7 @@
  *              content hash of the destination vector, a locked
  *              plan-cache probe, and a freshly allocated result
  *              vector, on each of its 1+K threads;
- *   stream   : per request, a memoized 128-bit hash and a plan-tier
+ *   stream   : per request, a 128-bit content hash and a plan-tier
  *              probe; a hit (all but the cold draws once warm) is
  *              gathered into recycled storage on the ONE producer
  *              thread (the `inline_served` JSON field counts them),

@@ -25,6 +25,8 @@ constexpr Word kUpperMask[6] = {
 
 /** Reusable bit-plane arena; capacity persists across routes. */
 thread_local std::vector<Word> t_planes;
+/** One stage of control masks for a verdict pass. */
+thread_local std::vector<Word> t_ctrl;
 
 } // namespace
 
@@ -101,6 +103,14 @@ FastEngine::FastEngine(unsigned n, obs::MetricsRegistry *metrics)
 }
 
 void
+FastEngine::checkSize(const Permutation &d) const
+{
+    if (d.size() != num_lines_)
+        fatal("permutation size %zu does not match network N = %llu",
+              d.size(), static_cast<unsigned long long>(num_lines_));
+}
+
+void
 FastEngine::loadTagPlanes(const Permutation &d,
                           std::vector<Word> &planes) const
 {
@@ -159,32 +169,14 @@ FastEngine::planesAtHome(const std::vector<Word> &planes) const
 }
 
 void
-FastEngine::inverseInto(const Permutation &d,
-                        std::vector<Word> &src) const
+FastEngine::runPlanes(std::vector<Word> &planes, Word *ctrl, Word stride,
+                      bool forced, RoutingMode mode) const
 {
-    src.resize(num_lines_);
-    for (Word i = 0; i < num_lines_; ++i)
-        src[d[i]] = i;
-}
-
-void
-FastEngine::runPlanes(std::vector<Word> &planes, FastPlan &plan,
-                      const std::vector<Word> *forced,
-                      RoutingMode mode) const
-{
-    const unsigned stages = numStages();
-    const Word W = lane_words_;
-    plan.n = n_;
-    plan.ctrl.resize(Word{stages} * W);
-
-    for (unsigned s = 0; s < stages; ++s) {
-        Word *ctrl = plan.ctrl.data() + Word{s} * W;
-        if (forced)
-            std::memcpy(ctrl, forced->data() + Word{s} * W,
-                        W * sizeof(Word));
-        else
-            stageCtrl(s, planes.data(), mode, ctrl);
-        stageExchange(s, planes.data(), ctrl);
+    for (unsigned s = 0; s < numStages(); ++s) {
+        Word *stage_ctrl = ctrl + Word{s} * stride;
+        if (!forced)
+            stageCtrl(s, planes.data(), mode, stage_ctrl);
+        stageExchange(s, planes.data(), stage_ctrl);
     }
 }
 
@@ -192,6 +184,7 @@ void
 FastEngine::finishPlan(FastPlan &plan, const Permutation &d,
                        const std::vector<Word> &planes) const
 {
+    plan.n = n_;
     // Success iff the final planes equal the home pattern: every
     // output's tag is its own index.
     if (planesAtHome(planes)) {
@@ -234,40 +227,36 @@ FastEngine::finishHome(FastPlan &plan, const Permutation &d) const
     // success pins the whole lane mapping to d itself.
     plan.success = true;
     plan.dest = d.dest();
-    inverseInto(d, plan.src);
+    plan.src.resize(num_lines_);
+    for (Word i = 0; i < num_lines_; ++i)
+        plan.src[d[i]] = i;
     plan.misrouted_outputs.clear();
 }
 
 FastPlan
 FastEngine::routePlan(const Permutation &d, RoutingMode mode) const
 {
-    if (d.size() != num_lines_)
-        fatal("permutation size %zu does not match network N = %llu",
-              d.size(), static_cast<unsigned long long>(num_lines_));
+    checkSize(d);
     FastPlan plan;
+    plan.ctrl.resize(Word{numStages()} * lane_words_);
     loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, plan, nullptr, mode);
+    runPlanes(t_planes, plan.ctrl.data(), lane_words_, false, mode);
     finishPlan(plan, d, t_planes);
     if (routes_planned_)
         routes_planned_->inc();
     return plan;
 }
 
-std::optional<FastPlan>
-FastEngine::routePlanIfHome(const Permutation &d, RoutingMode mode) const
+bool
+FastEngine::routesHome(const Permutation &d, RoutingMode mode) const
 {
-    if (d.size() != num_lines_)
-        fatal("permutation size %zu does not match network N = %llu",
-              d.size(), static_cast<unsigned long long>(num_lines_));
-    FastPlan plan;
+    checkSize(d);
+    t_ctrl.resize(lane_words_);
     loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, plan, nullptr, mode);
+    runPlanes(t_planes, t_ctrl.data(), 0, false, mode);
     if (routes_planned_)
         routes_planned_->inc();
-    if (!planesAtHome(t_planes))
-        return std::nullopt;
-    finishHome(plan, d);
-    return plan;
+    return planesAtHome(t_planes);
 }
 
 FastPlan
@@ -285,31 +274,31 @@ FastPlan
 FastEngine::planWithPacked(const Permutation &d,
                            const PackedStates &packed) const
 {
-    if (d.size() != num_lines_)
-        fatal("permutation size %zu does not match network N = %llu",
-              d.size(), static_cast<unsigned long long>(num_lines_));
+    checkSize(d);
     if (packed.n != n_ ||
         packed.words.size() != Word{numStages()} * packed.words_per_stage)
         fatal("packed states shaped for another network");
 
-    // Scatter the physical-order bits onto upper-input slots once;
-    // the route itself then runs exactly like the self-set case.
+    // Scatter the physical-order bits onto upper-input slots once,
+    // straight into the plan's control masks; the route itself then
+    // runs exactly like the self-set case.
     const unsigned stages = numStages();
-    std::vector<Word> forced(Word{stages} * lane_words_, 0);
+    FastPlan plan;
+    plan.ctrl.assign(Word{stages} * lane_words_, 0);
     for (unsigned s = 0; s < stages; ++s) {
         const Word *slot = switch_slot_.data() + Word{s} * switchesPerStage();
         for (Word i = 0; i < switchesPerStage(); ++i) {
             if (!packed.get(s, i))
                 continue;
             const Word x = slot[i];
-            forced[Word{s} * lane_words_ + (x >> 6)] |= Word{1}
-                                                        << (x & 63);
+            plan.ctrl[Word{s} * lane_words_ + (x >> 6)] |= Word{1}
+                                                           << (x & 63);
         }
     }
 
-    FastPlan plan;
     loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, plan, &forced, RoutingMode::SelfRouting);
+    runPlanes(t_planes, plan.ctrl.data(), lane_words_, true,
+              RoutingMode::SelfRouting);
     finishPlan(plan, d, t_planes);
     return plan;
 }

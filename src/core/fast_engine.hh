@@ -48,7 +48,6 @@
 #ifndef SRBENES_CORE_FAST_ENGINE_HH
 #define SRBENES_CORE_FAST_ENGINE_HH
 
-#include <optional>
 #include <vector>
 
 #include "core/self_routing.hh"
@@ -197,14 +196,21 @@ class FastEngine
     SwitchStates unpackStates(const PackedStates &packed) const;
 
   private:
-    /** SetupEngine's success-only pass is routePlanIfHome. */
+    /** SetupEngine's verdict pass is routesHome. */
     friend class SetupEngine;
 
+    void checkSize(const Permutation &d) const;
     void loadTagPlanes(const Permutation &d,
                        std::vector<Word> &planes) const;
-    void runPlanes(std::vector<Word> &planes, FastPlan &plan,
-                   const std::vector<Word> *forced,
-                   RoutingMode mode) const;
+    /**
+     * The 2n-1 stages over @p planes. Stage s's control mask lives at
+     * @p ctrl + s * @p stride (stride 0: one stage of scratch, reused
+     * by every stage). With @p forced the masks are already there
+     * (externally set states) and only the exchanges run; otherwise
+     * each stage computes its mask by the Fig. 3 rule first.
+     */
+    void runPlanes(std::vector<Word> &planes, Word *ctrl, Word stride,
+                   bool forced, RoutingMode mode) const;
     /** @{ One stage of runPlanes: the Fig. 3 control rule, then the
      *  conditional exchange it selects. */
     void stageCtrl(unsigned s, const Word *planes, RoutingMode mode,
@@ -214,16 +220,13 @@ class FastEngine
     /** @} */
     /** True iff @p planes equal the all-tags-home pattern. */
     bool planesAtHome(const std::vector<Word> &planes) const;
-    /** Gather table of a SUCCESS plan: src[d[i]] = i, no plan
-     *  bytes needed beyond the permutation itself. */
-    void inverseInto(const Permutation &d, std::vector<Word> &src) const;
     /**
-     * routePlan without the misroute bookkeeping: the plan when
-     * every tag reached home, nullopt otherwise (then nothing beyond
-     * the pass itself was paid).
+     * The tag pass as a verdict: true iff every tag of @p d reaches
+     * its own output under @p mode. Builds no plan: the stages run
+     * over one stage of control scratch, and nothing is unpacked,
+     * copied or inverted afterwards.
      */
-    std::optional<FastPlan> routePlanIfHome(const Permutation &d,
-                                            RoutingMode mode) const;
+    bool routesHome(const Permutation &d, RoutingMode mode) const;
     void finishPlan(FastPlan &plan, const Permutation &d,
                     const std::vector<Word> &planes) const;
     /** Lane mapping of a plan whose tags all reached home. */

@@ -133,14 +133,6 @@ Router::Router(unsigned n, bool prefer_waksman,
         plans_by_strategy_[static_cast<int>(s)] = &metrics_->counter(
             "srbenes_router_plans_total",
             {{"router", inst}, {"strategy", routeStrategyName(s)}});
-    classified_engine_ = &metrics_->counter(
-        "srbenes_router_classification_total",
-        {{"router", inst}, {"path", "engine"}});
-    classified_structural_ = &metrics_->counter(
-        "srbenes_router_classification_total",
-        {{"router", inst}, {"path", "structural"}});
-    cold_plan_ns_ = &metrics_->histogram(
-        "srbenes_router_plan_cold_ns", {{"router", inst}});
     for (RouteStrategy s :
          {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
           RouteStrategy::TwoPass, RouteStrategy::Waksman})
@@ -163,24 +155,19 @@ RoutePlan
 Router::plan(const Permutation &d) const
 {
     // The instrumented wrapper around the real planner: cold plans
-    // are the expensive event worth a span and a latency histogram;
-    // the strategy counters double as the engine-vs-structural
-    // classification census (the engine's conflict detection IS the
-    // F-membership test, so SelfRouting == engine-classified).
+    // are the expensive event worth a span, and each is recorded
+    // once, by the strategy that won — its latency in setup_ns, its
+    // count in plans_total. The strategy is also the classification
+    // census: the tag pass IS the F-membership test, so SelfRouting
+    // counts the engine-classified plans.
     obs::Tracer::Span span(
         metrics_ ? &obs::Tracer::global() : nullptr, "router.plan");
     const std::uint64_t t0 = metrics_ ? obs::monotonicNs() : 0;
     RoutePlan p = planImpl(d);
     if (metrics_) {
-        const std::uint64_t elapsed = obs::monotonicNs() - t0;
-        cold_plan_ns_->observe(elapsed);
-        setup_ns_by_strategy_[static_cast<int>(p.strategy)]->observe(
-            elapsed);
-        plans_by_strategy_[static_cast<int>(p.strategy)]->inc();
-        if (p.strategy == RouteStrategy::SelfRouting)
-            classified_engine_->inc();
-        else
-            classified_structural_->inc();
+        const int s = static_cast<int>(p.strategy);
+        setup_ns_by_strategy_[s]->observe(obs::monotonicNs() - t0);
+        plans_by_strategy_[s]->inc();
     }
     return p;
 }
@@ -194,52 +181,44 @@ Router::planImpl(const Permutation &d) const
               static_cast<unsigned long long>(net_.numLines()));
 
     // Try the destination-tag pass directly instead of classifying
-    // first: the engine's conflict detection IS the F-membership
-    // test (a permutation self-routes iff it is in F), and one
-    // bit-sliced routing pass costs a fraction of the structural
-    // inFClass check. A failed attempt is simply dropped, so it
-    // goes through the success-only call and pays no misroute
-    // bookkeeping. All self-routed passes go through the
-    // SetupEngine so cold planning stays on the bit-sliced path.
-    if (auto fast = setup_.planIfRoutes(d))
-        return RoutePlan{.strategy = RouteStrategy::SelfRouting,
-                         .perm = d,
-                         .src = std::move(fast->src)};
-    if (isOmega(d)) {
-        auto fast = setup_.planIfRoutes(d, RoutingMode::OmegaBit);
-        if (!fast)
+    // first: the pass IS the F-membership test (a permutation
+    // self-routes iff it is in F), and one bit-sliced pass costs a
+    // fraction of the structural inFClass check. Every self-routed
+    // pass goes through the SetupEngine and answers only yes or no.
+    RoutePlan p{
+        .strategy = RouteStrategy::SelfRouting, .perm = d, .src = {}};
+    if (setup_.routes(d)) {
+        // In F: one self-routed pass, nothing else to keep.
+    } else if (isOmega(d)) {
+        if (!setup_.routes(d, RoutingMode::OmegaBit))
             panic("omega-bit plan failed for a planned Omega member");
-        return RoutePlan{.strategy = RouteStrategy::OmegaBit,
-                         .perm = d,
-                         .src = std::move(fast->src)};
-    }
-    if (prefer_waksman_) {
+        p.strategy = RouteStrategy::OmegaBit;
+    } else if (prefer_waksman_) {
         SwitchStates states = waksmanSetup(net_.topology(), d);
-        FastPlan fast = engine_.planWithStates(d, states);
-        if (!fast.success)
+        if (!engine_.planWithStates(d, states).success)
             panic("waksman plan failed to realize its permutation");
-        return RoutePlan{.strategy = RouteStrategy::Waksman,
-                         .perm = d,
-                         .src = std::move(fast.src),
-                         .states = std::move(states)};
+        p.strategy = RouteStrategy::Waksman;
+        p.states = std::move(states);
+    } else {
+        // The factorization composes to d by construction
+        // (second[first[i]] = d[i]); both passes are verified, and
+        // the factors stay in the plan for the resilient layer.
+        TwoPassPlan tp = twoPassPlan(net_, d);
+        if (!setup_.routes(tp.first) ||
+            !setup_.routes(tp.second, RoutingMode::OmegaBit))
+            panic("two-pass plan failed one of its self-routed passes");
+        p.strategy = RouteStrategy::TwoPass;
+        p.two_pass = std::move(tp);
+        p.passes = 2;
     }
 
-    TwoPassPlan tp = twoPassPlan(net_, d);
-    if (!setup_.planIfRoutes(tp.first) ||
-        !setup_.planIfRoutes(tp.second, RoutingMode::OmegaBit))
-        panic("two-pass plan failed one of its self-routed passes");
-    // Both passes verified, and the factorization composes to d by
-    // construction (second[first[i]] = d[i]), so the execution
-    // mapping is d's own gather table; the per-pass factors stay in
-    // the TwoPassPlan for the resilient layer.
-    std::vector<Word> src(d.size());
+    // Every strategy above was verified by passes that got every tag
+    // home, so the fabric realizes d exactly (Theorem 1) and the
+    // gather table is d's inverse: output d[i] takes input i.
+    p.src.resize(d.size());
     for (Word i = 0; i < d.size(); ++i)
-        src[d[i]] = i;
-    return RoutePlan{.strategy = RouteStrategy::TwoPass,
-                     .perm = d,
-                     .src = std::move(src),
-                     .two_pass = std::move(tp),
-                     .passes = 2};
+        p.src[d[i]] = i;
+    return p;
 }
 
 std::size_t

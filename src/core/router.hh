@@ -136,7 +136,7 @@ class Router
      *        [1, plan_cache_capacity] when the cache is enabled.
      * @param metrics registry receiving this router's instruments
      *        (plan-cache hit/miss/eviction per shard, resident-byte
-     *        gauges, strategy counts, cold-plan latency).
+     *        gauges, cold-plan counts and latency by strategy).
      *        nullptr disables instrumentation; the default is the
      *        process-global registry.
      * @param plan_cache_bytes resident-byte budget across all
@@ -292,11 +292,9 @@ class Router
 
     /** @{ Observability (obs/metrics.hh); null when disabled. */
     obs::MetricsRegistry *metrics_;
+    /** Each cold plan is recorded once, by the strategy that won:
+     *  its count here and its latency in setup_ns_by_strategy_. */
     obs::Counter *plans_by_strategy_[4] = {};
-    obs::Counter *classified_engine_ = nullptr;
-    obs::Counter *classified_structural_ = nullptr;
-    obs::Histogram *cold_plan_ns_ = nullptr;
-    /** Cold-plan latency split by the strategy that won. */
     obs::Histogram *setup_ns_by_strategy_[4] = {};
     /** @} */
 };

@@ -24,13 +24,13 @@ SetupEngine::plan(const Permutation &d, RoutingMode mode) const
     return p;
 }
 
-std::optional<FastPlan>
-SetupEngine::planIfRoutes(const Permutation &d, RoutingMode mode) const
+bool
+SetupEngine::routes(const Permutation &d, RoutingMode mode) const
 {
-    std::optional<FastPlan> p = eng_.routePlanIfHome(d, mode);
+    const bool home = eng_.routesHome(d, mode);
     if (plans_)
         plans_->inc();
-    return p;
+    return home;
 }
 
 } // namespace srbenes

@@ -7,16 +7,15 @@
  * word-parallel; this class is the planning surface over that pass
  * (Section III's parallel-setup story applied to the setup path
  * itself). plan() keeps the full diagnostic result of a pass,
- * misrouted outputs included; planIfRoutes() is the success-only
- * variant the Router uses to test F (or Omega) membership and to
- * verify both TwoPass factor passes, paying nothing beyond the pass
- * when a tag misses home.
+ * misrouted outputs included; routes() is the same pass as a verdict,
+ * the one the Router uses to test F (or Omega) membership and to
+ * verify both TwoPass factor passes. By Theorem 1 a pass that gets
+ * every tag home realizes d exactly, so a yes is all the Router
+ * needs: it builds the one gather table, d's inverse, itself.
  */
 
 #ifndef SRBENES_CORE_SETUP_ENGINE_HH
 #define SRBENES_CORE_SETUP_ENGINE_HH
-
-#include <optional>
 
 #include "core/fast_engine.hh"
 #include "obs/metrics.hh"
@@ -32,7 +31,8 @@ class SetupEngine
      * retained; it must outlive this object.
      *
      * @param metrics registry receiving this engine's instruments
-     *        (plans produced). nullptr disables instrumentation.
+     *        (tag passes run, plans and verdicts alike). nullptr
+     *        disables instrumentation.
      */
     explicit SetupEngine(const FastEngine &eng,
                          obs::MetricsRegistry *metrics =
@@ -47,19 +47,17 @@ class SetupEngine
                   RoutingMode mode = RoutingMode::SelfRouting) const;
 
     /**
-     * The same pass, success only: plan(d, mode) when every tag
-     * reached home, nullopt otherwise — without unpacking the final
-     * tags or collecting misrouted outputs. The cheap F-membership
-     * attempt and pass verification the Router needs.
+     * The same pass as a verdict: plan(d, mode).success, without the
+     * plan. The stages run over one stage of control scratch, and no
+     * tag is unpacked and no table copied or inverted afterwards.
      */
-    std::optional<FastPlan>
-    planIfRoutes(const Permutation &d,
-                 RoutingMode mode = RoutingMode::SelfRouting) const;
+    bool routes(const Permutation &d,
+                RoutingMode mode = RoutingMode::SelfRouting) const;
 
   private:
     const FastEngine &eng_;
 
-    /** Plans produced (obs/metrics.hh); null when disabled. */
+    /** Tag passes run (obs/metrics.hh); null when disabled. */
     obs::Counter *plans_ = nullptr;
 };
 

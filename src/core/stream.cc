@@ -3,7 +3,6 @@
 #include "core/stream.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <thread>
 
@@ -16,14 +15,6 @@ namespace srbenes
 namespace
 {
 
-std::uint64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 std::size_t
 ceilPow2(std::size_t v)
 {
@@ -31,18 +22,6 @@ ceilPow2(std::size_t v)
     while (p < v)
         p <<= 1;
     return p;
-}
-
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    // splitmix64 finalizer
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
 }
 
 /** How many requests a worker pops from one ring before moving on. */
@@ -155,18 +134,6 @@ StreamEngine::producer(unsigned i)
 bool
 StreamEngine::Producer::trySubmit(std::uint64_t id,
                                   std::shared_ptr<const Permutation> perm,
-                                  std::vector<Word> &payload)
-{
-    const std::uint64_t deadline =
-        eng_->opts_.default_deadline_ns == 0
-            ? 0
-            : nowNs() + eng_->opts_.default_deadline_ns;
-    return trySubmit(id, std::move(perm), payload, deadline);
-}
-
-bool
-StreamEngine::Producer::trySubmit(std::uint64_t id,
-                                  std::shared_ptr<const Permutation> perm,
                                   std::vector<Word> &payload,
                                   std::uint64_t deadline_ns)
 {
@@ -182,12 +149,12 @@ StreamEngine::Producer::trySubmit(std::uint64_t id,
     StreamRequest req;
     req.id = id;
     req.producer = index_;
-    req.hash = memoizedHash(perm);
+    req.hash = hashPermutation128(*perm);
     req.perm = std::move(perm);
     req.payload = std::move(payload);
     const unsigned w =
         static_cast<unsigned>(req.hash.hi % eng.opts_.workers);
-    req.submit_ns = nowNs();
+    req.submit_ns = obs::monotonicNs();
     req.deadline_ns = deadline_ns;
 
     // Run to completion: a resident plan needs only the gather, so
@@ -238,23 +205,6 @@ StreamEngine::Producer::trySubmit(std::uint64_t id,
     return true;
 }
 
-const Hash128 &
-StreamEngine::Producer::memoizedHash(
-    const std::shared_ptr<const Permutation> &perm)
-{
-    // Direct-mapped by pointer identity. The slot's shared_ptr keeps
-    // the memoized pattern alive, so a matching address is always
-    // the same object; replacing a slot drops the old reference.
-    MemoSlot &slot =
-        memo_[mix64(reinterpret_cast<std::uintptr_t>(perm.get())) %
-              kMemoSlots];
-    if (slot.perm.get() != perm.get()) {
-        slot.hash = hashPermutation128(*perm);
-        slot.perm = perm;
-    }
-    return slot.hash;
-}
-
 bool
 StreamEngine::Producer::tryPoll(StreamResult &out)
 {
@@ -297,7 +247,7 @@ StreamEngine::Producer::awaitResultFor(StreamResult &out,
                                        std::uint64_t timeout_ns)
 {
     StreamEngine &eng = *eng_;
-    const std::uint64_t deadline = nowNs() + timeout_ns;
+    const std::uint64_t deadline = obs::monotonicNs() + timeout_ns;
     while (!tryPoll(out)) {
         const bool ready = eng.producer_bells_[index_]->waitUntilFor(
             [&] {
@@ -316,17 +266,6 @@ StreamEngine::Producer::awaitResultFor(StreamResult &out,
 }
 
 void
-StreamEngine::Producer::drain(
-    const std::function<void(StreamResult &&)> &sink)
-{
-    StreamResult res;
-    while (inFlight() > 0) {
-        awaitResult(res);
-        sink(std::move(res));
-    }
-}
-
-void
 StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
                     StreamResult &res,
                     std::shared_ptr<const RoutePlan> plan,
@@ -336,7 +275,7 @@ StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
     res.worker = w;
     res.submit_ns = req.submit_ns;
 
-    if (req.deadline_ns != 0 && nowNs() >= req.deadline_ns) {
+    if (req.deadline_ns != 0 && obs::monotonicNs() >= req.deadline_ns) {
         // Expired before service: hand the payload back unrouted.
         res.status = RouteErrc::DeadlineExceeded;
         res.tier = ServeTier::Failed;
@@ -374,7 +313,7 @@ StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
         scratch.swap(req.payload);
         res.payload = std::move(req.payload);
     }
-    res.complete_ns = nowNs();
+    res.complete_ns = obs::monotonicNs();
 
     if (ws.requests)
         ws.requests->inc();
@@ -387,6 +326,10 @@ StreamEngine::process(WorkerState &ws, unsigned w, StreamRequest &req)
 {
     StreamResult res;
     serve(ws, w, req, res, nullptr, ws.scratch);
+    // The slot is reused for the next request; drop this one's
+    // pattern before the result is published, so the caller's
+    // reference is the last one once it polls.
+    req.perm.reset();
 
     SpscRing<StreamResult> &ring = resultRing(req.producer, w);
     if (!ring.tryPush(std::move(res))) {
@@ -465,7 +408,7 @@ StreamEngine::start()
         fatal("stream engine started twice");
     // Stamp-then-flag publication: a stats() that observes
     // started() == true sees this start stamp (LifecycleStamps).
-    life_.markStarted(nowNs());
+    life_.markStarted(obs::monotonicNs());
     threads_.reserve(opts_.workers);
     for (unsigned w = 0; w < opts_.workers; ++w)
         threads_.emplace_back([this, w] { workerMain(w); });
@@ -487,7 +430,7 @@ StreamEngine::stop()
     // Stamp-then-flag publication: a stats() that observes
     // stopped() == true reads the final stop stamp, never a stale
     // or torn one (LifecycleStamps).
-    life_.markStopped(nowNs());
+    life_.markStopped(obs::monotonicNs());
 }
 
 void
@@ -515,7 +458,7 @@ StreamEngine::resetStats()
         inline_served_->reset();
     // A stats() racing with the epoch restart sees either the old
     // or the new start — both are coherent windows.
-    life_.restartClock(nowNs());
+    life_.restartClock(obs::monotonicNs());
 }
 
 StreamStats
@@ -546,7 +489,7 @@ StreamEngine::stats() const
     // The acquire flag reads certify the stamps they published
     // (LifecycleStamps' stamp-before-flag protocol).
     const bool stopped = life_.stopped();
-    const std::uint64_t end = stopped ? life_.stopNs() : nowNs();
+    const std::uint64_t end = stopped ? life_.stopNs() : obs::monotonicNs();
     const std::uint64_t begin = life_.startNs();
     if (life_.started() && end > begin)
         st.elapsed_sec = (end - begin) * 1e-9;

@@ -430,12 +430,6 @@ struct StreamOptions
      */
     ResilientRouter *resilient = nullptr;
     /**
-     * RELATIVE deadline stamped on every trySubmit() that does not
-     * pass its own; 0 = none. Converted to an absolute
-     * obs::monotonicNs() instant at submit time.
-     */
-    std::uint64_t default_deadline_ns = 0;
-    /**
      * Called on the WORKER thread right after a result becomes
      * pollable for producer p (doorbell already rung). For callers
      * whose producer thread blocks somewhere other than
@@ -506,38 +500,26 @@ class StreamEngine
     {
       public:
         /**
-         * Hash @p perm and stamp the submit time. While this
-         * handle's result queue has room, a pattern resident in the
-         * plan tier (Router::findCached) is served right here —
+         * Hash @p perm and stamp the submit time; @p deadline_ns is
+         * an ABSOLUTE obs::monotonicNs() instant (0 = none). While
+         * this handle's result queue has room, a pattern resident in
+         * the plan tier (Router::findCached) is served right here —
          * deadline check, gather, tier stamping, counters — and its
          * result staged for tryPoll. Anything else (a miss, a full
          * result queue, a request already past its deadline, or any
          * request to a ResilientRouter engine) is enqueued on the
          * hash-affine worker's ring, spilling once to the next
-         * worker. @p payload is consumed only on success; false
-         * means the request was shed because both rings were full,
-         * so poll results, then retry. Re-submissions of a recently
-         * seen shared Permutation object skip re-hashing: the handle
-         * memoizes hashes by pointer identity in a small
-         * direct-mapped table, holding a reference per slot so a
-         * memoized address can never be recycled under it.
-         */
-        bool trySubmit(std::uint64_t id,
-                       std::shared_ptr<const Permutation> perm,
-                       std::vector<Word> &payload);
-
-        /**
-         * trySubmit with an explicit ABSOLUTE obs::monotonicNs()
-         * deadline (0 = none), overriding
-         * StreamOptions::default_deadline_ns. A false return is the
-         * shed-load signal: the target worker's ring and its spill
-         * neighbour's are full and the request was refused, counted
-         * in StreamStats::sheds.
+         * worker. @p payload is consumed only on success. A false
+         * return is the shed-load signal: the target worker's ring
+         * and its spill neighbour's are full and the request was
+         * refused, counted in StreamStats::sheds; poll results, then
+         * retry. The engine keeps no reference to @p perm once the
+         * request's result is pollable.
          */
         bool trySubmit(std::uint64_t id,
                        std::shared_ptr<const Permutation> perm,
                        std::vector<Word> &payload,
-                       std::uint64_t deadline_ns);
+                       std::uint64_t deadline_ns = 0);
 
         /** Pop one completed result from any worker, if available. */
         bool tryPoll(StreamResult &out);
@@ -563,34 +545,14 @@ class StreamEngine
         /** Requests submitted but not yet polled back. */
         std::uint64_t inFlight() const { return submitted_ - received_; }
 
-        /**
-         * The drain hook: await every in-flight result and hand
-         * each to @p sink. On return nothing this handle submitted
-         * is still queued anywhere in the engine — the graceful-
-         * shutdown guarantee srbd's SIGTERM path is built on.
-         */
-        void drain(const std::function<void(StreamResult &&)> &sink);
-
       private:
         friend class StreamEngine;
-
-        /** One entry of the pointer-keyed hash memo. */
-        struct MemoSlot
-        {
-            std::shared_ptr<const Permutation> perm; //!< keepalive
-            Hash128 hash;
-        };
-        static constexpr std::size_t kMemoSlots = 32;
-
-        const Hash128 &
-        memoizedHash(const std::shared_ptr<const Permutation> &perm);
 
         StreamEngine *eng_ = nullptr;
         unsigned index_ = 0;
         unsigned poll_rr_ = 0;
         std::uint64_t submitted_ = 0;
         std::uint64_t received_ = 0;
-        MemoSlot memo_[kMemoSlots];
 
         /**
          * @{ Hits served on this handle's thread: a scratch vector

@@ -87,16 +87,12 @@ Server::Server(ServerOptions opts)
         c_protocol_errors_ =
             &reg->counter("srbd_protocol_errors_total");
         c_submits_ = &reg->counter("srbd_submits_total");
-        c_ok_ = &reg->counter("srbd_responses_total",
-                              {{"status", "ok"}});
-        c_bad_requests_ = &reg->counter("srbd_responses_total",
-                                        {{"status", "bad_request"}});
-        c_quota_rejected_ = &reg->counter(
-            "srbd_responses_total", {{"status", "over_quota"}});
-        c_sheds_ =
-            &reg->counter("srbd_responses_total", {{"status", "shed"}});
-        c_draining_rejected_ = &reg->counter(
-            "srbd_responses_total", {{"status", "draining"}});
+        for (Status s :
+             {Status::Ok, Status::NotInF, Status::FaultDetected,
+              Status::DeadlineExceeded, Status::Shed, Status::OverQuota,
+              Status::BadRequest, Status::Draining})
+            c_status_[static_cast<std::size_t>(s)] = &reg->counter(
+                "srbd_responses_total", {{"status", statusName(s)}});
         c_orphaned_ = &reg->counter("srbd_orphaned_results_total");
         c_responses_ = &reg->counter("srbd_responses_sent_total");
         c_socket_writes_ = &reg->counter("srbd_socket_writes_total");
@@ -404,38 +400,18 @@ Server::handleMessage(Connection &conn, Message &&msg)
     closeConnection(conn.id());
 }
 
+obs::Counter *
+Server::statusCounter(Status s) const
+{
+    const auto i = static_cast<std::size_t>(s);
+    return i < c_status_.size() ? c_status_[i] : nullptr;
+}
+
 void
 Server::respond(Connection &conn, SubmitResultMsg &&m)
 {
-    switch (m.status) {
-      case Status::Ok:
-        if (c_ok_)
-            c_ok_->inc();
-        break;
-      case Status::BadRequest:
-        if (c_bad_requests_)
-            c_bad_requests_->inc();
-        break;
-      case Status::OverQuota:
-        if (c_quota_rejected_)
-            c_quota_rejected_->inc();
-        break;
-      case Status::Shed:
-        if (c_sheds_)
-            c_sheds_->inc();
-        break;
-      case Status::Draining:
-        if (c_draining_rejected_)
-            c_draining_rejected_->inc();
-        break;
-      default:
-        if (opts_.metrics != nullptr)
-            opts_.metrics
-                ->counter("srbd_responses_total",
-                          {{"status", statusName(m.status)}})
-                .inc();
-        break;
-    }
+    if (obs::Counter *c = statusCounter(m.status))
+        c->inc();
     if (c_responses_)
         c_responses_->inc();
     conn.queue(Message{std::move(m)});
@@ -626,11 +602,11 @@ Server::stats() const
     s.protocol_errors = counterValue(c_protocol_errors_);
     s.submits = counterValue(c_submits_);
     s.responses = counterValue(c_responses_);
-    s.ok = counterValue(c_ok_);
-    s.bad_requests = counterValue(c_bad_requests_);
-    s.quota_rejected = counterValue(c_quota_rejected_);
-    s.sheds = counterValue(c_sheds_);
-    s.draining_rejected = counterValue(c_draining_rejected_);
+    s.ok = counterValue(statusCounter(Status::Ok));
+    s.bad_requests = counterValue(statusCounter(Status::BadRequest));
+    s.quota_rejected = counterValue(statusCounter(Status::OverQuota));
+    s.sheds = counterValue(statusCounter(Status::Shed));
+    s.draining_rejected = counterValue(statusCounter(Status::Draining));
     s.orphaned_results = counterValue(c_orphaned_);
     s.socket_writes = counterValue(c_socket_writes_);
     s.epoll_mods = counterValue(c_epoll_mods_);

@@ -44,6 +44,7 @@
 #ifndef SRBENES_NET_SERVER_HH
 #define SRBENES_NET_SERVER_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -177,6 +178,9 @@ class Server
     void handleMessage(Connection &conn, Message &&msg);
     void handleSubmit(Connection &conn, SubmitMsg &&m);
     void respond(Connection &conn, SubmitResultMsg &&m);
+    /** The srbd_responses_total series of @p s; null when metrics
+     *  are off. */
+    obs::Counter *statusCounter(Status s) const;
     void pumpResults();
     void flushConnection(Connection &conn);
     void updateMask(Connection &conn);
@@ -214,11 +218,11 @@ class Server
     obs::Counter *c_conn_rejected_ = nullptr;
     obs::Counter *c_protocol_errors_ = nullptr;
     obs::Counter *c_submits_ = nullptr;
-    obs::Counter *c_ok_ = nullptr;
-    obs::Counter *c_bad_requests_ = nullptr;
-    obs::Counter *c_quota_rejected_ = nullptr;
-    obs::Counter *c_sheds_ = nullptr;
-    obs::Counter *c_draining_rejected_ = nullptr;
+    /** srbd_responses_total, one series per Status, registered up
+     *  front and indexed by the Status value (the gaps stay null). */
+    std::array<obs::Counter *,
+               static_cast<std::size_t>(Status::Draining) + 1>
+        c_status_{};
     obs::Counter *c_orphaned_ = nullptr;
     obs::Counter *c_responses_ = nullptr;
     obs::Counter *c_socket_writes_ = nullptr;

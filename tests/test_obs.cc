@@ -10,17 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/prng.hh"
 #include "core/router.hh"
 #include "core/stream.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "perm/bpc.hh"
+#include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
 
 namespace srbenes
@@ -435,6 +438,59 @@ TEST(ObsIntegration, RouterCacheStatsAreServedFromTheRegistry)
     router.clearPlanCache();
     EXPECT_EQ(router.planCacheHits(), 0u);
     EXPECT_EQ(router.planCacheMisses(), 0u);
+}
+
+TEST(ObsIntegration, RouterRecordsEachColdPlanOnceByStrategy)
+{
+    // A cold plan is recorded once, by the strategy that won: its
+    // count in srbenes_router_plans_total and its latency in
+    // srbenes_router_setup_ns. No other series repeats either.
+    obs::MetricsRegistry reg;
+    const unsigned n = 5;
+    const Word N = Word{1} << n;
+    const Router router(n, false, 0, 1, &reg);
+    const Router waksman(n, true, 0, 1, &reg);
+    const Router small(2, false, 0, 1, &reg);
+    Prng prng(13);
+    std::map<RouteStrategy, std::uint64_t> planned;
+    for (int i = 0; i < 3; ++i) {
+        ++planned[router.plan(randomFMember(n, prng)).strategy];
+        ++planned[router.plan(Permutation::random(N, prng)).strategy];
+        ++planned[waksman.plan(Permutation::random(N, prng)).strategy];
+    }
+    // (1,3,2,0) is Omega(2) but not F(2).
+    ++planned[small.plan(Permutation({1, 3, 2, 0})).strategy];
+    ASSERT_EQ(planned.size(), 4u) << "every strategy must win a plan";
+
+    std::map<std::string, std::uint64_t> counts, latencies;
+    std::map<std::string, std::uint64_t> by_strategy;
+    reg.visit([&](const obs::MetricsRegistry::View &v) {
+        std::string key;
+        std::string strategy;
+        for (const auto &[name, value] : v.labels) {
+            key += name + "=" + value + ";";
+            if (name == "strategy")
+                strategy = value;
+        }
+        if (v.name == "srbenes_router_plans_total") {
+            counts[key] = v.counter->value();
+            by_strategy[strategy] += v.counter->value();
+        }
+        if (v.name == "srbenes_router_setup_ns")
+            latencies[key] = v.histogram->count();
+    });
+    EXPECT_EQ(counts.size(), 12u) << "3 routers x 4 strategies";
+    EXPECT_EQ(counts, latencies);
+    for (const auto &[strategy, plans] : planned)
+        EXPECT_EQ(by_strategy[routeStrategyName(strategy)], plans)
+            << routeStrategyName(strategy);
+
+    const std::string text = obs::exposeText(reg);
+    EXPECT_NE(text.find("srbenes_router_plans_total"), std::string::npos);
+    EXPECT_NE(text.find("srbenes_router_setup_ns"), std::string::npos);
+    EXPECT_EQ(text.find("srbenes_router_plan_cold_ns"), std::string::npos);
+    EXPECT_EQ(text.find("srbenes_router_classification_total"),
+              std::string::npos);
 }
 
 TEST(ObsIntegration, NullRegistryDisablesInstrumentation)

@@ -5,10 +5,13 @@
  * knob, and the plan cache's lookups and budgets.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
 #include "core/router.hh"
+#include "core/waksman.hh"
 #include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
 #include "perm/omega_class.hh"
@@ -166,36 +169,49 @@ planTakes(const Router &router, RouteStrategy want, Prng &prng)
 TEST(Router, FreshAndCachedPlansHaveOneShape)
 {
     Prng prng(11);
-    const unsigned n = 6;
-    const Word N = Word{1} << n;
-    const auto data = iotaData(N);
-    for (RouteStrategy strategy :
-         {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
-          RouteStrategy::TwoPass, RouteStrategy::Waksman}) {
-        const Router router(n, strategy == RouteStrategy::Waksman);
-        const Permutation d = planTakes(router, strategy, prng);
-        const RoutePlan fresh = router.plan(d);
-        const auto cached = router.planCached(d);
-        for (const RoutePlan *p : {&fresh, cached.get()}) {
-            SCOPED_TRACE(routeStrategyName(strategy));
-            EXPECT_EQ(p->strategy, strategy);
-            EXPECT_EQ(p->perm, d);
-            // The verified gather table is d's inverse, built once
-            // at plan time; the cache keeps the plan as planned.
-            EXPECT_EQ(p->src, d.inverse().dest());
-            // The TwoPass factors and the Waksman states stay: the
-            // resilient layer replays them.
-            EXPECT_EQ(p->two_pass.has_value(),
-                      strategy == RouteStrategy::TwoPass);
-            if (p->two_pass) {
-                EXPECT_EQ(p->two_pass->first.then(p->two_pass->second),
-                          d);
+    for (unsigned n = 3; n <= 8; ++n) {
+        const auto data = iotaData(Word{1} << n);
+        for (RouteStrategy strategy :
+             {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
+              RouteStrategy::TwoPass, RouteStrategy::Waksman}) {
+            const Router router(n, strategy == RouteStrategy::Waksman);
+            const Permutation d = planTakes(router, strategy, prng);
+            const RoutePlan fresh = router.plan(d);
+            const auto cached = router.planCached(d);
+            for (const RoutePlan *p : {&fresh, cached.get()}) {
+                SCOPED_TRACE(std::string(routeStrategyName(strategy)) +
+                             " n=" + std::to_string(n));
+                EXPECT_EQ(p->strategy, strategy);
+                EXPECT_EQ(p->perm, d);
+                EXPECT_EQ(p->passes,
+                          strategy == RouteStrategy::TwoPass ? 2u : 1u);
+                // The tag passes answer only yes or no, so the Router
+                // alone builds the gather table: d's inverse for every
+                // strategy, once at plan time; the cache keeps the
+                // plan as planned.
+                EXPECT_EQ(p->src, d.inverse().dest());
+                // The TwoPass factors and the Waksman states stay,
+                // exactly as their setups produce them: the resilient
+                // layer replays them.
+                ASSERT_EQ(p->two_pass.has_value(),
+                          strategy == RouteStrategy::TwoPass);
+                if (p->two_pass) {
+                    const TwoPassPlan want = twoPassPlan(router.fabric(), d);
+                    EXPECT_EQ(p->two_pass->first, want.first);
+                    EXPECT_EQ(p->two_pass->second, want.second);
+                    EXPECT_EQ(
+                        p->two_pass->first.then(p->two_pass->second), d);
+                }
+                ASSERT_EQ(p->states.has_value(),
+                          strategy == RouteStrategy::Waksman);
+                if (p->states) {
+                    EXPECT_EQ(*p->states,
+                              waksmanSetup(router.fabric().topology(), d));
+                }
+                EXPECT_EQ(router.execute(*p, data), d.applyTo(data));
             }
-            EXPECT_EQ(p->states.has_value(),
-                      strategy == RouteStrategy::Waksman);
-            EXPECT_EQ(router.execute(*p, data), d.applyTo(data));
+            EXPECT_GT(router.planCacheBytes(), 0u);
         }
-        EXPECT_GT(router.planCacheBytes(), 0u);
     }
 }
 

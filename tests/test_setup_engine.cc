@@ -6,13 +6,12 @@
  * exhaustively at n <= 3, randomized at n = 4..12 including non-F
  * permutations rejected identically, across every supported SIMD
  * level and under the SRBENES_DISABLE_SIMD escape hatch. The same
- * sweeps hold the success-only planIfRoutes to plan(). Also covers
- * construction at larger n and the Router's cold path.
+ * sweeps hold the verdict pass routes() to plan().success. Also
+ * covers construction at larger n and the Router's cold path.
  */
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,22 +51,9 @@ class KernelLevelGuard
     ~KernelLevelGuard() { setSimdLevel(detectSimdLevel()); }
 };
 
-void
-expectSamePlan(const FastPlan &a, const FastPlan &b, unsigned n,
-               const char *what)
-{
-    EXPECT_EQ(a.n, b.n) << what;
-    EXPECT_EQ(a.success, b.success) << what << " n=" << n;
-    EXPECT_EQ(a.ctrl, b.ctrl) << what << " n=" << n;
-    EXPECT_EQ(a.dest, b.dest) << what << " n=" << n;
-    EXPECT_EQ(a.src, b.src) << what << " n=" << n;
-    EXPECT_EQ(a.misrouted_outputs, b.misrouted_outputs)
-        << what << " n=" << n;
-}
-
 /**
- * plan(d, mode) against the per-switch reference simulator, and
- * planIfRoutes(d, mode) against plan(d, mode).
+ * plan(d, mode) against the per-switch reference simulator, and the
+ * verdict routes(d, mode) against plan(d, mode).success.
  */
 void
 expectPlanParity(const SelfRoutingBenes &net, const FastEngine &eng,
@@ -85,13 +71,9 @@ expectPlanParity(const SelfRoutingBenes &net, const FastEngine &eng,
     EXPECT_EQ(plan.misrouted_outputs, ref.misrouted_outputs)
         << what << " n=" << eng.n();
 
-    // The success-only pass: a plan exactly when plan() succeeds,
-    // and then that very plan.
-    const std::optional<FastPlan> routed = setup.planIfRoutes(d, mode);
-    EXPECT_EQ(routed.has_value(), plan.success)
+    // The verdict pass: yes exactly when plan() succeeds.
+    EXPECT_EQ(setup.routes(d, mode), plan.success)
         << what << " n=" << eng.n();
-    if (routed)
-        expectSamePlan(*routed, plan, eng.n(), what);
 }
 
 TEST(SetupEngine, ExhaustivePlanParityAtSmallN)
@@ -130,26 +112,20 @@ TEST(SetupEngine, RandomizedPlanParityIncludingMisroutes)
         for (int rep = 0, reps = randIters(n <= 8 ? 6 : 2); rep < reps; ++rep) {
             // An F member self-routes and an Omega member (a TwoPass
             // second factor) routes with the omega bit; an arbitrary
-            // permutation usually does neither — all must plan
-            // identically to the scalar reference, rejection
+            // permutation usually does neither. Each runs in both
+            // modes, so every verdict is seen both ways, and all must
+            // plan identically to the scalar reference, rejection
             // included.
             const Permutation f = randomFMember(n, prng);
             const Permutation any = Permutation::random(N, prng);
             const Permutation omega = twoPassPlan(net, any).second;
             for (SimdLevel level : supportedLevels()) {
                 setSimdLevel(level);
-                expectPlanParity(net, eng, setup, f,
-                                 RoutingMode::SelfRouting,
-                                 simdLevelName(level));
-                expectPlanParity(net, eng, setup, omega,
-                                 RoutingMode::OmegaBit,
-                                 simdLevelName(level));
-                expectPlanParity(net, eng, setup, any,
-                                 RoutingMode::SelfRouting,
-                                 simdLevelName(level));
-                expectPlanParity(net, eng, setup, any,
-                                 RoutingMode::OmegaBit,
-                                 simdLevelName(level));
+                for (const Permutation *d : {&f, &omega, &any})
+                    for (RoutingMode mode : {RoutingMode::SelfRouting,
+                                             RoutingMode::OmegaBit})
+                        expectPlanParity(net, eng, setup, *d, mode,
+                                         simdLevelName(level));
             }
         }
     }
@@ -190,15 +166,15 @@ TEST(SetupEngine, DisableSimdEnvKeepsParity)
         const FastEngine eng(n);
         const SetupEngine setup(eng);
         for (int rep = 0; rep < randIters(4); ++rep) {
-            expectPlanParity(net, eng, setup, randomFMember(n, prng),
-                             RoutingMode::SelfRouting,
-                             "SRBENES_DISABLE_SIMD");
+            const Permutation f = randomFMember(n, prng);
             const Permutation any =
                 Permutation::random(eng.numLines(), prng);
-            for (RoutingMode mode :
-                 {RoutingMode::SelfRouting, RoutingMode::OmegaBit})
-                expectPlanParity(net, eng, setup, any, mode,
-                                 "SRBENES_DISABLE_SIMD");
+            const Permutation omega = twoPassPlan(net, any).second;
+            for (const Permutation *d : {&f, &omega, &any})
+                for (RoutingMode mode :
+                     {RoutingMode::SelfRouting, RoutingMode::OmegaBit})
+                    expectPlanParity(net, eng, setup, *d, mode,
+                                     "SRBENES_DISABLE_SIMD");
         }
     }
     ASSERT_EQ(unsetenv("SRBENES_DISABLE_SIMD"), 0);
@@ -218,9 +194,9 @@ TEST(SetupEngine, ConstructionVerifiesLargerFabrics)
     const FastPlan plan = setup.plan(f);
     EXPECT_TRUE(plan.success);
     EXPECT_EQ(plan.src, f.inverse().dest());
-    const std::optional<FastPlan> routed = setup.planIfRoutes(f);
-    ASSERT_TRUE(routed);
-    EXPECT_EQ(routed->ctrl, plan.ctrl);
+    EXPECT_TRUE(setup.routes(f));
+    const Permutation any = Permutation::random(eng.numLines(), prng);
+    EXPECT_EQ(setup.routes(any), setup.plan(any).success);
 }
 
 TEST(SetupEngine, RouterColdPathUsesTheSetupEngine)

@@ -93,6 +93,28 @@ tcpBufferCeiling(const std::string &name, std::size_t fallback)
     return (in >> lo >> dflt >> hi) ? hi : fallback;
 }
 
+/**
+ * The value on the exposition line of @p series (name and rendered
+ * labels) in Prometheus @p text, or -1 when no line carries it.
+ */
+long long
+seriesValue(const std::string &text, const std::string &series)
+{
+    const std::string key = series + " ";
+    for (std::size_t pos = text.find(key); pos != std::string::npos;
+         pos = text.find(key, pos + 1))
+        if (pos == 0 || text[pos - 1] == '\n')
+            return std::stoll(text.substr(pos + key.size()));
+    return -1;
+}
+
+std::string
+responsesSeries(Status s)
+{
+    return std::string("srbd_responses_total{status=\"") +
+           statusName(s) + "\"}";
+}
+
 /** A served fixture: its own registry, n=6 (N=64), two workers. */
 class SrbdTest : public ::testing::Test
 {
@@ -259,6 +281,23 @@ TEST_F(SrbdTest, HealthAndStatsVerbs)
     EXPECT_TRUE(stopServer());
 }
 
+TEST_F(SrbdTest, EveryStatusSeriesIsExportedBeforeTheFirstRequest)
+{
+    // Each answer status has its series from construction on, so an
+    // answer never registers one on the serving path.
+    startServer(defaults());
+    std::string text;
+    ASSERT_TRUE(fetchStats("127.0.0.1", server_->port(),
+                           StatsFormat::PrometheusText, text));
+    for (Status s :
+         {Status::Ok, Status::NotInF, Status::FaultDetected,
+          Status::DeadlineExceeded, Status::Shed, Status::OverQuota,
+          Status::BadRequest, Status::Draining})
+        EXPECT_EQ(seriesValue(text, responsesSeries(s)), 0)
+            << statusName(s);
+    EXPECT_TRUE(stopServer());
+}
+
 TEST_F(SrbdTest, QuotaRefusesTheBurstExcess)
 {
     ServerOptions opts = defaults();
@@ -392,12 +431,23 @@ TEST_F(SrbdTest, WireDeadlineSurfacesAsDeadlineExceeded)
     Prng prng(31);
     SubmitMsg m = randomSubmit(1, prng);
     m.deadline_rel_ns = 1;
+    std::string before, after;
+    ASSERT_TRUE(fetchStats("127.0.0.1", server_->port(),
+                           StatsFormat::PrometheusText, before));
     Message response;
     ASSERT_TRUE(client.roundTrip(Message{m}, response));
     auto *res = std::get_if<SubmitResultMsg>(&response);
     ASSERT_NE(res, nullptr);
     EXPECT_EQ(res->status, Status::DeadlineExceeded);
     EXPECT_TRUE(res->payload.empty());
+
+    // The answer counts once, under its own status.
+    ASSERT_TRUE(fetchStats("127.0.0.1", server_->port(),
+                           StatsFormat::PrometheusText, after));
+    const std::string expired = responsesSeries(Status::DeadlineExceeded);
+    EXPECT_EQ(seriesValue(before, expired), 0);
+    EXPECT_EQ(seriesValue(after, expired), 1);
+    EXPECT_EQ(seriesValue(after, responsesSeries(Status::Ok)), 0);
     client.close();
     EXPECT_TRUE(stopServer());
 }

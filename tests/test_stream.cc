@@ -640,6 +640,43 @@ TEST(StreamEngineTest, HitIsServedOnTheProducerWithNoWorker)
     EXPECT_EQ(st.sheds, 0u);
 }
 
+TEST(StreamEngineTest, PolledResultLeavesNoReferenceToItsPattern)
+{
+    // The engine holds a request's pattern only while the request is
+    // in flight: once its result is polled, the caller's shared_ptr
+    // is the last reference, on both serving paths.
+    const unsigned n = 5;
+    const Word N = Word{1} << n;
+    StreamEngine eng(n, {});
+    Prng prng(58);
+    auto &prod = eng.producer(0);
+    StreamResult res;
+
+    // Producer-hit path: a resident plan is served inside trySubmit.
+    auto hot = std::make_shared<const Permutation>(
+        randomFMember(n, prng));
+    (void)eng.router().planCached(*hot);
+    std::vector<Word> payload = iotaPayload(N, 0);
+    ASSERT_TRUE(prod.trySubmit(0, hot, payload));
+    ASSERT_TRUE(prod.tryPoll(res));
+    EXPECT_EQ(res.payload, hot->applyTo(iotaPayload(N, 0)));
+    EXPECT_EQ(eng.stats().inline_served, 1u);
+    EXPECT_EQ(hot.use_count(), 1);
+
+    // Worker path: a first-seen pattern is planned and served by a
+    // worker, whose request slot outlives the request.
+    auto cold = std::make_shared<const Permutation>(
+        Permutation::random(N, prng));
+    eng.start();
+    payload = iotaPayload(N, 1);
+    ASSERT_TRUE(prod.trySubmit(1, cold, payload));
+    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+    EXPECT_EQ(res.payload, cold->applyTo(iotaPayload(N, 1)));
+    EXPECT_EQ(eng.stats().inline_served, 1u);
+    EXPECT_EQ(cold.use_count(), 1);
+    eng.stop();
+}
+
 TEST(StreamEngineTest, MissPlanBecomesTheNextSubmitsHit)
 {
     // The worker's plan for a miss goes into the one tier, so the
