@@ -22,7 +22,11 @@
  * Router::plan end to end). Its arbitrary rows time cold
  * Router::plan on uniformly random permutations (TwoPass) at n = 8,
  * 10 and 12 as median, p10 and p90 over a cold pool, each plan
- * checked for strategy and payload. Emits machine-readable
+ * checked for strategy and payload, and the same spread for each
+ * phase of the miss: the F gate, the factor, the two verification
+ * passes, and planCached's insert and eviction with the cache full.
+ * Its Omega rows time cold OmegaBit plans the same way. Emits
+ * machine-readable
  * BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the reduced CI
  * configuration.
  */
@@ -44,7 +48,10 @@
 #include "core/router.hh"
 #include "core/self_routing.hh"
 #include "core/setup_engine.hh"
+#include "core/two_pass.hh"
 #include "core/waksman.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "perm/bpc.hh"
 #include "perm/f_class.hh"
 
@@ -129,6 +136,14 @@ struct SetupRow
     double router_us;    //!< Router::plan end to end (uncached)
 };
 
+/** Median, p10 and p90 of one timed quantity, in microseconds. */
+struct Spread
+{
+    double median_us;
+    double p10_us;
+    double p90_us;
+};
+
 /** Cold Router::plan on uniformly random permutations (TwoPass). */
 struct ArbitraryRow
 {
@@ -136,9 +151,23 @@ struct ArbitraryRow
     Word N;
     std::size_t pool;
     std::size_t samples;
-    double median_us;
-    double p10_us;
-    double p90_us;
+    Spread plan;
+    /** @{ The phases of one cold TwoPass miss, timed one by one. */
+    Spread f_gate;       //!< level-0 test, then the F attempt if it passes
+    Spread factor;       //!< twoPassPlan, the looping factor
+    Spread verify;       //!< both factor tag passes
+    Spread insert_evict; //!< planCached outside Router::plan, cache full
+    /** @} */
+};
+
+/** Cold Router::plan on Omega members (OmegaBit). */
+struct OmegaRow
+{
+    unsigned n;
+    Word N;
+    std::size_t pool;
+    std::size_t samples;
+    Spread plan;
 };
 
 /**
@@ -226,6 +255,76 @@ quantile(std::vector<double> &v, double q)
     return v[k];
 }
 
+Spread
+spreadOf(std::vector<double> &us)
+{
+    return {quantile(us, 0.5), quantile(us, 0.1), quantile(us, 0.9)};
+}
+
+double
+elapsedUs(std::chrono::steady_clock::time_point t0,
+          std::chrono::steady_clock::time_point t1)
+{
+    return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
+/**
+ * The phases of a cold TwoPass miss at n, each timed on its own over
+ * @p pool: the F gate Router::plan runs first (Theorem 1's level-0
+ * test, and the tag attempt only if it passes), the looping factor,
+ * and the two verification passes. Then planCached's own share of a
+ * miss with the cache full at srbd's shape (512 slots, 8 shards):
+ * each sample is a fresh pattern, and the time outside its
+ * router.plan trace span is the lookup, the insert and the eviction.
+ */
+void
+timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
+                  std::size_t samples, ArbitraryRow &row)
+{
+    using clock = std::chrono::steady_clock;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    const Router router(n, false, /*plan_cache_capacity=*/512,
+                        /*cache_shards=*/8, &reg);
+    const SetupEngine &setup = router.setupEngine();
+    std::vector<double> gate, factor, verify, insert;
+    for (std::size_t k = 0; k < samples; ++k) {
+        const Permutation &d = pool[k % pool.size()];
+        const auto t0 = clock::now();
+        const bool in_f = levelZero(d) && setup.routes(d);
+        const auto t1 = clock::now();
+        const TwoPassPlan tp = twoPassPlan(router.fabric(), d);
+        const auto t2 = clock::now();
+        const bool home = setup.routes(tp.first) &&
+                          setup.routes(tp.second, RoutingMode::OmegaBit);
+        const auto t3 = clock::now();
+        benchmark::DoNotOptimize(in_f);
+        benchmark::DoNotOptimize(home);
+        gate.push_back(elapsedUs(t0, t1));
+        factor.push_back(elapsedUs(t1, t2));
+        verify.push_back(elapsedUs(t2, t3));
+    }
+
+    Prng prng(500 + n);
+    for (std::size_t i = 0; i < router.planCacheCapacity(); ++i)
+        (void)router.planCached(Permutation::random(N, prng));
+    for (std::size_t k = 0; k < samples; ++k) {
+        const Permutation d = Permutation::random(N, prng);
+        const std::uint64_t key = Router::hashPermutation(d);
+        const auto t0 = clock::now();
+        const auto plan = router.planCached(d, key);
+        const auto t1 = clock::now();
+        benchmark::DoNotOptimize(plan.get());
+        const obs::SpanRecord inner = obs::Tracer::global().snapshot().back();
+        insert.push_back(elapsedUs(t0, t1) -
+                         static_cast<double>(inner.dur_ns) / 1e3);
+    }
+    row.f_gate = spreadOf(gate);
+    row.factor = spreadOf(factor);
+    row.verify = spreadOf(verify);
+    row.insert_evict = spreadOf(insert);
+}
+
 /**
  * The library's cold plan for arbitrary permutations: a uniformly
  * random permutation is almost never in F(n) or Omega(n), so Router
@@ -243,6 +342,8 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
 
     TextTable table({"n", "N", "samples", "median us", "p10 us",
                      "p90 us"});
+    TextTable phases({"n", "F gate us", "factor us", "verify us",
+                      "insert+evict us"});
     const std::size_t pool_size = 32;
     const std::size_t samples = smoke ? 64 : 256;
     for (unsigned n = 8; n <= 12; n += 2) {
@@ -282,33 +383,119 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
             auto plan = router.plan(d);
             const auto t1 = std::chrono::steady_clock::now();
             benchmark::DoNotOptimize(plan.src.data());
-            us.push_back(
-                std::chrono::duration<double, std::micro>(t1 - t0)
-                    .count());
+            us.push_back(elapsedUs(t0, t1));
         }
-        const double med = quantile(us, 0.5);
-        const double p10 = quantile(us, 0.1);
-        const double p90 = quantile(us, 0.9);
-        rows.push_back({n, N, pool_size, samples, med, p10, p90});
+        ArbitraryRow row{n, N, pool_size, samples, spreadOf(us), {}, {},
+                         {}, {}};
+        timeTwoPassPhases(n, pool, samples, row);
+        rows.push_back(row);
         table.newRow();
         table.addCell(n);
         table.addCell(N);
         table.addCell(samples);
-        table.addCell(med, 1);
-        table.addCell(p10, 1);
-        table.addCell(p90, 1);
+        table.addCell(row.plan.median_us, 1);
+        table.addCell(row.plan.p10_us, 1);
+        table.addCell(row.plan.p90_us, 1);
+        phases.newRow();
+        phases.addCell(n);
+        for (const Spread *p :
+             {&row.f_gate, &row.factor, &row.verify, &row.insert_evict})
+            phases.addCell(p->median_us, 1);
     }
     table.print(std::cout);
     std::cout << "\n(every sample is a cold TwoPass plan, verified "
                  "through both tag passes; compare the\n"
                  "router.plan column above for an F member at the "
-                 "same n)\n\n";
+                 "same n)\n\nits phases, medians:\n\n";
+    phases.print(std::cout);
+    std::cout << "\n(F gate: the level-0 test, and the tag attempt "
+                 "only when it passes; insert+evict:\n"
+                 "planCached outside Router::plan with 512 plans "
+                 "resident, so every miss evicts)\n\n";
     return true;
+}
+
+/**
+ * Cold Router::plan on Omega members: the second TwoPass factor of a
+ * uniformly random permutation, kept when the Router plans it
+ * OmegaBit (Omega members in F plan SelfRouting). Returns false if
+ * a plan does not deliver Permutation::applyTo's payload.
+ */
+bool
+runOmegaSetup(bool smoke, std::vector<OmegaRow> &rows)
+{
+    std::cout << "=== E2b: cold Router::plan, Omega members "
+                 "(OmegaBit) ===\n\n";
+
+    TextTable table({"n", "N", "samples", "median us", "p10 us",
+                     "p90 us"});
+    const std::size_t pool_size = 32;
+    const std::size_t samples = smoke ? 64 : 256;
+    for (unsigned n = 8; n <= 12; n += 2) {
+        const Word N = Word{1} << n;
+        const Router router(n, false, /*plan_cache_capacity=*/0,
+                            /*cache_shards=*/1, /*metrics=*/nullptr);
+        Prng prng(400 + n);
+        std::vector<Permutation> pool;
+        std::vector<Word> data(N);
+        for (Word i = 0; i < N; ++i)
+            data[i] = 7 * i + 1;
+        while (pool.size() < pool_size) {
+            Permutation d =
+                twoPassPlan(router.fabric(), Permutation::random(N, prng))
+                    .second;
+            const RoutePlan plan = router.plan(d);
+            if (plan.strategy != RouteStrategy::OmegaBit)
+                continue;
+            if (router.execute(plan, data) != d.applyTo(data)) {
+                std::fprintf(stderr,
+                             "n=%u: omega-bit payload differs from "
+                             "applyTo\n",
+                             n);
+                return false;
+            }
+            pool.push_back(std::move(d));
+        }
+
+        std::vector<double> us;
+        us.reserve(samples);
+        for (std::size_t k = 0; k < samples; ++k) {
+            const Permutation &d = pool[k % pool_size];
+            const auto t0 = std::chrono::steady_clock::now();
+            auto plan = router.plan(d);
+            const auto t1 = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(plan.src.data());
+            us.push_back(elapsedUs(t0, t1));
+        }
+        rows.push_back({n, N, pool_size, samples, spreadOf(us)});
+        table.newRow();
+        table.addCell(n);
+        table.addCell(N);
+        table.addCell(samples);
+        table.addCell(rows.back().plan.median_us, 1);
+        table.addCell(rows.back().plan.p10_us, 1);
+        table.addCell(rows.back().plan.p90_us, 1);
+    }
+    table.print(std::cout);
+    std::cout << "\n(every sample is a cold OmegaBit plan: the F gate, "
+                 "the Omega check and one\nomega-bit tag pass)\n\n";
+    return true;
+}
+
+/** Print @p what's median, p10 and p90 as JSON fields. */
+void
+printSpread(std::FILE *jf, const char *what, const Spread &s)
+{
+    std::fprintf(jf,
+                 "\"%s_median\": %.1f, \"%s_p10\": %.1f, "
+                 "\"%s_p90\": %.1f",
+                 what, s.median_us, what, s.p10_us, what, s.p90_us);
 }
 
 bool
 writeSetupJson(const std::vector<SetupRow> &rows,
-               const std::vector<ArbitraryRow> &arbitrary)
+               const std::vector<ArbitraryRow> &arbitrary,
+               const std::vector<OmegaRow> &omega)
 {
     const char *path = "BENCH_setup.json";
     std::FILE *jf = std::fopen(path, "w");
@@ -345,16 +532,43 @@ writeSetupJson(const std::vector<SetupRow> &rows,
                  "cold pool\",\n  \"arbitrary\": [\n");
     for (std::size_t i = 0; i < arbitrary.size(); ++i) {
         const ArbitraryRow &r = arbitrary[i];
-        std::fprintf(
-            jf,
-            "    {\"n\": %u, \"N\": %llu, \"strategy\": "
-            "\"two-pass\", \"pool\": %zu, \"samples\": %zu, "
-            "\"router_plan_cold_us_median\": %.1f, "
-            "\"router_plan_cold_us_p10\": %.1f, "
-            "\"router_plan_cold_us_p90\": %.1f}%s\n",
-            r.n, static_cast<unsigned long long>(r.N), r.pool,
-            r.samples, r.median_us, r.p10_us, r.p90_us,
-            i + 1 < arbitrary.size() ? "," : "");
+        std::fprintf(jf,
+                     "    {\"n\": %u, \"N\": %llu, \"strategy\": "
+                     "\"two-pass\", \"pool\": %zu, \"samples\": %zu,\n"
+                     "     ",
+                     r.n, static_cast<unsigned long long>(r.N), r.pool,
+                     r.samples);
+        printSpread(jf, "router_plan_cold_us", r.plan);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "f_gate_us", r.f_gate);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "factor_us", r.factor);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "verify_us", r.verify);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "insert_evict_us", r.insert_evict);
+        std::fprintf(jf, "}%s\n", i + 1 < arbitrary.size() ? "," : "");
+    }
+    std::fprintf(jf,
+                 "  ],\n  \"phases_note\": \"f_gate: the level-0 test, "
+                 "then the tag attempt only if it passes; factor: "
+                 "twoPassPlan; verify: both factor tag passes; "
+                 "insert_evict: planCached outside its router.plan span "
+                 "with 512 plans resident in 8 shards\",\n"
+                 "  \"omega_workload\": \"Omega members (second "
+                 "TwoPass factors of random permutations) that plan "
+                 "OmegaBit, cold Router::plan, 32-perm cold pool\",\n"
+                 "  \"omega\": [\n");
+    for (std::size_t i = 0; i < omega.size(); ++i) {
+        const OmegaRow &r = omega[i];
+        std::fprintf(jf,
+                     "    {\"n\": %u, \"N\": %llu, \"strategy\": "
+                     "\"omega-bit\", \"pool\": %zu, \"samples\": "
+                     "%zu, ",
+                     r.n, static_cast<unsigned long long>(r.N), r.pool,
+                     r.samples);
+        printSpread(jf, "router_plan_cold_us", r.plan);
+        std::fprintf(jf, "}%s\n", i + 1 < omega.size() ? "," : "");
     }
     std::fprintf(jf, "  ]\n}\n");
     std::fclose(jf);
@@ -424,10 +638,13 @@ main(int argc, char **argv)
 
     std::vector<SetupRow> rows;
     std::vector<ArbitraryRow> arbitrary;
+    std::vector<OmegaRow> omega;
     runBitslicedSetup(smoke, rows);
     if (!runArbitrarySetup(smoke, arbitrary))
         return 1;
-    if (!writeSetupJson(rows, arbitrary))
+    if (!runOmegaSetup(smoke, omega))
+        return 1;
+    if (!writeSetupJson(rows, arbitrary, omega))
         return 1;
 
     printSetupComparison(smoke ? 10u : 16u);

@@ -63,29 +63,41 @@ for f in "${jsons[@]}"; do
 done
 
 # Arbitrary-permutation rows: the cold TwoPass plan for uniformly
-# random permutations must be reported at n = 8, 10 and 12. Presence
-# and shape only, no timing gate (the bench itself fails if a plan
-# is not TwoPass or misdelivers).
+# random permutations, and each phase of it (the F gate, the factor,
+# the two verification passes, planCached's insert and eviction),
+# must be reported at n = 8, 10 and 12, and so must the cold OmegaBit
+# plan of Omega members. Presence and shape only, no timing gate
+# (the bench itself fails if a plan takes the wrong strategy or
+# misdelivers).
 if [ -f BENCH_setup.json ]; then
     echo
-    echo "== arbitrary-permutation rows (TwoPass cold plans) =="
+    echo "== cold-plan rows (TwoPass phases, OmegaBit) =="
     if ! python3 - <<'EOF'
 import json, sys
-rows = json.load(open("BENCH_setup.json")).get("arbitrary", [])
-by_n = {r.get("n"): r for r in rows}
-keys = ("router_plan_cold_us_median", "router_plan_cold_us_p10",
-        "router_plan_cold_us_p90")
-for n in (8, 10, 12):
-    r = by_n.get(n)
-    if r is None:
-        sys.exit(f"missing n={n} arbitrary row in BENCH_setup.json")
-    if r.get("strategy") != "two-pass":
-        sys.exit(f"n={n} arbitrary row is not two-pass")
-    missing = [k for k in keys if not isinstance(r.get(k), (int, float))]
-    if missing:
-        sys.exit(f"n={n} arbitrary row lacks {', '.join(missing)}")
-    print(f"  n={n}: median {r[keys[0]]:.1f} us  p10 {r[keys[1]]:.1f} "
-          f"us  p90 {r[keys[2]]:.1f} us")
+doc = json.load(open("BENCH_setup.json"))
+def spread(what):
+    return tuple(f"{what}_{q}" for q in ("median", "p10", "p90"))
+sections = {
+    "arbitrary": ("two-pass", ("router_plan_cold_us", "f_gate_us",
+                               "factor_us", "verify_us",
+                               "insert_evict_us")),
+    "omega": ("omega-bit", ("router_plan_cold_us",)),
+}
+for section, (strategy, quantities) in sections.items():
+    by_n = {r.get("n"): r for r in doc.get(section, [])}
+    for n in (8, 10, 12):
+        r = by_n.get(n)
+        if r is None:
+            sys.exit(f"missing n={n} {section} row in BENCH_setup.json")
+        if r.get("strategy") != strategy:
+            sys.exit(f"n={n} {section} row is not {strategy}")
+        keys = [k for q in quantities for k in spread(q)]
+        missing = [k for k in keys
+                   if not isinstance(r.get(k), (int, float))]
+        if missing:
+            sys.exit(f"n={n} {section} row lacks {', '.join(missing)}")
+        print(f"  {section} n={n}: " + "  ".join(
+            f"{q} {r[q + '_median']:.1f}" for q in quantities))
 EOF
     then
         failed=1

@@ -113,9 +113,96 @@ packTagsScalar(Word *planes, unsigned nplanes, Word stride,
     }
 }
 
-constexpr KernelTable kScalarTable = {gatherScalar, deltaSwapScalar,
-                                      pairSwapScalar, packTagsScalar,
-                                      "scalar"};
+/** splitmix64 finalizer for the seeded loop-color draws. */
+std::uint64_t
+mixFactorKey(std::uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/** The color-1 draw of the loop starting at slot @p p (0 or 1). */
+unsigned
+loopDraw(const FactorLevel &lv, std::uint32_t p)
+{
+    // Top bit: bit 0 of the finalizer is biased over these small
+    // structured keys (see waksman.cc seededColor).
+    return lv.seed == 0
+               ? 0
+               : static_cast<unsigned>(
+                     mixFactorKey(lv.seed ^
+                                  (std::uint64_t{lv.level} << 48) ^
+                                  lv.ids[p]) >>
+                     63);
+}
+
+void
+factorChaseScalar(const FactorLevel &lv)
+{
+    // Each loop's starting color is the algorithm's free choice; the
+    // seeded draw keys on the loop's starting ORIGINAL input id, which
+    // is unique per loop across the whole level. Loops never leave
+    // their sub-problem, so walking the level's pairs in order colors
+    // every sub-problem exactly as a per-node recursion would.
+    const std::uint32_t *nxt = lv.nxt;
+    std::uint16_t *color = lv.color;
+    for (std::uint32_t p = 0; p < lv.size; p += 2) {
+        if (color[p])
+            continue;
+        const unsigned val = loopDraw(lv, p);
+        const auto mine = static_cast<std::uint16_t>(1 + val);
+        const auto other = static_cast<std::uint16_t>(2 - val);
+        // nxt is a bijection whose cycles are the loops, and a loop
+        // never reaches its start's partner (every permutation has a
+        // valid coloring), so it closes at p.
+        std::uint32_t x = p;
+        do {
+            color[x] = mine;
+            color[x ^ 1] = other;
+            x = nxt[x];
+        } while (x != p);
+    }
+}
+
+void
+factorSplitScalar(const FactorLevel &lv)
+{
+    // The upper child takes the first half of each sub-problem's
+    // range, the lower child the second. Input pair i becomes local
+    // input i of both children, output pair j local output j.
+    const std::uint32_t s = lv.s;
+    const std::uint32_t half = s / 2;
+    const std::uint32_t *dinv = lv.dinv;
+    const std::uint32_t *ids = lv.ids;
+    const std::uint16_t *color = lv.color;
+    for (std::uint32_t o = 0; o < lv.size; o += s) {
+        for (std::uint32_t j = 0; j < half; ++j) {
+            // The upper one of the pair's inputs a and b feeds the
+            // upper child. Select without a branch: which one it is,
+            // is a coin flip.
+            const std::uint32_t a = dinv[o + 2 * j];
+            const std::uint32_t b = dinv[o + 2 * j + 1];
+            const std::uint32_t swap =
+                (a ^ b) & (0u - (color[o + a] == 1 ? 1u : 0u));
+            lv.dinv_next[o + j] = (b ^ swap) >> 1;
+            lv.dinv_next[o + half + j] = (a ^ swap) >> 1;
+        }
+        for (std::uint32_t i = 0; i < half; ++i) {
+            const std::uint32_t x_up =
+                o + 2 * i + (color[o + 2 * i] == 2 ? 1 : 0);
+            lv.ids_next[o + i] = ids[x_up];
+            lv.ids_next[o + half + i] = ids[x_up ^ 1];
+        }
+    }
+}
+
+constexpr KernelTable kScalarTable = {
+    gatherScalar,      deltaSwapScalar,   pairSwapScalar, packTagsScalar,
+    factorChaseScalar, factorSplitScalar, "scalar"};
 
 #if SRBENES_X86_KERNELS
 
@@ -194,62 +281,67 @@ pairSwapAvx2(Word *planes, unsigned nplanes, Word stride,
     }
 }
 
-__attribute__((target("avx2"))) void
-transpose64Avx2(Word *m)
+/**
+ * The 64 lanes from @p base on: @p tags itself for a whole block,
+ * else @p tail, filled and zero-padded.
+ */
+const Word *
+blockLanes(Word *tail, const Word *tags, Word base, Word count)
 {
-    // Levels 32/16/8/4 pair runs of >= 4 consecutive rows, so each
-    // exchange is a pair of 256-bit loads; levels 2/1 interleave at
-    // sub-vector stride and stay scalar (they are 1/3 of the work).
-    for (unsigned k = 5; k >= 2; --k) {
-        const unsigned j = 1u << k;
-        const __m256i mask = _mm256_set1_epi64x(
-            static_cast<long long>(kColMask[k]));
-        const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(j));
-        for (Word base = 0; base < 64; base += 2 * Word{j})
-            for (Word r = base; r < base + j; r += 4) {
-                const __m256i a = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(m + r));
-                const __m256i b = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(m + r + j));
-                const __m256i t = _mm256_and_si256(
-                    _mm256_xor_si256(_mm256_srl_epi64(a, shift), b),
-                    mask);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(m + r + j),
-                    _mm256_xor_si256(b, t));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(m + r),
-                    _mm256_xor_si256(a, _mm256_sll_epi64(t, shift)));
-            }
-    }
-    for (unsigned k = 0; k < 2; ++k) {
-        const unsigned j = 1u << k;
-        const Word mask = kColMask[k];
-        for (Word r = 0; r < 64; r = (r + j + 1) & ~Word{j}) {
-            const Word t = ((m[r] >> j) ^ m[r + j]) & mask;
-            m[r + j] ^= t;
-            m[r] ^= t << j;
-        }
-    }
+    if (count - base >= 64)
+        return tags + base;
+    loadBlock(tail, tags, base, count);
+    return tail;
 }
 
 __attribute__((target("avx2"))) void
 packTagsAvx2(Word *planes, unsigned nplanes, Word stride,
              const Word *tags, Word count)
 {
+    if (nplanes > 32) {
+        packTagsScalar(planes, nplanes, stride, tags, count);
+        return;
+    }
+    // Dword 2k of a 4-tag load is tag k's low half; gather the four
+    // low halves of two loads into one vector of eight 32-bit lanes.
+    const __m256i low_halves = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
     const Word out_words = (count + 63) / 64;
-    Word block[64];
+    Word tail[64];
     for (Word w = 0; w < out_words; ++w) {
-        loadBlock(block, tags, w * 64, count);
-        transpose64Avx2(block);
-        for (unsigned b = 0; b < nplanes; ++b)
-            planes[Word{b} * stride + w] = block[b];
+        const Word *t = blockLanes(tail, tags, w * 64, count);
+        __m256i lanes[8];
+#pragma GCC unroll 8
+        for (unsigned q = 0; q < 8; ++q) {
+            const __m256i lo = _mm256_permutevar8x32_epi32(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(t + 8 * q)),
+                low_halves);
+            const __m256i hi = _mm256_permutevar8x32_epi32(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(t + 8 * q + 4)),
+                low_halves);
+            lanes[q] = _mm256_permute2x128_si256(lo, hi, 0x20);
+        }
+        // Plane b: bit b of every lane shifted into its sign bit and
+        // collected eight lanes at a time.
+        for (unsigned b = 0; b < nplanes; ++b) {
+            const __m128i shift =
+                _mm_cvtsi32_si128(static_cast<int>(31 - b));
+            Word word = 0;
+#pragma GCC unroll 8
+            for (unsigned q = 0; q < 8; ++q)
+                word |= Word{static_cast<unsigned>(_mm256_movemask_ps(
+                            _mm256_castsi256_ps(
+                                _mm256_sll_epi32(lanes[q], shift))))}
+                        << (8 * q);
+            planes[Word{b} * stride + w] = word;
+        }
     }
 }
 
-constexpr KernelTable kAvx2Table = {gatherAvx2, deltaSwapAvx2,
-                                    pairSwapAvx2, packTagsAvx2,
-                                    "avx2"};
+constexpr KernelTable kAvx2Table = {
+    gatherAvx2,        deltaSwapAvx2,     pairSwapAvx2, packTagsAvx2,
+    factorChaseScalar, factorSplitScalar, "avx2"};
 
 // --------------------------------------------------------------- AVX-512
 
@@ -330,60 +422,288 @@ pairSwapAvx512(Word *planes, unsigned nplanes, Word stride,
 }
 
 __attribute__((target("avx512f"))) void
-transpose64Avx512(Word *m)
+packTagsAvx512(Word *planes, unsigned nplanes, Word stride,
+               const Word *tags, Word count)
 {
-    // Levels 32/16/8 pair runs of >= 8 consecutive rows (one zmm
-    // each); the remaining levels interleave below vector stride
-    // and stay scalar.
-    for (unsigned k = 5; k >= 3; --k) {
-        const unsigned j = 1u << k;
-        const __m512i mask = _mm512_set1_epi64(
-            static_cast<long long>(kColMask[k]));
-        const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(j));
-        for (Word base = 0; base < 64; base += 2 * Word{j})
-            for (Word r = base; r < base + j; r += 8) {
-                const __m512i a = _mm512_loadu_si512(m + r);
-                const __m512i b = _mm512_loadu_si512(m + r + j);
-                const __m512i t = _mm512_and_si512(
-                    _mm512_xor_si512(_mm512_srl_epi64(a, shift), b),
-                    mask);
-                _mm512_storeu_si512(m + r + j,
-                                    _mm512_xor_si512(b, t));
-                _mm512_storeu_si512(
-                    m + r,
-                    _mm512_xor_si512(a, _mm512_sll_epi64(t, shift)));
-            }
+    if (nplanes > 32) {
+        packTagsScalar(planes, nplanes, stride, tags, count);
+        return;
     }
-    for (unsigned k = 0; k < 3; ++k) {
-        const unsigned j = 1u << k;
-        const Word mask = kColMask[k];
-        for (Word r = 0; r < 64; r = (r + j + 1) & ~Word{j}) {
-            const Word t = ((m[r] >> j) ^ m[r + j]) & mask;
-            m[r + j] ^= t;
-            m[r] ^= t << j;
+    const Word out_words = (count + 63) / 64;
+    Word tail[64];
+    for (Word w = 0; w < out_words; ++w) {
+        const Word *t = blockLanes(tail, tags, w * 64, count);
+        // vpmovqd narrows eight tags to 32-bit lanes; two of them
+        // fill one vector of sixteen. The lane loops unroll, so the
+        // four vectors stay in registers across the planes.
+        __m512i lanes[4];
+#pragma GCC unroll 4
+        for (unsigned q = 0; q < 4; ++q)
+            lanes[q] = _mm512_inserti64x4(
+                _mm512_castsi256_si512(_mm512_cvtepi64_epi32(
+                    _mm512_loadu_si512(t + 16 * q))),
+                _mm512_cvtepi64_epi32(_mm512_loadu_si512(t + 16 * q + 8)),
+                1);
+        // Plane b: one vptestmd against 1 << b per sixteen lanes.
+        __m512i bit = _mm512_set1_epi32(1);
+        for (unsigned b = 0; b < nplanes; ++b) {
+            Word word = 0;
+#pragma GCC unroll 4
+            for (unsigned q = 0; q < 4; ++q)
+                word |= Word{_mm512_test_epi32_mask(lanes[q], bit)}
+                        << (16 * q);
+            planes[Word{b} * stride + w] = word;
+            bit = _mm512_add_epi32(bit, bit);
         }
     }
 }
 
-__attribute__((target("avx512f"))) void
-packTagsAvx512(Word *planes, unsigned nplanes, Word stride,
-               const Word *tags, Word count)
+/**
+ * @p flip with the lanes in @p m set to the draw (0 or 1) of the loop
+ * starting at that lane's slot of @p start, one lane at a time.
+ */
+__attribute__((target("avx512f"))) __m512i
+laneDraws(const FactorLevel &lv, __m512i flip, __mmask16 m,
+          __m512i start)
 {
-    const Word out_words = (count + 63) / 64;
-    Word block[64];
-    for (Word w = 0; w < out_words; ++w) {
-        loadBlock(block, tags, w * 64, count);
-        transpose64Avx512(block);
-        for (unsigned b = 0; b < nplanes; ++b)
-            planes[Word{b} * stride + w] = block[b];
+    if (lv.seed == 0)
+        return _mm512_mask_mov_epi32(flip, m, _mm512_setzero_si512());
+    alignas(64) std::uint32_t slot[16];
+    alignas(64) std::uint32_t draw[16];
+    _mm512_store_si512(slot, start);
+    _mm512_store_si512(draw, flip);
+    for (unsigned i = 0; i < 16; ++i)
+        if ((m >> i) & 1u)
+            draw[i] = loopDraw(lv, slot[i]);
+    return _mm512_load_si512(draw);
+}
+
+/**
+ * The chase in lockstep: each of sixteen lanes owns one sub-problem
+ * of at most 32 * W pairs and keeps the set of its pairs already
+ * colored as a bitmap of W words in its lane. Every round, each
+ * lane colors its walked slot's pair and steps to the slot's
+ * successor; a lane whose loop closes starts the next loop at its
+ * lowest uncolored pair, exactly where the scalar body's in-order
+ * scan would, so every loop starts at the same pair with the same
+ * draw. Each round colors one pair per lane, so the sixteen
+ * sub-problems finish together after as many rounds as they have
+ * pairs.
+ */
+template <unsigned W>
+__attribute__((target("avx512f"))) void
+chaseLockstep(const FactorLevel &lv)
+{
+    const std::uint32_t subs = lv.size / lv.s;
+    const std::uint32_t npairs = lv.s / 2;
+    // Slots 2k and 2k+1 share color word k; a walk step writes the
+    // whole word: color 1 in the walked slot's half when its draw
+    // is 0, the other color in its partner's.
+    int *words = reinterpret_cast<int *>(lv.color);
+    const int *nxt = reinterpret_cast<const int *>(lv.nxt);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i all = _mm512_set1_epi32(-1);
+    const __m512i lower_one = _mm512_set1_epi32(0x00020001);
+    const __m512i upper_one = _mm512_set1_epi32(0x00010002);
+    // Bits past the sub-problem's pairs count as colored.
+    const __m512i fresh_map = _mm512_set1_epi32(
+        npairs >= 32 ? 0 : static_cast<int>(~0u << npairs));
+    const __m128i log_s = _mm_cvtsi32_si128(__builtin_ctz(lv.s));
+    const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           10, 11, 12, 13, 14, 15);
+    for (std::uint32_t g = 0; g < subs; g += 16) {
+        const __m512i o = _mm512_sll_epi32(
+            _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(g))),
+            log_s);
+        __m512i x = o; // walked slot
+        __m512i p = o; // the walked loop's start
+        __m512i map[W];
+        for (unsigned w = 0; w < W; ++w)
+            map[w] = fresh_map;
+        __m512i flip = laneDraws(lv, zero, 0xffff, o);
+        for (std::uint32_t step = 0; step < npairs; ++step) {
+            // Color the walked pair, mark it, and step. A shift by
+            // 32 or more, or by a wrapped negative, marks nothing.
+            const __mmask16 odd =
+                _mm512_test_epi32_mask(_mm512_xor_si512(x, flip), one);
+            _mm512_i32scatter_epi32(
+                words, _mm512_srli_epi32(x, 1),
+                _mm512_mask_blend_epi32(odd, lower_one, upper_one), 4);
+            const __m512i pair =
+                _mm512_srli_epi32(_mm512_sub_epi32(x, o), 1);
+            for (unsigned w = 0; w < W; ++w)
+                map[w] = _mm512_or_si512(
+                    map[w],
+                    _mm512_sllv_epi32(
+                        one, _mm512_sub_epi32(
+                                 pair, _mm512_set1_epi32(
+                                           static_cast<int>(32 * w)))));
+            x = _mm512_i32gather_epi32(x, nxt, 4);
+
+            // A closed loop restarts at the lane's lowest uncolored
+            // pair. Its bit is the lowest set bit of the first
+            // non-zero complement word: an exact power of two as a
+            // float, whose exponent is the bit's index.
+            const __mmask16 closed = _mm512_cmpeq_epi32_mask(x, p);
+            __m512i idx = zero;
+            __mmask16 left = 0;
+            for (unsigned w = W; w-- > 0;) {
+                const __m512i free = _mm512_andnot_si512(map[w], all);
+                const __m512i low =
+                    _mm512_and_si512(free, _mm512_sub_epi32(zero, free));
+                const __mmask16 has = _mm512_test_epi32_mask(free, free);
+                idx = _mm512_mask_sub_epi32(
+                    idx, has,
+                    _mm512_srli_epi32(
+                        _mm512_castps_si512(_mm512_cvtepu32_ps(low)), 23),
+                    _mm512_set1_epi32(127 - static_cast<int>(32 * w)));
+                left |= has;
+            }
+            p = _mm512_mask_add_epi32(p, closed, o,
+                                      _mm512_slli_epi32(idx, 1));
+            x = _mm512_mask_mov_epi32(x, closed, p);
+            // After its last pair a lane has nothing to restart.
+            const auto restart = static_cast<__mmask16>(closed & left);
+            if (lv.seed != 0 && restart)
+                flip = laneDraws(lv, flip, restart, p);
+        }
+    }
+}
+
+/**
+ * The chase at levels with at least sixteen sub-problems of at most
+ * 128 pairs runs in lockstep. The others run the scalar body: their
+ * loops are long and their ends predictable.
+ */
+__attribute__((target("avx512f"))) void
+factorChaseAvx512(const FactorLevel &lv)
+{
+    const std::uint32_t npairs = lv.s / 2;
+    if (lv.size / lv.s < 16 || npairs > 128)
+        factorChaseScalar(lv);
+    else if (npairs <= 32)
+        chaseLockstep<1>(lv);
+    else if (npairs <= 64)
+        chaseLockstep<2>(lv);
+    else
+        chaseLockstep<4>(lv);
+}
+
+/** Lane indices 0, 2, ..., 30: the even entries of two vectors. */
+__attribute__((target("avx512f"))) __m512i
+evenLanes()
+{
+    return _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22,
+                             24, 26, 28, 30);
+}
+
+/**
+ * The split sixteen pairs at a time: a deinterleave of dinv and ids
+ * into their even and odd entries, one gather of the color of each
+ * output pair's even input, and a blend. Lane l of a block of
+ * sixteen pairs belongs to sub-problem o, the block's base plus
+ * (l / half) * s; when a sub-problem has fewer than sixteen pairs,
+ * a block covers several whole ones, and a fixed permutation lays
+ * each one's upper child before its lower child.
+ */
+__attribute__((target("avx512f"))) void
+factorSplitAvx512(const FactorLevel &lv)
+{
+    const std::uint32_t s = lv.s;
+    const std::uint32_t half = s / 2;
+    if (lv.size < 32) {
+        factorSplitScalar(lv);
+        return;
+    }
+    const int *words = reinterpret_cast<const int *>(lv.color);
+    const __m512i even = evenLanes();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i odd = _mm512_add_epi32(even, one);
+    const __m512i two = _mm512_set1_epi32(2);
+    const __m512i low_half = _mm512_set1_epi32(0xffff);
+
+    // Per lane: its sub-problem's offset in the block. place gives,
+    // for each of a block's 32 child slots, the lane of the upper
+    // (index < 16) or lower (16 + lane) vector that fills it.
+    const std::uint32_t span = half < 16 ? half : 16;
+    alignas(64) std::uint32_t lane_o[16];
+    alignas(64) std::uint32_t place[32];
+    for (std::uint32_t l = 0; l < 16; ++l)
+        lane_o[l] = (l / span) * s;
+    for (std::uint32_t q = 0; q < 32; ++q) {
+        const std::uint32_t r = q % (2 * span);
+        place[q] = (q / (2 * span)) * span + (r < span ? r : 16 + r - span);
+    }
+    const __m512i sub_o = _mm512_load_si512(lane_o);
+    const __m512i place0 = _mm512_load_si512(place);
+    const __m512i place1 = _mm512_load_si512(place + 16);
+
+    for (std::uint32_t y = 0; y < lv.size; y += 32) {
+        // This block's sixteen pairs; a sub-problem larger than the
+        // block sends its children's halves half a range apart.
+        const std::uint32_t o = y & ~(s - 1);
+        const std::uint32_t j = (y - o) / 2;
+        const __m512i base = _mm512_add_epi32(
+            _mm512_set1_epi32(static_cast<int>(o)), sub_o);
+
+        // Output pairs are fed by inputs a and b; the color of a is
+        // half (a & 1) of color word (o + a) / 2.
+        const __m512i d0 = _mm512_loadu_si512(lv.dinv + y);
+        const __m512i d1 = _mm512_loadu_si512(lv.dinv + y + 16);
+        const __m512i a = _mm512_permutex2var_epi32(d0, even, d1);
+        const __m512i b = _mm512_permutex2var_epi32(d0, odd, d1);
+        const __m512i wa = _mm512_i32gather_epi32(
+            _mm512_srli_epi32(_mm512_add_epi32(base, a), 1), words, 4);
+        const __m512i ca = _mm512_and_si512(
+            _mm512_srlv_epi32(
+                wa, _mm512_slli_epi32(_mm512_and_si512(a, one), 4)),
+            low_half);
+        const __mmask16 a_up = _mm512_cmpeq_epi32_mask(ca, one);
+        const __m512i d_up =
+            _mm512_srli_epi32(_mm512_mask_blend_epi32(a_up, b, a), 1);
+        const __m512i d_down =
+            _mm512_srli_epi32(_mm512_mask_blend_epi32(a_up, a, b), 1);
+
+        // Input pairs carry ids e and f; the color of the even slot
+        // is the low half of its pair's color word.
+        const __m512i t0 = _mm512_loadu_si512(lv.ids + y);
+        const __m512i t1 = _mm512_loadu_si512(lv.ids + y + 16);
+        const __m512i e = _mm512_permutex2var_epi32(t0, even, t1);
+        const __m512i f = _mm512_permutex2var_epi32(t0, odd, t1);
+        const __m512i ce =
+            _mm512_and_si512(_mm512_loadu_si512(words + y / 2), low_half);
+        const __mmask16 f_up = _mm512_cmpeq_epi32_mask(ce, two);
+        const __m512i i_up = _mm512_mask_blend_epi32(f_up, e, f);
+        const __m512i i_down = _mm512_mask_blend_epi32(f_up, f, e);
+
+        if (half >= 16) {
+            _mm512_storeu_si512(lv.dinv_next + o + j, d_up);
+            _mm512_storeu_si512(lv.dinv_next + o + half + j, d_down);
+            _mm512_storeu_si512(lv.ids_next + o + j, i_up);
+            _mm512_storeu_si512(lv.ids_next + o + half + j, i_down);
+        } else {
+            _mm512_storeu_si512(
+                lv.dinv_next + y,
+                _mm512_permutex2var_epi32(d_up, place0, d_down));
+            _mm512_storeu_si512(
+                lv.dinv_next + y + 16,
+                _mm512_permutex2var_epi32(d_up, place1, d_down));
+            _mm512_storeu_si512(
+                lv.ids_next + y,
+                _mm512_permutex2var_epi32(i_up, place0, i_down));
+            _mm512_storeu_si512(
+                lv.ids_next + y + 16,
+                _mm512_permutex2var_epi32(i_up, place1, i_down));
+        }
     }
 }
 
 #pragma GCC diagnostic pop
 
-constexpr KernelTable kAvx512Table = {gatherAvx512, deltaSwapAvx512,
-                                      pairSwapAvx512, packTagsAvx512,
-                                      "avx512"};
+constexpr KernelTable kAvx512Table = {
+    gatherAvx512,      deltaSwapAvx512,   pairSwapAvx512, packTagsAvx512,
+    factorChaseAvx512, factorSplitAvx512, "avx512"};
 
 #endif // SRBENES_X86_KERNELS
 

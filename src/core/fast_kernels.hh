@@ -1,8 +1,9 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernels for the FastEngine hot loops: the
- * per-stage bit-plane delta swap, the final payload gather, and the
- * tag-to-bit-plane transposition that seeds every cold plan.
+ * per-stage bit-plane delta swap, the final payload gather, the
+ * tag-to-bit-plane transposition that seeds every cold plan, and the
+ * two hot passes of the TwoPass looping factor (core/two_pass.cc).
  *
  * One binary serves any x86-64 host: scalar bodies are always
  * compiled, AVX2 and AVX-512 bodies are compiled with per-function
@@ -27,6 +28,8 @@
 #ifndef SRBENES_CORE_FAST_KERNELS_HH
 #define SRBENES_CORE_FAST_KERNELS_HH
 
+#include <cstdint>
+
 #include "common/bitops.hh"
 
 namespace srbenes
@@ -42,9 +45,32 @@ enum class SimdLevel
 const char *simdLevelName(SimdLevel level);
 
 /**
- * The dispatched operations. All three treat `planes` as `nplanes`
- * bit-plane rows of `words` 64-bit words each, row r starting at
- * `planes + r * stride`.
+ * One recursion level of the looping factor, as its two kernel passes
+ * see it. The level's size / s sub-problems of s slots sit side by
+ * side: sub-problem k owns slots [k*s, (k+1)*s), indices inside it
+ * are local, in [0, s), and its children at the next level take the
+ * upper and lower halves of the same range.
+ */
+struct FactorLevel
+{
+    std::uint32_t size;  //!< slots across the level, N = 2^n
+    std::uint32_t s;     //!< sub-problem size, a power of two >= 4
+    unsigned level;      //!< recursion level, keys the seeded draws
+    std::uint64_t seed;  //!< loop-coloring seed; 0 = canonical
+    const std::uint32_t *dinv; //!< local input feeding each output
+    const std::uint32_t *ids;  //!< original input id of each slot
+    const std::uint32_t *nxt;  //!< loop successor of each slot
+    /** 0 = uncolored, 1 = upper subnetwork, 2 = lower; slots 2k and
+     *  2k+1 share one 32-bit word, the lower slot in the low half. */
+    std::uint16_t *color;
+    std::uint32_t *dinv_next; //!< the children's dinv
+    std::uint32_t *ids_next;  //!< the children's ids
+};
+
+/**
+ * The dispatched operations. The bit-plane kernels treat `planes` as
+ * `nplanes` bit-plane rows of `words` 64-bit words each, row r
+ * starting at `planes + r * stride`.
  */
 struct KernelTable
 {
@@ -79,12 +105,39 @@ struct KernelTable
      *     bit j of row b  =  bit b of tags[j].
      * Each of the `nplanes` rows receives exactly ceil(count / 64)
      * words, tail bits zero; words beyond that are left untouched.
-     * Implemented as independent 64x64 bit-matrix transposes (one
-     * per 64-lane block), so cost is O(count * log 64 / 64) word ops
-     * instead of the O(count * nplanes) scalar read-modify-writes.
+     * The scalar body runs an independent 64x64 bit-matrix
+     * transpose per 64-lane block. The SIMD bodies narrow each block
+     * to 32-bit lanes and emit plane b as one compare per vector of
+     * lanes (vptestmd against 1 << b on AVX-512, bit b shifted into
+     * the sign bit and movemask_ps on AVX2); they cover nplanes <= 32
+     * that way, every n the fabric allows, and defer to the scalar
+     * body above it.
      */
     void (*packTags)(Word *planes, unsigned nplanes, Word stride,
                      const Word *tags, Word count);
+
+    /**
+     * The looping factor's chase over @p lv's successor graph, with
+     * lv.color zeroed by the caller. In every sub-problem the pairs
+     * are taken in order; each still uncolored pair p starts a loop
+     * whose slots take color 1 + draw and their partners the other
+     * color, walking x = nxt[x] until the loop closes at p. The draw
+     * is 0 for seed 0, else the top bit of the splitmix finalizer of
+     * seed ^ (level << 48) ^ ids[p]. Loops never leave their
+     * sub-problem, so the SIMD bodies may walk sub-problems side by
+     * side; the colors they leave are the scalar body's exactly.
+     */
+    void (*factorChase)(const FactorLevel &lv);
+
+    /**
+     * The looping factor's split of every sub-problem into its two
+     * children: output pair j sends the input of color 1 among its
+     * two inputs to the upper child's output j and the other to the
+     * lower child's, each as a pair index; input pair i sends the id
+     * of its color-1 slot to the upper child's input i and the other
+     * to the lower child's.
+     */
+    void (*factorSplit)(const FactorLevel &lv);
 
     const char *name;
 };

@@ -183,11 +183,13 @@ Router::planImpl(const Permutation &d) const
     // Try the destination-tag pass directly instead of classifying
     // first: the pass IS the F-membership test (a permutation
     // self-routes iff it is in F), and one bit-sliced pass costs a
-    // fraction of the structural inFClass check. Every self-routed
-    // pass goes through the SetupEngine and answers only yes or no.
+    // fraction of the structural inFClass check. Theorem 1's level-0
+    // condition runs first: when it fails, d is not in F and the
+    // pass could only fail, so it is skipped. Every self-routed pass
+    // goes through the SetupEngine and answers only yes or no.
     RoutePlan p{
         .strategy = RouteStrategy::SelfRouting, .perm = d, .src = {}};
-    if (setup_.routes(d)) {
+    if (levelZero(d) && setup_.routes(d)) {
         // In F: one self-routed pass, nothing else to keep.
     } else if (isOmega(d)) {
         if (!setup_.routes(d, RoutingMode::OmegaBit))
@@ -236,27 +238,40 @@ Router::planResidentBytes(const RoutePlan &p)
     return b;
 }
 
+void
+Router::CacheShard::erase(Map::iterator it)
+{
+    const std::uint32_t slot = it->second.slot;
+    if (slot + 1 != stamps.size()) {
+        stamps[slot] = stamps.back();
+        map.find(stamps[slot].key)->second.slot = slot;
+    }
+    stamps.pop_back();
+    bytes -= it->second.bytes;
+    map.erase(it);
+}
+
 template <typename Over>
 void
 Router::evictWhile(Over over) const
 {
     // Capacity is global, not per shard: evict the globally
-    // least-recently-stamped entries. Scanning every shard is fine
-    // here — insertion already paid for a full plan, and hits never
-    // reach this path.
+    // least-recently-stamped entries. Ticks are unique, so the victim
+    // does not depend on the scan order. The scan reads each shard's
+    // contiguous stamp array; hits never reach this path.
     while (over()) {
         CacheShard *vsh = nullptr;
-        std::uint64_t vhash = 0;
+        std::uint64_t vkey = 0;
         std::uint64_t vstamp = ~std::uint64_t{0};
         for (const auto &cand : shards_) {
             ReaderLock lock(cand->mu);
-            for (const auto &[eh, entry] : cand->map) {
+            for (const CacheShard::Stamp &st : cand->stamps) {
                 // The eviction scan tolerates racing stamp updates
                 // (LRU is approximate; see cache_recency.hh).
-                const std::uint64_t stamp = entry.last_used.value();
+                const std::uint64_t stamp = st.last_used.value();
                 if (stamp < vstamp) {
                     vsh = cand.get();
-                    vhash = eh;
+                    vkey = st.key;
                     vstamp = stamp;
                 }
             }
@@ -264,13 +279,12 @@ Router::evictWhile(Over over) const
         if (!vsh)
             break;
         WriterLock lock(vsh->mu);
-        auto it = vsh->map.find(vhash);
+        auto it = vsh->map.find(vkey);
         if (it != vsh->map.end()) {
-            vsh->bytes -= it->second.bytes;
+            vsh->erase(it);
             if (vsh->bytes_g)
                 vsh->bytes_g->set(
                     static_cast<std::int64_t>(vsh->bytes));
-            vsh->map.erase(it);
             if (vsh->evictions)
                 vsh->evictions->inc();
         }
@@ -291,7 +305,7 @@ Router::findCached(const Permutation &d, std::uint64_t key) const
         sh.hits->inc();
     // Relaxed clock and stamp; a stale LRU stamp only costs a
     // suboptimal eviction (cache_recency.hh).
-    it->second.last_used.touch(tick_);
+    sh.stamps[it->second.slot].last_used.touch(tick_);
     return it->second.plan;
 }
 
@@ -322,16 +336,19 @@ Router::planCached(const Permutation &d, std::uint64_t key) const
     const std::uint64_t now = tick_.next();
     {
         WriterLock lock(sh.mu);
-        auto [it, inserted] =
-            sh.map.try_emplace(key, planned, now, bytes);
-        if (!inserted) {
+        auto [it, inserted] = sh.map.try_emplace(
+            key, planned, bytes,
+            static_cast<std::uint32_t>(sh.stamps.size()));
+        if (inserted) {
+            sh.stamps.emplace_back(key, now);
+        } else {
             // Same hash: either a racing insert of this pattern or a
             // collision; either way the newcomer replaces the plan.
             sh.bytes -= it->second.bytes;
             it->second.plan = planned;
             it->second.bytes = bytes;
             // LRU stamp drawn before the lock; see findCached.
-            it->second.last_used.stamp(now);
+            sh.stamps[it->second.slot].last_used.stamp(now);
         }
         sh.bytes += bytes;
         if (sh.bytes_g)
@@ -407,9 +424,13 @@ Router::planCacheBytes() const
 std::size_t
 Router::planCacheSize() const
 {
+    // Runs once per insert (twice when it evicts): the map sizes
+    // alone, without cacheStats' vector and counter loads.
     std::size_t total = 0;
-    for (const auto &s : cacheStats())
-        total += s.size;
+    for (const auto &sh : shards_) {
+        ReaderLock lock(sh->mu);
+        total += sh->map.size();
+    }
     return total;
 }
 
@@ -446,6 +467,7 @@ Router::clearPlanCache() const
     for (const auto &sh : shards_) {
         WriterLock lock(sh->mu);
         sh->map.clear();
+        sh->stamps.clear();
         sh->bytes = 0;
         if (sh->bytes_g)
             sh->bytes_g->set(0);

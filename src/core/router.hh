@@ -241,28 +241,55 @@ class Router
 
   private:
     /**
-     * One shard: a read-mostly hash -> plan map. Hits touch only the
-     * shard's reader lock plus a relaxed recency stamp; inserts take
-     * the writer lock and evict the least-recently-stamped entry
-     * when the shard is over its share of the capacity.
+     * One shard: a read-mostly hash -> plan map, and beside it the
+     * entries' recency stamps in one contiguous array. Hits touch
+     * only the shard's reader lock plus a relaxed stamp; inserts and
+     * removals take the writer lock. The global eviction scan reads
+     * the stamp arrays, not the map nodes.
      */
     struct CacheShard
     {
         struct Entry
         {
-            Entry(std::shared_ptr<const RoutePlan> p, std::uint64_t t,
-                  std::size_t b)
-                : plan(std::move(p)), last_used(t), bytes(b)
+            Entry(std::shared_ptr<const RoutePlan> p, std::size_t b,
+                  std::uint32_t s)
+                : plan(std::move(p)), bytes(b), slot(s)
             {
             }
             std::shared_ptr<const RoutePlan> plan;
-            RecencyStamp last_used;
             /** Resident bytes this entry accounts for. */
             std::size_t bytes;
+            /** This entry's index in the shard's stamps. */
+            std::uint32_t slot;
+        };
+        using Map = std::unordered_map<std::uint64_t, Entry>;
+        /** One entry's recency; key leads back to the entry. */
+        struct Stamp
+        {
+            Stamp(std::uint64_t k, std::uint64_t t) : key(k), last_used(t)
+            {
+            }
+            // The array copies a stamp only when it grows or
+            // swap-removes, under the writer lock, so no hit can
+            // touch the stamp meanwhile.
+            Stamp(const Stamp &other)
+                : key(other.key), last_used(other.last_used.value())
+            {
+            }
+            Stamp &
+            operator=(const Stamp &other)
+            {
+                key = other.key;
+                last_used.stamp(other.last_used.value());
+                return *this;
+            }
+            std::uint64_t key;
+            RecencyStamp last_used;
         };
         mutable SharedMutex mu;
-        std::unordered_map<std::uint64_t, Entry> map
-            SRB_GUARDED_BY(mu);
+        Map map SRB_GUARDED_BY(mu);
+        /** stamps[e.slot] belongs to entry e, and only to it. */
+        std::vector<Stamp> stamps SRB_GUARDED_BY(mu);
         /** Sum of the entries' bytes, maintained incrementally. */
         std::size_t bytes SRB_GUARDED_BY(mu) = 0;
         /** Registry-served counters; null when metrics are off. */
@@ -271,6 +298,9 @@ class Router
         obs::Counter *evictions = nullptr;
         /** Resident plan bytes of this shard, for the export. */
         obs::Gauge *bytes_g = nullptr;
+
+        /** Remove @p it and its stamp; the last stamp fills the gap. */
+        void erase(Map::iterator it) SRB_REQUIRES(mu);
     };
 
     CacheShard &shardFor(std::uint64_t hash) const;

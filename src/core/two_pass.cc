@@ -4,24 +4,13 @@
 #include <cstdint>
 
 #include "common/logging.hh"
+#include "core/fast_kernels.hh"
 
 namespace srbenes
 {
 
 namespace
 {
-
-/** splitmix64 finalizer for the seeded loop-color draws. */
-std::uint64_t
-mixFactorKey(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
 
 /**
  * Flat scratch of the level-by-level factor, one set per thread;
@@ -40,7 +29,7 @@ struct FactorScratch
     /** Loop successor of each slot, nxt[x] = dinv[d[x^1]^1]. */
     std::vector<std::uint32_t> nxt;
     /** 0 = uncolored, 1 = upper subnetwork, 2 = lower. */
-    std::vector<std::uint8_t> color;
+    std::vector<std::uint16_t> color;
 };
 
 thread_local FactorScratch t_factor;
@@ -88,13 +77,12 @@ factorLevels(const std::vector<Word> &dest, unsigned n,
         sc.ids[x] = x;
     }
 
+    const KernelTable &kern = activeKernels();
+
     for (unsigned level = 0; level + 1 < n; ++level) {
         const std::uint32_t s = size >> level;
-        const std::uint32_t half = s / 2;
         const std::uint32_t *dinv = sc.dinv.data();
-        const std::uint32_t *ids = sc.ids.data();
         std::uint32_t *nxt = sc.nxt.data();
-        std::uint8_t *color = sc.color.data();
 
         // The alternating loop of the Waksman setup: inputs of one
         // pair must part ways, and so must the inputs a and b
@@ -110,64 +98,22 @@ factorLevels(const std::vector<Word> &dest, unsigned n,
             nxt[o | (b ^ 1)] = o | a;
         }
 
-        // Each loop's starting color is the algorithm's free
-        // choice; the seeded draw keys on the loop's starting
-        // ORIGINAL input id, which is unique per loop across the
-        // whole level. Loops never leave their sub-problem, so
-        // walking the level's pairs in order colors every
-        // sub-problem exactly as a per-node recursion would.
+        // The chase colors every loop and the split builds the
+        // children from the colors, both through the kernel table,
+        // whose scalar bodies are the reference.
         std::fill(sc.color.begin(), sc.color.end(), 0);
-        for (std::uint32_t p = 0; p < size; p += 2) {
-            if (color[p])
-                continue;
-            // Top bit: bit 0 of the finalizer is biased over these
-            // small structured keys (see waksman.cc seededColor).
-            const unsigned val =
-                seed == 0
-                    ? 0
-                    : static_cast<unsigned>(
-                          mixFactorKey(seed ^
-                                       (std::uint64_t{level} << 48) ^
-                                       ids[p]) >>
-                          63);
-            const auto mine = static_cast<std::uint8_t>(1 + val);
-            const auto other = static_cast<std::uint8_t>(2 - val);
-            // nxt is a bijection whose cycles are the loops, and a
-            // loop never reaches its start's partner (every
-            // permutation has a valid coloring), so it closes at p.
-            std::uint32_t x = p;
-            do {
-                color[x] = mine;
-                color[x ^ 1] = other;
-                x = nxt[x];
-            } while (x != p);
-        }
-
-        // Split every sub-problem: the upper child takes the first
-        // half of its range, the lower child the second. Input pair
-        // i becomes local input i of both children, output pair j
-        // local output j.
-        std::uint32_t *dinv_next = sc.dinv_next.data();
-        std::uint32_t *ids_next = sc.ids_next.data();
-        for (std::uint32_t o = 0; o < size; o += s) {
-            for (std::uint32_t j = 0; j < half; ++j) {
-                // The upper one of the pair's inputs a and b feeds
-                // the upper child. Select without a branch: which
-                // one it is, is a coin flip.
-                const std::uint32_t a = dinv[o + 2 * j];
-                const std::uint32_t b = dinv[o + 2 * j + 1];
-                const std::uint32_t swap =
-                    (a ^ b) & (0u - (color[o + a] == 1 ? 1u : 0u));
-                dinv_next[o + j] = (b ^ swap) >> 1;
-                dinv_next[o + half + j] = (a ^ swap) >> 1;
-            }
-            for (std::uint32_t i = 0; i < half; ++i) {
-                const std::uint32_t x_up =
-                    o + 2 * i + (color[o + 2 * i] == 2 ? 1 : 0);
-                ids_next[o + i] = ids[x_up];
-                ids_next[o + half + i] = ids[x_up ^ 1];
-            }
-        }
+        const FactorLevel lv{.size = size,
+                             .s = s,
+                             .level = level,
+                             .seed = seed,
+                             .dinv = dinv,
+                             .ids = sc.ids.data(),
+                             .nxt = nxt,
+                             .color = sc.color.data(),
+                             .dinv_next = sc.dinv_next.data(),
+                             .ids_next = sc.ids_next.data()};
+        kern.factorChase(lv);
+        kern.factorSplit(lv);
         sc.dinv.swap(sc.dinv_next);
         sc.ids.swap(sc.ids_next);
     }

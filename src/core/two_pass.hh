@@ -26,9 +26,11 @@
  * recursion level l sit side by side in flat per-thread arrays of
  * 32-bit indices, each level is one successor pass, one loop chase
  * and one split over those arrays, and nothing is allocated per
- * node. It walks the same loops in the same order with the same
- * colors as the textbook recursion, so every seed's factorization is
- * unchanged (tests/test_two_pass.cc pins them by digest).
+ * node. The chase and the split run through the SIMD kernel table
+ * (core/fast_kernels.hh), whose scalar bodies are the reference. It
+ * walks the same loops in the same order with the same colors as
+ * the textbook recursion, so every seed's factorization is unchanged
+ * at every SIMD level (tests/test_two_pass.cc pins them by digest).
  */
 
 #ifndef SRBENES_CORE_TWO_PASS_HH

@@ -1,5 +1,8 @@
 #include "perm/f_class.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/logging.hh"
 
 namespace srbenes
@@ -79,6 +82,27 @@ bool
 inFClass(const Permutation &perm)
 {
     return inFClassTags(perm.dest(), perm.log2Size());
+}
+
+bool
+levelZero(const Permutation &d)
+{
+    const std::vector<Word> &tags = d.dest();
+    // log2Size panics unless N is a power of two, as Theorem 1 needs.
+    const std::size_t half = (std::size_t{1} << d.log2Size()) / 2;
+    // One toggle per upper tag's output pair: N/2 toggles leave every
+    // pair toggled once only if each is hit exactly once. A byte per
+    // pair keeps consecutive toggles off one word.
+    std::vector<std::uint8_t> hit(half, 0);
+    for (std::size_t i = 0; i < half; ++i) {
+        // Branch-free: which tag goes up is a coin flip.
+        const Word a = tags[2 * i];
+        const Word b = tags[2 * i + 1];
+        const Word up = a ^ ((a ^ b) & (Word{0} - (a & 1)));
+        hit[up >> 1] ^= 1;
+    }
+    return std::all_of(hit.begin(), hit.end(),
+                       [](std::uint8_t h) { return h == 1; });
 }
 
 namespace

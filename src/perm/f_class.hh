@@ -40,6 +40,17 @@ splitStageZero(const std::vector<Word> &tags);
 bool inFClass(const Permutation &perm);
 
 /**
+ * Theorem 1's condition at level 0 alone, in O(N): stage 0 sends
+ * d[2i] to the upper subnetwork when it is even, else d[2i+1], and
+ * those N/2 tags must reach each output pair t >> 1 exactly once.
+ * The condition is necessary for F(n) membership, so a false answer
+ * proves @p d is not in F(n) and no self-routed pass of it can get
+ * every tag home; a true answer decides nothing. (When the upper
+ * tags cover every output pair once, the lower ones do too.)
+ */
+bool levelZero(const Permutation &d);
+
+/**
  * Membership test on a raw tag vector of length 2^n whose entries are
  * interpreted as n-bit destination tags. Exposed so the recursion can
  * be exercised on the intermediate U/L vectors in tests.

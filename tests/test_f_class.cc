@@ -2,8 +2,9 @@
  * @file
  * Tests for F(n), the class realizable by the self-routing network:
  * the Theorem 1 recursive test is cross-validated exhaustively
- * against the full network simulation, and the containment theorems
- * (BPC in F, InverseOmega in F) are property-tested.
+ * against the full network simulation, the containment theorems
+ * (BPC in F, InverseOmega in F) are property-tested, and the level-0
+ * condition is checked to reject only non-members.
  */
 
 #include <algorithm>
@@ -14,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
+#include "core/fast_engine.hh"
 #include "core/self_routing.hh"
+#include "core/setup_engine.hh"
+#include "core/two_pass.hh"
 #include "perm/bpc.hh"
 #include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
@@ -71,6 +75,70 @@ TEST(FClass, TheoremOneMatchesNetworkExhaustivelyN8)
         const Permutation p(dest);
         ASSERT_EQ(net.route(p).success, inFClass(p)) << p.toString();
     } while (std::next_permutation(dest.begin(), dest.end()));
+}
+
+TEST(FClass, LevelZeroIsSoundExhaustivelyToN8)
+{
+    // Level 0 of Theorem 1 is necessary for F membership: it never
+    // rejects a permutation the fabric self-routes, and everything it
+    // rejects fails both Theorem 1 and the bit-sliced tag pass.
+    for (unsigned n = 1; n <= 3; ++n) {
+        const FastEngine eng(n, nullptr);
+        const SetupEngine setup(eng, nullptr);
+        std::vector<Word> dest(std::size_t{1} << n);
+        std::iota(dest.begin(), dest.end(), 0);
+        std::size_t rejected = 0;
+        do {
+            const Permutation p(dest);
+            const bool in_f = inFClass(p);
+            ASSERT_EQ(setup.routes(p), in_f) << p.toString();
+            if (!levelZero(p)) {
+                ++rejected;
+                ASSERT_FALSE(in_f) << p.toString();
+            }
+        } while (std::next_permutation(dest.begin(), dest.end()));
+        // The test has teeth from n = 2 on: (1, 3, 2, 0) fails level 0.
+        if (n >= 2) {
+            EXPECT_GT(rejected, 0u) << "n=" << n;
+        }
+    }
+    EXPECT_FALSE(levelZero(Permutation({1, 3, 2, 0})));
+}
+
+TEST(FClass, LevelZeroPassesFAndRejectsOnlyNonMembers)
+{
+    Prng prng(1001);
+    for (unsigned n = 4; n <= 12; ++n) {
+        const Word N = Word{1} << n;
+        const SelfRoutingBenes net(n);
+        const FastEngine eng(n, nullptr);
+        const SetupEngine setup(eng, nullptr);
+        for (int trial = 0; trial < 8; ++trial) {
+            // Every F member passes.
+            const Permutation f = randomFMember(n, prng);
+            ASSERT_TRUE(levelZero(f)) << "n=" << n;
+            // An Omega member (the second TwoPass factor of a random
+            // permutation) and an arbitrary permutation pass only if
+            // they can: a rejection always means the pass fails.
+            const Permutation any = Permutation::random(N, prng);
+            const Permutation omega = twoPassPlan(net, any).second;
+            ASSERT_TRUE(isOmega(omega));
+            for (const Permutation *p : {&omega, &any}) {
+                if (!levelZero(*p)) {
+                    ASSERT_FALSE(setup.routes(*p)) << "n=" << n;
+                }
+            }
+        }
+        // From n = 6 on, uniformly random permutations essentially
+        // never pass level 0: it takes N/2 distinct random output
+        // pairs, about (N/2)! / (N/2)^(N/2) < 1e-12 of them.
+        int passed = 0;
+        for (int trial = 0; trial < 16; ++trial)
+            passed += levelZero(Permutation::random(N, prng));
+        if (n >= 6) {
+            EXPECT_EQ(passed, 0) << "n=" << n;
+        }
+    }
 }
 
 class FContainment : public ::testing::TestWithParam<unsigned>

@@ -3,12 +3,15 @@
  * Differential tests for the runtime-dispatched SIMD kernels: every
  * compiled-and-supported level (scalar, AVX2, AVX-512) must agree
  * with the scalar kernel bit-for-bit — on raw kernel invocations
- * with awkward tails, and on whole routes through FastEngine,
+ * with awkward tails, on the TwoPass factor's two kernel passes at
+ * every level of every width, and on whole routes through FastEngine,
  * exhaustively at n <= 3 and randomized at n = 4..10. Also covers
  * the SRBENES_DISABLE_SIMD escape hatch.
  */
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,9 +145,12 @@ TEST(FastKernels, PackTagsMatchesScalarAndNaive)
     const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
     for (SimdLevel level : supportedLevels()) {
         const KernelTable &k = kernelsFor(level);
+        // Up to the widths srbd routes: 8..16 planes over 4096 lanes,
+        // and the topology's limit of 30 planes.
         for (Word count : {Word{1}, Word{3}, Word{63}, Word{64},
-                           Word{65}, Word{100}, Word{256}}) {
-            for (unsigned nplanes : {1u, 4u, 9u}) {
+                           Word{65}, Word{100}, Word{256}, Word{4095},
+                           Word{4096}}) {
+            for (unsigned nplanes : {1u, 4u, 9u, 12u, 16u, 17u, 30u}) {
                 const Word used = (count + 63) / 64;
                 const Word stride = used + 2; // canary tail words
                 std::vector<Word> tags(count);
@@ -177,6 +183,88 @@ TEST(FastKernels, PackTagsMatchesScalarAndNaive)
                         ASSERT_EQ(row[w], kCanary)
                             << "overwrote word " << w << " plane "
                             << b;
+                }
+            }
+        }
+    }
+}
+
+/** One level's factor state and the three passes' outputs. */
+struct FactorState
+{
+    std::vector<std::uint32_t> dinv, ids, nxt, dinv_next, ids_next;
+    std::vector<std::uint16_t> color;
+
+    FactorLevel
+    level(std::uint32_t s, unsigned lvl, std::uint64_t seed)
+    {
+        return {.size = static_cast<std::uint32_t>(dinv.size()),
+                .s = s,
+                .level = lvl,
+                .seed = seed,
+                .dinv = dinv.data(),
+                .ids = ids.data(),
+                .nxt = nxt.data(),
+                .color = color.data(),
+                .dinv_next = dinv_next.data(),
+                .ids_next = ids_next.data()};
+    }
+};
+
+TEST(FastKernels, FactorPassesMatchScalar)
+{
+    // Every level of every width: random sub-problems (each dinv a
+    // local permutation, nxt the loop successors it implies, ids
+    // distinct), the canonical seed and a seeded one. The colors
+    // and both children must match the scalar reference bodies
+    // exactly.
+    Prng prng(77);
+    const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
+    for (unsigned n = 2; n <= 12; ++n) {
+        const std::uint32_t size = std::uint32_t{1} << n;
+        for (unsigned lvl = 0; lvl + 1 < n; ++lvl) {
+            const std::uint32_t s = size >> lvl;
+            FactorState in;
+            in.dinv.resize(size);
+            for (std::uint32_t o = 0; o < size; o += s) {
+                const Permutation local = Permutation::random(s, prng);
+                for (std::uint32_t j = 0; j < s; ++j)
+                    in.dinv[o + j] = static_cast<std::uint32_t>(local[j]);
+            }
+            in.nxt.resize(size);
+            for (std::uint32_t y = 0; y < size; y += 2) {
+                const std::uint32_t o = y & ~(s - 1);
+                const std::uint32_t a = in.dinv[y];
+                const std::uint32_t b = in.dinv[y + 1];
+                in.nxt[o | (a ^ 1)] = o | b;
+                in.nxt[o | (b ^ 1)] = o | a;
+            }
+            const Permutation ids = Permutation::random(size, prng);
+            in.ids.assign(ids.dest().begin(), ids.dest().end());
+            for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{7}}) {
+                FactorState want = in;
+                want.color.assign(size, 0);
+                want.dinv_next.assign(size, 0);
+                want.ids_next.assign(size, 0);
+                FactorLevel lv = want.level(s, lvl, seed);
+                ref.factorChase(lv);
+                ref.factorSplit(lv);
+                for (SimdLevel level : supportedLevels()) {
+                    const KernelTable &k = kernelsFor(level);
+                    FactorState got = in;
+                    got.color.assign(size, 0);
+                    got.dinv_next.assign(size, 0);
+                    got.ids_next.assign(size, 0);
+                    FactorLevel g = got.level(s, lvl, seed);
+                    k.factorChase(g);
+                    k.factorSplit(g);
+                    const std::string what =
+                        std::string(k.name) + " n=" + std::to_string(n) +
+                        " level=" + std::to_string(lvl) +
+                        " seed=" + std::to_string(seed);
+                    ASSERT_EQ(got.color, want.color) << what;
+                    ASSERT_EQ(got.dinv_next, want.dinv_next) << what;
+                    ASSERT_EQ(got.ids_next, want.ids_next) << what;
                 }
             }
         }

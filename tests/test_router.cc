@@ -2,10 +2,15 @@
  * @file
  * Tests for the routing facade: strategy selection, plan reuse,
  * correct delivery under every strategy, the Waksman preference
- * knob, and the plan cache's lookups and budgets.
+ * knob, the tag passes a cold plan runs, and the plan cache's
+ * lookups, budgets and global-LRU eviction.
  */
 
+#include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -276,6 +281,167 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
     const auto out = router.execute(*held, data);
     for (Word i = 0; i < N; ++i)
         EXPECT_EQ(out[perms[0][i]], data[i]);
+}
+
+/** Tag passes run so far by every engine in @p reg. */
+std::uint64_t
+tagPasses(const obs::MetricsRegistry &reg)
+{
+    std::uint64_t total = 0;
+    reg.visit([&](const obs::MetricsRegistry::View &v) {
+        if (v.name == "srbenes_engine_routes_planned_total")
+            total += v.counter->value();
+    });
+    return total;
+}
+
+TEST(Router, ColdPlansRunOnlyTheTagPassesTheyNeed)
+{
+    // A cold TwoPass plan verifies its two factors and nothing else:
+    // Theorem 1's level-0 condition has already ruled out the F
+    // attempt. A cold F member runs its one pass.
+    Prng prng(31);
+    for (unsigned n = 4; n <= 10; ++n) {
+        obs::MetricsRegistry reg;
+        const Router router(n, false, /*capacity=*/16, /*shards=*/4,
+                            &reg);
+        const Word N = Word{1} << n;
+        Permutation d = Permutation::random(N, prng);
+        while (levelZero(d) || isOmega(d))
+            d = Permutation::random(N, prng);
+
+        std::uint64_t before = tagPasses(reg);
+        EXPECT_EQ(router.planCached(d)->strategy, RouteStrategy::TwoPass);
+        EXPECT_EQ(tagPasses(reg) - before, 2u) << "n=" << n;
+
+        before = tagPasses(reg);
+        const Permutation f = randomFMember(n, prng);
+        EXPECT_EQ(router.planCached(f)->strategy,
+                  RouteStrategy::SelfRouting);
+        EXPECT_EQ(tagPasses(reg) - before, 1u) << "n=" << n;
+
+        // Hits run no pass at all.
+        before = tagPasses(reg);
+        (void)router.planCached(d);
+        (void)router.planCached(f);
+        EXPECT_EQ(tagPasses(reg), before) << "n=" << n;
+    }
+}
+
+TEST(Router, CapacityEvictsGlobalLeastRecentlyUsed)
+{
+    // Fill a 32-slot cache spread over 8 shards, touch a scripted
+    // subset, then insert 20 more patterns: each insert evicts the
+    // least recently used entry across all shards, so the evicted
+    // ones are exactly the 20 least recently used: the 17 untouched
+    // entries, then the 3 whose last touch came first (one of them
+    // touched twice, so only its second touch counts).
+    Prng prng(37);
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const std::size_t capacity = 32;
+    const Router router(n, false, capacity, /*shards=*/8);
+    ASSERT_EQ(router.planCacheShards(), 8u);
+
+    std::vector<Permutation> resident;
+    while (resident.size() < capacity) {
+        Permutation d = Permutation::random(N, prng);
+        if (std::find(resident.begin(), resident.end(), d) ==
+            resident.end())
+            resident.push_back(std::move(d));
+    }
+    for (const Permutation &d : resident)
+        (void)router.planCached(d);
+    ASSERT_EQ(router.planCacheSize(), capacity);
+
+    // Recency after the script, least recent first: the untouched
+    // entries in insertion order, then the touched ones in the
+    // order of their last touch.
+    const std::vector<std::size_t> script = {3,  17, 0,  29, 8,  3,
+                                             21, 12, 31, 5,  17, 26,
+                                             14, 0,  9,  23, 2,  30};
+    for (std::size_t i : script)
+        ASSERT_NE(router.findCached(resident[i],
+                                    Router::hashPermutation(resident[i])),
+                  nullptr);
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < capacity; ++i)
+        if (std::find(script.begin(), script.end(), i) == script.end())
+            order.push_back(i);
+    std::vector<std::size_t> touched;
+    for (auto it = script.rbegin(); it != script.rend(); ++it)
+        if (std::find(touched.begin(), touched.end(), *it) ==
+            touched.end())
+            touched.insert(touched.begin(), *it);
+    order.insert(order.end(), touched.begin(), touched.end());
+
+    const std::size_t extra = 20;
+    std::size_t added = 0;
+    while (added < extra) {
+        const Permutation d = Permutation::random(N, prng);
+        if (std::find(resident.begin(), resident.end(), d) !=
+            resident.end())
+            continue;
+        (void)router.planCached(d);
+        ++added;
+    }
+    EXPECT_EQ(router.planCacheSize(), capacity);
+    EXPECT_EQ(router.planCacheEvictions(), extra);
+    for (std::size_t rank = 0; rank < capacity; ++rank) {
+        const Permutation &d = resident[order[rank]];
+        const bool kept =
+            router.findCached(d, Router::hashPermutation(d)) != nullptr;
+        EXPECT_EQ(kept, rank >= extra)
+            << "entry " << order[rank] << " at recency rank " << rank;
+    }
+}
+
+TEST(Router, FindCachedRacesInsertsPastCapacity)
+{
+    // Readers look up a fixed set while one writer inserts far past
+    // capacity, so hits touch stamps while inserts swap-remove them.
+    // Every hit is the pattern asked for, and the cache ends within
+    // capacity with its byte account intact.
+    Prng prng(41);
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const std::size_t capacity = 16;
+    const Router router(n, false, capacity, /*shards=*/4);
+    std::vector<Permutation> hot;
+    for (int i = 0; i < 8; ++i)
+        hot.push_back(Permutation::random(N, prng));
+    std::vector<Permutation> cold;
+    for (int i = 0; i < 256; ++i)
+        cold.push_back(Permutation::random(N, prng));
+    for (const Permutation &d : hot)
+        (void)router.planCached(d);
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t)
+        readers.emplace_back([&] {
+            while (!stop.load()) {
+                for (const Permutation &d : hot) {
+                    const auto p =
+                        router.findCached(d, Router::hashPermutation(d));
+                    if (p && p->perm != d)
+                        wrong.fetch_add(1);
+                }
+            }
+        });
+    for (const Permutation &d : cold)
+        (void)router.planCached(d);
+    stop.store(true);
+    for (std::thread &r : readers)
+        r.join();
+
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_LE(router.planCacheSize(), capacity);
+    std::size_t bytes = 0;
+    for (const CacheShardStats &s : router.cacheStats())
+        bytes += s.bytes;
+    EXPECT_EQ(bytes, router.planCacheBytes());
 }
 
 TEST(Router, FindCachedNeverPlans)

@@ -4,7 +4,8 @@
  * D = P1 o P2 with P1 in InverseOmega(n) and P2 in Omega(n), and its
  * execution as two self-routed passes (pass 2 with the omega bit).
  * Checked exhaustively for N <= 8 and sampled to N = 4096; the
- * seeded factorizations are pinned by digest for N = 4..4096.
+ * seeded factorizations are pinned by digest for N = 4..4096, and
+ * every SIMD level of the factor's kernels yields the same ones.
  */
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
+#include "core/fast_kernels.hh"
 #include "core/two_pass.hh"
 #include "perm/f_class.hh"
 #include "perm/omega_class.hh"
@@ -250,6 +252,47 @@ TEST(TwoPassSeeded, FactorizationsArePinned)
                 h = factorDigest(h, twoPassPlanSeeded(net, d, seed));
             EXPECT_EQ(h, kDigest[n - 2][seed])
                 << "n=" << n << " seed=" << seed;
+        }
+    }
+}
+
+TEST(TwoPassSeeded, FactorsAgreeAtEveryKernelLevel)
+{
+    // The factor's passes run through the kernel table; every
+    // compiled level must yield the scalar reference's factors, so
+    // the pinned digests above hold whichever level dispatch picks.
+    struct Restore
+    {
+        ~Restore() { setSimdLevel(detectSimdLevel()); }
+    } restore;
+    std::vector<SimdLevel> levels;
+    for (SimdLevel level :
+         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512})
+        if (simdLevelSupported(level))
+            levels.push_back(level);
+    Prng prng(64);
+    for (unsigned n = 1; n <= 12; ++n) {
+        const SelfRoutingBenes net(n);
+        const Permutation any =
+            Permutation::random(std::size_t{1} << n, prng);
+        const Permutation f = randomFMember(n, prng);
+        const Permutation omega = twoPassPlan(net, any).second;
+        for (const Permutation *d : {&any, &f, &omega}) {
+            for (std::uint64_t seed = 0; seed <= 8; ++seed) {
+                setSimdLevel(SimdLevel::Scalar);
+                const TwoPassPlan want = twoPassPlanSeeded(net, *d, seed);
+                for (SimdLevel level : levels) {
+                    setSimdLevel(level);
+                    const TwoPassPlan got =
+                        twoPassPlanSeeded(net, *d, seed);
+                    ASSERT_EQ(got.first, want.first)
+                        << simdLevelName(level) << " n=" << n
+                        << " seed=" << seed;
+                    ASSERT_EQ(got.second, want.second)
+                        << simdLevelName(level) << " n=" << n
+                        << " seed=" << seed;
+                }
+            }
         }
     }
 }
