@@ -189,7 +189,7 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows)
         const Word N = Word{1} << n;
         const SelfRoutingBenes net(n);
         const FastEngine eng(n);
-        const SetupEngine setup(eng, nullptr);
+        const SetupEngine setup(eng);
         const Router router(n, false, /*plan_cache_capacity=*/0,
                             /*cache_shards=*/1, /*metrics=*/nullptr);
         Prng prng(100 + n);

@@ -137,4 +137,37 @@ EOF
     fi
 fi
 
+# Resilience guard: no serve is ever silently misrouted, and on a
+# healthy fabric every serve stays Primary (no fallback tier, no
+# failure). bench_resilience already exits nonzero on a silent
+# misroute; re-checking its JSON here keeps both gates alive even if
+# the bench's own exit path regresses.
+if [ -f BENCH_resilience.json ]; then
+    echo
+    echo "== resilience guard (no silent misroute, healthy stays Primary) =="
+    if ! python3 - <<'EOF'
+import json, sys
+rows = json.load(open("BENCH_resilience.json"))["results"]
+for r in rows:
+    print(f"  faults {r['faults']}: primary {r['primary']} "
+          f"reroute {r['reroute']} two_pass {r['two_pass']} "
+          f"failed {r['failed_fault'] + r['failed_deadline']} "
+          f"silent_misroutes {r['silent_misroutes']}")
+misrouted = [r["faults"] for r in rows if r["silent_misroutes"] != 0]
+if misrouted:
+    sys.exit(f"silent misroutes in the faults={misrouted} rows")
+healthy = [r for r in rows if r["faults"] == 0]
+if not healthy:
+    sys.exit("no faults: 0 row in BENCH_resilience.json")
+for r in healthy:
+    left = {k: r[k] for k in ("reroute", "two_pass", "failed_fault",
+                              "failed_deadline") if r[k] != 0}
+    if left:
+        sys.exit(f"a healthy fabric left the Primary tier: {left}")
+EOF
+    then
+        failed=1
+    fi
+fi
+
 exit "${failed}"

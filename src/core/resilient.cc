@@ -281,6 +281,9 @@ ResilientRouter::tryPrimary(const Permutation &d,
                             const std::vector<Word> &data,
                             const std::vector<StuckFault> &hw) const
 {
+    // The plan keeps only its gather table. The factors and states
+    // this tier replays are re-derived from d with the same
+    // deterministic setups the Router verified them with.
     const auto plan = router_.planCached(d);
     switch (plan->strategy) {
       case RouteStrategy::SelfRouting:
@@ -290,18 +293,18 @@ ResilientRouter::tryPrimary(const Permutation &d,
         return routeWithFaults(fabric(), d, hw, data,
                                RoutingMode::OmegaBit);
       case RouteStrategy::TwoPass: {
-        RouteOutcome first =
-            routeWithFaults(fabric(), plan->two_pass->first, hw, data,
-                            RoutingMode::SelfRouting);
+        const TwoPassPlan tp = twoPassPlan(fabric(), d);
+        RouteOutcome first = routeWithFaults(
+            fabric(), tp.first, hw, data, RoutingMode::SelfRouting);
         if (!first)
             return first;
-        return routeWithFaults(fabric(), plan->two_pass->second, hw,
+        return routeWithFaults(fabric(), tp.second, hw,
                                first.takeValue(),
                                RoutingMode::OmegaBit);
       }
       case RouteStrategy::Waksman: {
         const RouteResult res = routeWithFaultsStates(
-            fabric(), d, hw, *plan->states);
+            fabric(), d, hw, waksmanSetup(fabric().topology(), d));
         if (!res.success) {
             RouteError err;
             err.code = RouteErrc::FaultDetected;

@@ -53,6 +53,7 @@
 #include "common/thread_annotations.hh"
 #include "core/faults.hh"
 #include "core/router.hh"
+#include "core/two_pass.hh"
 #include "core/waksman.hh"
 #include "obs/metrics.hh"
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "core/two_pass.hh"
 #include "core/waksman.hh"
 #include "obs/trace.hh"
 #include "perm/f_class.hh"
@@ -100,10 +101,15 @@ Router::Router(unsigned n, bool prefer_waksman,
                std::size_t plan_cache_capacity, unsigned cache_shards,
                obs::MetricsRegistry *metrics,
                std::size_t plan_cache_bytes)
-    : net_(n), engine_(n, metrics), setup_(engine_, metrics),
+    : net_(n), engine_(n, metrics), setup_(engine_),
       prefer_waksman_(prefer_waksman),
-      cache_capacity_(plan_cache_capacity),
-      cache_bytes_budget_(plan_cache_bytes), metrics_(metrics)
+      plan_bytes_(sizeof(RoutePlan) + 2 * net_.numLines() * sizeof(Word)),
+      cache_bytes_budget_(plan_cache_bytes),
+      cache_capacity_(plan_cache_bytes == 0
+                          ? plan_cache_capacity
+                          : std::min(plan_cache_capacity,
+                                     plan_cache_bytes / plan_bytes_)),
+      metrics_(metrics)
 {
     std::size_t nshards = std::max(1u, cache_shards);
     if (cache_capacity_ > 0)
@@ -196,21 +202,20 @@ Router::planImpl(const Permutation &d) const
             panic("omega-bit plan failed for a planned Omega member");
         p.strategy = RouteStrategy::OmegaBit;
     } else if (prefer_waksman_) {
-        SwitchStates states = waksmanSetup(net_.topology(), d);
-        if (!engine_.planWithStates(d, states).success)
+        if (!engine_.planWithStates(d, waksmanSetup(net_.topology(), d))
+                 .success)
             panic("waksman plan failed to realize its permutation");
         p.strategy = RouteStrategy::Waksman;
-        p.states = std::move(states);
     } else {
         // The factorization composes to d by construction
-        // (second[first[i]] = d[i]); both passes are verified, and
-        // the factors stay in the plan for the resilient layer.
-        TwoPassPlan tp = twoPassPlan(net_, d);
+        // (second[first[i]] = d[i]); both passes are verified, then
+        // the factors are dropped: the resilient layer re-derives
+        // this same deterministic factorization when it needs it.
+        const TwoPassPlan tp = twoPassPlan(net_, d);
         if (!setup_.routes(tp.first) ||
             !setup_.routes(tp.second, RoutingMode::OmegaBit))
             panic("two-pass plan failed one of its self-routed passes");
         p.strategy = RouteStrategy::TwoPass;
-        p.two_pass = std::move(tp);
         p.passes = 2;
     }
 
@@ -223,21 +228,6 @@ Router::planImpl(const Permutation &d) const
     return p;
 }
 
-std::size_t
-Router::planResidentBytes(const RoutePlan &p)
-{
-    std::size_t b = sizeof(RoutePlan);
-    b += (p.perm.dest().size() + p.src.size()) * sizeof(Word);
-    if (p.two_pass)
-        b += (p.two_pass->first.dest().size() +
-              p.two_pass->second.dest().size()) *
-             sizeof(Word);
-    if (p.states)
-        for (const auto &stage : *p.states)
-            b += stage.size() * sizeof(std::uint8_t);
-    return b;
-}
-
 void
 Router::CacheShard::erase(Map::iterator it)
 {
@@ -247,19 +237,17 @@ Router::CacheShard::erase(Map::iterator it)
         map.find(stamps[slot].key)->second.slot = slot;
     }
     stamps.pop_back();
-    bytes -= it->second.bytes;
     map.erase(it);
 }
 
-template <typename Over>
 void
-Router::evictWhile(Over over) const
+Router::evictPastCapacity() const
 {
     // Capacity is global, not per shard: evict the globally
     // least-recently-stamped entries. Ticks are unique, so the victim
     // does not depend on the scan order. The scan reads each shard's
     // contiguous stamp array; hits never reach this path.
-    while (over()) {
+    while (planCacheSize() > cache_capacity_) {
         CacheShard *vsh = nullptr;
         std::uint64_t vkey = 0;
         std::uint64_t vstamp = ~std::uint64_t{0};
@@ -283,8 +271,8 @@ Router::evictWhile(Over over) const
         if (it != vsh->map.end()) {
             vsh->erase(it);
             if (vsh->bytes_g)
-                vsh->bytes_g->set(
-                    static_cast<std::int64_t>(vsh->bytes));
+                vsh->bytes_g->set(static_cast<std::int64_t>(
+                    vsh->map.size() * plan_bytes_));
             if (vsh->evictions)
                 vsh->evictions->inc();
         }
@@ -330,36 +318,28 @@ Router::planCached(const Permutation &d, std::uint64_t key) const
     // Plan outside the lock; concurrent misses on the same pattern
     // just plan twice and the later insert wins.
     auto planned = std::make_shared<const RoutePlan>(plan(d));
-    const std::size_t bytes = planResidentBytes(*planned);
     // The recency clock only feeds the LRU heuristic (see
     // findCached).
     const std::uint64_t now = tick_.next();
     {
         WriterLock lock(sh.mu);
         auto [it, inserted] = sh.map.try_emplace(
-            key, planned, bytes,
-            static_cast<std::uint32_t>(sh.stamps.size()));
+            key, planned, static_cast<std::uint32_t>(sh.stamps.size()));
         if (inserted) {
             sh.stamps.emplace_back(key, now);
         } else {
             // Same hash: either a racing insert of this pattern or a
             // collision; either way the newcomer replaces the plan.
-            sh.bytes -= it->second.bytes;
             it->second.plan = planned;
-            it->second.bytes = bytes;
             // LRU stamp drawn before the lock; see findCached.
             sh.stamps[it->second.slot].last_used.stamp(now);
         }
-        sh.bytes += bytes;
         if (sh.bytes_g)
-            sh.bytes_g->set(static_cast<std::int64_t>(sh.bytes));
+            sh.bytes_g->set(
+                static_cast<std::int64_t>(sh.map.size() * plan_bytes_));
     }
 
-    evictWhile([this] { return planCacheSize() > cache_capacity_; });
-    if (cache_bytes_budget_ > 0)
-        evictWhile([this] {
-            return planCacheBytes() > cache_bytes_budget_;
-        });
+    evictPastCapacity();
     return planned;
 }
 
@@ -400,8 +380,8 @@ Router::cacheStats() const
         {
             ReaderLock lock(sh->mu);
             s.size = sh->map.size();
-            s.bytes = sh->bytes;
         }
+        s.bytes = s.size * plan_bytes_;
         s.hits = sh->hits ? sh->hits->value() : 0;
         s.misses = sh->misses ? sh->misses->value() : 0;
         s.evictions = sh->evictions ? sh->evictions->value() : 0;
@@ -413,12 +393,7 @@ Router::cacheStats() const
 std::size_t
 Router::planCacheBytes() const
 {
-    std::size_t total = 0;
-    for (const auto &sh : shards_) {
-        ReaderLock lock(sh->mu);
-        total += sh->bytes;
-    }
-    return total;
+    return planCacheSize() * plan_bytes_;
 }
 
 std::size_t
@@ -468,7 +443,6 @@ Router::clearPlanCache() const
         WriterLock lock(sh->mu);
         sh->map.clear();
         sh->stamps.clear();
-        sh->bytes = 0;
         if (sh->bytes_g)
             sh->bytes_g->set(0);
         if (sh->hits)

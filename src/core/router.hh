@@ -41,7 +41,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,7 +51,6 @@
 #include "core/route_outcome.hh"
 #include "core/self_routing.hh"
 #include "core/setup_engine.hh"
-#include "core/two_pass.hh"
 #include "obs/metrics.hh"
 
 namespace srbenes
@@ -88,10 +86,18 @@ struct Hash128
 
 Hash128 hashPermutation128(const Permutation &d);
 
-/** An immutable, reusable routing plan for one permutation. */
+/**
+ * An immutable, reusable routing plan for one permutation: what a
+ * served request reads, and nothing else. Every plan at one n has the
+ * same size, sizeof(RoutePlan) plus 2N words (perm and src). The
+ * TwoPass factors and the Waksman states are verified at planning
+ * time and then dropped; the resilient layer, the one reader of
+ * either, re-derives them from perm (both setups are deterministic).
+ */
 struct RoutePlan
 {
     RouteStrategy strategy;
+    /** The planned permutation: a cache hit's identity check. */
     Permutation perm;
     /**
      * The verified lane mapping: output j gathers input src[j]. Every
@@ -101,10 +107,6 @@ struct RoutePlan
      * confirmed that every tag reached home.
      */
     std::vector<Word> src;
-    /** TwoPass only: the factors the resilient layer replays. */
-    std::optional<TwoPassPlan> two_pass = std::nullopt;
-    /** Waksman only. */
-    std::optional<SwitchStates> states = std::nullopt;
     /** Passes through the fabric per executed vector. */
     unsigned passes = 1;
 };
@@ -116,8 +118,8 @@ struct CacheShardStats
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t evictions = 0;
-    /** Resident bytes of the shard's cached plans (perm + src +
-     *  strategy extras). */
+    /** Resident bytes of the shard's cached plans: its entries times
+     *  the one plan size. */
     std::size_t bytes = 0;
 };
 
@@ -133,17 +135,18 @@ class Router
      * @param cache_shards independent cache shards; lookups take one
      *        shard's reader lock only, so K threads with disjoint
      *        working sets never serialize. Clamped to
-     *        [1, plan_cache_capacity] when the cache is enabled.
+     *        [1, capacity] when the cache is enabled.
      * @param metrics registry receiving this router's instruments
      *        (plan-cache hit/miss/eviction per shard, resident-byte
      *        gauges, cold-plan counts and latency by strategy).
      *        nullptr disables instrumentation; the default is the
      *        process-global registry.
      * @param plan_cache_bytes resident-byte budget across all
-     *        shards: after an insert pushes the cache past it, the
-     *        globally least-recently-used plans are evicted until
-     *        the cache fits again (entry-count capacity still
-     *        applies independently). 0 disables the byte budget.
+     *        shards. Every plan at one n has one size, so a nonzero
+     *        budget is the entry capacity it implies: the cache holds
+     *        min(plan_cache_capacity, plan_cache_bytes / plan size)
+     *        plans, and a budget below one plan disables the cache.
+     *        0 leaves plan_cache_capacity as the only limit.
      */
     explicit Router(unsigned n, bool prefer_waksman = false,
                     std::size_t plan_cache_capacity = 64,
@@ -220,12 +223,15 @@ class Router
     std::size_t planCacheHits() const;
     std::size_t planCacheMisses() const;
     std::size_t planCacheEvictions() const;
-    /** Resident bytes of all cached plans across shards. */
+    /** Resident bytes of all cached plans across shards: their
+     *  count times the one plan size. */
     std::size_t planCacheBytes() const;
     std::size_t planCacheByteBudget() const noexcept
     {
         return cache_bytes_budget_;
     }
+    /** Entries the cache holds: the capacity argument, lowered to
+     *  what a nonzero byte budget implies. */
     std::size_t planCacheCapacity() const noexcept
     {
         return cache_capacity_;
@@ -251,14 +257,11 @@ class Router
     {
         struct Entry
         {
-            Entry(std::shared_ptr<const RoutePlan> p, std::size_t b,
-                  std::uint32_t s)
-                : plan(std::move(p)), bytes(b), slot(s)
+            Entry(std::shared_ptr<const RoutePlan> p, std::uint32_t s)
+                : plan(std::move(p)), slot(s)
             {
             }
             std::shared_ptr<const RoutePlan> plan;
-            /** Resident bytes this entry accounts for. */
-            std::size_t bytes;
             /** This entry's index in the shard's stamps. */
             std::uint32_t slot;
         };
@@ -290,8 +293,6 @@ class Router
         Map map SRB_GUARDED_BY(mu);
         /** stamps[e.slot] belongs to entry e, and only to it. */
         std::vector<Stamp> stamps SRB_GUARDED_BY(mu);
-        /** Sum of the entries' bytes, maintained incrementally. */
-        std::size_t bytes SRB_GUARDED_BY(mu) = 0;
         /** Registry-served counters; null when metrics are off. */
         obs::Counter *hits = nullptr;
         obs::Counter *misses = nullptr;
@@ -305,17 +306,18 @@ class Router
 
     CacheShard &shardFor(std::uint64_t hash) const;
     RoutePlan planImpl(const Permutation &d) const;
-    /** Resident bytes of one plan as cached (heap payloads only). */
-    static std::size_t planResidentBytes(const RoutePlan &p);
-    /** Evict globally-LRU entries while @p over() says so. */
-    template <typename Over> void evictWhile(Over over) const;
+    /** Evict globally-LRU entries until the cache fits its capacity. */
+    void evictPastCapacity() const;
 
     SelfRoutingBenes net_;
     FastEngine engine_;
     SetupEngine setup_;
     bool prefer_waksman_;
-    std::size_t cache_capacity_;
+    /** Resident bytes of any one plan at this n: sizeof(RoutePlan)
+     *  plus perm and src. */
+    std::size_t plan_bytes_;
     std::size_t cache_bytes_budget_;
+    std::size_t cache_capacity_;
     mutable std::vector<std::unique_ptr<CacheShard>> shards_;
     /** Global recency clock for the stamps. */
     RecencyClock tick_;

@@ -5,32 +5,18 @@
 namespace srbenes
 {
 
-SetupEngine::SetupEngine(const FastEngine &eng,
-                         obs::MetricsRegistry *metrics)
-    : eng_(eng)
-{
-    if (metrics)
-        plans_ = &metrics->counter(
-            "srbenes_setup_plans_total",
-            {{"setup", metrics->uniqueInstance("setup")}});
-}
+SetupEngine::SetupEngine(const FastEngine &eng) : eng_(eng) {}
 
 FastPlan
 SetupEngine::plan(const Permutation &d, RoutingMode mode) const
 {
-    FastPlan p = eng_.routePlan(d, mode);
-    if (plans_)
-        plans_->inc();
-    return p;
+    return eng_.routePlan(d, mode);
 }
 
 bool
 SetupEngine::routes(const Permutation &d, RoutingMode mode) const
 {
-    const bool home = eng_.routesHome(d, mode);
-    if (plans_)
-        plans_->inc();
-    return home;
+    return eng_.routesHome(d, mode);
 }
 
 } // namespace srbenes

@@ -18,7 +18,6 @@
 #define SRBENES_CORE_SETUP_ENGINE_HH
 
 #include "core/fast_engine.hh"
-#include "obs/metrics.hh"
 
 namespace srbenes
 {
@@ -28,15 +27,10 @@ class SetupEngine
   public:
     /**
      * Plan through @p eng's fabric. The engine reference is
-     * retained; it must outlive this object.
-     *
-     * @param metrics registry receiving this engine's instruments
-     *        (tag passes run, plans and verdicts alike). nullptr
-     *        disables instrumentation.
+     * retained; it must outlive this object. The engine's own
+     * instruments count the tag passes run.
      */
-    explicit SetupEngine(const FastEngine &eng,
-                         obs::MetricsRegistry *metrics =
-                             obs::defaultRegistry());
+    explicit SetupEngine(const FastEngine &eng);
 
     /**
      * Cold-plan @p d through the bit-sliced fabric. A failed pass
@@ -56,9 +50,6 @@ class SetupEngine
 
   private:
     const FastEngine &eng_;
-
-    /** Tag passes run (obs/metrics.hh); null when disabled. */
-    obs::Counter *plans_ = nullptr;
 };
 
 } // namespace srbenes

@@ -407,8 +407,10 @@ struct StreamOptions
      *  afresh by a worker. */
     std::size_t shared_cache_capacity = 512;
     unsigned shared_cache_shards = 8;
-    /** Plan-tier resident-byte budget (Router plan_cache_bytes);
-     *  0 keeps the entry-count capacity as the only limit. */
+    /** Plan-tier resident-byte budget (Router plan_cache_bytes). Every
+     *  plan at one n has one size, so a nonzero budget lowers the
+     *  tier's capacity to the plans it fits; 0 keeps
+     *  shared_cache_capacity as the only limit. */
     std::size_t shared_cache_bytes = 0;
     bool prefer_waksman = false;
     /**

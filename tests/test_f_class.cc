@@ -84,7 +84,7 @@ TEST(FClass, LevelZeroIsSoundExhaustivelyToN8)
     // rejects fails both Theorem 1 and the bit-sliced tag pass.
     for (unsigned n = 1; n <= 3; ++n) {
         const FastEngine eng(n, nullptr);
-        const SetupEngine setup(eng, nullptr);
+        const SetupEngine setup(eng);
         std::vector<Word> dest(std::size_t{1} << n);
         std::iota(dest.begin(), dest.end(), 0);
         std::size_t rejected = 0;
@@ -112,7 +112,7 @@ TEST(FClass, LevelZeroPassesFAndRejectsOnlyNonMembers)
         const Word N = Word{1} << n;
         const SelfRoutingBenes net(n);
         const FastEngine eng(n, nullptr);
-        const SetupEngine setup(eng, nullptr);
+        const SetupEngine setup(eng);
         for (int trial = 0; trial < 8; ++trial) {
             // Every F member passes.
             const Permutation f = randomFMember(n, prng);

@@ -129,28 +129,35 @@ TEST(RouterOutcome, MatchesApplyTo)
 
 TEST(ResilientRouterTest, HealthyFabricServesPrimaryExactly)
 {
+    // Both general strategies: the Primary tier re-derives the TwoPass
+    // factors, or the Waksman states, from d on every serve.
     const unsigned n = 4;
     const Word N = Word{1} << n;
-    ResilientRouter rr(n, quietOptions());
-    EXPECT_TRUE(rr.believedHealthy());
+    for (bool prefer_waksman : {false, true}) {
+        SCOPED_TRACE(prefer_waksman ? "waksman" : "two-pass");
+        ResilientOptions opts = quietOptions();
+        opts.prefer_waksman = prefer_waksman;
+        ResilientRouter rr(n, opts);
+        EXPECT_TRUE(rr.believedHealthy());
 
-    Prng prng(73);
-    for (int trial = 0; trial < 20; ++trial) {
-        const Permutation d = trial % 2 == 0
-                                  ? Permutation::random(N, prng)
-                                  : randomFMember(n, prng);
-        const auto payload = iotaPayload(N, trial * 100);
-        const auto out = rr.route(d, payload);
-        ASSERT_TRUE(out.ok()) << "trial " << trial;
-        EXPECT_EQ(out.tier(), ServeTier::Primary);
-        EXPECT_EQ(out.value(), d.applyTo(payload));
+        Prng prng(73);
+        for (int trial = 0; trial < 20; ++trial) {
+            const Permutation d = trial % 2 == 0
+                                      ? Permutation::random(N, prng)
+                                      : randomFMember(n, prng);
+            const auto payload = iotaPayload(N, trial * 100);
+            const auto out = rr.route(d, payload);
+            ASSERT_TRUE(out.ok()) << "trial " << trial;
+            EXPECT_EQ(out.tier(), ServeTier::Primary);
+            EXPECT_EQ(out.value(), d.applyTo(payload));
+        }
+        const ResilientStats st = rr.stats();
+        EXPECT_EQ(st.serves_primary, 20u);
+        EXPECT_EQ(st.serves_reroute + st.serves_two_pass, 0u);
+        EXPECT_EQ(st.failures_fault + st.failures_deadline, 0u);
+        // Healthy serving never needed a probe.
+        EXPECT_EQ(st.probes, 0u);
     }
-    const ResilientStats st = rr.stats();
-    EXPECT_EQ(st.serves_primary, 20u);
-    EXPECT_EQ(st.serves_reroute + st.serves_two_pass, 0u);
-    EXPECT_EQ(st.failures_fault + st.failures_deadline, 0u);
-    // Healthy serving never needed a probe.
-    EXPECT_EQ(st.probes, 0u);
 }
 
 TEST(ResilientRouterTest, ProbeOnHealthyFabricFindsNothing)
@@ -194,53 +201,65 @@ TEST(FaultSweep, EverySingleFaultIsRoutedAroundOrReported)
     // either returns the bit-exact payload or fails with
     // fault_detected; a wrong payload is an instant failure. The
     // fallback chain should also actually engage (nonzero degraded
-    // serves across the sweep).
+    // serves across the sweep). Primary's general strategy is TwoPass
+    // or, preferred, Waksman.
     const unsigned n = 3;
     const Word N = Word{1} << n;
-    ResilientOptions opts = quietOptions();
-    opts.max_retries = 1;
-    ResilientRouter rr(n, opts);
-    const BenesTopology &topo = rr.fabric().topology();
+    for (bool prefer_waksman : {false, true}) {
+        SCOPED_TRACE(prefer_waksman ? "waksman" : "two-pass");
+        ResilientOptions opts = quietOptions();
+        opts.max_retries = 1;
+        opts.prefer_waksman = prefer_waksman;
+        ResilientRouter rr(n, opts);
+        const BenesTopology &topo = rr.fabric().topology();
 
-    Prng prng(74);
-    const auto battery = sweepBattery(n, prng);
-    const auto payload = iotaPayload(N);
+        Prng prng(74);
+        const auto battery = sweepBattery(n, prng);
+        const auto payload = iotaPayload(N);
+        const RouteStrategy general = prefer_waksman
+                                          ? RouteStrategy::Waksman
+                                          : RouteStrategy::TwoPass;
+        EXPECT_TRUE(std::any_of(
+            battery.begin(), battery.end(), [&](const Permutation &d) {
+                return rr.router().plan(d).strategy == general;
+            })) << "the battery never reaches the general strategy";
 
-    std::uint64_t degraded = 0, failed = 0, total = 0;
-    for (unsigned s = 0; s < topo.numStages(); ++s) {
-        for (Word sw = 0; sw < topo.switchesPerStage(); ++sw) {
-            for (std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1}}) {
-                rr.clearFaults();
-                rr.injectFault(StuckFault{s, sw, v});
-                for (const Permutation &d : battery) {
-                    ++total;
-                    const auto out = rr.route(d, payload);
-                    if (out.ok()) {
-                        // The whole point: a success is BIT-EXACT.
-                        ASSERT_EQ(out.value(), d.applyTo(payload))
-                            << "silent misroute under fault ("
-                            << s << ", " << sw << ", " << int(v)
-                            << ")";
-                        if (out.tier() != ServeTier::Primary)
-                            ++degraded;
-                    } else {
-                        EXPECT_EQ(out.errc(),
-                                  RouteErrc::FaultDetected);
-                        ++failed;
+        std::uint64_t degraded = 0, failed = 0, total = 0;
+        for (unsigned s = 0; s < topo.numStages(); ++s) {
+            for (Word sw = 0; sw < topo.switchesPerStage(); ++sw) {
+                for (std::uint8_t v :
+                     {std::uint8_t{0}, std::uint8_t{1}}) {
+                    rr.clearFaults();
+                    rr.injectFault(StuckFault{s, sw, v});
+                    for (const Permutation &d : battery) {
+                        ++total;
+                        const auto out = rr.route(d, payload);
+                        if (out.ok()) {
+                            // The whole point: a success is BIT-EXACT.
+                            ASSERT_EQ(out.value(), d.applyTo(payload))
+                                << "silent misroute under fault (" << s
+                                << ", " << sw << ", " << int(v) << ")";
+                            if (out.tier() != ServeTier::Primary)
+                                ++degraded;
+                        } else {
+                            EXPECT_EQ(out.errc(),
+                                      RouteErrc::FaultDetected);
+                            ++failed;
+                        }
                     }
                 }
             }
         }
+        // Sanity on scale: 5 stages x 4 switches x 2 values x battery.
+        EXPECT_EQ(total, 5u * 4u * 2u * battery.size());
+        // Faults must have actually bitten (a sweep where every serve
+        // stayed Primary would mean the overlay is inert) ...
+        EXPECT_GT(degraded, 0u);
+        // ... and the chain must rescue the overwhelming majority. The
+        // sweep is useless if everything just fails "honestly".
+        EXPECT_LT(failed, total / 10);
+        EXPECT_GT(rr.stats().serves_reroute, 0u);
     }
-    // Sanity on scale: 5 stages x 4 switches x 2 values x battery.
-    EXPECT_EQ(total, 5u * 4u * 2u * battery.size());
-    // Faults must have actually bitten (a sweep where every serve
-    // stayed Primary would mean the overlay is inert) ...
-    EXPECT_GT(degraded, 0u);
-    // ... and the chain must rescue the overwhelming majority. The
-    // sweep is useless if everything just fails "honestly".
-    EXPECT_LT(failed, total / 10);
-    EXPECT_GT(rr.stats().serves_reroute, 0u);
 }
 
 TEST(FaultSweep, TwoPassTierServesWhenRerouteIsDisabled)

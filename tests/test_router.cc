@@ -16,7 +16,7 @@
 
 #include "common/prng.hh"
 #include "core/router.hh"
-#include "core/waksman.hh"
+#include "core/two_pass.hh"
 #include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
 #include "perm/omega_class.hh"
@@ -175,7 +175,8 @@ TEST(Router, FreshAndCachedPlansHaveOneShape)
 {
     Prng prng(11);
     for (unsigned n = 3; n <= 8; ++n) {
-        const auto data = iotaData(Word{1} << n);
+        const Word N = Word{1} << n;
+        const auto data = iotaData(N);
         for (RouteStrategy strategy :
              {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
               RouteStrategy::TwoPass, RouteStrategy::Waksman}) {
@@ -195,27 +196,14 @@ TEST(Router, FreshAndCachedPlansHaveOneShape)
                 // strategy, once at plan time; the cache keeps the
                 // plan as planned.
                 EXPECT_EQ(p->src, d.inverse().dest());
-                // The TwoPass factors and the Waksman states stay,
-                // exactly as their setups produce them: the resilient
-                // layer replays them.
-                ASSERT_EQ(p->two_pass.has_value(),
-                          strategy == RouteStrategy::TwoPass);
-                if (p->two_pass) {
-                    const TwoPassPlan want = twoPassPlan(router.fabric(), d);
-                    EXPECT_EQ(p->two_pass->first, want.first);
-                    EXPECT_EQ(p->two_pass->second, want.second);
-                    EXPECT_EQ(
-                        p->two_pass->first.then(p->two_pass->second), d);
-                }
-                ASSERT_EQ(p->states.has_value(),
-                          strategy == RouteStrategy::Waksman);
-                if (p->states) {
-                    EXPECT_EQ(*p->states,
-                              waksmanSetup(router.fabric().topology(), d));
-                }
                 EXPECT_EQ(router.execute(*p, data), d.applyTo(data));
             }
-            EXPECT_GT(router.planCacheBytes(), 0u);
+            // The factors and states are verified, then dropped, so a
+            // resident plan is perm and src whatever its strategy.
+            EXPECT_EQ(router.planCacheSize(), 1u);
+            EXPECT_EQ(router.planCacheBytes(),
+                      router.planCacheSize() *
+                          (sizeof(RoutePlan) + 2 * N * sizeof(Word)));
         }
     }
 }
@@ -246,41 +234,77 @@ TEST(Router, ByteAccountingTracksInsertsAndClear)
 
 TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
 {
+    // Every plan at one n has one size whatever its strategy, so a
+    // byte budget is the capacity it implies: 3.5 plans' worth holds
+    // exactly 3 plans, F members and general permutations alike, and
+    // evicts exactly the keys capacity 3 evicts.
     Prng prng(19);
     const unsigned n = 8;
-    // Find the per-plan footprint, then budget for about three.
-    std::size_t per_plan;
-    {
-        const Router probe(n);
-        probe.planCached(randomFMember(n, prng));
-        per_plan = probe.planCacheBytes();
-        ASSERT_GT(per_plan, 0u);
-    }
-    const std::size_t budget = 3 * per_plan + per_plan / 2;
-    const Router router(n, false, /*capacity=*/64, /*shards=*/2,
-                        obs::defaultRegistry(),
-                        /*plan_cache_bytes=*/budget);
-    EXPECT_EQ(router.planCacheByteBudget(), budget);
-
-    std::vector<Permutation> perms;
-    for (int i = 0; i < 12; ++i)
-        perms.push_back(randomFMember(n, prng));
-    // Hold the first plan's handle across its eviction.
-    const auto held = router.planCached(perms[0]);
-    for (const auto &d : perms)
-        router.planCached(d);
-
-    // The budget kept the cache to ~3 entries despite capacity 64.
-    EXPECT_LE(router.planCacheBytes(), budget);
-    EXPECT_LT(router.planCacheSize(), perms.size());
-    EXPECT_GT(router.planCacheEvictions(), 0u);
-
-    // The held plan outlives its eviction and still executes.
     const Word N = Word{1} << n;
+    const std::size_t per_plan =
+        sizeof(RoutePlan) + 2 * N * sizeof(Word);
+    const std::size_t budget = 3 * per_plan + per_plan / 2;
     const auto data = iotaData(N);
-    const auto out = router.execute(*held, data);
-    for (Word i = 0; i < N; ++i)
-        EXPECT_EQ(out[perms[0][i]], data[i]);
+    for (bool prefer_waksman : {false, true}) {
+        SCOPED_TRACE(prefer_waksman ? "waksman" : "two-pass");
+        const Router router(n, prefer_waksman, /*capacity=*/64,
+                            /*shards=*/2, obs::defaultRegistry(),
+                            /*plan_cache_bytes=*/budget);
+        const Router capped(n, prefer_waksman, /*capacity=*/3,
+                            /*shards=*/2);
+        EXPECT_EQ(router.planCacheByteBudget(), budget);
+        EXPECT_EQ(router.planCacheCapacity(), 3u);
+
+        // F members alternate with general permutations.
+        const RouteStrategy general = prefer_waksman
+                                          ? RouteStrategy::Waksman
+                                          : RouteStrategy::TwoPass;
+        std::vector<Permutation> perms;
+        for (int i = 0; i < 5; ++i) {
+            perms.push_back(randomFMember(n, prng));
+            perms.push_back(planTakes(router, general, prng));
+        }
+        // Hold the first plan's handle across its eviction.
+        const auto held = router.planCached(perms[0]);
+        (void)capped.planCached(perms[0]);
+        // Each insert is followed by a scripted touch of an earlier
+        // pattern (a miss when it is already evicted).
+        const std::vector<std::size_t> touch = {0, 0, 1, 0, 3,
+                                                2, 5, 4, 7, 6};
+        for (std::size_t i = 1; i < perms.size(); ++i) {
+            for (const Router *r : {&router, &capped}) {
+                (void)r->planCached(perms[i]);
+                const Permutation &t = perms[touch[i]];
+                (void)r->findCached(t, Router::hashPermutation(t));
+            }
+            EXPECT_EQ(router.planCacheSize(),
+                      capped.planCacheSize()) << "insert " << i;
+        }
+
+        EXPECT_EQ(router.planCacheSize(), 3u);
+        EXPECT_EQ(router.planCacheBytes(), 3 * per_plan);
+        EXPECT_LE(router.planCacheBytes(), budget);
+        EXPECT_EQ(router.planCacheEvictions(), perms.size() - 3);
+        for (std::size_t i = 0; i < perms.size(); ++i) {
+            const Permutation &d = perms[i];
+            const std::uint64_t key = Router::hashPermutation(d);
+            EXPECT_EQ(router.findCached(d, key) != nullptr,
+                      capped.findCached(d, key) != nullptr)
+                << "pattern " << i;
+        }
+
+        // The held plan outlives its eviction and still executes.
+        EXPECT_EQ(router.execute(*held, data), perms[0].applyTo(data));
+    }
+
+    // A budget below one plan disables the cache, as capacity 0 does.
+    const Router tiny(n, false, /*capacity=*/64, /*shards=*/2,
+                      obs::defaultRegistry(),
+                      /*plan_cache_bytes=*/per_plan - 1);
+    EXPECT_EQ(tiny.planCacheCapacity(), 0u);
+    const Permutation f = randomFMember(n, prng);
+    EXPECT_EQ(tiny.execute(*tiny.planCached(f), data), f.applyTo(data));
+    EXPECT_EQ(tiny.planCacheSize(), 0u);
 }
 
 /** Tag passes run so far by every engine in @p reg. */
