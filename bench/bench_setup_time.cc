@@ -158,6 +158,9 @@ struct ArbitraryRow
     Spread verify;       //!< both factor tag passes
     Spread insert_evict; //!< planCached outside Router::plan, cache full
     /** @} */
+    /** Resident bytes of one plan: planCacheBytes / planCacheSize
+     *  with the cache full. */
+    std::size_t plan_bytes;
 };
 
 /** Cold Router::plan on Omega members (OmegaBit). */
@@ -308,6 +311,7 @@ timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
     Prng prng(500 + n);
     for (std::size_t i = 0; i < router.planCacheCapacity(); ++i)
         (void)router.planCached(Permutation::random(N, prng));
+    row.plan_bytes = router.planCacheBytes() / router.planCacheSize();
     for (std::size_t k = 0; k < samples; ++k) {
         const Permutation d = Permutation::random(N, prng);
         const std::uint64_t key = Router::hashPermutation(d);
@@ -343,7 +347,7 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
     TextTable table({"n", "N", "samples", "median us", "p10 us",
                      "p90 us"});
     TextTable phases({"n", "F gate us", "factor us", "verify us",
-                      "insert+evict us"});
+                      "insert+evict us", "plan bytes"});
     const std::size_t pool_size = 32;
     const std::size_t samples = smoke ? 64 : 256;
     for (unsigned n = 8; n <= 12; n += 2) {
@@ -386,7 +390,7 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
             us.push_back(elapsedUs(t0, t1));
         }
         ArbitraryRow row{n, N, pool_size, samples, spreadOf(us), {}, {},
-                         {}, {}};
+                         {}, {}, 0};
         timeTwoPassPhases(n, pool, samples, row);
         rows.push_back(row);
         table.newRow();
@@ -401,6 +405,7 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
         for (const Spread *p :
              {&row.f_gate, &row.factor, &row.verify, &row.insert_evict})
             phases.addCell(p->median_us, 1);
+        phases.addCell(row.plan_bytes);
     }
     table.print(std::cout);
     std::cout << "\n(every sample is a cold TwoPass plan, verified "
@@ -411,7 +416,8 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
     std::cout << "\n(F gate: the level-0 test, and the tag attempt "
                  "only when it passes; insert+evict:\n"
                  "planCached outside Router::plan with 512 plans "
-                 "resident, so every miss evicts)\n\n";
+                 "resident, so every miss evicts;\nplan bytes: one "
+                 "resident plan, planCacheBytes / planCacheSize)\n\n";
     return true;
 }
 
@@ -547,14 +553,17 @@ writeSetupJson(const std::vector<SetupRow> &rows,
         printSpread(jf, "verify_us", r.verify);
         std::fprintf(jf, ",\n     ");
         printSpread(jf, "insert_evict_us", r.insert_evict);
-        std::fprintf(jf, "}%s\n", i + 1 < arbitrary.size() ? "," : "");
+        std::fprintf(jf, ",\n     \"plan_bytes\": %zu}%s\n", r.plan_bytes,
+                     i + 1 < arbitrary.size() ? "," : "");
     }
     std::fprintf(jf,
                  "  ],\n  \"phases_note\": \"f_gate: the level-0 test, "
                  "then the tag attempt only if it passes; factor: "
                  "twoPassPlan; verify: both factor tag passes; "
                  "insert_evict: planCached outside its router.plan span "
-                 "with 512 plans resident in 8 shards\",\n"
+                 "with 512 plans resident in 8 shards; plan_bytes: one "
+                 "resident plan, planCacheBytes / planCacheSize with "
+                 "those 512 resident\",\n"
                  "  \"omega_workload\": \"Omega members (second "
                  "TwoPass factors of random permutations) that plan "
                  "OmegaBit, cold Router::plan, 32-perm cold pool\",\n"

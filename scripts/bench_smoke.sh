@@ -68,7 +68,9 @@ done
 # must be reported at n = 8, 10 and 12, and so must the cold OmegaBit
 # plan of Omega members. Presence and shape only, no timing gate
 # (the bench itself fails if a plan takes the wrong strategy or
-# misdelivers).
+# misdelivers). The one size gate: each arbitrary row records the
+# resident bytes of one plan, and at n = 12 that is at most 16 KiB of
+# 16-bit tables plus a 128-byte header allowance.
 if [ -f BENCH_setup.json ]; then
     echo
     echo "== cold-plan rows (TwoPass phases, OmegaBit) =="
@@ -98,6 +100,12 @@ for section, (strategy, quantities) in sections.items():
             sys.exit(f"n={n} {section} row lacks {', '.join(missing)}")
         print(f"  {section} n={n}: " + "  ".join(
             f"{q} {r[q + '_median']:.1f}" for q in quantities))
+for r in doc.get("arbitrary", []):
+    if not isinstance(r.get("plan_bytes"), int):
+        sys.exit(f"n={r.get('n')} arbitrary row lacks plan_bytes")
+    print(f"  plan_bytes n={r['n']}: {r['plan_bytes']}")
+    if r["n"] == 12 and r["plan_bytes"] > 16 * 1024 + 128:
+        sys.exit(f"n=12 plan_bytes {r['plan_bytes']} exceeds 16512")
 EOF
     then
         failed=1

@@ -33,8 +33,12 @@ thread_local std::vector<Word> t_ctrl;
 FastEngine::FastEngine(unsigned n, obs::MetricsRegistry *metrics)
     : n_(n)
 {
-    // The reference topology enforces 1 <= n <= 30; mirror it (and
-    // let it do the check) by building the wiring tables from it.
+    // Gather tables hold 16-bit lane indices. The reference topology
+    // checks n >= 1 as it builds the wiring tables below.
+    if (n > kMaxN)
+        fatal("fabric size n = %u exceeds the engine's 16-bit lanes "
+              "(n <= %u)",
+              n, kMaxN);
     const BenesTopology topo(n);
     num_lines_ = topo.numLines();
     lane_words_ = (num_lines_ + 63) / 64;
@@ -211,7 +215,7 @@ FastEngine::finishPlan(FastPlan &plan, const Permutation &d,
             tag |= ((planes[Word{b} * lane_words_ + w] >> sh) & 1u) << b;
         const Word j = output_of_slot_[x];
         const Word origin = dinv[tag];
-        plan.src[j] = origin;
+        plan.src[j] = static_cast<std::uint16_t>(origin);
         plan.dest[origin] = j;
         if (tag != j)
             plan.misrouted_outputs.push_back(j);
@@ -229,7 +233,7 @@ FastEngine::finishHome(FastPlan &plan, const Permutation &d) const
     plan.dest = d.dest();
     plan.src.resize(num_lines_);
     for (Word i = 0; i < num_lines_; ++i)
-        plan.src[d[i]] = i;
+        plan.src[d[i]] = static_cast<std::uint16_t>(i);
     plan.misrouted_outputs.clear();
 }
 
@@ -333,7 +337,7 @@ FastEngine::routeWithStates(const Permutation &d,
 }
 
 void
-FastEngine::gatherInto(const std::vector<Word> &src,
+FastEngine::gatherInto(const std::vector<std::uint16_t> &src,
                        const std::vector<Word> &data,
                        std::vector<Word> &out) const
 {

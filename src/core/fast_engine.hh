@@ -48,6 +48,7 @@
 #ifndef SRBENES_CORE_FAST_ENGINE_HH
 #define SRBENES_CORE_FAST_ENGINE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "core/self_routing.hh"
@@ -110,8 +111,9 @@ struct FastPlan
     std::vector<Word> ctrl;
     /** Output terminal reached by each input's signal. */
     std::vector<Word> dest;
-    /** Inverse gather table: input whose signal reached output j. */
-    std::vector<Word> src;
+    /** Inverse gather table: input whose signal reached output j,
+     *  in 16-bit lanes (n <= 16). */
+    std::vector<std::uint16_t> src;
     /** Outputs whose tag differs from their index, ascending. */
     std::vector<Word> misrouted_outputs;
 };
@@ -120,6 +122,13 @@ class FastEngine
 {
   public:
     /**
+     * The widest fabric an engine serves: every lane index of a gather
+     * table fits 16 bits. srbd enforces the same cap on the wire.
+     */
+    static constexpr unsigned kMaxN = 16;
+
+    /**
+     * @param n fabric size, 1 <= n <= kMaxN; fatal() otherwise.
      * @param metrics registry receiving this engine's instruments
      *        (routes planned, vectors executed). nullptr disables
      *        instrumentation.
@@ -180,10 +189,10 @@ class FastEngine
 
     /**
      * The one transport kernel: out[j] = data[src[j]] for a lane
-     * mapping @p src of N entries, through the runtime-dispatched
-     * gather; @p out is resized to N.
+     * mapping @p src of N 16-bit entries, through the
+     * runtime-dispatched gather; @p out is resized to N.
      */
-    void gatherInto(const std::vector<Word> &src,
+    void gatherInto(const std::vector<std::uint16_t> &src,
                     const std::vector<Word> &data,
                     std::vector<Word> &out) const;
 

@@ -1,7 +1,9 @@
 #include "core/fast_kernels.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -22,10 +24,23 @@ namespace
 // ---------------------------------------------------------------- scalar
 
 void
-gatherScalar(Word *out, const Word *in, const Word *src, Word count)
+gatherScalar(Word *out, const Word *in, const std::uint16_t *src,
+             Word count)
 {
     for (Word j = 0; j < count; ++j)
         out[j] = in[src[j]];
+}
+
+bool
+equalWidenedScalar(const std::uint16_t *narrow, const Word *wide,
+                   Word count)
+{
+    // No early exit: a hit compares every lane anyway, and a stored
+    // plan under the right key almost never differs.
+    Word diff = 0;
+    for (Word i = 0; i < count; ++i)
+        diff |= wide[i] ^ Word{narrow[i]};
+    return diff == 0;
 }
 
 void
@@ -201,26 +216,59 @@ factorSplitScalar(const FactorLevel &lv)
 }
 
 constexpr KernelTable kScalarTable = {
-    gatherScalar,      deltaSwapScalar,   pairSwapScalar, packTagsScalar,
-    factorChaseScalar, factorSplitScalar, "scalar"};
+    gatherScalar,   equalWidenedScalar, deltaSwapScalar,   pairSwapScalar,
+    packTagsScalar, factorChaseScalar,  factorSplitScalar, "scalar"};
 
 #if SRBENES_X86_KERNELS
 
 // ----------------------------------------------------------------- AVX2
 
 __attribute__((target("avx2"))) void
-gatherAvx2(Word *out, const Word *in, const Word *src, Word count)
+gatherAvx2(Word *out, const Word *in, const std::uint16_t *src,
+           Word count)
 {
+    const auto *base = reinterpret_cast<const long long *>(in);
+    const auto *idx16 = reinterpret_cast<const __m128i *>(src);
+    auto *dst = reinterpret_cast<__m256i *>(out);
     Word j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i idx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + j));
-        const __m256i v = _mm256_i64gather_epi64(
-            reinterpret_cast<const long long *>(in), idx, 8);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + j), v);
+    for (; j + 8 <= count; j += 8) {
+        // vpmovzxwd: eight 16-bit indices to eight dwords, then two
+        // four-lane vpgatherdq.
+        const __m256i idx = _mm256_cvtepu16_epi32(
+            _mm_loadu_si128(idx16 + j / 8));
+        const __m128i idx_lo = _mm256_castsi256_si128(idx);
+        const __m128i idx_hi = _mm256_extracti128_si256(idx, 1);
+        _mm256_storeu_si256(dst + j / 4,
+                            _mm256_i32gather_epi64(base, idx_lo, 8));
+        _mm256_storeu_si256(dst + j / 4 + 1,
+                            _mm256_i32gather_epi64(base, idx_hi, 8));
     }
     for (; j < count; ++j)
         out[j] = in[src[j]];
+}
+
+__attribute__((target("avx2"))) bool
+equalWidenedAvx2(const std::uint16_t *narrow, const Word *wide,
+                 Word count)
+{
+    const auto *n16 = reinterpret_cast<const __m128i *>(narrow);
+    const auto *w = reinterpret_cast<const __m256i *>(wide);
+    __m256i diff = _mm256_setzero_si256();
+    Word i = 0;
+    for (; i + 8 <= count; i += 8) {
+        // vpmovzxwq: eight 16-bit lanes to two vectors of four qwords.
+        const __m128i x = _mm_loadu_si128(n16 + i / 8);
+        const __m256i lo = _mm256_cvtepu16_epi64(x);
+        const __m256i hi = _mm256_cvtepu16_epi64(_mm_srli_si128(x, 8));
+        const __m256i w_lo = _mm256_loadu_si256(w + i / 4);
+        const __m256i w_hi = _mm256_loadu_si256(w + i / 4 + 1);
+        diff = _mm256_or_si256(diff, _mm256_xor_si256(lo, w_lo));
+        diff = _mm256_or_si256(diff, _mm256_xor_si256(hi, w_hi));
+    }
+    Word tail = 0;
+    for (; i < count; ++i)
+        tail |= wide[i] ^ Word{narrow[i]};
+    return tail == 0 && _mm256_testz_si256(diff, diff);
 }
 
 __attribute__((target("avx2"))) void
@@ -340,8 +388,8 @@ packTagsAvx2(Word *planes, unsigned nplanes, Word stride,
 }
 
 constexpr KernelTable kAvx2Table = {
-    gatherAvx2,        deltaSwapAvx2,     pairSwapAvx2, packTagsAvx2,
-    factorChaseScalar, factorSplitScalar, "avx2"};
+    gatherAvx2,   equalWidenedAvx2,  deltaSwapAvx2,     pairSwapAvx2,
+    packTagsAvx2, factorChaseScalar, factorSplitScalar, "avx2"};
 
 // --------------------------------------------------------------- AVX-512
 
@@ -351,24 +399,77 @@ constexpr KernelTable kAvx2Table = {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-__attribute__((target("avx512f"))) void
-gatherAvx512(Word *out, const Word *in, const Word *src, Word count)
+/**
+ * Up to eight 16-bit values from @p p, zero-padded to a full 128-bit
+ * load: a masked 16-bit load needs AVX512BW, which this table does
+ * not require, and reading past the end of @p p is not allowed.
+ */
+__attribute__((target("avx512f"))) __m128i
+loadTail16(const std::uint16_t *p, Word left)
 {
+    std::uint16_t pad[8] = {};
+    std::memcpy(pad, p, left * sizeof(std::uint16_t));
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(pad));
+}
+
+__attribute__((target("avx512f"))) void
+gatherAvx512(Word *out, const Word *in, const std::uint16_t *src,
+             Word count)
+{
+    const auto *idx16 = reinterpret_cast<const __m256i *>(src);
     Word j = 0;
-    for (; j + 8 <= count; j += 8) {
-        const __m512i idx = _mm512_loadu_si512(src + j);
-        const __m512i v = _mm512_i64gather_epi64(idx, in, 8);
-        _mm512_storeu_si512(out + j, v);
+    for (; j + 16 <= count; j += 16) {
+        // vpmovzxwd: sixteen 16-bit indices to sixteen dwords, then
+        // two eight-lane vpgatherdq.
+        const __m512i idx = _mm512_cvtepu16_epi32(
+            _mm256_loadu_si256(idx16 + j / 16));
+        const __m256i idx_lo = _mm512_castsi512_si256(idx);
+        const __m256i idx_hi = _mm512_extracti64x4_epi64(idx, 1);
+        _mm512_storeu_si512(out + j, _mm512_i32gather_epi64(idx_lo, in, 8));
+        _mm512_storeu_si512(out + j + 8,
+                            _mm512_i32gather_epi64(idx_hi, in, 8));
     }
-    if (j < count) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (count - j)) - 1u);
-        const __m512i zero = _mm512_setzero_si512();
-        const __m512i idx = _mm512_mask_loadu_epi64(zero, m, src + j);
-        const __m512i v =
-            _mm512_mask_i64gather_epi64(zero, m, idx, in, 8);
+    // The tail, eight lanes at a time: vpmovzxwq to qwords and a
+    // masked vpgatherqq.
+    const __m512i zero = _mm512_setzero_si512();
+    for (; j < count; j += 8) {
+        const Word left = std::min<Word>(count - j, 8);
+        const __mmask8 m = static_cast<__mmask8>((1u << left) - 1u);
+        const __m512i idx =
+            _mm512_cvtepu16_epi64(loadTail16(src + j, left));
+        const __m512i v = _mm512_mask_i64gather_epi64(zero, m, idx, in, 8);
         _mm512_mask_storeu_epi64(out + j, m, v);
     }
+}
+
+__attribute__((target("avx512f"))) bool
+equalWidenedAvx512(const std::uint16_t *narrow, const Word *wide,
+                   Word count)
+{
+    const auto *n16 = reinterpret_cast<const __m256i *>(narrow);
+    __m512i diff = _mm512_setzero_si512();
+    Word i = 0;
+    for (; i + 16 <= count; i += 16) {
+        const __m256i x = _mm256_loadu_si256(n16 + i / 16);
+        const __m128i x_lo = _mm256_castsi256_si128(x);
+        const __m128i x_hi = _mm256_extracti128_si256(x, 1);
+        const __m512i w_lo = _mm512_loadu_si512(wide + i);
+        const __m512i w_hi = _mm512_loadu_si512(wide + i + 8);
+        diff = _mm512_or_si512(
+            diff, _mm512_xor_si512(_mm512_cvtepu16_epi64(x_lo), w_lo));
+        diff = _mm512_or_si512(
+            diff, _mm512_xor_si512(_mm512_cvtepu16_epi64(x_hi), w_hi));
+    }
+    // Masked-off lanes load zero on both sides, so they never differ.
+    for (; i < count; i += 8) {
+        const Word left = std::min<Word>(count - i, 8);
+        const __mmask8 m = static_cast<__mmask8>((1u << left) - 1u);
+        const __m512i x =
+            _mm512_cvtepu16_epi64(loadTail16(narrow + i, left));
+        const __m512i w = _mm512_maskz_loadu_epi64(m, wide + i);
+        diff = _mm512_or_si512(diff, _mm512_xor_si512(x, w));
+    }
+    return _mm512_test_epi64_mask(diff, diff) == 0;
 }
 
 __attribute__((target("avx512f"))) void
@@ -702,8 +803,8 @@ factorSplitAvx512(const FactorLevel &lv)
 #pragma GCC diagnostic pop
 
 constexpr KernelTable kAvx512Table = {
-    gatherAvx512,      deltaSwapAvx512,   pairSwapAvx512, packTagsAvx512,
-    factorChaseAvx512, factorSplitAvx512, "avx512"};
+    gatherAvx512,   equalWidenedAvx512, deltaSwapAvx512,   pairSwapAvx512,
+    packTagsAvx512, factorChaseAvx512,  factorSplitAvx512, "avx512"};
 
 #endif // SRBENES_X86_KERNELS
 

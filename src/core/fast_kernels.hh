@@ -1,9 +1,10 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernels for the FastEngine hot loops: the
- * per-stage bit-plane delta swap, the final payload gather, the
- * tag-to-bit-plane transposition that seeds every cold plan, and the
- * two hot passes of the TwoPass looping factor (core/two_pass.cc).
+ * per-stage bit-plane delta swap, the final payload gather, a plan
+ * hit's identity check, the tag-to-bit-plane transposition that
+ * seeds every cold plan, and the two hot passes of the TwoPass
+ * looping factor (core/two_pass.cc).
  *
  * One binary serves any x86-64 host: scalar bodies are always
  * compiled, AVX2 and AVX-512 bodies are compiled with per-function
@@ -38,7 +39,7 @@ namespace srbenes
 enum class SimdLevel
 {
     Scalar, //!< portable word-at-a-time loops
-    Avx2,   //!< 256-bit: 4 lanes per op, vpgatherqq payload gather
+    Avx2,   //!< 256-bit: 4 lanes per op, vpgatherdq payload gather
     Avx512, //!< 512-bit: 8 lanes per op, masked tails
 };
 
@@ -75,11 +76,24 @@ struct FactorLevel
 struct KernelTable
 {
     /**
-     * Payload gather: out[j] = in[src[j]] for j in [0, count).
-     * `out` must not alias `in`.
+     * Payload gather: out[j] = in[src[j]] for j in [0, count), over
+     * 16-bit indices (a plan's lane mapping; FastEngine allows no
+     * fabric wider than 2^16 lines). `out` must not alias `in`. The
+     * SIMD bodies widen the indices to 32 bits (vpmovzxwd) and gather
+     * 64-bit lanes through them; AVX-512 finishes a tail of fewer
+     * than 16 lanes with masked vpgatherqq.
      */
-    void (*gather)(Word *out, const Word *in, const Word *src,
+    void (*gather)(Word *out, const Word *in, const std::uint16_t *src,
                    Word count);
+
+    /**
+     * A plan hit's identity check: true iff wide[i] == narrow[i],
+     * zero-extended, for every i in [0, count). The wide side is
+     * compared whole, never truncated, so a tag of 2^16 or more
+     * matches nothing.
+     */
+    bool (*equalWidened)(const std::uint16_t *narrow, const Word *wide,
+                         Word count);
 
     /**
      * In-word conditional exchange at distance `dist` (1 <= dist <=

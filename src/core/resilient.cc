@@ -430,21 +430,26 @@ ResilientRouter::serveOnce(const Permutation &d,
 
     const std::vector<StuckFault> hw = injectedFaults();
 
-    RouteOutcome primary = tryPrimary(d, data, hw);
-    if (primary)
-        return primary;
-
-    // Primary verification failed: if the scoreboard still says
-    // healthy this is news — localize before falling back, so the
-    // Reroute tier has suspects to pin.
-    if (believedHealthy())
+    // On a fabric believed healthy, Primary goes first. Its failure
+    // is news: localize before falling back, so the Reroute tier has
+    // suspects to pin.
+    bool primary_tried = false;
+    if (believedHealthy()) {
+        RouteOutcome primary = tryPrimary(d, data, hw);
+        if (primary)
+            return primary;
+        primary_tried = true;
         probe();
+        if (deadlinePassed(deadline_ns))
+            return deadlineFailure(ServeTier::Primary);
+    }
 
-    if (deadlinePassed(deadline_ns))
-        return deadlineFailure(ServeTier::Primary);
-
-    // A degraded plan already verified this generation skips the
-    // search; the pass itself is still tag-verified every serve.
+    // A degraded plan verified this epoch serves before Primary: it
+    // exists because d's Primary attempt already failed on the
+    // fabric this scoreboard describes. Its pass is still
+    // tag-verified every serve against the current faults, and a
+    // repaired fabric gets a new epoch at its next probe, which
+    // retires the entry and lets Primary serve again.
     const std::uint64_t hash = Router::hashPermutation(d);
     if (auto entry = degradedLookup(hash, probeEpoch());
         entry && entry->perm == d) {
@@ -475,6 +480,16 @@ ResilientRouter::serveOnce(const Permutation &d,
                 }
             }
         }
+    }
+
+    // No verified degraded plan, or its pass failed: Primary may
+    // still route d if the faults never touch its path.
+    if (!primary_tried) {
+        RouteOutcome primary = tryPrimary(d, data, hw);
+        if (primary)
+            return primary;
+        if (deadlinePassed(deadline_ns))
+            return deadlineFailure(ServeTier::Primary);
     }
 
     RouteOutcome reroute =

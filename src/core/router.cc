@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "core/fast_kernels.hh"
 #include "core/two_pass.hh"
 #include "core/waksman.hh"
 #include "obs/trace.hh"
@@ -73,7 +74,7 @@ hashPermutation128(const Permutation &d)
 
 /**
  * Collisions only cost a cache miss: every lookup compares the
- * stored permutation before reuse.
+ * stored permutation, lane by lane, before reuse.
  */
 std::uint64_t
 Router::hashPermutation(const Permutation &d)
@@ -103,7 +104,8 @@ Router::Router(unsigned n, bool prefer_waksman,
                std::size_t plan_cache_bytes)
     : net_(n), engine_(n, metrics), setup_(engine_),
       prefer_waksman_(prefer_waksman),
-      plan_bytes_(sizeof(RoutePlan) + 2 * net_.numLines() * sizeof(Word)),
+      plan_bytes_(sizeof(RoutePlan) +
+                  2 * net_.numLines() * sizeof(std::uint16_t)),
       cache_bytes_budget_(plan_cache_bytes),
       cache_capacity_(plan_cache_bytes == 0
                           ? plan_cache_capacity
@@ -193,13 +195,18 @@ Router::planImpl(const Permutation &d) const
     // condition runs first: when it fails, d is not in F and the
     // pass could only fail, so it is skipped. Every self-routed pass
     // goes through the SetupEngine and answers only yes or no.
+    //
+    // Omega membership is decided the same way: a permutation routes
+    // with the omega bit exactly when it is in Omega (Section II), so
+    // the omega-bit pass is the test. Lawrie's t = 1 window runs
+    // first as a cheap reject; a random permutation fails it within a
+    // few dozen tags.
     RoutePlan p{
-        .strategy = RouteStrategy::SelfRouting, .perm = d, .src = {}};
+        .strategy = RouteStrategy::SelfRouting, .perm = {}, .src = {}};
     if (levelZero(d) && setup_.routes(d)) {
         // In F: one self-routed pass, nothing else to keep.
-    } else if (isOmega(d)) {
-        if (!setup_.routes(d, RoutingMode::OmegaBit))
-            panic("omega-bit plan failed for a planned Omega member");
+    } else if (omegaFirstWindowHolds(d) &&
+               setup_.routes(d, RoutingMode::OmegaBit)) {
         p.strategy = RouteStrategy::OmegaBit;
     } else if (prefer_waksman_) {
         if (!engine_.planWithStates(d, waksmanSetup(net_.topology(), d))
@@ -221,10 +228,16 @@ Router::planImpl(const Permutation &d) const
 
     // Every strategy above was verified by passes that got every tag
     // home, so the fabric realizes d exactly (Theorem 1) and the
-    // gather table is d's inverse: output d[i] takes input i.
-    p.src.resize(d.size());
-    for (Word i = 0; i < d.size(); ++i)
-        p.src[d[i]] = i;
+    // gather table is d's inverse: output d[i] takes input i. One pass
+    // over d fills both 16-bit tables (FastEngine caps n at 16).
+    const Word size = d.size();
+    p.perm.resize(size);
+    p.src.resize(size);
+    for (Word i = 0; i < size; ++i) {
+        const Word t = d[i];
+        p.perm[i] = static_cast<std::uint16_t>(t);
+        p.src[t] = static_cast<std::uint16_t>(i);
+    }
     return p;
 }
 
@@ -287,7 +300,14 @@ Router::findCached(const Permutation &d, std::uint64_t key) const
     CacheShard &sh = shardFor(key);
     ReaderLock lock(sh.mu);
     auto it = sh.map.find(key);
-    if (it == sh.map.end() || it->second.plan->perm != d)
+    if (it == sh.map.end())
+        return nullptr;
+    // A key match is never identity: the stored permutation must
+    // equal d in every lane, each 64-bit tag compared whole.
+    const std::vector<std::uint16_t> &perm = it->second.plan->perm;
+    if (perm.size() != d.size() ||
+        !activeKernels().equalWidened(perm.data(), d.dest().data(),
+                                      d.size()))
         return nullptr;
     if (sh.hits)
         sh.hits->inc();

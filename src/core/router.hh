@@ -88,17 +88,23 @@ Hash128 hashPermutation128(const Permutation &d);
 
 /**
  * An immutable, reusable routing plan for one permutation: what a
- * served request reads, and nothing else. Every plan at one n has the
- * same size, sizeof(RoutePlan) plus 2N words (perm and src). The
- * TwoPass factors and the Waksman states are verified at planning
- * time and then dropped; the resilient layer, the one reader of
- * either, re-derives them from perm (both setups are deterministic).
+ * served request reads, and nothing else. Both tables hold 16-bit
+ * lanes (a Router's n is at most FastEngine::kMaxN = 16), so every
+ * plan at one n has the same size, sizeof(RoutePlan) plus 4N bytes.
+ * The TwoPass factors and the Waksman states are verified at
+ * planning time and then dropped; the resilient layer, the one
+ * reader of either, re-derives them from the permutation (both
+ * setups are deterministic).
  */
 struct RoutePlan
 {
     RouteStrategy strategy;
-    /** The planned permutation: a cache hit's identity check. */
-    Permutation perm;
+    /**
+     * The planned permutation, d[i] in 16-bit lanes: a cache hit's
+     * identity check, which compares it zero-extended against the
+     * request's 64-bit tags (KernelTable::equalWidened).
+     */
+    std::vector<std::uint16_t> perm;
     /**
      * The verified lane mapping: output j gathers input src[j]. Every
      * strategy realizes perm exactly, so this is perm's inverse; it
@@ -106,7 +112,7 @@ struct RoutePlan
      * passes for TwoPass, the forced-state pass for Waksman) has
      * confirmed that every tag reached home.
      */
-    std::vector<Word> src;
+    std::vector<std::uint16_t> src;
     /** Passes through the fabric per executed vector. */
     unsigned passes = 1;
 };
@@ -185,10 +191,10 @@ class Router
      * The resident plan for @p d under @p key (as for planCached),
      * or null; never plans, so a miss changes neither the cache nor
      * its miss count. Identity is confirmed by comparing the plan's
-     * stored permutation with @p d, never by the key alone. A hit
-     * counts a shard hit and refreshes the entry's recency stamp,
-     * exactly like planCached's hit. Thread-safe; takes one shard's
-     * reader lock.
+     * stored permutation, zero-extended, with every 64-bit tag of
+     * @p d, never by the key alone. A hit counts a shard hit and
+     * refreshes the entry's recency stamp, exactly like planCached's
+     * hit. Thread-safe; takes one shard's reader lock.
      */
     std::shared_ptr<const RoutePlan>
     findCached(const Permutation &d, std::uint64_t key) const;
@@ -314,7 +320,7 @@ class Router
     SetupEngine setup_;
     bool prefer_waksman_;
     /** Resident bytes of any one plan at this n: sizeof(RoutePlan)
-     *  plus perm and src. */
+     *  plus perm and src, 2 bytes a line each. */
     std::size_t plan_bytes_;
     std::size_t cache_bytes_budget_;
     std::size_t cache_capacity_;

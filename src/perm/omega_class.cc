@@ -47,6 +47,24 @@ isOmega(const Permutation &perm)
 }
 
 bool
+omegaFirstWindowHolds(const Permutation &perm)
+{
+    const unsigned n = perm.log2Size();
+    if (n <= 1)
+        return true;
+    // One bit per (i mod 2, D_i >> 1) slot, N slots in all.
+    std::vector<Word> seen((perm.size() + 63) / 64);
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+        const Word slot = ((Word(i) & 1) << (n - 1)) | (perm[i] >> 1);
+        const Word m = Word{1} << (slot & 63);
+        if (seen[slot >> 6] & m)
+            return false;
+        seen[slot >> 6] |= m;
+    }
+    return true;
+}
+
+bool
 isInverseOmega(const Permutation &perm)
 {
     const unsigned n = perm.log2Size();

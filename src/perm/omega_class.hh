@@ -36,6 +36,15 @@ namespace srbenes
 /** True iff @p perm is realizable on an omega network. O(N log N). */
 bool isOmega(const Permutation &perm);
 
+/**
+ * Lawrie's Omega condition at its first window, t = 1: no two
+ * distinct i, j of equal parity with D_i >> 1 = D_j >> 1. Necessary
+ * for isOmega, so a failure rejects. O(N) at worst, but it stops at
+ * the first conflicting pair, which a random permutation reaches
+ * within a few dozen elements. True for n <= 1.
+ */
+bool omegaFirstWindowHolds(const Permutation &perm);
+
 /** True iff @p perm is realizable on an inverse omega network. */
 bool isInverseOmega(const Permutation &perm);
 

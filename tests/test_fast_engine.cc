@@ -56,6 +56,14 @@ compareBothModes(const SelfRoutingBenes &net, const FastEngine &eng,
     }
 }
 
+TEST(FastEngine, RefusesFabricsWiderThanSixteenBitLanes)
+{
+    // Gather tables hold 16-bit lane indices: n = 16 is the widest
+    // fabric an engine serves.
+    EXPECT_EQ(FastEngine::kMaxN, 16u);
+    EXPECT_DEATH(FastEngine(17, nullptr), "16-bit lanes");
+}
+
 TEST(FastEngine, ExhaustiveDifferentialSmall)
 {
     for (unsigned n : {1u, 2u, 3u}) {
@@ -329,7 +337,8 @@ TEST(Router, FastPathDeliversUnderEveryStrategy)
             const auto plan = router.plan(d);
             // Every strategy realizes d: execute gathers through its
             // inverse.
-            EXPECT_EQ(plan.src, d.inverse().dest());
+            EXPECT_EQ(std::vector<Word>(plan.src.begin(), plan.src.end()),
+                      d.inverse().dest());
             EXPECT_EQ(router.execute(plan, data), d.applyTo(data));
 
             // executeInto reuses the output buffer.

@@ -9,8 +9,10 @@
  * the SRBENES_DISABLE_SIMD escape hatch.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -65,23 +67,86 @@ TEST(FastKernels, ScalarAlwaysAvailable)
 
 TEST(FastKernels, GatherMatchesScalarIncludingTails)
 {
+    // Every count from 1 to 4096, so every tail length of the 8- and
+    // 16-lane bodies shows up at many offsets. The input spans the
+    // whole 16-bit index range, so the widened indices reach lanes
+    // beyond 2^15 (a sign-extending widening would miss them).
     Prng prng(71);
     const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
+    const std::size_t span = std::size_t{1} << 16;
+    const std::vector<Word> in = randomWords(span, prng);
+    std::vector<std::uint16_t> src(4096);
+    for (auto &s : src)
+        s = static_cast<std::uint16_t>(prng.below(span));
+    src[0] = 0xffff;
+    src[1] = 0x8000;
+    std::vector<Word> expect(src.size()), got(src.size());
     for (SimdLevel level : supportedLevels()) {
         const KernelTable &k = kernelsFor(level);
-        for (std::size_t count :
-             {std::size_t{1}, std::size_t{3}, std::size_t{7},
-              std::size_t{8}, std::size_t{9}, std::size_t{31},
-              std::size_t{64}, std::size_t{70}, std::size_t{255}}) {
-            const std::vector<Word> in = randomWords(count, prng);
-            std::vector<Word> src(count);
-            for (std::size_t j = 0; j < count; ++j)
-                src[j] = prng.below(count);
-            std::vector<Word> expect(count), got(count, ~Word{0});
+        for (std::size_t count = 1; count <= src.size(); ++count) {
+            std::fill(got.begin(), got.end(), ~Word{0});
             ref.gather(expect.data(), in.data(), src.data(), count);
             k.gather(got.data(), in.data(), src.data(), count);
-            EXPECT_EQ(got, expect)
+            ASSERT_TRUE(std::equal(expect.begin(),
+                                   expect.begin() + count, got.begin()))
                 << k.name << " count=" << count;
+            // Nothing past count is written.
+            ASSERT_TRUE(std::all_of(got.begin() + count, got.end(),
+                                    [](Word w) { return w == ~Word{0}; }))
+                << k.name << " count=" << count;
+        }
+    }
+}
+
+TEST(FastKernels, EqualWidenedFindsEverySingleDifferingLane)
+{
+    // The plan cache's identity check, differential against scalar:
+    // equal tables match at every count, and one differing lane at
+    // any position is found, both when its low 16 bits differ and
+    // when only a bit at or above 2^16 does.
+    Prng prng(78);
+    const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
+    const std::size_t max = 4096;
+    std::vector<std::uint16_t> narrow(max);
+    for (auto &v : narrow)
+        v = static_cast<std::uint16_t>(prng.below(std::size_t{1} << 16));
+    std::vector<Word> wide(narrow.begin(), narrow.end());
+    const Word low_flips[] = {Word{1}, Word{1} << 15};
+    const Word high_flips[] = {Word{1} << 16, Word{1} << 40,
+                               Word{1} << 63};
+    for (SimdLevel level : supportedLevels()) {
+        const KernelTable &k = kernelsFor(level);
+        for (std::size_t count = 1; count <= max; ++count) {
+            ASSERT_TRUE(ref.equalWidened(narrow.data(), wide.data(), count));
+            ASSERT_TRUE(k.equalWidened(narrow.data(), wide.data(), count))
+                << k.name << " count=" << count;
+        }
+        for (std::size_t count :
+             {std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{15}, std::size_t{16}, std::size_t{17},
+              std::size_t{33}, std::size_t{255}, std::size_t{4095},
+              std::size_t{4096}}) {
+            for (std::size_t pos = 0; pos < count; ++pos) {
+                for (Word flip : {low_flips[pos % std::size(low_flips)],
+                                  high_flips[pos % std::size(high_flips)]}) {
+                    wide[pos] ^= flip;
+                    EXPECT_FALSE(ref.equalWidened(narrow.data(),
+                                                  wide.data(), count));
+                    EXPECT_FALSE(
+                        k.equalWidened(narrow.data(), wide.data(), count))
+                        << k.name << " count=" << count << " pos=" << pos
+                        << " flip=" << flip;
+                    wide[pos] ^= flip;
+                }
+            }
+            // A difference just past count is not looked at.
+            if (count < max) {
+                wide[count] ^= Word{1} << 16;
+                EXPECT_TRUE(
+                    k.equalWidened(narrow.data(), wide.data(), count))
+                    << k.name << " count=" << count;
+                wide[count] ^= Word{1} << 16;
+            }
         }
     }
 }

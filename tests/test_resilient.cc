@@ -384,6 +384,52 @@ TEST(ResilientRouterTest, DegradedPlanCacheShortCircuitsTheSearch)
     EXPECT_GT(rr.stats().degraded_cache_hits, hits_before);
 }
 
+TEST(ResilientRouterTest, DegradedHitSkipsThePrimaryAttempt)
+{
+    // A degraded plan exists because d's Primary attempt already
+    // failed in this probe epoch, so a degraded hit must not repeat
+    // that attempt. tryPrimary's planCached is the only Router lookup
+    // on the serving path, so the Router's hit count must stay put
+    // while the degraded hit count rises.
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    ResilientOptions opts;
+    opts.metrics = &reg;
+    ResilientRouter rr(n, opts);
+    rr.injectFault(StuckFault{0, 1, 1});
+
+    Prng prng(79);
+    Permutation d = Permutation::random(N, prng);
+    for (int guard = 0; rr.route(d, iotaPayload(N)).tier() ==
+                        ServeTier::Primary &&
+                        guard < 50;
+         ++guard)
+        d = Permutation::random(N, prng);
+    ASSERT_NE(rr.route(d, iotaPayload(N)).tier(), ServeTier::Primary);
+    ASSERT_FALSE(rr.believedHealthy());
+
+    const std::size_t router_hits = rr.router().planCacheHits();
+    const std::uint64_t degraded_hits = rr.stats().degraded_cache_hits;
+    const auto out = rr.route(d, iotaPayload(N, 700));
+    ASSERT_TRUE(out.ok());
+    EXPECT_NE(out.tier(), ServeTier::Primary);
+    EXPECT_EQ(out.value(), d.applyTo(iotaPayload(N, 700)));
+    EXPECT_EQ(rr.stats().degraded_cache_hits, degraded_hits + 1);
+    EXPECT_EQ(rr.router().planCacheHits(), router_hits);
+
+    // A repaired fabric climbs back to Primary once a probe publishes
+    // the change: the new epoch retires the degraded entry.
+    rr.clearFaults();
+    rr.probe();
+    ASSERT_TRUE(rr.believedHealthy());
+    const auto healed = rr.route(d, iotaPayload(N, 900));
+    ASSERT_TRUE(healed.ok());
+    EXPECT_EQ(healed.tier(), ServeTier::Primary);
+    EXPECT_EQ(healed.value(), d.applyTo(iotaPayload(N, 900)));
+    EXPECT_EQ(rr.stats().degraded_cache_hits, degraded_hits + 1);
+}
+
 TEST(ResilientRouterTest, ExpiredDeadlineFailsFast)
 {
     const unsigned n = 4;

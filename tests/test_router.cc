@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,11 +141,33 @@ TEST(Router, StrategyNames)
                  "omega-bit");
 }
 
+/** A plan's 16-bit table, zero-extended, to compare with 64-bit
+ *  references. */
+std::vector<Word>
+widened(const std::vector<std::uint16_t> &lanes)
+{
+    return std::vector<Word>(lanes.begin(), lanes.end());
+}
+
+/** Resident bytes of one plan at @p N lines: two 16-bit tables. */
+std::size_t
+planBytes(Word N)
+{
+    return sizeof(RoutePlan) + 4 * N;
+}
+
 TEST(Router, SizeMismatchDies)
 {
     const Router router(3);
     EXPECT_DEATH(router.plan(Permutation::identity(4)),
                  "does not match");
+}
+
+TEST(Router, RefusesFabricsWiderThanSixteenBitLanes)
+{
+    // A plan's tables hold 16-bit lane indices, so n = 17 is refused
+    // by the engine the Router builds, before any plan exists.
+    EXPECT_DEATH(Router(17), "16-bit lanes");
 }
 
 /**
@@ -188,22 +211,22 @@ TEST(Router, FreshAndCachedPlansHaveOneShape)
                 SCOPED_TRACE(std::string(routeStrategyName(strategy)) +
                              " n=" + std::to_string(n));
                 EXPECT_EQ(p->strategy, strategy);
-                EXPECT_EQ(p->perm, d);
+                EXPECT_EQ(widened(p->perm), d.dest());
                 EXPECT_EQ(p->passes,
                           strategy == RouteStrategy::TwoPass ? 2u : 1u);
                 // The tag passes answer only yes or no, so the Router
                 // alone builds the gather table: d's inverse for every
                 // strategy, once at plan time; the cache keeps the
                 // plan as planned.
-                EXPECT_EQ(p->src, d.inverse().dest());
+                EXPECT_EQ(widened(p->src), d.inverse().dest());
                 EXPECT_EQ(router.execute(*p, data), d.applyTo(data));
             }
             // The factors and states are verified, then dropped, so a
-            // resident plan is perm and src whatever its strategy.
+            // resident plan is perm and src, 2 bytes a line each,
+            // whatever its strategy.
             EXPECT_EQ(router.planCacheSize(), 1u);
             EXPECT_EQ(router.planCacheBytes(),
-                      router.planCacheSize() *
-                          (sizeof(RoutePlan) + 2 * N * sizeof(Word)));
+                      router.planCacheSize() * planBytes(N));
         }
     }
 }
@@ -241,8 +264,7 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
     Prng prng(19);
     const unsigned n = 8;
     const Word N = Word{1} << n;
-    const std::size_t per_plan =
-        sizeof(RoutePlan) + 2 * N * sizeof(Word);
+    const std::size_t per_plan = planBytes(N);
     const std::size_t budget = 3 * per_plan + per_plan / 2;
     const auto data = iotaData(N);
     for (bool prefer_waksman : {false, true}) {
@@ -449,7 +471,7 @@ TEST(Router, FindCachedRacesInsertsPastCapacity)
                 for (const Permutation &d : hot) {
                     const auto p =
                         router.findCached(d, Router::hashPermutation(d));
-                    if (p && p->perm != d)
+                    if (p && widened(p->perm) != d.dest())
                         wrong.fetch_add(1);
                 }
             }
@@ -519,11 +541,47 @@ TEST(Router, KeyCollisionIsNeverIdentity)
     // A forced collision plans d2 and replaces the entry; the plan
     // it returns routes d2, and d1 no longer matches it.
     const auto p2 = router.planCached(d2, key1);
-    EXPECT_EQ(p2->perm, d2);
+    EXPECT_EQ(widened(p2->perm), d2.dest());
     const auto data = iotaData(N);
     EXPECT_EQ(router.execute(*p2, data), d2.applyTo(data));
     EXPECT_EQ(router.findCached(d1, key1), nullptr);
     EXPECT_EQ(router.findCached(d2, key1).get(), p2.get());
+}
+
+TEST(Router, KeyCollisionIsNeverAHit)
+{
+    // At n = 12 a tag has 12 bits, and d2 differs from the resident
+    // d1 only in two entries whose values differ above bit 7 alone:
+    // a check that read a narrower slice of each tag would take d1's
+    // plan for d2. Under d1's key the lookup refuses d1's plan, and
+    // planCached plans d2 afresh.
+    Prng prng(31);
+    const unsigned n = 12;
+    const Word N = Word{1} << n;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation d1 = Permutation::random(N, prng);
+    const std::uint64_t key1 = Router::hashPermutation(d1);
+    const auto p1 = router.planCached(d1, key1);
+    ASSERT_EQ(router.findCached(d1, key1).get(), p1.get());
+
+    std::vector<Word> dest = d1.dest();
+    const auto a = std::find(dest.begin(), dest.end(), Word{0x105});
+    const auto b = std::find(dest.begin(), dest.end(), Word{0x005});
+    ASSERT_TRUE(a != dest.end() && b != dest.end());
+    std::iter_swap(a, b);
+    const Permutation d2(dest);
+    ASSERT_NE(d2, d1);
+
+    const std::size_t hits = router.planCacheHits();
+    EXPECT_EQ(router.findCached(d2, key1), nullptr);
+    EXPECT_EQ(router.planCacheHits(), hits);
+
+    const auto p2 = router.planCached(d2, key1);
+    EXPECT_NE(p2.get(), p1.get());
+    EXPECT_EQ(widened(p2->perm), d2.dest());
+    EXPECT_EQ(widened(p2->src), d2.inverse().dest());
+    const auto data = iotaData(N);
+    EXPECT_EQ(router.execute(*p2, data), d2.applyTo(data));
 }
 
 } // namespace

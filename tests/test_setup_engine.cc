@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "core/setup_engine.hh"
 #include "core/two_pass.hh"
 #include "perm/f_class.hh"
+#include "perm/omega_class.hh"
 #include "perm/permutation.hh"
 
 namespace
@@ -180,6 +182,73 @@ TEST(SetupEngine, DisableSimdEnvKeepsParity)
     ASSERT_EQ(unsetenv("SRBENES_DISABLE_SIMD"), 0);
 }
 
+/**
+ * The Router decides Omega membership with the omega-bit pass behind
+ * Lawrie's t = 1 window, not with isOmega's full window test: the
+ * pass must say yes exactly for isOmega's members, and the window
+ * must hold for every member.
+ */
+void
+expectOmegaVerdict(const SetupEngine &setup, const Permutation &d,
+                   const char *what)
+{
+    const bool omega = isOmega(d);
+    if (omega) {
+        EXPECT_TRUE(omegaFirstWindowHolds(d))
+            << what << " " << d.toString();
+    }
+    for (SimdLevel level : supportedLevels()) {
+        setSimdLevel(level);
+        EXPECT_EQ(setup.routes(d, RoutingMode::OmegaBit), omega)
+            << what << " " << simdLevelName(level) << " "
+            << d.toString();
+    }
+}
+
+TEST(SetupEngine, OmegaBitPassIsOmegaMembershipExhaustively)
+{
+    KernelLevelGuard guard;
+    for (unsigned n = 1; n <= 3; ++n) {
+        const FastEngine eng(n, nullptr);
+        const SetupEngine setup(eng);
+        std::vector<Word> dest(eng.numLines());
+        std::iota(dest.begin(), dest.end(), Word{0});
+        std::size_t members = 0, others = 0;
+        do {
+            const Permutation d(dest);
+            (isOmega(d) ? members : others) += 1;
+            expectOmegaVerdict(setup, d, "exhaustive");
+        } while (std::next_permutation(dest.begin(), dest.end()));
+        EXPECT_GT(members, 0u) << "n=" << n;
+        if (n >= 2) {
+            EXPECT_GT(others, 0u) << "n=" << n;
+        }
+    }
+}
+
+TEST(SetupEngine, OmegaBitPassIsOmegaMembershipRandomized)
+{
+    // Omega members are TwoPass second factors, inverse-omega members
+    // their inverses, and random permutations are almost never
+    // either: all three sides of the verdict, at every SIMD level.
+    KernelLevelGuard guard;
+    Prng prng(97);
+    for (unsigned n = 4; n <= 12; ++n) {
+        const SelfRoutingBenes net(n);
+        const FastEngine eng(n, nullptr);
+        const SetupEngine setup(eng);
+        for (int rep = 0; rep < randIters(6); ++rep) {
+            const Permutation any =
+                Permutation::random(eng.numLines(), prng);
+            const Permutation omega = twoPassPlan(net, any).second;
+            ASSERT_TRUE(isOmega(omega)) << "n=" << n;
+            expectOmegaVerdict(setup, omega, "omega");
+            expectOmegaVerdict(setup, omega.inverse(), "inverse omega");
+            expectOmegaVerdict(setup, any, "random");
+        }
+    }
+}
+
 TEST(SetupEngine, ConstructionVerifiesLargerFabrics)
 {
     // The engine's constructor VERIFIES the conjugated exchange
@@ -193,7 +262,8 @@ TEST(SetupEngine, ConstructionVerifiesLargerFabrics)
     const Permutation f = randomFMember(n, prng);
     const FastPlan plan = setup.plan(f);
     EXPECT_TRUE(plan.success);
-    EXPECT_EQ(plan.src, f.inverse().dest());
+    EXPECT_EQ(std::vector<Word>(plan.src.begin(), plan.src.end()),
+              f.inverse().dest());
     EXPECT_TRUE(setup.routes(f));
     const Permutation any = Permutation::random(eng.numLines(), prng);
     EXPECT_EQ(setup.routes(any), setup.plan(any).success);
@@ -213,7 +283,8 @@ TEST(SetupEngine, RouterColdPathUsesTheSetupEngine)
     const Permutation f = randomFMember(n, prng);
     const RoutePlan plan = router.plan(f);
     EXPECT_EQ(plan.strategy, RouteStrategy::SelfRouting);
-    EXPECT_EQ(plan.src, f.inverse().dest());
+    EXPECT_EQ(std::vector<Word>(plan.src.begin(), plan.src.end()),
+              f.inverse().dest());
 
     // A non-F permutation goes two-pass: both passes still flow
     // through the setup engine and the result stays exact.
