@@ -25,10 +25,11 @@
  * checked for strategy and payload, and the same spread for each
  * phase of the miss: the F gate, the factor, the two verification
  * passes, and planCached's insert and eviction with the cache full.
- * Its Omega rows time cold OmegaBit plans the same way. Emits
- * machine-readable
- * BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the reduced CI
- * configuration.
+ * Its Omega rows time cold OmegaBit plans the same way, and its
+ * Waksman rows cold prefer_waksman plans of the arbitrary rows'
+ * pool: the same factor, its two passes stitched into one state set
+ * and one forced pass. Emits machine-readable BENCH_setup.json;
+ * SRBENES_BENCH_SMOKE=1 runs the reduced CI configuration.
  */
 
 #include <algorithm>
@@ -163,8 +164,8 @@ struct ArbitraryRow
     std::size_t plan_bytes;
 };
 
-/** Cold Router::plan on Omega members (OmegaBit). */
-struct OmegaRow
+/** Cold Router::plan of one strategy (OmegaBit, Waksman). */
+struct ColdPlanRow
 {
     unsigned n;
     Word N;
@@ -272,6 +273,75 @@ elapsedUs(std::chrono::steady_clock::time_point t0,
 }
 
 /**
+ * The arbitrary rows' pool at n: uniformly random permutations,
+ * almost never in F(n) or Omega(n).
+ */
+std::vector<Permutation>
+arbitraryPool(unsigned n, std::size_t size)
+{
+    Prng prng(300 + n);
+    std::vector<Permutation> pool;
+    for (std::size_t i = 0; i < size; ++i)
+        pool.push_back(Permutation::random(std::size_t{1} << n, prng));
+    return pool;
+}
+
+/**
+ * @p samples separately timed cold Router::plan calls over @p pool,
+ * cycled so no plan repeats back to back.
+ */
+Spread
+timeColdPlans(const Router &router, const std::vector<Permutation> &pool,
+              std::size_t samples)
+{
+    std::vector<double> us;
+    us.reserve(samples);
+    for (std::size_t k = 0; k < samples; ++k) {
+        const Permutation &d = pool[k % pool.size()];
+        const auto t0 = std::chrono::steady_clock::now();
+        auto plan = router.plan(d);
+        const auto t1 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(plan.src.data());
+        us.push_back(elapsedUs(t0, t1));
+    }
+    return spreadOf(us);
+}
+
+/**
+ * True iff every member of @p pool plans @p strategy on @p router and
+ * the plan delivers Permutation::applyTo's payload; says which one
+ * failed on stderr otherwise.
+ */
+bool
+poolPlansAs(const Router &router, const std::vector<Permutation> &pool,
+            RouteStrategy strategy)
+{
+    const Word N = router.fabric().numLines();
+    std::vector<Word> data(N);
+    for (Word i = 0; i < N; ++i)
+        data[i] = 7 * i + 1;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const RoutePlan plan = router.plan(pool[i]);
+        if (plan.strategy != strategy) {
+            std::fprintf(stderr, "N=%llu pool[%zu] planned %s, not %s\n",
+                         static_cast<unsigned long long>(N), i,
+                         routeStrategyName(plan.strategy),
+                         routeStrategyName(strategy));
+            return false;
+        }
+        if (router.execute(plan, data) != pool[i].applyTo(data)) {
+            std::fprintf(stderr,
+                         "N=%llu pool[%zu]: %s payload differs from "
+                         "applyTo\n",
+                         static_cast<unsigned long long>(N), i,
+                         routeStrategyName(strategy));
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
  * The phases of a cold TwoPass miss at n, each timed on its own over
  * @p pool: the F gate Router::plan runs first (Theorem 1's level-0
  * test, and the tag attempt only if it passes), the looping factor,
@@ -354,43 +424,12 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
         const Word N = Word{1} << n;
         const Router router(n, false, /*plan_cache_capacity=*/0,
                             /*cache_shards=*/1, /*metrics=*/nullptr);
-        Prng prng(300 + n);
-        std::vector<Permutation> pool;
-        std::vector<Word> data(N);
-        for (Word i = 0; i < N; ++i)
-            data[i] = 7 * i + 1;
-        for (std::size_t i = 0; i < pool_size; ++i) {
-            pool.push_back(Permutation::random(N, prng));
-            const RoutePlan plan = router.plan(pool.back());
-            if (plan.strategy != RouteStrategy::TwoPass) {
-                std::fprintf(stderr,
-                             "n=%u pool[%zu] planned %s, not "
-                             "two-pass\n",
-                             n, i, routeStrategyName(plan.strategy));
-                return false;
-            }
-            if (router.execute(plan, data) !=
-                pool.back().applyTo(data)) {
-                std::fprintf(stderr,
-                             "n=%u pool[%zu]: two-pass payload "
-                             "differs from applyTo\n",
-                             n, i);
-                return false;
-            }
-        }
-
-        std::vector<double> us;
-        us.reserve(samples);
-        for (std::size_t k = 0; k < samples; ++k) {
-            const Permutation &d = pool[k % pool_size];
-            const auto t0 = std::chrono::steady_clock::now();
-            auto plan = router.plan(d);
-            const auto t1 = std::chrono::steady_clock::now();
-            benchmark::DoNotOptimize(plan.src.data());
-            us.push_back(elapsedUs(t0, t1));
-        }
-        ArbitraryRow row{n, N, pool_size, samples, spreadOf(us), {}, {},
-                         {}, {}, 0};
+        const std::vector<Permutation> pool = arbitraryPool(n, pool_size);
+        if (!poolPlansAs(router, pool, RouteStrategy::TwoPass))
+            return false;
+        ArbitraryRow row{n, N, pool_size, samples,
+                         timeColdPlans(router, pool, samples),
+                         {}, {}, {}, {}, 0};
         timeTwoPassPhases(n, pool, samples, row);
         rows.push_back(row);
         table.newRow();
@@ -428,7 +467,7 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
  * a plan does not deliver Permutation::applyTo's payload.
  */
 bool
-runOmegaSetup(bool smoke, std::vector<OmegaRow> &rows)
+runOmegaSetup(bool smoke, std::vector<ColdPlanRow> &rows)
 {
     std::cout << "=== E2b: cold Router::plan, Omega members "
                  "(OmegaBit) ===\n\n";
@@ -443,37 +482,17 @@ runOmegaSetup(bool smoke, std::vector<OmegaRow> &rows)
                             /*cache_shards=*/1, /*metrics=*/nullptr);
         Prng prng(400 + n);
         std::vector<Permutation> pool;
-        std::vector<Word> data(N);
-        for (Word i = 0; i < N; ++i)
-            data[i] = 7 * i + 1;
         while (pool.size() < pool_size) {
             Permutation d =
                 twoPassPlan(router.fabric(), Permutation::random(N, prng))
                     .second;
-            const RoutePlan plan = router.plan(d);
-            if (plan.strategy != RouteStrategy::OmegaBit)
-                continue;
-            if (router.execute(plan, data) != d.applyTo(data)) {
-                std::fprintf(stderr,
-                             "n=%u: omega-bit payload differs from "
-                             "applyTo\n",
-                             n);
-                return false;
-            }
-            pool.push_back(std::move(d));
+            if (router.plan(d).strategy == RouteStrategy::OmegaBit)
+                pool.push_back(std::move(d));
         }
-
-        std::vector<double> us;
-        us.reserve(samples);
-        for (std::size_t k = 0; k < samples; ++k) {
-            const Permutation &d = pool[k % pool_size];
-            const auto t0 = std::chrono::steady_clock::now();
-            auto plan = router.plan(d);
-            const auto t1 = std::chrono::steady_clock::now();
-            benchmark::DoNotOptimize(plan.src.data());
-            us.push_back(elapsedUs(t0, t1));
-        }
-        rows.push_back({n, N, pool_size, samples, spreadOf(us)});
+        if (!poolPlansAs(router, pool, RouteStrategy::OmegaBit))
+            return false;
+        rows.push_back({n, N, pool_size, samples,
+                        timeColdPlans(router, pool, samples)});
         table.newRow();
         table.addCell(n);
         table.addCell(N);
@@ -488,6 +507,48 @@ runOmegaSetup(bool smoke, std::vector<OmegaRow> &rows)
     return true;
 }
 
+/**
+ * Cold Router::plan with prefer_waksman on the arbitrary rows' pool:
+ * the factor, its two passes stitched into Waksman's one state set,
+ * and one forced pass over it. Returns false if a plan is not
+ * Waksman or does not deliver Permutation::applyTo's payload.
+ */
+bool
+runWaksmanSetup(bool smoke, std::vector<ColdPlanRow> &rows)
+{
+    std::cout << "=== E2b: cold Router::plan, uniformly random "
+                 "permutations (Waksman) ===\n\n";
+
+    TextTable table({"n", "N", "samples", "median us", "p10 us",
+                     "p90 us"});
+    const std::size_t pool_size = 32;
+    const std::size_t samples = smoke ? 64 : 256;
+    for (unsigned n = 8; n <= 12; n += 2) {
+        const Word N = Word{1} << n;
+        const Router router(n, /*prefer_waksman=*/true,
+                            /*plan_cache_capacity=*/0,
+                            /*cache_shards=*/1, /*metrics=*/nullptr);
+        const std::vector<Permutation> pool = arbitraryPool(n, pool_size);
+        if (!poolPlansAs(router, pool, RouteStrategy::Waksman))
+            return false;
+        rows.push_back({n, N, pool_size, samples,
+                        timeColdPlans(router, pool, samples)});
+        table.newRow();
+        table.addCell(n);
+        table.addCell(N);
+        table.addCell(samples);
+        table.addCell(rows.back().plan.median_us, 1);
+        table.addCell(rows.back().plan.p10_us, 1);
+        table.addCell(rows.back().plan.p90_us, 1);
+    }
+    table.print(std::cout);
+    std::cout << "\n(every sample is a cold Waksman plan: the F gate, "
+                 "the Omega check, the factor,\nthe two passes' "
+                 "stitched masks and one forced pass; compare the "
+                 "TwoPass rows)\n\n";
+    return true;
+}
+
 /** Print @p what's median, p10 and p90 as JSON fields. */
 void
 printSpread(std::FILE *jf, const char *what, const Spread &s)
@@ -498,10 +559,28 @@ printSpread(std::FILE *jf, const char *what, const Spread &s)
                  what, s.median_us, what, s.p10_us, what, s.p90_us);
 }
 
+/** One JSON array of cold-plan rows of @p strategy. */
+void
+printColdRows(std::FILE *jf, const char *strategy,
+              const std::vector<ColdPlanRow> &rows)
+{
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ColdPlanRow &r = rows[i];
+        std::fprintf(jf,
+                     "    {\"n\": %u, \"N\": %llu, \"strategy\": "
+                     "\"%s\", \"pool\": %zu, \"samples\": %zu, ",
+                     r.n, static_cast<unsigned long long>(r.N), strategy,
+                     r.pool, r.samples);
+        printSpread(jf, "router_plan_cold_us", r.plan);
+        std::fprintf(jf, "}%s\n", i + 1 < rows.size() ? "," : "");
+    }
+}
+
 bool
 writeSetupJson(const std::vector<SetupRow> &rows,
                const std::vector<ArbitraryRow> &arbitrary,
-               const std::vector<OmegaRow> &omega)
+               const std::vector<ColdPlanRow> &omega,
+               const std::vector<ColdPlanRow> &waksman)
 {
     const char *path = "BENCH_setup.json";
     std::FILE *jf = std::fopen(path, "w");
@@ -568,17 +647,13 @@ writeSetupJson(const std::vector<SetupRow> &rows,
                  "TwoPass factors of random permutations) that plan "
                  "OmegaBit, cold Router::plan, 32-perm cold pool\",\n"
                  "  \"omega\": [\n");
-    for (std::size_t i = 0; i < omega.size(); ++i) {
-        const OmegaRow &r = omega[i];
-        std::fprintf(jf,
-                     "    {\"n\": %u, \"N\": %llu, \"strategy\": "
-                     "\"omega-bit\", \"pool\": %zu, \"samples\": "
-                     "%zu, ",
-                     r.n, static_cast<unsigned long long>(r.N), r.pool,
-                     r.samples);
-        printSpread(jf, "router_plan_cold_us", r.plan);
-        std::fprintf(jf, "}%s\n", i + 1 < omega.size() ? "," : "");
-    }
+    printColdRows(jf, "omega-bit", omega);
+    std::fprintf(jf,
+                 "  ],\n  \"waksman_workload\": \"the arbitrary "
+                 "rows' pool, cold Router::plan with prefer_waksman "
+                 "(the factor, its two passes stitched, one forced "
+                 "pass)\",\n  \"waksman\": [\n");
+    printColdRows(jf, "waksman", waksman);
     std::fprintf(jf, "  ]\n}\n");
     std::fclose(jf);
     std::printf("wrote %s\n\n", path);
@@ -647,13 +722,16 @@ main(int argc, char **argv)
 
     std::vector<SetupRow> rows;
     std::vector<ArbitraryRow> arbitrary;
-    std::vector<OmegaRow> omega;
+    std::vector<ColdPlanRow> omega;
+    std::vector<ColdPlanRow> waksman;
     runBitslicedSetup(smoke, rows);
     if (!runArbitrarySetup(smoke, arbitrary))
         return 1;
     if (!runOmegaSetup(smoke, omega))
         return 1;
-    if (!writeSetupJson(rows, arbitrary, omega))
+    if (!runWaksmanSetup(smoke, waksman))
+        return 1;
+    if (!writeSetupJson(rows, arbitrary, omega, waksman))
         return 1;
 
     printSetupComparison(smoke ? 10u : 16u);

@@ -66,14 +66,15 @@ done
 # random permutations, and each phase of it (the F gate, the factor,
 # the two verification passes, planCached's insert and eviction),
 # must be reported at n = 8, 10 and 12, and so must the cold OmegaBit
-# plan of Omega members. Presence and shape only, no timing gate
+# plan of Omega members and the cold Waksman plan of the arbitrary
+# rows' pool. Presence and shape only, no timing gate
 # (the bench itself fails if a plan takes the wrong strategy or
 # misdelivers). The one size gate: each arbitrary row records the
 # resident bytes of one plan, and at n = 12 that is at most 16 KiB of
 # 16-bit tables plus a 128-byte header allowance.
 if [ -f BENCH_setup.json ]; then
     echo
-    echo "== cold-plan rows (TwoPass phases, OmegaBit) =="
+    echo "== cold-plan rows (TwoPass phases, OmegaBit, Waksman) =="
     if ! python3 - <<'EOF'
 import json, sys
 doc = json.load(open("BENCH_setup.json"))
@@ -84,6 +85,7 @@ sections = {
                                "factor_us", "verify_us",
                                "insert_evict_us")),
     "omega": ("omega-bit", ("router_plan_cold_us",)),
+    "waksman": ("waksman", ("router_plan_cold_us",)),
 }
 for section, (strategy, quantities) in sections.items():
     by_n = {r.get("n"): r for r in doc.get(section, [])}

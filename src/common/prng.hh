@@ -19,6 +19,22 @@ namespace srbenes
 {
 
 /**
+ * The splitmix64 finalizer: a bijective avalanche of 64 bits. It
+ * seeds Prng, keys the looping setups' seeded loop colors and folds
+ * the permutation hash.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/**
  * xoshiro256** generator (Blackman & Vigna), seeded via splitmix64.
  * Satisfies std::uniform_random_bit_generator.
  */

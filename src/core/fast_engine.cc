@@ -45,12 +45,6 @@ FastEngine::FastEngine(unsigned n, obs::MetricsRegistry *metrics)
 
     const Word size = num_lines_;
     const unsigned stages = numStages();
-    const unsigned boundaries = stages - 1;
-
-    flat_wires_.resize(Word{boundaries} * size);
-    for (unsigned s = 0; s < boundaries; ++s)
-        for (Word line = 0; line < size; ++line)
-            flat_wires_[Word{s} * size + line] = topo.wireToNext(s, line);
 
     // Walk the fabric once, composing the fixed wirings into the
     // slot <-> physical-line maps and checking the conjugated
@@ -77,9 +71,8 @@ FastEngine::FastEngine(unsigned n, obs::MetricsRegistry *metrics)
             switch_slot_[Word{s} * switchesPerStage() + i] = up;
         }
         if (s + 1 < stages) {
-            const Word *wire = flat_wires_.data() + Word{s} * size;
             for (Word x = 0; x < size; ++x)
-                scratch[x] = wire[pos[x]];
+                scratch[x] = topo.wireToNext(s, pos[x]);
             pos.swap(scratch);
             for (Word x = 0; x < size; ++x)
                 inv[pos[x]] = x;
@@ -174,9 +167,10 @@ FastEngine::planesAtHome(const std::vector<Word> &planes) const
 
 void
 FastEngine::runPlanes(std::vector<Word> &planes, Word *ctrl, Word stride,
-                      bool forced, RoutingMode mode) const
+                      bool forced, RoutingMode mode, unsigned begin,
+                      unsigned end) const
 {
-    for (unsigned s = 0; s < numStages(); ++s) {
+    for (unsigned s = begin; s < end; ++s) {
         Word *stage_ctrl = ctrl + Word{s} * stride;
         if (!forced)
             stageCtrl(s, planes.data(), mode, stage_ctrl);
@@ -244,7 +238,8 @@ FastEngine::routePlan(const Permutation &d, RoutingMode mode) const
     FastPlan plan;
     plan.ctrl.resize(Word{numStages()} * lane_words_);
     loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, plan.ctrl.data(), lane_words_, false, mode);
+    runPlanes(t_planes, plan.ctrl.data(), lane_words_, false, mode, 0,
+              numStages());
     finishPlan(plan, d, t_planes);
     if (routes_planned_)
         routes_planned_->inc();
@@ -257,53 +252,69 @@ FastEngine::routesHome(const Permutation &d, RoutingMode mode) const
     checkSize(d);
     t_ctrl.resize(lane_words_);
     loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, t_ctrl.data(), 0, false, mode);
+    runPlanes(t_planes, t_ctrl.data(), 0, false, mode, 0, numStages());
     if (routes_planned_)
         routes_planned_->inc();
     return planesAtHome(t_planes);
+}
+
+void
+FastEngine::runForced(FastPlan &plan, const Permutation &d) const
+{
+    loadTagPlanes(d, t_planes);
+    runPlanes(t_planes, plan.ctrl.data(), lane_words_, true,
+              RoutingMode::SelfRouting, 0, numStages());
+    finishPlan(plan, d, t_planes);
 }
 
 FastPlan
 FastEngine::planWithStates(const Permutation &d,
                            const SwitchStates &states) const
 {
+    checkSize(d);
     if (states.size() != numStages())
         fatal("state array has %zu stages, network has %u",
               states.size(), numStages());
-    PackedStates packed = packStates(states);
-    return planWithPacked(d, packed);
+
+    // Scatter the physical-order states onto upper-input slots once,
+    // straight into the plan's control masks; the route itself then
+    // runs exactly like the self-set case.
+    FastPlan plan;
+    plan.ctrl.assign(Word{numStages()} * lane_words_, 0);
+    for (unsigned s = 0; s < numStages(); ++s) {
+        if (states[s].size() != switchesPerStage())
+            fatal("stage %u has %zu switches, network has %llu", s,
+                  states[s].size(),
+                  static_cast<unsigned long long>(switchesPerStage()));
+        const Word *slot = switch_slot_.data() + Word{s} * switchesPerStage();
+        Word *ctrl = plan.ctrl.data() + Word{s} * lane_words_;
+        for (Word i = 0; i < switchesPerStage(); ++i)
+            if (states[s][i])
+                ctrl[slot[i] >> 6] |= Word{1} << (slot[i] & 63);
+    }
+    runForced(plan, d);
+    return plan;
 }
 
 FastPlan
-FastEngine::planWithPacked(const Permutation &d,
-                           const PackedStates &packed) const
+FastEngine::planStitched(const Permutation &d, const Permutation &first,
+                         const Permutation &second) const
 {
     checkSize(d);
-    if (packed.n != n_ ||
-        packed.words.size() != Word{numStages()} * packed.words_per_stage)
-        fatal("packed states shaped for another network");
-
-    // Scatter the physical-order bits onto upper-input slots once,
-    // straight into the plan's control masks; the route itself then
-    // runs exactly like the self-set case.
-    const unsigned stages = numStages();
+    checkSize(first);
+    checkSize(second);
     FastPlan plan;
-    plan.ctrl.assign(Word{stages} * lane_words_, 0);
-    for (unsigned s = 0; s < stages; ++s) {
-        const Word *slot = switch_slot_.data() + Word{s} * switchesPerStage();
-        for (Word i = 0; i < switchesPerStage(); ++i) {
-            if (!packed.get(s, i))
-                continue;
-            const Word x = slot[i];
-            plan.ctrl[Word{s} * lane_words_ + (x >> 6)] |= Word{1}
-                                                           << (x & 63);
-        }
-    }
-
-    loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, plan.ctrl.data(), lane_words_, true,
-              RoutingMode::SelfRouting);
-    finishPlan(plan, d, t_planes);
+    plan.ctrl.resize(Word{numStages()} * lane_words_);
+    // Pass 1 sets the opening half. Pass 2's omega bit holds that
+    // half straight, so its tags reach stage n-1 where they started,
+    // and it sets the rest.
+    loadTagPlanes(first, t_planes);
+    runPlanes(t_planes, plan.ctrl.data(), lane_words_, false,
+              RoutingMode::SelfRouting, 0, n_ - 1);
+    loadTagPlanes(second, t_planes);
+    runPlanes(t_planes, plan.ctrl.data(), lane_words_, false,
+              RoutingMode::OmegaBit, n_ - 1, numStages());
+    runForced(plan, d);
     return plan;
 }
 
@@ -386,42 +397,6 @@ FastEngine::planStates(const FastPlan &plan) const
                 (ctrl[x >> 6] >> (x & 63)) & 1u);
         }
     }
-    return out;
-}
-
-PackedStates
-FastEngine::packStates(const SwitchStates &states) const
-{
-    if (states.size() != numStages())
-        fatal("state array has %zu stages, network has %u",
-              states.size(), numStages());
-    PackedStates packed;
-    packed.n = n_;
-    packed.words_per_stage = (switchesPerStage() + 63) / 64;
-    packed.words.assign(Word{numStages()} * packed.words_per_stage, 0);
-    for (unsigned s = 0; s < numStages(); ++s) {
-        if (states[s].size() != switchesPerStage())
-            fatal("stage %u has %zu switches, network has %llu", s,
-                  states[s].size(),
-                  static_cast<unsigned long long>(switchesPerStage()));
-        for (Word i = 0; i < switchesPerStage(); ++i)
-            if (states[s][i])
-                packed.set(s, i, true);
-    }
-    return packed;
-}
-
-SwitchStates
-FastEngine::unpackStates(const PackedStates &packed) const
-{
-    if (packed.n != n_ ||
-        packed.words.size() != Word{numStages()} * packed.words_per_stage)
-        fatal("packed states shaped for another network");
-    SwitchStates out(numStages(),
-                     std::vector<std::uint8_t>(switchesPerStage()));
-    for (unsigned s = 0; s < numStages(); ++s)
-        for (Word i = 0; i < switchesPerStage(); ++i)
-            out[s][i] = packed.get(s, i) ? 1 : 0;
     return out;
 }
 

@@ -35,9 +35,11 @@
  *    exchange distance crosses word boundaries).
  *
  * Switch states come out of a route as per-stage control masks in
- * slot order; converters produce the physical-order SwitchStates /
- * PackedStates forms on demand (compatibility with WaksmanSetup and
+ * slot order; planStates converts them to physical-order
+ * SwitchStates on demand (compatibility with the Waksman setups and
  * state_io), so the hot path never pays the scalar transposition.
+ * A Waksman plan never needs SwitchStates at all: its states are
+ * the masks of the two TwoPass passes, stitched (planStitched).
  *
  * The execution side is split from planning the way Router plans
  * are: routePlan() runs the fabric once bit-sliced and materializes
@@ -58,36 +60,6 @@
 
 namespace srbenes
 {
-
-/**
- * Switch states packed one bit per switch, stage-major, switch i of
- * a stage at word i/64 bit i%64 — the same bit order state_io uses,
- * but word-addressed so a stage's 64-switch groups are single loads.
- * The form externally set states (Waksman) enter the engine in.
- */
-struct PackedStates
-{
-    unsigned n = 0;
-    /** Words per stage, ceil((N/2) / 64). */
-    Word words_per_stage = 0;
-    /** (2n-1) * words_per_stage words, contiguous. */
-    std::vector<Word> words;
-
-    bool
-    get(unsigned stage, Word sw) const
-    {
-        const Word w = words[stage * words_per_stage + (sw >> 6)];
-        return (w >> (sw & 63)) & 1u;
-    }
-
-    void
-    set(unsigned stage, Word sw, bool v)
-    {
-        Word &w = words[stage * words_per_stage + (sw >> 6)];
-        const Word m = Word{1} << (sw & 63);
-        w = v ? (w | m) : (w & ~m);
-    }
-};
 
 /**
  * One routed configuration, kept in the engine's native form. The
@@ -144,29 +116,31 @@ class FastEngine
     /** 64-bit words per bit-plane of N lanes. */
     Word laneWords() const { return lane_words_; }
 
-    /**
-     * Flat contiguous gather table for @p boundary (0 <= boundary <=
-     * 2n-3): the stage-(boundary+1) input line fed by output @p line
-     * of stage @p boundary. Same values as BenesTopology::wireToNext,
-     * one cache-friendly array per boundary.
-     */
-    Word
-    wireToNext(unsigned boundary, Word line) const
-    {
-        return flat_wires_[boundary * num_lines_ + line];
-    }
-
     /** Route @p d bit-sliced; the hot planning path. */
     FastPlan routePlan(const Permutation &d,
                        RoutingMode mode = RoutingMode::SelfRouting) const;
 
-    /** Route with externally supplied states (Waksman path). */
+    /**
+     * Route with externally supplied states: each switch's state is
+     * written straight into its stage's control mask, then @p d's
+     * tags run through the forced stages (the differential tests'
+     * Waksman path).
+     */
     FastPlan planWithStates(const Permutation &d,
                             const SwitchStates &states) const;
 
-    /** Route with externally supplied packed states. */
-    FastPlan planWithPacked(const Permutation &d,
-                            const PackedStates &packed) const;
+    /**
+     * Waksman's single externally set pass, built from a TwoPass
+     * factorization d = first.then(second) (core/two_pass.hh): stages
+     * 0..n-2 take the masks of @p first self-routed and stages
+     * n-1..2n-2 those of @p second with the omega bit, which holds
+     * the stages before them straight. Then @p d's tags run through
+     * that stitched set, forced. For the factors of
+     * twoPassPlanSeeded(net, d, seed) the plan succeeds and its
+     * planStates are waksmanSetupSeeded(topo, d, seed).
+     */
+    FastPlan planStitched(const Permutation &d, const Permutation &first,
+                          const Permutation &second) const;
 
     /**
      * Drop-in equivalents of SelfRoutingBenes::route /
@@ -199,11 +173,6 @@ class FastEngine
     /** Physical-order switch states of a routed plan. */
     SwitchStates planStates(const FastPlan &plan) const;
 
-    /** SwitchStates -> packed bitset (state_io bit order). */
-    PackedStates packStates(const SwitchStates &states) const;
-    /** Packed bitset -> SwitchStates; fatal()s on a shape mismatch. */
-    SwitchStates unpackStates(const PackedStates &packed) const;
-
   private:
     /** SetupEngine's verdict pass is routesHome. */
     friend class SetupEngine;
@@ -212,14 +181,18 @@ class FastEngine
     void loadTagPlanes(const Permutation &d,
                        std::vector<Word> &planes) const;
     /**
-     * The 2n-1 stages over @p planes. Stage s's control mask lives at
-     * @p ctrl + s * @p stride (stride 0: one stage of scratch, reused
-     * by every stage). With @p forced the masks are already there
-     * (externally set states) and only the exchanges run; otherwise
-     * each stage computes its mask by the Fig. 3 rule first.
+     * Stages [@p begin, @p end) over @p planes. Stage s's control
+     * mask lives at @p ctrl + s * @p stride (stride 0: one stage of
+     * scratch, reused by every stage). With @p forced the masks are
+     * already there (externally set states) and only the exchanges
+     * run; otherwise each stage computes its mask by the Fig. 3 rule
+     * first.
      */
     void runPlanes(std::vector<Word> &planes, Word *ctrl, Word stride,
-                   bool forced, RoutingMode mode) const;
+                   bool forced, RoutingMode mode, unsigned begin,
+                   unsigned end) const;
+    /** The forced pass of @p d through @p plan's masks, finished. */
+    void runForced(FastPlan &plan, const Permutation &d) const;
     /** @{ One stage of runPlanes: the Fig. 3 control rule, then the
      *  conditional exchange it selects. */
     void stageCtrl(unsigned s, const Word *planes, RoutingMode mode,
@@ -246,8 +219,6 @@ class FastEngine
     unsigned n_;
     Word num_lines_;
     Word lane_words_;
-    /** Contiguous wiring gather tables, boundary-major. */
-    std::vector<Word> flat_wires_;
     /** Stage-major: slot on the upper input of physical switch i. */
     std::vector<Word> switch_slot_;
     /** Slot feeding physical output j after the last stage. */

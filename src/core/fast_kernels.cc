@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/prng.hh"
 #include "obs/metrics.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -128,30 +129,19 @@ packTagsScalar(Word *planes, unsigned nplanes, Word stride,
     }
 }
 
-/** splitmix64 finalizer for the seeded loop-color draws. */
-std::uint64_t
-mixFactorKey(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
 /** The color-1 draw of the loop starting at slot @p p (0 or 1). */
 unsigned
 loopDraw(const FactorLevel &lv, std::uint32_t p)
 {
-    // Top bit: bit 0 of the finalizer is biased over these small
-    // structured keys (see waksman.cc seededColor).
+    // Top bit: the finalizer's low bit is visibly biased over these
+    // small structured keys (consecutive seeds xor tiny ids), which
+    // starves the reseeded searches of diversity; bit 63 passes
+    // through all three avalanche rounds.
     return lv.seed == 0
                ? 0
                : static_cast<unsigned>(
-                     mixFactorKey(lv.seed ^
-                                  (std::uint64_t{lv.level} << 48) ^
-                                  lv.ids[p]) >>
+                     mix64(lv.seed ^ (std::uint64_t{lv.level} << 48) ^
+                           lv.ids[p]) >>
                      63);
 }
 

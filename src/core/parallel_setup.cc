@@ -1,26 +1,10 @@
 #include "core/parallel_setup.hh"
 
 #include "common/logging.hh"
+#include "common/prng.hh"
 
 namespace srbenes
 {
-
-namespace
-{
-
-/** splitmix64 finalizer for the seeded loop-color draws. */
-std::uint64_t
-mixLoopKey(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-} // namespace
 
 SwitchStates
 parallelSetup(const BenesTopology &topo, const Permutation &d,
@@ -107,11 +91,10 @@ parallelSetup(const BenesTopology &topo, const Permutation &d,
         for (Word x = 0; x < size; ++x) {
             Word color = minima[x] > partner_min[x];
             // Top bit: bit 0 of the finalizer is biased over these
-            // small structured keys (see waksman.cc seededColor).
+            // small structured keys (see fast_kernels.cc loopDraw).
             if (seed != 0)
-                color ^= mixLoopKey(
-                             seed ^ (std::uint64_t{level} << 48) ^
-                             std::min(minima[x], partner_min[x])) >>
+                color ^= mix64(seed ^ (std::uint64_t{level} << 48) ^
+                               std::min(minima[x], partner_min[x])) >>
                          63;
             up[x] = color;
         }

@@ -5,32 +5,15 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/prng.hh"
 #include "core/fast_kernels.hh"
 #include "core/two_pass.hh"
-#include "core/waksman.hh"
 #include "obs/trace.hh"
 #include "perm/f_class.hh"
 #include "perm/omega_class.hh"
 
 namespace srbenes
 {
-
-namespace
-{
-
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    // splitmix64 finalizer
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-} // namespace
 
 Hash128
 hashPermutation128(const Permutation &d)
@@ -208,22 +191,27 @@ Router::planImpl(const Permutation &d) const
     } else if (omegaFirstWindowHolds(d) &&
                setup_.routes(d, RoutingMode::OmegaBit)) {
         p.strategy = RouteStrategy::OmegaBit;
-    } else if (prefer_waksman_) {
-        if (!engine_.planWithStates(d, waksmanSetup(net_.topology(), d))
-                 .success)
-            panic("waksman plan failed to realize its permutation");
-        p.strategy = RouteStrategy::Waksman;
     } else {
         // The factorization composes to d by construction
-        // (second[first[i]] = d[i]); both passes are verified, then
-        // the factors are dropped: the resilient layer re-derives
-        // this same deterministic factorization when it needs it.
+        // (second[first[i]] = d[i]). Then the factors are dropped: the
+        // resilient layer re-derives this same deterministic
+        // factorization, or the same Waksman states, when it needs
+        // them.
         const TwoPassPlan tp = twoPassPlan(net_, d);
-        if (!setup_.routes(tp.first) ||
-            !setup_.routes(tp.second, RoutingMode::OmegaBit))
-            panic("two-pass plan failed one of its self-routed passes");
-        p.strategy = RouteStrategy::TwoPass;
-        p.passes = 2;
+        if (prefer_waksman_) {
+            // Waksman's states are the two passes' masks stitched at
+            // the middle stage; one forced pass verifies them.
+            if (!engine_.planStitched(d, tp.first, tp.second).success)
+                panic("waksman plan failed to realize its permutation");
+            p.strategy = RouteStrategy::Waksman;
+        } else {
+            if (!setup_.routes(tp.first) ||
+                !setup_.routes(tp.second, RoutingMode::OmegaBit))
+                panic("two-pass plan failed one of its self-routed "
+                      "passes");
+            p.strategy = RouteStrategy::TwoPass;
+            p.passes = 2;
+        }
     }
 
     // Every strategy above was verified by passes that got every tag

@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "core/fast_kernels.hh"
+#include "core/waksman.hh"
 
 namespace srbenes
 {
@@ -30,38 +31,93 @@ struct FactorScratch
     std::vector<std::uint32_t> nxt;
     /** 0 = uncolored, 1 = upper subnetwork, 2 = lower. */
     std::vector<std::uint16_t> color;
+    /** Slots whose loop a pin of the level has bound. */
+    std::vector<std::uint8_t> bound;
 };
 
 thread_local FactorScratch t_factor;
 
 /**
+ * Where a Waksman read-out of the factor goes: the switch states,
+ * and the pins they must honor, bucketed by stage.
+ */
+struct WaksmanSink
+{
+    SwitchStates &states;
+    std::vector<std::vector<StatePin>> pins;
+};
+
+/**
+ * Bind every pin of the level's opening stage and of its mirror
+ * closing stage 2n-2-level to one slot's color: an opening pin to
+ * the upper input of its switch, a closing pin to the input feeding
+ * its switch's even output, color 1 + state either way. The loop
+ * through a slot of the wrong color is flipped whole. Each loop is
+ * walked at most once, to flip it or to mark it bound, so a level
+ * costs O(N) however many pins it has. Returns false when a pin
+ * disagrees with a loop an earlier pin bound.
+ */
+bool
+bindPins(const WaksmanSink &sink, const FactorLevel &lv, unsigned n,
+         std::vector<std::uint8_t> &bound)
+{
+    const std::vector<StatePin> &open = sink.pins[lv.level];
+    const std::vector<StatePin> &close =
+        sink.pins[2 * n - 2 - lv.level];
+    if (open.empty() && close.empty())
+        return true;
+    bound.assign(lv.size, 0);
+    std::uint16_t *color = lv.color;
+    const auto bind = [&](std::uint32_t x, std::uint8_t state) {
+        const auto want = static_cast<std::uint16_t>(1 + state);
+        if (bound[x])
+            return color[x] == want;
+        const bool flip = color[x] != want;
+        std::uint32_t y = x;
+        do {
+            bound[y] = bound[y ^ 1] = 1;
+            if (flip)
+                std::swap(color[y], color[y ^ 1]);
+            y = lv.nxt[y];
+        } while (y != x);
+        return true;
+    };
+    for (const StatePin &pin : open)
+        if (!bind(static_cast<std::uint32_t>(2 * pin.switch_index),
+                  pin.state))
+            return false;
+    for (const StatePin &pin : close) {
+        const auto y = static_cast<std::uint32_t>(2 * pin.switch_index);
+        if (!bind((y & ~(lv.s - 1)) + lv.dinv[y], pin.state))
+            return false;
+    }
+    return true;
+}
+
+/**
  * The looping 2-coloring of the Waksman algorithm, run one whole
- * recursion level at a time: instead of emitting switch states, it
- * records for each original input the upper/lower decision at every
- * level. Those decision bits ARE the middle-stage line label M_i in
- * the recursive numbering of B(n):
+ * recursion level at a time: the library's one looping
+ * implementation. It leaves, in the scratch, each original input's
+ * upper/lower decision at every level spelled by its final slot
+ * (middleLabels reads them out).
  *
- *  - the level-l decision becomes bit l of M_i (which B(n-1-l)
- *    subnetwork the signal uses);
- *  - the port of the final B(1) block (the signal's local input
- *    index there) becomes the top bit.
- *
- * Because each level packs a parent's upper child into the first
- * half of its range and the lower child into the second, an input's
- * final slot spells its decisions from the top bit down: M_i is the
- * n-bit reversal of that slot.
- *
- * By construction M separates every input pair and every output
- * pair at every granularity, which is exactly Lawrie's pair of
- * window conditions: M is in InverseOmega(n) and D o M^-1 is in
- * Omega(n). Writes M into @p mid and D o M^-1 into @p second.
+ * With a @p sink, the same levels are read out as Waksman's switch
+ * states. Level l's sub-problems are the B(n-l) subnetworks whose
+ * opening switches sit in stage l and closing switches in stage
+ * 2n-2-l, both numbered by the sub-problem's slots, and color 2
+ * sends a signal to the lower child. So after level l's chase and
+ * its pins, switch w of stage l is color[2w] == 2, and switch w of
+ * stage 2n-2-l, in sub-problem o = 2w & ~(s-1), is the color of
+ * the input feeding its even output, color[o + dinv[2w]] == 2.
+ * After the last split every sub-problem is a B(1) switch k of the
+ * middle stage, crossed iff dinv[2k] == 1. Returns false, with the
+ * states partly written, when the sink's pins conflict.
  *
  * @param seed loop-coloring seed; 0 = canonical (always pick 0).
  */
-void
+bool
 factorLevels(const std::vector<Word> &dest, unsigned n,
-             std::uint64_t seed, std::vector<Word> &mid,
-             std::vector<Word> &second)
+             std::uint64_t seed, WaksmanSink *sink)
 {
     const std::uint32_t size = std::uint32_t{1} << n;
     FactorScratch &sc = t_factor;
@@ -100,7 +156,9 @@ factorLevels(const std::vector<Word> &dest, unsigned n,
 
         // The chase colors every loop and the split builds the
         // children from the colors, both through the kernel table,
-        // whose scalar bodies are the reference.
+        // whose scalar bodies are the reference. A Waksman read-out
+        // spends the pins' loops and reads its two stages in
+        // between.
         std::fill(sc.color.begin(), sc.color.end(), 0);
         const FactorLevel lv{.size = size,
                              .s = s,
@@ -113,13 +171,63 @@ factorLevels(const std::vector<Word> &dest, unsigned n,
                              .dinv_next = sc.dinv_next.data(),
                              .ids_next = sc.ids_next.data()};
         kern.factorChase(lv);
+        if (sink) {
+            if (!bindPins(*sink, lv, n, sc.bound))
+                return false;
+            std::uint8_t *open = sink->states[level].data();
+            std::uint8_t *close = sink->states[2 * n - 2 - level].data();
+            for (std::uint32_t w = 0; w < size / 2; ++w) {
+                const std::uint32_t o = (2 * w) & ~(s - 1);
+                open[w] = sc.color[2 * w] == 2;
+                close[w] = sc.color[o + dinv[2 * w]] == 2;
+            }
+        }
         kern.factorSplit(lv);
         sc.dinv.swap(sc.dinv_next);
         sc.ids.swap(sc.ids_next);
     }
 
-    // Every sub-problem is now a final B(1). The bit reversal of
-    // each slot is built in the spent successor array.
+    // Every sub-problem is now a final B(1). It has no freedom
+    // left: the sub-permutation the outer colorings delivered sets
+    // it.
+    if (sink) {
+        std::uint8_t *middle = sink->states[n - 1].data();
+        for (std::uint32_t k = 0; k < size / 2; ++k)
+            middle[k] = sc.dinv[2 * k] == 1;
+        for (const StatePin &pin : sink->pins[n - 1])
+            if (middle[pin.switch_index] != pin.state)
+                return false;
+    }
+    return true;
+}
+
+/**
+ * The factor's decision bits, after factorLevels: they ARE the
+ * middle-stage line label M_i in the recursive numbering of B(n):
+ *
+ *  - the level-l decision becomes bit l of M_i (which B(n-1-l)
+ *    subnetwork the signal uses);
+ *  - the port of the final B(1) block (the signal's local input
+ *    index there) becomes the top bit.
+ *
+ * Because each level packs a parent's upper child into the first
+ * half of its range and the lower child into the second, an input's
+ * final slot spells its decisions from the top bit down: M_i is the
+ * n-bit reversal of that slot.
+ *
+ * By construction M separates every input pair and every output
+ * pair at every granularity, which is exactly Lawrie's pair of
+ * window conditions: M is in InverseOmega(n) and D o M^-1 is in
+ * Omega(n). Writes M into @p mid and D o M^-1 into @p second.
+ */
+void
+middleLabels(const std::vector<Word> &dest, unsigned n,
+             std::vector<Word> &mid, std::vector<Word> &second)
+{
+    const std::uint32_t size = std::uint32_t{1} << n;
+    FactorScratch &sc = t_factor;
+    // The bit reversal of each slot is built in the spent successor
+    // array.
     std::uint32_t *rev = sc.nxt.data();
     rev[0] = 0;
     for (std::uint32_t x = 1; x < size; ++x)
@@ -156,9 +264,22 @@ twoPassPlanSeeded(const SelfRoutingBenes &net, const Permutation &d,
 
     std::vector<Word> mid(size);
     std::vector<Word> second(size);
-    factorLevels(d.dest(), n, seed, mid, second);
+    factorLevels(d.dest(), n, seed, nullptr);
+    middleLabels(d.dest(), n, mid, second);
     return {Permutation(std::move(mid)),
             Permutation(std::move(second))};
+}
+
+bool
+loopingStates(const Permutation &d, std::uint64_t seed,
+              const std::vector<StatePin> &pins, SwitchStates &states)
+{
+    const unsigned n = d.log2Size();
+    WaksmanSink sink{states,
+                     std::vector<std::vector<StatePin>>(2 * n - 1)};
+    for (const StatePin &pin : pins)
+        sink.pins[pin.stage].push_back(pin);
+    return factorLevels(d.dest(), n, seed, &sink);
 }
 
 std::vector<Word>

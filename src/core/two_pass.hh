@@ -31,6 +31,15 @@
  * walks the same loops in the same order with the same colors as
  * the textbook recursion, so every seed's factorization is unchanged
  * at every SIMD level (tests/test_two_pass.cc pins them by digest).
+ *
+ * It is the library's one looping algorithm. loopingStates reads
+ * the same levels out as Waksman's switch states, and every Waksman
+ * setup (core/waksman.hh, core/waksman_reduced.hh) is that read-out.
+ * The two views are one decomposition: for every seed, stages
+ * 0..n-2 of pass 1 (first, self-routed) and stages n-1..2n-2 of
+ * pass 2 (second, omega bit) are exactly
+ * waksmanSetupSeeded(topo, d, seed), which FastEngine::planStitched
+ * exploits to plan a Waksman route from the factors.
  */
 
 #ifndef SRBENES_CORE_TWO_PASS_HH
@@ -75,6 +84,22 @@ TwoPassPlan twoPassPlan(const SelfRoutingBenes &net,
 TwoPassPlan twoPassPlanSeeded(const SelfRoutingBenes &net,
                               const Permutation &d,
                               std::uint64_t seed);
+
+struct StatePin;
+
+/**
+ * The looping pass of twoPassPlanSeeded(net, d, seed) read out as
+ * the switch states of B(lg |d|) into @p states (shaped by
+ * BenesTopology::makeStates). Each pin binds one loop's coloring at
+ * its level; the loop is flipped if its color disagrees, so without
+ * pins the states are the factorization's own. Returns false, with
+ * @p states partly written, when two pins disagree within one loop
+ * or a pinned middle-stage switch is forced the other way. Pins must
+ * be in range with state 0 or 1; waksmanSetupPinned checks them.
+ */
+bool loopingStates(const Permutation &d, std::uint64_t seed,
+                   const std::vector<StatePin> &pins,
+                   SwitchStates &states);
 
 /**
  * Execute the plan: pass 1 self-routed, pass 2 with the omega bit.

@@ -1,6 +1,7 @@
 #include "core/waksman_reduced.hh"
 
 #include "common/logging.hh"
+#include "core/waksman.hh"
 
 namespace srbenes
 {
@@ -20,63 +21,6 @@ collectFixed(unsigned m, Word base_line, unsigned base_stage,
     collectFixed(m - 1, base_line, base_stage + 1, fixed);
     collectFixed(m - 1, base_line + (Word{1} << (m - 1)),
                  base_stage + 1, fixed);
-}
-
-void
-setupReduced(SwitchStates &states, const std::vector<Word> &d,
-             unsigned m, Word base_line, unsigned base_stage)
-{
-    const Word size = Word{1} << m;
-    const Word sw_base = base_line / 2;
-
-    if (m == 1) {
-        states[base_stage][sw_base] =
-            static_cast<std::uint8_t>(d[0] == 1);
-        return;
-    }
-
-    std::vector<Word> dinv(size);
-    for (Word x = 0; x < size; ++x)
-        dinv[d[x]] = x;
-
-    std::vector<int> up(size, -1);
-    auto chase = [&](Word start, int val) {
-        Word x = start;
-        while (up[x] == -1) {
-            up[x] = val;
-            up[x ^ 1] = 1 - val;
-            x = dinv[d[x ^ 1] ^ 1];
-        }
-    };
-
-    // Waksman's forced loop: output 0 must come from the upper
-    // half, so the closing switch of output pair 0 stays straight
-    // and can be omitted from the hardware.
-    chase(dinv[0], 0);
-    for (Word p = 0; p < size / 2; ++p)
-        if (up[2 * p] == -1)
-            chase(2 * p, 0);
-
-    for (Word i = 0; i < size / 2; ++i)
-        states[base_stage][sw_base + i] =
-            static_cast<std::uint8_t>(up[2 * i]);
-
-    const unsigned last_stage = base_stage + 2 * m - 2;
-    for (Word j = 0; j < size / 2; ++j)
-        states[last_stage][sw_base + j] =
-            static_cast<std::uint8_t>(up[dinv[2 * j]]);
-    if (states[last_stage][sw_base] != 0)
-        panic("Waksman reduction violated: fixed switch crossed");
-
-    std::vector<Word> usub(size / 2), lsub(size / 2);
-    for (Word i = 0; i < size / 2; ++i) {
-        const Word x_up = 2 * i + static_cast<Word>(up[2 * i] != 0);
-        usub[i] = d[x_up] >> 1;
-        lsub[i] = d[x_up ^ 1] >> 1;
-    }
-    setupReduced(states, usub, m - 1, base_line, base_stage + 1);
-    setupReduced(states, lsub, m - 1, base_line + size / 2,
-                 base_stage + 1);
 }
 
 } // namespace
@@ -99,13 +43,17 @@ waksmanReducedSwitchCount(unsigned n)
 SwitchStates
 waksmanReducedSetup(const BenesTopology &topo, const Permutation &d)
 {
-    if (d.size() != topo.numLines())
-        fatal("permutation size %zu does not match network N = %llu",
-              d.size(),
-              static_cast<unsigned long long>(topo.numLines()));
-    SwitchStates states = topo.makeStates();
-    setupReduced(states, d.dest(), topo.n(), 0, 0);
-    return states;
+    // Waksman's forced loops are pins: every fixed switch pinned
+    // straight. Each binds the one loop through the input feeding
+    // its subnetwork's output 0, and no two share a subnetwork, so
+    // they never conflict.
+    std::vector<StatePin> pins;
+    for (const FixedSwitch &f : waksmanFixedSwitches(topo))
+        pins.push_back(StatePin{f.stage, f.switch_index, 0});
+    auto states = waksmanSetupPinned(topo, d, pins);
+    if (!states)
+        panic("Waksman reduction violated: fixed switch crossed");
+    return std::move(*states);
 }
 
 } // namespace srbenes

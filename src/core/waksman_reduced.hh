@@ -14,10 +14,15 @@
  *
  * The reduced network shares the BenesTopology wiring; reduction is
  * expressed as a set of switches that the setup is guaranteed to
- * leave straight (so hardware could omit them). The self-routing
- * scheme of the paper does NOT apply to the reduced fabric: the
- * Fig. 3 rule needs the freedom Waksman removes (tests demonstrate
- * a BPC member whose self-route crosses a removed switch).
+ * leave straight (so hardware could omit them). The setup is the
+ * pinned looping setup (core/waksman.hh) at seed 0 with every fixed
+ * switch pinned straight: each pin binds the one loop of its
+ * subnetwork through the input feeding output 0, so the pins never
+ * conflict and cost the level-flat factor O(N) per level. The
+ * self-routing scheme of the paper does NOT apply to the reduced
+ * fabric: the Fig. 3 rule needs the freedom Waksman removes (tests
+ * demonstrate a BPC member whose self-route crosses a removed
+ * switch).
  */
 
 #ifndef SRBENES_CORE_WAKSMAN_REDUCED_HH

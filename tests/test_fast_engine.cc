@@ -132,37 +132,22 @@ TEST(FastEngine, WaksmanForcedStatesDifferential)
     }
 }
 
-TEST(FastEngine, FlatWiringMatchesTopology)
+TEST(FastEngine, ForcedStatesRoundTrip)
 {
-    for (unsigned n = 1; n <= 8; ++n) {
-        const BenesTopology topo(n);
-        const FastEngine eng(n);
-        for (unsigned s = 0; s + 1 < topo.numStages(); ++s)
-            for (Word line = 0; line < topo.numLines(); ++line)
-                ASSERT_EQ(eng.wireToNext(s, line),
-                          topo.wireToNext(s, line));
-    }
-}
-
-TEST(FastEngine, PackedStatesRoundTrip)
-{
+    // Random dense states go straight into the control masks, and
+    // planStates reads the same states back out of them.
     Prng prng(13);
     for (unsigned n = 1; n <= 9; ++n) {
         const FastEngine eng(n);
-        // Random dense states round-trip through the packed form.
         SwitchStates states(eng.numStages(),
                             std::vector<std::uint8_t>(
                                 eng.switchesPerStage()));
         for (auto &stage : states)
             for (auto &s : stage)
                 s = static_cast<std::uint8_t>(prng.below(2));
-        const PackedStates packed = eng.packStates(states);
-        EXPECT_EQ(eng.unpackStates(packed), states);
-
-        // Bit accessors agree with the source array.
-        for (unsigned s = 0; s < eng.numStages(); ++s)
-            for (Word i = 0; i < eng.switchesPerStage(); ++i)
-                ASSERT_EQ(packed.get(s, i), states[s][i] != 0);
+        const Permutation d =
+            Permutation::random(std::size_t{1} << n, prng);
+        EXPECT_EQ(eng.planStates(eng.planWithStates(d, states)), states);
     }
 }
 
@@ -179,20 +164,31 @@ TEST(FastEngine, PlanStatesMatchReference)
     }
 }
 
-TEST(FastEngine, PlanWithPackedEqualsPlanWithStates)
+TEST(FastEngine, StitchedPassesAreTheSeededWaksmanSetup)
 {
+    // Stages 0..n-2 of pass 1 and n-1..2n-2 of pass 2 of a seeded
+    // TwoPass factorization are the Waksman setup of the same seed:
+    // the Router's verified Waksman plan and the states the resilient
+    // layer re-derives are one decomposition.
     Prng prng(19);
-    const unsigned n = 6;
-    const SelfRoutingBenes net(n);
-    const FastEngine eng(n);
-    const auto d = Permutation::random(64, prng);
-    const SwitchStates states = waksmanSetup(net.topology(), d);
-    const FastPlan a = eng.planWithStates(d, states);
-    const FastPlan b = eng.planWithPacked(d, eng.packStates(states));
-    EXPECT_EQ(a.success, b.success);
-    EXPECT_EQ(a.dest, b.dest);
-    EXPECT_EQ(a.src, b.src);
-    EXPECT_EQ(a.ctrl, b.ctrl);
+    for (unsigned n = 1; n <= 12; ++n) {
+        const SelfRoutingBenes net(n);
+        const FastEngine eng(n);
+        for (int t = 0; t < 4; ++t) {
+            const auto d =
+                Permutation::random(std::size_t{1} << n, prng);
+            for (std::uint64_t seed = 0; seed <= 8; ++seed) {
+                const TwoPassPlan tp = twoPassPlanSeeded(net, d, seed);
+                const FastPlan plan =
+                    eng.planStitched(d, tp.first, tp.second);
+                ASSERT_TRUE(plan.success) << "n=" << n << " seed=" << seed;
+                EXPECT_EQ(plan.dest, d.dest());
+                ASSERT_EQ(eng.planStates(plan),
+                          waksmanSetupSeeded(net.topology(), d, seed))
+                    << "n=" << n << " seed=" << seed;
+            }
+        }
+    }
 }
 
 TEST(FastEngine, ExecuteMatchesPermutationApply)
