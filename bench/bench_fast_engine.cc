@@ -178,6 +178,8 @@ main()
             });
 
             // Warm plan cache: classification and planning skipped.
+            // The cache keeps a pattern from its second sighting.
+            (void)router.planCached(d);
             (void)router.planCached(d);
             row.cached_ns = timeNs([&]() {
                 const auto plan = router.planCached(d);

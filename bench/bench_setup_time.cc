@@ -24,11 +24,15 @@
  * 10 and 12 as median, p10 and p90 over a cold pool, each plan
  * checked for strategy and payload, and the same spread for each
  * phase of the miss: the F gate, the factor, the two verification
- * passes, and planCached's insert and eviction with the cache full.
- * Its Omega rows time cold OmegaBit plans the same way, and its
- * Waksman rows cold prefer_waksman plans of the arbitrary rows'
- * pool: the same factor, its two passes stitched into one state set
- * and one forced pass. Emits machine-readable BENCH_setup.json;
+ * passes, and planCached's own share with the cache full, for a
+ * first sighting the admission gate drops and for a miss it admits
+ * over the LRU plan. Its Omega rows time cold OmegaBit plans the
+ * same way, and its Waksman rows cold prefer_waksman plans of the
+ * arbitrary rows' pool: the same factor, its two passes stitched
+ * into one state set and one forced pass. The E2b sections run in
+ * interleaved rounds (3, or 1 in smoke), and each row records the
+ * least and greatest of its round medians beside the pooled median,
+ * p10 and p90. Emits machine-readable BENCH_setup.json;
  * SRBENES_BENCH_SMOKE=1 runs the reduced CI configuration.
  */
 
@@ -127,22 +131,65 @@ printSetupComparison(unsigned max_n)
                  "delay is the 2 lg N - 1 stage column only)\n\n";
 }
 
-struct SetupRow
+/**
+ * One timed quantity over the rounds: every sample of every round,
+ * pooled, and each round's median.
+ */
+struct Rounds
 {
-    unsigned n;
-    Word N;
-    double reference_us; //!< per-switch reference simulator
-    double scalar_us;    //!< SetupEngine, scalar kernels forced
-    double simd_us;      //!< SetupEngine, dispatched kernels
-    double router_us;    //!< Router::plan end to end (uncached)
+    std::vector<double> samples;
+    std::vector<double> medians;
 };
 
-/** Median, p10 and p90 of one timed quantity, in microseconds. */
+/**
+ * Median, p10 and p90 of one timed quantity over every round's
+ * samples, and the least and greatest of its round medians, in
+ * microseconds.
+ */
 struct Spread
 {
     double median_us;
     double p10_us;
     double p90_us;
+    double round_min_us;
+    double round_max_us;
+};
+
+/** The @p q quantile of @p v (sorted in place), nearest rank. */
+double
+quantile(std::vector<double> &v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t k = static_cast<std::size_t>(q * (v.size() - 1) + 0.5);
+    return v[k];
+}
+
+/** Add one round's samples @p us to @p r. */
+void
+addRound(Rounds &r, std::vector<double> us)
+{
+    r.medians.push_back(quantile(us, 0.5));
+    r.samples.insert(r.samples.end(), us.begin(), us.end());
+}
+
+Spread
+spreadOf(Rounds r)
+{
+    const auto [lo, hi] =
+        std::minmax_element(r.medians.begin(), r.medians.end());
+    return {quantile(r.samples, 0.5), quantile(r.samples, 0.1),
+            quantile(r.samples, 0.9), *lo, *hi};
+}
+
+/** E2b's F-member columns: one mean over the reps per round. */
+struct SetupRow
+{
+    unsigned n;
+    Word N;
+    Rounds reference; //!< per-switch reference simulator
+    Rounds scalar;    //!< SetupEngine, scalar kernels forced
+    Rounds simd;      //!< SetupEngine, dispatched kernels
+    Rounds router;    //!< Router::plan end to end (uncached)
 };
 
 /** Cold Router::plan on uniformly random permutations (TwoPass). */
@@ -152,12 +199,16 @@ struct ArbitraryRow
     Word N;
     std::size_t pool;
     std::size_t samples;
-    Spread plan;
+    Rounds plan;
     /** @{ The phases of one cold TwoPass miss, timed one by one. */
-    Spread f_gate;       //!< level-0 test, then the F attempt if it passes
-    Spread factor;       //!< twoPassPlan, the looping factor
-    Spread verify;       //!< both factor tag passes
-    Spread insert_evict; //!< planCached outside Router::plan, cache full
+    Rounds f_gate; //!< level-0 test, then the F attempt if it passes
+    Rounds factor; //!< twoPassPlan, the looping factor
+    Rounds verify; //!< both factor tag passes
+    /** planCached outside Router::plan: a first sighting, dropped. */
+    Rounds first_sighting;
+    /** planCached outside Router::plan: a miss admitted over the
+     *  full cache's LRU plan, which it evicts. */
+    Rounds insert_evict;
     /** @} */
     /** Resident bytes of one plan: planCacheBytes / planCacheSize
      *  with the cache full. */
@@ -171,25 +222,32 @@ struct ColdPlanRow
     Word N;
     std::size_t pool;
     std::size_t samples;
-    Spread plan;
+    Rounds plan;
 };
 
+/** Row @p i of @p rows, added with @p fresh on the first round. */
+template <typename Row>
+Row &
+roundRow(std::vector<Row> &rows, std::size_t i, Row fresh)
+{
+    if (rows.size() <= i)
+        rows.push_back(std::move(fresh));
+    return rows[i];
+}
+
 /**
- * E2b: the library's own cold-plan path. Every sample is cold — a
- * pool of distinct F members is cycled so no plan is ever repeated
- * back-to-back — and the contract is identical on both sides: one
- * routed pass with its switch settings and realized mapping.
+ * One round of E2b: the library's own cold-plan path. Every sample
+ * is cold — a pool of distinct F members is cycled so no plan is
+ * ever repeated back-to-back — and the contract is identical on both
+ * sides: one routed pass with its switch settings and realized
+ * mapping.
  */
 void
-runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows)
+bitslicedRound(bool smoke, std::vector<SetupRow> &rows)
 {
-    std::cout << "=== E2b: cold-plan production, per-switch "
-                 "reference vs bit-sliced SetupEngine ===\n\n";
-
-    TextTable table({"n", "N", "reference us", "sliced scalar us",
-                     "sliced simd us", "router.plan us", "speedup"});
     const int reps = smoke ? 10 : 100;
-    for (unsigned n = 8; n <= 12; n += 2) {
+    std::size_t i = 0;
+    for (unsigned n = 8; n <= 12; n += 2, ++i) {
         const Word N = Word{1} << n;
         const SelfRoutingBenes net(n);
         const FastEngine eng(n);
@@ -232,37 +290,40 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows)
             },
             reps);
 
-        rows.push_back(
-            {n, N, ref_us, scalar_us, simd_us, router_us});
+        SetupRow &row = roundRow(rows, i, SetupRow{n, N, {}, {}, {}, {}});
+        addRound(row.reference, {ref_us});
+        addRound(row.scalar, {scalar_us});
+        addRound(row.simd, {simd_us});
+        addRound(row.router, {router_us});
+    }
+}
+
+void
+printBitsliced(const std::vector<SetupRow> &rows)
+{
+    std::cout << "=== E2b: cold-plan production, per-switch "
+                 "reference vs bit-sliced SetupEngine ===\n\n";
+
+    TextTable table({"n", "N", "reference us", "sliced scalar us",
+                     "sliced simd us", "router.plan us", "speedup"});
+    for (const SetupRow &r : rows) {
+        const double ref_us = spreadOf(r.reference).median_us;
+        const double simd_us = spreadOf(r.simd).median_us;
         table.newRow();
-        table.addCell(n);
-        table.addCell(N);
+        table.addCell(r.n);
+        table.addCell(r.N);
         table.addCell(ref_us, 1);
-        table.addCell(scalar_us, 1);
+        table.addCell(spreadOf(r.scalar).median_us, 1);
         table.addCell(simd_us, 1);
-        table.addCell(router_us, 1);
+        table.addCell(spreadOf(r.router).median_us, 1);
         table.addCell(ref_us / simd_us, 2);
     }
     table.print(std::cout);
-    std::cout << "\n(every sample is a cold plan; 'speedup' is the "
-                 "reference simulator over the\n bit-sliced "
-                 "SetupEngine::plan — the acceptance floor at n = 12 "
+    std::cout << "\n(every sample is a cold plan; each cell is the "
+                 "median over the rounds' means;\n'speedup' is the "
+                 "reference simulator over the bit-sliced "
+                 "SetupEngine::plan — the\nacceptance floor at n = 12 "
                  "is 3x)\n\n";
-}
-
-/** The @p q quantile of @p v (sorted in place), nearest rank. */
-double
-quantile(std::vector<double> &v, double q)
-{
-    std::sort(v.begin(), v.end());
-    const std::size_t k = static_cast<std::size_t>(q * (v.size() - 1) + 0.5);
-    return v[k];
-}
-
-Spread
-spreadOf(std::vector<double> &us)
-{
-    return {quantile(us, 0.5), quantile(us, 0.1), quantile(us, 0.9)};
 }
 
 double
@@ -290,7 +351,7 @@ arbitraryPool(unsigned n, std::size_t size)
  * @p samples separately timed cold Router::plan calls over @p pool,
  * cycled so no plan repeats back to back.
  */
-Spread
+std::vector<double>
 timeColdPlans(const Router &router, const std::vector<Permutation> &pool,
               std::size_t samples)
 {
@@ -304,7 +365,7 @@ timeColdPlans(const Router &router, const std::vector<Permutation> &pool,
         benchmark::DoNotOptimize(plan.src.data());
         us.push_back(elapsedUs(t0, t1));
     }
-    return spreadOf(us);
+    return us;
 }
 
 /**
@@ -341,16 +402,30 @@ poolPlansAs(const Router &router, const std::vector<Permutation> &pool,
     return true;
 }
 
+/** Plans @p router has admitted so far. */
+std::size_t
+admissions(const Router &router)
+{
+    std::size_t total = 0;
+    for (const CacheShardStats &s : router.cacheStats())
+        total += s.admitted;
+    return total;
+}
+
 /**
- * The phases of a cold TwoPass miss at n, each timed on its own over
- * @p pool: the F gate Router::plan runs first (Theorem 1's level-0
- * test, and the tag attempt only if it passes), the looping factor,
- * and the two verification passes. Then planCached's own share of a
- * miss with the cache full at srbd's shape (512 slots, 8 shards):
- * each sample is a fresh pattern, and the time outside its
- * router.plan trace span is the lookup, the insert and the eviction.
+ * One round of the phases of a cold TwoPass miss at n, each timed on
+ * its own over @p pool: the F gate Router::plan runs first (Theorem
+ * 1's level-0 test, and the tag attempt only if it passes), the
+ * looping factor, and the two verification passes. Then
+ * planCached's own share of a miss, the time outside its
+ * router.plan trace span, with the cache full at srbd's shape (512
+ * slots, 8 shards, every plan sighted twice): a fresh pattern's
+ * first sighting, which the gate drops, and a pattern's third
+ * sighting, whose estimate beats the LRU plan's two, so it is
+ * inserted and evicts that plan. Returns false if an admitted
+ * sample cannot be found.
  */
-void
+bool
 timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
                   std::size_t samples, ArbitraryRow &row)
 {
@@ -360,7 +435,7 @@ timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
     const Router router(n, false, /*plan_cache_capacity=*/512,
                         /*cache_shards=*/8, &reg);
     const SetupEngine &setup = router.setupEngine();
-    std::vector<double> gate, factor, verify, insert;
+    std::vector<double> gate, factor, verify, first, insert;
     for (std::size_t k = 0; k < samples; ++k) {
         const Permutation &d = pool[k % pool.size()];
         const auto t0 = clock::now();
@@ -379,72 +454,111 @@ timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
     }
 
     Prng prng(500 + n);
-    for (std::size_t i = 0; i < router.planCacheCapacity(); ++i)
-        (void)router.planCached(Permutation::random(N, prng));
-    row.plan_bytes = router.planCacheBytes() / router.planCacheSize();
-    for (std::size_t k = 0; k < samples; ++k) {
+    for (std::size_t i = 0; i < router.planCacheCapacity(); ++i) {
         const Permutation d = Permutation::random(N, prng);
-        const std::uint64_t key = Router::hashPermutation(d);
+        (void)router.planCached(d);
+        (void)router.planCached(d);
+    }
+    row.plan_bytes = router.planCacheBytes() / router.planCacheSize();
+    const auto missUs = [&](const Permutation &d, std::uint64_t key) {
         const auto t0 = clock::now();
         const auto plan = router.planCached(d, key);
         const auto t1 = clock::now();
         benchmark::DoNotOptimize(plan.get());
-        const obs::SpanRecord inner = obs::Tracer::global().snapshot().back();
-        insert.push_back(elapsedUs(t0, t1) -
-                         static_cast<double>(inner.dur_ns) / 1e3);
+        const obs::SpanRecord inner =
+            obs::Tracer::global().snapshot().back();
+        return elapsedUs(t0, t1) - static_cast<double>(inner.dur_ns) / 1e3;
+    };
+    for (std::size_t k = 0; k < samples; ++k) {
+        const Permutation d = Permutation::random(N, prng);
+        first.push_back(missUs(d, Router::hashPermutation(d)));
     }
-    row.f_gate = spreadOf(gate);
-    row.factor = spreadOf(factor);
-    row.verify = spreadOf(verify);
-    row.insert_evict = spreadOf(insert);
+    // A sketch collision can admit a pattern a sighting early or
+    // keep it out a sighting late; only timed admissions count.
+    for (std::size_t tries = 0; insert.size() < samples; ++tries) {
+        if (tries == 4 * samples) {
+            std::fprintf(stderr, "n=%u: too few admitted misses\n", n);
+            return false;
+        }
+        const Permutation d = Permutation::random(N, prng);
+        const std::uint64_t key = Router::hashPermutation(d);
+        (void)router.planCached(d, key);
+        (void)router.planCached(d, key);
+        if (router.findCached(d, key))
+            continue;
+        const std::size_t admitted = admissions(router);
+        const double us = missUs(d, key);
+        if (admissions(router) == admitted + 1)
+            insert.push_back(us);
+    }
+    addRound(row.f_gate, std::move(gate));
+    addRound(row.factor, std::move(factor));
+    addRound(row.verify, std::move(verify));
+    addRound(row.first_sighting, std::move(first));
+    addRound(row.insert_evict, std::move(insert));
+    return true;
 }
 
 /**
- * The library's cold plan for arbitrary permutations: a uniformly
- * random permutation is almost never in F(n) or Omega(n), so Router
- * plans it TwoPass — the tag attempt, the looping factor and both
- * verified factor passes. Every sample is a separately timed cold
- * Router::plan (no plan cache) over a pool cycled so no plan repeats
- * back to back. Returns false if a plan is not TwoPass or does not
- * deliver Permutation::applyTo's payload.
+ * One round of the library's cold plan for arbitrary permutations: a
+ * uniformly random permutation is almost never in F(n) or Omega(n),
+ * so Router plans it TwoPass — the tag attempt, the looping factor
+ * and both verified factor passes. Every sample is a separately
+ * timed cold Router::plan (no plan cache) over a pool cycled so no
+ * plan repeats back to back. Returns false if a plan is not TwoPass
+ * or does not deliver Permutation::applyTo's payload.
  */
 bool
-runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
+arbitraryRound(bool smoke, std::vector<ArbitraryRow> &rows)
 {
-    std::cout << "=== E2b: cold Router::plan, uniformly random "
-                 "permutations (TwoPass) ===\n\n";
-
-    TextTable table({"n", "N", "samples", "median us", "p10 us",
-                     "p90 us"});
-    TextTable phases({"n", "F gate us", "factor us", "verify us",
-                      "insert+evict us", "plan bytes"});
     const std::size_t pool_size = 32;
     const std::size_t samples = smoke ? 64 : 256;
-    for (unsigned n = 8; n <= 12; n += 2) {
+    std::size_t i = 0;
+    for (unsigned n = 8; n <= 12; n += 2, ++i) {
         const Word N = Word{1} << n;
         const Router router(n, false, /*plan_cache_capacity=*/0,
                             /*cache_shards=*/1, /*metrics=*/nullptr);
         const std::vector<Permutation> pool = arbitraryPool(n, pool_size);
         if (!poolPlansAs(router, pool, RouteStrategy::TwoPass))
             return false;
-        ArbitraryRow row{n, N, pool_size, samples,
-                         timeColdPlans(router, pool, samples),
-                         {}, {}, {}, {}, 0};
-        timeTwoPassPhases(n, pool, samples, row);
-        rows.push_back(row);
+        ArbitraryRow &row = roundRow(
+            rows, i,
+            ArbitraryRow{n, N, pool_size, samples, {}, {}, {}, {}, {}, {}, 0});
+        addRound(row.plan, timeColdPlans(router, pool, samples));
+        if (!timeTwoPassPhases(n, pool, samples, row))
+            return false;
+    }
+    return true;
+}
+
+void
+printArbitrary(const std::vector<ArbitraryRow> &rows)
+{
+    std::cout << "=== E2b: cold Router::plan, uniformly random "
+                 "permutations (TwoPass) ===\n\n";
+
+    TextTable table({"n", "N", "samples", "median us", "p10 us",
+                     "p90 us", "round min us", "round max us"});
+    TextTable phases({"n", "F gate us", "factor us", "verify us",
+                      "first sighting us", "insert+evict us",
+                      "plan bytes"});
+    for (const ArbitraryRow &r : rows) {
+        const Spread plan = spreadOf(r.plan);
         table.newRow();
-        table.addCell(n);
-        table.addCell(N);
-        table.addCell(samples);
-        table.addCell(row.plan.median_us, 1);
-        table.addCell(row.plan.p10_us, 1);
-        table.addCell(row.plan.p90_us, 1);
+        table.addCell(r.n);
+        table.addCell(r.N);
+        table.addCell(r.samples);
+        table.addCell(plan.median_us, 1);
+        table.addCell(plan.p10_us, 1);
+        table.addCell(plan.p90_us, 1);
+        table.addCell(plan.round_min_us, 1);
+        table.addCell(plan.round_max_us, 1);
         phases.newRow();
-        phases.addCell(n);
-        for (const Spread *p :
-             {&row.f_gate, &row.factor, &row.verify, &row.insert_evict})
-            phases.addCell(p->median_us, 1);
-        phases.addCell(row.plan_bytes);
+        phases.addCell(r.n);
+        for (const Rounds *p : {&r.f_gate, &r.factor, &r.verify,
+                                &r.first_sighting, &r.insert_evict})
+            phases.addCell(spreadOf(*p).median_us, 1);
+        phases.addCell(r.plan_bytes);
     }
     table.print(std::cout);
     std::cout << "\n(every sample is a cold TwoPass plan, verified "
@@ -453,30 +567,27 @@ runArbitrarySetup(bool smoke, std::vector<ArbitraryRow> &rows)
                  "same n)\n\nits phases, medians:\n\n";
     phases.print(std::cout);
     std::cout << "\n(F gate: the level-0 test, and the tag attempt "
-                 "only when it passes; insert+evict:\n"
-                 "planCached outside Router::plan with 512 plans "
-                 "resident, so every miss evicts;\nplan bytes: one "
-                 "resident plan, planCacheBytes / planCacheSize)\n\n";
-    return true;
+                 "only when it passes; first sighting\nand "
+                 "insert+evict: planCached outside Router::plan with "
+                 "512 plans resident, for a\nfirst sighting the gate "
+                 "drops and for a miss admitted over the LRU plan;\n"
+                 "plan bytes: one resident plan, planCacheBytes / "
+                 "planCacheSize)\n\n";
 }
 
 /**
- * Cold Router::plan on Omega members: the second TwoPass factor of a
- * uniformly random permutation, kept when the Router plans it
- * OmegaBit (Omega members in F plan SelfRouting). Returns false if
- * a plan does not deliver Permutation::applyTo's payload.
+ * One round of cold Router::plan on Omega members: the second TwoPass
+ * factor of a uniformly random permutation, kept when the Router
+ * plans it OmegaBit (Omega members in F plan SelfRouting). Returns
+ * false if a plan does not deliver Permutation::applyTo's payload.
  */
 bool
-runOmegaSetup(bool smoke, std::vector<ColdPlanRow> &rows)
+omegaRound(bool smoke, std::vector<ColdPlanRow> &rows)
 {
-    std::cout << "=== E2b: cold Router::plan, Omega members "
-                 "(OmegaBit) ===\n\n";
-
-    TextTable table({"n", "N", "samples", "median us", "p10 us",
-                     "p90 us"});
     const std::size_t pool_size = 32;
     const std::size_t samples = smoke ? 64 : 256;
-    for (unsigned n = 8; n <= 12; n += 2) {
+    std::size_t i = 0;
+    for (unsigned n = 8; n <= 12; n += 2, ++i) {
         const Word N = Word{1} << n;
         const Router router(n, false, /*plan_cache_capacity=*/0,
                             /*cache_shards=*/1, /*metrics=*/nullptr);
@@ -491,39 +602,27 @@ runOmegaSetup(bool smoke, std::vector<ColdPlanRow> &rows)
         }
         if (!poolPlansAs(router, pool, RouteStrategy::OmegaBit))
             return false;
-        rows.push_back({n, N, pool_size, samples,
-                        timeColdPlans(router, pool, samples)});
-        table.newRow();
-        table.addCell(n);
-        table.addCell(N);
-        table.addCell(samples);
-        table.addCell(rows.back().plan.median_us, 1);
-        table.addCell(rows.back().plan.p10_us, 1);
-        table.addCell(rows.back().plan.p90_us, 1);
+        addRound(roundRow(rows, i,
+                          ColdPlanRow{n, N, pool_size, samples, {}})
+                     .plan,
+                 timeColdPlans(router, pool, samples));
     }
-    table.print(std::cout);
-    std::cout << "\n(every sample is a cold OmegaBit plan: the F gate, "
-                 "the Omega check and one\nomega-bit tag pass)\n\n";
     return true;
 }
 
 /**
- * Cold Router::plan with prefer_waksman on the arbitrary rows' pool:
- * the factor, its two passes stitched into Waksman's one state set,
- * and one forced pass over it. Returns false if a plan is not
- * Waksman or does not deliver Permutation::applyTo's payload.
+ * One round of cold Router::plan with prefer_waksman on the arbitrary
+ * rows' pool: the factor, its two passes stitched into Waksman's one
+ * state set, and one forced pass over it. Returns false if a plan is
+ * not Waksman or does not deliver Permutation::applyTo's payload.
  */
 bool
-runWaksmanSetup(bool smoke, std::vector<ColdPlanRow> &rows)
+waksmanRound(bool smoke, std::vector<ColdPlanRow> &rows)
 {
-    std::cout << "=== E2b: cold Router::plan, uniformly random "
-                 "permutations (Waksman) ===\n\n";
-
-    TextTable table({"n", "N", "samples", "median us", "p10 us",
-                     "p90 us"});
     const std::size_t pool_size = 32;
     const std::size_t samples = smoke ? 64 : 256;
-    for (unsigned n = 8; n <= 12; n += 2) {
+    std::size_t i = 0;
+    for (unsigned n = 8; n <= 12; n += 2, ++i) {
         const Word N = Word{1} << n;
         const Router router(n, /*prefer_waksman=*/true,
                             /*plan_cache_capacity=*/0,
@@ -531,32 +630,47 @@ runWaksmanSetup(bool smoke, std::vector<ColdPlanRow> &rows)
         const std::vector<Permutation> pool = arbitraryPool(n, pool_size);
         if (!poolPlansAs(router, pool, RouteStrategy::Waksman))
             return false;
-        rows.push_back({n, N, pool_size, samples,
-                        timeColdPlans(router, pool, samples)});
-        table.newRow();
-        table.addCell(n);
-        table.addCell(N);
-        table.addCell(samples);
-        table.addCell(rows.back().plan.median_us, 1);
-        table.addCell(rows.back().plan.p10_us, 1);
-        table.addCell(rows.back().plan.p90_us, 1);
+        addRound(roundRow(rows, i,
+                          ColdPlanRow{n, N, pool_size, samples, {}})
+                     .plan,
+                 timeColdPlans(router, pool, samples));
     }
-    table.print(std::cout);
-    std::cout << "\n(every sample is a cold Waksman plan: the F gate, "
-                 "the Omega check, the factor,\nthe two passes' "
-                 "stitched masks and one forced pass; compare the "
-                 "TwoPass rows)\n\n";
     return true;
 }
 
-/** Print @p what's median, p10 and p90 as JSON fields. */
 void
-printSpread(std::FILE *jf, const char *what, const Spread &s)
+printColdTable(const char *title, const char *note,
+               const std::vector<ColdPlanRow> &rows)
 {
+    std::cout << "=== E2b: cold Router::plan, " << title << " ===\n\n";
+    TextTable table({"n", "N", "samples", "median us", "p10 us",
+                     "p90 us"});
+    for (const ColdPlanRow &r : rows) {
+        const Spread plan = spreadOf(r.plan);
+        table.newRow();
+        table.addCell(r.n);
+        table.addCell(r.N);
+        table.addCell(r.samples);
+        table.addCell(plan.median_us, 1);
+        table.addCell(plan.p10_us, 1);
+        table.addCell(plan.p90_us, 1);
+    }
+    table.print(std::cout);
+    std::cout << "\n" << note << "\n\n";
+}
+
+/** Print @p what's median, p10, p90 and round-median range as JSON
+ *  fields. */
+void
+printSpread(std::FILE *jf, const char *what, const Rounds &r)
+{
+    const Spread s = spreadOf(r);
     std::fprintf(jf,
                  "\"%s_median\": %.1f, \"%s_p10\": %.1f, "
-                 "\"%s_p90\": %.1f",
-                 what, s.median_us, what, s.p10_us, what, s.p90_us);
+                 "\"%s_p90\": %.1f, \"%s_round_min\": %.1f, "
+                 "\"%s_round_max\": %.1f",
+                 what, s.median_us, what, s.p10_us, what, s.p90_us, what,
+                 s.round_min_us, what, s.round_max_us);
 }
 
 /** One JSON array of cold-plan rows of @p strategy. */
@@ -576,8 +690,35 @@ printColdRows(std::FILE *jf, const char *strategy,
     }
 }
 
+/**
+ * The cold Waksman plan over the cold TwoPass plan of the same pool,
+ * per n: the ratio of the pooled medians, and the least and greatest
+ * ratio of one round's medians.
+ */
+void
+printWaksmanRatios(std::FILE *jf, const std::vector<ArbitraryRow> &arbitrary,
+                   const std::vector<ColdPlanRow> &waksman)
+{
+    for (std::size_t i = 0; i < waksman.size(); ++i) {
+        const Rounds &w = waksman[i].plan;
+        const Rounds &a = arbitrary[i].plan;
+        std::vector<double> ratios;
+        for (std::size_t k = 0; k < w.medians.size(); ++k)
+            ratios.push_back(w.medians[k] / a.medians[k]);
+        const auto [lo, hi] =
+            std::minmax_element(ratios.begin(), ratios.end());
+        std::fprintf(jf,
+                     "    {\"n\": %u, \"ratio_median\": %.3f, "
+                     "\"ratio_round_min\": %.3f, \"ratio_round_max\": "
+                     "%.3f}%s\n",
+                     waksman[i].n,
+                     spreadOf(w).median_us / spreadOf(a).median_us, *lo,
+                     *hi, i + 1 < waksman.size() ? "," : "");
+    }
+}
+
 bool
-writeSetupJson(const std::vector<SetupRow> &rows,
+writeSetupJson(unsigned rounds, const std::vector<SetupRow> &rows,
                const std::vector<ArbitraryRow> &arbitrary,
                const std::vector<ColdPlanRow> &omega,
                const std::vector<ColdPlanRow> &waksman)
@@ -594,10 +735,19 @@ writeSetupJson(const std::vector<SetupRow> &rows,
                  "  \"workload\": \"random F(n) members, "
                  "SetupEngine::plan (one tag pass, no state packing), "
                  "32-perm cold pool\",\n"
-                 "  \"simd\": \"%s\",\n  \"results\": [\n",
-                 activeKernels().name);
+                 "  \"simd\": \"%s\",\n  \"rounds\": %u,\n"
+                 "  \"rounds_note\": \"every section runs once per "
+                 "round, the sections interleaved; a results row is "
+                 "the median of its rounds' means, and every other "
+                 "row pools its rounds' samples for median, p10 and "
+                 "p90, and gives the least and greatest round median "
+                 "as _round_min and _round_max\",\n"
+                 "  \"results\": [\n",
+                 activeKernels().name, rounds);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const SetupRow &r = rows[i];
+        const double ref_us = spreadOf(r.reference).median_us;
+        const double simd_us = spreadOf(r.simd).median_us;
         std::fprintf(
             jf,
             "    {\"n\": %u, \"N\": %llu, "
@@ -606,9 +756,9 @@ writeSetupJson(const std::vector<SetupRow> &rows,
             "\"bitsliced_simd_us\": %.1f, "
             "\"router_plan_cold_us\": %.1f, "
             "\"speedup_vs_reference\": %.2f}%s\n",
-            r.n, static_cast<unsigned long long>(r.N),
-            r.reference_us, r.scalar_us, r.simd_us, r.router_us,
-            r.reference_us / r.simd_us,
+            r.n, static_cast<unsigned long long>(r.N), ref_us,
+            spreadOf(r.scalar).median_us, simd_us,
+            spreadOf(r.router).median_us, ref_us / simd_us,
             i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(jf,
@@ -631,6 +781,8 @@ writeSetupJson(const std::vector<SetupRow> &rows,
         std::fprintf(jf, ",\n     ");
         printSpread(jf, "verify_us", r.verify);
         std::fprintf(jf, ",\n     ");
+        printSpread(jf, "first_sighting_us", r.first_sighting);
+        std::fprintf(jf, ",\n     ");
         printSpread(jf, "insert_evict_us", r.insert_evict);
         std::fprintf(jf, ",\n     \"plan_bytes\": %zu}%s\n", r.plan_bytes,
                      i + 1 < arbitrary.size() ? "," : "");
@@ -639,10 +791,13 @@ writeSetupJson(const std::vector<SetupRow> &rows,
                  "  ],\n  \"phases_note\": \"f_gate: the level-0 test, "
                  "then the tag attempt only if it passes; factor: "
                  "twoPassPlan; verify: both factor tag passes; "
-                 "insert_evict: planCached outside its router.plan span "
-                 "with 512 plans resident in 8 shards; plan_bytes: one "
-                 "resident plan, planCacheBytes / planCacheSize with "
-                 "those 512 resident\",\n"
+                 "first_sighting and insert_evict: planCached outside "
+                 "its router.plan span with 512 plans resident in 8 "
+                 "shards, for a fresh pattern's first sighting (planned "
+                 "and dropped) and for a third sighting admitted over "
+                 "the LRU plan (inserted, the LRU plan evicted); "
+                 "plan_bytes: one resident plan, planCacheBytes / "
+                 "planCacheSize with those 512 resident\",\n"
                  "  \"omega_workload\": \"Omega members (second "
                  "TwoPass factors of random permutations) that plan "
                  "OmegaBit, cold Router::plan, 32-perm cold pool\",\n"
@@ -654,6 +809,8 @@ writeSetupJson(const std::vector<SetupRow> &rows,
                  "(the factor, its two passes stitched, one forced "
                  "pass)\",\n  \"waksman\": [\n");
     printColdRows(jf, "waksman", waksman);
+    std::fprintf(jf, "  ],\n  \"waksman_over_arbitrary\": [\n");
+    printWaksmanRatios(jf, arbitrary, waksman);
     std::fprintf(jf, "  ]\n}\n");
     std::fclose(jf);
     std::printf("wrote %s\n\n", path);
@@ -720,18 +877,33 @@ main(int argc, char **argv)
     const bool smoke = smoke_env && smoke_env[0] != '\0' &&
                        !(smoke_env[0] == '0' && smoke_env[1] == '\0');
 
+    // The E2b sections run in interleaved rounds, so a slow stretch
+    // of a noisy host lands on every section alike, and each row
+    // reports the spread of its round medians.
+    const unsigned rounds = smoke ? 1 : 3;
     std::vector<SetupRow> rows;
     std::vector<ArbitraryRow> arbitrary;
     std::vector<ColdPlanRow> omega;
     std::vector<ColdPlanRow> waksman;
-    runBitslicedSetup(smoke, rows);
-    if (!runArbitrarySetup(smoke, arbitrary))
-        return 1;
-    if (!runOmegaSetup(smoke, omega))
-        return 1;
-    if (!runWaksmanSetup(smoke, waksman))
-        return 1;
-    if (!writeSetupJson(rows, arbitrary, omega, waksman))
+    for (unsigned r = 0; r < rounds; ++r) {
+        bitslicedRound(smoke, rows);
+        if (!arbitraryRound(smoke, arbitrary) ||
+            !omegaRound(smoke, omega) || !waksmanRound(smoke, waksman))
+            return 1;
+    }
+    printBitsliced(rows);
+    printArbitrary(arbitrary);
+    printColdTable("Omega members (OmegaBit)",
+                   "(every sample is a cold OmegaBit plan: the F gate, "
+                   "the Omega check and one\nomega-bit tag pass)",
+                   omega);
+    printColdTable("uniformly random permutations (Waksman)",
+                   "(every sample is a cold Waksman plan: the F gate, "
+                   "the Omega check, the factor,\nthe two passes' "
+                   "stitched masks and one forced pass; compare the "
+                   "TwoPass rows)",
+                   waksman);
+    if (!writeSetupJson(rounds, rows, arbitrary, omega, waksman))
         return 1;
 
     printSetupComparison(smoke ? 10u : 16u);

@@ -64,8 +64,10 @@ done
 
 # Arbitrary-permutation rows: the cold TwoPass plan for uniformly
 # random permutations, and each phase of it (the F gate, the factor,
-# the two verification passes, planCached's insert and eviction),
-# must be reported at n = 8, 10 and 12, and so must the cold OmegaBit
+# the two verification passes, and planCached's own share of a first
+# sighting the admission gate drops and of a miss it admits with an
+# eviction), must be reported at n = 8, 10 and 12 with their median,
+# p10, p90 and round-median range, and so must the cold OmegaBit
 # plan of Omega members and the cold Waksman plan of the arbitrary
 # rows' pool. Presence and shape only, no timing gate
 # (the bench itself fails if a plan takes the wrong strategy or
@@ -79,10 +81,12 @@ if [ -f BENCH_setup.json ]; then
 import json, sys
 doc = json.load(open("BENCH_setup.json"))
 def spread(what):
-    return tuple(f"{what}_{q}" for q in ("median", "p10", "p90"))
+    return tuple(f"{what}_{q}" for q in
+                 ("median", "p10", "p90", "round_min", "round_max"))
 sections = {
     "arbitrary": ("two-pass", ("router_plan_cold_us", "f_gate_us",
                                "factor_us", "verify_us",
+                               "first_sighting_us",
                                "insert_evict_us")),
     "omega": ("omega-bit", ("router_plan_cold_us",)),
     "waksman": ("waksman", ("router_plan_cold_us",)),

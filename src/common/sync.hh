@@ -23,8 +23,8 @@
  * edit cannot silently bypass the checker.
  *
  * Model-mode API subset (deliberate): integral/bool/enum atomics
- * with load/store/fetch_add/fetch_sub/exchange/wait/notify, plain
- * Mutex, and Cell. compare_exchange and SharedMutex are not modeled
+ * with load/store/fetch_add/fetch_sub/fetch_or/exchange/wait/notify,
+ * plain Mutex, and Cell. compare_exchange and SharedMutex are not modeled
  * — code that needs them either stays unported or grows checker
  * support first. SharedMutex/ReaderLock/WriterLock alias the
  * production types in both modes so modeled files can still name
@@ -94,6 +94,14 @@ class Atomic
         noexcept
     {
         return v_.fetch_sub(d, o);
+    }
+
+    T
+    fetch_or(T m,
+             std::memory_order o = std::memory_order_seq_cst)
+        noexcept
+    {
+        return v_.fetch_or(m, o);
     }
 
     T
@@ -222,6 +230,14 @@ class Atomic
     {
         return fromWord(model::atomicRmw(st_, model::Rmw::Sub,
                                          toWord(d),
+                                         detail::toOrder(o)));
+    }
+
+    T
+    fetch_or(T m, std::memory_order o = std::memory_order_seq_cst)
+    {
+        return fromWord(model::atomicRmw(st_, model::Rmw::Or,
+                                         toWord(m),
                                          detail::toOrder(o)));
     }
 

@@ -1,5 +1,6 @@
 // srb-lint: modeled — SRB010: the plan cache's lock-free recency
-// stamps go through common/sync.hh (core/cache_recency.hh).
+// stamps and admission sketch go through common/sync.hh
+// (core/cache_recency.hh, core/cache_admission.hh).
 #include "core/router.hh"
 
 #include <algorithm>
@@ -14,6 +15,15 @@
 
 namespace srbenes
 {
+
+namespace
+{
+
+/** The admission outcome labels, indexed by Router::Admission. */
+constexpr const char *kAdmissionLabels[] = {"admitted", "first_sighting",
+                                            "lost_to_victim"};
+
+} // namespace
 
 Hash128
 hashPermutation128(const Permutation &d)
@@ -94,7 +104,7 @@ Router::Router(unsigned n, bool prefer_waksman,
                           ? plan_cache_capacity
                           : std::min(plan_cache_capacity,
                                      plan_cache_bytes / plan_bytes_)),
-      metrics_(metrics)
+      sketch_(cache_capacity_), metrics_(metrics)
 {
     std::size_t nshards = std::max(1u, cache_shards);
     if (cache_capacity_ > 0)
@@ -117,6 +127,12 @@ Router::Router(unsigned n, bool prefer_waksman,
             "srbenes_router_plan_cache_evictions_total", labels);
         shards_[i]->bytes_g = &metrics_->gauge(
             "srbenes_router_plan_cache_resident_bytes", labels);
+        for (int a = 0; a < 3; ++a) {
+            obs::Labels outcome = labels;
+            outcome.emplace_back("outcome", kAdmissionLabels[a]);
+            shards_[i]->admissions[a] = &metrics_->counter(
+                "srbenes_router_plan_cache_admissions_total", outcome);
+        }
     }
     for (RouteStrategy s :
          {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
@@ -241,42 +257,71 @@ Router::CacheShard::erase(Map::iterator it)
     map.erase(it);
 }
 
-void
-Router::evictPastCapacity() const
+Router::Victim
+Router::lruVictim() const
 {
-    // Capacity is global, not per shard: evict the globally
-    // least-recently-stamped entries. Ticks are unique, so the victim
-    // does not depend on the scan order. The scan reads each shard's
+    // Capacity is global, not per shard: the victim is the globally
+    // least-recently-stamped entry. Ticks are unique, so it does not
+    // depend on the scan order. The scan reads each shard's
     // contiguous stamp array; hits never reach this path.
-    while (planCacheSize() > cache_capacity_) {
-        CacheShard *vsh = nullptr;
-        std::uint64_t vkey = 0;
-        std::uint64_t vstamp = ~std::uint64_t{0};
-        for (const auto &cand : shards_) {
-            ReaderLock lock(cand->mu);
-            for (const CacheShard::Stamp &st : cand->stamps) {
-                // The eviction scan tolerates racing stamp updates
-                // (LRU is approximate; see cache_recency.hh).
-                const std::uint64_t stamp = st.last_used.value();
-                if (stamp < vstamp) {
-                    vsh = cand.get();
-                    vkey = st.key;
-                    vstamp = stamp;
-                }
+    Victim v;
+    std::uint64_t vstamp = ~std::uint64_t{0};
+    for (const auto &cand : shards_) {
+        ReaderLock lock(cand->mu);
+        for (const CacheShard::Stamp &st : cand->stamps) {
+            // The scan tolerates racing stamp updates (LRU is
+            // approximate; see cache_recency.hh).
+            const std::uint64_t stamp = st.last_used.value();
+            if (stamp < vstamp) {
+                v = {cand.get(), st.key};
+                vstamp = stamp;
             }
         }
-        if (!vsh)
+    }
+    return v;
+}
+
+Router::Admission
+Router::admission(std::uint64_t key, bool seen, Victim &victim) const
+{
+    // TinyLFU's gate: a key seen once in the window is a scan until
+    // proven otherwise, and a full cache trades its LRU entry only
+    // for a key the sketch estimates strictly more frequent. A
+    // racing admission can fill the cache after this check; the
+    // eviction after the insert keeps the capacity either way.
+    if (!seen)
+        return Admission::FirstSighting;
+    if (planCacheSize() < cache_capacity_)
+        return Admission::Admitted;
+    victim = lruVictim();
+    return victim.shard &&
+                   sketch_.estimate(key) <= sketch_.estimate(victim.key)
+               ? Admission::LostToVictim
+               : Admission::Admitted;
+}
+
+void
+Router::evictPastCapacity(Victim v) const
+{
+    // The first victim is the one admission() compared, when it
+    // found one; a racing admission that leaves the cache over
+    // capacity after it scans again.
+    while (planCacheSize() > cache_capacity_) {
+        if (!v.shard)
+            v = lruVictim();
+        if (!v.shard)
             break;
-        WriterLock lock(vsh->mu);
-        auto it = vsh->map.find(vkey);
-        if (it != vsh->map.end()) {
-            vsh->erase(it);
-            if (vsh->bytes_g)
-                vsh->bytes_g->set(static_cast<std::int64_t>(
-                    vsh->map.size() * plan_bytes_));
-            if (vsh->evictions)
-                vsh->evictions->inc();
+        WriterLock lock(v.shard->mu);
+        auto it = v.shard->map.find(v.key);
+        if (it != v.shard->map.end()) {
+            v.shard->erase(it);
+            if (v.shard->bytes_g)
+                v.shard->bytes_g->set(static_cast<std::int64_t>(
+                    v.shard->map.size() * plan_bytes_));
+            if (v.shard->evictions)
+                v.shard->evictions->inc();
         }
+        v = {};
     }
 }
 
@@ -286,23 +331,31 @@ Router::findCached(const Permutation &d, std::uint64_t key) const
     if (cache_capacity_ == 0)
         return nullptr;
     CacheShard &sh = shardFor(key);
-    ReaderLock lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it == sh.map.end())
-        return nullptr;
-    // A key match is never identity: the stored permutation must
-    // equal d in every lane, each 64-bit tag compared whole.
-    const std::vector<std::uint16_t> &perm = it->second.plan->perm;
-    if (perm.size() != d.size() ||
-        !activeKernels().equalWidened(perm.data(), d.dest().data(),
-                                      d.size()))
-        return nullptr;
-    if (sh.hits)
-        sh.hits->inc();
-    // Relaxed clock and stamp; a stale LRU stamp only costs a
-    // suboptimal eviction (cache_recency.hh).
-    sh.stamps[it->second.slot].last_used.touch(tick_);
-    return it->second.plan;
+    std::shared_ptr<const RoutePlan> hit;
+    {
+        ReaderLock lock(sh.mu);
+        auto it = sh.map.find(key);
+        if (it == sh.map.end())
+            return nullptr;
+        // A key match is never identity: the stored permutation must
+        // equal d in every lane, each 64-bit tag compared whole.
+        const std::vector<std::uint16_t> &perm = it->second.plan->perm;
+        if (perm.size() != d.size() ||
+            !activeKernels().equalWidened(perm.data(), d.dest().data(),
+                                          d.size()))
+            return nullptr;
+        if (sh.hits)
+            sh.hits->inc();
+        // Relaxed clock and stamp; a stale LRU stamp only costs a
+        // suboptimal eviction (cache_recency.hh).
+        sh.stamps[it->second.slot].last_used.touch(tick_);
+        hit = it->second.plan;
+    }
+    // Outside the lock: a sighting that ends the sketch's window ages
+    // it, and the shard's inserts need not wait for that. A stale
+    // count only costs a suboptimal admission (cache_admission.hh).
+    sketch_.record(key);
+    return hit;
 }
 
 std::shared_ptr<const RoutePlan>
@@ -322,10 +375,20 @@ Router::planCached(const Permutation &d, std::uint64_t key) const
     CacheShard &sh = shardFor(key);
     if (sh.misses)
         sh.misses->inc();
+    // The miss is this request's one sighting: findCached counts
+    // only hits, so a producer's miss and the worker's planCached
+    // that follows it record the request once.
+    const bool seen = sketch_.record(key);
 
     // Plan outside the lock; concurrent misses on the same pattern
     // just plan twice and the later insert wins.
     auto planned = std::make_shared<const RoutePlan>(plan(d));
+    Victim victim;
+    const Admission fate = admission(key, seen, victim);
+    if (obs::Counter *c = sh.admissions[static_cast<int>(fate)])
+        c->inc();
+    if (fate != Admission::Admitted)
+        return planned;
     // The recency clock only feeds the LRU heuristic (see
     // findCached).
     const std::uint64_t now = tick_.next();
@@ -347,7 +410,7 @@ Router::planCached(const Permutation &d, std::uint64_t key) const
                 static_cast<std::int64_t>(sh.map.size() * plan_bytes_));
     }
 
-    evictPastCapacity();
+    evictPastCapacity(victim);
     return planned;
 }
 
@@ -390,9 +453,18 @@ Router::cacheStats() const
             s.size = sh->map.size();
         }
         s.bytes = s.size * plan_bytes_;
-        s.hits = sh->hits ? sh->hits->value() : 0;
-        s.misses = sh->misses ? sh->misses->value() : 0;
-        s.evictions = sh->evictions ? sh->evictions->value() : 0;
+        const auto value = [](const obs::Counter *c) {
+            return c ? static_cast<std::size_t>(c->value()) : 0;
+        };
+        s.hits = value(sh->hits);
+        s.misses = value(sh->misses);
+        s.evictions = value(sh->evictions);
+        const auto fates = [&](Admission a) {
+            return value(sh->admissions[static_cast<int>(a)]);
+        };
+        s.admitted = fates(Admission::Admitted);
+        s.first_sightings = fates(Admission::FirstSighting);
+        s.lost_to_victim = fates(Admission::LostToVictim);
         stats.push_back(s);
     }
     return stats;
@@ -453,13 +525,14 @@ Router::clearPlanCache() const
         sh->stamps.clear();
         if (sh->bytes_g)
             sh->bytes_g->set(0);
-        if (sh->hits)
-            sh->hits->reset();
-        if (sh->misses)
-            sh->misses->reset();
-        if (sh->evictions)
-            sh->evictions->reset();
+        for (obs::Counter *c : {sh->hits, sh->misses, sh->evictions})
+            if (c)
+                c->reset();
+        for (obs::Counter *c : sh->admissions)
+            if (c)
+                c->reset();
     }
+    sketch_.clear();
 }
 
 } // namespace srbenes

@@ -1,5 +1,6 @@
 // srb-lint: modeled — SRB010: the plan cache's lock-free recency
-// stamps go through common/sync.hh (core/cache_recency.hh).
+// stamps and admission sketch go through common/sync.hh
+// (core/cache_recency.hh, core/cache_admission.hh).
 /**
  * @file
  * The one-stop routing facade.
@@ -28,11 +29,18 @@
  *    all via executeInto);
  *  - planCached() consults a sharded, read-mostly plan cache keyed
  *    by a permutation hash, so a recurring pattern skips
- *    classification and planning entirely after its first
- *    appearance, and concurrent readers on different shards never
- *    serialize. findCached() is the same lookup without the
- *    planning: the streaming layer's producer serves a hit itself
- *    and hands only a miss to a worker.
+ *    classification and planning entirely once it is resident, and
+ *    concurrent readers on different shards never serialize.
+ *    findCached() is the same lookup without the planning: the
+ *    streaming layer's producer serves a hit itself and hands only a
+ *    miss to a worker.
+ *
+ * The cache admits by frequency (TinyLFU, core/cache_admission.hh):
+ * a pattern's first sighting is planned and served but not kept, so
+ * a scan of one-shot patterns leaves the resident set alone; a
+ * pattern becomes resident on its second sighting, and once the cache
+ * is full only when its estimated frequency beats the least recently
+ * used entry's.
  */
 
 #ifndef SRBENES_CORE_ROUTER_HH
@@ -46,6 +54,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hh"
+#include "core/cache_admission.hh"
 #include "core/cache_recency.hh"
 #include "core/fast_engine.hh"
 #include "core/route_outcome.hh"
@@ -124,6 +133,13 @@ struct CacheShardStats
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t evictions = 0;
+    /** Each miss's fate: inserted, dropped as the key's first
+     *  sighting in the window, or dropped because the full cache's
+     *  LRU entry was estimated at least as frequent. They sum to
+     *  misses. */
+    std::size_t admitted = 0;
+    std::size_t first_sightings = 0;
+    std::size_t lost_to_victim = 0;
     /** Resident bytes of the shard's cached plans: its entries times
      *  the one plan size. */
     std::size_t bytes = 0;
@@ -143,8 +159,9 @@ class Router
      *        working sets never serialize. Clamped to
      *        [1, capacity] when the cache is enabled.
      * @param metrics registry receiving this router's instruments
-     *        (plan-cache hit/miss/eviction per shard, resident-byte
-     *        gauges, cold-plan counts and latency by strategy).
+     *        (plan-cache hit/miss/eviction and admission outcomes per
+     *        shard, resident-byte gauges, cold-plan counts and
+     *        latency by strategy).
      *        nullptr disables instrumentation; the default is the
      *        process-global registry.
      * @param plan_cache_bytes resident-byte budget across all
@@ -170,10 +187,12 @@ class Router
     RoutePlan plan(const Permutation &d) const;
 
     /**
-     * Plan through the sharded plan cache: a repeated pattern
+     * Plan through the sharded plan cache: a resident pattern
      * returns the cached plan without re-classifying or re-routing.
-     * Thread-safe; hits take one shard's reader lock only. Computes
-     * the key and calls the two-argument form.
+     * A miss always plans and returns the plan, but the cache keeps
+     * it only from the pattern's second sighting on (see the file
+     * comment). Thread-safe; hits take one shard's reader lock only.
+     * Computes the key and calls the two-argument form.
      */
     std::shared_ptr<const RoutePlan>
     planCached(const Permutation &d) const;
@@ -182,19 +201,27 @@ class Router
      * planCached with the key precomputed: @p key must be
      * hashPermutation(d) (equivalently hashPermutation128(d).lo), so
      * a caller that already hashed the pattern does not hash it
-     * again. A hit is findCached(d, key); a miss plans and inserts.
+     * again. A hit is findCached(d, key). A miss counts one sighting
+     * of @p key, plans, and inserts the plan only when the sighting
+     * is not the key's first in the sketch's window and, with the
+     * cache full, the key's estimate beats the LRU victim's, which
+     * it then evicts. Otherwise the plan is dropped once the caller
+     * lets it go.
      */
     std::shared_ptr<const RoutePlan>
     planCached(const Permutation &d, std::uint64_t key) const;
 
     /**
      * The resident plan for @p d under @p key (as for planCached),
-     * or null; never plans, so a miss changes neither the cache nor
-     * its miss count. Identity is confirmed by comparing the plan's
-     * stored permutation, zero-extended, with every 64-bit tag of
-     * @p d, never by the key alone. A hit counts a shard hit and
-     * refreshes the entry's recency stamp, exactly like planCached's
-     * hit. Thread-safe; takes one shard's reader lock.
+     * or null; never plans, so a miss changes neither the cache, nor
+     * its miss count, nor the admission sketch: the planCached that
+     * follows a producer's miss counts the request's one sighting.
+     * Identity is confirmed by comparing the plan's stored
+     * permutation, zero-extended, with every 64-bit tag of @p d,
+     * never by the key alone. A hit counts a shard hit and a
+     * sighting, and refreshes the entry's recency stamp, exactly
+     * like planCached's hit. Thread-safe; takes one shard's reader
+     * lock.
      */
     std::shared_ptr<const RoutePlan>
     findCached(const Permutation &d, std::uint64_t key) const;
@@ -246,8 +273,10 @@ class Router
     {
         return shards_.size();
     }
-    /** Per-shard size/capacity/hits/misses/evictions. */
+    /** Per-shard size, hits, misses, evictions and miss fates. */
     std::vector<CacheShardStats> cacheStats() const;
+    /** Drop every plan, zero the counters and forget every
+     *  sighting. */
     void clearPlanCache() const;
     /** @} */
 
@@ -303,6 +332,9 @@ class Router
         obs::Counter *hits = nullptr;
         obs::Counter *misses = nullptr;
         obs::Counter *evictions = nullptr;
+        /** srbenes_router_plan_cache_admissions_total, by
+         *  Admission. */
+        obs::Counter *admissions[3] = {};
         /** Resident plan bytes of this shard, for the export. */
         obs::Gauge *bytes_g = nullptr;
 
@@ -312,8 +344,29 @@ class Router
 
     CacheShard &shardFor(std::uint64_t hash) const;
     RoutePlan planImpl(const Permutation &d) const;
-    /** Evict globally-LRU entries until the cache fits its capacity. */
-    void evictPastCapacity() const;
+    /** The globally least recently stamped entry, by the stamp scan. */
+    struct Victim
+    {
+        CacheShard *shard = nullptr;
+        std::uint64_t key = 0;
+    };
+    Victim lruVictim() const;
+    /** A miss's fate: the outcome label of
+     *  srbenes_router_plan_cache_admissions_total. */
+    enum class Admission
+    {
+        Admitted,
+        FirstSighting,
+        LostToVictim,
+    };
+    /** The fate of a miss on @p key; @p seen is whether the sketch
+     *  had already seen the key in its window. A full cache's LRU
+     *  entry, found to compare estimates, is left in @p victim. */
+    Admission admission(std::uint64_t key, bool seen,
+                        Victim &victim) const;
+    /** Evict globally-LRU entries until the cache fits its capacity,
+     *  @p v (when set) before any the stamp scan finds. */
+    void evictPastCapacity(Victim v) const;
 
     SelfRoutingBenes net_;
     FastEngine engine_;
@@ -327,6 +380,8 @@ class Router
     mutable std::vector<std::unique_ptr<CacheShard>> shards_;
     /** Global recency clock for the stamps. */
     RecencyClock tick_;
+    /** Sightings of every key looked up: the admission gate. */
+    mutable AdmissionSketch sketch_;
 
     /** @{ Observability (obs/metrics.hh); null when disabled. */
     obs::MetricsRegistry *metrics_;

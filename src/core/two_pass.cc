@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "common/logging.hh"
 #include "core/fast_kernels.hh"
@@ -33,18 +35,35 @@ struct FactorScratch
     std::vector<std::uint16_t> color;
     /** Slots whose loop a pin of the level has bound. */
     std::vector<std::uint8_t> bound;
+    /** Sub-problems holding a pin of the level, one bit each. */
+    std::vector<std::uint64_t> pinned;
 };
 
 thread_local FactorScratch t_factor;
 
+bool
+stageLess(const StatePin &a, const StatePin &b)
+{
+    return a.stage < b.stage;
+}
+
 /**
  * Where a Waksman read-out of the factor goes: the switch states,
- * and the pins they must honor, bucketed by stage.
+ * and the pins they must honor, sorted by stage.
  */
 struct WaksmanSink
 {
     SwitchStates &states;
-    std::vector<std::vector<StatePin>> pins;
+    std::span<const StatePin> pins;
+
+    /** Stage @p t's pins, one run of the sorted list. */
+    std::span<const StatePin>
+    stage(unsigned t) const
+    {
+        const auto [lo, hi] = std::equal_range(
+            pins.begin(), pins.end(), StatePin{t, 0, 0}, stageLess);
+        return {lo, hi};
+    }
 };
 
 /**
@@ -52,23 +71,70 @@ struct WaksmanSink
  * closing stage 2n-2-level to one slot's color: an opening pin to
  * the upper input of its switch, a closing pin to the input feeding
  * its switch's even output, color 1 + state either way. The loop
- * through a slot of the wrong color is flipped whole. Each loop is
- * walked at most once, to flip it or to mark it bound, so a level
- * costs O(N) however many pins it has. Returns false when a pin
- * disagrees with a loop an earlier pin bound.
+ * through a slot of the wrong color is flipped whole.
+ *
+ * Loops never leave their sub-problem, so when no two pins fall in
+ * one sub-problem (2 * switch >> (n - level)), as with the reduced
+ * setup's one fixed switch per subnetwork, no two share a loop: a
+ * pinned loop is walked only to flip it, and nothing is marked.
+ * Otherwise each loop is walked at most once, to flip it or to mark
+ * it bound in @p sc's N-byte array, so a level costs O(N) however
+ * many pins it has. Returns false when a pin disagrees with a loop
+ * an earlier pin bound.
  */
 bool
 bindPins(const WaksmanSink &sink, const FactorLevel &lv, unsigned n,
-         std::vector<std::uint8_t> &bound)
+         FactorScratch &sc)
 {
-    const std::vector<StatePin> &open = sink.pins[lv.level];
-    const std::vector<StatePin> &close =
-        sink.pins[2 * n - 2 - lv.level];
+    const std::span<const StatePin> open = sink.stage(lv.level);
+    const std::span<const StatePin> close = sink.stage(2 * n - 2 - lv.level);
     if (open.empty() && close.empty())
         return true;
-    bound.assign(lv.size, 0);
     std::uint16_t *color = lv.color;
-    const auto bind = [&](std::uint32_t x, std::uint8_t state) {
+    // Calls @p bind(slot, state) for every pin until one refuses.
+    const auto each = [&](auto &&bind) {
+        for (const StatePin &pin : open)
+            if (!bind(static_cast<std::uint32_t>(2 * pin.switch_index),
+                      pin.state))
+                return false;
+        for (const StatePin &pin : close) {
+            const auto y =
+                static_cast<std::uint32_t>(2 * pin.switch_index);
+            if (!bind((y & ~(lv.s - 1)) + lv.dinv[y], pin.state))
+                return false;
+        }
+        return true;
+    };
+
+    sc.pinned.assign((lv.size / lv.s + 63) / 64, 0);
+    const bool apart = each([&](std::uint32_t x, std::uint8_t) {
+        const std::uint32_t k = x / lv.s;
+        const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+        const bool fresh = (sc.pinned[k / 64] & bit) == 0;
+        sc.pinned[k / 64] |= bit;
+        return fresh;
+    });
+    if (apart)
+        return each([&](std::uint32_t x, std::uint8_t state) {
+            if (color[x] != 1 + state) {
+                // A pair's two colors are 1 and 2, side by side in
+                // one 32-bit word: XOR with 3 in both halves swaps
+                // them in one load and one store.
+                std::uint32_t y = x;
+                do {
+                    std::uint32_t pair;
+                    std::memcpy(&pair, color + (y & ~1u), sizeof pair);
+                    pair ^= 0x00030003u;
+                    std::memcpy(color + (y & ~1u), &pair, sizeof pair);
+                    y = lv.nxt[y];
+                } while (y != x);
+            }
+            return true;
+        });
+
+    std::vector<std::uint8_t> &bound = sc.bound;
+    bound.assign(lv.size, 0);
+    return each([&](std::uint32_t x, std::uint8_t state) {
         const auto want = static_cast<std::uint16_t>(1 + state);
         if (bound[x])
             return color[x] == want;
@@ -81,17 +147,7 @@ bindPins(const WaksmanSink &sink, const FactorLevel &lv, unsigned n,
             y = lv.nxt[y];
         } while (y != x);
         return true;
-    };
-    for (const StatePin &pin : open)
-        if (!bind(static_cast<std::uint32_t>(2 * pin.switch_index),
-                  pin.state))
-            return false;
-    for (const StatePin &pin : close) {
-        const auto y = static_cast<std::uint32_t>(2 * pin.switch_index);
-        if (!bind((y & ~(lv.s - 1)) + lv.dinv[y], pin.state))
-            return false;
-    }
-    return true;
+    });
 }
 
 /**
@@ -172,7 +228,7 @@ factorLevels(const std::vector<Word> &dest, unsigned n,
                              .ids_next = sc.ids_next.data()};
         kern.factorChase(lv);
         if (sink) {
-            if (!bindPins(*sink, lv, n, sc.bound))
+            if (!bindPins(*sink, lv, n, sc))
                 return false;
             std::uint8_t *open = sink->states[level].data();
             std::uint8_t *close = sink->states[2 * n - 2 - level].data();
@@ -194,7 +250,7 @@ factorLevels(const std::vector<Word> &dest, unsigned n,
         std::uint8_t *middle = sink->states[n - 1].data();
         for (std::uint32_t k = 0; k < size / 2; ++k)
             middle[k] = sc.dinv[2 * k] == 1;
-        for (const StatePin &pin : sink->pins[n - 1])
+        for (const StatePin &pin : sink->stage(n - 1))
             if (middle[pin.switch_index] != pin.state)
                 return false;
     }
@@ -275,10 +331,16 @@ loopingStates(const Permutation &d, std::uint64_t seed,
               const std::vector<StatePin> &pins, SwitchStates &states)
 {
     const unsigned n = d.log2Size();
-    WaksmanSink sink{states,
-                     std::vector<std::vector<StatePin>>(2 * n - 1)};
-    for (const StatePin &pin : pins)
-        sink.pins[pin.stage].push_back(pin);
+    // Each level finds its pins in one run of a stage-sorted list:
+    // the caller's own when it is sorted already, as the reduced
+    // setup's is, else a sorted copy.
+    std::vector<StatePin> sorted;
+    WaksmanSink sink{states, pins};
+    if (!std::is_sorted(pins.begin(), pins.end(), stageLess)) {
+        sorted = pins;
+        std::stable_sort(sorted.begin(), sorted.end(), stageLess);
+        sink.pins = sorted;
+    }
     return factorLevels(d.dest(), n, seed, &sink);
 }
 

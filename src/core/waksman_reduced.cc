@@ -6,30 +6,21 @@
 namespace srbenes
 {
 
-namespace
-{
-
-void
-collectFixed(unsigned m, Word base_line, unsigned base_stage,
-             std::vector<FixedSwitch> &fixed)
-{
-    if (m < 2)
-        return;
-    // Closing switch of local output pair 0.
-    fixed.push_back(
-        FixedSwitch{base_stage + 2 * m - 2, base_line / 2});
-    collectFixed(m - 1, base_line, base_stage + 1, fixed);
-    collectFixed(m - 1, base_line + (Word{1} << (m - 1)),
-                 base_stage + 1, fixed);
-}
-
-} // namespace
-
 std::vector<FixedSwitch>
 waksmanFixedSwitches(const BenesTopology &topo)
 {
+    // Level l's 2^l subnetworks B(n - l), those with n - l >= 2, each
+    // fix the closing switch of their output pair 0: subnetwork k
+    // spans lines k * 2^(n-l) up, and closes at stage 2n - 2 - l.
+    // Listed by stage, the innermost level first.
+    const unsigned n = topo.n();
     std::vector<FixedSwitch> fixed;
-    collectFixed(topo.n(), 0, 0, fixed);
+    if (n < 2)
+        return fixed;
+    fixed.reserve((Word{1} << (n - 1)) - 1);
+    for (unsigned l = n - 1; l-- > 0;)
+        for (Word k = 0; k < (Word{1} << l); ++k)
+            fixed.push_back(FixedSwitch{2 * n - 2 - l, k << (n - l - 1)});
     return fixed;
 }
 
@@ -47,8 +38,10 @@ waksmanReducedSetup(const BenesTopology &topo, const Permutation &d)
     // straight. Each binds the one loop through the input feeding
     // its subnetwork's output 0, and no two share a subnetwork, so
     // they never conflict.
+    const std::vector<FixedSwitch> fixed = waksmanFixedSwitches(topo);
     std::vector<StatePin> pins;
-    for (const FixedSwitch &f : waksmanFixedSwitches(topo))
+    pins.reserve(fixed.size());
+    for (const FixedSwitch &f : fixed)
         pins.push_back(StatePin{f.stage, f.switch_index, 0});
     auto states = waksmanSetupPinned(topo, d, pins);
     if (!states)

@@ -97,6 +97,8 @@ rmwName(Rmw op)
         return "fetch_add";
       case Rmw::Sub:
         return "fetch_sub";
+      case Rmw::Or:
+        return "fetch_or";
       case Rmw::Exchange:
         return "exchange";
     }
@@ -111,6 +113,8 @@ applyRmw(Rmw op, std::uint64_t old, std::uint64_t operand)
         return old + operand;
       case Rmw::Sub:
         return old - operand;
+      case Rmw::Or:
+        return old | operand;
       case Rmw::Exchange:
         return operand;
     }

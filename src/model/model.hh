@@ -84,6 +84,7 @@ enum class Rmw
 {
     Add,
     Sub,
+    Or,
     Exchange,
 };
 

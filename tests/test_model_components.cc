@@ -3,7 +3,8 @@
  * Model-checked invariants for the production components ported onto
  * the common/sync.hh shim (layer 3 of the srb_model subsystem):
  * SpscRing and Doorbell (core/stream.hh), the plan cache's recency
- * stamps (core/cache_recency.hh), the metrics instruments
+ * stamps (core/cache_recency.hh) and admission sketch
+ * (core/cache_admission.hh), the metrics instruments
  * (obs/metrics.hh), and the LifecycleStamps publication protocol.
  * Each test explores ALL schedules at 2-3 lanes under the configured
  * preemption bound (SRBENES_MODEL_PREEMPTIONS overrides for the
@@ -13,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "core/cache_admission.hh"
 #include "core/cache_recency.hh"
 #include "core/stream.hh"
 #include "model/model.hh"
@@ -219,6 +222,56 @@ TEST(ModelComponents, RecencyStampsMonotoneAndUnique)
         modelAssert(hi == 4, "ticks are not dense 1..4");
     });
     EXPECT_TRUE(res.ok) << res.report();
+}
+
+/** Sketch increments racing a halving of the same counter word: a
+ *  racing update may be lost, but none of the key's counters passes
+ *  15 or wraps (a carry would drop it below the halved floor of 7),
+ *  and the word's other counters stay 0. */
+TEST(ModelComponents, SketchIncrementsRacingAHalvingNeverOverflow)
+{
+    const std::uint64_t key = SketchProbes(42).probe(0);
+    // The key's four counters, found outside the checker.
+    std::vector<bool> mine(16, false);
+    {
+        FrequencySketch probe(1);
+        probe.increment(key);
+        for (std::size_t i = 0; i < 16; ++i)
+            mine[i] = probe.counter(i) == 1;
+    }
+    ASSERT_EQ(std::count(mine.begin(), mine.end(), true),
+              static_cast<long>(FrequencySketch::kRows));
+
+    const Result res = explore(boundedOpts("sketch-halving"), [&] {
+        // One word; fourteen sightings on the lone main lane (no
+        // schedules to explore yet) put the key's counters one step
+        // from saturation when two sightings race a halving.
+        FrequencySketch sketch(1);
+        for (unsigned i = 1; i < FrequencySketch::kMax; ++i)
+            sketch.increment(key);
+        spawn([&] { sketch.increment(key); });
+        spawn([&] { sketch.increment(key); });
+        sketch.halve();
+        joinAll();
+        unsigned key_c = 0;
+        for (std::size_t i = 0; i < 16; ++i) {
+            const unsigned c = sketch.counter(i);
+            if (!mine[i]) {
+                modelAssert(c == 0, "a sighting reached another counter");
+                continue;
+            }
+            modelAssert(c <= FrequencySketch::kMax, "a counter passed 15");
+            // A carry out of a saturated counter would wrap it to 0
+            // and bump its neighbour: each of the key's counters
+            // ends between the halved 7 and the saturated 15.
+            modelAssert(c >= 7, "a counter wrapped");
+            modelAssert(key_c == 0 || key_c == c,
+                        "one store left the key's counters unequal");
+            key_c = c;
+        }
+    });
+    EXPECT_TRUE(res.ok) << res.report();
+    EXPECT_GT(res.schedules, 1u);
 }
 
 /** Sharded counter folds are exact: concurrent inc()s from distinct

@@ -417,10 +417,11 @@ TEST(ObsIntegration, RouterCacheStatsAreServedFromTheRegistry)
     Router router(4, false, 32, 4, &reg);
 
     const Permutation p = named::bitReversal(4).toPermutation();
+    router.planCached(p); // first sighting: planned, not kept
     router.planCached(p);
     router.planCached(p);
     router.planCached(p);
-    EXPECT_EQ(router.planCacheMisses(), 1u);
+    EXPECT_EQ(router.planCacheMisses(), 2u);
     EXPECT_EQ(router.planCacheHits(), 2u);
 
     // cacheStats() must be a view over the registry's counters, not
@@ -438,6 +439,68 @@ TEST(ObsIntegration, RouterCacheStatsAreServedFromTheRegistry)
     router.clearPlanCache();
     EXPECT_EQ(router.planCacheHits(), 0u);
     EXPECT_EQ(router.planCacheMisses(), 0u);
+}
+
+TEST(ObsIntegration, RouterAdmissionOutcomesSumToMisses)
+{
+    // Every planCached miss is counted once under
+    // srbenes_router_plan_cache_admissions_total, by its fate: a
+    // first sighting dropped, a repeat admitted, or a repeat that
+    // lost to the full cache's LRU entry.
+    obs::MetricsRegistry reg;
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const Router router(n, false, /*capacity=*/4, /*shards=*/2, &reg);
+    Prng prng(83);
+    for (int i = 0; i < 5; ++i) {
+        // Four fill the cache; the fifth's repeat ties the LRU entry's
+        // estimate and loses.
+        const Permutation d = Permutation::random(N, prng);
+        router.planCached(d);
+        router.planCached(d);
+    }
+    for (int i = 0; i < 3; ++i)
+        router.planCached(Permutation::random(N, prng));
+
+    std::map<std::string, std::uint64_t> by_outcome;
+    std::uint64_t reg_misses = 0;
+    reg.visit([&](const obs::MetricsRegistry::View &v) {
+        if (v.name == "srbenes_router_plan_cache_misses_total")
+            reg_misses += v.counter->value();
+        if (v.name != "srbenes_router_plan_cache_admissions_total")
+            return;
+        for (const auto &[name, value] : v.labels)
+            if (name == "outcome")
+                by_outcome[value] += v.counter->value();
+    });
+    EXPECT_EQ(reg_misses, 13u);
+    EXPECT_EQ(by_outcome["admitted"], 4u);
+    EXPECT_EQ(by_outcome["first_sighting"], 8u);
+    EXPECT_EQ(by_outcome["lost_to_victim"], 1u);
+    EXPECT_EQ(by_outcome.size(), 3u);
+    EXPECT_EQ(by_outcome["admitted"] + by_outcome["first_sighting"] +
+                  by_outcome["lost_to_victim"],
+              reg_misses);
+    std::size_t admitted = 0, first = 0, lost = 0;
+    for (const CacheShardStats &s : router.cacheStats()) {
+        admitted += s.admitted;
+        first += s.first_sightings;
+        lost += s.lost_to_victim;
+        EXPECT_EQ(s.admitted + s.first_sightings + s.lost_to_victim,
+                  s.misses);
+    }
+    EXPECT_EQ(admitted, by_outcome["admitted"]);
+    EXPECT_EQ(first, by_outcome["first_sighting"]);
+    EXPECT_EQ(lost, by_outcome["lost_to_victim"]);
+    EXPECT_EQ(router.planCacheSize(), 4u);
+    EXPECT_EQ(router.planCacheEvictions(), 0u);
+
+    const std::string text = obs::exposeText(reg);
+    for (const char *outcome :
+         {"admitted", "first_sighting", "lost_to_victim"})
+        EXPECT_NE(text.find(std::string("outcome=\"") + outcome + "\""),
+                  std::string::npos)
+            << outcome;
 }
 
 TEST(ObsIntegration, RouterRecordsEachColdPlanOnceByStrategy)
@@ -526,6 +589,7 @@ TEST(ObsIntegration, StreamStatsRoundTripThroughRegistryAndJson)
     eng.start();
     auto &prod = eng.producer(0);
     constexpr std::uint64_t kTotal = 2000;
+    const std::uint64_t kWarm = 2 * perms.size();
     StreamResult res;
     for (std::uint64_t i = 0; i < kTotal; ++i) {
         std::vector<Word> payload(N);
@@ -534,10 +598,11 @@ TEST(ObsIntegration, StreamStatsRoundTripThroughRegistryAndJson)
         while (!prod.trySubmit(i, perms[i % perms.size()], payload))
             while (prod.tryPoll(res)) {
             }
-        // Each pattern's first request is planned by a worker before
-        // the rest are submitted, so every later one is a hit served
-        // on this thread.
-        if (i < perms.size())
+        // Each pattern's first two requests are planned by a worker
+        // (the second sighting's plan is kept) before the rest are
+        // submitted, so every later one is a hit served on this
+        // thread.
+        if (i < kWarm)
             prod.awaitResult(res);
         while (prod.tryPoll(res)) {
         }
@@ -548,11 +613,11 @@ TEST(ObsIntegration, StreamStatsRoundTripThroughRegistryAndJson)
 
     const StreamStats st = eng.stats();
     EXPECT_EQ(st.requests, kTotal);
-    // The four first-seen patterns were the only misses; every other
-    // request was a hit served on the producer.
-    EXPECT_EQ(eng.router().planCacheMisses(), perms.size());
-    EXPECT_EQ(eng.router().planCacheHits(), kTotal - perms.size());
-    EXPECT_EQ(st.inline_served, kTotal - perms.size());
+    // The four patterns' two warm-up sightings were the only misses;
+    // every other request was a hit served on the producer.
+    EXPECT_EQ(eng.router().planCacheMisses(), kWarm);
+    EXPECT_EQ(eng.router().planCacheHits(), kTotal - kWarm);
+    EXPECT_EQ(st.inline_served, kTotal - kWarm);
     EXPECT_GE(st.p99_ns, st.p50_ns);
 
     // StreamStats must be the registry's numbers, not a shadow copy.

@@ -26,6 +26,7 @@
 #include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
 #include "perm/permutation.hh"
+#include "sightings.hh"
 
 namespace
 {
@@ -583,7 +584,7 @@ TEST(ResilientStream, EveryRequestCrossesTheRingWithTierStamps)
         sent.push_back(Permutation::random(N, prng));
         // Resident in the tier: a fast-path engine would serve it on
         // this thread.
-        (void)eng.router().planCached(sent.back());
+        (void)sightTwice(eng.router(), sent.back());
         auto perm = std::make_shared<const Permutation>(sent.back());
         std::vector<Word> payload = iotaPayload(N, id);
         ASSERT_TRUE(prod.trySubmit(id, perm, payload, deadline_ns));

@@ -3,7 +3,8 @@
  * Tests for the routing facade: strategy selection, plan reuse,
  * correct delivery under every strategy, the Waksman preference
  * knob, the tag passes a cold plan runs, and the plan cache's
- * lookups, budgets and global-LRU eviction.
+ * lookups, budgets, frequency-gated admission and global-LRU
+ * eviction.
  */
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "perm/f_class.hh"
 #include "perm/named_bpc.hh"
 #include "perm/omega_class.hh"
+#include "sightings.hh"
 
 namespace srbenes
 {
@@ -206,7 +208,7 @@ TEST(Router, FreshAndCachedPlansHaveOneShape)
             const Router router(n, strategy == RouteStrategy::Waksman);
             const Permutation d = planTakes(router, strategy, prng);
             const RoutePlan fresh = router.plan(d);
-            const auto cached = router.planCached(d);
+            const auto cached = sightTwice(router, d);
             for (const RoutePlan *p : {&fresh, cached.get()}) {
                 SCOPED_TRACE(std::string(routeStrategyName(strategy)) +
                              " n=" + std::to_string(n));
@@ -240,7 +242,7 @@ TEST(Router, ByteAccountingTracksInsertsAndClear)
 
     std::size_t prev = 0;
     for (int i = 0; i < 8; ++i) {
-        router.planCached(randomFMember(n, prng));
+        sightTwice(router, randomFMember(n, prng));
         EXPECT_GT(router.planCacheBytes(), prev);
         prev = router.planCacheBytes();
     }
@@ -287,15 +289,15 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
             perms.push_back(planTakes(router, general, prng));
         }
         // Hold the first plan's handle across its eviction.
-        const auto held = router.planCached(perms[0]);
-        (void)capped.planCached(perms[0]);
+        const auto held = sightTwice(router, perms[0]);
+        (void)sightTwice(capped, perms[0]);
         // Each insert is followed by a scripted touch of an earlier
         // pattern (a miss when it is already evicted).
         const std::vector<std::size_t> touch = {0, 0, 1, 0, 3,
                                                 2, 5, 4, 7, 6};
         for (std::size_t i = 1; i < perms.size(); ++i) {
             for (const Router *r : {&router, &capped}) {
-                (void)r->planCached(perms[i]);
+                ASSERT_GT(sightUntilResident(*r, perms[i]), 0u);
                 const Permutation &t = perms[touch[i]];
                 (void)r->findCached(t, Router::hashPermutation(t));
             }
@@ -366,6 +368,9 @@ TEST(Router, ColdPlansRunOnlyTheTagPassesTheyNeed)
                   RouteStrategy::SelfRouting);
         EXPECT_EQ(tagPasses(reg) - before, 1u) << "n=" << n;
 
+        // The second sightings make both resident.
+        (void)router.planCached(d);
+        (void)router.planCached(f);
         // Hits run no pass at all.
         before = tagPasses(reg);
         (void)router.planCached(d);
@@ -377,7 +382,7 @@ TEST(Router, ColdPlansRunOnlyTheTagPassesTheyNeed)
 TEST(Router, CapacityEvictsGlobalLeastRecentlyUsed)
 {
     // Fill a 32-slot cache spread over 8 shards, touch a scripted
-    // subset, then insert 20 more patterns: each insert evicts the
+    // subset, then admit 20 more patterns: each admission evicts the
     // least recently used entry across all shards, so the evicted
     // ones are exactly the 20 least recently used: the 17 untouched
     // entries, then the 3 whose last touch came first (one of them
@@ -397,7 +402,7 @@ TEST(Router, CapacityEvictsGlobalLeastRecentlyUsed)
             resident.push_back(std::move(d));
     }
     for (const Permutation &d : resident)
-        (void)router.planCached(d);
+        (void)sightTwice(router, d);
     ASSERT_EQ(router.planCacheSize(), capacity);
 
     // Recency after the script, least recent first: the untouched
@@ -428,7 +433,7 @@ TEST(Router, CapacityEvictsGlobalLeastRecentlyUsed)
         if (std::find(resident.begin(), resident.end(), d) !=
             resident.end())
             continue;
-        (void)router.planCached(d);
+        ASSERT_GT(sightUntilResident(router, d), 0u);
         ++added;
     }
     EXPECT_EQ(router.planCacheSize(), capacity);
@@ -460,7 +465,7 @@ TEST(Router, FindCachedRacesInsertsPastCapacity)
     for (int i = 0; i < 256; ++i)
         cold.push_back(Permutation::random(N, prng));
     for (const Permutation &d : hot)
-        (void)router.planCached(d);
+        (void)sightTwice(router, d);
 
     std::atomic<bool> stop{false};
     std::atomic<int> wrong{0};
@@ -477,7 +482,7 @@ TEST(Router, FindCachedRacesInsertsPastCapacity)
             }
         });
     for (const Permutation &d : cold)
-        (void)router.planCached(d);
+        (void)sightUntilResident(router, d);
     stop.store(true);
     for (std::thread &r : readers)
         r.join();
@@ -505,8 +510,9 @@ TEST(Router, FindCachedNeverPlans)
     EXPECT_EQ(router.planCacheMisses(), 0u);
     EXPECT_EQ(router.planCacheHits(), 0u);
 
-    const auto planned = router.planCached(d);
-    EXPECT_EQ(router.planCacheMisses(), 1u);
+    // Two sightings, two misses: the second one's plan is resident.
+    const auto planned = sightTwice(router, d);
+    EXPECT_EQ(router.planCacheMisses(), 2u);
     // A hit returns the resident object itself and counts like
     // planCached's hit.
     const auto found = router.findCached(d, key);
@@ -514,7 +520,7 @@ TEST(Router, FindCachedNeverPlans)
     EXPECT_EQ(router.planCacheHits(), 1u);
     EXPECT_EQ(router.planCached(d, key).get(), planned.get());
     EXPECT_EQ(router.planCacheHits(), 2u);
-    EXPECT_EQ(router.planCacheMisses(), 1u);
+    EXPECT_EQ(router.planCacheMisses(), 2u);
     EXPECT_EQ(router.planCacheSize(), 1u);
 
     // With the cache disabled there is nothing to find.
@@ -532,7 +538,7 @@ TEST(Router, KeyCollisionIsNeverIdentity)
     const Permutation d1 = Permutation::random(N, prng);
     const Permutation d2 = Permutation::random(N, prng);
     const std::uint64_t key1 = Router::hashPermutation(d1);
-    (void)router.planCached(d1);
+    (void)sightTwice(router, d1);
 
     // d2 under d1's key finds d1's entry and refuses it.
     EXPECT_EQ(router.findCached(d2, key1), nullptr);
@@ -561,6 +567,7 @@ TEST(Router, KeyCollisionIsNeverAHit)
     const Router router(n, false, /*capacity=*/16, /*shards=*/4);
     const Permutation d1 = Permutation::random(N, prng);
     const std::uint64_t key1 = Router::hashPermutation(d1);
+    (void)router.planCached(d1, key1);
     const auto p1 = router.planCached(d1, key1);
     ASSERT_EQ(router.findCached(d1, key1).get(), p1.get());
 
@@ -582,6 +589,247 @@ TEST(Router, KeyCollisionIsNeverAHit)
     EXPECT_EQ(widened(p2->src), d2.inverse().dest());
     const auto data = iotaData(N);
     EXPECT_EQ(router.execute(*p2, data), d2.applyTo(data));
+}
+
+// ------------------------------------------ frequency-gated admission
+
+/** Every shard's counters, summed. */
+CacheShardStats
+cacheTotals(const Router &router)
+{
+    CacheShardStats t;
+    for (const CacheShardStats &s : router.cacheStats()) {
+        t.size += s.size;
+        t.hits += s.hits;
+        t.misses += s.misses;
+        t.evictions += s.evictions;
+        t.bytes += s.bytes;
+        t.admitted += s.admitted;
+        t.first_sightings += s.first_sightings;
+        t.lost_to_victim += s.lost_to_victim;
+    }
+    return t;
+}
+
+TEST(RouterAdmission, FirstSightingIsServedButNotResident)
+{
+    Prng prng(61);
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation d = Permutation::random(N, prng);
+    const std::uint64_t key = Router::hashPermutation(d);
+    const auto data = iotaData(N);
+
+    // The first sighting is planned and served, then dropped.
+    const auto first = router.planCached(d, key);
+    EXPECT_EQ(widened(first->perm), d.dest());
+    EXPECT_EQ(router.execute(*first, data), d.applyTo(data));
+    EXPECT_EQ(router.findCached(d, key), nullptr);
+    EXPECT_EQ(router.planCacheSize(), 0u);
+    CacheShardStats t = cacheTotals(router);
+    EXPECT_EQ(t.misses, 1u);
+    EXPECT_EQ(t.first_sightings, 1u);
+    EXPECT_EQ(t.admitted, 0u);
+
+    // The second sighting plans again, and its plan is resident.
+    const auto second = router.planCached(d, key);
+    EXPECT_NE(second.get(), first.get());
+    EXPECT_EQ(router.findCached(d, key).get(), second.get());
+    EXPECT_EQ(router.execute(*second, data), d.applyTo(data));
+    t = cacheTotals(router);
+    EXPECT_EQ(t.misses, 2u);
+    EXPECT_EQ(t.admitted, 1u);
+    EXPECT_EQ(t.hits, 1u);
+    EXPECT_EQ(router.planCacheSize(), 1u);
+}
+
+TEST(RouterAdmission, ClearForgetsSightings)
+{
+    // clearPlanCache drops the sightings with the plans: a pattern
+    // seen before the clear is a first sighting after it.
+    Prng prng(62);
+    const unsigned n = 5;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation seen = Permutation::random(Word{1} << n, prng);
+    const Permutation resident = Permutation::random(Word{1} << n, prng);
+    (void)router.planCached(seen);
+    (void)sightTwice(router, resident);
+    ASSERT_EQ(router.planCacheSize(), 1u);
+
+    router.clearPlanCache();
+    for (const Permutation *d : {&seen, &resident}) {
+        (void)router.planCached(*d);
+        EXPECT_EQ(router.findCached(*d, Router::hashPermutation(*d)),
+                  nullptr);
+    }
+    const CacheShardStats t = cacheTotals(router);
+    EXPECT_EQ(t.first_sightings, 2u);
+    EXPECT_EQ(t.admitted, 0u);
+    EXPECT_EQ(router.planCacheSize(), 0u);
+}
+
+TEST(RouterAdmission, ScanLeavesAWarmedHotSetResident)
+{
+    // A warmed hot set survives a scan of ten times the capacity in
+    // one-shot patterns, each planned, served and dropped as a first
+    // sighting. Plain LRU would evict every hot entry.
+    Prng prng(67);
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const std::size_t capacity = 512;
+    const Router router(n, false, capacity, /*shards=*/8);
+    std::vector<Permutation> hot;
+    for (int i = 0; i < 64; ++i)
+        hot.push_back(Permutation::random(N, prng));
+    for (int round = 0; round < 4; ++round)
+        for (const Permutation &d : hot)
+            (void)router.planCached(d);
+    ASSERT_EQ(router.planCacheSize(), hot.size());
+
+    for (std::size_t i = 0; i < 10 * capacity; ++i) {
+        const Permutation d = Permutation::random(N, prng);
+        const auto plan = router.planCached(d);
+        ASSERT_EQ(widened(plan->perm), d.dest());
+    }
+    for (std::size_t i = 0; i < hot.size(); ++i)
+        EXPECT_NE(router.findCached(hot[i],
+                                    Router::hashPermutation(hot[i])),
+                  nullptr)
+            << "hot pattern " << i;
+    EXPECT_EQ(router.planCacheEvictions(), 0u);
+}
+
+TEST(RouterAdmission, OneShotPatternsStayOutOfAFreshCache)
+{
+    // Only a doorkeeper false positive can admit a one-shot pattern
+    // (into a cache with room), so after 100x capacity distinct
+    // patterns the cache holds at most a handful of plans.
+    Prng prng(68);
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const std::size_t capacity = 512;
+    const Router router(n, false, capacity, /*shards=*/8);
+    const std::size_t scan = 100 * capacity;
+    for (std::size_t i = 0; i < scan; ++i)
+        (void)router.planCached(Permutation::random(N, prng));
+
+    EXPECT_LE(router.planCacheSize(), 8u);
+    const CacheShardStats t = cacheTotals(router);
+    EXPECT_EQ(t.misses, scan);
+    EXPECT_EQ(t.admitted + t.first_sightings + t.lost_to_victim,
+              t.misses);
+    EXPECT_GE(t.first_sightings, scan - 8);
+    EXPECT_EQ(t.evictions, 0u);
+}
+
+TEST(RouterAdmission, ZipfDrawBeatsLruHitRatio)
+{
+    // A seeded Zipf(1) draw over 4096 patterns into 512 slots, the
+    // shape of srbench's zipf10 at a small n: plain LRU reads about
+    // 0.676 here, and keeping what the sketch counts as frequent
+    // reaches at least 0.72.
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const std::size_t patterns = 4096;
+    const Router router(n, false, /*capacity=*/512, /*shards=*/8);
+    Prng prng(73);
+    std::vector<Permutation> perms;
+    std::vector<std::uint64_t> keys;
+    std::vector<double> cdf;
+    double total = 0;
+    for (std::size_t r = 0; r < patterns; ++r) {
+        perms.push_back(Permutation::random(N, prng));
+        keys.push_back(Router::hashPermutation(perms.back()));
+        total += 1.0 / static_cast<double>(r + 1);
+        cdf.push_back(total);
+    }
+    Prng draw(74);
+    const auto sight = [&] {
+        const double u = static_cast<double>(draw() >> 11) * 0x1p-53;
+        const std::size_t r = static_cast<std::size_t>(
+            std::upper_bound(cdf.begin(), cdf.end() - 1, u * total) -
+            cdf.begin());
+        (void)router.planCached(perms[r], keys[r]);
+    };
+    for (int i = 0; i < 20000; ++i)
+        sight();
+    const CacheShardStats before = cacheTotals(router);
+    const int draws = 120000;
+    for (int i = 0; i < draws; ++i)
+        sight();
+    const CacheShardStats after = cacheTotals(router);
+
+    const double hits = static_cast<double>(after.hits - before.hits);
+    const double misses =
+        static_cast<double>(after.misses - before.misses);
+    EXPECT_EQ(hits + misses, draws);
+    EXPECT_GE(hits / draws, 0.72);
+    EXPECT_EQ(after.admitted + after.first_sightings +
+                  after.lost_to_victim,
+              after.misses);
+    EXPECT_EQ(router.planCacheSize(), 512u);
+}
+
+TEST(RouterAdmission, FindersRacePlannersUnderAdmission)
+{
+    // Finders hit a warmed hot set while planners sight a mix of
+    // repeated and one-shot patterns, so sightings, halvings,
+    // admissions and evictions race the hits. Every plan returned is
+    // the pattern asked for, the cache stays within capacity, and
+    // every miss has exactly one fate.
+    Prng prng(79);
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    const std::size_t capacity = 32;
+    const Router router(n, false, capacity, /*shards=*/4);
+    std::vector<Permutation> hot, pool;
+    for (int i = 0; i < 16; ++i)
+        hot.push_back(Permutation::random(N, prng));
+    for (int i = 0; i < 128; ++i)
+        pool.push_back(Permutation::random(N, prng));
+    for (const Permutation &d : hot)
+        (void)sightTwice(router, d);
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t)
+        threads.emplace_back([&] {
+            while (!stop.load()) {
+                for (const Permutation &d : hot) {
+                    const auto p =
+                        router.findCached(d, Router::hashPermutation(d));
+                    if (p && widened(p->perm) != d.dest())
+                        wrong.fetch_add(1);
+                }
+            }
+        });
+    std::vector<std::thread> planners;
+    for (int t = 0; t < 2; ++t)
+        planners.emplace_back([&, t] {
+            Prng mine(90 + t);
+            for (int i = 0; i < 3000; ++i) {
+                const Permutation d =
+                    i % 3 == 0 ? Permutation::random(N, mine)
+                               : pool[mine.below(pool.size())];
+                if (widened(router.planCached(d)->perm) != d.dest())
+                    wrong.fetch_add(1);
+            }
+        });
+    for (std::thread &p : planners)
+        p.join();
+    stop.store(true);
+    for (std::thread &f : threads)
+        f.join();
+
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_LE(router.planCacheSize(), capacity);
+    const CacheShardStats t = cacheTotals(router);
+    EXPECT_EQ(t.admitted + t.first_sightings + t.lost_to_victim,
+              t.misses);
+    EXPECT_GT(t.admitted, hot.size());
+    EXPECT_EQ(t.bytes, router.planCacheBytes());
 }
 
 } // namespace

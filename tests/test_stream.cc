@@ -24,6 +24,7 @@
 #include "core/stream.hh"
 #include "perm/f_class.hh"
 #include "perm/permutation.hh"
+#include "sightings.hh"
 
 namespace
 {
@@ -436,11 +437,12 @@ TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
                     randomFMember(n, prng)));
             StreamResult res;
             for (std::uint64_t id = 0; id < kPerProducer; ++id) {
-                // The hot set goes first, each planned before the
-                // next submit, so later hot requests can hit.
+                // The hot set goes first, twice, each planned before
+                // the next submit, so its second sightings are
+                // resident and later hot requests can hit.
                 std::shared_ptr<const Permutation> perm;
-                if (id < hot.size())
-                    perm = hot[id];
+                if (id < 2 * hot.size())
+                    perm = hot[id % hot.size()];
                 else if (prng.below(8) == 0) // cold draw
                     perm = std::make_shared<const Permutation>(
                         randomFMember(n, prng));
@@ -451,7 +453,7 @@ TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
                 while (!prod.trySubmit(id, perm, payload))
                     if (prod.tryPoll(res))
                         got[p].push_back(std::move(res));
-                if (id < hot.size()) {
+                if (id < 2 * hot.size()) {
                     while (prod.received() < prod.submitted()) {
                         prod.awaitResult(res);
                         got[p].push_back(std::move(res));
@@ -610,7 +612,7 @@ TEST(StreamEngineTest, HitIsServedOnTheProducerWithNoWorker)
         randomFMember(n, prng));
     auto cold = std::make_shared<const Permutation>(
         Permutation::random(N, prng));
-    (void)eng.router().planCached(*hot);
+    (void)sightTwice(eng.router(), *hot);
     const std::size_t hits0 = eng.router().planCacheHits();
 
     auto &prod = eng.producer(0);
@@ -658,7 +660,7 @@ TEST(StreamEngineTest, PolledResultLeavesNoReferenceToItsPattern)
     // Producer-hit path: a resident plan is served inside trySubmit.
     auto hot = std::make_shared<const Permutation>(
         randomFMember(n, prng));
-    (void)eng.router().planCached(*hot);
+    (void)sightTwice(eng.router(), *hot);
     std::vector<Word> payload = iotaPayload(N, 0);
     ASSERT_TRUE(prod.trySubmit(0, hot, payload));
     ASSERT_TRUE(prod.tryPoll(res));
@@ -682,8 +684,9 @@ TEST(StreamEngineTest, PolledResultLeavesNoReferenceToItsPattern)
 
 TEST(StreamEngineTest, MissPlanBecomesTheNextSubmitsHit)
 {
-    // The worker's plan for a miss goes into the one tier, so the
-    // very next submit of that pattern is served on the producer.
+    // The worker's plan for a pattern's second sighting goes into
+    // the one tier, so the very next submit of that pattern is
+    // served on the producer.
     const unsigned n = 6;
     const Word N = Word{1} << n;
     StreamEngine eng(n, {});
@@ -693,24 +696,76 @@ TEST(StreamEngineTest, MissPlanBecomesTheNextSubmitsHit)
     eng.start();
     auto &prod = eng.producer(0);
 
-    std::vector<Word> payload = iotaPayload(N, 0);
-    ASSERT_TRUE(prod.trySubmit(0, perm, payload));
+    std::vector<Word> payload;
     StreamResult res;
-    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
-    EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, 0)));
-    EXPECT_EQ(eng.router().planCacheMisses(), 1u);
-    EXPECT_EQ(eng.stats().inline_served, 0u);
+    for (std::uint64_t id = 0; id < 2; ++id) {
+        payload = iotaPayload(N, id);
+        ASSERT_TRUE(prod.trySubmit(id, perm, payload));
+        ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+        EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, id)));
+        EXPECT_EQ(eng.router().planCacheMisses(), id + 1);
+        EXPECT_EQ(eng.stats().inline_served, 0u);
+    }
 
-    payload = iotaPayload(N, 1);
-    ASSERT_TRUE(prod.trySubmit(1, perm, payload));
+    payload = iotaPayload(N, 2);
+    ASSERT_TRUE(prod.trySubmit(2, perm, payload));
     ASSERT_TRUE(prod.tryPoll(res)) << "the planned miss is now a hit";
-    EXPECT_EQ(res.id, 1u);
-    EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, 1)));
+    EXPECT_EQ(res.id, 2u);
+    EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, 2)));
     eng.stop();
 
     EXPECT_EQ(eng.stats().inline_served, 1u);
-    EXPECT_EQ(eng.router().planCacheMisses(), 1u);
+    EXPECT_EQ(eng.router().planCacheMisses(), 2u);
     EXPECT_EQ(eng.router().planCacheHits(), 1u);
+}
+
+TEST(StreamEngineTest, FirstSightingIsServedButNotKept)
+{
+    // A request is one sighting however many lookups it takes: the
+    // producer's findCached miss counts nothing, and the worker's
+    // planCached counts the request once. So a first-seen pattern is
+    // planned and served by a worker but not kept, its second
+    // request is planned again and kept, and its third is a hit
+    // served on the producer. Counting the producer's miss as a
+    // sighting too would keep the first request's plan.
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    StreamEngine eng(n, {});
+    Prng prng(55);
+    auto perm = std::make_shared<const Permutation>(
+        Permutation::random(N, prng));
+    const Router &router = eng.router();
+    eng.start();
+    auto &prod = eng.producer(0);
+
+    std::vector<Word> payload;
+    StreamResult res;
+    for (std::uint64_t id = 0; id < 2; ++id) {
+        payload = iotaPayload(N, id);
+        ASSERT_TRUE(prod.trySubmit(id, perm, payload));
+        ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+        EXPECT_TRUE(res.ok());
+        EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, id)));
+        EXPECT_EQ(eng.stats().inline_served, 0u) << "request " << id;
+        EXPECT_EQ(router.planCacheSize(), id) << "request " << id;
+    }
+    std::size_t first = 0, admitted = 0;
+    for (const CacheShardStats &s : router.cacheStats()) {
+        first += s.first_sightings;
+        admitted += s.admitted;
+    }
+    EXPECT_EQ(first, 1u);
+    EXPECT_EQ(admitted, 1u);
+
+    payload = iotaPayload(N, 2);
+    ASSERT_TRUE(prod.trySubmit(2, perm, payload));
+    ASSERT_TRUE(prod.tryPoll(res)) << "the second sighting's plan hits";
+    EXPECT_EQ(res.payload, perm->applyTo(iotaPayload(N, 2)));
+    eng.stop();
+
+    EXPECT_EQ(eng.stats().inline_served, 1u);
+    EXPECT_EQ(router.planCacheMisses(), 2u);
+    EXPECT_EQ(router.planCacheHits(), 1u);
 }
 
 TEST(StreamEngineTest, HitWithFullResultQueueTakesARingThenSheds)
@@ -729,7 +784,7 @@ TEST(StreamEngineTest, HitWithFullResultQueueTakesARingThenSheds)
     Prng prng(50);
     auto perm = std::make_shared<const Permutation>(
         randomFMember(n, prng));
-    (void)eng.router().planCached(*perm);
+    (void)sightTwice(eng.router(), *perm);
     const std::size_t hits0 = eng.router().planCacheHits();
 
     auto &prod = eng.producer(0);
@@ -765,10 +820,10 @@ TEST(StreamEngineTest, HitWithFullResultQueueTakesARingThenSheds)
     EXPECT_EQ(st.sheds, 1u);
     EXPECT_EQ(st.requests, 7u);
     EXPECT_EQ(st.inline_served, 3u);
-    // Producer and workers alike found the resident plan; the one
-    // miss is the warm-up's.
+    // Producer and workers alike found the resident plan; the two
+    // misses are the warm-up's sightings.
     EXPECT_EQ(eng.router().planCacheHits(), hits0 + 7);
-    EXPECT_EQ(eng.router().planCacheMisses(), 1u);
+    EXPECT_EQ(eng.router().planCacheMisses(), 2u);
     EXPECT_EQ(prod.submitted(), prod.received());
 }
 
@@ -794,13 +849,14 @@ TEST(StreamEngineTest, ProducerHitsMatchRingOutcomes)
     StreamEngine tier_eng(n, {});
 
     constexpr std::uint64_t kTotal = 200;
+    // Each pattern is sighted twice in the warm-up.
+    const std::uint64_t kWarm = 2 * patterns.size();
     Prng choose(52);
     std::vector<std::size_t> pattern_of;
     std::vector<std::uint64_t> deadline_of;
     for (std::uint64_t id = 0; id < kTotal; ++id) {
-        pattern_of.push_back(id < patterns.size()
-                                 ? id
-                                 : choose.below(patterns.size()));
+        pattern_of.push_back(id < kWarm ? id % patterns.size()
+                                        : choose.below(patterns.size()));
         // Every 16th request carries a long-expired absolute
         // deadline; both engines must fail it identically.
         deadline_of.push_back(id % 16 == 15 ? 1 : 0);
@@ -817,7 +873,7 @@ TEST(StreamEngineTest, ProducerHitsMatchRingOutcomes)
                                    payload, deadline_of[id]))
                 if (prod.tryPoll(res))
                     results[res.id] = std::move(res);
-            if (id < patterns.size()) {
+            if (id < kWarm) {
                 // Warm-up: each pattern planned before the next
                 // submit, so the tier engine's later requests hit.
                 prod.awaitResult(res);
@@ -864,16 +920,15 @@ TEST(StreamEngineTest, ProducerHitsMatchRingOutcomes)
     EXPECT_EQ(ts.deadline_expired, kTotal / 16);
     // Deadline-expired requests never reach the plan tier; every
     // other request counts exactly one tier hit or miss. After the
-    // warm-up's four misses, every live request was a hit served on
+    // warm-up's eight misses, every live request was a hit served on
     // the producer.
     const Router &tier = tier_eng.router();
     EXPECT_EQ(tier.planCacheHits() + tier.planCacheMisses() +
                   ts.deadline_expired,
               ts.requests);
-    EXPECT_EQ(tier.planCacheMisses(), patterns.size());
+    EXPECT_EQ(tier.planCacheMisses(), kWarm);
     EXPECT_EQ(ts.inline_served, tier.planCacheHits());
-    EXPECT_EQ(ts.inline_served,
-              kTotal - patterns.size() - ts.deadline_expired);
+    EXPECT_EQ(ts.inline_served, kTotal - kWarm - ts.deadline_expired);
 }
 
 } // namespace
