@@ -3,7 +3,7 @@
 # loopback port, drive it with the open-loop load generator in its
 # reduced SRBENES_BENCH_SMOKE configuration, then SIGTERM the daemon
 # and hold it to its drain contract. Three short phases, each against
-# a fresh daemon:
+# a fresh daemon, then an idle-memory check:
 #
 #   1. hot:  n=8, loadgen's default 16 patterns — plans are reused;
 #   2. cold: n=10, 1024 uniformly random patterns, above the 512
@@ -11,7 +11,9 @@
 #            evicts them as it goes;
 #   3. hits: n=10, loadgen's default 16 patterns — once planned,
 #            every request is a plan hit that srbd's event loop
-#            serves itself, without a worker.
+#            serves itself, without a worker;
+#   4. idle: an srbd at n=8 and one at n=12, each booted and drained
+#            with no traffic.
 #
 #     scripts/service_soak.sh [build-dir]     # default: build
 #
@@ -25,7 +27,11 @@
 #     phase, a nonzero srbenes_stream_inline_served_total (hits
 #     served on the loop);
 #   - after SIGTERM the daemon exits 0 (graceful drain) within the
-#     timeout, reporting a clean drain on stdout.
+#     timeout, reporting a clean drain on stdout;
+#   - idle, the n=12 daemon's peak resident set (VmHWM) exceeds the
+#     n=8 daemon's by at most 512 KiB. B(n)'s wiring is computed, so
+#     an idle daemon holds no per-line table; one such table at n=12
+#     (22 boundaries x 4096 lines x 8 bytes = 704 KiB) fails this.
 set -uo pipefail
 
 build_dir="${1:-build}"
@@ -84,14 +90,15 @@ drain_srbd() {
     echo "== SIGTERM drain =="
     kill -TERM "${srbd_pid}"
     # Watchdog: a drain that hangs past 30s gets SIGKILLed, which
-    # surfaces as a nonzero exit below.
-    ( sleep 30; kill -KILL "${srbd_pid}" 2>/dev/null ) &
-    local watchdog=$!
+    # surfaces as a nonzero exit below. It runs in the foreground: a
+    # background subshell killed before it has reset the inherited
+    # EXIT trap runs cleanup and deletes the logs under the drain.
+    if ! timeout 30 tail --pid="${srbd_pid}" -s 0.1 -f /dev/null; then
+        kill -KILL "${srbd_pid}" 2>/dev/null
+    fi
     wait "${srbd_pid}"
     local rc=$?
     srbd_pid=""
-    kill "${watchdog}" 2>/dev/null
-    wait "${watchdog}" 2>/dev/null
     if [ "${rc}" -ne 0 ]; then
         echo "FAILED: srbd exited ${rc} (dirty or hung drain)"
         failed=1
@@ -168,5 +175,29 @@ else
     failed=1
 fi
 drain_srbd "${log}"
+
+# Phase 4: idle memory. VmHWM is read once the daemon listens and its
+# workers have had a moment to start.
+declare -A idle_kib
+for n in 8 12; do
+    log="${workdir}/srbd-idle${n}.log"
+    start_srbd "${n}" "${log}"
+    sleep 0.5
+    idle_kib[${n}]="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' \
+        "/proc/${srbd_pid}/status")"
+    echo "== idle srbd n=${n}: VmHWM ${idle_kib[${n}]:-?} KiB =="
+    drain_srbd "${log}"
+done
+if [ -z "${idle_kib[8]}" ] || [ -z "${idle_kib[12]}" ]; then
+    echo "FAILED: could not read an idle daemon's VmHWM"
+    failed=1
+else
+    growth=$(( idle_kib[12] - idle_kib[8] ))
+    echo "== idle VmHWM, n=12 over n=8: ${growth} KiB (limit 512) =="
+    if [ "${growth}" -gt 512 ]; then
+        echo "FAILED: an idle srbd grows more than 512 KiB from n=8 to n=12"
+        failed=1
+    fi
+fi
 
 exit "${failed}"

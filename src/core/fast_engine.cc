@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "core/fast_kernels.hh"
@@ -31,64 +30,28 @@ thread_local std::vector<Word> t_ctrl;
 } // namespace
 
 FastEngine::FastEngine(unsigned n, obs::MetricsRegistry *metrics)
-    : n_(n)
+    : topo_(n), n_(n), num_lines_(topo_.numLines()),
+      lane_words_((num_lines_ + 63) / 64)
 {
-    // Gather tables hold 16-bit lane indices. The reference topology
-    // checks n >= 1 as it builds the wiring tables below.
+    // Gather tables hold 16-bit lane indices; the topology checks
+    // n >= 1. The wiring is the topology's closed form, so the one
+    // table built here is the home pattern, n bits a lane.
     if (n > kMaxN)
         fatal("fabric size n = %u exceeds the engine's 16-bit lanes "
               "(n <= %u)",
               n, kMaxN);
-    const BenesTopology topo(n);
-    num_lines_ = topo.numLines();
-    lane_words_ = (num_lines_ + 63) / 64;
 
-    const Word size = num_lines_;
-    const unsigned stages = numStages();
-
-    // Walk the fabric once, composing the fixed wirings into the
-    // slot <-> physical-line maps and checking the conjugated
-    // exchange structure this engine relies on.
-    std::vector<Word> pos(size); // physical line of slot x
-    std::vector<Word> inv(size); // slot on physical line p
-    std::iota(pos.begin(), pos.end(), Word{0});
-    std::iota(inv.begin(), inv.end(), Word{0});
-    std::vector<Word> scratch(size);
-
-    switch_slot_.resize(Word{stages} * switchesPerStage());
-    for (unsigned s = 0; s < stages; ++s) {
-        const Word d = Word{1} << topo.controlBit(s);
-        for (Word i = 0; i < switchesPerStage(); ++i) {
-            const Word up = inv[2 * i];
-            const Word lo = inv[2 * i + 1];
-            if ((up ^ lo) != d || (up & d) != 0)
-                panic("stage %u switch %llu pairs slots %llu/%llu; "
-                      "not an upper-first bit-%u exchange",
-                      s, static_cast<unsigned long long>(i),
-                      static_cast<unsigned long long>(up),
-                      static_cast<unsigned long long>(lo),
-                      topo.controlBit(s));
-            switch_slot_[Word{s} * switchesPerStage() + i] = up;
-        }
-        if (s + 1 < stages) {
-            for (Word x = 0; x < size; ++x)
-                scratch[x] = topo.wireToNext(s, pos[x]);
-            pos.swap(scratch);
-            for (Word x = 0; x < size; ++x)
-                inv[pos[x]] = x;
-        }
-    }
-
-    out_slot_of_output_ = inv;     // slot feeding output j
-    output_of_slot_ = pos;         // output fed by slot x
-
-    success_pattern_.assign(Word{n_} * lane_words_, 0);
-    for (Word x = 0; x < size; ++x) {
-        const Word home = output_of_slot_[x];
-        for (unsigned b = 0; b < n_; ++b)
-            success_pattern_[Word{b} * lane_words_ + (x >> 6)] |=
-                bit(home, b) << (x & 63);
-    }
+    // Slot x ends on output x, so home is the identity: bit x of
+    // plane b is bit b of x. Below b = 6 every word of the plane is
+    // one pattern (zero past N when n < 6); above, word w is all
+    // ones or all zeros by bit b - 6 of w.
+    const Word live =
+        lowMask(static_cast<unsigned>(std::min<Word>(num_lines_, 64)));
+    success_pattern_.resize(Word{n_} * lane_words_);
+    for (unsigned b = 0; b < n_; ++b)
+        for (Word w = 0; w < lane_words_; ++w)
+            success_pattern_[Word{b} * lane_words_ + w] =
+                b < 6 ? ~kUpperMask[b] & live : Word{0} - bit(w, b - 6);
 
     if (metrics) {
         const std::string inst = metrics->uniqueInstance("engine");
@@ -197,25 +160,23 @@ FastEngine::finishPlan(FastPlan &plan, const Permutation &d,
     plan.misrouted_outputs.clear();
 
     // Misroute path (non-F self-routing attempts, fault studies):
-    // unpack each slot's tag and recover its origin through d^-1.
+    // unpack the tag on each output (slot x ends on output x) and
+    // recover its origin through d^-1.
     std::vector<Word> dinv(size);
     for (Word i = 0; i < size; ++i)
         dinv[d[i]] = i;
-    for (Word x = 0; x < size; ++x) {
-        const Word w = x >> 6;
-        const unsigned sh = x & 63;
+    for (Word j = 0; j < size; ++j) {
+        const Word w = j >> 6;
+        const unsigned sh = j & 63;
         Word tag = 0;
         for (unsigned b = 0; b < n_; ++b)
             tag |= ((planes[Word{b} * lane_words_ + w] >> sh) & 1u) << b;
-        const Word j = output_of_slot_[x];
         const Word origin = dinv[tag];
         plan.src[j] = static_cast<std::uint16_t>(origin);
         plan.dest[origin] = j;
         if (tag != j)
             plan.misrouted_outputs.push_back(j);
     }
-    std::sort(plan.misrouted_outputs.begin(),
-              plan.misrouted_outputs.end());
 }
 
 void
@@ -276,7 +237,7 @@ FastEngine::planWithStates(const Permutation &d,
         fatal("state array has %zu stages, network has %u",
               states.size(), numStages());
 
-    // Scatter the physical-order states onto upper-input slots once,
+    // Gather the physical-order states onto upper-input slots once,
     // straight into the plan's control masks; the route itself then
     // runs exactly like the self-set case.
     FastPlan plan;
@@ -286,11 +247,11 @@ FastEngine::planWithStates(const Permutation &d,
             fatal("stage %u has %zu switches, network has %llu", s,
                   states[s].size(),
                   static_cast<unsigned long long>(switchesPerStage()));
-        const Word *slot = switch_slot_.data() + Word{s} * switchesPerStage();
+        const Word lower = Word{1} << topo_.controlBit(s);
         Word *ctrl = plan.ctrl.data() + Word{s} * lane_words_;
-        for (Word i = 0; i < switchesPerStage(); ++i)
-            if (states[s][i])
-                ctrl[slot[i] >> 6] |= Word{1} << (slot[i] & 63);
+        for (Word x = 0; x < num_lines_; ++x)
+            if (!(x & lower) && states[s][topo_.lineOfSlot(s, x) >> 1])
+                ctrl[x >> 6] |= Word{1} << (x & 63);
     }
     runForced(plan, d);
     return plan;
@@ -390,12 +351,12 @@ FastEngine::planStates(const FastPlan &plan) const
                      std::vector<std::uint8_t>(switchesPerStage()));
     for (unsigned s = 0; s < numStages(); ++s) {
         const Word *ctrl = plan.ctrl.data() + Word{s} * lane_words_;
-        const Word *slot = switch_slot_.data() + Word{s} * switchesPerStage();
-        for (Word i = 0; i < switchesPerStage(); ++i) {
-            const Word x = slot[i];
-            out[s][i] = static_cast<std::uint8_t>(
-                (ctrl[x >> 6] >> (x & 63)) & 1u);
-        }
+        const Word lower = Word{1} << topo_.controlBit(s);
+        for (Word x = 0; x < num_lines_; ++x)
+            if (!(x & lower))
+                out[s][topo_.lineOfSlot(s, x) >> 1] =
+                    static_cast<std::uint8_t>(
+                        (ctrl[x >> 6] >> (x & 63)) & 1u);
     }
     return out;
 }

@@ -4,7 +4,7 @@
  * paper's hardware parallelism.
  *
  * The reference simulator (SelfRoutingBenes) moves one (tag, origin)
- * pair at a time through vector<vector<>> wiring tables: O(N log N)
+ * pair at a time through every switch and boundary: O(N log N)
  * branchy scalar work per route. This engine evaluates ALL N/2
  * switches of a stage with a handful of word operations per 64 lanes.
  *
@@ -18,10 +18,13 @@
  *    EXCHANGE between slots x and x ^ 2^b, b = controlBit(s), with
  *    the physical upper input on the slot whose bit b is 0. (This is
  *    the same structure that makes B(n) an inverse-omega network
- *    followed by an omega network; the constructor derives the slot
- *    maps from the flattened gather tables and verifies the exchange
- *    property rather than assuming it.) No data is ever moved for a
- *    boundary: one fixed output gather remains at the very end.
+ *    followed by an omega network.) C_s maps slot x to the line
+ *    BenesTopology::lineOfSlot(s, x), a fixed permutation of x's
+ *    bits, and the last stage's map is the identity, so slot x ends
+ *    on output x. No data is ever moved for a boundary, the engine
+ *    stores no wiring, and a route's output order is its slot order.
+ *    tests/test_topology.cc checks the exchange property against the
+ *    composed wiring at every n <= 16.
  *
  * 2. Bit-slicing turns the Fig. 3 rule into word ops. Destination
  *    tags are stored as n bit-planes of N lanes packed into 64-bit
@@ -216,15 +219,11 @@ class FastEngine
     RouteResult toRouteResult(const FastPlan &plan,
                               const Permutation &d) const;
 
+    /** B(n)'s wiring and slot map, computed on demand. */
+    BenesTopology topo_;
     unsigned n_;
     Word num_lines_;
     Word lane_words_;
-    /** Stage-major: slot on the upper input of physical switch i. */
-    std::vector<Word> switch_slot_;
-    /** Slot feeding physical output j after the last stage. */
-    std::vector<Word> out_slot_of_output_;
-    /** Physical output fed by slot x (inverse of the above). */
-    std::vector<Word> output_of_slot_;
     /** Expected final tag planes when every tag reaches home. */
     std::vector<Word> success_pattern_;
 

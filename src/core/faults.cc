@@ -92,8 +92,7 @@ faultyPass(const SelfRoutingBenes &net, const Permutation &d,
                 std::swap(cur[2 * i], cur[2 * i + 1]);
         }
         if (s + 1 < stages) {
-            for (Word line = 0; line < size; ++line)
-                next[topo.wireToNext(s, line)] = cur[line];
+            topo.crossBoundary(s, cur, next);
             cur.swap(next);
         }
     }

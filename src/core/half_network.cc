@@ -31,8 +31,7 @@ spanMapping(const BenesTopology &topo, const SwitchStates &states,
                 std::swap(cur[2 * i], cur[2 * i + 1]);
         const bool apply = (s < hi) || trailing_boundary;
         if (apply && s + 1 < topo.numStages()) {
-            for (Word line = 0; line < size; ++line)
-                next[topo.wireToNext(s, line)] = cur[line];
+            topo.crossBoundary(s, cur, next);
             cur.swap(next);
         }
     }

@@ -98,8 +98,7 @@ routePartial(const SelfRoutingBenes &net,
                 std::swap(cur[2 * i], cur[2 * i + 1]);
         }
         if (s + 1 < stages) {
-            for (Word line = 0; line < size; ++line)
-                next[topo.wireToNext(s, line)] = cur[line];
+            topo.crossBoundary(s, cur, next);
             cur.swap(next);
         }
     }

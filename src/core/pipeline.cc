@@ -106,16 +106,15 @@ PipelinedBenes::clockTick()
 
     // Every earlier stage processes its register in place, then
     // latches the result through the fixed wiring into the next
-    // stage's register — a scatter between two persistent frames, no
-    // allocation.
+    // stage's register — block moves between two persistent frames,
+    // no allocation.
     for (unsigned s = last; s > 0; --s) {
         if (!full_[s - 1])
             continue;
         Frame &cur = regs_[s - 1];
         Frame &next = regs_[s];
         exchange(cur, s - 1);
-        for (Word line = 0; line < cur.size(); ++line)
-            next[topo_.wireToNext(s - 1, line)] = cur[line];
+        topo_.crossBoundary(s - 1, cur, next);
         full_[s] = 1;
         full_[s - 1] = 0;
     }

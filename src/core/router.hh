@@ -178,6 +178,9 @@ class Router
                         obs::defaultRegistry(),
                     std::size_t plan_cache_bytes = 0);
 
+    /** The scalar reference over the same B(n), which the resilient
+     *  layer simulates faults on. It holds n alone: B(n)'s wiring is
+     *  computed, not tabled. */
     const SelfRoutingBenes &fabric() const noexcept { return net_; }
     const FastEngine &engine() const noexcept { return engine_; }
     /** The bit-sliced cold-plan engine all planning goes through. */

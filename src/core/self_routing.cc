@@ -136,8 +136,7 @@ SelfRoutingBenes::runInto(const Permutation &d,
 
         // Apply the fixed wiring into the next stage.
         if (s + 1 < stages) {
-            for (Word line = 0; line < size; ++line)
-                next[topo_.wireToNext(s, line)] = cur[line];
+            topo_.crossBoundary(s, cur, next);
             cur.swap(next);
         }
     }

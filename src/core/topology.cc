@@ -10,38 +10,6 @@ BenesTopology::BenesTopology(unsigned n)
 {
     if (n < 1 || n > 30)
         fatal("Benes network size n = %u out of supported range", n);
-    if (n > 1) {
-        wires_.assign(2 * n - 2, std::vector<Word>(numLines()));
-        build(n, 0, 0);
-    }
-}
-
-void
-BenesTopology::build(unsigned m, Word base_line, unsigned base_stage)
-{
-    if (m == 1)
-        return;
-
-    const Word size = Word{1} << m;
-    const Word half = size / 2;
-
-    // Boundary after the opening stage: switch j>>1's upper (lower)
-    // output feeds input j>>1 of the upper (lower) B(m-1) half -- an
-    // unshuffle of the local line index.
-    for (Word j = 0; j < size; ++j)
-        wires_[base_stage][base_line + j] =
-            base_line + (j & 1) * half + (j >> 1);
-
-    // Boundary before the closing stage: output j of the upper
-    // (lower) half feeds the upper (lower) port of closing switch j
-    // -- the inverse shuffle.
-    const unsigned last = base_stage + 2 * m - 3;
-    for (Word j = 0; j < size; ++j)
-        wires_[last][base_line + j] =
-            base_line + ((j < half) ? 2 * j : 2 * (j - half) + 1);
-
-    build(m - 1, base_line, base_stage + 1);
-    build(m - 1, base_line + half, base_stage + 1);
 }
 
 SwitchStates

@@ -54,8 +54,7 @@ BenesGateModel::BenesGateModel(unsigned n, bool with_omega_input)
 
         // Fixed wiring: pure renaming, no gates.
         if (s + 1 < topo.numStages()) {
-            for (Word line = 0; line < size; ++line)
-                cur[topo.wireToNext(s, line)] = next[line];
+            topo.crossBoundary(s, next, cur);
         } else {
             cur = next;
         }

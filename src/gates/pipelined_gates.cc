@@ -40,8 +40,7 @@ PipelinedBenesGateModel::PipelinedBenesGateModel(unsigned n)
             }
         }
         if (s + 1 < topo.numStages()) {
-            for (Word line = 0; line < size; ++line)
-                cur[topo.wireToNext(s, line)] = next[line];
+            topo.crossBoundary(s, next, cur);
         } else {
             cur = next;
         }

@@ -210,8 +210,7 @@ MulticastBenes::routeWithStates(const McStates &states) const
             }
         }
         if (s + 1 < topo_.numStages()) {
-            for (Word line = 0; line < size; ++line)
-                next[topo_.wireToNext(s, line)] = cur[line];
+            topo_.crossBoundary(s, cur, next);
             cur.swap(next);
         }
     }

@@ -5,8 +5,9 @@
  * randomized over every permutation class at n = 4..10, in both
  * routing modes and under forced (Waksman) states — states,
  * output_tags, realized_dest, misrouted_outputs and success must
- * match bit for bit. Also covers the packed-state round trips,
- * execution against Permutation::applyTo, and the Router plan cache.
+ * match bit for bit. Also covers the state converters at every
+ * n <= 16, execution against Permutation::applyTo, and the Router
+ * plan cache.
  */
 
 #include <algorithm>
@@ -109,10 +110,10 @@ TEST(FastEngine, RandomizedDifferentialAllClasses)
 TEST(FastEngine, WaksmanForcedStatesDifferential)
 {
     Prng prng(7);
-    for (unsigned n = 2; n <= 9; ++n) {
+    for (unsigned n = 2; n <= FastEngine::kMaxN; ++n) {
         const SelfRoutingBenes net(n);
         const FastEngine eng(n);
-        for (int t = 0; t < randIters(8); ++t) {
+        for (int t = 0; t < randIters(n <= 12 ? 8 : 3); ++t) {
             const auto d =
                 Permutation::random(std::size_t{1} << n, prng);
             const SwitchStates states =
@@ -136,32 +137,40 @@ TEST(FastEngine, WaksmanForcedStatesDifferential)
 TEST(FastEngine, ForcedStatesRoundTrip)
 {
     // Random dense states go straight into the control masks, and
-    // planStates reads the same states back out of them.
+    // planStates reads the same states back out of them, at every
+    // width the engine serves.
     Prng prng(13);
-    for (unsigned n = 1; n <= 9; ++n) {
+    for (unsigned n = 1; n <= FastEngine::kMaxN; ++n) {
         const FastEngine eng(n);
-        SwitchStates states(eng.numStages(),
-                            std::vector<std::uint8_t>(
-                                eng.switchesPerStage()));
-        for (auto &stage : states)
-            for (auto &s : stage)
-                s = static_cast<std::uint8_t>(prng.below(2));
-        const Permutation d =
-            Permutation::random(std::size_t{1} << n, prng);
-        EXPECT_EQ(eng.planStates(eng.planWithStates(d, states)), states);
+        for (int t = 0; t < (n <= 12 ? 1 : 3); ++t) {
+            SwitchStates states(eng.numStages(),
+                                std::vector<std::uint8_t>(
+                                    eng.switchesPerStage()));
+            for (auto &stage : states)
+                for (auto &s : stage)
+                    s = static_cast<std::uint8_t>(prng.below(2));
+            const Permutation d =
+                Permutation::random(std::size_t{1} << n, prng);
+            EXPECT_EQ(eng.planStates(eng.planWithStates(d, states)),
+                      states)
+                << "n=" << n;
+        }
     }
 }
 
 TEST(FastEngine, PlanStatesMatchReference)
 {
     Prng prng(17);
-    for (unsigned n = 2; n <= 9; ++n) {
+    for (unsigned n = 2; n <= FastEngine::kMaxN; ++n) {
         const SelfRoutingBenes net(n);
         const FastEngine eng(n);
-        const Permutation d = randomFMember(n, prng);
-        const FastPlan plan = eng.routePlan(d);
-        ASSERT_TRUE(plan.success);
-        EXPECT_EQ(eng.planStates(plan), net.route(d).states);
+        for (int t = 0; t < (n <= 12 ? 1 : 3); ++t) {
+            const Permutation d = randomFMember(n, prng);
+            const FastPlan plan = eng.routePlan(d);
+            ASSERT_TRUE(plan.success);
+            EXPECT_EQ(eng.planStates(plan), net.route(d).states)
+                << "n=" << n;
+        }
     }
 }
 

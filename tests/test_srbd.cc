@@ -41,13 +41,22 @@ namespace net
 namespace
 {
 
-/** A plain blocking socket to the server, for hand-built traffic. */
+/**
+ * A plain blocking socket to the server, for hand-built traffic. A
+ * nonzero @p rcvbuf fixes the socket's receive buffer before the
+ * handshake, which turns off its autotuning.
+ */
 int
-connectRaw(std::uint16_t port)
+connectRaw(std::uint16_t port, int rcvbuf = 0)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return -1;
+    if (rcvbuf > 0 && ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                                   sizeof(rcvbuf)) != 0) {
+        ::close(fd);
+        return -1;
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -82,6 +91,20 @@ receiveRaw(int fd, Decoder &dec, Message &out, int timeout_ms)
             return false;
         dec.feed(chunk, static_cast<std::size_t>(got));
     }
+}
+
+/** Send all of @p wire on blocking socket @p fd. */
+bool
+sendAll(int fd, const std::vector<std::uint8_t> &wire)
+{
+    for (std::size_t sent = 0; sent < wire.size();) {
+        const ssize_t put = ::send(fd, wire.data() + sent,
+                                   wire.size() - sent, MSG_NOSIGNAL);
+        if (put <= 0)
+            return false;
+        sent += static_cast<std::size_t>(put);
+    }
+    return true;
 }
 
 /** The autotuning ceiling (third field) of a TCP buffer sysctl. */
@@ -489,39 +512,116 @@ TEST_F(SrbdTest, DrainAnswersEverythingInFlight)
 
 TEST_F(SrbdTest, RefusesSubmitsWhileDrainingButStillAnswers)
 {
-    startServer(defaults());
+    // srbd ends a drain only once every answer has left its buffers,
+    // so a connection that stops reading holds the drain open, and a
+    // submit sent after requestDrain() is then surely read and
+    // refused. The reader fixes a small receive buffer, so a few
+    // thousand answers overflow what the kernel can hold for it:
+    // srbd's send buffer (at most its autotuning ceiling) plus the
+    // reader's (the kernel doubles the size asked for). srbd keeps
+    // reading the reader, its write watermark above the whole burst,
+    // so the burst is sent whole and the rest of its answers wait in
+    // srbd's out-buffer.
+    constexpr unsigned kN = 8;
+    constexpr Word N = Word{1} << kN;
+    constexpr int kReaderRcvbuf = 64 << 10;
+    const std::size_t answer_bytes = 4 + 22 + 8 * N;
+    const std::size_t wmem = tcpBufferCeiling("tcp_wmem", 4u << 20);
+    const std::uint64_t burst =
+        (wmem + 2 * kReaderRcvbuf) / answer_bytes + 256;
+
+    ServerOptions opts = defaults();
+    opts.n = kN;
+    opts.write_high_watermark = 2 * burst * answer_bytes;
+    opts.max_conn_inflight = burst;
+    opts.stream.ring_capacity = std::bit_ceil(burst);
+    startServer(std::move(opts));
+
+    const int reader = connectRaw(server_->port(), kReaderRcvbuf);
+    ASSERT_GE(reader, 0);
+    int rcvbuf = 0;
+    socklen_t len = sizeof(rcvbuf);
+    ASSERT_EQ(::getsockopt(reader, SOL_SOCKET, SO_RCVBUF, &rcvbuf, &len),
+              0);
+    ASSERT_LE(rcvbuf, 2 * kReaderRcvbuf);
+
+    constexpr std::uint64_t kPatterns = 16;
+    Prng prng(29);
+    std::vector<Permutation> perms;
+    for (std::uint64_t i = 0; i < kPatterns; ++i)
+        perms.push_back(Permutation::random(N, prng));
+    const auto submitOf = [&](std::uint64_t id) {
+        SubmitMsg m;
+        m.id = id;
+        m.dest = perms[id % kPatterns].dest();
+        m.has_payload = true;
+        m.payload.resize(N);
+        for (Word i = 0; i < N; ++i)
+            m.payload[i] = id * N + i;
+        return m;
+    };
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t id = 0; id < burst; ++id)
+        encode(Message{submitOf(id)}, wire);
+    ASSERT_TRUE(sendAll(reader, wire));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (server_->stats().responses < burst &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(server_->stats().responses, burst)
+        << "the reader's burst was never answered";
+
+    // Submits that reached srbd before the drain are answered; the
+    // one sent after it is refused.
     Client client;
     ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
-
-    Prng prng(29);
-    // Park one request so the drain has something in flight, giving
-    // the draining-refusal window a deterministic floor.
     for (std::uint64_t id = 1; id <= 8; ++id)
         ASSERT_TRUE(client.send(Message{randomSubmit(id, prng)}));
     server_->requestDrain();
     ASSERT_TRUE(client.send(Message{randomSubmit(100, prng)}));
 
     std::uint64_t answered = 0;
-    bool saw_draining_or_all_ok = false;
     for (std::uint64_t i = 0; i < 9; ++i) {
         Message response;
         bool timed_out = false;
-        if (!client.receiveFor(response, 2000, timed_out))
+        if (!client.receiveFor(response, 5000, timed_out))
             break;
         auto *res = std::get_if<SubmitResultMsg>(&response);
         ASSERT_NE(res, nullptr);
         ++answered;
         if (res->id == 100)
-            saw_draining_or_all_ok =
-                res->status == Status::Draining ||
-                res->status == Status::Ok;
+            EXPECT_EQ(res->status, Status::Draining);
+        else
+            EXPECT_TRUE(res->status == Status::Ok ||
+                        res->status == Status::Draining)
+                << "id " << res->id;
     }
-    // The late submit races the drain flag; either refusal or
-    // service is legal, silence is not.
     EXPECT_EQ(answered, 9u);
-    EXPECT_TRUE(saw_draining_or_all_ok);
+    EXPECT_GE(server_->stats().draining_rejected, 1u);
+
+    // The reader catches up: every answer of its burst arrives, and
+    // then the drain ends clean.
+    Decoder dec;
+    std::uint64_t correct = 0;
+    for (std::uint64_t i = 0; i < burst; ++i) {
+        Message response;
+        ASSERT_TRUE(receiveRaw(reader, dec, response, 5000))
+            << "answer " << i << " never arrived";
+        auto *res = std::get_if<SubmitResultMsg>(&response);
+        ASSERT_NE(res, nullptr);
+        ASSERT_LT(res->id, burst);
+        if (res->status == Status::Ok &&
+            res->payload ==
+                perms[res->id % kPatterns].applyTo(
+                    submitOf(res->id).payload))
+            ++correct;
+    }
+    EXPECT_EQ(correct, burst);
     client.close();
-    EXPECT_TRUE(server_->awaitStop());
+    ::close(reader);
+    EXPECT_TRUE(server_->awaitStop()) << "drain was not clean";
+    EXPECT_EQ(server_->stats().protocol_errors, 0u);
 }
 
 TEST_F(SrbdTest, PipelinedBurstIsAnsweredInFewWrites)
