@@ -26,7 +26,7 @@
  * phase of the miss: the F gate, the factor, the two verification
  * passes, and planCached's own share with the cache full, for a
  * first sighting the admission gate drops and for a miss it admits
- * over the LRU plan. Its Omega rows time cold OmegaBit plans the
+ * over a resident drawn at random. Its Omega rows time cold OmegaBit plans the
  * same way, and its Waksman rows cold prefer_waksman plans of the
  * arbitrary rows' pool: the same factor, its two passes stitched
  * into one state set and one forced pass. The E2b sections run in
@@ -207,7 +207,7 @@ struct ArbitraryRow
     /** planCached outside Router::plan: a first sighting, dropped. */
     Rounds first_sighting;
     /** planCached outside Router::plan: a miss admitted over the
-     *  full cache's LRU plan, which it evicts. */
+     *  full cache's drawn resident, which it evicts. */
     Rounds insert_evict;
     /** @} */
     /** Resident bytes of one plan: planCacheBytes / planCacheSize
@@ -402,16 +402,6 @@ poolPlansAs(const Router &router, const std::vector<Permutation> &pool,
     return true;
 }
 
-/** Plans @p router has admitted so far. */
-std::size_t
-admissions(const Router &router)
-{
-    std::size_t total = 0;
-    for (const CacheShardStats &s : router.cacheStats())
-        total += s.admitted;
-    return total;
-}
-
 /**
  * One round of the phases of a cold TwoPass miss at n, each timed on
  * its own over @p pool: the F gate Router::plan runs first (Theorem
@@ -421,9 +411,9 @@ admissions(const Router &router)
  * router.plan trace span, with the cache full at srbd's shape (512
  * slots, 8 shards, every plan sighted twice): a fresh pattern's
  * first sighting, which the gate drops, and a pattern's third
- * sighting, whose estimate beats the LRU plan's two, so it is
- * inserted and evicts that plan. Returns false if an admitted
- * sample cannot be found.
+ * sighting, whose estimate beats the two of the resident drawn
+ * against it, so it is inserted and evicts that plan. Returns false
+ * if an admitted sample cannot be found.
  */
 bool
 timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
@@ -474,7 +464,9 @@ timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
         first.push_back(missUs(d, Router::hashPermutation(d)));
     }
     // A sketch collision can admit a pattern a sighting early or
-    // keep it out a sighting late; only timed admissions count.
+    // keep it out a sighting late, and a drawn resident admitted
+    // here before is as frequent as the newcomer; only timed
+    // admissions count.
     for (std::size_t tries = 0; insert.size() < samples; ++tries) {
         if (tries == 4 * samples) {
             std::fprintf(stderr, "n=%u: too few admitted misses\n", n);
@@ -486,9 +478,9 @@ timeTwoPassPhases(unsigned n, const std::vector<Permutation> &pool,
         (void)router.planCached(d, key);
         if (router.findCached(d, key))
             continue;
-        const std::size_t admitted = admissions(router);
+        const std::size_t admitted = router.cacheStats().admitted;
         const double us = missUs(d, key);
-        if (admissions(router) == admitted + 1)
+        if (router.cacheStats().admitted == admitted + 1)
             insert.push_back(us);
     }
     addRound(row.f_gate, std::move(gate));
@@ -570,7 +562,8 @@ printArbitrary(const std::vector<ArbitraryRow> &rows)
                  "only when it passes; first sighting\nand "
                  "insert+evict: planCached outside Router::plan with "
                  "512 plans resident, for a\nfirst sighting the gate "
-                 "drops and for a miss admitted over the LRU plan;\n"
+                 "drops and for a miss admitted over a drawn "
+                 "resident;\n"
                  "plan bytes: one resident plan, planCacheBytes / "
                  "planCacheSize)\n\n";
 }
@@ -795,7 +788,8 @@ writeSetupJson(unsigned rounds, const std::vector<SetupRow> &rows,
                  "its router.plan span with 512 plans resident in 8 "
                  "shards, for a fresh pattern's first sighting (planned "
                  "and dropped) and for a third sighting admitted over "
-                 "the LRU plan (inserted, the LRU plan evicted); "
+                 "a resident drawn at random (inserted, that resident "
+                 "evicted); "
                  "plan_bytes: one resident plan, planCacheBytes / "
                  "planCacheSize with those 512 resident\",\n"
                  "  \"omega_workload\": \"Omega members (second "

@@ -346,12 +346,6 @@ main()
     std::vector<Config> configs{{8, 60000}, {10, 30000}, {12, 15000}};
     if (smoke)
         configs = {{8, 4000}, {10, 2000}, {12, 1000}};
-    const auto sharedHitsOf = [](const StreamStats &st) {
-        std::uint64_t hits = 0;
-        for (const auto &s : st.shared_shards)
-            hits += s.hits;
-        return hits;
-    };
     const auto emitRow = [&](const Row &row) {
         const StreamStats &st = row.stream.stats;
         table.newRow();
@@ -366,7 +360,7 @@ main()
         table.addCell(fmt2(st.p99_ns / 1e3));
         table.addCell(
             fmt2(100.0 * st.inline_served / st.requests) + "%");
-        table.addCell(sharedHitsOf(st));
+        table.addCell(st.shared_cache.hits);
         if (row.stream.parity_failures)
             std::fprintf(stderr,
                          "PARITY FAILURE: n=%u: %llu of %llu sampled "
@@ -415,13 +409,7 @@ main()
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         const StreamStats &st = r.stream.stats;
-        std::uint64_t shared_hits = 0, shared_misses = 0,
-                      shared_evictions = 0;
-        for (const auto &s : st.shared_shards) {
-            shared_hits += s.hits;
-            shared_misses += s.misses;
-            shared_evictions += s.evictions;
-        }
+        const CacheStats &shared = st.shared_cache;
         parity_ok = parity_ok && r.stream.parity_failures == 0;
         std::fprintf(
             jf,
@@ -440,9 +428,9 @@ main()
             st.perms_per_sec / r.baseline_ps, st.payload_gb_per_sec,
             static_cast<unsigned long long>(st.p50_ns),
             static_cast<unsigned long long>(st.p99_ns),
-            static_cast<unsigned long long>(shared_hits),
-            static_cast<unsigned long long>(shared_misses),
-            static_cast<unsigned long long>(shared_evictions),
+            static_cast<unsigned long long>(shared.hits),
+            static_cast<unsigned long long>(shared.misses),
+            static_cast<unsigned long long>(shared.evictions),
             static_cast<unsigned long long>(st.inline_served),
             static_cast<unsigned long long>(st.sheds),
             static_cast<unsigned long long>(r.stream.parity_samples),

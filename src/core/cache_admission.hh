@@ -2,11 +2,12 @@
 // common/sync.hh shim and is exercised by the srb_model suite.
 /**
  * @file
- * Frequency-gated admission for LRU-style caches: the Router plan
- * cache's TinyLFU gate (Einziger, Friedman & Manes, "TinyLFU: A Highly
- * Efficient Cache Admission Policy", ACM ToS 2017), kept beside the
- * recency stamps (core/cache_recency.hh) so the srb_model suite can
- * check it in isolation.
+ * Frequency-gated admission for the Router plan cache: its TinyLFU
+ * gate (Einziger, Friedman & Manes, "TinyLFU: A Highly Efficient
+ * Cache Admission Policy", ACM ToS 2017), in a header of its own so
+ * the srb_model suite can check it in isolation. The sketch is the
+ * cache's only eviction signal: a full cache keeps a newcomer only
+ * when its estimate beats that of a resident drawn at random.
  *
  * An AdmissionSketch counts sightings of 64-bit keys within a window:
  *

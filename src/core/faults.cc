@@ -23,12 +23,11 @@ faultCounter(const char *name)
 }
 
 /**
- * Shared faulty-fabric pass. Mirror of SelfRoutingBenes::run with
- * the fault overlay applied at state-decision time (a stuck switch
- * corrupts everything downstream, so the override cannot be
- * post-applied). With @p loaded non-null the self-setting logic is
- * disabled and the switches take the loaded states (except where
- * stuck); otherwise @p mode picks the tag-driven rule.
+ * The faulty fabric's pass: the fabric's own scalar walk with the
+ * stuck-at faults overlaid (SelfRoutingBenes::runInto), once they are
+ * counted and range-checked. With @p loaded non-null the switches
+ * take the loaded states (except where stuck); otherwise @p mode
+ * picks the tag-driven rule.
  */
 RouteResult
 faultyPass(const SelfRoutingBenes &net, const Permutation &d,
@@ -36,78 +35,18 @@ faultyPass(const SelfRoutingBenes &net, const Permutation &d,
            const SwitchStates *loaded)
 {
     const BenesTopology &topo = net.topology();
-    const Word size = topo.numLines();
-    if (d.size() != size)
-        fatal("permutation size %zu does not match network N = %llu",
-              d.size(), static_cast<unsigned long long>(size));
-
     static obs::Counter &injected =
         faultCounter("srbenes_faults_injected_total");
     injected.inc(faults.size());
-
-    // Overlay: -1 = healthy, else the stuck value.
-    std::vector<std::vector<int>> overlay(
-        topo.numStages(),
-        std::vector<int>(topo.switchesPerStage(), -1));
-    for (const auto &f : faults) {
+    for (const auto &f : faults)
         if (f.stage >= topo.numStages() ||
             f.switch_index >= topo.switchesPerStage())
             fatal("fault at stage %u switch %llu out of range",
                   f.stage,
                   static_cast<unsigned long long>(f.switch_index));
-        overlay[f.stage][f.switch_index] = f.stuck_value;
-    }
-
-    struct Signal
-    {
-        Word tag;
-        Word origin;
-    };
-    std::vector<Signal> cur(size), next(size);
-    for (Word i = 0; i < size; ++i)
-        cur[i] = Signal{d[i], i};
 
     RouteResult res;
-    res.states = topo.makeStates();
-    res.gate_delay = topo.numStages();
-
-    const unsigned stages = topo.numStages();
-    for (unsigned s = 0; s < stages; ++s) {
-        const unsigned b = topo.controlBit(s);
-        for (Word i = 0; i < topo.switchesPerStage(); ++i) {
-            std::uint8_t state;
-            if (overlay[s][i] >= 0) {
-                state = static_cast<std::uint8_t>(overlay[s][i]);
-            } else if (loaded) {
-                state = (*loaded)[s][i];
-            } else if (mode == RoutingMode::OmegaBit &&
-                       s + 1 < topo.n()) {
-                state = 0;
-            } else {
-                state = static_cast<std::uint8_t>(
-                    bit(cur[2 * i].tag, b));
-            }
-            res.states[s][i] = state;
-            if (state)
-                std::swap(cur[2 * i], cur[2 * i + 1]);
-        }
-        if (s + 1 < stages) {
-            topo.crossBoundary(s, cur, next);
-            cur.swap(next);
-        }
-    }
-
-    res.output_tags.resize(size);
-    res.realized_dest.resize(size);
-    res.success = true;
-    for (Word j = 0; j < size; ++j) {
-        res.output_tags[j] = cur[j].tag;
-        res.realized_dest[cur[j].origin] = j;
-        if (cur[j].tag != j) {
-            res.success = false;
-            res.misrouted_outputs.push_back(j);
-        }
-    }
+    net.runInto(d, faults, loaded, mode, nullptr, res);
     return res;
 }
 

@@ -1,6 +1,6 @@
-// srb-lint: modeled — SRB010: the plan cache's lock-free recency
-// stamps and admission sketch go through common/sync.hh
-// (core/cache_recency.hh, core/cache_admission.hh).
+// srb-lint: modeled — SRB010: the plan cache's victim draw and
+// admission sketch go through common/sync.hh
+// (core/cache_admission.hh).
 #include "core/router.hh"
 
 #include <algorithm>
@@ -22,6 +22,13 @@ namespace
 /** The admission outcome labels, indexed by Router::Admission. */
 constexpr const char *kAdmissionLabels[] = {"admitted", "first_sighting",
                                             "lost_to_victim"};
+
+/** A tier counter's value, 0 when metrics are off. */
+std::size_t
+count(const obs::Counter *c)
+{
+    return c ? static_cast<std::size_t>(c->value()) : 0;
+}
 
 } // namespace
 
@@ -116,24 +123,19 @@ Router::Router(unsigned n, bool prefer_waksman,
     if (!metrics_)
         return;
     const std::string inst = metrics_->uniqueInstance("router");
-    for (std::size_t i = 0; i < nshards; ++i) {
-        const obs::Labels labels{{"router", inst},
-                                 {"shard", std::to_string(i)}};
-        shards_[i]->hits = &metrics_->counter(
-            "srbenes_router_plan_cache_hits_total", labels);
-        shards_[i]->misses = &metrics_->counter(
-            "srbenes_router_plan_cache_misses_total", labels);
-        shards_[i]->evictions = &metrics_->counter(
-            "srbenes_router_plan_cache_evictions_total", labels);
-        shards_[i]->bytes_g = &metrics_->gauge(
-            "srbenes_router_plan_cache_resident_bytes", labels);
-        for (int a = 0; a < 3; ++a) {
-            obs::Labels outcome = labels;
-            outcome.emplace_back("outcome", kAdmissionLabels[a]);
-            shards_[i]->admissions[a] = &metrics_->counter(
-                "srbenes_router_plan_cache_admissions_total", outcome);
-        }
-    }
+    const obs::Labels labels{{"router", inst}};
+    hits_ = &metrics_->counter("srbenes_router_plan_cache_hits_total",
+                               labels);
+    misses_ = &metrics_->counter(
+        "srbenes_router_plan_cache_misses_total", labels);
+    evictions_ = &metrics_->counter(
+        "srbenes_router_plan_cache_evictions_total", labels);
+    resident_bytes_ = &metrics_->gauge(
+        "srbenes_router_plan_cache_resident_bytes", labels);
+    for (int a = 0; a < 3; ++a)
+        admissions_[a] = &metrics_->counter(
+            "srbenes_router_plan_cache_admissions_total",
+            {{"router", inst}, {"outcome", kAdmissionLabels[a]}});
     for (RouteStrategy s :
          {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
           RouteStrategy::TwoPass, RouteStrategy::Waksman})
@@ -249,51 +251,49 @@ void
 Router::CacheShard::erase(Map::iterator it)
 {
     const std::uint32_t slot = it->second.slot;
-    if (slot + 1 != stamps.size()) {
-        stamps[slot] = stamps.back();
-        map.find(stamps[slot].key)->second.slot = slot;
+    if (slot + 1 != keys.size()) {
+        keys[slot] = keys.back();
+        map.find(keys[slot])->second.slot = slot;
     }
-    stamps.pop_back();
+    keys.pop_back();
     map.erase(it);
 }
 
 Router::Victim
-Router::lruVictim() const
+Router::drawVictim() const
 {
-    // Capacity is global, not per shard: the victim is the globally
-    // least-recently-stamped entry. Ticks are unique, so it does not
-    // depend on the scan order. The scan reads each shard's
-    // contiguous stamp array; hits never reach this path.
-    Victim v;
-    std::uint64_t vstamp = ~std::uint64_t{0};
-    for (const auto &cand : shards_) {
-        ReaderLock lock(cand->mu);
-        for (const CacheShard::Stamp &st : cand->stamps) {
-            // The scan tolerates racing stamp updates (LRU is
-            // approximate; see cache_recency.hh).
-            const std::uint64_t stamp = st.last_used.value();
-            if (stamp < vstamp) {
-                v = {cand.get(), st.key};
-                vstamp = stamp;
-            }
-        }
+    // Capacity is the tier's, not a shard's, so the victim is any
+    // resident: a fresh mixed draw picks a shard (the next non-empty
+    // one when it is empty) and a slot in its key array. Every
+    // decision draws anew, so a newcomer that lost once meets another
+    // resident next time; hits never reach this path.
+    // order: relaxed; the count only has to differ per draw.
+    const std::uint64_t r =
+        mix64(draws_.fetch_add(1, std::memory_order_relaxed));
+    const std::size_t nshards = shards_.size();
+    for (std::size_t i = 0; i < nshards; ++i) {
+        CacheShard &sh = *shards_[(r + i) % nshards];
+        ReaderLock lock(sh.mu);
+        if (!sh.keys.empty())
+            return {&sh, sh.keys[(r >> 32) % sh.keys.size()]};
     }
-    return v;
+    return {};
 }
 
 Router::Admission
 Router::admission(std::uint64_t key, bool seen, Victim &victim) const
 {
     // TinyLFU's gate: a key seen once in the window is a scan until
-    // proven otherwise, and a full cache trades its LRU entry only
-    // for a key the sketch estimates strictly more frequent. A
-    // racing admission can fill the cache after this check; the
-    // eviction after the insert keeps the capacity either way.
+    // proven otherwise, and a full cache trades a resident drawn at
+    // random only for a key the sketch estimates strictly more
+    // frequent. A racing admission can fill the cache after this
+    // check; the eviction after the insert keeps the capacity either
+    // way.
     if (!seen)
         return Admission::FirstSighting;
     if (planCacheSize() < cache_capacity_)
         return Admission::Admitted;
-    victim = lruVictim();
+    victim = drawVictim();
     return victim.shard &&
                    sketch_.estimate(key) <= sketch_.estimate(victim.key)
                ? Admission::LostToVictim
@@ -303,23 +303,23 @@ Router::admission(std::uint64_t key, bool seen, Victim &victim) const
 void
 Router::evictPastCapacity(Victim v) const
 {
-    // The first victim is the one admission() compared, when it
-    // found one; a racing admission that leaves the cache over
-    // capacity after it scans again.
+    // The first victim is the one admission() compared, when it drew
+    // one; a racing admission that leaves the cache over capacity
+    // draws again.
     while (planCacheSize() > cache_capacity_) {
         if (!v.shard)
-            v = lruVictim();
+            v = drawVictim();
         if (!v.shard)
             break;
         WriterLock lock(v.shard->mu);
         auto it = v.shard->map.find(v.key);
         if (it != v.shard->map.end()) {
             v.shard->erase(it);
-            if (v.shard->bytes_g)
-                v.shard->bytes_g->set(static_cast<std::int64_t>(
-                    v.shard->map.size() * plan_bytes_));
-            if (v.shard->evictions)
-                v.shard->evictions->inc();
+            if (resident_bytes_)
+                resident_bytes_->add(
+                    -static_cast<std::int64_t>(plan_bytes_));
+            if (evictions_)
+                evictions_->inc();
         }
         v = {};
     }
@@ -344,13 +344,10 @@ Router::findCached(const Permutation &d, std::uint64_t key) const
             !activeKernels().equalWidened(perm.data(), d.dest().data(),
                                           d.size()))
             return nullptr;
-        if (sh.hits)
-            sh.hits->inc();
-        // Relaxed clock and stamp; a stale LRU stamp only costs a
-        // suboptimal eviction (cache_recency.hh).
-        sh.stamps[it->second.slot].last_used.touch(tick_);
         hit = it->second.plan;
     }
+    if (hits_)
+        hits_->inc();
     // Outside the lock: a sighting that ends the sketch's window ages
     // it, and the shard's inserts need not wait for that. A stale
     // count only costs a suboptimal admission (cache_admission.hh).
@@ -372,9 +369,8 @@ Router::planCached(const Permutation &d, std::uint64_t key) const
 
     if (auto hit = findCached(d, key))
         return hit;
-    CacheShard &sh = shardFor(key);
-    if (sh.misses)
-        sh.misses->inc();
+    if (misses_)
+        misses_->inc();
     // The miss is this request's one sighting: findCached counts
     // only hits, so a producer's miss and the worker's planCached
     // that follows it record the request once.
@@ -385,29 +381,25 @@ Router::planCached(const Permutation &d, std::uint64_t key) const
     auto planned = std::make_shared<const RoutePlan>(plan(d));
     Victim victim;
     const Admission fate = admission(key, seen, victim);
-    if (obs::Counter *c = sh.admissions[static_cast<int>(fate)])
+    if (obs::Counter *c = admissions_[static_cast<int>(fate)])
         c->inc();
     if (fate != Admission::Admitted)
         return planned;
-    // The recency clock only feeds the LRU heuristic (see
-    // findCached).
-    const std::uint64_t now = tick_.next();
     {
+        CacheShard &sh = shardFor(key);
         WriterLock lock(sh.mu);
         auto [it, inserted] = sh.map.try_emplace(
-            key, planned, static_cast<std::uint32_t>(sh.stamps.size()));
+            key, planned, static_cast<std::uint32_t>(sh.keys.size()));
         if (inserted) {
-            sh.stamps.emplace_back(key, now);
+            sh.keys.push_back(key);
+            if (resident_bytes_)
+                resident_bytes_->add(
+                    static_cast<std::int64_t>(plan_bytes_));
         } else {
             // Same hash: either a racing insert of this pattern or a
             // collision; either way the newcomer replaces the plan.
             it->second.plan = planned;
-            // LRU stamp drawn before the lock; see findCached.
-            sh.stamps[it->second.slot].last_used.stamp(now);
         }
-        if (sh.bytes_g)
-            sh.bytes_g->set(
-                static_cast<std::int64_t>(sh.map.size() * plan_bytes_));
     }
 
     evictPastCapacity(victim);
@@ -441,33 +433,22 @@ Router::routeOutcome(const Permutation &d,
     return RouteOutcome::success(execute(*planCached(d), data));
 }
 
-std::vector<CacheShardStats>
+CacheStats
 Router::cacheStats() const
 {
-    std::vector<CacheShardStats> stats;
-    stats.reserve(shards_.size());
-    for (const auto &sh : shards_) {
-        CacheShardStats s;
-        {
-            ReaderLock lock(sh->mu);
-            s.size = sh->map.size();
-        }
-        s.bytes = s.size * plan_bytes_;
-        const auto value = [](const obs::Counter *c) {
-            return c ? static_cast<std::size_t>(c->value()) : 0;
-        };
-        s.hits = value(sh->hits);
-        s.misses = value(sh->misses);
-        s.evictions = value(sh->evictions);
-        const auto fates = [&](Admission a) {
-            return value(sh->admissions[static_cast<int>(a)]);
-        };
-        s.admitted = fates(Admission::Admitted);
-        s.first_sightings = fates(Admission::FirstSighting);
-        s.lost_to_victim = fates(Admission::LostToVictim);
-        stats.push_back(s);
-    }
-    return stats;
+    const auto fates = [&](Admission a) {
+        return count(admissions_[static_cast<int>(a)]);
+    };
+    CacheStats s;
+    s.size = planCacheSize();
+    s.bytes = s.size * plan_bytes_;
+    s.hits = count(hits_);
+    s.misses = count(misses_);
+    s.evictions = count(evictions_);
+    s.admitted = fates(Admission::Admitted);
+    s.first_sightings = fates(Admission::FirstSighting);
+    s.lost_to_victim = fates(Admission::LostToVictim);
+    return s;
 }
 
 std::size_t
@@ -479,8 +460,8 @@ Router::planCacheBytes() const
 std::size_t
 Router::planCacheSize() const
 {
-    // Runs once per insert (twice when it evicts): the map sizes
-    // alone, without cacheStats' vector and counter loads.
+    // Runs on every miss a repeat sighting makes and again per
+    // eviction: the map sizes under the reader locks, nothing else.
     std::size_t total = 0;
     for (const auto &sh : shards_) {
         ReaderLock lock(sh->mu);
@@ -492,28 +473,19 @@ Router::planCacheSize() const
 std::size_t
 Router::planCacheHits() const
 {
-    std::size_t total = 0;
-    for (const auto &s : cacheStats())
-        total += s.hits;
-    return total;
+    return count(hits_);
 }
 
 std::size_t
 Router::planCacheMisses() const
 {
-    std::size_t total = 0;
-    for (const auto &s : cacheStats())
-        total += s.misses;
-    return total;
+    return count(misses_);
 }
 
 std::size_t
 Router::planCacheEvictions() const
 {
-    std::size_t total = 0;
-    for (const auto &s : cacheStats())
-        total += s.evictions;
-    return total;
+    return count(evictions_);
 }
 
 void
@@ -522,16 +494,16 @@ Router::clearPlanCache() const
     for (const auto &sh : shards_) {
         WriterLock lock(sh->mu);
         sh->map.clear();
-        sh->stamps.clear();
-        if (sh->bytes_g)
-            sh->bytes_g->set(0);
-        for (obs::Counter *c : {sh->hits, sh->misses, sh->evictions})
-            if (c)
-                c->reset();
-        for (obs::Counter *c : sh->admissions)
-            if (c)
-                c->reset();
+        sh->keys.clear();
     }
+    if (resident_bytes_)
+        resident_bytes_->set(0);
+    for (obs::Counter *c : {hits_, misses_, evictions_})
+        if (c)
+            c->reset();
+    for (obs::Counter *c : admissions_)
+        if (c)
+            c->reset();
     sketch_.clear();
 }
 

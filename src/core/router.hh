@@ -1,6 +1,6 @@
-// srb-lint: modeled — SRB010: the plan cache's lock-free recency
-// stamps and admission sketch go through common/sync.hh
-// (core/cache_recency.hh, core/cache_admission.hh).
+// srb-lint: modeled — SRB010: the plan cache's victim draw and
+// admission sketch go through common/sync.hh
+// (core/cache_admission.hh).
 /**
  * @file
  * The one-stop routing facade.
@@ -53,9 +53,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/sync.hh"
 #include "common/thread_annotations.hh"
 #include "core/cache_admission.hh"
-#include "core/cache_recency.hh"
 #include "core/fast_engine.hh"
 #include "core/route_outcome.hh"
 #include "core/self_routing.hh"
@@ -126,8 +126,8 @@ struct RoutePlan
     unsigned passes = 1;
 };
 
-/** One plan-cache shard's counters, as returned by cacheStats(). */
-struct CacheShardStats
+/** The plan tier's counters, as returned by cacheStats(). */
+struct CacheStats
 {
     std::size_t size = 0;
     std::size_t hits = 0;
@@ -135,13 +135,13 @@ struct CacheShardStats
     std::size_t evictions = 0;
     /** Each miss's fate: inserted, dropped as the key's first
      *  sighting in the window, or dropped because the full cache's
-     *  LRU entry was estimated at least as frequent. They sum to
-     *  misses. */
+     *  drawn resident was estimated at least as frequent. They sum
+     *  to misses. */
     std::size_t admitted = 0;
     std::size_t first_sightings = 0;
     std::size_t lost_to_victim = 0;
-    /** Resident bytes of the shard's cached plans: its entries times
-     *  the one plan size. */
+    /** Resident bytes of the cached plans: the entries times the one
+     *  plan size. */
     std::size_t bytes = 0;
 };
 
@@ -159,8 +159,8 @@ class Router
      *        working sets never serialize. Clamped to
      *        [1, capacity] when the cache is enabled.
      * @param metrics registry receiving this router's instruments
-     *        (plan-cache hit/miss/eviction and admission outcomes per
-     *        shard, resident-byte gauges, cold-plan counts and
+     *        (plan-cache hits, misses, evictions and admission
+     *        outcomes, the resident-byte gauge, cold-plan counts and
      *        latency by strategy).
      *        nullptr disables instrumentation; the default is the
      *        process-global registry.
@@ -207,9 +207,9 @@ class Router
      * again. A hit is findCached(d, key). A miss counts one sighting
      * of @p key, plans, and inserts the plan only when the sighting
      * is not the key's first in the sketch's window and, with the
-     * cache full, the key's estimate beats the LRU victim's, which
-     * it then evicts. Otherwise the plan is dropped once the caller
-     * lets it go.
+     * cache full, the key's estimate beats that of one resident drawn
+     * at random, which it then evicts. Otherwise the plan is dropped
+     * once the caller lets it go.
      */
     std::shared_ptr<const RoutePlan>
     planCached(const Permutation &d, std::uint64_t key) const;
@@ -221,10 +221,9 @@ class Router
      * follows a producer's miss counts the request's one sighting.
      * Identity is confirmed by comparing the plan's stored
      * permutation, zero-extended, with every 64-bit tag of @p d,
-     * never by the key alone. A hit counts a shard hit and a
-     * sighting, and refreshes the entry's recency stamp, exactly
-     * like planCached's hit. Thread-safe; takes one shard's reader
-     * lock.
+     * never by the key alone. A hit counts a hit and a sighting,
+     * exactly like planCached's hit, and writes nothing under the
+     * lock. Thread-safe; takes one shard's reader lock.
      */
     std::shared_ptr<const RoutePlan>
     findCached(const Permutation &d, std::uint64_t key) const;
@@ -259,8 +258,8 @@ class Router
     std::size_t planCacheHits() const;
     std::size_t planCacheMisses() const;
     std::size_t planCacheEvictions() const;
-    /** Resident bytes of all cached plans across shards: their
-     *  count times the one plan size. */
+    /** Resident bytes of all cached plans: their count times the one
+     *  plan size. */
     std::size_t planCacheBytes() const;
     std::size_t planCacheByteBudget() const noexcept
     {
@@ -276,8 +275,8 @@ class Router
     {
         return shards_.size();
     }
-    /** Per-shard size, hits, misses, evictions and miss fates. */
-    std::vector<CacheShardStats> cacheStats() const;
+    /** The tier's size, hits, misses, evictions and miss fates. */
+    CacheStats cacheStats() const;
     /** Drop every plan, zero the counters and forget every
      *  sighting. */
     void clearPlanCache() const;
@@ -285,11 +284,11 @@ class Router
 
   private:
     /**
-     * One shard: a read-mostly hash -> plan map, and beside it the
-     * entries' recency stamps in one contiguous array. Hits touch
-     * only the shard's reader lock plus a relaxed stamp; inserts and
-     * removals take the writer lock. The global eviction scan reads
-     * the stamp arrays, not the map nodes.
+     * One lock stripe: a read-mostly hash -> plan map, and beside it
+     * the entries' keys in one contiguous array, from which an
+     * eviction draws its victim. Hits take only the shard's reader
+     * lock and write nothing under it; inserts and removals take the
+     * writer lock.
      */
     struct CacheShard
     {
@@ -300,60 +299,30 @@ class Router
             {
             }
             std::shared_ptr<const RoutePlan> plan;
-            /** This entry's index in the shard's stamps. */
+            /** This entry's index in the shard's keys. */
             std::uint32_t slot;
         };
         using Map = std::unordered_map<std::uint64_t, Entry>;
-        /** One entry's recency; key leads back to the entry. */
-        struct Stamp
-        {
-            Stamp(std::uint64_t k, std::uint64_t t) : key(k), last_used(t)
-            {
-            }
-            // The array copies a stamp only when it grows or
-            // swap-removes, under the writer lock, so no hit can
-            // touch the stamp meanwhile.
-            Stamp(const Stamp &other)
-                : key(other.key), last_used(other.last_used.value())
-            {
-            }
-            Stamp &
-            operator=(const Stamp &other)
-            {
-                key = other.key;
-                last_used.stamp(other.last_used.value());
-                return *this;
-            }
-            std::uint64_t key;
-            RecencyStamp last_used;
-        };
         mutable SharedMutex mu;
         Map map SRB_GUARDED_BY(mu);
-        /** stamps[e.slot] belongs to entry e, and only to it. */
-        std::vector<Stamp> stamps SRB_GUARDED_BY(mu);
-        /** Registry-served counters; null when metrics are off. */
-        obs::Counter *hits = nullptr;
-        obs::Counter *misses = nullptr;
-        obs::Counter *evictions = nullptr;
-        /** srbenes_router_plan_cache_admissions_total, by
-         *  Admission. */
-        obs::Counter *admissions[3] = {};
-        /** Resident plan bytes of this shard, for the export. */
-        obs::Gauge *bytes_g = nullptr;
+        /** keys[e.slot] is entry e's key, and only its. */
+        std::vector<std::uint64_t> keys SRB_GUARDED_BY(mu);
 
-        /** Remove @p it and its stamp; the last stamp fills the gap. */
+        /** Remove @p it and its key; the last key fills the gap. */
         void erase(Map::iterator it) SRB_REQUIRES(mu);
     };
 
     CacheShard &shardFor(std::uint64_t hash) const;
     RoutePlan planImpl(const Permutation &d) const;
-    /** The globally least recently stamped entry, by the stamp scan. */
+    /** A resident entry, named by its shard and key. */
     struct Victim
     {
         CacheShard *shard = nullptr;
         std::uint64_t key = 0;
     };
-    Victim lruVictim() const;
+    /** One resident drawn at random, or none when the tier is
+     *  empty. */
+    Victim drawVictim() const;
     /** A miss's fate: the outcome label of
      *  srbenes_router_plan_cache_admissions_total. */
     enum class Admission
@@ -363,12 +332,13 @@ class Router
         LostToVictim,
     };
     /** The fate of a miss on @p key; @p seen is whether the sketch
-     *  had already seen the key in its window. A full cache's LRU
-     *  entry, found to compare estimates, is left in @p victim. */
+     *  had already seen the key in its window. A full cache's drawn
+     *  resident, whose estimate the key was compared with, is left in
+     *  @p victim. */
     Admission admission(std::uint64_t key, bool seen,
                         Victim &victim) const;
-    /** Evict globally-LRU entries until the cache fits its capacity,
-     *  @p v (when set) before any the stamp scan finds. */
+    /** Evict drawn residents until the cache fits its capacity,
+     *  @p v (when set) first. */
     void evictPastCapacity(Victim v) const;
 
     SelfRoutingBenes net_;
@@ -381,13 +351,22 @@ class Router
     std::size_t cache_bytes_budget_;
     std::size_t cache_capacity_;
     mutable std::vector<std::unique_ptr<CacheShard>> shards_;
-    /** Global recency clock for the stamps. */
-    RecencyClock tick_;
     /** Sightings of every key looked up: the admission gate. */
     mutable AdmissionSketch sketch_;
+    /** Victim draws so far; mixed, each picks a fresh resident. */
+    mutable sync::Atomic<std::uint64_t> draws_{0};
 
     /** @{ Observability (obs/metrics.hh); null when disabled. */
     obs::MetricsRegistry *metrics_;
+    /** The tier's instruments: registry-served counters, one set per
+     *  Router. */
+    obs::Counter *hits_ = nullptr;
+    obs::Counter *misses_ = nullptr;
+    obs::Counter *evictions_ = nullptr;
+    /** srbenes_router_plan_cache_admissions_total, by Admission. */
+    obs::Counter *admissions_[3] = {};
+    /** Resident plan bytes, one plan's worth per insert or erase. */
+    obs::Gauge *resident_bytes_ = nullptr;
     /** Each cold plan is recorded once, by the strategy that won:
      *  its count here and its latency in setup_ns_by_strategy_. */
     obs::Counter *plans_by_strategy_[4] = {};

@@ -34,7 +34,7 @@ SelfRoutingBenes::route(const Permutation &d, RoutingMode mode,
                         RouteTrace *trace) const
 {
     RouteResult res;
-    runInto(d, nullptr, mode, trace, res);
+    runInto(d, {}, nullptr, mode, trace, res);
     return res;
 }
 
@@ -42,7 +42,7 @@ void
 SelfRoutingBenes::routeInto(const Permutation &d, RouteResult &res,
                             RoutingMode mode, RouteTrace *trace) const
 {
-    runInto(d, nullptr, mode, trace, res);
+    runInto(d, {}, nullptr, mode, trace, res);
 }
 
 RouteResult
@@ -54,7 +54,7 @@ SelfRoutingBenes::routeWithStates(const Permutation &d,
         fatal("state array has %zu stages, network has %u",
               states.size(), topo_.numStages());
     RouteResult res;
-    runInto(d, &states, RoutingMode::SelfRouting, trace, res);
+    runInto(d, {}, &states, RoutingMode::SelfRouting, trace, res);
     return res;
 }
 
@@ -80,6 +80,7 @@ SelfRoutingBenes::permutePayloads(const Permutation &d,
 
 void
 SelfRoutingBenes::runInto(const Permutation &d,
+                          const std::vector<StuckFault> &stuck,
                           const SwitchStates *forced, RoutingMode mode,
                           RouteTrace *trace, RouteResult &res) const
 {
@@ -96,10 +97,11 @@ SelfRoutingBenes::runInto(const Permutation &d,
         cur[i] = Signal{d[i], i};
 
     const unsigned stages = topo_.numStages();
+    const Word switches = topo_.switchesPerStage();
     // Reshape in place: every element below is overwritten.
     res.states.resize(stages);
     for (auto &stage : res.states)
-        stage.resize(topo_.switchesPerStage());
+        stage.resize(switches);
     res.gate_delay = stages;
     res.misrouted_outputs.clear();
 
@@ -115,24 +117,28 @@ SelfRoutingBenes::runInto(const Permutation &d,
     for (unsigned s = 0; s < stages; ++s) {
         snapshot();
 
-        // Pass through the switches of stage s.
+        // Set the switches of stage s. A switch reads only the tag on
+        // its own upper input, so the whole stage is set before any
+        // switch moves a signal.
         const unsigned b = topo_.controlBit(s);
-        for (Word i = 0; i < topo_.switchesPerStage(); ++i) {
-            std::uint8_t state;
-            if (forced) {
-                state = (*forced)[s][i];
-            } else if (mode == RoutingMode::OmegaBit &&
-                       s + 1 < topo_.n()) {
-                state = 0; // the "omega" bit forces stages 0..n-2
-            } else {
-                state = static_cast<std::uint8_t>(
-                    bit(cur[2 * i].tag, b));
-            }
-            res.states[s][i] = state;
-            if (state) {
-                std::swap(cur[2 * i], cur[2 * i + 1]);
-            }
+        std::vector<std::uint8_t> &state = res.states[s];
+        for (Word i = 0; i < switches; ++i) {
+            if (forced)
+                state[i] = (*forced)[s][i];
+            else if (mode == RoutingMode::OmegaBit && s + 1 < topo_.n())
+                state[i] = 0; // the "omega" bit forces stages 0..n-2
+            else
+                state[i] =
+                    static_cast<std::uint8_t>(bit(cur[2 * i].tag, b));
         }
+        // A stuck state line overrides whatever set its switch, and
+        // corrupts everything downstream of it.
+        for (const StuckFault &f : stuck)
+            if (f.stage == s)
+                state[f.switch_index] = f.stuck_value;
+        for (Word i = 0; i < switches; ++i)
+            if (state[i])
+                std::swap(cur[2 * i], cur[2 * i + 1]);
 
         // Apply the fixed wiring into the next stage.
         if (s + 1 < stages) {

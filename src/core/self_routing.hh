@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/route_outcome.hh"
 #include "core/topology.hh"
 #include "perm/permutation.hh"
 
@@ -110,11 +111,22 @@ class SelfRoutingBenes
     permutePayloads(const Permutation &d, const std::vector<Word> &data,
                     RoutingMode mode = RoutingMode::SelfRouting) const;
 
-  private:
-    void runInto(const Permutation &d, const SwitchStates *forced,
-                 RoutingMode mode, RouteTrace *trace,
-                 RouteResult &res) const;
+    /**
+     * The one scalar walk: route(), routeInto(), routeWithStates(),
+     * permutePayloads() and faults.hh's stuck-at probes all run it.
+     * Each switch takes, in this order of precedence: the stuck value
+     * of a fault in @p stuck that names it, its state in @p forced
+     * when that is non-null, state 0 in OmegaBit mode's forced
+     * stages, and otherwise Fig. 3's rule. Every fault in @p stuck
+     * names a switch of this fabric (faults.hh checks). Reuses
+     * @p res's capacity and per-thread signal arenas.
+     */
+    void runInto(const Permutation &d,
+                 const std::vector<StuckFault> &stuck,
+                 const SwitchStates *forced, RoutingMode mode,
+                 RouteTrace *trace, RouteResult &res) const;
 
+  private:
     BenesTopology topo_;
 };
 

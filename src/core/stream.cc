@@ -504,7 +504,7 @@ StreamEngine::stats() const
         st.p99_ns = lat.quantile(0.99);
     }
 
-    st.shared_shards = router_.cacheStats();
+    st.shared_cache = router_.cacheStats();
     return st;
 }
 

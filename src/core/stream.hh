@@ -475,8 +475,8 @@ struct StreamStats
     std::uint64_t degraded = 0;
     /** Requests the resilient chain failed (fault_detected). */
     std::uint64_t route_failures = 0;
-    /** The plan tier's per-shard counters. */
-    std::vector<CacheShardStats> shared_shards;
+    /** The plan tier's counters. */
+    CacheStats shared_cache;
 };
 
 class StreamEngine

@@ -463,8 +463,12 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
         for (Word i = 0; i < numLines(); ++i)
             payload[i] = i;
     }
+    // A deadline the clock cannot represent is no deadline: past
+    // 2^64 ns the sum would wrap into the past.
     const std::uint64_t deadline =
-        m.deadline_rel_ns != 0 ? now + m.deadline_rel_ns : 0;
+        m.deadline_rel_ns != 0 && m.deadline_rel_ns <= UINT64_MAX - now
+            ? now + m.deadline_rel_ns
+            : 0;
 
     const std::uint64_t sid = next_request_id_++;
     if (!producer_->trySubmit(

@@ -4,8 +4,8 @@
  * Router's plan cache. The cache admits by frequency: a pattern's
  * first sighting is planned and served but not kept, its second is
  * kept while the cache has room, and once the cache is full a pattern
- * is kept only when its estimated frequency beats the least recently
- * used entry's.
+ * is kept only when its estimated frequency beats that of a resident
+ * drawn at random, which it evicts.
  */
 
 #ifndef SRBENES_TESTS_SIGHTINGS_HH
@@ -32,18 +32,15 @@ sightTwice(const Router &router, const Permutation &d)
 inline std::size_t
 planAdmissions(const Router &router)
 {
-    std::size_t total = 0;
-    for (const CacheShardStats &s : router.cacheStats())
-        total += s.admitted;
-    return total;
+    return router.cacheStats().admitted;
 }
 
 /**
- * Sight the non-resident @p d until the cache admits it, evicting
- * the LRU entry when full: each lost sighting raises its estimate by
- * one and touches no recency stamp, so the admitted plan evicts the
- * same entry a plain LRU insert would. Returns the sightings it
- * took, or 0 if @p limit were not enough.
+ * Sight the non-resident @p d until the cache admits it: each lost
+ * sighting raises its estimate by one, and each repeat is compared
+ * with a freshly drawn resident, which a full cache evicts when @p d
+ * wins. Returns the sightings it took, or 0 if @p limit were not
+ * enough.
  */
 inline unsigned
 sightUntilResident(const Router &router, const Permutation &d,

@@ -2,9 +2,8 @@
  * @file
  * Model-checked invariants for the production components ported onto
  * the common/sync.hh shim (layer 3 of the srb_model subsystem):
- * SpscRing and Doorbell (core/stream.hh), the plan cache's recency
- * stamps (core/cache_recency.hh) and admission sketch
- * (core/cache_admission.hh), the metrics instruments
+ * SpscRing and Doorbell (core/stream.hh), the plan cache's
+ * admission sketch (core/cache_admission.hh), the metrics instruments
  * (obs/metrics.hh), and the LifecycleStamps publication protocol.
  * Each test explores ALL schedules at 2-3 lanes under the configured
  * preemption bound (SRBENES_MODEL_PREEMPTIONS overrides for the
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "core/cache_admission.hh"
-#include "core/cache_recency.hh"
 #include "core/stream.hh"
 #include "model/model.hh"
 #include "obs/metrics.hh"
@@ -185,41 +183,6 @@ TEST(ModelComponents, DoorbellEpochWraparound)
         bell.ring(); // seq_: UINT64_MAX - 1 -> UINT64_MAX
         bell.ring(); // seq_: UINT64_MAX -> 0 (the wrap)
         joinAll();
-    });
-    EXPECT_TRUE(res.ok) << res.report();
-}
-
-/** LRU recency ticks drawn by concurrent hits are unique and
- *  per-lane strictly increasing — the property the Router's
- *  eviction scan assumes. */
-TEST(ModelComponents, RecencyStampsMonotoneAndUnique)
-{
-    const Result res = explore(boundedOpts("lru-stamps"), [] {
-        RecencyClock clock;
-        RecencyStamp s1(0);
-        RecencyStamp s2(0);
-        std::uint64_t a1 = 0, a2 = 0, b1 = 0, b2 = 0;
-        spawn([&] {
-            s1.touch(clock);
-            a1 = s1.value();
-            s1.touch(clock);
-            a2 = s1.value();
-        });
-        spawn([&] {
-            s2.touch(clock);
-            b1 = s2.value();
-            s2.touch(clock);
-            b2 = s2.value();
-        });
-        joinAll();
-        modelAssert(a1 < a2 && b1 < b2,
-                    "a lane's stamps must be strictly increasing");
-        modelAssert(a1 != b1 && a1 != b2 && a2 != b1 && a2 != b2,
-                    "two hits shared a recency tick");
-        modelAssert(clock.issued() == 4,
-                    "clock lost or double-issued a tick");
-        const std::uint64_t hi = a2 > b2 ? a2 : b2;
-        modelAssert(hi == 4, "ticks are not dense 1..4");
     });
     EXPECT_TRUE(res.ok) << res.report();
 }

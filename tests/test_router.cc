@@ -3,8 +3,8 @@
  * Tests for the routing facade: strategy selection, plan reuse,
  * correct delivery under every strategy, the Waksman preference
  * knob, the tag passes a cold plan runs, and the plan cache's
- * lookups, budgets, frequency-gated admission and global-LRU
- * eviction.
+ * lookups, budgets, frequency-gated admission and eviction of a
+ * drawn resident.
  */
 
 #include <algorithm>
@@ -233,11 +233,30 @@ TEST(Router, FreshAndCachedPlansHaveOneShape)
     }
 }
 
-TEST(Router, ByteAccountingTracksInsertsAndClear)
+/** The Router's one resident-bytes gauge in @p reg. */
+std::int64_t
+residentBytesGauge(const obs::MetricsRegistry &reg)
 {
+    std::int64_t value = 0;
+    int series = 0;
+    reg.visit([&](const obs::MetricsRegistry::View &v) {
+        if (v.name == "srbenes_router_plan_cache_resident_bytes") {
+            value = v.gauge->value();
+            ++series;
+        }
+    });
+    EXPECT_EQ(series, 1);
+    return value;
+}
+
+TEST(Router, ByteAccountingTracksInsertsEvictionsAndClear)
+{
+    // The tier's one gauge moves by one plan on every insert and
+    // eviction, so it always reads what cacheStats() counts.
     Prng prng(17);
     const unsigned n = 6;
-    const Router router(n, false, /*capacity=*/32, /*shards=*/4);
+    obs::MetricsRegistry reg;
+    const Router router(n, false, /*capacity=*/8, /*shards=*/4, &reg);
     EXPECT_EQ(router.planCacheBytes(), 0u);
 
     std::size_t prev = 0;
@@ -245,19 +264,23 @@ TEST(Router, ByteAccountingTracksInsertsAndClear)
         sightTwice(router, randomFMember(n, prng));
         EXPECT_GT(router.planCacheBytes(), prev);
         prev = router.planCacheBytes();
+        EXPECT_EQ(residentBytesGauge(reg),
+                  static_cast<std::int64_t>(prev));
     }
-
-    // cacheStats' per-shard bytes sum to the total.
-    std::size_t sum = 0;
-    for (const CacheShardStats &s : router.cacheStats())
-        sum += s.bytes;
-    EXPECT_EQ(sum, router.planCacheBytes());
+    for (int i = 0; i < 8; ++i)
+        ASSERT_GT(sightUntilResident(router, randomFMember(n, prng)),
+                  0u);
+    EXPECT_EQ(router.planCacheEvictions(), 8u);
+    EXPECT_EQ(router.planCacheBytes(), prev);
+    EXPECT_EQ(router.cacheStats().bytes, prev);
+    EXPECT_EQ(residentBytesGauge(reg), static_cast<std::int64_t>(prev));
 
     router.clearPlanCache();
     EXPECT_EQ(router.planCacheBytes(), 0u);
+    EXPECT_EQ(residentBytesGauge(reg), 0);
 }
 
-TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
+TEST(Router, ByteBudgetIsTheCapacityItImplies)
 {
     // Every plan at one n has one size whatever its strategy, so a
     // byte budget is the capacity it implies: 3.5 plans' worth holds
@@ -291,16 +314,9 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
         // Hold the first plan's handle across its eviction.
         const auto held = sightTwice(router, perms[0]);
         (void)sightTwice(capped, perms[0]);
-        // Each insert is followed by a scripted touch of an earlier
-        // pattern (a miss when it is already evicted).
-        const std::vector<std::size_t> touch = {0, 0, 1, 0, 3,
-                                                2, 5, 4, 7, 6};
         for (std::size_t i = 1; i < perms.size(); ++i) {
-            for (const Router *r : {&router, &capped}) {
+            for (const Router *r : {&router, &capped})
                 ASSERT_GT(sightUntilResident(*r, perms[i]), 0u);
-                const Permutation &t = perms[touch[i]];
-                (void)r->findCached(t, Router::hashPermutation(t));
-            }
             EXPECT_EQ(router.planCacheSize(),
                       capped.planCacheSize()) << "insert " << i;
         }
@@ -317,7 +333,7 @@ TEST(Router, ByteBudgetEvictsLeastRecentlyUsed)
                 << "pattern " << i;
         }
 
-        // The held plan outlives its eviction and still executes.
+        // The held plan still executes, evicted or not.
         EXPECT_EQ(router.execute(*held, data), perms[0].applyTo(data));
     }
 
@@ -379,85 +395,143 @@ TEST(Router, ColdPlansRunOnlyTheTagPassesTheyNeed)
     }
 }
 
-TEST(Router, CapacityEvictsGlobalLeastRecentlyUsed)
+/** Whether @p d's plan is resident in @p router (a hit sights it). */
+bool
+resident(const Router &router, const Permutation &d)
 {
-    // Fill a 32-slot cache spread over 8 shards, touch a scripted
-    // subset, then admit 20 more patterns: each admission evicts the
-    // least recently used entry across all shards, so the evicted
-    // ones are exactly the 20 least recently used: the 17 untouched
-    // entries, then the 3 whose last touch came first (one of them
-    // touched twice, so only its second touch counts).
+    return router.findCached(d, Router::hashPermutation(d)) != nullptr;
+}
+
+/** @p count distinct random permutations of 2^n lines. */
+std::vector<Permutation>
+distinctPerms(unsigned n, std::size_t count, Prng &prng)
+{
+    std::vector<Permutation> perms;
+    while (perms.size() < count) {
+        Permutation d = Permutation::random(Word{1} << n, prng);
+        if (std::find(perms.begin(), perms.end(), d) == perms.end())
+            perms.push_back(std::move(d));
+    }
+    return perms;
+}
+
+TEST(Router, FullTierEvictsOnlyALessFrequentResident)
+{
+    // An admission into a full 32-slot tier over 8 shards compares
+    // the newcomer with one resident drawn at random, and evicts
+    // exactly that one, only when the sketch estimates the newcomer
+    // strictly more frequent. Residents sighted 8 times keep out
+    // newcomers sighted twice; a newcomer sighted more often than
+    // every resident gets in, over exactly one of them.
     Prng prng(37);
     const unsigned n = 4;
-    const Word N = Word{1} << n;
     const std::size_t capacity = 32;
     const Router router(n, false, capacity, /*shards=*/8);
     ASSERT_EQ(router.planCacheShards(), 8u);
-
-    std::vector<Permutation> resident;
-    while (resident.size() < capacity) {
-        Permutation d = Permutation::random(N, prng);
-        if (std::find(resident.begin(), resident.end(), d) ==
-            resident.end())
-            resident.push_back(std::move(d));
-    }
-    for (const Permutation &d : resident)
-        (void)sightTwice(router, d);
+    std::vector<Permutation> perms = distinctPerms(n, capacity + 17, prng);
+    const std::vector<Permutation> residents(perms.begin(),
+                                             perms.begin() + capacity);
+    for (const Permutation &d : residents)
+        for (int k = 0; k < 8; ++k)
+            (void)router.planCached(d);
     ASSERT_EQ(router.planCacheSize(), capacity);
 
-    // Recency after the script, least recent first: the untouched
-    // entries in insertion order, then the touched ones in the
-    // order of their last touch.
-    const std::vector<std::size_t> script = {3,  17, 0,  29, 8,  3,
-                                             21, 12, 31, 5,  17, 26,
-                                             14, 0,  9,  23, 2,  30};
-    for (std::size_t i : script)
-        ASSERT_NE(router.findCached(resident[i],
-                                    Router::hashPermutation(resident[i])),
-                  nullptr);
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < capacity; ++i)
-        if (std::find(script.begin(), script.end(), i) == script.end())
-            order.push_back(i);
-    std::vector<std::size_t> touched;
-    for (auto it = script.rbegin(); it != script.rend(); ++it)
-        if (std::find(touched.begin(), touched.end(), *it) ==
-            touched.end())
-            touched.insert(touched.begin(), *it);
-    order.insert(order.end(), touched.begin(), touched.end());
+    for (std::size_t i = capacity; i + 1 < perms.size(); ++i) {
+        (void)sightTwice(router, perms[i]);
+        EXPECT_FALSE(resident(router, perms[i])) << "newcomer " << i;
+    }
+    CacheStats t = router.cacheStats();
+    EXPECT_EQ(t.lost_to_victim, 16u);
+    EXPECT_EQ(t.evictions, 0u);
+    EXPECT_EQ(t.size, capacity);
 
-    const std::size_t extra = 20;
-    std::size_t added = 0;
-    while (added < extra) {
-        const Permutation d = Permutation::random(N, prng);
-        if (std::find(resident.begin(), resident.end(), d) !=
-            resident.end())
-            continue;
-        ASSERT_GT(sightUntilResident(router, d), 0u);
-        ++added;
-    }
+    const Permutation &frequent = perms.back();
+    for (int k = 0; k < 12; ++k)
+        (void)router.planCached(frequent);
+    EXPECT_TRUE(resident(router, frequent));
+    t = router.cacheStats();
+    EXPECT_EQ(t.size, capacity);
+    EXPECT_EQ(t.evictions, 1u);
+    EXPECT_EQ(t.admitted, capacity + 1);
+    std::size_t kept = 0;
+    for (const Permutation &d : residents)
+        kept += resident(router, d) ? 1 : 0;
+    EXPECT_EQ(kept, capacity - 1);
+}
+
+TEST(Router, EachRepeatMeetsAFreshlyDrawnResident)
+{
+    // Half of a full 32-slot tier is sighted 12 times, half twice. A
+    // newcomer sighted ten times beats only the infrequent half, so
+    // each of its eight repeats after the second wins or loses by the
+    // resident it meets. Each decision draws anew, so nearly every
+    // newcomer finds an infrequent resident; a draw fixed by the
+    // newcomer's key would keep about half of them out for good. No
+    // frequent resident is ever evicted.
+    Prng prng(47);
+    const unsigned n = 4;
+    const std::size_t capacity = 32;
+    const std::size_t newcomers = 8;
+    const Router router(n, false, capacity, /*shards=*/8);
+    const std::vector<Permutation> perms =
+        distinctPerms(n, capacity + newcomers, prng);
+    for (std::size_t i = 0; i < capacity; ++i)
+        for (int k = 0; k < (i % 2 == 0 ? 12 : 2); ++k)
+            (void)router.planCached(perms[i]);
+    ASSERT_EQ(router.planCacheSize(), capacity);
+
+    for (std::size_t i = capacity; i < perms.size(); ++i)
+        for (int k = 0; k < 10; ++k)
+            (void)router.planCached(perms[i]);
+    std::size_t admitted = 0;
+    for (std::size_t i = capacity; i < perms.size(); ++i)
+        admitted += resident(router, perms[i]) ? 1 : 0;
+    EXPECT_GE(admitted, newcomers - 1);
     EXPECT_EQ(router.planCacheSize(), capacity);
-    EXPECT_EQ(router.planCacheEvictions(), extra);
-    for (std::size_t rank = 0; rank < capacity; ++rank) {
-        const Permutation &d = resident[order[rank]];
-        const bool kept =
-            router.findCached(d, Router::hashPermutation(d)) != nullptr;
-        EXPECT_EQ(kept, rank >= extra)
-            << "entry " << order[rank] << " at recency rank " << rank;
+    for (std::size_t i = 0; i < capacity; i += 2)
+        EXPECT_TRUE(resident(router, perms[i])) << "frequent " << i;
+}
+
+TEST(Router, RoutersFedTheSameOperationsHoldTheSameKeys)
+{
+    // The victim draw is a per-Router sequence, so two routers of one
+    // shape fed the same operations compare and evict the same
+    // residents: a churn of five times the capacity, each pattern
+    // sighted one to five times, leaves both holding the same keys.
+    Prng prng(43);
+    const unsigned n = 4;
+    const std::size_t capacity = 32;
+    const Router a(n, false, capacity, /*shards=*/8);
+    const Router b(n, false, capacity, /*shards=*/8);
+    const std::vector<Permutation> perms =
+        distinctPerms(n, 5 * capacity, prng);
+    for (const Permutation &d : perms) {
+        const std::size_t sightings = 1 + prng.below(5);
+        for (std::size_t k = 0; k < sightings; ++k)
+            for (const Router *r : {&a, &b})
+                (void)r->planCached(d);
     }
+    EXPECT_GT(a.planCacheEvictions(), 0u);
+    EXPECT_EQ(a.planCacheEvictions(), b.planCacheEvictions());
+    EXPECT_EQ(a.planCacheSize(), capacity);
+    EXPECT_EQ(b.planCacheSize(), capacity);
+    for (std::size_t i = 0; i < perms.size(); ++i)
+        EXPECT_EQ(resident(a, perms[i]), resident(b, perms[i]))
+            << "pattern " << i;
 }
 
 TEST(Router, FindCachedRacesInsertsPastCapacity)
 {
     // Readers look up a fixed set while one writer inserts far past
-    // capacity, so hits touch stamps while inserts swap-remove them.
-    // Every hit is the pattern asked for, and the cache ends within
-    // capacity with its byte account intact.
+    // capacity, so hits read the shards while inserts and evictions
+    // swap-remove their keys. Every hit is the pattern asked for, and
+    // the cache ends within capacity with its byte gauge intact.
     Prng prng(41);
     const unsigned n = 4;
     const Word N = Word{1} << n;
     const std::size_t capacity = 16;
-    const Router router(n, false, capacity, /*shards=*/4);
+    obs::MetricsRegistry reg;
+    const Router router(n, false, capacity, /*shards=*/4, &reg);
     std::vector<Permutation> hot;
     for (int i = 0; i < 8; ++i)
         hot.push_back(Permutation::random(N, prng));
@@ -489,10 +563,9 @@ TEST(Router, FindCachedRacesInsertsPastCapacity)
 
     EXPECT_EQ(wrong.load(), 0);
     EXPECT_LE(router.planCacheSize(), capacity);
-    std::size_t bytes = 0;
-    for (const CacheShardStats &s : router.cacheStats())
-        bytes += s.bytes;
-    EXPECT_EQ(bytes, router.planCacheBytes());
+    EXPECT_GT(router.planCacheEvictions(), 0u);
+    EXPECT_EQ(residentBytesGauge(reg),
+              static_cast<std::int64_t>(router.planCacheBytes()));
 }
 
 TEST(Router, FindCachedNeverPlans)
@@ -593,24 +666,6 @@ TEST(Router, KeyCollisionIsNeverAHit)
 
 // ------------------------------------------ frequency-gated admission
 
-/** Every shard's counters, summed. */
-CacheShardStats
-cacheTotals(const Router &router)
-{
-    CacheShardStats t;
-    for (const CacheShardStats &s : router.cacheStats()) {
-        t.size += s.size;
-        t.hits += s.hits;
-        t.misses += s.misses;
-        t.evictions += s.evictions;
-        t.bytes += s.bytes;
-        t.admitted += s.admitted;
-        t.first_sightings += s.first_sightings;
-        t.lost_to_victim += s.lost_to_victim;
-    }
-    return t;
-}
-
 TEST(RouterAdmission, FirstSightingIsServedButNotResident)
 {
     Prng prng(61);
@@ -627,7 +682,7 @@ TEST(RouterAdmission, FirstSightingIsServedButNotResident)
     EXPECT_EQ(router.execute(*first, data), d.applyTo(data));
     EXPECT_EQ(router.findCached(d, key), nullptr);
     EXPECT_EQ(router.planCacheSize(), 0u);
-    CacheShardStats t = cacheTotals(router);
+    CacheStats t = router.cacheStats();
     EXPECT_EQ(t.misses, 1u);
     EXPECT_EQ(t.first_sightings, 1u);
     EXPECT_EQ(t.admitted, 0u);
@@ -637,7 +692,7 @@ TEST(RouterAdmission, FirstSightingIsServedButNotResident)
     EXPECT_NE(second.get(), first.get());
     EXPECT_EQ(router.findCached(d, key).get(), second.get());
     EXPECT_EQ(router.execute(*second, data), d.applyTo(data));
-    t = cacheTotals(router);
+    t = router.cacheStats();
     EXPECT_EQ(t.misses, 2u);
     EXPECT_EQ(t.admitted, 1u);
     EXPECT_EQ(t.hits, 1u);
@@ -663,7 +718,7 @@ TEST(RouterAdmission, ClearForgetsSightings)
         EXPECT_EQ(router.findCached(*d, Router::hashPermutation(*d)),
                   nullptr);
     }
-    const CacheShardStats t = cacheTotals(router);
+    const CacheStats t = router.cacheStats();
     EXPECT_EQ(t.first_sightings, 2u);
     EXPECT_EQ(t.admitted, 0u);
     EXPECT_EQ(router.planCacheSize(), 0u);
@@ -715,7 +770,7 @@ TEST(RouterAdmission, OneShotPatternsStayOutOfAFreshCache)
         (void)router.planCached(Permutation::random(N, prng));
 
     EXPECT_LE(router.planCacheSize(), 8u);
-    const CacheShardStats t = cacheTotals(router);
+    const CacheStats t = router.cacheStats();
     EXPECT_EQ(t.misses, scan);
     EXPECT_EQ(t.admitted + t.first_sightings + t.lost_to_victim,
               t.misses);
@@ -754,11 +809,11 @@ TEST(RouterAdmission, ZipfDrawBeatsLruHitRatio)
     };
     for (int i = 0; i < 20000; ++i)
         sight();
-    const CacheShardStats before = cacheTotals(router);
+    const CacheStats before = router.cacheStats();
     const int draws = 120000;
     for (int i = 0; i < draws; ++i)
         sight();
-    const CacheShardStats after = cacheTotals(router);
+    const CacheStats after = router.cacheStats();
 
     const double hits = static_cast<double>(after.hits - before.hits);
     const double misses =
@@ -825,7 +880,7 @@ TEST(RouterAdmission, FindersRacePlannersUnderAdmission)
 
     EXPECT_EQ(wrong.load(), 0);
     EXPECT_LE(router.planCacheSize(), capacity);
-    const CacheShardStats t = cacheTotals(router);
+    const CacheStats t = router.cacheStats();
     EXPECT_EQ(t.admitted + t.first_sightings + t.lost_to_victim,
               t.misses);
     EXPECT_GT(t.admitted, hot.size());

@@ -19,8 +19,10 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <poll.h>
 #include <string>
@@ -471,6 +473,28 @@ TEST_F(SrbdTest, WireDeadlineSurfacesAsDeadlineExceeded)
     EXPECT_EQ(seriesValue(before, expired), 0);
     EXPECT_EQ(seriesValue(after, expired), 1);
     EXPECT_EQ(seriesValue(after, responsesSeries(Status::Ok)), 0);
+    client.close();
+    EXPECT_TRUE(stopServer());
+}
+
+TEST_F(SrbdTest, UnrepresentableWireDeadlineIsNoDeadline)
+{
+    startServer(defaults());
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+
+    // now + 2^64 - 1 would wrap into the past; a relative deadline
+    // the clock cannot represent must not expire the request.
+    Prng prng(37);
+    std::vector<Word> expected;
+    SubmitMsg m = randomSubmit(1, prng, &expected);
+    m.deadline_rel_ns = std::numeric_limits<std::uint64_t>::max();
+    Message response;
+    ASSERT_TRUE(client.roundTrip(Message{m}, response));
+    auto *res = std::get_if<SubmitResultMsg>(&response);
+    ASSERT_NE(res, nullptr);
+    EXPECT_EQ(res->status, Status::Ok);
+    EXPECT_EQ(res->payload, expected);
     client.close();
     EXPECT_TRUE(stopServer());
 }

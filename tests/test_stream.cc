@@ -239,22 +239,15 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
     for (unsigned t = 0; t < kThreads + kFinders; ++t)
         EXPECT_EQ(failures[t], 0) << "thread " << t;
 
-    const auto stats = router.cacheStats();
-    EXPECT_EQ(stats.size(), router.planCacheShards());
-    std::size_t hits = 0, misses = 0, size = 0;
-    for (const auto &s : stats) {
-        hits += s.hits;
-        misses += s.misses;
-        size += s.size;
-    }
-    EXPECT_EQ(hits, router.planCacheHits());
-    EXPECT_EQ(misses, router.planCacheMisses());
+    const CacheStats stats = router.cacheStats();
+    EXPECT_EQ(stats.hits, router.planCacheHits());
+    EXPECT_EQ(stats.misses, router.planCacheMisses());
     // A findCached hit counts like planCached's; its miss counts
     // nothing.
-    EXPECT_EQ(hits + misses,
+    EXPECT_EQ(stats.hits + stats.misses,
               std::size_t{kThreads} * kIters + found[0] + found[1]);
-    EXPECT_LE(size, 8u);
-    EXPECT_GT(hits, 0u);
+    EXPECT_LE(stats.size, 8u);
+    EXPECT_GT(stats.hits, 0u);
     // 12 patterns can't fit in 8 slots, so evictions must occur.
     EXPECT_GT(router.planCacheEvictions(), 0u);
 }
@@ -358,7 +351,8 @@ TEST(StreamEngineTest, RoutesEveryRequestExactly)
     EXPECT_EQ(eng.router().planCacheMisses(), 0u);
     EXPECT_GT(st.perms_per_sec, 0.0);
     EXPECT_GE(st.p99_ns, st.p50_ns);
-    EXPECT_EQ(st.shared_shards.size(), eng.router().planCacheShards());
+    EXPECT_EQ(st.shared_cache.hits + st.shared_cache.misses, 0u);
+    EXPECT_EQ(st.shared_cache.size, 0u);
 }
 
 TEST(StreamEngineTest, MatchesReferenceSimulatorForFMembers)
@@ -488,10 +482,8 @@ TEST(StreamEngineTest, MultipleProducersAndColdPatterns)
     EXPECT_GT(st.inline_served, 0u);
     EXPECT_LE(st.inline_served, eng.router().planCacheHits());
     EXPECT_GT(eng.router().planCacheMisses(), 0u);
-    std::size_t shard_size = 0;
-    for (const auto &s : st.shared_shards)
-        shard_size += s.size;
-    EXPECT_LE(shard_size, opts.shared_cache_capacity);
+    EXPECT_EQ(st.shared_cache.hits, eng.router().planCacheHits());
+    EXPECT_LE(st.shared_cache.size, opts.shared_cache_capacity);
 }
 
 TEST(StreamEngineTest, ResultsRemainPollableAfterStop)
@@ -749,13 +741,8 @@ TEST(StreamEngineTest, FirstSightingIsServedButNotKept)
         EXPECT_EQ(eng.stats().inline_served, 0u) << "request " << id;
         EXPECT_EQ(router.planCacheSize(), id) << "request " << id;
     }
-    std::size_t first = 0, admitted = 0;
-    for (const CacheShardStats &s : router.cacheStats()) {
-        first += s.first_sightings;
-        admitted += s.admitted;
-    }
-    EXPECT_EQ(first, 1u);
-    EXPECT_EQ(admitted, 1u);
+    EXPECT_EQ(router.cacheStats().first_sightings, 1u);
+    EXPECT_EQ(router.cacheStats().admitted, 1u);
 
     payload = iotaPayload(N, 2);
     ASSERT_TRUE(prod.trySubmit(2, perm, payload));
