@@ -26,14 +26,19 @@
  * phase of the miss: the F gate, the factor, the two verification
  * passes, and planCached's own share with the cache full, for a
  * first sighting the admission gate drops and for a miss it admits
- * over a resident drawn at random. Its Omega rows time cold OmegaBit plans the
- * same way, and its Waksman rows cold prefer_waksman plans of the
- * arbitrary rows' pool: the same factor, its two passes stitched
- * into one state set and one forced pass. The E2b sections run in
- * interleaved rounds (3, or 1 in smoke), and each row records the
- * least and greatest of its round medians beside the pooled median,
- * p10 and p90. Emits machine-readable BENCH_setup.json;
- * SRBENES_BENCH_SMOKE=1 runs the reduced CI configuration.
+ * over a resident drawn at random. Its Omega rows time cold OmegaBit
+ * plans the same way, and its Waksman rows cold prefer_waksman plans
+ * of the arbitrary rows' pool: the same factor, its two passes
+ * stitched into one state set and one forced pass. Its hit rows time the
+ * steps of a plan hit on a Submit's tag words at n = 8, 10 and 12,
+ * over a pool resident in a tier of srbd's shape: the keyed hash
+ * kernel, the raw-tag findCached with its identity check, and
+ * Permutation::tryFrom on the same words, which a hit no longer runs
+ * and a miss still does. The E2b sections run in interleaved rounds
+ * (3, or 1 in smoke), and each row records the least and greatest of
+ * its round medians beside the pooled median, p10 and p90. Emits
+ * machine-readable BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the
+ * reduced CI configuration.
  */
 
 #include <algorithm>
@@ -223,6 +228,18 @@ struct ColdPlanRow
     std::size_t pool;
     std::size_t samples;
     Rounds plan;
+};
+
+/** The steps of a plan hit on a Submit's tag words. */
+struct HitRow
+{
+    unsigned n;
+    Word N;
+    std::size_t pool;
+    std::size_t samples;
+    Rounds hash;     //!< hashTags128, the keyed kernel
+    Rounds lookup;   //!< raw-tag findCached, identity check included
+    Rounds validate; //!< Permutation::tryFrom, which a miss still pays
 };
 
 /** Row @p i of @p rows, added with @p fresh on the first round. */
@@ -631,6 +648,113 @@ waksmanRound(bool smoke, std::vector<ColdPlanRow> &rows)
     return true;
 }
 
+/**
+ * One round of a plan hit's steps at n = 8, 10 and 12, over a pool of
+ * random permutations resident in a tier of srbd's shape (512 slots,
+ * 8 shards, each pattern sighted twice), on the pool's tag words as
+ * a decoded Submit carries them. Each sample is the mean of kBatch
+ * consecutive calls over the pool, so the clock's own cost stays out
+ * of sub-microsecond steps. Returns false if a lookup misses.
+ */
+bool
+hitRound(bool smoke, std::vector<HitRow> &rows)
+{
+    constexpr std::size_t kBatch = 16;
+    const std::size_t pool_size = 64;
+    const std::size_t samples = smoke ? 64 : 512;
+    std::size_t i = 0;
+    for (unsigned n = 8; n <= 12; n += 2, ++i) {
+        const Word N = Word{1} << n;
+        const Router router(n, false, /*plan_cache_capacity=*/512,
+                            /*cache_shards=*/8, /*metrics=*/nullptr);
+        const std::vector<Permutation> pool = arbitraryPool(n, pool_size);
+        std::vector<std::vector<Word>> words;
+        std::vector<std::uint64_t> keys;
+        for (const Permutation &d : pool) {
+            (void)router.planCached(d);
+            (void)router.planCached(d);
+            words.push_back(d.dest());
+            keys.push_back(Router::hashPermutation(d));
+        }
+        if (router.planCacheSize() != pool_size)
+            return false;
+
+        std::vector<double> hash, lookup, validate;
+        std::vector<std::vector<Word>> copies(kBatch);
+        for (std::size_t k = 0; k < samples; ++k) {
+            const std::size_t base = k * kBatch;
+            auto t0 = std::chrono::steady_clock::now();
+            for (std::size_t b = 0; b < kBatch; ++b) {
+                const std::vector<Word> &w = words[(base + b) % pool_size];
+                const Hash128 h = hashTags128(w.data(), w.size());
+                benchmark::DoNotOptimize(h);
+            }
+            auto t1 = std::chrono::steady_clock::now();
+            hash.push_back(elapsedUs(t0, t1) / kBatch);
+
+            bool hit = true;
+            t0 = std::chrono::steady_clock::now();
+            for (std::size_t b = 0; b < kBatch; ++b) {
+                const std::size_t j = (base + b) % pool_size;
+                auto plan = router.findCached(words[j].data(), N, keys[j]);
+                hit = hit && plan != nullptr;
+                benchmark::DoNotOptimize(plan);
+            }
+            t1 = std::chrono::steady_clock::now();
+            if (!hit)
+                return false;
+            lookup.push_back(elapsedUs(t0, t1) / kBatch);
+
+            // tryFrom takes its vector: the copies are made untimed,
+            // as srbd hands it the decoded one.
+            for (std::size_t b = 0; b < kBatch; ++b)
+                copies[b] = words[(base + b) % pool_size];
+            t0 = std::chrono::steady_clock::now();
+            for (std::size_t b = 0; b < kBatch; ++b) {
+                auto valid = Permutation::tryFrom(std::move(copies[b]));
+                benchmark::DoNotOptimize(valid);
+            }
+            t1 = std::chrono::steady_clock::now();
+            validate.push_back(elapsedUs(t0, t1) / kBatch);
+        }
+        HitRow &row =
+            roundRow(rows, i, HitRow{n, N, pool_size, samples, {}, {}, {}});
+        addRound(row.hash, std::move(hash));
+        addRound(row.lookup, std::move(lookup));
+        addRound(row.validate, std::move(validate));
+    }
+    return true;
+}
+
+void
+printHit(const std::vector<HitRow> &rows)
+{
+    std::cout << "=== E2b: a plan hit's steps on a Submit's tag words "
+                 "(random permutations, 512-slot tier) ===\n\n";
+    TextTable table({"n", "N", "hash us", "lookup us", "validate us",
+                     "hash p90 us", "lookup p90 us", "validate p90 us"});
+    for (const HitRow &r : rows) {
+        const Spread hash = spreadOf(r.hash);
+        const Spread lookup = spreadOf(r.lookup);
+        const Spread validate = spreadOf(r.validate);
+        table.newRow();
+        table.addCell(r.n);
+        table.addCell(r.N);
+        table.addCell(hash.median_us, 3);
+        table.addCell(lookup.median_us, 3);
+        table.addCell(validate.median_us, 3);
+        table.addCell(hash.p90_us, 3);
+        table.addCell(lookup.p90_us, 3);
+        table.addCell(validate.p90_us, 3);
+    }
+    table.print(std::cout);
+    std::cout << "\n(hash: hashTags128, the keyed stripe kernel; lookup: "
+                 "findCached on the raw words, identity\ncheck included; "
+                 "validate: Permutation::tryFrom, which a hit no longer "
+                 "runs and a miss\nstill does; each sample the mean of "
+                 "16 calls over the pool)\n\n";
+}
+
 void
 printColdTable(const char *title, const char *note,
                const std::vector<ColdPlanRow> &rows)
@@ -653,17 +777,19 @@ printColdTable(const char *title, const char *note,
 }
 
 /** Print @p what's median, p10, p90 and round-median range as JSON
- *  fields. */
+ *  fields, with @p digits decimals. */
 void
-printSpread(std::FILE *jf, const char *what, const Rounds &r)
+printSpread(std::FILE *jf, const char *what, const Rounds &r,
+            int digits = 1)
 {
     const Spread s = spreadOf(r);
     std::fprintf(jf,
-                 "\"%s_median\": %.1f, \"%s_p10\": %.1f, "
-                 "\"%s_p90\": %.1f, \"%s_round_min\": %.1f, "
-                 "\"%s_round_max\": %.1f",
-                 what, s.median_us, what, s.p10_us, what, s.p90_us, what,
-                 s.round_min_us, what, s.round_max_us);
+                 "\"%s_median\": %.*f, \"%s_p10\": %.*f, "
+                 "\"%s_p90\": %.*f, \"%s_round_min\": %.*f, "
+                 "\"%s_round_max\": %.*f",
+                 what, digits, s.median_us, what, digits, s.p10_us, what,
+                 digits, s.p90_us, what, digits, s.round_min_us, what,
+                 digits, s.round_max_us);
 }
 
 /** One JSON array of cold-plan rows of @p strategy. */
@@ -714,7 +840,8 @@ bool
 writeSetupJson(unsigned rounds, const std::vector<SetupRow> &rows,
                const std::vector<ArbitraryRow> &arbitrary,
                const std::vector<ColdPlanRow> &omega,
-               const std::vector<ColdPlanRow> &waksman)
+               const std::vector<ColdPlanRow> &waksman,
+               const std::vector<HitRow> &hit)
 {
     const char *path = "BENCH_setup.json";
     std::FILE *jf = std::fopen(path, "w");
@@ -805,6 +932,30 @@ writeSetupJson(unsigned rounds, const std::vector<SetupRow> &rows,
     printColdRows(jf, "waksman", waksman);
     std::fprintf(jf, "  ],\n  \"waksman_over_arbitrary\": [\n");
     printWaksmanRatios(jf, arbitrary, waksman);
+    std::fprintf(jf,
+                 "  ],\n  \"hit_workload\": \"the steps of a plan hit "
+                 "on a Submit's tag words: random permutations resident "
+                 "in a 512-slot, 8-shard tier; hash: hashTags128, the "
+                 "keyed stripe kernel; lookup: findCached on the raw "
+                 "words, identity check included; validate: "
+                 "Permutation::tryFrom on the same words, which a hit "
+                 "no longer runs and a miss still does; each sample "
+                 "the mean of 16 calls over the pool\",\n"
+                 "  \"hit\": [\n");
+    for (std::size_t i = 0; i < hit.size(); ++i) {
+        const HitRow &r = hit[i];
+        std::fprintf(jf,
+                     "    {\"n\": %u, \"N\": %llu, \"pool\": %zu, "
+                     "\"samples\": %zu,\n     ",
+                     r.n, static_cast<unsigned long long>(r.N), r.pool,
+                     r.samples);
+        printSpread(jf, "hash_us", r.hash, 3);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "lookup_us", r.lookup, 3);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "validate_us", r.validate, 3);
+        std::fprintf(jf, "}%s\n", i + 1 < hit.size() ? "," : "");
+    }
     std::fprintf(jf, "  ]\n}\n");
     std::fclose(jf);
     std::printf("wrote %s\n\n", path);
@@ -879,10 +1030,12 @@ main(int argc, char **argv)
     std::vector<ArbitraryRow> arbitrary;
     std::vector<ColdPlanRow> omega;
     std::vector<ColdPlanRow> waksman;
+    std::vector<HitRow> hit;
     for (unsigned r = 0; r < rounds; ++r) {
         bitslicedRound(smoke, rows);
         if (!arbitraryRound(smoke, arbitrary) ||
-            !omegaRound(smoke, omega) || !waksmanRound(smoke, waksman))
+            !omegaRound(smoke, omega) || !waksmanRound(smoke, waksman) ||
+            !hitRound(smoke, hit))
             return 1;
     }
     printBitsliced(rows);
@@ -897,7 +1050,8 @@ main(int argc, char **argv)
                    "stitched masks and one forced pass; compare the "
                    "TwoPass rows)",
                    waksman);
-    if (!writeSetupJson(rounds, rows, arbitrary, omega, waksman))
+    printHit(hit);
+    if (!writeSetupJson(rounds, rows, arbitrary, omega, waksman, hit))
         return 1;
 
     printSetupComparison(smoke ? 10u : 16u);

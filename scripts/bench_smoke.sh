@@ -68,15 +68,17 @@ done
 # sighting the admission gate drops and of a miss it admits with an
 # eviction), must be reported at n = 8, 10 and 12 with their median,
 # p10, p90 and round-median range, and so must the cold OmegaBit
-# plan of Omega members and the cold Waksman plan of the arbitrary
-# rows' pool. Presence and shape only, no timing gate
+# plan of Omega members, the cold Waksman plan of the arbitrary
+# rows' pool, and a plan hit's three steps on a Submit's words (the
+# hash, the raw-tag lookup, and the validation only a miss pays).
+# Presence and shape only, no timing gate
 # (the bench itself fails if a plan takes the wrong strategy or
 # misdelivers). The one size gate: each arbitrary row records the
 # resident bytes of one plan, and at n = 12 that is at most 16 KiB of
 # 16-bit tables plus a 128-byte header allowance.
 if [ -f BENCH_setup.json ]; then
     echo
-    echo "== cold-plan rows (TwoPass phases, OmegaBit, Waksman) =="
+    echo "== cold-plan and hit rows (TwoPass phases, OmegaBit, Waksman, hits) =="
     if ! python3 - <<'EOF'
 import json, sys
 doc = json.load(open("BENCH_setup.json"))
@@ -90,6 +92,8 @@ sections = {
                                "insert_evict_us")),
     "omega": ("omega-bit", ("router_plan_cold_us",)),
     "waksman": ("waksman", ("router_plan_cold_us",)),
+    # A plan hit's steps on a Submit's words; no strategy.
+    "hit": (None, ("hash_us", "lookup_us", "validate_us")),
 }
 for section, (strategy, quantities) in sections.items():
     by_n = {r.get("n"): r for r in doc.get(section, [])}
@@ -97,15 +101,16 @@ for section, (strategy, quantities) in sections.items():
         r = by_n.get(n)
         if r is None:
             sys.exit(f"missing n={n} {section} row in BENCH_setup.json")
-        if r.get("strategy") != strategy:
+        if strategy is not None and r.get("strategy") != strategy:
             sys.exit(f"n={n} {section} row is not {strategy}")
         keys = [k for q in quantities for k in spread(q)]
         missing = [k for k in keys
                    if not isinstance(r.get(k), (int, float))]
         if missing:
             sys.exit(f"n={n} {section} row lacks {', '.join(missing)}")
+        digits = 3 if section == "hit" else 1
         print(f"  {section} n={n}: " + "  ".join(
-            f"{q} {r[q + '_median']:.1f}" for q in quantities))
+            f"{q} {r[q + '_median']:.{digits}f}" for q in quantities))
 for r in doc.get("arbitrary", []):
     if not isinstance(r.get("plan_bytes"), int):
         sys.exit(f"n={r.get('n')} arbitrary row lacks plan_bytes")

@@ -14,8 +14,8 @@
  *  - a doorkeeper, a Bloom filter of bits. A key's first sighting in
  *    the window only sets its bits, so a key seen once never reaches
  *    the counters, and the cache never admits it;
- *  - a FrequencySketch, a count-min sketch of 4-bit counters, four to
- *    a key in one 64-bit word, which counts the later sightings.
+ *  - a FrequencySketch, a count-min sketch of 4-bit counters, one to
+ *    a key in each of four rows, which counts the later sightings.
  *
  * A sighting that changes either one is a sample. After a window of
  * samples every counter is halved and the doorkeeper cleared, so the
@@ -52,7 +52,7 @@ namespace srbenes
  * The probe sequence of one key: g_i = a + i * b (Kirsch and
  * Mitzenmacher's double hashing), each probe reduced to a table index
  * by its high bits. The doorkeeper takes probes 0..5 and the counters
- * probe 6, so one key costs two mixes.
+ * probes 6..9, so one key costs two mixes.
  */
 struct SketchProbes
 {
@@ -76,18 +76,21 @@ struct SketchProbes
 };
 
 /**
- * A count-min sketch of 4-bit counters, sixteen to a 64-bit word. A
- * key's probe picks one word, and in it one counter in each of four
- * rows: row r is nibbles 4r..4r+3, and two bits of the probe pick one
- * of them. So a key's four counters are distinct, one load reads
- * them all, and one store updates them. Its estimate is their
- * minimum.
+ * A count-min sketch of 4-bit counters, sixteen to a 64-bit word, in
+ * four rows: row r is nibbles 4r..4r+3 of every word. A key has one
+ * counter in each row, at the word its row's own probe picks by its
+ * high bits and the nibble two middle bits pick. So a key's four
+ * counters are distinct, and two keys share a row's counter in each
+ * row independently, as count-min's error bound assumes. Its
+ * estimate is their minimum.
  */
 class FrequencySketch
 {
   public:
     static constexpr unsigned kRows = 4;
     static constexpr unsigned kMax = 15;
+    /** Row r reads the key's probe kFirstProbe + r. */
+    static constexpr unsigned kFirstProbe = 6;
 
     /** @p words 64-bit words of counters (at least one), all 0. */
     explicit FrequencySketch(std::size_t words)
@@ -96,38 +99,52 @@ class FrequencySketch
     }
 
     /** Add one to each of the key's counters that is below 15; true
-     *  when any was. @p g is the key's probe for this sketch. */
+     *  when any was. Rows whose counters share a word are updated by
+     *  one load and one store of it. */
     bool
-    increment(std::uint64_t g)
+    increment(const SketchProbes &p)
     {
-        sync::Atomic<std::uint64_t> &word = words_[wordOf(g)];
-        // order: relaxed; counts order nothing (see the file comment).
-        // The word is stored whole from this one read.
-        const std::uint64_t w = word.load(std::memory_order_relaxed);
-        std::uint64_t next = w;
+        std::size_t at[kRows];
+        unsigned shift[kRows];
         for (unsigned row = 0; row < kRows; ++row) {
-            const unsigned shift = shiftOf(g, row);
-            if (((w >> shift) & kMax) != kMax)
-                next += std::uint64_t{1} << shift;
+            const std::uint64_t g = p.probe(kFirstProbe + row);
+            at[row] = wordOf(g);
+            shift[row] = shiftOf(g, row);
         }
-        if (next == w)
-            return false;
-        // order: relaxed; see the load above.
-        word.store(next, std::memory_order_relaxed);
-        return true;
+        bool changed = false;
+        for (unsigned row = 0; row < kRows; ++row) {
+            if (std::find(at, at + row, at[row]) != at + row)
+                continue; // stored with an earlier row's counter
+            sync::Atomic<std::uint64_t> &word = words_[at[row]];
+            // order: relaxed; counts order nothing (see the file
+            // comment). The word is stored whole from this one read.
+            const std::uint64_t w = word.load(std::memory_order_relaxed);
+            std::uint64_t next = w;
+            for (unsigned r = row; r < kRows; ++r)
+                if (at[r] == at[row] && ((w >> shift[r]) & kMax) != kMax)
+                    next += std::uint64_t{1} << shift[r];
+            if (next == w)
+                continue;
+            // order: relaxed; see the load above.
+            word.store(next, std::memory_order_relaxed);
+            changed = true;
+        }
+        return changed;
     }
 
     /** The minimum of the key's four counters, 0..15. */
     unsigned
-    estimate(std::uint64_t g) const
+    estimate(const SketchProbes &p) const
     {
-        // order: relaxed; see increment().
-        const std::uint64_t w =
-            words_[wordOf(g)].load(std::memory_order_relaxed);
         unsigned est = kMax;
-        for (unsigned row = 0; row < kRows; ++row)
+        for (unsigned row = 0; row < kRows; ++row) {
+            const std::uint64_t g = p.probe(kFirstProbe + row);
+            // order: relaxed; see increment().
+            const std::uint64_t w =
+                words_[wordOf(g)].load(std::memory_order_relaxed);
             est = std::min(
                 est, static_cast<unsigned>((w >> shiftOf(g, row)) & kMax));
+        }
         return est;
     }
 
@@ -165,18 +182,19 @@ class FrequencySketch
     }
 
   private:
-    /** The key's word, by the probe's high bits. */
+    /** A row's word, by its probe's high bits. */
     std::size_t
     wordOf(std::uint64_t g) const
     {
         return SketchProbes::reduce(g, words_.size());
     }
 
-    /** Row @p row's counter in that word, by two low probe bits. */
+    /** Row @p row's counter in that word, by probe bits 30..31,
+     *  which wordOf does not read. */
     static unsigned
     shiftOf(std::uint64_t g, unsigned row)
     {
-        return 4 * (4 * row + static_cast<unsigned>((g >> (2 * row)) & 3));
+        return 4 * (4 * row + static_cast<unsigned>((g >> 30) & 3));
     }
 
     std::vector<sync::Atomic<std::uint64_t>> words_;
@@ -194,7 +212,8 @@ class AdmissionSketch
   public:
     static constexpr std::size_t kWindowPerEntry = 10;
     static constexpr std::size_t kBitsPerSample = 32;
-    static constexpr unsigned kDoorkeeperProbes = 6;
+    static constexpr unsigned kDoorkeeperProbes =
+        FrequencySketch::kFirstProbe;
     /** A smaller tier is sized as this many entries, so a tier of a
      *  few plans is not aged every few dozen lookups. */
     static constexpr std::size_t kMinCapacity = 64;
@@ -228,7 +247,7 @@ class AdmissionSketch
                     0)
                 seen = false;
         }
-        if (seen && !counters_.increment(p.probe(kDoorkeeperProbes)))
+        if (seen && !counters_.increment(p))
             return seen;
         // A sample: start a new window after window_ of them.
         // order: relaxed; the sample count only paces the aging.
@@ -247,8 +266,7 @@ class AdmissionSketch
     estimate(std::uint64_t key) const
     {
         const SketchProbes p(key);
-        return counters_.estimate(p.probe(kDoorkeeperProbes)) +
-               (doorkeeperHas(p) ? 1 : 0);
+        return counters_.estimate(p) + (doorkeeperHas(p) ? 1 : 0);
     }
 
     /** Forget every sighting. */

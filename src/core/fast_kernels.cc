@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -42,6 +43,77 @@ equalWidenedScalar(const std::uint16_t *narrow, const Word *wide,
     for (Word i = 0; i < count; ++i)
         diff |= wide[i] ^ Word{narrow[i]};
     return diff == 0;
+}
+
+/** The scramble's multiplier: XXH32's first prime, below 2^32 so a
+ *  SIMD body multiplies by it with two vpmuludq. */
+constexpr std::uint64_t kHashPrime32 = 2654435761u;
+
+/** The accumulator lanes of the tag hash. */
+using HashLanes = std::uint64_t[kHashLanes];
+
+/** A level's stripe body: takes @p stripes full stripes of tags into
+ *  the lanes. */
+using HashStripes = void (*)(HashLanes &acc, const Word *tags,
+                             Word stripes, const HashKey &key);
+
+/**
+ * The tag hash around a level's stripe body: lanes start at their key
+ * words, @p stripes runs every full stripe and then the tail, padded
+ * with zero tags to a stripe of its own, and the lanes fold into the
+ * 128 bits. The fold pairs lane l with lane l + 8 turned by half a
+ * word, then runs the splitmix chains, the high one over the pairs in
+ * reverse.
+ */
+Hash128
+hashTagsWith(const Word *tags, Word count, const HashKey &key,
+             HashStripes stripes)
+{
+    HashLanes acc;
+    std::copy(key.lane, key.lane + kHashLanes, acc);
+    const Word full = count / kHashStripe;
+    stripes(acc, tags, full, key);
+    if (full * kHashStripe < count) {
+        Word pad[kHashStripe] = {};
+        std::copy(tags + full * kHashStripe, tags + count, pad);
+        stripes(acc, pad, 1, key);
+    }
+
+    constexpr unsigned kPairs = kHashLanes / 2;
+    std::uint64_t pair[kPairs];
+    for (unsigned l = 0; l < kPairs; ++l)
+        pair[l] = acc[l] ^ std::rotl(acc[l + kPairs], 32);
+    Hash128 h;
+    h.lo = mix64(key.lo ^ count);
+    h.hi = mix64(key.hi ^ ~count);
+    for (unsigned l = 0; l < kPairs; ++l) {
+        h.lo = mix64(h.lo ^ pair[l]);
+        h.hi = mix64(h.hi ^ pair[kPairs - 1 - l]);
+    }
+    return h;
+}
+
+void
+hashStripesScalar(HashLanes &acc, const Word *tags, Word stripes,
+                  const HashKey &key)
+{
+    for (Word s = 0; s < stripes; ++s, tags += kHashStripe) {
+        for (unsigned l = 0; l < kHashLanes; ++l) {
+            const std::uint64_t d =
+                (tags[2 * l] & 0xffffffffu) | (tags[2 * l + 1] << 32);
+            const std::uint64_t x = d ^ key.lane[l];
+            std::uint64_t a = acc[l] + (x & 0xffffffffu) * (x >> 32) + d;
+            a ^= a >> 47;
+            a ^= key.lane[l];
+            acc[l] = a * kHashPrime32;
+        }
+    }
+}
+
+Hash128
+hashTagsScalar(const Word *tags, Word count, const HashKey &key)
+{
+    return hashTagsWith(tags, count, key, hashStripesScalar);
 }
 
 void
@@ -206,8 +278,9 @@ factorSplitScalar(const FactorLevel &lv)
 }
 
 constexpr KernelTable kScalarTable = {
-    gatherScalar,   equalWidenedScalar, deltaSwapScalar,   pairSwapScalar,
-    packTagsScalar, factorChaseScalar,  factorSplitScalar, "scalar"};
+    gatherScalar,      equalWidenedScalar, hashTagsScalar,
+    deltaSwapScalar,   pairSwapScalar,     packTagsScalar,
+    factorChaseScalar, factorSplitScalar,  "scalar"};
 
 #if SRBENES_X86_KERNELS
 
@@ -259,6 +332,73 @@ equalWidenedAvx2(const std::uint16_t *narrow, const Word *wide,
     for (; i < count; ++i)
         tail |= wide[i] ^ Word{narrow[i]};
     return tail == 0 && _mm256_testz_si256(diff, diff);
+}
+
+/**
+ * The hash's pairs of adjacent tags from @p p's eight words, one
+ * vshufps taking the low 32 bits of each: as 64-bit lanes, the pairs
+ * of tags (0, 1), (4, 5), (2, 3), (6, 7), the order kPairOrder undoes.
+ */
+__attribute__((target("avx2"))) __m256i
+tagPairsAvx2(const Word *p)
+{
+    const __m256 a = _mm256_loadu_ps(reinterpret_cast<const float *>(p));
+    const __m256 b =
+        _mm256_loadu_ps(reinterpret_cast<const float *>(p + 4));
+    return _mm256_castps_si256(
+        _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+}
+
+/** One stripe step of four lanes: take @p d, then scramble. */
+__attribute__((target("avx2"))) __m256i
+hashStepAvx2(__m256i acc, __m256i d, __m256i k, __m256i prime)
+{
+    const __m256i x = _mm256_xor_si256(d, k);
+    acc = _mm256_add_epi64(
+        acc, _mm256_add_epi64(_mm256_mul_epu32(x, _mm256_srli_epi64(x, 32)),
+                              d));
+    acc = _mm256_xor_si256(acc, _mm256_srli_epi64(acc, 47));
+    acc = _mm256_xor_si256(acc, k);
+    // acc * prime, the 32-bit prime times each half of acc.
+    const __m256i lo = _mm256_mul_epu32(acc, prime);
+    const __m256i hi = _mm256_slli_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64(acc, 32), prime), 32);
+    return _mm256_add_epi64(lo, hi);
+}
+
+__attribute__((target("avx2"))) void
+hashStripesAvx2(HashLanes &acc, const Word *tags, Word stripes,
+                const HashKey &key)
+{
+    // Register lanes 1 and 2 of each vector hold hash lanes 4q + 2
+    // and 4q + 1 (tagPairsAvx2's order): the keys and accumulators
+    // are swapped to match on the way in and back on the way out.
+    constexpr int kPairOrder = _MM_SHUFFLE(3, 1, 2, 0);
+    constexpr unsigned kVecs = kHashLanes / 4;
+    auto *a = reinterpret_cast<__m256i *>(acc);
+    const auto *kv = reinterpret_cast<const __m256i *>(key.lane);
+    const __m256i prime = _mm256_set1_epi64x(kHashPrime32);
+    __m256i k[kVecs], v[kVecs];
+    for (unsigned q = 0; q < kVecs; ++q) {
+        k[q] = _mm256_permute4x64_epi64(_mm256_loadu_si256(kv + q),
+                                        kPairOrder);
+        v[q] = _mm256_permute4x64_epi64(_mm256_loadu_si256(a + q),
+                                        kPairOrder);
+    }
+    for (Word s = 0; s < stripes; ++s, tags += kHashStripe)
+#pragma GCC unroll 4
+        for (unsigned q = 0; q < kVecs; ++q)
+            v[q] = hashStepAvx2(v[q], tagPairsAvx2(tags + 8 * q), k[q],
+                                prime);
+    for (unsigned q = 0; q < kVecs; ++q)
+        _mm256_storeu_si256(a + q,
+                            _mm256_permute4x64_epi64(v[q], kPairOrder));
+}
+
+__attribute__((target("avx2"))) Hash128
+hashTagsAvx2(const Word *tags, Word count, const HashKey &key)
+{
+    return hashTagsWith(tags, count, key, hashStripesAvx2);
 }
 
 __attribute__((target("avx2"))) void
@@ -378,8 +518,9 @@ packTagsAvx2(Word *planes, unsigned nplanes, Word stride,
 }
 
 constexpr KernelTable kAvx2Table = {
-    gatherAvx2,   equalWidenedAvx2,  deltaSwapAvx2,     pairSwapAvx2,
-    packTagsAvx2, factorChaseScalar, factorSplitScalar, "avx2"};
+    gatherAvx2,        equalWidenedAvx2,  hashTagsAvx2,
+    deltaSwapAvx2,     pairSwapAvx2,      packTagsAvx2,
+    factorChaseScalar, factorSplitScalar, "avx2"};
 
 // --------------------------------------------------------------- AVX-512
 
@@ -460,6 +601,60 @@ equalWidenedAvx512(const std::uint16_t *narrow, const Word *wide,
         diff = _mm512_or_si512(diff, _mm512_xor_si512(x, w));
     }
     return _mm512_test_epi64_mask(diff, diff) == 0;
+}
+
+/**
+ * The low 32 bits of each of @p p's sixteen words, in order, in one
+ * vpermt2d: as eight 64-bit lanes, the hash's pairs of adjacent tags.
+ */
+__attribute__((target("avx512f"))) __m512i
+tagPairsAvx512(const Word *p)
+{
+    const __m512i low_dwords = _mm512_setr_epi32(
+        0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    return _mm512_permutex2var_epi32(_mm512_loadu_si512(p), low_dwords,
+                                     _mm512_loadu_si512(p + 8));
+}
+
+/** One stripe step of eight lanes: take @p d, then scramble. */
+__attribute__((target("avx512f"))) __m512i
+hashStepAvx512(__m512i acc, __m512i d, __m512i k, __m512i prime)
+{
+    const __m512i x = _mm512_xor_si512(d, k);
+    acc = _mm512_add_epi64(
+        acc, _mm512_add_epi64(_mm512_mul_epu32(x, _mm512_srli_epi64(x, 32)),
+                              d));
+    acc = _mm512_xor_si512(acc, _mm512_srli_epi64(acc, 47));
+    acc = _mm512_xor_si512(acc, k);
+    // acc * prime, the 32-bit prime times each half of acc: vpmullq
+    // would need AVX512DQ.
+    const __m512i lo = _mm512_mul_epu32(acc, prime);
+    const __m512i hi = _mm512_slli_epi64(
+        _mm512_mul_epu32(_mm512_srli_epi64(acc, 32), prime), 32);
+    return _mm512_add_epi64(lo, hi);
+}
+
+__attribute__((target("avx512f"))) void
+hashStripesAvx512(HashLanes &acc, const Word *tags, Word stripes,
+                  const HashKey &key)
+{
+    const __m512i prime = _mm512_set1_epi64(kHashPrime32);
+    const __m512i k0 = _mm512_loadu_si512(key.lane);
+    const __m512i k1 = _mm512_loadu_si512(key.lane + 8);
+    __m512i a0 = _mm512_loadu_si512(acc);
+    __m512i a1 = _mm512_loadu_si512(acc + 8);
+    for (Word s = 0; s < stripes; ++s, tags += kHashStripe) {
+        a0 = hashStepAvx512(a0, tagPairsAvx512(tags), k0, prime);
+        a1 = hashStepAvx512(a1, tagPairsAvx512(tags + 16), k1, prime);
+    }
+    _mm512_storeu_si512(acc, a0);
+    _mm512_storeu_si512(acc + 8, a1);
+}
+
+__attribute__((target("avx512f"))) Hash128
+hashTagsAvx512(const Word *tags, Word count, const HashKey &key)
+{
+    return hashTagsWith(tags, count, key, hashStripesAvx512);
 }
 
 __attribute__((target("avx512f"))) void
@@ -793,8 +988,9 @@ factorSplitAvx512(const FactorLevel &lv)
 #pragma GCC diagnostic pop
 
 constexpr KernelTable kAvx512Table = {
-    gatherAvx512,   equalWidenedAvx512, deltaSwapAvx512,   pairSwapAvx512,
-    packTagsAvx512, factorChaseAvx512,  factorSplitAvx512, "avx512"};
+    gatherAvx512,      equalWidenedAvx512, hashTagsAvx512,
+    deltaSwapAvx512,   pairSwapAvx512,     packTagsAvx512,
+    factorChaseAvx512, factorSplitAvx512,  "avx512"};
 
 #endif // SRBENES_X86_KERNELS
 

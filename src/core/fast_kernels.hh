@@ -2,9 +2,9 @@
  * @file
  * Runtime-dispatched SIMD kernels for the FastEngine hot loops: the
  * per-stage bit-plane delta swap, the final payload gather, a plan
- * hit's identity check, the tag-to-bit-plane transposition that
- * seeds every cold plan, and the two hot passes of the TwoPass
- * looping factor (core/two_pass.cc).
+ * hit's keyed tag hash and identity check, the tag-to-bit-plane
+ * transposition that seeds every cold plan, and the two hot passes
+ * of the TwoPass looping factor (core/two_pass.cc).
  *
  * One binary serves any x86-64 host: scalar bodies are always
  * compiled, AVX2 and AVX-512 bodies are compiled with per-function
@@ -44,6 +44,37 @@ enum class SimdLevel
 };
 
 const char *simdLevelName(SimdLevel level);
+
+/**
+ * A 128-bit content hash of a pattern's tags (KernelTable::hashTags).
+ * The low word is the plan cache's key (Router::hashPermutation); the
+ * streaming layer computes the hash once per request and dispatches a
+ * miss by the high word.
+ */
+struct Hash128
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    bool operator==(const Hash128 &other) const = default;
+};
+
+/** Tags per stripe of the tag hash, and its accumulator lanes: each
+ *  lane takes one pair of tags per stripe. */
+constexpr unsigned kHashStripe = 32;
+constexpr unsigned kHashLanes = kHashStripe / 2;
+
+/**
+ * The tag hash's key: one word per accumulator lane, mixed into every
+ * pair of tags the lane takes and into the lane after every stripe,
+ * and the seeds of the final fold's two halves. Serving draws one per
+ * process (servingHashKey, core/router.hh); tests pass their own.
+ */
+struct HashKey
+{
+    std::uint64_t lane[kHashLanes];
+    std::uint64_t lo;
+    std::uint64_t hi;
+};
 
 /**
  * One recursion level of the looping factor, as its two kernel passes
@@ -94,6 +125,23 @@ struct KernelTable
      */
     bool (*equalWidened)(const std::uint16_t *narrow, const Word *wide,
                          Word count);
+
+    /**
+     * A request's hash, over the low 32 bits of each of @p count tag
+     * words (a tag is below 2^16 on every fabric FastEngine allows; a
+     * wider word can only cost a plan-cache miss, since equalWidened
+     * compares words whole). An XXH3-style stripe: the tags are taken
+     * kHashStripe at a time, the last stripe zero-padded, as
+     * kHashLanes pairs. Lane l XORs its pair (the first tag in the
+     * low half) with key.lane[l], adds the 32x32->64 product of the
+     * result's halves and the pair itself, and after every stripe is
+     * scrambled: acc ^= acc >> 47; acc ^= key.lane[l];
+     * acc *= 2654435761. Lanes start at their key words and fold
+     * into two splitmix chains seeded by key.lo, key.hi and @p count.
+     * Every body returns the same 128 bits; the SIMD ones use
+     * vpmuludq for every multiply.
+     */
+    Hash128 (*hashTags)(const Word *tags, Word count, const HashKey &key);
 
     /**
      * In-word conditional exchange at distance `dist` (1 <= dist <=

@@ -3,7 +3,11 @@
 // (core/cache_admission.hh).
 #include "core/router.hh"
 
+#include <sys/random.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "common/prng.hh"
@@ -33,43 +37,34 @@ count(const obs::Counter *c)
 } // namespace
 
 Hash128
+hashTags128(const Word *tags, Word count)
+{
+    return activeKernels().hashTags(tags, count, servingHashKey());
+}
+
+Hash128
 hashPermutation128(const Permutation &d)
 {
-    constexpr unsigned L = 8;
-    std::uint64_t a[L], b[L];
-    for (unsigned l = 0; l < L; ++l) {
-        a[l] = mix64(0x243f6a8885a308d3ULL + l);
-        b[l] = mix64(0x13198a2e03707344ULL + l);
-    }
+    return hashTags128(d.dest().data(), d.size());
+}
 
-    const std::vector<Word> &v = d.dest();
-    const std::size_t size = v.size();
-    const std::size_t full = size - size % L;
-    for (std::size_t i = 0; i < full; i += L) {
-        for (unsigned l = 0; l < L; ++l) {
-            const std::uint64_t x = v[i + l];
-            a[l] = (a[l] ^ x) * 0x9e3779b97f4a7c15ULL;
-            a[l] ^= a[l] >> 32;
-            b[l] = (b[l] ^ (x + i)) * 0xc2b2ae3d27d4eb4fULL;
-            b[l] ^= b[l] >> 29;
+const HashKey &
+servingHashKey()
+{
+    static const HashKey key = [] {
+        HashKey k{};
+        auto *bytes = reinterpret_cast<unsigned char *>(&k);
+        for (std::size_t got = 0; got < sizeof(k);) {
+            const ssize_t r = ::getrandom(bytes + got, sizeof(k) - got, 0);
+            if (r < 0 && errno != EINTR)
+                fatal("getrandom for the plan-cache hash key failed: %s",
+                      std::strerror(errno));
+            if (r > 0)
+                got += static_cast<std::size_t>(r);
         }
-    }
-    for (std::size_t i = full; i < size; ++i) {
-        const unsigned l = i % L;
-        a[l] = (a[l] ^ v[i]) * 0x9e3779b97f4a7c15ULL;
-        a[l] ^= a[l] >> 32;
-        b[l] = (b[l] ^ (v[i] + i)) * 0xc2b2ae3d27d4eb4fULL;
-        b[l] ^= b[l] >> 29;
-    }
-
-    Hash128 h;
-    h.lo = mix64(size);
-    h.hi = mix64(~std::uint64_t{size});
-    for (unsigned l = 0; l < L; ++l) {
-        h.lo = mix64(h.lo ^ a[l]);
-        h.hi = mix64(h.hi ^ b[l]);
-    }
-    return h;
+        return k;
+    }();
+    return key;
 }
 
 /**
@@ -328,6 +323,12 @@ Router::evictPastCapacity(Victim v) const
 std::shared_ptr<const RoutePlan>
 Router::findCached(const Permutation &d, std::uint64_t key) const
 {
+    return findCached(d.dest().data(), d.size(), key);
+}
+
+std::shared_ptr<const RoutePlan>
+Router::findCached(const Word *tags, Word count, std::uint64_t key) const
+{
     if (cache_capacity_ == 0)
         return nullptr;
     CacheShard &sh = shardFor(key);
@@ -338,11 +339,11 @@ Router::findCached(const Permutation &d, std::uint64_t key) const
         if (it == sh.map.end())
             return nullptr;
         // A key match is never identity: the stored permutation must
-        // equal d in every lane, each 64-bit tag compared whole.
+        // equal the tags in every lane, each 64-bit word compared
+        // whole, so words that are not this permutation never hit.
         const std::vector<std::uint16_t> &perm = it->second.plan->perm;
-        if (perm.size() != d.size() ||
-            !activeKernels().equalWidened(perm.data(), d.dest().data(),
-                                          d.size()))
+        if (perm.size() != count ||
+            !activeKernels().equalWidened(perm.data(), tags, count))
             return nullptr;
         hit = it->second.plan;
     }

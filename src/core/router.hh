@@ -39,8 +39,8 @@
  * a pattern's first sighting is planned and served but not kept, so
  * a scan of one-shot patterns leaves the resident set alone; a
  * pattern becomes resident on its second sighting, and once the cache
- * is full only when its estimated frequency beats the least recently
- * used entry's.
+ * is full only when its estimated frequency beats that of a resident
+ * drawn at random, which it then evicts.
  */
 
 #ifndef SRBENES_CORE_ROUTER_HH
@@ -57,6 +57,7 @@
 #include "common/thread_annotations.hh"
 #include "core/cache_admission.hh"
 #include "core/fast_engine.hh"
+#include "core/fast_kernels.hh"
 #include "core/route_outcome.hh"
 #include "core/self_routing.hh"
 #include "core/setup_engine.hh"
@@ -77,23 +78,24 @@ enum class RouteStrategy
 const char *routeStrategyName(RouteStrategy s);
 
 /**
- * 128-bit content hash of a permutation: two independent 8-lane
- * multiply-xorshift chains, folded with a splitmix finalizer. The
- * independent lanes break the sequential multiply dependency that
- * makes a classic FNV pass latency-bound, so hashing an N-word
- * destination vector runs at near store-bandwidth. The low word is
- * the plan cache's key (Router::hashPermutation); the streaming
- * layer computes the hash once per request and dispatches a miss by
- * the high word.
+ * The plan cache's hash of a request's tags: the kernel table's keyed
+ * stripe hash (KernelTable::hashTags) over @p count tag words, under
+ * this process's serving key. The producer, the worker, the resilient
+ * layer and every Router lookup share it, so one pattern has one key.
  */
-struct Hash128
-{
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    bool operator==(const Hash128 &other) const = default;
-};
+Hash128 hashTags128(const Word *tags, Word count);
 
+/** hashTags128 over @p d's destination vector. */
 Hash128 hashPermutation128(const Permutation &d);
+
+/**
+ * The serving hash key: drawn from getrandom once per process, at
+ * first use, and never logged or exported. With the key unknown, a
+ * tenant cannot craft a pattern whose hash matches another tenant's
+ * resident plan and so replace it (planCached replaces an entry on a
+ * key match); the identity check stops any misroute regardless.
+ */
+const HashKey &servingHashKey();
 
 /**
  * An immutable, reusable routing plan for one permutation: what a
@@ -215,16 +217,24 @@ class Router
     planCached(const Permutation &d, std::uint64_t key) const;
 
     /**
-     * The resident plan for @p d under @p key (as for planCached),
-     * or null; never plans, so a miss changes neither the cache, nor
-     * its miss count, nor the admission sketch: the planCached that
-     * follows a producer's miss counts the request's one sighting.
-     * Identity is confirmed by comparing the plan's stored
-     * permutation, zero-extended, with every 64-bit tag of @p d,
-     * never by the key alone. A hit counts a hit and a sighting,
-     * exactly like planCached's hit, and writes nothing under the
-     * lock. Thread-safe; takes one shard's reader lock.
+     * The resident plan for the @p count tag words at @p tags under
+     * @p key (hashTags128(tags, count).lo), or null; never plans, so
+     * a miss changes neither the cache, nor its miss count, nor the
+     * admission sketch: the planCached that follows a producer's miss
+     * counts the request's one sighting. Identity is confirmed by
+     * comparing the plan's stored permutation, zero-extended, with
+     * every tag word whole (KernelTable::equalWidened), never by the
+     * key alone. Plans are made only from validated permutations, so
+     * a hit proves the words are one: a caller may look up words it
+     * has not validated, and validate only a miss. A hit counts a hit
+     * and a sighting, exactly like planCached's hit, and writes
+     * nothing under the lock. Thread-safe; takes one shard's reader
+     * lock.
      */
+    std::shared_ptr<const RoutePlan>
+    findCached(const Word *tags, Word count, std::uint64_t key) const;
+
+    /** findCached over @p d's destination vector. */
     std::shared_ptr<const RoutePlan>
     findCached(const Permutation &d, std::uint64_t key) const;
 

@@ -3,6 +3,7 @@
 #include "core/stream.hh"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -131,27 +132,46 @@ StreamEngine::producer(unsigned i)
     return producers_[i];
 }
 
+SubmitOutcome
+StreamEngine::Producer::trySubmit(std::uint64_t id, std::vector<Word> dest,
+                                  std::vector<Word> &payload,
+                                  std::uint64_t deadline_ns)
+{
+    return submit(id, &dest, nullptr, payload, deadline_ns);
+}
+
 bool
 StreamEngine::Producer::trySubmit(std::uint64_t id,
                                   std::shared_ptr<const Permutation> perm,
                                   std::vector<Word> &payload,
                                   std::uint64_t deadline_ns)
 {
-    StreamEngine &eng = *eng_;
-    if (perm->size() != eng.numLines())
+    if (perm->size() != eng_->numLines())
         fatal("stream request permutation size %zu != N = %llu",
               perm->size(),
-              static_cast<unsigned long long>(eng.numLines()));
-    if (payload.size() != perm->size())
+              static_cast<unsigned long long>(eng_->numLines()));
+    return submit(id, nullptr, std::move(perm), payload, deadline_ns) ==
+           SubmitOutcome::Accepted;
+}
+
+SubmitOutcome
+StreamEngine::Producer::submit(std::uint64_t id, std::vector<Word> *dest,
+                               std::shared_ptr<const Permutation> perm,
+                               std::vector<Word> &payload,
+                               std::uint64_t deadline_ns)
+{
+    StreamEngine &eng = *eng_;
+    const std::vector<Word> &tags = perm ? perm->dest() : *dest;
+    if (tags.size() != eng.numLines())
+        return SubmitOutcome::Malformed;
+    if (payload.size() != tags.size())
         fatal("stream request payload size %zu != N = %zu",
-              payload.size(), perm->size());
+              payload.size(), tags.size());
 
     StreamRequest req;
     req.id = id;
     req.producer = index_;
-    req.hash = hashPermutation128(*perm);
-    req.perm = std::move(perm);
-    req.payload = std::move(payload);
+    req.hash = hashTags128(tags.data(), tags.size());
     const unsigned w =
         static_cast<unsigned>(req.hash.hi % eng.opts_.workers);
     req.submit_ns = obs::monotonicNs();
@@ -159,14 +179,17 @@ StreamEngine::Producer::trySubmit(std::uint64_t id,
 
     // Run to completion: a resident plan needs only the gather, so
     // a hit is served on this thread while its result queue has
-    // room. Counters attribute to the hash-affine worker (its
-    // instruments are thread-sharded). A request already past its
-    // deadline is not looked up: like every request that reaches a
-    // worker expired, it never touches the plan tier.
+    // room. The lookup compares every tag word with a plan made from
+    // a validated permutation, so a hit is valid by construction and
+    // builds no Permutation. Counters attribute to the hash-affine
+    // worker (its instruments are thread-sharded). A request already
+    // past its deadline is not looked up: like every request that
+    // reaches a worker expired, it never touches the plan tier.
     if (inline_results_ && !inline_results_->full() &&
         (deadline_ns == 0 || req.submit_ns < deadline_ns)) {
-        if (std::shared_ptr<const RoutePlan> hit =
-                eng.router_.findCached(*req.perm, req.hash.lo)) {
+        if (std::shared_ptr<const RoutePlan> hit = eng.router_.findCached(
+                tags.data(), tags.size(), req.hash.lo)) {
+            req.payload = std::move(payload);
             StreamResult res;
             eng.serve(*eng.workers_[w], w, req, res, std::move(hit),
                       scratch_);
@@ -177,13 +200,26 @@ StreamEngine::Producer::trySubmit(std::uint64_t id,
             ++submitted_;
             if (eng.inline_served_)
                 eng.inline_served_->inc();
-            return true;
+            return SubmitOutcome::Accepted;
         }
     }
 
-    // Anything else goes to the hash-affine worker: two concurrent
-    // misses of one pattern reach one worker, so the second finds
-    // the first's plan instead of planning it again.
+    // Anything else goes to a worker, which plans only a valid
+    // permutation: the tag form validates here, once, and a malformed
+    // request goes no further.
+    if (!perm) {
+        std::optional<Permutation> valid =
+            Permutation::tryFrom(std::move(*dest));
+        if (!valid)
+            return SubmitOutcome::Malformed;
+        perm = std::make_shared<const Permutation>(std::move(*valid));
+    }
+    req.perm = std::move(perm);
+    req.payload = std::move(payload);
+
+    // The hash-affine worker: two concurrent misses of one pattern
+    // reach one worker, so the second finds the first's plan instead
+    // of planning it again.
     if (!eng.submitRing(index_, w).tryPush(std::move(req))) {
         // Affine ring full: spill once to the next worker before
         // shedding.
@@ -193,16 +229,16 @@ StreamEngine::Producer::trySubmit(std::uint64_t id,
             eng.submitRing(index_, spill).tryPush(std::move(req))) {
             ++submitted_;
             eng.workers_[spill]->bell.ring();
-            return true;
+            return SubmitOutcome::Accepted;
         }
         payload = std::move(req.payload); // hand the storage back
         if (eng.sheds_)
             eng.sheds_->inc();
-        return false;
+        return SubmitOutcome::Shed;
     }
     ++submitted_;
     eng.workers_[w]->bell.ring();
-    return true;
+    return SubmitOutcome::Accepted;
 }
 
 bool

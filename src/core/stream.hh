@@ -18,6 +18,13 @@
  *    that tryPoll drains — no ring, no doorbell, no worker wakeup.
  *    For a recurring pattern a lookup and one gather is the whole
  *    request, so a ring round-trip would cost more than the work.
+ *  - A hit is its own validation: trySubmit's tag form hashes the
+ *    request's raw tag words and looks them up before validating
+ *    them. Plans are made only from validated permutations and the
+ *    lookup compares every tag whole, so a hit proves the tags are a
+ *    permutation, and the hit builds no Permutation. Only a request
+ *    that takes a ring is validated (Permutation::tryFrom), and a
+ *    malformed one is refused there, before a worker sees it.
  *  - Only a miss crosses to a worker: each (producer, worker) pair
  *    owns one lock-free single-producer single-consumer ring for
  *    requests and one for results, so the aggregate is a
@@ -363,7 +370,11 @@ struct StreamRequest
 {
     std::uint64_t id = 0;
     unsigned producer = 0;
+    /** The tags' hash, computed once by the producer; a worker plans
+     *  under its low word. */
     Hash128 hash;
+    /** The validated pattern; null on a hit served on its producer's
+     *  thread, which never builds one. */
     std::shared_ptr<const Permutation> perm;
     std::vector<Word> payload;
     std::uint64_t submit_ns = 0;
@@ -390,6 +401,20 @@ struct StreamResult
 
     bool ok() const { return status == RouteErrc::Ok; }
     std::uint64_t latencyNs() const { return complete_ns - submit_ns; }
+};
+
+/** How trySubmit's tag form answered. */
+enum class SubmitOutcome
+{
+    /** Served on the producer's thread or queued for a worker: its
+     *  result will be pollable. */
+    Accepted,
+    /** Refused on full rings, the shed-load signal; the payload is
+     *  handed back. */
+    Shed,
+    /** The tags are the wrong size or not a permutation: refused
+     *  before the plan tier, which neither serves nor sights it. */
+    Malformed,
 };
 
 struct StreamOptions
@@ -502,21 +527,36 @@ class StreamEngine
     {
       public:
         /**
-         * Hash @p perm and stamp the submit time; @p deadline_ns is
-         * an ABSOLUTE obs::monotonicNs() instant (0 = none). While
-         * this handle's result queue has room, a pattern resident in
-         * the plan tier (Router::findCached) is served right here —
-         * deadline check, gather, tier stamping, counters — and its
-         * result staged for tryPoll. Anything else (a miss, a full
-         * result queue, a request already past its deadline, or any
-         * request to a ResilientRouter engine) is enqueued on the
-         * hash-affine worker's ring, spilling once to the next
-         * worker. @p payload is consumed only on success. A false
-         * return is the shed-load signal: the target worker's ring
-         * and its spill neighbour's are full and the request was
-         * refused, counted in StreamStats::sheds; poll results, then
-         * retry. The engine keeps no reference to @p perm once the
-         * request's result is pollable.
+         * Submit the request whose tag words are @p dest, unvalidated
+         * (srbd's decoded Submit): hash them once (hashTags128) and
+         * stamp the submit time; @p deadline_ns is an ABSOLUTE
+         * obs::monotonicNs() instant (0 = none). While this handle's
+         * result queue has room, a pattern resident in the plan tier
+         * (Router::findCached over the raw words) is served right
+         * here — deadline check, gather, tier stamping, counters —
+         * and its result staged for tryPoll, with no Permutation
+         * built. Anything else (a miss, a full result queue, a
+         * request already past its deadline, or any request to a
+         * ResilientRouter engine) is validated once
+         * (Permutation::tryFrom, which takes @p dest) and enqueued,
+         * with its hash, on the hash-affine worker's ring, spilling
+         * once to the next worker. Tags of the wrong size or that
+         * are no permutation come back Malformed, counted by neither
+         * the plan tier nor its sketch. @p payload is consumed only
+         * when Accepted. Shed means the target worker's ring and its
+         * spill neighbour's are full and the request was refused,
+         * counted in StreamStats::sheds; poll results, then retry.
+         */
+        SubmitOutcome trySubmit(std::uint64_t id, std::vector<Word> dest,
+                                std::vector<Word> &payload,
+                                std::uint64_t deadline_ns = 0);
+
+        /**
+         * The same submit for a pattern already validated: @p perm
+         * skips the validation a ring-bound request would run, and
+         * must have N entries (fatal() otherwise). True when
+         * Accepted, false when Shed. The engine keeps no reference
+         * to @p perm once the request's result is pollable.
          */
         bool trySubmit(std::uint64_t id,
                        std::shared_ptr<const Permutation> perm,
@@ -549,6 +589,16 @@ class StreamEngine
 
       private:
         friend class StreamEngine;
+
+        /**
+         * The one submit path behind both forms: the pattern is
+         * @p perm when set, else the words at @p dest, which a
+         * ring-bound request validates and takes.
+         */
+        SubmitOutcome submit(std::uint64_t id, std::vector<Word> *dest,
+                             std::shared_ptr<const Permutation> perm,
+                             std::vector<Word> &payload,
+                             std::uint64_t deadline_ns);
 
         StreamEngine *eng_ = nullptr;
         unsigned index_ = 0;

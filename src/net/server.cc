@@ -23,7 +23,6 @@
 
 #include "common/logging.hh"
 #include "obs/export.hh"
-#include "perm/permutation.hh"
 
 namespace srbenes
 {
@@ -431,12 +430,11 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
         respond(conn, std::move(refusal));
         return;
     }
-    // The one validation of the pattern: tryFrom checks it and the
-    // engine receives the vector it checked.
-    std::optional<Permutation> perm;
-    if (m.dest.size() == numLines())
-        perm = Permutation::tryFrom(std::move(m.dest));
-    if (!perm) {
+    // A wrong-sized pattern is refused at once. Whether a right-sized
+    // one is a permutation is known only after the plan-tier lookup
+    // (a hit proves it; the engine validates anything else), so such
+    // a Submit is charged its quota token before it is refused.
+    if (m.dest.size() != numLines()) {
         refusal.status = Status::BadRequest;
         respond(conn, std::move(refusal));
         return;
@@ -471,13 +469,19 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
             : 0;
 
     const std::uint64_t sid = next_request_id_++;
-    if (!producer_->trySubmit(
-            sid, std::make_shared<const Permutation>(std::move(*perm)),
-            payload, deadline)) {
+    switch (producer_->trySubmit(sid, std::move(m.dest), payload,
+                                 deadline)) {
+      case SubmitOutcome::Accepted:
+        break;
+      case SubmitOutcome::Shed:
         // Engine backpressure: the affine ring and its spill
         // neighbour are full. This is the wire form of
         // shed-on-full-ring.
         refusal.status = Status::Shed;
+        respond(conn, std::move(refusal));
+        return;
+      case SubmitOutcome::Malformed:
+        refusal.status = Status::BadRequest;
         respond(conn, std::move(refusal));
         return;
     }

@@ -16,14 +16,20 @@
  * engine:
  *
  *   draining?            → Status::Draining
- *   shape/validity wrong → Status::BadRequest
+ *   dest the wrong size  → Status::BadRequest
  *   tenant bucket empty  → Status::OverQuota   (QuotaManager)
- *   connection at cap, or
+ *   connection at cap    → Status::Shed
+ *   dest no permutation  → Status::BadRequest  (the engine's
+ *                          validation of a request that misses)
  *   engine rings full    → Status::Shed        (backpressure; a hit
  *                          the loop cannot queue takes a ring)
  *
- * so the engine's shed-on-full-ring semantics surface on the wire
- * unchanged, and a slow READER is handled one layer up: when a
+ * A plan hit is its own validation (StreamEngine's tag-form
+ * trySubmit), so whether a right-sized dest is a permutation is
+ * known only inside the engine, after quota: a malformed Submit
+ * costs its tenant a token. The engine's shed-on-full-ring
+ * semantics surface on the wire unchanged, and a slow READER is
+ * handled one layer up: when a
  * connection's out-buffer passes the high watermark the server
  * stops reading that socket (EPOLLIN off) until it drains — TCP
  * then pushes back on the client.

@@ -3,10 +3,11 @@
  * Differential tests for the runtime-dispatched SIMD kernels: every
  * compiled-and-supported level (scalar, AVX2, AVX-512) must agree
  * with the scalar kernel bit-for-bit — on raw kernel invocations
- * with awkward tails, on the TwoPass factor's two kernel passes at
- * every level of every width, and on whole routes through FastEngine,
- * exhaustively at n <= 3 and randomized at n = 4..10. Also covers
- * the SRBENES_DISABLE_SIMD escape hatch.
+ * with awkward tails, on the keyed tag hash under two keys at every
+ * stripe tail and fabric width, on the TwoPass factor's two kernel
+ * passes at every level of every width, and on whole routes through
+ * FastEngine, exhaustively at n <= 3 and randomized at n = 4..10.
+ * Also covers the SRBENES_DISABLE_SIMD escape hatch.
  */
 
 #include <algorithm>
@@ -149,6 +150,117 @@ TEST(FastKernels, EqualWidenedFindsEverySingleDifferingLane)
             }
         }
     }
+}
+
+/** A hash key of fresh random words. */
+HashKey
+randomKey(Prng &prng)
+{
+    HashKey key{};
+    for (std::uint64_t &w : key.lane)
+        w = prng();
+    key.lo = prng();
+    key.hi = prng();
+    return key;
+}
+
+/**
+ * Tag vectors for the hash kernel: every count from 1 to 64 (every
+ * tail of a 32-tag stripe, and two stripes), then every power of two
+ * up to 2^16, each a random permutation of its count; and copies of
+ * a few with words raised above 2^16 and above 2^32.
+ */
+std::vector<std::vector<Word>>
+hashInputs(Prng &prng)
+{
+    std::vector<std::vector<Word>> inputs;
+    for (std::size_t count = 1; count <= 64; ++count)
+        inputs.push_back(Permutation::random(count, prng).dest());
+    for (unsigned n = 0; n <= 16; ++n)
+        inputs.push_back(
+            Permutation::random(std::size_t{1} << n, prng).dest());
+    for (std::size_t count : {std::size_t{5}, std::size_t{32},
+                              std::size_t{33}, std::size_t{256},
+                              std::size_t{4096}}) {
+        std::vector<Word> v = Permutation::random(count, prng).dest();
+        for (std::size_t i = 0; i < count; i += 3)
+            v[i] += (i % 2 ? Word{1} << 16 : Word{1} << 32) +
+                    (prng() << 33);
+        inputs.push_back(v);
+    }
+    return inputs;
+}
+
+TEST(FastKernels, HashTagsMatchesScalarUnderEveryKey)
+{
+    // The plan cache's key must not depend on the host's SIMD level:
+    // every body returns the scalar body's 128 bits, under two keys,
+    // at every stripe tail, at every fabric width, and on words wider
+    // than any tag.
+    Prng prng(79);
+    const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
+    const std::vector<std::vector<Word>> inputs = hashInputs(prng);
+    for (int k = 0; k < 2; ++k) {
+        const HashKey key = randomKey(prng);
+        for (SimdLevel level : supportedLevels()) {
+            const KernelTable &kt = kernelsFor(level);
+            for (const std::vector<Word> &v : inputs)
+                ASSERT_EQ(kt.hashTags(v.data(), v.size(), key),
+                          ref.hashTags(v.data(), v.size(), key))
+                    << kt.name << " key=" << k << " count=" << v.size();
+        }
+    }
+}
+
+TEST(FastKernels, HashTagsReadsTheLow32BitsOfEachWord)
+{
+    // A bit at or above 2^32 is not hashed (the identity check still
+    // sees it), while one in [2^16, 2^32), above every tag, is.
+    Prng prng(80);
+    const HashKey key = randomKey(prng);
+    for (SimdLevel level : supportedLevels()) {
+        const KernelTable &kt = kernelsFor(level);
+        for (std::size_t count : {std::size_t{3}, std::size_t{64},
+                                  std::size_t{1024}}) {
+            std::vector<Word> v = Permutation::random(count, prng).dest();
+            const Hash128 h = kt.hashTags(v.data(), count, key);
+            for (std::size_t pos : {std::size_t{0}, count / 2, count - 1}) {
+                v[pos] += Word{1} << 32;
+                EXPECT_EQ(kt.hashTags(v.data(), count, key), h)
+                    << kt.name << " count=" << count << " pos=" << pos;
+                v[pos] -= Word{1} << 32;
+                v[pos] += Word{1} << 16;
+                EXPECT_NE(kt.hashTags(v.data(), count, key), h)
+                    << kt.name << " count=" << count << " pos=" << pos;
+                v[pos] -= Word{1} << 16;
+            }
+        }
+    }
+}
+
+TEST(FastKernels, HashTagsDependsOnTheKey)
+{
+    // Another key hashes the same patterns to other values, in both
+    // halves, at every width; the fold's seeds alone key a pattern
+    // narrower than one stripe too.
+    Prng prng(81);
+    const HashKey a = randomKey(prng);
+    const HashKey b = randomKey(prng);
+    const KernelTable &kt = activeKernels();
+    for (const std::vector<Word> &v : hashInputs(prng)) {
+        const Hash128 ha = kt.hashTags(v.data(), v.size(), a);
+        const Hash128 hb = kt.hashTags(v.data(), v.size(), b);
+        EXPECT_NE(ha.lo, hb.lo) << "count=" << v.size();
+        EXPECT_NE(ha.hi, hb.hi) << "count=" << v.size();
+    }
+    HashKey seeds_only = a;
+    seeds_only.lo ^= 1;
+    seeds_only.hi ^= 1;
+    const std::vector<Word> v{1, 0};
+    EXPECT_NE(kt.hashTags(v.data(), 2, a).lo,
+              kt.hashTags(v.data(), 2, seeds_only).lo);
+    EXPECT_NE(kt.hashTags(v.data(), 2, a).hi,
+              kt.hashTags(v.data(), 2, seeds_only).hi);
 }
 
 TEST(FastKernels, DeltaSwapMatchesScalar)

@@ -193,7 +193,7 @@ TEST(ModelComponents, DoorbellEpochWraparound)
  *  and the word's other counters stay 0. */
 TEST(ModelComponents, SketchIncrementsRacingAHalvingNeverOverflow)
 {
-    const std::uint64_t key = SketchProbes(42).probe(0);
+    const SketchProbes key(42);
     // The key's four counters, found outside the checker.
     std::vector<bool> mine(16, false);
     {
@@ -206,9 +206,10 @@ TEST(ModelComponents, SketchIncrementsRacingAHalvingNeverOverflow)
               static_cast<long>(FrequencySketch::kRows));
 
     const Result res = explore(boundedOpts("sketch-halving"), [&] {
-        // One word; fourteen sightings on the lone main lane (no
-        // schedules to explore yet) put the key's counters one step
-        // from saturation when two sightings race a halving.
+        // One word, so all four rows' counters share it; fourteen
+        // sightings on the lone main lane (no schedules to explore
+        // yet) put the key's counters one step from saturation when
+        // two sightings race a halving.
         FrequencySketch sketch(1);
         for (unsigned i = 1; i < FrequencySketch::kMax; ++i)
             sketch.increment(key);

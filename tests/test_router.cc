@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
+#include "core/fast_kernels.hh"
 #include "core/router.hh"
 #include "core/two_pass.hh"
 #include "perm/f_class.hh"
@@ -423,6 +424,15 @@ TEST(Router, FullTierEvictsOnlyALessFrequentResident)
     // strictly more frequent. Residents sighted 8 times keep out
     // newcomers sighted twice; a newcomer sighted more often than
     // every resident gets in, over exactly one of them.
+    //
+    // The sketch is count-min: it overestimates a newcomer whose
+    // four counters other keys all share, and which keys share them
+    // follows the process's hash key. Here each of a newcomer's
+    // counters is shared with a resident's with odds of about 0.12,
+    // so about one newcomer in 5000 is estimated above the residents
+    // and gets in (2.2e-4 measured over 200000 pattern sets); the
+    // test allows one of its sixteen, and fails when two do (odds
+    // near 6e-6 a run).
     Prng prng(37);
     const unsigned n = 4;
     const std::size_t capacity = 32;
@@ -436,13 +446,15 @@ TEST(Router, FullTierEvictsOnlyALessFrequentResident)
             (void)router.planCached(d);
     ASSERT_EQ(router.planCacheSize(), capacity);
 
+    std::size_t slipped = 0;
     for (std::size_t i = capacity; i + 1 < perms.size(); ++i) {
         (void)sightTwice(router, perms[i]);
-        EXPECT_FALSE(resident(router, perms[i])) << "newcomer " << i;
+        slipped += resident(router, perms[i]) ? 1 : 0;
     }
+    EXPECT_LE(slipped, 1u);
     CacheStats t = router.cacheStats();
-    EXPECT_EQ(t.lost_to_victim, 16u);
-    EXPECT_EQ(t.evictions, 0u);
+    EXPECT_EQ(t.lost_to_victim, 16u - slipped);
+    EXPECT_EQ(t.evictions, slipped);
     EXPECT_EQ(t.size, capacity);
 
     const Permutation &frequent = perms.back();
@@ -451,21 +463,25 @@ TEST(Router, FullTierEvictsOnlyALessFrequentResident)
     EXPECT_TRUE(resident(router, frequent));
     t = router.cacheStats();
     EXPECT_EQ(t.size, capacity);
-    EXPECT_EQ(t.evictions, 1u);
-    EXPECT_EQ(t.admitted, capacity + 1);
+    EXPECT_EQ(t.evictions, slipped + 1);
+    EXPECT_EQ(t.admitted, capacity + slipped + 1);
+    // It displaced exactly one of the patterns before it.
     std::size_t kept = 0;
-    for (const Permutation &d : residents)
-        kept += resident(router, d) ? 1 : 0;
+    for (std::size_t i = 0; i + 1 < perms.size(); ++i)
+        kept += resident(router, perms[i]) ? 1 : 0;
     EXPECT_EQ(kept, capacity - 1);
 }
 
 TEST(Router, EachRepeatMeetsAFreshlyDrawnResident)
 {
-    // Half of a full 32-slot tier is sighted 12 times, half twice. A
-    // newcomer sighted ten times beats only the infrequent half, so
-    // each of its eight repeats after the second wins or loses by the
-    // resident it meets. Each decision draws anew, so nearly every
-    // newcomer finds an infrequent resident; a draw fixed by the
+    // Half of a full 32-slot tier is sighted 16 times, which holds
+    // every one of its counters at the sketch's 15, and half twice. A
+    // newcomer sighted 40 times beats only the infrequent half (its
+    // estimate can at most tie a saturated one), so each of its
+    // repeats after the second wins or loses by the resident it
+    // meets. Each decision draws anew, so every newcomer finds an
+    // infrequent resident within its 38 repeats, bar odds of about
+    // 1e-5 whatever the hash key places where; a draw fixed by the
     // newcomer's key would keep about half of them out for good. No
     // frequent resident is ever evicted.
     Prng prng(47);
@@ -476,12 +492,12 @@ TEST(Router, EachRepeatMeetsAFreshlyDrawnResident)
     const std::vector<Permutation> perms =
         distinctPerms(n, capacity + newcomers, prng);
     for (std::size_t i = 0; i < capacity; ++i)
-        for (int k = 0; k < (i % 2 == 0 ? 12 : 2); ++k)
+        for (int k = 0; k < (i % 2 == 0 ? 16 : 2); ++k)
             (void)router.planCached(perms[i]);
     ASSERT_EQ(router.planCacheSize(), capacity);
 
     for (std::size_t i = capacity; i < perms.size(); ++i)
-        for (int k = 0; k < 10; ++k)
+        for (int k = 0; k < 40; ++k)
             (void)router.planCached(perms[i]);
     std::size_t admitted = 0;
     for (std::size_t i = capacity; i < perms.size(); ++i)
@@ -662,6 +678,86 @@ TEST(Router, KeyCollisionIsNeverAHit)
     EXPECT_EQ(widened(p2->src), d2.inverse().dest());
     const auto data = iotaData(N);
     EXPECT_EQ(router.execute(*p2, data), d2.applyTo(data));
+}
+
+TEST(Router, HashIsTheKernelUnderTheServingKey)
+{
+    // One key per pattern everywhere: hashPermutation128, hashTags128
+    // and Router::hashPermutation are the active kernel over the
+    // destination vector, under the one key this process draws.
+    Prng prng(37);
+    EXPECT_EQ(&servingHashKey(), &servingHashKey());
+    for (unsigned n : {1u, 4u, 5u, 8u, 12u}) {
+        const Permutation d = Permutation::random(Word{1} << n, prng);
+        const Hash128 want = activeKernels().hashTags(
+            d.dest().data(), d.size(), servingHashKey());
+        EXPECT_EQ(hashPermutation128(d), want) << "n=" << n;
+        EXPECT_EQ(hashTags128(d.dest().data(), d.size()), want);
+        EXPECT_EQ(Router::hashPermutation(d), want.lo);
+    }
+}
+
+TEST(Router, RawFindCachedComparesEveryWordWhole)
+{
+    // The raw-tag lookup under a resident plan's key. The plan's own
+    // words hit. The same words with one raised by 2^16 (its low 16
+    // bits still the plan's tag) or by 2^32 (which the hash does not
+    // read, so the key is the plan's own) are refused, as are too
+    // few words; no refusal counts a hit or a miss.
+    Prng prng(41);
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation d = Permutation::random(N, prng);
+    const std::uint64_t key = Router::hashPermutation(d);
+    const auto plan = sightTwice(router, d);
+    std::vector<Word> words = d.dest();
+    EXPECT_EQ(router.findCached(words.data(), N, key).get(), plan.get());
+
+    const CacheStats before = router.cacheStats();
+    for (std::size_t pos : {std::size_t{0}, std::size_t{N / 2},
+                            std::size_t{N - 1}}) {
+        for (Word raise : {Word{1} << 16, Word{1} << 32}) {
+            words[pos] += raise;
+            if (raise == Word{1} << 32) {
+                EXPECT_EQ(hashTags128(words.data(), N).lo, key);
+            }
+            EXPECT_EQ(router.findCached(words.data(), N, key), nullptr)
+                << "pos=" << pos << " raise=" << raise;
+            words[pos] -= raise;
+        }
+    }
+    EXPECT_EQ(router.findCached(words.data(), N - 1, key), nullptr);
+    const CacheStats after = router.cacheStats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(router.findCached(words.data(), N, key).get(), plan.get());
+}
+
+TEST(Router, ATranspositionOfAResidentPlanIsServedByItsOwnPlan)
+{
+    // A valid pattern one transposition away from a resident plan
+    // has its own key: it misses, is planned afresh, and routes as
+    // itself, while the resident plan stays its own pattern's.
+    Prng prng(43);
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    const Router router(n, false, /*capacity=*/16, /*shards=*/4);
+    const Permutation d = Permutation::random(N, prng);
+    const auto resident = sightTwice(router, d);
+    std::vector<Word> dest = d.dest();
+    std::swap(dest[3], dest[40]);
+    const Permutation e(dest);
+    const std::uint64_t key = Router::hashPermutation(e);
+    EXPECT_NE(key, Router::hashPermutation(d));
+    EXPECT_EQ(router.findCached(e.dest().data(), N, key), nullptr);
+
+    const auto plan = router.planCached(e, key);
+    EXPECT_NE(plan.get(), resident.get());
+    EXPECT_EQ(widened(plan->perm), e.dest());
+    EXPECT_EQ(router.execute(*plan, iotaData(N)), e.applyTo(iotaData(N)));
+    EXPECT_EQ(router.findCached(d, Router::hashPermutation(d)).get(),
+              resident.get());
 }
 
 // ------------------------------------------ frequency-gated admission

@@ -2,10 +2,12 @@
  * @file
  * End-to-end tests of the srbd server over real loopback sockets:
  * payload-exact serving, admission control (bad request, quota,
- * shed, draining), protocol-error handling with counter bumps,
- * graceful drain with requests in flight, slow-reader backpressure,
- * write coalescing, the fabric-size limit the frame cap sets, and
- * concurrent client threads sharing one server (the tsan target).
+ * shed, draining) and its order, malformed Submits refused on every
+ * path the engine can take, protocol-error handling with counter
+ * bumps, graceful drain with requests in flight, slow-reader
+ * backpressure, write coalescing, the fabric-size limit the frame
+ * cap sets, and concurrent client threads sharing one server (the
+ * tsan target).
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +29,12 @@
 #include <poll.h>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/prng.hh"
+#include "core/resilient.hh"
+#include "malformed.hh"
 #include "net/client.hh"
 #include "net/loadgen.hh"
 #include "net/server.hh"
@@ -188,6 +193,45 @@ class SrbdTest : public ::testing::Test
         return m;
     }
 
+    /** A Submit of @p tags with an iota payload, unchecked. */
+    static SubmitMsg
+    submitOf(std::uint64_t id, const std::vector<Word> &tags,
+             std::uint64_t deadline_rel_ns = 0)
+    {
+        SubmitMsg m;
+        m.id = id;
+        m.dest = tags;
+        m.deadline_rel_ns = deadline_rel_ns;
+        m.has_payload = true;
+        m.payload.resize(tags.size());
+        for (Word i = 0; i < tags.size(); ++i)
+            m.payload[i] = id * 1000 + i;
+        return m;
+    }
+
+    /** The sum of every series of the counter @p name. */
+    std::uint64_t
+    counterSum(const std::string &name)
+    {
+        std::uint64_t total = 0;
+        registry_.visit([&](const obs::MetricsRegistry::View &v) {
+            if (v.name == name && v.counter != nullptr)
+                total += v.counter->value();
+        });
+        return total;
+    }
+
+    /** Plan-tier hits and misses plus cold plans: the sketch records
+     *  a sighting only with a hit or a miss, and a worker plans only
+     *  with a miss. */
+    std::uint64_t
+    tierTouches()
+    {
+        return counterSum("srbenes_router_plan_cache_hits_total") +
+               counterSum("srbenes_router_plan_cache_misses_total") +
+               counterSum("srbenes_router_plans_total");
+    }
+
     obs::MetricsRegistry registry_;
     std::unique_ptr<Server> server_;
 };
@@ -277,6 +321,234 @@ TEST_F(SrbdTest, RejectsMalformedSubmits)
     client.close();
     EXPECT_TRUE(stopServer());
     EXPECT_EQ(server_->stats().bad_requests, 2u);
+}
+
+TEST_F(SrbdTest, MalformedSubmitsNearAResidentPlanAreRefused)
+{
+    // A plan hit is its own validation and anything else is validated
+    // before a worker sees it, so each malformed neighbour of a valid
+    // pattern is BadRequest whether that pattern is resident or not:
+    // no worker plans it, and the plan tier neither serves nor sights
+    // it. The pattern itself is served, and a valid transposition of
+    // it is served by its own plan.
+    startServer(defaults());
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+    Prng prng(61);
+    const Permutation d = Permutation::random(server_->numLines(), prng);
+    auto answer = [&](const SubmitMsg &m) {
+        Message response;
+        EXPECT_TRUE(client.roundTrip(Message{m}, response));
+        const auto *res = std::get_if<SubmitResultMsg>(&response);
+        return res != nullptr ? *res : SubmitResultMsg{};
+    };
+    auto expectRefused = [&] {
+        const std::uint64_t touches = tierTouches();
+        for (const auto &[name, tags] : malformedNeighbours(d)) {
+            const SubmitResultMsg res = answer(submitOf(9, tags));
+            EXPECT_EQ(res.status, Status::BadRequest) << name;
+            EXPECT_EQ(res.tier, ServeTier::Failed) << name;
+        }
+        EXPECT_EQ(tierTouches(), touches);
+    };
+
+    expectRefused();
+    for (std::uint64_t id = 1; id <= 2; ++id)
+        ASSERT_EQ(answer(submitOf(id, d.dest())).status, Status::Ok);
+    expectRefused();
+
+    SubmitMsg hit = submitOf(3, d.dest());
+    SubmitResultMsg res = answer(hit);
+    EXPECT_EQ(res.status, Status::Ok);
+    EXPECT_EQ(res.payload, d.applyTo(hit.payload));
+
+    std::vector<Word> swapped = d.dest();
+    std::swap(swapped[5], swapped[60]);
+    const Permutation e(swapped);
+    const SubmitMsg near = submitOf(4, swapped);
+    res = answer(near);
+    EXPECT_EQ(res.status, Status::Ok);
+    EXPECT_EQ(res.payload, e.applyTo(near.payload));
+
+    client.close();
+    EXPECT_TRUE(stopServer());
+    EXPECT_EQ(server_->stats().bad_requests, 8u);
+    EXPECT_EQ(server_->stats().ok, 4u);
+}
+
+TEST_F(SrbdTest, MalformedSubmitsPastTheirDeadlineAreRefused)
+{
+    // A Submit past its deadline skips the plan tier, so it is
+    // validated first: malformed tags answer BadRequest, not
+    // DeadlineExceeded, and the valid pattern expires.
+    startServer(defaults());
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+    Prng prng(62);
+    const Permutation d = Permutation::random(server_->numLines(), prng);
+    Message response;
+    for (std::uint64_t id = 1; id <= 2; ++id)
+        ASSERT_TRUE(client.roundTrip(Message{submitOf(id, d.dest())},
+                                     response));
+
+    const std::uint64_t touches = tierTouches();
+    for (const auto &[name, tags] : malformedNeighbours(d)) {
+        ASSERT_TRUE(client.roundTrip(Message{submitOf(9, tags, 1)},
+                                     response));
+        EXPECT_EQ(std::get<SubmitResultMsg>(response).status,
+                  Status::BadRequest)
+            << name;
+    }
+    EXPECT_EQ(tierTouches(), touches);
+    ASSERT_TRUE(
+        client.roundTrip(Message{submitOf(3, d.dest(), 1)}, response));
+    EXPECT_EQ(std::get<SubmitResultMsg>(response).status,
+              Status::DeadlineExceeded);
+    client.close();
+    EXPECT_TRUE(stopServer());
+    EXPECT_EQ(server_->stats().bad_requests, 4u);
+}
+
+TEST_F(SrbdTest, MalformedSubmitsBehindAFullLoopQueueAreRefused)
+{
+    // Two pipelined hits fill the loop's 2-slot result queue, so the
+    // malformed Submits behind them in the same read take the ring
+    // path and are validated there; the hit after them crosses to a
+    // worker. Every valid Submit is Ok, every malformed one
+    // BadRequest, and none of these reaches the tier.
+    ServerOptions opts = defaults();
+    opts.n = 4;
+    opts.stream.ring_capacity = 2;
+    startServer(std::move(opts));
+    const Word N = server_->numLines();
+    Prng prng(63);
+    const Permutation d = Permutation::random(N, prng);
+
+    const int fd = connectRaw(server_->port());
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Message response;
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        wire.clear();
+        encode(Message{submitOf(id, d.dest())}, wire);
+        ASSERT_TRUE(sendAll(fd, wire));
+        ASSERT_TRUE(receiveRaw(fd, dec, response, 5000));
+        ASSERT_EQ(std::get<SubmitResultMsg>(response).status, Status::Ok);
+    }
+
+    const auto neighbours = malformedNeighbours(d);
+    const std::uint64_t hits =
+        counterSum("srbenes_router_plan_cache_hits_total");
+    const std::uint64_t misses =
+        counterSum("srbenes_router_plan_cache_misses_total");
+    wire.clear();
+    encode(Message{submitOf(10, d.dest())}, wire);
+    encode(Message{submitOf(11, d.dest())}, wire);
+    for (std::size_t i = 0; i < neighbours.size(); ++i)
+        encode(Message{submitOf(20 + i, neighbours[i].second)}, wire);
+    encode(Message{submitOf(12, d.dest())}, wire);
+    ASSERT_TRUE(sendAll(fd, wire));
+
+    std::size_t ok = 0, refused = 0;
+    for (std::size_t i = 0; i < 3 + neighbours.size(); ++i) {
+        ASSERT_TRUE(receiveRaw(fd, dec, response, 5000))
+            << "answer " << i << " never arrived";
+        const auto &res = std::get<SubmitResultMsg>(response);
+        if (res.id >= 20) {
+            EXPECT_EQ(res.status, Status::BadRequest)
+                << neighbours[res.id - 20].first;
+            ++refused;
+        } else {
+            EXPECT_EQ(res.status, Status::Ok) << "id " << res.id;
+            EXPECT_EQ(res.payload,
+                      d.applyTo(submitOf(res.id, d.dest()).payload));
+            ++ok;
+        }
+    }
+    EXPECT_EQ(ok, 3u);
+    EXPECT_EQ(refused, neighbours.size());
+    // The three valid Submits hit, on the loop or a worker; nothing
+    // missed.
+    EXPECT_EQ(counterSum("srbenes_router_plan_cache_hits_total"),
+              hits + 3);
+    EXPECT_EQ(counterSum("srbenes_router_plan_cache_misses_total"),
+              misses);
+    ::close(fd);
+    EXPECT_TRUE(stopServer());
+}
+
+TEST_F(SrbdTest, MalformedSubmitsToAResilientEngineAreRefused)
+{
+    // A resilient engine serves every Submit on a worker, so each is
+    // validated before its ring: malformed tags answer BadRequest,
+    // with the valid neighbour resident or not, and the valid pattern
+    // is served.
+    ResilientOptions ropts;
+    ropts.metrics = &registry_;
+    ResilientRouter rr(6, ropts);
+    ServerOptions opts = defaults();
+    opts.stream.resilient = &rr;
+    startServer(std::move(opts));
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+    Prng prng(64);
+    const Permutation d = Permutation::random(server_->numLines(), prng);
+    Message response;
+    for (int round = 0; round < 2; ++round) {
+        const std::uint64_t touches = tierTouches();
+        for (const auto &[name, tags] : malformedNeighbours(d)) {
+            ASSERT_TRUE(
+                client.roundTrip(Message{submitOf(9, tags)}, response));
+            EXPECT_EQ(std::get<SubmitResultMsg>(response).status,
+                      Status::BadRequest)
+                << name << " round " << round;
+        }
+        EXPECT_EQ(tierTouches(), touches);
+        // Two valid Submits: d is resident for the second round.
+        for (std::uint64_t id = 1; id <= 2; ++id) {
+            const SubmitMsg m = submitOf(id, d.dest());
+            ASSERT_TRUE(client.roundTrip(Message{m}, response));
+            const auto &res = std::get<SubmitResultMsg>(response);
+            EXPECT_EQ(res.status, Status::Ok);
+            EXPECT_EQ(res.payload, d.applyTo(m.payload));
+        }
+    }
+    client.close();
+    EXPECT_TRUE(stopServer());
+    EXPECT_EQ(server_->stats().bad_requests, 8u);
+}
+
+TEST_F(SrbdTest, AMalformedSubmitCostsItsTenantAToken)
+{
+    // The admission order: a wrong-sized Submit is refused before
+    // quota and costs nothing, but whether a right-sized one is a
+    // permutation is known only in the engine, after quota. So with
+    // two tokens, a valid Submit takes one, a malformed one takes
+    // the last, and the tenant's next valid Submit is OverQuota.
+    ServerOptions opts = defaults();
+    opts.quota.rate_per_sec = 1;
+    opts.quota.burst = 2;
+    startServer(std::move(opts));
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+    Prng prng(65);
+    const Permutation d = Permutation::random(server_->numLines(), prng);
+    auto status = [&](const SubmitMsg &m) {
+        Message response;
+        EXPECT_TRUE(client.roundTrip(Message{m}, response));
+        const auto *res = std::get_if<SubmitResultMsg>(&response);
+        return res != nullptr ? res->status : Status::Draining;
+    };
+    EXPECT_EQ(status(submitOf(1, {0, 1, 2, 3})), Status::BadRequest);
+    EXPECT_EQ(status(submitOf(2, d.dest())), Status::Ok);
+    EXPECT_EQ(status(submitOf(3, malformedNeighbours(d)[0].second)),
+              Status::BadRequest);
+    EXPECT_EQ(status(submitOf(4, d.dest())), Status::OverQuota);
+    client.close();
+    EXPECT_TRUE(stopServer());
+    EXPECT_EQ(server_->stats().bad_requests, 2u);
+    EXPECT_EQ(server_->stats().quota_rejected, 1u);
 }
 
 TEST_F(SrbdTest, HealthAndStatsVerbs)
@@ -703,16 +975,6 @@ TEST_F(SrbdTest, HitsOverflowingTheLoopQueueTakeTheRingsNotShed)
     const Word N = server_->numLines();
     Prng prng(47);
     const Permutation perm = Permutation::random(N, prng);
-    auto submitOf = [&](std::uint64_t id) {
-        SubmitMsg m;
-        m.id = id;
-        m.dest = perm.dest();
-        m.has_payload = true;
-        m.payload.resize(N);
-        for (Word i = 0; i < N; ++i)
-            m.payload[i] = id * 1000 + i;
-        return m;
-    };
 
     const int fd = connectRaw(server_->port());
     ASSERT_GE(fd, 0);
@@ -723,7 +985,7 @@ TEST_F(SrbdTest, HitsOverflowingTheLoopQueueTakeTheRingsNotShed)
     std::vector<std::uint8_t> wire;
     for (int sighting = 0; sighting < 2; ++sighting) {
         wire.clear();
-        encode(Message{submitOf(0)}, wire);
+        encode(Message{submitOf(0, perm.dest())}, wire);
         ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
                   static_cast<ssize_t>(wire.size()));
         ASSERT_TRUE(receiveRaw(fd, dec, response, 5000));
@@ -734,7 +996,7 @@ TEST_F(SrbdTest, HitsOverflowingTheLoopQueueTakeTheRingsNotShed)
     constexpr std::uint64_t kBurst = 6;
     wire.clear();
     for (std::uint64_t id = 1; id <= kBurst; ++id)
-        encode(Message{submitOf(id)}, wire);
+        encode(Message{submitOf(id, perm.dest())}, wire);
     ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(wire.size()));
     std::uint64_t ok = 0;
@@ -745,7 +1007,8 @@ TEST_F(SrbdTest, HitsOverflowingTheLoopQueueTakeTheRingsNotShed)
         ASSERT_NE(res, nullptr);
         EXPECT_EQ(res->status, Status::Ok) << "id " << res->id;
         if (res->status == Status::Ok &&
-            res->payload == perm.applyTo(submitOf(res->id).payload))
+            res->payload ==
+                perm.applyTo(submitOf(res->id, perm.dest()).payload))
             ++ok;
     }
     EXPECT_EQ(ok, kBurst);

@@ -5,7 +5,8 @@
  * cache, and end-to-end StreamEngine runs checked payload-for-payload
  * against Permutation::applyTo and the reference simulator — over
  * the rings (plan tier disabled) and with plan hits served on the
- * producer thread.
+ * producer thread, and the tag form's refusal of malformed tags on
+ * every path a request can take.
  */
 
 #include <algorithm>
@@ -13,15 +14,19 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
+#include "core/resilient.hh"
 #include "core/router.hh"
 #include "core/self_routing.hh"
 #include "core/stream.hh"
+#include "malformed.hh"
 #include "perm/f_class.hh"
 #include "perm/permutation.hh"
 #include "sightings.hh"
@@ -164,13 +169,23 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
     // inserts and evictions: every output and every found plan must
     // still be exact, and the sharded counters must balance (probes
     // == hits + misses, final size within capacity).
+    //
+    // A full tier evicts only for a newcomer the sketch counts more
+    // frequent than the resident it draws, and a hammer spread evenly
+    // over 12 patterns brings them all to the counters' ceiling, where
+    // ties evict nothing. So the tier starts full of patterns 0..7
+    // sighted twice, and the threads work over 4..11 only: the
+    // newcomers 8..11 soon outcount the idle 0..3 and evict them
+    // while the finders look up.
     const unsigned n = 5;
     const Word N = Word{1} << n;
     constexpr unsigned kThreads = 8;
     constexpr unsigned kFinders = 2;
     constexpr int kPatterns = 12;
+    constexpr int kIdle = 4;
     constexpr int kIters = 60;
-    const Router router(n, false, /*capacity=*/8, /*shards=*/4);
+    constexpr std::size_t kCapacity = 8;
+    const Router router(n, false, kCapacity, /*shards=*/4);
 
     Prng seed_prng(43);
     std::vector<Permutation> patterns;
@@ -179,6 +194,12 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
         patterns.push_back(randomFMember(n, seed_prng));
         keys.push_back(Router::hashPermutation(patterns.back()));
     }
+    for (std::size_t i = 0; i < kCapacity; ++i)
+        (void)sightTwice(router, patterns[i]);
+    ASSERT_EQ(router.planCacheSize(), kCapacity);
+    auto hammered = [&](Prng &prng) {
+        return kIdle + prng.below(kPatterns - kIdle);
+    };
 
     std::vector<std::thread> threads;
     std::vector<int> failures(kThreads + kFinders, 0);
@@ -187,7 +208,7 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
         threads.emplace_back([&, f] {
             Prng prng(200 + f);
             for (int it = 0; it < 4 * kIters; ++it) {
-                const std::size_t pi = prng.below(kPatterns);
+                const std::size_t pi = hammered(prng);
                 const auto plan =
                     router.findCached(patterns[pi], keys[pi]);
                 if (!plan)
@@ -204,8 +225,7 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
         threads.emplace_back([&, t] {
             Prng prng(100 + t);
             for (int it = 0; it < kIters; ++it) {
-                const Permutation &d =
-                    patterns[prng.below(kPatterns)];
+                const Permutation &d = patterns[hammered(prng)];
                 const auto plan = router.planCached(d);
                 if (!std::equal(plan->perm.begin(), plan->perm.end(),
                                 d.dest().begin(), d.dest().end())) {
@@ -244,11 +264,10 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
     EXPECT_EQ(stats.misses, router.planCacheMisses());
     // A findCached hit counts like planCached's; its miss counts
     // nothing.
-    EXPECT_EQ(stats.hits + stats.misses,
-              std::size_t{kThreads} * kIters + found[0] + found[1]);
-    EXPECT_LE(stats.size, 8u);
+    const std::size_t probes = 2 * kCapacity + std::size_t{kThreads} * kIters;
+    EXPECT_EQ(stats.hits + stats.misses, probes + found[0] + found[1]);
+    EXPECT_LE(stats.size, kCapacity);
     EXPECT_GT(stats.hits, 0u);
-    // 12 patterns can't fit in 8 slots, so evictions must occur.
     EXPECT_GT(router.planCacheEvictions(), 0u);
 }
 
@@ -812,6 +831,211 @@ TEST(StreamEngineTest, HitWithFullResultQueueTakesARingThenSheds)
     EXPECT_EQ(eng.router().planCacheHits(), hits0 + 7);
     EXPECT_EQ(eng.router().planCacheMisses(), 2u);
     EXPECT_EQ(prod.submitted(), prod.received());
+}
+
+// ----------------------------------- a hit is its own validation
+
+/**
+ * malformedNeighbours (malformed.hh), and two the wire cannot carry:
+ * @p d's tag plus 2^32, which the hash does not read, so its key is
+ * @p d's own, and @p d one lane short.
+ */
+std::vector<std::pair<std::string, std::vector<Word>>>
+everyMalformedNeighbour(const Permutation &d)
+{
+    auto all = malformedNeighbours(d);
+    std::vector<Word> raised = d.dest();
+    raised[4] += Word{1} << 32;
+    all.emplace_back("tag plus 2^32", raised);
+    std::vector<Word> short_by_one = d.dest();
+    short_by_one.pop_back();
+    all.emplace_back("one lane short", short_by_one);
+    return all;
+}
+
+/**
+ * Submit each of @p d's malformed neighbours through @p prod's tag
+ * form: every one comes back Malformed with its payload untouched,
+ * and none reaches the plan tier or a ring. The sketch records a
+ * sighting only with a hit or a miss, so unchanged counts mean it
+ * saw none either.
+ */
+void
+expectEveryNeighbourRefused(const Router &router,
+                            StreamEngine::Producer &prod,
+                            const Permutation &d,
+                            std::uint64_t deadline_ns = 0)
+{
+    const Word N = d.size();
+    const CacheStats before = router.cacheStats();
+    const std::uint64_t submitted = prod.submitted();
+    for (const auto &[name, tags] : everyMalformedNeighbour(d)) {
+        std::vector<Word> payload = iotaPayload(N, 7);
+        EXPECT_EQ(prod.trySubmit(99, tags, payload, deadline_ns),
+                  SubmitOutcome::Malformed)
+            << name;
+        EXPECT_EQ(payload, iotaPayload(N, 7)) << name;
+    }
+    const CacheStats after = router.cacheStats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.size, before.size);
+    EXPECT_EQ(prod.submitted(), submitted);
+}
+
+TEST(StreamEngineTest, MalformedTagsAreRefusedNearAResidentPlanOrNot)
+{
+    // The tag form looks a request up before validating it: a hit
+    // proves the tags are a permutation, and anything else is
+    // validated before it may take a ring. So malformed tags are
+    // refused whether or not the valid pattern next to them is
+    // resident, while that pattern itself is served on the producer
+    // and a valid transposition of it is its own miss, planned by a
+    // worker.
+    const unsigned n = 6;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    StreamOptions opts;
+    opts.metrics = &reg;
+    StreamEngine eng(n, opts);
+    Prng prng(56);
+    const Permutation d = Permutation::random(N, prng);
+    auto &prod = eng.producer(0);
+
+    expectEveryNeighbourRefused(eng.router(), prod, d);
+    (void)sightTwice(eng.router(), d);
+    expectEveryNeighbourRefused(eng.router(), prod, d);
+
+    std::vector<Word> payload = iotaPayload(N, 1);
+    EXPECT_EQ(prod.trySubmit(1, d.dest(), payload), SubmitOutcome::Accepted);
+    StreamResult res;
+    ASSERT_TRUE(prod.tryPoll(res)) << "a hit needs no worker";
+    EXPECT_EQ(res.payload, d.applyTo(iotaPayload(N, 1)));
+
+    std::vector<Word> swapped = d.dest();
+    std::swap(swapped[0], swapped[N - 1]);
+    const Permutation e(swapped);
+    payload = iotaPayload(N, 2);
+    EXPECT_EQ(prod.trySubmit(2, swapped, payload), SubmitOutcome::Accepted);
+    EXPECT_FALSE(prod.tryPoll(res)) << "a miss waits for a worker";
+    eng.start();
+    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+    EXPECT_TRUE(res.ok());
+    EXPECT_EQ(res.payload, e.applyTo(iotaPayload(N, 2)));
+    eng.stop();
+
+    const StreamStats st = eng.stats();
+    EXPECT_EQ(st.requests, 2u);
+    EXPECT_EQ(st.inline_served, 1u);
+    // d's two warm-up sightings and e's miss: no worker planned a
+    // malformed request.
+    EXPECT_EQ(eng.router().planCacheMisses(), 3u);
+    EXPECT_EQ(eng.router().planCacheHits(), 1u);
+}
+
+TEST(StreamEngineTest, MalformedTagsPastTheirDeadlineAreRefused)
+{
+    // A request past its deadline skips the lookup and takes a ring,
+    // so it is validated first: malformed tags are refused, not
+    // expired, while the valid pattern expires on a worker.
+    const unsigned n = 5;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    StreamOptions opts;
+    opts.metrics = &reg;
+    StreamEngine eng(n, opts);
+    Prng prng(57);
+    const Permutation d = Permutation::random(N, prng);
+    (void)sightTwice(eng.router(), d);
+    auto &prod = eng.producer(0);
+    expectEveryNeighbourRefused(eng.router(), prod, d, /*deadline_ns=*/1);
+
+    std::vector<Word> payload = iotaPayload(N, 3);
+    EXPECT_EQ(prod.trySubmit(3, d.dest(), payload, 1),
+              SubmitOutcome::Accepted);
+    eng.start();
+    StreamResult res;
+    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+    EXPECT_EQ(res.status, RouteErrc::DeadlineExceeded);
+    EXPECT_EQ(res.payload, iotaPayload(N, 3));
+    eng.stop();
+    EXPECT_EQ(eng.stats().deadline_expired, 1u);
+    EXPECT_EQ(eng.router().planCacheMisses(), 2u);
+}
+
+TEST(StreamEngineTest, MalformedTagsAreRefusedWithTheResultQueueFull)
+{
+    // With the producer's result queue full a hit takes a ring, so
+    // every request is validated: malformed tags are refused, and
+    // the valid pattern crosses to a worker.
+    const unsigned n = 5;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    StreamOptions opts;
+    opts.metrics = &reg;
+    opts.ring_capacity = 2;
+    StreamEngine eng(n, opts);
+    Prng prng(58);
+    const Permutation d = Permutation::random(N, prng);
+    (void)sightTwice(eng.router(), d);
+    auto &prod = eng.producer(0);
+    for (std::uint64_t id = 0; id < 2; ++id) {
+        std::vector<Word> payload = iotaPayload(N, id);
+        ASSERT_EQ(prod.trySubmit(id, d.dest(), payload),
+                  SubmitOutcome::Accepted);
+    }
+    ASSERT_EQ(eng.stats().inline_served, 2u);
+    expectEveryNeighbourRefused(eng.router(), prod, d);
+
+    std::vector<Word> payload = iotaPayload(N, 2);
+    EXPECT_EQ(prod.trySubmit(2, d.dest(), payload), SubmitOutcome::Accepted);
+    EXPECT_EQ(eng.stats().inline_served, 2u);
+    eng.start();
+    StreamResult res;
+    for (int got = 0; got < 3; ++got) {
+        ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+        EXPECT_TRUE(res.ok());
+        EXPECT_EQ(res.payload, d.applyTo(iotaPayload(N, res.id)));
+    }
+    eng.stop();
+    EXPECT_EQ(eng.stats().requests, 3u);
+    EXPECT_EQ(eng.router().planCacheMisses(), 2u);
+}
+
+TEST(StreamEngineTest, MalformedTagsAreRefusedByAResilientEngine)
+{
+    // A resilient engine serves every request on a worker, so every
+    // request is validated on the producer: malformed tags are
+    // refused before the chain sees them, resident neighbour or not.
+    const unsigned n = 5;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    ResilientOptions ropts;
+    ropts.metrics = &reg;
+    ResilientRouter rr(n, ropts);
+    StreamOptions opts;
+    opts.metrics = &reg;
+    opts.resilient = &rr;
+    StreamEngine eng(n, opts);
+    Prng prng(59);
+    const Permutation d = Permutation::random(N, prng);
+    auto &prod = eng.producer(0);
+
+    expectEveryNeighbourRefused(eng.router(), prod, d);
+    (void)sightTwice(eng.router(), d);
+    expectEveryNeighbourRefused(eng.router(), prod, d);
+
+    std::vector<Word> payload = iotaPayload(N, 4);
+    EXPECT_EQ(prod.trySubmit(4, d.dest(), payload), SubmitOutcome::Accepted);
+    eng.start();
+    StreamResult res;
+    ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
+    EXPECT_TRUE(res.ok());
+    EXPECT_EQ(res.tier, ServeTier::Primary);
+    EXPECT_EQ(res.payload, d.applyTo(iotaPayload(N, 4)));
+    eng.stop();
+    EXPECT_EQ(eng.stats().requests, 1u);
+    EXPECT_EQ(eng.stats().route_failures, 0u);
 }
 
 TEST(StreamEngineTest, ProducerHitsMatchRingOutcomes)
