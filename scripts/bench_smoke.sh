@@ -74,8 +74,8 @@ done
 # Presence and shape only, no timing gate
 # (the bench itself fails if a plan takes the wrong strategy or
 # misdelivers). The one size gate: each arbitrary row records the
-# resident bytes of one plan, and at n = 12 that is at most 16 KiB of
-# 16-bit tables plus a 128-byte header allowance.
+# resident bytes of one plan, and at n = 12 that is at most the 8 KiB
+# of its one 16-bit table plus a 128-byte header allowance.
 if [ -f BENCH_setup.json ]; then
     echo
     echo "== cold-plan and hit rows (TwoPass phases, OmegaBit, Waksman, hits) =="
@@ -115,8 +115,8 @@ for r in doc.get("arbitrary", []):
     if not isinstance(r.get("plan_bytes"), int):
         sys.exit(f"n={r.get('n')} arbitrary row lacks plan_bytes")
     print(f"  plan_bytes n={r['n']}: {r['plan_bytes']}")
-    if r["n"] == 12 and r["plan_bytes"] > 16 * 1024 + 128:
-        sys.exit(f"n=12 plan_bytes {r['plan_bytes']} exceeds 16512")
+    if r["n"] == 12 and r["plan_bytes"] > 8 * 1024 + 128:
+        sys.exit(f"n=12 plan_bytes {r['plan_bytes']} exceeds 8320")
 EOF
     then
         failed=1

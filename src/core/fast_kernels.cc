@@ -34,14 +34,14 @@ gatherScalar(Word *out, const Word *in, const std::uint16_t *src,
 }
 
 bool
-equalWidenedScalar(const std::uint16_t *narrow, const Word *wide,
-                   Word count)
+matchesInverseScalar(const std::uint16_t *src, const Word *tags,
+                     Word count)
 {
     // No early exit: a hit compares every lane anyway, and a stored
     // plan under the right key almost never differs.
     Word diff = 0;
-    for (Word i = 0; i < count; ++i)
-        diff |= wide[i] ^ Word{narrow[i]};
+    for (Word j = 0; j < count; ++j)
+        diff |= tags[src[j]] ^ j;
     return diff == 0;
 }
 
@@ -278,9 +278,9 @@ factorSplitScalar(const FactorLevel &lv)
 }
 
 constexpr KernelTable kScalarTable = {
-    gatherScalar,      equalWidenedScalar, hashTagsScalar,
-    deltaSwapScalar,   pairSwapScalar,     packTagsScalar,
-    factorChaseScalar, factorSplitScalar,  "scalar"};
+    gatherScalar,      matchesInverseScalar, hashTagsScalar,
+    deltaSwapScalar,   pairSwapScalar,       packTagsScalar,
+    factorChaseScalar, factorSplitScalar,    "scalar"};
 
 #if SRBENES_X86_KERNELS
 
@@ -308,30 +308,6 @@ gatherAvx2(Word *out, const Word *in, const std::uint16_t *src,
     }
     for (; j < count; ++j)
         out[j] = in[src[j]];
-}
-
-__attribute__((target("avx2"))) bool
-equalWidenedAvx2(const std::uint16_t *narrow, const Word *wide,
-                 Word count)
-{
-    const auto *n16 = reinterpret_cast<const __m128i *>(narrow);
-    const auto *w = reinterpret_cast<const __m256i *>(wide);
-    __m256i diff = _mm256_setzero_si256();
-    Word i = 0;
-    for (; i + 8 <= count; i += 8) {
-        // vpmovzxwq: eight 16-bit lanes to two vectors of four qwords.
-        const __m128i x = _mm_loadu_si128(n16 + i / 8);
-        const __m256i lo = _mm256_cvtepu16_epi64(x);
-        const __m256i hi = _mm256_cvtepu16_epi64(_mm_srli_si128(x, 8));
-        const __m256i w_lo = _mm256_loadu_si256(w + i / 4);
-        const __m256i w_hi = _mm256_loadu_si256(w + i / 4 + 1);
-        diff = _mm256_or_si256(diff, _mm256_xor_si256(lo, w_lo));
-        diff = _mm256_or_si256(diff, _mm256_xor_si256(hi, w_hi));
-    }
-    Word tail = 0;
-    for (; i < count; ++i)
-        tail |= wide[i] ^ Word{narrow[i]};
-    return tail == 0 && _mm256_testz_si256(diff, diff);
 }
 
 /**
@@ -518,9 +494,9 @@ packTagsAvx2(Word *planes, unsigned nplanes, Word stride,
 }
 
 constexpr KernelTable kAvx2Table = {
-    gatherAvx2,        equalWidenedAvx2,  hashTagsAvx2,
-    deltaSwapAvx2,     pairSwapAvx2,      packTagsAvx2,
-    factorChaseScalar, factorSplitScalar, "avx2"};
+    gatherAvx2,        matchesInverseScalar, hashTagsAvx2,
+    deltaSwapAvx2,     pairSwapAvx2,         packTagsAvx2,
+    factorChaseScalar, factorSplitScalar,    "avx2"};
 
 // --------------------------------------------------------------- AVX-512
 
@@ -571,36 +547,6 @@ gatherAvx512(Word *out, const Word *in, const std::uint16_t *src,
         const __m512i v = _mm512_mask_i64gather_epi64(zero, m, idx, in, 8);
         _mm512_mask_storeu_epi64(out + j, m, v);
     }
-}
-
-__attribute__((target("avx512f"))) bool
-equalWidenedAvx512(const std::uint16_t *narrow, const Word *wide,
-                   Word count)
-{
-    const auto *n16 = reinterpret_cast<const __m256i *>(narrow);
-    __m512i diff = _mm512_setzero_si512();
-    Word i = 0;
-    for (; i + 16 <= count; i += 16) {
-        const __m256i x = _mm256_loadu_si256(n16 + i / 16);
-        const __m128i x_lo = _mm256_castsi256_si128(x);
-        const __m128i x_hi = _mm256_extracti128_si256(x, 1);
-        const __m512i w_lo = _mm512_loadu_si512(wide + i);
-        const __m512i w_hi = _mm512_loadu_si512(wide + i + 8);
-        diff = _mm512_or_si512(
-            diff, _mm512_xor_si512(_mm512_cvtepu16_epi64(x_lo), w_lo));
-        diff = _mm512_or_si512(
-            diff, _mm512_xor_si512(_mm512_cvtepu16_epi64(x_hi), w_hi));
-    }
-    // Masked-off lanes load zero on both sides, so they never differ.
-    for (; i < count; i += 8) {
-        const Word left = std::min<Word>(count - i, 8);
-        const __mmask8 m = static_cast<__mmask8>((1u << left) - 1u);
-        const __m512i x =
-            _mm512_cvtepu16_epi64(loadTail16(narrow + i, left));
-        const __m512i w = _mm512_maskz_loadu_epi64(m, wide + i);
-        diff = _mm512_or_si512(diff, _mm512_xor_si512(x, w));
-    }
-    return _mm512_test_epi64_mask(diff, diff) == 0;
 }
 
 /**
@@ -988,9 +934,9 @@ factorSplitAvx512(const FactorLevel &lv)
 #pragma GCC diagnostic pop
 
 constexpr KernelTable kAvx512Table = {
-    gatherAvx512,      equalWidenedAvx512, hashTagsAvx512,
-    deltaSwapAvx512,   pairSwapAvx512,     packTagsAvx512,
-    factorChaseAvx512, factorSplitAvx512,  "avx512"};
+    gatherAvx512,      matchesInverseScalar, hashTagsAvx512,
+    deltaSwapAvx512,   pairSwapAvx512,       packTagsAvx512,
+    factorChaseAvx512, factorSplitAvx512,    "avx512"};
 
 #endif // SRBENES_X86_KERNELS
 

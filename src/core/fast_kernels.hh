@@ -118,18 +118,23 @@ struct KernelTable
                    Word count);
 
     /**
-     * A plan hit's identity check: true iff wide[i] == narrow[i],
-     * zero-extended, for every i in [0, count). The wide side is
-     * compared whole, never truncated, so a tag of 2^16 or more
-     * matches nothing.
+     * A plan hit's identity check through the plan's gather table:
+     * true iff tags[src[j]] == j for every j in [0, count). @p src
+     * must be a permutation of [0, count) (a plan's src always is),
+     * so every word of tags[0, count) is loaded exactly once, compared
+     * whole, and nothing past count is read; the tags are then src's
+     * inverse. A tag of 2^16 or more, a duplicate or a tag of count or
+     * more matches nothing. Every table holds this one scalar loop: a
+     * SIMD body gathering the tags as the payload gather does cut
+     * srbench's CPU per request by less than its run-to-run spread.
      */
-    bool (*equalWidened)(const std::uint16_t *narrow, const Word *wide,
-                         Word count);
+    bool (*matchesInverse)(const std::uint16_t *src, const Word *tags,
+                           Word count);
 
     /**
      * A request's hash, over the low 32 bits of each of @p count tag
      * words (a tag is below 2^16 on every fabric FastEngine allows; a
-     * wider word can only cost a plan-cache miss, since equalWidened
+     * wider word can only cost a plan-cache miss, since matchesInverse
      * compares words whole). An XXH3-style stripe: the tags are taken
      * kHashStripe at a time, the last stripe zero-padded, as
      * kHashLanes pairs. Lane l XORs its pair (the first tag in the

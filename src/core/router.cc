@@ -68,8 +68,9 @@ servingHashKey()
 }
 
 /**
- * Collisions only cost a cache miss: every lookup compares the
- * stored permutation, lane by lane, before reuse.
+ * Collisions only cost a cache miss: every lookup reads the tags
+ * through the resident plan's gather table, word by word, before
+ * reuse.
  */
 std::uint64_t
 Router::hashPermutation(const Permutation &d)
@@ -100,7 +101,7 @@ Router::Router(unsigned n, bool prefer_waksman,
     : net_(n), engine_(n, metrics), setup_(engine_),
       prefer_waksman_(prefer_waksman),
       plan_bytes_(sizeof(RoutePlan) +
-                  2 * net_.numLines() * sizeof(std::uint16_t)),
+                  net_.numLines() * sizeof(std::uint16_t)),
       cache_bytes_budget_(plan_cache_bytes),
       cache_capacity_(plan_cache_bytes == 0
                           ? plan_cache_capacity
@@ -197,8 +198,7 @@ Router::planImpl(const Permutation &d) const
     // the omega-bit pass is the test. Lawrie's t = 1 window runs
     // first as a cheap reject; a random permutation fails it within a
     // few dozen tags.
-    RoutePlan p{
-        .strategy = RouteStrategy::SelfRouting, .perm = {}, .src = {}};
+    RoutePlan p{.strategy = RouteStrategy::SelfRouting, .src = {}};
     if (levelZero(d) && setup_.routes(d)) {
         // In F: one self-routed pass, nothing else to keep.
     } else if (omegaFirstWindowHolds(d) &&
@@ -223,22 +223,17 @@ Router::planImpl(const Permutation &d) const
                 panic("two-pass plan failed one of its self-routed "
                       "passes");
             p.strategy = RouteStrategy::TwoPass;
-            p.passes = 2;
         }
     }
 
     // Every strategy above was verified by passes that got every tag
     // home, so the fabric realizes d exactly (Theorem 1) and the
-    // gather table is d's inverse: output d[i] takes input i. One pass
-    // over d fills both 16-bit tables (FastEngine caps n at 16).
+    // gather table is d's inverse: output d[i] takes input i, in 16-bit
+    // lanes (FastEngine caps n at 16).
     const Word size = d.size();
-    p.perm.resize(size);
     p.src.resize(size);
-    for (Word i = 0; i < size; ++i) {
-        const Word t = d[i];
-        p.perm[i] = static_cast<std::uint16_t>(t);
-        p.src[t] = static_cast<std::uint16_t>(i);
-    }
+    for (Word i = 0; i < size; ++i)
+        p.src[d[i]] = static_cast<std::uint16_t>(i);
     return p;
 }
 
@@ -338,12 +333,14 @@ Router::findCached(const Word *tags, Word count, std::uint64_t key) const
         auto it = sh.map.find(key);
         if (it == sh.map.end())
             return nullptr;
-        // A key match is never identity: the stored permutation must
-        // equal the tags in every lane, each 64-bit word compared
-        // whole, so words that are not this permutation never hit.
-        const std::vector<std::uint16_t> &perm = it->second.plan->perm;
-        if (perm.size() != count ||
-            !activeKernels().equalWidened(perm.data(), tags, count))
+        // A key match is never identity: the tags read through the
+        // plan's gather table must give back every lane number, each
+        // 64-bit word compared whole, so words that are not this
+        // permutation never hit. The indices are the plan's, and with
+        // the sizes equal they stay inside tags[0, count).
+        const std::vector<std::uint16_t> &src = it->second.plan->src;
+        if (src.size() != count ||
+            !activeKernels().matchesInverse(src.data(), tags, count))
             return nullptr;
         hit = it->second.plan;
     }

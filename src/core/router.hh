@@ -99,9 +99,9 @@ const HashKey &servingHashKey();
 
 /**
  * An immutable, reusable routing plan for one permutation: what a
- * served request reads, and nothing else. Both tables hold 16-bit
+ * served request reads, and nothing else. Its one table holds 16-bit
  * lanes (a Router's n is at most FastEngine::kMaxN = 16), so every
- * plan at one n has the same size, sizeof(RoutePlan) plus 4N bytes.
+ * plan at one n has the same size, sizeof(RoutePlan) plus 2N bytes.
  * The TwoPass factors and the Waksman states are verified at
  * planning time and then dropped; the resilient layer, the one
  * reader of either, re-derives them from the permutation (both
@@ -111,21 +111,15 @@ struct RoutePlan
 {
     RouteStrategy strategy;
     /**
-     * The planned permutation, d[i] in 16-bit lanes: a cache hit's
-     * identity check, which compares it zero-extended against the
-     * request's 64-bit tags (KernelTable::equalWidened).
-     */
-    std::vector<std::uint16_t> perm;
-    /**
      * The verified lane mapping: output j gathers input src[j]. Every
-     * strategy realizes perm exactly, so this is perm's inverse; it
-     * is built once at planning time, after the tag pass (both factor
-     * passes for TwoPass, the forced-state pass for Waksman) has
-     * confirmed that every tag reached home.
+     * strategy realizes the planned permutation d exactly, so this is
+     * d's inverse; it is built once at planning time, after the tag
+     * pass (both factor passes for TwoPass, the forced-state pass for
+     * Waksman) has confirmed that every tag reached home. It is also
+     * a cache hit's identity check: tags equal d exactly when
+     * tags[src[j]] == j for every j (KernelTable::matchesInverse).
      */
     std::vector<std::uint16_t> src;
-    /** Passes through the fabric per executed vector. */
-    unsigned passes = 1;
 };
 
 /** The plan tier's counters, as returned by cacheStats(). */
@@ -221,10 +215,12 @@ class Router
      * @p key (hashTags128(tags, count).lo), or null; never plans, so
      * a miss changes neither the cache, nor its miss count, nor the
      * admission sketch: the planCached that follows a producer's miss
-     * counts the request's one sighting. Identity is confirmed by
-     * comparing the plan's stored permutation, zero-extended, with
-     * every tag word whole (KernelTable::equalWidened), never by the
-     * key alone. Plans are made only from validated permutations, so
+     * counts the request's one sighting. Identity is confirmed
+     * through the plan's gather table, never by the key alone: @p count
+     * must be the plan's N, and tags[src[j]] must equal j for every j,
+     * each tag word compared whole (KernelTable::matchesInverse). The
+     * indices come from the plan, so only tags[0, count) is read, each
+     * word once. Plans are made only from validated permutations, so
      * a hit proves the words are one: a caller may look up words it
      * has not validated, and validate only a miss. A hit counts a hit
      * and a sighting, exactly like planCached's hit, and writes
@@ -356,7 +352,7 @@ class Router
     SetupEngine setup_;
     bool prefer_waksman_;
     /** Resident bytes of any one plan at this n: sizeof(RoutePlan)
-     *  plus perm and src, 2 bytes a line each. */
+     *  plus src, 2 bytes a line. */
     std::size_t plan_bytes_;
     std::size_t cache_bytes_budget_;
     std::size_t cache_capacity_;

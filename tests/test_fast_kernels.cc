@@ -13,8 +13,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,55 +99,120 @@ TEST(FastKernels, GatherMatchesScalarIncludingTails)
     }
 }
 
-TEST(FastKernels, EqualWidenedFindsEverySingleDifferingLane)
+/** A random permutation of [0, @p count) in 16-bit lanes: a plan's
+ *  gather table. */
+std::vector<std::uint16_t>
+randomSrc(std::size_t count, Prng &prng)
+{
+    const Permutation p = Permutation::random(count, prng);
+    return std::vector<std::uint16_t>(p.dest().begin(), p.dest().end());
+}
+
+/** The tags @p src gathers home: tags[src[j]] = j. */
+std::vector<Word>
+tagsOf(const std::vector<std::uint16_t> &src)
+{
+    std::vector<Word> tags(src.size());
+    for (std::size_t j = 0; j < src.size(); ++j)
+        tags[src[j]] = j;
+    return tags;
+}
+
+TEST(FastKernels, MatchesInverseFindsEverySingleDifferingLane)
 {
     // The plan cache's identity check, differential against scalar:
-    // equal tables match at every count, and one differing lane at
-    // any position is found, both when its low 16 bits differ and
-    // when only a bit at or above 2^16 does.
+    // every level accepts the tags a gather table inverts at every
+    // count (every tail of the 8- and 16-lane bodies, those below 16
+    // lanes included), and refuses one differing lane at any position:
+    // a flip below 2^16, a flip at or above it that the low 16 bits
+    // do not see, a tag equal to count, and a neighbour's tag. Every
+    // buffer holds exactly count lanes, so the asan-ubsan preset
+    // catches a body that reads past count.
     Prng prng(78);
-    const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
-    const std::size_t max = 4096;
-    std::vector<std::uint16_t> narrow(max);
-    for (auto &v : narrow)
-        v = static_cast<std::uint16_t>(prng.below(std::size_t{1} << 16));
-    std::vector<Word> wide(narrow.begin(), narrow.end());
-    const Word low_flips[] = {Word{1}, Word{1} << 15};
-    const Word high_flips[] = {Word{1} << 16, Word{1} << 40,
-                               Word{1} << 63};
-    for (SimdLevel level : supportedLevels()) {
-        const KernelTable &k = kernelsFor(level);
-        for (std::size_t count = 1; count <= max; ++count) {
-            ASSERT_TRUE(ref.equalWidened(narrow.data(), wide.data(), count));
-            ASSERT_TRUE(k.equalWidened(narrow.data(), wide.data(), count))
-                << k.name << " count=" << count;
+    std::vector<const KernelTable *> tables;
+    for (SimdLevel level : supportedLevels())
+        tables.push_back(&kernelsFor(level));
+    for (std::size_t count = 1; count <= 4096; ++count) {
+        const std::vector<std::uint16_t> src = randomSrc(count, prng);
+        const std::vector<Word> tags = tagsOf(src);
+        for (const KernelTable *k : tables)
+            ASSERT_TRUE(k->matchesInverse(src.data(), tags.data(), count))
+                << k->name << " count=" << count;
+    }
+    for (Word count : {1u, 7u, 8u, 15u, 16u, 17u, 33u, 255u, 4095u, 4096u}) {
+        const std::vector<std::uint16_t> src = randomSrc(count, prng);
+        std::vector<Word> tags = tagsOf(src);
+        for (std::size_t pos = 0; pos < count; ++pos) {
+            const Word tag = tags[pos];
+            std::vector<Word> wrong = {count};
+            for (unsigned bit : {0u, 15u, 16u, 32u, 40u, 63u})
+                wrong.push_back(tag ^ (Word{1} << bit));
+            if (count > 1)
+                wrong.push_back(tags[pos == 0 ? 1 : pos - 1]);
+            for (Word w : wrong) {
+                tags[pos] = w;
+                for (const KernelTable *k : tables)
+                    ASSERT_FALSE(
+                        k->matchesInverse(src.data(), tags.data(), count))
+                        << k->name << " count=" << count << " pos=" << pos
+                        << " tag=" << w;
+            }
+            tags[pos] = tag;
         }
-        for (std::size_t count :
-             {std::size_t{1}, std::size_t{7}, std::size_t{8},
-              std::size_t{15}, std::size_t{16}, std::size_t{17},
-              std::size_t{33}, std::size_t{255}, std::size_t{4095},
-              std::size_t{4096}}) {
-            for (std::size_t pos = 0; pos < count; ++pos) {
-                for (Word flip : {low_flips[pos % std::size(low_flips)],
-                                  high_flips[pos % std::size(high_flips)]}) {
-                    wide[pos] ^= flip;
-                    EXPECT_FALSE(ref.equalWidened(narrow.data(),
-                                                  wide.data(), count));
-                    EXPECT_FALSE(
-                        k.equalWidened(narrow.data(), wide.data(), count))
-                        << k.name << " count=" << count << " pos=" << pos
-                        << " flip=" << flip;
-                    wide[pos] ^= flip;
-                }
+    }
+}
+
+TEST(FastKernels, MatchesInverseWidensIndicesAboveTwoToTheFifteen)
+{
+    // Fabrics up to n = 16 are served, so a gather table's indices
+    // reach 65535. A body that sign-extended an index of 0x8000 or
+    // more would load from before the tags, so every level must
+    // accept the tags a full-width table inverts and refuse a single
+    // differing lane behind such an index, both in whole 16-lane
+    // blocks and in the tail a 16-lane body leaves: 32769 leaves a
+    // one-lane tail and 65535 a fifteen-lane one, and each tail lane
+    // is given an index of 0x8000 or more.
+    Prng prng(79);
+    std::vector<const KernelTable *> tables;
+    for (SimdLevel level : supportedLevels())
+        tables.push_back(&kernelsFor(level));
+    for (Word count : {Word{32769}, Word{65535}, Word{65536}}) {
+        std::vector<std::uint16_t> src = randomSrc(count, prng);
+        const Word body = count / 16 * 16;
+        Word from = 0;
+        for (Word j = body; j < count; ++j) {
+            if (src[j] >= 0x8000)
+                continue;
+            while (src[from] < 0x8000)
+                ++from;
+            std::swap(src[j], src[from++]);
+        }
+        std::vector<Word> tags = tagsOf(src);
+        for (const KernelTable *k : tables)
+            ASSERT_TRUE(k->matchesInverse(src.data(), tags.data(), count))
+                << k->name << " count=" << count;
+        std::vector<Word> lanes;
+        for (Word j = 0; j < body && lanes.size() < 8; ++j)
+            if (src[j] >= 0x8000)
+                lanes.push_back(j);
+        for (Word j = body; j < count; ++j) {
+            ASSERT_GE(src[j], 0x8000u) << "count=" << count << " j=" << j;
+            lanes.push_back(j);
+        }
+        for (Word j : lanes) {
+            const Word tag = tags[src[j]];
+            std::vector<Word> wrong = {count};
+            for (unsigned bit : {0u, 15u, 16u, 32u, 63u})
+                wrong.push_back(tag ^ (Word{1} << bit));
+            for (Word w : wrong) {
+                tags[src[j]] = w;
+                for (const KernelTable *k : tables)
+                    ASSERT_FALSE(
+                        k->matchesInverse(src.data(), tags.data(), count))
+                        << k->name << " count=" << count << " j=" << j
+                        << " tag=" << w;
             }
-            // A difference just past count is not looked at.
-            if (count < max) {
-                wide[count] ^= Word{1} << 16;
-                EXPECT_TRUE(
-                    k.equalWidened(narrow.data(), wide.data(), count))
-                    << k.name << " count=" << count;
-                wide[count] ^= Word{1} << 16;
-            }
+            tags[src[j]] = tag;
         }
     }
 }

@@ -190,9 +190,12 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
     Prng seed_prng(43);
     std::vector<Permutation> patterns;
     std::vector<std::uint64_t> keys;
+    /** Each pattern's inverse: the gather table its plan must hold. */
+    std::vector<std::vector<Word>> inverses;
     for (int i = 0; i < kPatterns; ++i) {
         patterns.push_back(randomFMember(n, seed_prng));
         keys.push_back(Router::hashPermutation(patterns.back()));
+        inverses.push_back(patterns.back().inverse().dest());
     }
     for (std::size_t i = 0; i < kCapacity; ++i)
         (void)sightTwice(router, patterns[i]);
@@ -214,9 +217,8 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
                 if (!plan)
                     continue;
                 ++found[f];
-                if (!std::equal(plan->perm.begin(), plan->perm.end(),
-                                patterns[pi].dest().begin(),
-                                patterns[pi].dest().end()))
+                if (!std::equal(plan->src.begin(), plan->src.end(),
+                                inverses[pi].begin(), inverses[pi].end()))
                     ++failures[kThreads + f];
             }
         });
@@ -225,10 +227,11 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
         threads.emplace_back([&, t] {
             Prng prng(100 + t);
             for (int it = 0; it < kIters; ++it) {
-                const Permutation &d = patterns[hammered(prng)];
+                const std::size_t pi = hammered(prng);
+                const Permutation &d = patterns[pi];
                 const auto plan = router.planCached(d);
-                if (!std::equal(plan->perm.begin(), plan->perm.end(),
-                                d.dest().begin(), d.dest().end())) {
+                if (!std::equal(plan->src.begin(), plan->src.end(),
+                                inverses[pi].begin(), inverses[pi].end())) {
                     ++failures[t];
                     continue;
                 }
