@@ -30,11 +30,13 @@
  * plans the same way, and its Waksman rows cold prefer_waksman plans
  * of the arbitrary rows' pool: the same factor, its two passes
  * stitched into one state set and one forced pass. Its hit rows time the
- * steps of a plan hit on a Submit's tag words at n = 8, 10 and 12,
- * over a pool resident in a tier of srbd's shape: the keyed hash
- * kernel, the raw-tag findCached with its identity check, and
- * Permutation::tryFrom on the same words, which a hit no longer runs
- * and a miss still does. The E2b sections run in interleaved rounds
+ * steps of a plan hit on a Submit frame read in place at n = 8, 10 and
+ * 12, over a pool resident in a tier of srbd's shape: the keyed hash
+ * kernel over the frame's u32 tag lanes, findCached on those lanes
+ * with its identity check, and the gather of the payload lanes from
+ * the frame into a reply frame, both unaligned; beside them,
+ * Permutation::tryFrom on the widened tags, which a hit never runs
+ * and a miss does. The E2b sections run in interleaved rounds
  * (3, or 1 in smoke), and each row records the least and greatest of
  * its round medians beside the pooled median, p10 and p90. Emits
  * machine-readable BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the
@@ -45,8 +47,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -230,16 +234,17 @@ struct ColdPlanRow
     Rounds plan;
 };
 
-/** The steps of a plan hit on a Submit's tag words. */
+/** The steps of a plan hit on a Submit's frame, in place. */
 struct HitRow
 {
     unsigned n;
     Word N;
     std::size_t pool;
     std::size_t samples;
-    Rounds hash;     //!< hashTags128, the keyed kernel
-    Rounds lookup;   //!< raw-tag findCached, identity check included
-    Rounds validate; //!< Permutation::tryFrom, which a miss still pays
+    Rounds hash;     //!< hashTags128 over the frame's u32 tag lanes
+    Rounds lookup;   //!< findCached on those lanes, identity check included
+    Rounds gather;   //!< the payload, frame to reply frame, unaligned
+    Rounds validate; //!< Permutation::tryFrom, which only a miss pays
 };
 
 /** Row @p i of @p rows, added with @p fresh on the first round. */
@@ -651,15 +656,23 @@ waksmanRound(bool smoke, std::vector<ColdPlanRow> &rows)
 /**
  * One round of a plan hit's steps at n = 8, 10 and 12, over a pool of
  * random permutations resident in a tier of srbd's shape (512 slots,
- * 8 shards, each pattern sighted twice), on the pool's tag words as
- * a decoded Submit carries them. Each sample is the mean of kBatch
- * consecutive calls over the pool, so the clock's own cost stays out
- * of sub-microsecond steps. Returns false if a lookup misses.
+ * 8 shards, each pattern sighted twice), on each pattern's Submit
+ * frame as srbd reads it in place: the u32 tag lanes at frame offset
+ * 34, the payload lanes after them, both at odd byte offsets, and the
+ * payload gathered into a SubmitResult frame at offset 27. Each
+ * sample is the mean of kBatch consecutive calls over the pool, so
+ * the clock's own cost stays out of sub-microsecond steps. Returns
+ * false if a lookup misses or a gather misroutes.
  */
 bool
 hitRound(bool smoke, std::vector<HitRow> &rows)
 {
     constexpr std::size_t kBatch = 16;
+    // The frame's tags start at offset 34 and its payload at
+    // 34 + 4N; a reply's payload at offset 27. The buffers start
+    // 8-byte aligned, so every lane sits as it does on srbd's path.
+    constexpr std::size_t kTagsAt = 34;
+    constexpr std::size_t kReplyAt = 27;
     const std::size_t pool_size = 64;
     const std::size_t samples = smoke ? 64 : 512;
     std::size_t i = 0;
@@ -668,25 +681,40 @@ hitRound(bool smoke, std::vector<HitRow> &rows)
         const Router router(n, false, /*plan_cache_capacity=*/512,
                             /*cache_shards=*/8, /*metrics=*/nullptr);
         const std::vector<Permutation> pool = arbitraryPool(n, pool_size);
-        std::vector<std::vector<Word>> words;
+        std::vector<std::vector<std::uint8_t>> frames;
         std::vector<std::uint64_t> keys;
+        std::vector<Word> payload(N);
+        for (Word j = 0; j < N; ++j)
+            payload[j] = 0x9e3779b97f4a7c15ull * (j + 1);
         for (const Permutation &d : pool) {
             (void)router.planCached(d);
             (void)router.planCached(d);
-            words.push_back(d.dest());
+            std::vector<std::uint8_t> frame(kTagsAt + 12 * N);
+            for (Word j = 0; j < N; ++j) {
+                const auto t = static_cast<std::uint32_t>(d[j]);
+                std::memcpy(frame.data() + kTagsAt + 4 * j, &t, 4);
+            }
+            std::memcpy(frame.data() + kTagsAt + 4 * N, payload.data(),
+                        8 * N);
+            frames.push_back(std::move(frame));
             keys.push_back(Router::hashPermutation(d));
         }
         if (router.planCacheSize() != pool_size)
             return false;
+        auto tagsOf = [&](std::size_t j) {
+            return frames[j].data() + kTagsAt;
+        };
+        std::vector<std::uint8_t> reply(kReplyAt + 8 * N);
 
-        std::vector<double> hash, lookup, validate;
+        std::vector<double> hash, lookup, gather, validate;
+        std::vector<std::shared_ptr<const RoutePlan>> plans(kBatch);
         std::vector<std::vector<Word>> copies(kBatch);
         for (std::size_t k = 0; k < samples; ++k) {
             const std::size_t base = k * kBatch;
             auto t0 = std::chrono::steady_clock::now();
             for (std::size_t b = 0; b < kBatch; ++b) {
-                const std::vector<Word> &w = words[(base + b) % pool_size];
-                const Hash128 h = hashTags128(w.data(), w.size());
+                const Hash128 h =
+                    hashTags128(tagsOf((base + b) % pool_size), N);
                 benchmark::DoNotOptimize(h);
             }
             auto t1 = std::chrono::steady_clock::now();
@@ -696,19 +724,37 @@ hitRound(bool smoke, std::vector<HitRow> &rows)
             t0 = std::chrono::steady_clock::now();
             for (std::size_t b = 0; b < kBatch; ++b) {
                 const std::size_t j = (base + b) % pool_size;
-                auto plan = router.findCached(words[j].data(), N, keys[j]);
-                hit = hit && plan != nullptr;
-                benchmark::DoNotOptimize(plan);
+                plans[b] = router.findCached(tagsOf(j), N, keys[j]);
+                hit = hit && plans[b] != nullptr;
             }
             t1 = std::chrono::steady_clock::now();
             if (!hit)
                 return false;
             lookup.push_back(elapsedUs(t0, t1) / kBatch);
 
-            // tryFrom takes its vector: the copies are made untimed,
-            // as srbd hands it the decoded one.
-            for (std::size_t b = 0; b < kBatch; ++b)
-                copies[b] = words[(base + b) % pool_size];
+            t0 = std::chrono::steady_clock::now();
+            for (std::size_t b = 0; b < kBatch; ++b) {
+                const std::size_t j = (base + b) % pool_size;
+                router.executeInto(*plans[b],
+                                   frames[j].data() + kTagsAt + 4 * N,
+                                   reply.data() + kReplyAt);
+                benchmark::DoNotOptimize(reply.data());
+            }
+            t1 = std::chrono::steady_clock::now();
+            gather.push_back(elapsedUs(t0, t1) / kBatch);
+            Word first;
+            std::memcpy(&first, reply.data() + kReplyAt, 8);
+            if (first != payload[plans[kBatch - 1]->src[0]])
+                return false;
+
+            // A miss copies its tags out of the frame, widened, and
+            // tryFrom takes that vector: the copies are made untimed.
+            for (std::size_t b = 0; b < kBatch; ++b) {
+                const std::uint8_t *t = tagsOf((base + b) % pool_size);
+                copies[b].resize(N);
+                for (Word j = 0; j < N; ++j)
+                    copies[b][j] = tagLane(t, j);
+            }
             t0 = std::chrono::steady_clock::now();
             for (std::size_t b = 0; b < kBatch; ++b) {
                 auto valid = Permutation::tryFrom(std::move(copies[b]));
@@ -717,10 +763,11 @@ hitRound(bool smoke, std::vector<HitRow> &rows)
             t1 = std::chrono::steady_clock::now();
             validate.push_back(elapsedUs(t0, t1) / kBatch);
         }
-        HitRow &row =
-            roundRow(rows, i, HitRow{n, N, pool_size, samples, {}, {}, {}});
+        HitRow &row = roundRow(
+            rows, i, HitRow{n, N, pool_size, samples, {}, {}, {}, {}});
         addRound(row.hash, std::move(hash));
         addRound(row.lookup, std::move(lookup));
+        addRound(row.gather, std::move(gather));
         addRound(row.validate, std::move(validate));
     }
     return true;
@@ -729,30 +776,34 @@ hitRound(bool smoke, std::vector<HitRow> &rows)
 void
 printHit(const std::vector<HitRow> &rows)
 {
-    std::cout << "=== E2b: a plan hit's steps on a Submit's tag words "
+    std::cout << "=== E2b: a plan hit's steps on a Submit frame in place "
                  "(random permutations, 512-slot tier) ===\n\n";
-    TextTable table({"n", "N", "hash us", "lookup us", "validate us",
-                     "hash p90 us", "lookup p90 us", "validate p90 us"});
+    TextTable table({"n", "N", "hash us", "lookup us", "gather us",
+                     "validate us", "hash p90 us", "lookup p90 us",
+                     "gather p90 us"});
     for (const HitRow &r : rows) {
         const Spread hash = spreadOf(r.hash);
         const Spread lookup = spreadOf(r.lookup);
+        const Spread gather = spreadOf(r.gather);
         const Spread validate = spreadOf(r.validate);
         table.newRow();
         table.addCell(r.n);
         table.addCell(r.N);
         table.addCell(hash.median_us, 3);
         table.addCell(lookup.median_us, 3);
+        table.addCell(gather.median_us, 3);
         table.addCell(validate.median_us, 3);
         table.addCell(hash.p90_us, 3);
         table.addCell(lookup.p90_us, 3);
-        table.addCell(validate.p90_us, 3);
+        table.addCell(gather.p90_us, 3);
     }
     table.print(std::cout);
-    std::cout << "\n(hash: hashTags128, the keyed stripe kernel; lookup: "
-                 "findCached on the raw words, identity\ncheck included; "
-                 "validate: Permutation::tryFrom, which a hit no longer "
-                 "runs and a miss\nstill does; each sample the mean of "
-                 "16 calls over the pool)\n\n";
+    std::cout << "\n(hash: hashTags128 over the frame's u32 tag lanes at "
+                 "offset 34; lookup: findCached on\nthose lanes, identity "
+                 "check included; gather: the payload lanes into a reply "
+                 "frame\nat offset 27; validate: Permutation::tryFrom on "
+                 "the widened tags, which only a miss\nruns; each sample "
+                 "the mean of 16 calls over the pool)\n\n";
 }
 
 void
@@ -934,13 +985,15 @@ writeSetupJson(unsigned rounds, const std::vector<SetupRow> &rows,
     printWaksmanRatios(jf, arbitrary, waksman);
     std::fprintf(jf,
                  "  ],\n  \"hit_workload\": \"the steps of a plan hit "
-                 "on a Submit's tag words: random permutations resident "
-                 "in a 512-slot, 8-shard tier; hash: hashTags128, the "
-                 "keyed stripe kernel; lookup: findCached on the raw "
-                 "words, identity check included; validate: "
-                 "Permutation::tryFrom on the same words, which a hit "
-                 "no longer runs and a miss still does; each sample "
-                 "the mean of 16 calls over the pool\",\n"
+                 "on a Submit frame read in place: random permutations "
+                 "resident in a 512-slot, 8-shard tier; hash: "
+                 "hashTags128 over the frame's u32 tag lanes at offset "
+                 "34; lookup: findCached on those lanes, identity check "
+                 "included; gather: the payload lanes from offset "
+                 "34 + 4N into a reply frame at offset 27; validate: "
+                 "Permutation::tryFrom on the widened tags, which a hit "
+                 "never runs and a miss does; each sample the mean of "
+                 "16 calls over the pool\",\n"
                  "  \"hit\": [\n");
     for (std::size_t i = 0; i < hit.size(); ++i) {
         const HitRow &r = hit[i];
@@ -952,6 +1005,8 @@ writeSetupJson(unsigned rounds, const std::vector<SetupRow> &rows,
         printSpread(jf, "hash_us", r.hash, 3);
         std::fprintf(jf, ",\n     ");
         printSpread(jf, "lookup_us", r.lookup, 3);
+        std::fprintf(jf, ",\n     ");
+        printSpread(jf, "gather_us", r.gather, 3);
         std::fprintf(jf, ",\n     ");
         printSpread(jf, "validate_us", r.validate, 3);
         std::fprintf(jf, "}%s\n", i + 1 < hit.size() ? "," : "");

@@ -69,8 +69,9 @@ done
 # eviction), must be reported at n = 8, 10 and 12 with their median,
 # p10, p90 and round-median range, and so must the cold OmegaBit
 # plan of Omega members, the cold Waksman plan of the arbitrary
-# rows' pool, and a plan hit's three steps on a Submit's words (the
-# hash, the raw-tag lookup, and the validation only a miss pays).
+# rows' pool, and a plan hit's steps on a Submit frame in place (the
+# lane hash, the lane lookup, the unaligned frame-to-frame gather),
+# with the validation only a miss pays.
 # Presence and shape only, no timing gate
 # (the bench itself fails if a plan takes the wrong strategy or
 # misdelivers). The one size gate: each arbitrary row records the
@@ -92,8 +93,8 @@ sections = {
                                "insert_evict_us")),
     "omega": ("omega-bit", ("router_plan_cold_us",)),
     "waksman": ("waksman", ("router_plan_cold_us",)),
-    # A plan hit's steps on a Submit's words; no strategy.
-    "hit": (None, ("hash_us", "lookup_us", "validate_us")),
+    # A plan hit's steps on a Submit frame in place; no strategy.
+    "hit": (None, ("hash_us", "lookup_us", "gather_us", "validate_us")),
 }
 for section, (strategy, quantities) in sections.items():
     by_n = {r.get("n"): r for r in doc.get(section, [])}

@@ -12,7 +12,9 @@
 #   3. hits: n=10, loadgen's default 16 patterns — once planned,
 #            every request is a plan hit that srbd's event loop
 #            serves itself, without a worker;
-#   4. idle: an srbd at n=8 and one at n=12, each booted and drained
+#   4. payload-less hits: the same at n=10 with --no-payload — the
+#            Submits carry tags alone, and a hit gathers nothing;
+#   5. idle: an srbd at n=8 and one at n=12, each booted and drained
 #            with no traffic.
 #
 #     scripts/service_soak.sh [build-dir]     # default: build
@@ -23,8 +25,8 @@
 #     protocol errors;
 #   - the daemon's Prometheus exposition (fetched over the Stats
 #     verb) carries srbd_ series with a nonzero submit count — and,
-#     in the cold phase, a nonzero two-pass plan count; in the hits
-#     phase, a nonzero srbenes_stream_inline_served_total (hits
+#     in the cold phase, a nonzero two-pass plan count; in both hits
+#     phases, a nonzero srbenes_stream_inline_served_total (hits
 #     served on the loop);
 #   - after SIGTERM the daemon exits 0 (graceful drain) within the
 #     timeout, reporting a clean drain on stdout;
@@ -160,23 +162,40 @@ else
 fi
 drain_srbd "${log}"
 
+# expect_inline_hits NAME METRICS: the phase's exposition shows hits
+# served on the event loop.
+expect_inline_hits() {
+    local name="$1" metrics="$2"
+    local inline_re='^srbenes_stream_inline_served_total{[^}]*} [1-9]'
+    if grep -q "${inline_re}" "${metrics}"; then
+        grep '^srbenes_stream_inline_served_total{' "${metrics}"
+    else
+        echo "FAILED: no hits served on the loop in the ${name} phase"
+        grep '^srbenes_stream_' "${metrics}" | grep -v '_bucket{' | head -20
+        failed=1
+    fi
+}
+
 # Phase 3: plan hits at n=10 are served on the event loop, not
 # handed to a worker.
 log="${workdir}/srbd-hits.log"
 metrics="${workdir}/metrics-hits.txt"
 start_srbd 10 "${log}"
 soak_phase "hits, n=10" "${metrics}"
-inline_re='^srbenes_stream_inline_served_total{[^}]*} [1-9]'
-if grep -q "${inline_re}" "${metrics}"; then
-    grep '^srbenes_stream_inline_served_total{' "${metrics}"
-else
-    echo "FAILED: no hits served on the loop in the n=10 hits phase"
-    grep '^srbenes_stream_' "${metrics}" | grep -v '_bucket{' | head -20
-    failed=1
-fi
+expect_inline_hits "n=10 hits" "${metrics}"
 drain_srbd "${log}"
 
-# Phase 4: idle memory. VmHWM is read once the daemon listens and its
+# Phase 4: payload-less hits. A Submit without a payload is a hit on
+# its tags alone: the loop checks them in place and answers with no
+# payload, gathering nothing.
+log="${workdir}/srbd-bare.log"
+metrics="${workdir}/metrics-bare.txt"
+start_srbd 10 "${log}"
+soak_phase "payload-less hits, n=10" "${metrics}" --no-payload
+expect_inline_hits "n=10 payload-less hits" "${metrics}"
+drain_srbd "${log}"
+
+# Phase 5: idle memory. VmHWM is read once the daemon listens and its
 # workers have had a moment to start.
 declare -A idle_kib
 for n in 8 12; do

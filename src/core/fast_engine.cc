@@ -316,11 +316,17 @@ FastEngine::gatherInto(const std::vector<std::uint16_t> &src,
     if (data.size() != num_lines_)
         fatal("payload vector size %zu != N = %llu", data.size(),
               static_cast<unsigned long long>(num_lines_));
+    out.resize(num_lines_);
+    gatherInto(src, data.data(), out.data());
+}
+
+void
+FastEngine::gatherInto(const std::vector<std::uint16_t> &src,
+                       const void *data, void *out) const
+{
     if (src.size() != num_lines_)
         fatal("plan shaped for another network");
-    out.resize(num_lines_);
-    activeKernels().gather(out.data(), data.data(), src.data(),
-                           num_lines_);
+    activeKernels().gather(out, data, src.data(), num_lines_);
     if (executes_)
         executes_->inc();
 }

@@ -173,6 +173,15 @@ class FastEngine
                     const std::vector<Word> &data,
                     std::vector<Word> &out) const;
 
+    /**
+     * The same gather over raw lanes: @p data and @p out each hold N
+     * 8-byte lanes at any byte alignment (KernelTable::gather), so a
+     * payload moves from a received frame straight into a reply
+     * frame.
+     */
+    void gatherInto(const std::vector<std::uint16_t> &src,
+                    const void *data, void *out) const;
+
     /** Physical-order switch states of a routed plan. */
     SwitchStates planStates(const FastPlan &plan) const;
 

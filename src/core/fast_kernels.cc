@@ -26,22 +26,24 @@ namespace
 // ---------------------------------------------------------------- scalar
 
 void
-gatherScalar(Word *out, const Word *in, const std::uint16_t *src,
+gatherScalar(void *out, const void *in, const std::uint16_t *src,
              Word count)
 {
+    auto *o = static_cast<unsigned char *>(out);
+    const auto *i = static_cast<const unsigned char *>(in);
     for (Word j = 0; j < count; ++j)
-        out[j] = in[src[j]];
+        std::memcpy(o + 8 * j, i + 8 * std::size_t{src[j]}, 8);
 }
 
 bool
-matchesInverseScalar(const std::uint16_t *src, const Word *tags,
-                     Word count)
+matchesInverseScalar(const std::uint16_t *src, const void *tags, Word count)
 {
     // No early exit: a hit compares every lane anyway, and a stored
-    // plan under the right key almost never differs.
-    Word diff = 0;
+    // plan under the right key almost never differs. Every j is below
+    // count <= 2^16, so it is exact as a u32.
+    std::uint32_t diff = 0;
     for (Word j = 0; j < count; ++j)
-        diff |= tags[src[j]] ^ j;
+        diff |= tagLane(tags, src[j]) ^ static_cast<std::uint32_t>(j);
     return diff == 0;
 }
 
@@ -52,9 +54,12 @@ constexpr std::uint64_t kHashPrime32 = 2654435761u;
 /** The accumulator lanes of the tag hash. */
 using HashLanes = std::uint64_t[kHashLanes];
 
-/** A level's stripe body: takes @p stripes full stripes of tags into
- *  the lanes. */
-using HashStripes = void (*)(HashLanes &acc, const Word *tags,
+/** Bytes of one stripe of tag lanes. */
+constexpr std::size_t kStripeBytes = 4 * kHashStripe;
+
+/** A level's stripe body: takes @p stripes full stripes of tag lanes,
+ *  kStripeBytes each from @p tags, into the lanes. */
+using HashStripes = void (*)(HashLanes &acc, const unsigned char *tags,
                              Word stripes, const HashKey &key);
 
 /**
@@ -66,16 +71,18 @@ using HashStripes = void (*)(HashLanes &acc, const Word *tags,
  * reverse.
  */
 Hash128
-hashTagsWith(const Word *tags, Word count, const HashKey &key,
+hashTagsWith(const void *tags, Word count, const HashKey &key,
              HashStripes stripes)
 {
+    const auto *bytes = static_cast<const unsigned char *>(tags);
     HashLanes acc;
     std::copy(key.lane, key.lane + kHashLanes, acc);
     const Word full = count / kHashStripe;
-    stripes(acc, tags, full, key);
+    stripes(acc, bytes, full, key);
     if (full * kHashStripe < count) {
-        Word pad[kHashStripe] = {};
-        std::copy(tags + full * kHashStripe, tags + count, pad);
+        unsigned char pad[kStripeBytes] = {};
+        std::memcpy(pad, bytes + full * kStripeBytes,
+                    (count - full * kHashStripe) * 4);
         stripes(acc, pad, 1, key);
     }
 
@@ -94,13 +101,14 @@ hashTagsWith(const Word *tags, Word count, const HashKey &key,
 }
 
 void
-hashStripesScalar(HashLanes &acc, const Word *tags, Word stripes,
+hashStripesScalar(HashLanes &acc, const unsigned char *tags, Word stripes,
                   const HashKey &key)
 {
-    for (Word s = 0; s < stripes; ++s, tags += kHashStripe) {
+    for (Word s = 0; s < stripes; ++s, tags += kStripeBytes) {
         for (unsigned l = 0; l < kHashLanes; ++l) {
             const std::uint64_t d =
-                (tags[2 * l] & 0xffffffffu) | (tags[2 * l + 1] << 32);
+                tagLane(tags, 2 * l) |
+                std::uint64_t{tagLane(tags, 2 * l + 1)} << 32;
             const std::uint64_t x = d ^ key.lane[l];
             std::uint64_t a = acc[l] + (x & 0xffffffffu) * (x >> 32) + d;
             a ^= a >> 47;
@@ -111,7 +119,7 @@ hashStripesScalar(HashLanes &acc, const Word *tags, Word stripes,
 }
 
 Hash128
-hashTagsScalar(const Word *tags, Word count, const HashKey &key)
+hashTagsScalar(const void *tags, Word count, const HashKey &key)
 {
     return hashTagsWith(tags, count, key, hashStripesScalar);
 }
@@ -287,12 +295,12 @@ constexpr KernelTable kScalarTable = {
 // ----------------------------------------------------------------- AVX2
 
 __attribute__((target("avx2"))) void
-gatherAvx2(Word *out, const Word *in, const std::uint16_t *src,
+gatherAvx2(void *out, const void *in, const std::uint16_t *src,
            Word count)
 {
-    const auto *base = reinterpret_cast<const long long *>(in);
+    const auto *base = static_cast<const long long *>(in);
     const auto *idx16 = reinterpret_cast<const __m128i *>(src);
-    auto *dst = reinterpret_cast<__m256i *>(out);
+    auto *dst = static_cast<unsigned char *>(out);
     Word j = 0;
     for (; j + 8 <= count; j += 8) {
         // vpmovzxwd: eight 16-bit indices to eight dwords, then two
@@ -301,28 +309,12 @@ gatherAvx2(Word *out, const Word *in, const std::uint16_t *src,
             _mm_loadu_si128(idx16 + j / 8));
         const __m128i idx_lo = _mm256_castsi256_si128(idx);
         const __m128i idx_hi = _mm256_extracti128_si256(idx, 1);
-        _mm256_storeu_si256(dst + j / 4,
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 8 * j),
                             _mm256_i32gather_epi64(base, idx_lo, 8));
-        _mm256_storeu_si256(dst + j / 4 + 1,
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 8 * j + 32),
                             _mm256_i32gather_epi64(base, idx_hi, 8));
     }
-    for (; j < count; ++j)
-        out[j] = in[src[j]];
-}
-
-/**
- * The hash's pairs of adjacent tags from @p p's eight words, one
- * vshufps taking the low 32 bits of each: as 64-bit lanes, the pairs
- * of tags (0, 1), (4, 5), (2, 3), (6, 7), the order kPairOrder undoes.
- */
-__attribute__((target("avx2"))) __m256i
-tagPairsAvx2(const Word *p)
-{
-    const __m256 a = _mm256_loadu_ps(reinterpret_cast<const float *>(p));
-    const __m256 b =
-        _mm256_loadu_ps(reinterpret_cast<const float *>(p + 4));
-    return _mm256_castps_si256(
-        _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+    gatherScalar(dst + 8 * j, in, src + j, count - j);
 }
 
 /** One stripe step of four lanes: take @p d, then scramble. */
@@ -343,36 +335,33 @@ hashStepAvx2(__m256i acc, __m256i d, __m256i k, __m256i prime)
 }
 
 __attribute__((target("avx2"))) void
-hashStripesAvx2(HashLanes &acc, const Word *tags, Word stripes,
+hashStripesAvx2(HashLanes &acc, const unsigned char *tags, Word stripes,
                 const HashKey &key)
 {
-    // Register lanes 1 and 2 of each vector hold hash lanes 4q + 2
-    // and 4q + 1 (tagPairsAvx2's order): the keys and accumulators
-    // are swapped to match on the way in and back on the way out.
-    constexpr int kPairOrder = _MM_SHUFFLE(3, 1, 2, 0);
+    // Eight tag lanes are four pairs in one unaligned load.
     constexpr unsigned kVecs = kHashLanes / 4;
     auto *a = reinterpret_cast<__m256i *>(acc);
     const auto *kv = reinterpret_cast<const __m256i *>(key.lane);
     const __m256i prime = _mm256_set1_epi64x(kHashPrime32);
     __m256i k[kVecs], v[kVecs];
     for (unsigned q = 0; q < kVecs; ++q) {
-        k[q] = _mm256_permute4x64_epi64(_mm256_loadu_si256(kv + q),
-                                        kPairOrder);
-        v[q] = _mm256_permute4x64_epi64(_mm256_loadu_si256(a + q),
-                                        kPairOrder);
+        k[q] = _mm256_loadu_si256(kv + q);
+        v[q] = _mm256_loadu_si256(a + q);
     }
-    for (Word s = 0; s < stripes; ++s, tags += kHashStripe)
+    for (Word s = 0; s < stripes; ++s, tags += kStripeBytes)
 #pragma GCC unroll 4
         for (unsigned q = 0; q < kVecs; ++q)
-            v[q] = hashStepAvx2(v[q], tagPairsAvx2(tags + 8 * q), k[q],
-                                prime);
+            v[q] = hashStepAvx2(
+                v[q],
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(tags + 32 * q)),
+                k[q], prime);
     for (unsigned q = 0; q < kVecs; ++q)
-        _mm256_storeu_si256(a + q,
-                            _mm256_permute4x64_epi64(v[q], kPairOrder));
+        _mm256_storeu_si256(a + q, v[q]);
 }
 
 __attribute__((target("avx2"))) Hash128
-hashTagsAvx2(const Word *tags, Word count, const HashKey &key)
+hashTagsAvx2(const void *tags, Word count, const HashKey &key)
 {
     return hashTagsWith(tags, count, key, hashStripesAvx2);
 }
@@ -520,10 +509,11 @@ loadTail16(const std::uint16_t *p, Word left)
 }
 
 __attribute__((target("avx512f"))) void
-gatherAvx512(Word *out, const Word *in, const std::uint16_t *src,
+gatherAvx512(void *out, const void *in, const std::uint16_t *src,
              Word count)
 {
     const auto *idx16 = reinterpret_cast<const __m256i *>(src);
+    auto *dst = static_cast<unsigned char *>(out);
     Word j = 0;
     for (; j + 16 <= count; j += 16) {
         // vpmovzxwd: sixteen 16-bit indices to sixteen dwords, then
@@ -532,8 +522,9 @@ gatherAvx512(Word *out, const Word *in, const std::uint16_t *src,
             _mm256_loadu_si256(idx16 + j / 16));
         const __m256i idx_lo = _mm512_castsi512_si256(idx);
         const __m256i idx_hi = _mm512_extracti64x4_epi64(idx, 1);
-        _mm512_storeu_si512(out + j, _mm512_i32gather_epi64(idx_lo, in, 8));
-        _mm512_storeu_si512(out + j + 8,
+        _mm512_storeu_si512(dst + 8 * j,
+                            _mm512_i32gather_epi64(idx_lo, in, 8));
+        _mm512_storeu_si512(dst + 8 * j + 64,
                             _mm512_i32gather_epi64(idx_hi, in, 8));
     }
     // The tail, eight lanes at a time: vpmovzxwq to qwords and a
@@ -545,21 +536,8 @@ gatherAvx512(Word *out, const Word *in, const std::uint16_t *src,
         const __m512i idx =
             _mm512_cvtepu16_epi64(loadTail16(src + j, left));
         const __m512i v = _mm512_mask_i64gather_epi64(zero, m, idx, in, 8);
-        _mm512_mask_storeu_epi64(out + j, m, v);
+        _mm512_mask_storeu_epi64(dst + 8 * j, m, v);
     }
-}
-
-/**
- * The low 32 bits of each of @p p's sixteen words, in order, in one
- * vpermt2d: as eight 64-bit lanes, the hash's pairs of adjacent tags.
- */
-__attribute__((target("avx512f"))) __m512i
-tagPairsAvx512(const Word *p)
-{
-    const __m512i low_dwords = _mm512_setr_epi32(
-        0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-    return _mm512_permutex2var_epi32(_mm512_loadu_si512(p), low_dwords,
-                                     _mm512_loadu_si512(p + 8));
 }
 
 /** One stripe step of eight lanes: take @p d, then scramble. */
@@ -581,24 +559,25 @@ hashStepAvx512(__m512i acc, __m512i d, __m512i k, __m512i prime)
 }
 
 __attribute__((target("avx512f"))) void
-hashStripesAvx512(HashLanes &acc, const Word *tags, Word stripes,
+hashStripesAvx512(HashLanes &acc, const unsigned char *tags, Word stripes,
                   const HashKey &key)
 {
+    // Sixteen tag lanes are eight pairs in one unaligned load.
     const __m512i prime = _mm512_set1_epi64(kHashPrime32);
     const __m512i k0 = _mm512_loadu_si512(key.lane);
     const __m512i k1 = _mm512_loadu_si512(key.lane + 8);
     __m512i a0 = _mm512_loadu_si512(acc);
     __m512i a1 = _mm512_loadu_si512(acc + 8);
-    for (Word s = 0; s < stripes; ++s, tags += kHashStripe) {
-        a0 = hashStepAvx512(a0, tagPairsAvx512(tags), k0, prime);
-        a1 = hashStepAvx512(a1, tagPairsAvx512(tags + 16), k1, prime);
+    for (Word s = 0; s < stripes; ++s, tags += kStripeBytes) {
+        a0 = hashStepAvx512(a0, _mm512_loadu_si512(tags), k0, prime);
+        a1 = hashStepAvx512(a1, _mm512_loadu_si512(tags + 64), k1, prime);
     }
     _mm512_storeu_si512(acc, a0);
     _mm512_storeu_si512(acc + 8, a1);
 }
 
 __attribute__((target("avx512f"))) Hash128
-hashTagsAvx512(const Word *tags, Word count, const HashKey &key)
+hashTagsAvx512(const void *tags, Word count, const HashKey &key)
 {
     return hashTagsWith(tags, count, key, hashStripesAvx512);
 }

@@ -30,6 +30,7 @@
 #define SRBENES_CORE_FAST_KERNELS_HH
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/bitops.hh"
 
@@ -77,6 +78,21 @@ struct HashKey
 };
 
 /**
+ * Lane @p i of u32 tag lanes at any byte alignment (the lanes the
+ * hash and the identity check take), loaded through memcpy. A
+ * Submit's tags sit in its frame at offset 34, 2 mod 4, so lanes are
+ * passed as untyped bytes, as the payload gather's are, and never
+ * through a u32 pointer.
+ */
+inline std::uint32_t
+tagLane(const void *tags, Word i)
+{
+    std::uint32_t v;
+    std::memcpy(&v, static_cast<const unsigned char *>(tags) + 4 * i, 4);
+    return v;
+}
+
+/**
  * One recursion level of the looping factor, as its two kernel passes
  * see it. The level's size / s sub-problems of s slots sit side by
  * side: sub-problem k owns slots [k*s, (k+1)*s), indices inside it
@@ -107,38 +123,45 @@ struct FactorLevel
 struct KernelTable
 {
     /**
-     * Payload gather: out[j] = in[src[j]] for j in [0, count), over
-     * 16-bit indices (a plan's lane mapping; FastEngine allows no
-     * fabric wider than 2^16 lines). `out` must not alias `in`. The
-     * SIMD bodies widen the indices to 32 bits (vpmovzxwd) and gather
-     * 64-bit lanes through them; AVX-512 finishes a tail of fewer
-     * than 16 lanes with masked vpgatherqq.
+     * Payload gather: lane j of @p out takes lane src[j] of @p in, for
+     * j in [0, count), over 16-bit indices (a plan's lane mapping;
+     * FastEngine allows no fabric wider than 2^16 lines). A lane is 8
+     * bytes, moved as they are, and both buffers may sit at any byte
+     * alignment: srbd gathers a Submit's payload in place, from frame
+     * offset 34 + 4N, into a SubmitResult frame at offset 27. `out`
+     * must not alias `in`. The scalar body loads and stores through
+     * memcpy; the SIMD bodies widen the indices to 32 bits
+     * (vpmovzxwd), gather 64-bit lanes through them and store
+     * unaligned, and AVX-512 finishes a tail of fewer than 16 lanes
+     * with masked vpgatherqq.
      */
-    void (*gather)(Word *out, const Word *in, const std::uint16_t *src,
+    void (*gather)(void *out, const void *in, const std::uint16_t *src,
                    Word count);
 
     /**
      * A plan hit's identity check through the plan's gather table:
-     * true iff tags[src[j]] == j for every j in [0, count). @p src
+     * true iff tags[src[j]] == j for every j in [0, count), over u32
+     * tag lanes at any byte alignment (loaded through memcpy). @p src
      * must be a permutation of [0, count) (a plan's src always is),
-     * so every word of tags[0, count) is loaded exactly once, compared
+     * so every lane of tags[0, count) is loaded exactly once, compared
      * whole, and nothing past count is read; the tags are then src's
      * inverse. A tag of 2^16 or more, a duplicate or a tag of count or
      * more matches nothing. Every table holds this one scalar loop: a
      * SIMD body gathering the tags as the payload gather does cut
      * srbench's CPU per request by less than its run-to-run spread.
      */
-    bool (*matchesInverse)(const std::uint16_t *src, const Word *tags,
+    bool (*matchesInverse)(const std::uint16_t *src, const void *tags,
                            Word count);
 
     /**
-     * A request's hash, over the low 32 bits of each of @p count tag
-     * words (a tag is below 2^16 on every fabric FastEngine allows; a
-     * wider word can only cost a plan-cache miss, since matchesInverse
-     * compares words whole). An XXH3-style stripe: the tags are taken
+     * A request's hash over @p count u32 tag lanes at any byte
+     * alignment: a Submit's tags in place, or a validated pattern's
+     * tags narrowed to 32 bits (exact, since every tag is below
+     * N <= 2^16). An XXH3-style stripe: the tags are taken
      * kHashStripe at a time, the last stripe zero-padded, as
-     * kHashLanes pairs. Lane l XORs its pair (the first tag in the
-     * low half) with key.lane[l], adds the 32x32->64 product of the
+     * kHashLanes pairs of adjacent lanes, the first in the low half
+     * (on a little-endian host, one 64-bit load). Lane l XORs its
+     * pair with key.lane[l], adds the 32x32->64 product of the
      * result's halves and the pair itself, and after every stripe is
      * scrambled: acc ^= acc >> 47; acc ^= key.lane[l];
      * acc *= 2654435761. Lanes start at their key words and fold
@@ -146,7 +169,7 @@ struct KernelTable
      * Every body returns the same 128 bits; the SIMD ones use
      * vpmuludq for every multiply.
      */
-    Hash128 (*hashTags)(const Word *tags, Word count, const HashKey &key);
+    Hash128 (*hashTags)(const void *tags, Word count, const HashKey &key);
 
     /**
      * In-word conditional exchange at distance `dist` (1 <= dist <=

@@ -248,6 +248,15 @@ ResilientRouter::stats() const
     return s;
 }
 
+ResilientRouter::DegradedEntry::DegradedEntry(std::uint64_t ep,
+                                             ServeTier t,
+                                             const Permutation &d)
+    : epoch(ep), tier(t), src(d.size())
+{
+    for (Word i = 0; i < d.size(); ++i)
+        src[d[i]] = static_cast<std::uint16_t>(i);
+}
+
 std::shared_ptr<const ResilientRouter::DegradedEntry>
 ResilientRouter::degradedLookup(std::uint64_t hash,
                                 std::uint64_t epoch) const
@@ -450,9 +459,13 @@ ResilientRouter::serveOnce(const Permutation &d,
     // tag-verified every serve against the current faults, and a
     // repaired fabric gets a new epoch at its next probe, which
     // retires the entry and lets Primary serve again.
+    // The entry is keyed as degradedStore keys it and confirmed by the
+    // plan tier's identity check over d's narrowed tags.
     const std::uint64_t hash = Router::hashPermutation(d);
     if (auto entry = degradedLookup(hash, probeEpoch());
-        entry && entry->perm == d) {
+        entry && entry->src.size() == d.size() &&
+        activeKernels().matchesInverse(entry->src.data(), narrowTags(d),
+                                       d.size())) {
         if (entry->tier == ServeTier::Reroute && entry->states) {
             const RouteResult res = routeWithFaultsStates(
                 fabric(), d, hw, *entry->states);

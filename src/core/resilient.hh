@@ -193,13 +193,14 @@ class ResilientRouter
   private:
     struct DegradedEntry
     {
-        DegradedEntry(std::uint64_t ep, ServeTier t, Permutation p)
-            : epoch(ep), tier(t), perm(std::move(p))
-        {
-        }
+        DegradedEntry(std::uint64_t ep, ServeTier t, const Permutation &d);
         std::uint64_t epoch;
         ServeTier tier;
-        Permutation perm;
+        /** The pattern's inverse in 16-bit lanes, as a RoutePlan's src
+         *  holds it (2N bytes, not the 8N of its 64-bit tags): a
+         *  lookup confirms its tags with the plan tier's identity
+         *  check, tags[src[j]] == j, so no key alone is identity. */
+        std::vector<std::uint16_t> src;
         std::shared_ptr<const SwitchStates> states;  //!< Reroute
         std::shared_ptr<const TwoPassPlan> two_pass; //!< TwoPass
     };
@@ -227,8 +228,9 @@ class ResilientRouter
                             std::uint64_t deadline_ns) const;
     /** @} */
 
-    /** Verified degraded plan for @p d at the current epoch, or
-     *  nullptr. */
+    /** Verified degraded plan at @p epoch, or nullptr. Entries are
+     *  stored and looked up under one key, @p hash =
+     *  Router::hashPermutation(d). */
     std::shared_ptr<const DegradedEntry>
     degradedLookup(std::uint64_t hash, std::uint64_t epoch) const;
     void degradedStore(std::uint64_t hash,

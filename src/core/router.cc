@@ -37,15 +37,25 @@ count(const obs::Counter *c)
 } // namespace
 
 Hash128
-hashTags128(const Word *tags, Word count)
+hashTags128(const void *tags, Word count)
 {
     return activeKernels().hashTags(tags, count, servingHashKey());
+}
+
+const std::uint32_t *
+narrowTags(const Permutation &d)
+{
+    thread_local std::vector<std::uint32_t> lanes;
+    lanes.resize(d.size());
+    for (Word i = 0; i < d.size(); ++i)
+        lanes[i] = static_cast<std::uint32_t>(d[i]);
+    return lanes.data();
 }
 
 Hash128
 hashPermutation128(const Permutation &d)
 {
-    return hashTags128(d.dest().data(), d.size());
+    return hashTags128(narrowTags(d), d.size());
 }
 
 const HashKey &
@@ -69,7 +79,7 @@ servingHashKey()
 
 /**
  * Collisions only cost a cache miss: every lookup reads the tags
- * through the resident plan's gather table, word by word, before
+ * through the resident plan's gather table, lane by lane, before
  * reuse.
  */
 std::uint64_t
@@ -318,11 +328,11 @@ Router::evictPastCapacity(Victim v) const
 std::shared_ptr<const RoutePlan>
 Router::findCached(const Permutation &d, std::uint64_t key) const
 {
-    return findCached(d.dest().data(), d.size(), key);
+    return findCached(narrowTags(d), d.size(), key);
 }
 
 std::shared_ptr<const RoutePlan>
-Router::findCached(const Word *tags, Word count, std::uint64_t key) const
+Router::findCached(const void *tags, Word count, std::uint64_t key) const
 {
     if (cache_capacity_ == 0)
         return nullptr;
@@ -335,9 +345,9 @@ Router::findCached(const Word *tags, Word count, std::uint64_t key) const
             return nullptr;
         // A key match is never identity: the tags read through the
         // plan's gather table must give back every lane number, each
-        // 64-bit word compared whole, so words that are not this
-        // permutation never hit. The indices are the plan's, and with
-        // the sizes equal they stay inside tags[0, count).
+        // lane compared whole, so lanes that are not this permutation
+        // never hit. The indices are the plan's, and with the sizes
+        // equal they stay inside tags[0, count).
         const std::vector<std::uint16_t> &src = it->second.plan->src;
         if (src.size() != count ||
             !activeKernels().matchesInverse(src.data(), tags, count))
@@ -417,6 +427,13 @@ void
 Router::executeInto(const RoutePlan &plan,
                     const std::vector<Word> &data,
                     std::vector<Word> &out) const
+{
+    engine_.gatherInto(plan.src, data, out);
+}
+
+void
+Router::executeInto(const RoutePlan &plan, const void *data,
+                    void *out) const
 {
     engine_.gatherInto(plan.src, data, out);
 }

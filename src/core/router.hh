@@ -79,13 +79,25 @@ const char *routeStrategyName(RouteStrategy s);
 
 /**
  * The plan cache's hash of a request's tags: the kernel table's keyed
- * stripe hash (KernelTable::hashTags) over @p count tag words, under
- * this process's serving key. The producer, the worker, the resilient
- * layer and every Router lookup share it, so one pattern has one key.
+ * stripe hash (KernelTable::hashTags) over @p count u32 tag lanes at
+ * any byte alignment, under this process's serving key. srbd hashes a
+ * Submit's lanes in place; the producer, the worker, the resilient
+ * layer and every Router lookup hash the same lanes, so one pattern
+ * has one key.
  */
-Hash128 hashTags128(const Word *tags, Word count);
+Hash128 hashTags128(const void *tags, Word count);
 
-/** hashTags128 over @p d's destination vector. */
+/**
+ * @p d's tags as the u32 lanes hashTags128 and findCached take, in the
+ * calling thread's own buffer: valid until the thread's next
+ * narrowTags, which the Permutation forms of the hash and the lookup
+ * (hashPermutation128, Router::hashPermutation, findCached, planCached)
+ * also make. Exact: a validated permutation's tags are below
+ * N <= 2^16.
+ */
+const std::uint32_t *narrowTags(const Permutation &d);
+
+/** hashTags128 over @p d's narrowed tags. */
 Hash128 hashPermutation128(const Permutation &d);
 
 /**
@@ -117,7 +129,8 @@ struct RoutePlan
      * pass (both factor passes for TwoPass, the forced-state pass for
      * Waksman) has confirmed that every tag reached home. It is also
      * a cache hit's identity check: tags equal d exactly when
-     * tags[src[j]] == j for every j (KernelTable::matchesInverse).
+     * tags[src[j]] == j for every j (KernelTable::matchesInverse, over
+     * the tags as u32 lanes).
      */
     std::vector<std::uint16_t> src;
 };
@@ -211,26 +224,26 @@ class Router
     planCached(const Permutation &d, std::uint64_t key) const;
 
     /**
-     * The resident plan for the @p count tag words at @p tags under
-     * @p key (hashTags128(tags, count).lo), or null; never plans, so
-     * a miss changes neither the cache, nor its miss count, nor the
-     * admission sketch: the planCached that follows a producer's miss
-     * counts the request's one sighting. Identity is confirmed
-     * through the plan's gather table, never by the key alone: @p count
-     * must be the plan's N, and tags[src[j]] must equal j for every j,
-     * each tag word compared whole (KernelTable::matchesInverse). The
-     * indices come from the plan, so only tags[0, count) is read, each
-     * word once. Plans are made only from validated permutations, so
-     * a hit proves the words are one: a caller may look up words it
-     * has not validated, and validate only a miss. A hit counts a hit
-     * and a sighting, exactly like planCached's hit, and writes
-     * nothing under the lock. Thread-safe; takes one shard's reader
-     * lock.
+     * The resident plan for the @p count u32 tag lanes at @p tags (any
+     * byte alignment) under @p key (hashTags128(tags, count).lo), or
+     * null; never plans, so a miss changes neither the cache, nor its
+     * miss count, nor the admission sketch: the planCached that
+     * follows a producer's miss counts the request's one sighting.
+     * Identity is confirmed through the plan's gather table, never by
+     * the key alone: @p count must be the plan's N, and tags[src[j]]
+     * must equal j for every j, each lane compared whole
+     * (KernelTable::matchesInverse). The indices come from the plan,
+     * so only tags[0, count) is read, each lane once. Plans are made
+     * only from validated permutations, so a hit proves the lanes are
+     * one: srbd looks up a Submit's lanes in place, unvalidated, and
+     * validates only a miss. A hit counts a hit and a sighting,
+     * exactly like planCached's hit, and writes nothing under the
+     * lock. Thread-safe; takes one shard's reader lock.
      */
     std::shared_ptr<const RoutePlan>
-    findCached(const Word *tags, Word count, std::uint64_t key) const;
+    findCached(const void *tags, Word count, std::uint64_t key) const;
 
-    /** findCached over @p d's destination vector. */
+    /** findCached over @p d's narrowed tags (narrowTags). */
     std::shared_ptr<const RoutePlan>
     findCached(const Permutation &d, std::uint64_t key) const;
 
@@ -248,6 +261,11 @@ class Router
     void executeInto(const RoutePlan &plan,
                      const std::vector<Word> &data,
                      std::vector<Word> &out) const;
+
+    /** The same gather over raw lanes: N 8-byte lanes each at @p data
+     *  and @p out, at any byte alignment (FastEngine::gatherInto). */
+    void executeInto(const RoutePlan &plan, const void *data,
+                     void *out) const;
 
     /**
      * Convenience: cached plan + execute in one call, answering in

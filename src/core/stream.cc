@@ -31,6 +31,15 @@ constexpr unsigned kBurst = 32;
 /** Empty ring scans before a worker blocks on its doorbell. */
 constexpr unsigned kIdleSpins = 16;
 
+/** A caller's request vector must hold one entry a line. */
+void
+requireLines(const char *what, std::size_t size, Word N)
+{
+    if (size != N)
+        fatal("stream request %s size %zu != N = %llu", what, size,
+              static_cast<unsigned long long>(N));
+}
+
 } // namespace
 
 StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
@@ -132,94 +141,137 @@ StreamEngine::producer(unsigned i)
     return producers_[i];
 }
 
-SubmitOutcome
-StreamEngine::Producer::trySubmit(std::uint64_t id, std::vector<Word> dest,
-                                  std::vector<Word> &payload,
-                                  std::uint64_t deadline_ns)
-{
-    return submit(id, &dest, nullptr, payload, deadline_ns);
-}
-
 bool
 StreamEngine::Producer::trySubmit(std::uint64_t id,
                                   std::shared_ptr<const Permutation> perm,
                                   std::vector<Word> &payload,
                                   std::uint64_t deadline_ns)
 {
-    if (perm->size() != eng_->numLines())
-        fatal("stream request permutation size %zu != N = %llu",
-              perm->size(),
-              static_cast<unsigned long long>(eng_->numLines()));
-    return submit(id, nullptr, std::move(perm), payload, deadline_ns) ==
-           SubmitOutcome::Accepted;
+    const Word N = eng_->numLines();
+    requireLines("permutation", perm->size(), N);
+    requireLines("payload", payload.size(), N);
+    // The lanes stay in this thread's buffer through the serve, whose
+    // lookup narrows nothing.
+    const std::uint32_t *tags = narrowTags(*perm);
+    const Hash128 hash = hashTags128(tags, N);
+    const std::uint64_t submit_ns = obs::monotonicNs();
+    return serveInline(id, tags, hash, submit_ns, payload, deadline_ns) ||
+           enqueue(id, hash, submit_ns, std::move(perm), payload,
+                   deadline_ns) == SubmitOutcome::Accepted;
+}
+
+std::uint64_t
+StreamEngine::Producer::serveHit(const void *tags, const Hash128 &hash,
+                                 const void *payload, void *out,
+                                 std::uint64_t submit_ns,
+                                 std::uint64_t deadline_ns)
+{
+    StreamEngine &eng = *eng_;
+    // A resilient engine serves every request on a worker, since its
+    // chain may probe and retry. A request already past its deadline
+    // is not looked up: like every request that reaches a worker
+    // expired, it never touches the plan tier. Only a request with a
+    // deadline reads the clock for it.
+    if (eng.resilient_ ||
+        (deadline_ns != 0 && obs::monotonicNs() >= deadline_ns))
+        return 0;
+    // The lookup compares every tag lane with a plan made from a
+    // validated permutation, so a hit is valid by construction and
+    // builds no Permutation.
+    const std::shared_ptr<const RoutePlan> plan =
+        eng.router_.findCached(tags, eng.numLines(), hash.lo);
+    if (!plan)
+        return 0;
+    if (payload != nullptr)
+        eng.router_.executeInto(*plan, payload, out);
+    const std::uint64_t done = obs::monotonicNs();
+    // Counters attribute to the hash-affine worker: its instruments
+    // are thread-sharded.
+    WorkerState &ws = *eng.workers_[eng.affineWorker(hash)];
+    if (ws.requests)
+        ws.requests->inc();
+    if (ws.latency_ns)
+        ws.latency_ns->observe(done - submit_ns);
+    if (eng.inline_served_)
+        eng.inline_served_->inc();
+    return done;
+}
+
+bool
+StreamEngine::Producer::serveInline(std::uint64_t id,
+                                    const std::uint32_t *tags,
+                                    const Hash128 &hash,
+                                    std::uint64_t submit_ns,
+                                    std::vector<Word> &payload,
+                                    std::uint64_t deadline_ns)
+{
+    // Run to completion: a resident plan needs only the gather, so a
+    // hit is served on this thread while its result queue has room.
+    if (!inline_results_ || inline_results_->full())
+        return false;
+    scratch_.resize(eng_->numLines());
+    const std::uint64_t done = serveHit(tags, hash, payload.data(),
+                                        scratch_.data(), submit_ns,
+                                        deadline_ns);
+    if (done == 0)
+        return false;
+    StreamResult res;
+    res.id = id;
+    res.worker = eng_->affineWorker(hash);
+    res.payload = std::move(scratch_);
+    res.submit_ns = submit_ns;
+    res.complete_ns = done;
+    // The request's storage is the next hit's scratch: steady state
+    // allocates nothing.
+    scratch_ = std::move(payload);
+    // Cannot fail: full() was false above and this handle is the
+    // queue's only pusher.
+    if (!inline_results_->tryPush(std::move(res)))
+        fatal("inline result queue overflow");
+    ++submitted_;
+    return true;
 }
 
 SubmitOutcome
-StreamEngine::Producer::submit(std::uint64_t id, std::vector<Word> *dest,
-                               std::shared_ptr<const Permutation> perm,
-                               std::vector<Word> &payload,
-                               std::uint64_t deadline_ns)
+StreamEngine::Producer::submitMiss(std::uint64_t id, const Hash128 &hash,
+                                   std::uint64_t submit_ns,
+                                   std::vector<Word> dest,
+                                   std::vector<Word> &payload,
+                                   std::uint64_t deadline_ns)
+{
+    const Word N = eng_->numLines();
+    requireLines("payload", payload.size(), N);
+    // A worker plans only a valid permutation: the words are
+    // validated here, once, and a malformed request goes no further.
+    std::optional<Permutation> valid = Permutation::tryFrom(std::move(dest));
+    if (!valid || valid->size() != N)
+        return SubmitOutcome::Malformed;
+    return enqueue(id, hash, submit_ns,
+                   std::make_shared<const Permutation>(std::move(*valid)),
+                   payload, deadline_ns);
+}
+
+SubmitOutcome
+StreamEngine::Producer::enqueue(std::uint64_t id, const Hash128 &hash,
+                                std::uint64_t submit_ns,
+                                std::shared_ptr<const Permutation> perm,
+                                std::vector<Word> &payload,
+                                std::uint64_t deadline_ns)
 {
     StreamEngine &eng = *eng_;
-    const std::vector<Word> &tags = perm ? perm->dest() : *dest;
-    if (tags.size() != eng.numLines())
-        return SubmitOutcome::Malformed;
-    if (payload.size() != tags.size())
-        fatal("stream request payload size %zu != N = %zu",
-              payload.size(), tags.size());
-
     StreamRequest req;
     req.id = id;
     req.producer = index_;
-    req.hash = hashTags128(tags.data(), tags.size());
-    const unsigned w =
-        static_cast<unsigned>(req.hash.hi % eng.opts_.workers);
-    req.submit_ns = obs::monotonicNs();
-    req.deadline_ns = deadline_ns;
-
-    // Run to completion: a resident plan needs only the gather, so
-    // a hit is served on this thread while its result queue has
-    // room. The lookup compares every tag word with a plan made from
-    // a validated permutation, so a hit is valid by construction and
-    // builds no Permutation. Counters attribute to the hash-affine
-    // worker (its instruments are thread-sharded). A request already
-    // past its deadline is not looked up: like every request that
-    // reaches a worker expired, it never touches the plan tier.
-    if (inline_results_ && !inline_results_->full() &&
-        (deadline_ns == 0 || req.submit_ns < deadline_ns)) {
-        if (std::shared_ptr<const RoutePlan> hit = eng.router_.findCached(
-                tags.data(), tags.size(), req.hash.lo)) {
-            req.payload = std::move(payload);
-            StreamResult res;
-            eng.serve(*eng.workers_[w], w, req, res, std::move(hit),
-                      scratch_);
-            // Cannot fail: full() was false above and this handle is
-            // the queue's only pusher.
-            if (!inline_results_->tryPush(std::move(res)))
-                fatal("inline result queue overflow");
-            ++submitted_;
-            if (eng.inline_served_)
-                eng.inline_served_->inc();
-            return SubmitOutcome::Accepted;
-        }
-    }
-
-    // Anything else goes to a worker, which plans only a valid
-    // permutation: the tag form validates here, once, and a malformed
-    // request goes no further.
-    if (!perm) {
-        std::optional<Permutation> valid =
-            Permutation::tryFrom(std::move(*dest));
-        if (!valid)
-            return SubmitOutcome::Malformed;
-        perm = std::make_shared<const Permutation>(std::move(*valid));
-    }
+    req.hash = hash;
     req.perm = std::move(perm);
     req.payload = std::move(payload);
+    req.submit_ns = submit_ns;
+    req.deadline_ns = deadline_ns;
 
     // The hash-affine worker: two concurrent misses of one pattern
     // reach one worker, so the second finds the first's plan instead
     // of planning it again.
+    const unsigned w = eng.affineWorker(hash);
     if (!eng.submitRing(index_, w).tryPush(std::move(req))) {
         // Affine ring full: spill once to the next worker before
         // shedding.
@@ -303,9 +355,7 @@ StreamEngine::Producer::awaitResultFor(StreamResult &out,
 
 void
 StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
-                    StreamResult &res,
-                    std::shared_ptr<const RoutePlan> plan,
-                    std::vector<Word> &scratch)
+                    StreamResult &res)
 {
     res.id = req.id;
     res.worker = w;
@@ -340,13 +390,12 @@ StreamEngine::serve(WorkerState &ws, unsigned w, StreamRequest &req,
             }
         }
     } else {
-        if (!plan)
-            plan = router_.planCached(*req.perm, req.hash.lo);
-
-        // Gather into the caller's scratch, then swap storage with
+        const std::shared_ptr<const RoutePlan> plan =
+            router_.planCached(*req.perm, req.hash.lo);
+        // Gather into the worker's scratch, then swap storage with
         // the request payload: steady state allocates nothing.
-        router_.executeInto(*plan, req.payload, scratch);
-        scratch.swap(req.payload);
+        router_.executeInto(*plan, req.payload, ws.scratch);
+        ws.scratch.swap(req.payload);
         res.payload = std::move(req.payload);
     }
     res.complete_ns = obs::monotonicNs();
@@ -361,7 +410,7 @@ void
 StreamEngine::process(WorkerState &ws, unsigned w, StreamRequest &req)
 {
     StreamResult res;
-    serve(ws, w, req, res, nullptr, ws.scratch);
+    serve(ws, w, req, res);
     // The slot is reused for the next request; drop this one's
     // pattern before the result is published, so the caller's
     // reference is the last one once it polls.

@@ -11,20 +11,28 @@
  *   producers ──SPSC──▶ K worker threads ──SPSC──▶ producers
  *
  *  - Run to completion: a plan-tier hit never leaves the producer
- *    thread. trySubmit() looks the pattern up in the Router's
- *    sharded plan tier (Router::findCached, keyed by the 128-bit
- *    hash the producer computes once per request) and, on a hit,
- *    gathers the payload right there into a bounded result queue
- *    that tryPoll drains — no ring, no doorbell, no worker wakeup.
- *    For a recurring pattern a lookup and one gather is the whole
- *    request, so a ring round-trip would cost more than the work.
- *  - A hit is its own validation: trySubmit's tag form hashes the
- *    request's raw tag words and looks them up before validating
- *    them. Plans are made only from validated permutations and the
- *    lookup compares every tag whole, so a hit proves the tags are a
- *    permutation, and the hit builds no Permutation. Only a request
- *    that takes a ring is validated (Permutation::tryFrom), and a
- *    malformed one is refused there, before a worker sees it.
+ *    thread. Producer::serveHit does a hit's whole job in one
+ *    routine: the deadline check, the lookup in the Router's sharded
+ *    plan tier (Router::findCached, keyed by the 128-bit hash the
+ *    producer computes once per request), the gather into memory the
+ *    caller provides, and the counters — no ring, no doorbell, no
+ *    worker wakeup. srbd calls it with a Submit's tag and payload
+ *    lanes read in place from its receive buffer and the payload
+ *    lanes of a SubmitResult frame reserved in its send buffer, so a
+ *    hit copies nothing out and allocates nothing; trySubmit, whose
+ *    caller hands it a validated Permutation, calls it with a scratch
+ *    vector and stages the result in a bounded queue that tryPoll
+ *    drains. For a recurring pattern a lookup and one gather is the
+ *    whole request, so a ring round-trip would cost more than the
+ *    work.
+ *  - A hit is its own validation: srbd looks a Submit up by its tag
+ *    lanes as they arrived, before anything validates them. Plans
+ *    are made only from validated permutations and the lookup
+ *    compares every lane whole, so a hit proves the tags are a
+ *    permutation, and the hit builds no Permutation. Only a Submit
+ *    that takes a ring is validated (submitMiss, through
+ *    Permutation::tryFrom), and a malformed one is refused there,
+ *    before a worker sees it.
  *  - Only a miss crosses to a worker: each (producer, worker) pair
  *    owns one lock-free single-producer single-consumer ring for
  *    requests and one for results, so the aggregate is a
@@ -36,15 +44,16 @@
  *    concurrent misses of one pattern reach one worker and the
  *    second finds the first's plan instead of planning it again.
  *    When that ring is full the request spills once to the next
- *    worker, then sheds. A hit whose result queue is full takes the
- *    same ring path instead of being shed.
+ *    worker, then sheds. An in-process hit whose result queue is full
+ *    takes the same ring path instead of being shed.
  *  - The one plan tier is the Router's: no plan is held outside it
  *    except by a request in flight, so its entry-count and byte
  *    budgets bound every resident plan.
  *  - Execution is one contiguous payload gather through the
- *    runtime-dispatched SIMD kernels, into a thread-owned scratch
- *    buffer that is swapped with the request's payload storage —
- *    zero allocation per request in steady state.
+ *    runtime-dispatched SIMD kernels: into the caller's memory for a
+ *    hit, and on a worker into a thread-owned scratch buffer that is
+ *    swapped with the request's payload storage — zero allocation per
+ *    request in steady state.
  *
  * Each request carries its submit timestamp; the serving thread
  * stamps completion, so StreamStats reports true submit→complete
@@ -373,8 +382,8 @@ struct StreamRequest
     /** The tags' hash, computed once by the producer; a worker plans
      *  under its low word. */
     Hash128 hash;
-    /** The validated pattern; null on a hit served on its producer's
-     *  thread, which never builds one. */
+    /** The validated pattern. A hit never becomes a request: it is
+     *  served on its producer's thread and builds no Permutation. */
     std::shared_ptr<const Permutation> perm;
     std::vector<Word> payload;
     std::uint64_t submit_ns = 0;
@@ -403,7 +412,7 @@ struct StreamResult
     std::uint64_t latencyNs() const { return complete_ns - submit_ns; }
 };
 
-/** How trySubmit's tag form answered. */
+/** How submitMiss answered. */
 enum class SubmitOutcome
 {
     /** Served on the producer's thread or queued for a worker: its
@@ -463,8 +472,9 @@ struct StreamOptions
      * awaitResult — the srbd server sleeps in epoll_wait — this is
      * the hook that turns a completion into an external wakeup
      * (e.g. an eventfd write). Must be cheap and thread-safe.
-     * Requests served on the producer thread never notify: their
-     * results are pollable before trySubmit returns.
+     * Requests served on the producer thread never notify: serveHit
+     * answers its caller directly, and a hit trySubmit serves is
+     * pollable before it returns.
      */
     std::function<void(unsigned producer)> result_notify;
 };
@@ -489,7 +499,7 @@ struct StreamStats
     std::uint64_t p99_ns = 0;
     /** Times a worker slept on its doorbell and was woken. */
     std::uint64_t doorbell_wakes = 0;
-    /** trySubmit refusals on a full ring (the shed-load signal). */
+    /** Submits refused on full rings (the shed-load signal). */
     std::uint64_t sheds = 0;
     /** Plan-tier hits served on their producer's thread. */
     std::uint64_t inline_served = 0;
@@ -527,41 +537,72 @@ class StreamEngine
     {
       public:
         /**
-         * Submit the request whose tag words are @p dest, unvalidated
-         * (srbd's decoded Submit): hash them once (hashTags128) and
-         * stamp the submit time; @p deadline_ns is an ABSOLUTE
+         * Submit the validated pattern @p perm: its tags are narrowed
+         * (narrowTags, exact), hashed once (hashTags128) and stamped
+         * with the submit time; @p deadline_ns is an ABSOLUTE
          * obs::monotonicNs() instant (0 = none). While this handle's
-         * result queue has room, a pattern resident in the plan tier
-         * (Router::findCached over the raw words) is served right
-         * here — deadline check, gather, tier stamping, counters —
-         * and its result staged for tryPoll, with no Permutation
-         * built. Anything else (a miss, a full result queue, a
-         * request already past its deadline, or any request to a
-         * ResilientRouter engine) is validated once
-         * (Permutation::tryFrom, which takes @p dest) and enqueued,
-         * with its hash, on the hash-affine worker's ring, spilling
-         * once to the next worker. Tags of the wrong size or that
-         * are no permutation come back Malformed, counted by neither
-         * the plan tier nor its sketch. @p payload is consumed only
-         * when Accepted. Shed means the target worker's ring and its
-         * spill neighbour's are full and the request was refused,
-         * counted in StreamStats::sheds; poll results, then retry.
-         */
-        SubmitOutcome trySubmit(std::uint64_t id, std::vector<Word> dest,
-                                std::vector<Word> &payload,
-                                std::uint64_t deadline_ns = 0);
-
-        /**
-         * The same submit for a pattern already validated: @p perm
-         * skips the validation a ring-bound request would run, and
-         * must have N entries (fatal() otherwise). True when
-         * Accepted, false when Shed. The engine keeps no reference
-         * to @p perm once the request's result is pollable.
+         * result queue has room, a hit is served right here by
+         * serveHit, with the gather into this handle's scratch, and
+         * its result staged for tryPoll. Anything else (a miss, a full
+         * result queue, a request already past its deadline, or any
+         * request to a ResilientRouter engine) is enqueued on the
+         * hash-affine worker's ring, spilling once to the next
+         * worker. @p perm and @p payload must have N entries (fatal()
+         * otherwise); @p payload is consumed only when accepted. True
+         * when accepted; false when both rings are full and the
+         * request was refused, counted in StreamStats::sheds (the
+         * shed-load signal): poll results, then retry. The engine
+         * keeps no reference to @p perm once the request's result is
+         * pollable.
          */
         bool trySubmit(std::uint64_t id,
                        std::shared_ptr<const Permutation> perm,
                        std::vector<Word> &payload,
                        std::uint64_t deadline_ns = 0);
+
+        /**
+         * A plan hit's whole job, on this handle's thread: the
+         * deadline check, the lookup (Router::findCached over the N
+         * u32 tag lanes at @p tags, under @p hash = their
+         * hashTags128), the gather of the N u64 payload lanes at
+         * @p payload into the 8N bytes at @p out, and the counters:
+         * the hash-affine worker's request count and
+         * submit-to-complete latency from @p submit_ns, and
+         * srbenes_stream_inline_served_total. Every buffer may sit at
+         * any byte alignment, so srbd serves a Submit from its receive
+         * buffer straight into a SubmitResult frame it reserved in the
+         * send buffer. A null @p payload (a Submit without one)
+         * gathers nothing: the identity check already proved the
+         * tags. Returns the completion time (obs::monotonicNs()), the
+         * result's tier being Primary; or 0, having written nothing,
+         * when the pattern is not resident, @p deadline_ns (absolute;
+         * 0 = none) has already passed, or the engine serves through
+         * a ResilientRouter. Takes no result-queue
+         * slot and touches no ring, so it neither counts in
+         * submitted() nor allocates.
+         */
+        std::uint64_t serveHit(const void *tags, const Hash128 &hash,
+                               const void *payload, void *out,
+                               std::uint64_t submit_ns,
+                               std::uint64_t deadline_ns);
+
+        /**
+         * The ring half of a submit serveHit did not serve, for a
+         * caller that already hashed its tags into @p hash and
+         * stamped @p submit_ns (srbd, which copies a missing
+         * Submit's tags out of its frame into @p dest): validates
+         * @p dest once (Permutation::tryFrom), answering Malformed
+         * when it is no permutation of N, and enqueues the request
+         * with its hash on the hash-affine worker's ring, spilling
+         * once to the next worker, or answering Shed when both rings
+         * are full (counted in StreamStats::sheds). @p payload must
+         * hold N words and is consumed only when Accepted.
+         */
+        SubmitOutcome submitMiss(std::uint64_t id, const Hash128 &hash,
+                                 std::uint64_t submit_ns,
+                                 std::vector<Word> dest,
+                                 std::vector<Word> &payload,
+                                 std::uint64_t deadline_ns);
 
         /** Pop one completed result from any worker, if available. */
         bool tryPoll(StreamResult &out);
@@ -590,15 +631,21 @@ class StreamEngine
       private:
         friend class StreamEngine;
 
-        /**
-         * The one submit path behind both forms: the pattern is
-         * @p perm when set, else the words at @p dest, which a
-         * ring-bound request validates and takes.
-         */
-        SubmitOutcome submit(std::uint64_t id, std::vector<Word> *dest,
-                             std::shared_ptr<const Permutation> perm,
-                             std::vector<Word> &payload,
-                             std::uint64_t deadline_ns);
+        /** Serve a hit of the lanes at @p tags into this handle's
+         *  scratch and stage its result; false when serveHit did not
+         *  serve it or the result queue is full. */
+        bool serveInline(std::uint64_t id, const std::uint32_t *tags,
+                         const Hash128 &hash, std::uint64_t submit_ns,
+                         std::vector<Word> &payload,
+                         std::uint64_t deadline_ns);
+
+        /** Push a validated request onto its affine ring, spilling
+         *  once, or shed it. */
+        SubmitOutcome enqueue(std::uint64_t id, const Hash128 &hash,
+                              std::uint64_t submit_ns,
+                              std::shared_ptr<const Permutation> perm,
+                              std::vector<Word> &payload,
+                              std::uint64_t deadline_ns);
 
         StreamEngine *eng_ = nullptr;
         unsigned index_ = 0;
@@ -607,11 +654,11 @@ class StreamEngine
         std::uint64_t received_ = 0;
 
         /**
-         * @{ Hits served on this handle's thread: a scratch vector
-         * for the gather, and a bounded queue of completed results
-         * drained by tryPoll (ring_capacity slots; null on a
-         * ResilientRouter engine). When it is full, hits take the
-         * ring path.
+         * @{ In-process submits: a scratch vector for a hit's gather,
+         * swapped with each served request's payload; and a bounded
+         * queue of completed hits drained by tryPoll (ring_capacity
+         * slots; null on a ResilientRouter engine). When it is full,
+         * hits take the ring path.
          */
         std::vector<Word> scratch_;
         std::unique_ptr<SpscRing<StreamResult>> inline_results_;
@@ -687,20 +734,22 @@ class StreamEngine
                               worker];
     }
 
+    /** The worker a request of hash @p h is affine to. */
+    unsigned
+    affineWorker(const Hash128 &h) const
+    {
+        return static_cast<unsigned>(h.hi % opts_.workers);
+    }
+
     void workerMain(unsigned w);
     void process(WorkerState &ws, unsigned w, StreamRequest &req);
     /**
-     * The serving core shared by a producer serving a hit and a
-     * worker serving a miss: deadline expiry, resilient chain or
-     * gather, tier and timestamp stamping, counter attribution to
-     * @p ws. @p plan is the producer's hit; null on a worker, which
-     * then plans through the tier with the request's key. The
-     * scratch is the calling thread's; @p ws's instruments are
-     * thread-sharded, so attribution from a producer thread is safe.
+     * A worker's serve of one request off its ring: deadline expiry,
+     * resilient chain or planCached and gather into @p ws's scratch,
+     * tier and timestamp stamping, counter attribution to @p ws.
      */
     void serve(WorkerState &ws, unsigned w, StreamRequest &req,
-               StreamResult &res, std::shared_ptr<const RoutePlan> plan,
-               std::vector<Word> &scratch);
+               StreamResult &res);
 
     /**
      * Fast path: the engine owns its Router. Resilient path: plans
@@ -714,7 +763,8 @@ class StreamEngine
     StreamOptions opts_;
     /** Submit refusals on full rings; null when metrics off. */
     obs::Counter *sheds_ = nullptr;
-    /** Requests served on a producer thread; null when metrics off. */
+    /** Hits served on a producer thread (serveHit); null when
+     *  metrics off. */
     obs::Counter *inline_served_ = nullptr;
     std::vector<std::unique_ptr<SpscRing<StreamRequest>>> submit_rings_;
     std::vector<std::unique_ptr<SpscRing<StreamResult>>> result_rings_;

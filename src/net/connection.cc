@@ -27,6 +27,10 @@ namespace
 // level-triggered, so the rest is read on the next pass.
 constexpr std::size_t kReadBudget = 1u << 20;
 
+// Each recv() asks for up to this much, landing in the decoder's
+// buffer; a shorter read means the kernel buffer is drained.
+constexpr std::size_t kReadChunk = 65536;
+
 } // namespace
 
 Connection::Connection(int fd, std::uint64_t id,
@@ -42,14 +46,14 @@ Connection::~Connection()
 }
 
 Connection::ReadResult
-Connection::readReady(std::vector<Message> &msgs, std::string *error)
+Connection::readReady()
 {
-    std::uint8_t chunk[65536];
     for (std::size_t taken = 0; taken < kReadBudget;) {
-        const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
+        const ssize_t got =
+            ::recv(fd_, decoder_.prepare(kReadChunk), kReadChunk, 0);
         if (got > 0) {
-            decoder_.feed(chunk, static_cast<std::size_t>(got));
-            if (static_cast<std::size_t>(got) < sizeof(chunk))
+            decoder_.commit(static_cast<std::size_t>(got));
+            if (static_cast<std::size_t>(got) < kReadChunk)
                 break; // kernel buffer drained
             taken += static_cast<std::size_t>(got);
             continue;
@@ -62,30 +66,12 @@ Connection::readReady(std::vector<Message> &msgs, std::string *error)
             continue;
         return ReadResult::Closed;
     }
-    for (;;) {
-        Message m;
-        switch (decoder_.next(m, error)) {
-          case DecodeStatus::Ok:
-            msgs.push_back(std::move(m));
-            continue;
-          case DecodeStatus::NeedMore:
-            return ReadResult::Ok;
-          case DecodeStatus::Error:
-            return ReadResult::ProtocolError;
-        }
-    }
+    return ReadResult::Ok;
 }
 
 void
 Connection::queue(const Message &m)
 {
-    // Compact the flushed prefix before it dominates the buffer.
-    if (out_pos_ > 65536 && out_pos_ * 2 > out_.size()) {
-        out_.erase(out_.begin(),
-                   out_.begin() +
-                       static_cast<std::ptrdiff_t>(out_pos_));
-        out_pos_ = 0;
-    }
     encode(m, out_);
 }
 
@@ -94,12 +80,11 @@ Connection::flush()
 {
     while (pendingOut() > 0) {
         const ssize_t sent =
-            ::send(fd_, out_.data() + out_pos_, pendingOut(),
-                   MSG_NOSIGNAL);
+            ::send(fd_, out_.data(), pendingOut(), MSG_NOSIGNAL);
         if (writes_ != nullptr)
             writes_->inc();
         if (sent > 0) {
-            out_pos_ += static_cast<std::size_t>(sent);
+            out_.consume(static_cast<std::size_t>(sent));
             continue;
         }
         if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
@@ -107,10 +92,6 @@ Connection::flush()
         if (sent < 0 && errno == EINTR)
             continue;
         return false;
-    }
-    if (out_pos_ == out_.size()) {
-        out_.clear();
-        out_pos_ = 0;
     }
     return true;
 }

@@ -3,15 +3,22 @@
  * One accepted client connection: a nonblocking fd plus buffered,
  * framed I/O.
  *
- * Reads feed the protocol Decoder; a protocol error (malformed
- * frame, oversized length, unknown type) poisons the connection —
- * the server counts it and closes the socket, because a
- * length-prefixed stream cannot resynchronize.
+ * Reads land straight in the protocol Decoder's buffer (recv()
+ * writes into the room Decoder::prepare() hands out, with no bounce
+ * buffer and no copy), and the server pulls frames from it with
+ * next(): a Submit comes back as a view over that buffer, valid until
+ * the next readReady(). A protocol error (malformed frame, oversized
+ * length, unknown type) poisons the connection — the server counts
+ * it and closes the socket, because a length-prefixed stream cannot
+ * resynchronize.
  *
  * Writes queue into an out-buffer flushed opportunistically: the
  * server queues every answer one loop pass produces, flushes each
  * touched connection once at the end of the pass, and falls back to
- * EPOLLOUT when the socket would block. The out-buffer size is the
+ * EPOLLOUT when the socket would block. A plan hit's answer is
+ * written in place: the server reserves its SubmitResult frame in the
+ * out-buffer (reserve(), never zero-filled), the engine gathers the
+ * payload into it, and commit() queues it. The out-buffer size is the
  * per-connection backpressure signal — above the server's high
  * watermark the connection stops being read (its EPOLLIN is
  * dropped), which in turn stops admission from that client, the
@@ -27,7 +34,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "net/protocol.hh"
 
@@ -57,21 +63,37 @@ class Connection
 
     enum class ReadResult
     {
-        Ok,            //!< messages (possibly zero) extracted
-        Closed,        //!< orderly EOF or a socket error
-        ProtocolError, //!< poisoned framing; close and count
+        Ok,     //!< bytes (possibly none) read; pull frames with next()
+        Closed, //!< orderly EOF or a socket error
     };
 
     /**
-     * Drain the socket's readable bytes, up to a per-pass budget
-     * (1 MiB), and append every complete message to @p msgs. On
-     * ProtocolError @p error carries the decoder's explanation.
+     * Drain the socket's readable bytes into the decoder's buffer, up
+     * to a per-pass budget (1 MiB). Invalidates every view next()
+     * returned before it.
      */
-    ReadResult readReady(std::vector<Message> &msgs,
-                         std::string *error = nullptr);
+    ReadResult readReady();
+
+    /**
+     * The next complete frame read so far (Decoder::next). On Error
+     * @p error carries the decoder's explanation; close the
+     * connection.
+     */
+    DecodeStatus
+    next(Frame &out, std::string *error = nullptr)
+    {
+        return decoder_.next(out, error);
+    }
 
     /** Encode @p m onto the out-buffer (no I/O). */
     void queue(const Message &m);
+
+    /** @{ Room for a frame of @p len bytes at the out-buffer's end,
+     *  uninitialized, valid until the next queue() or reserve(); then
+     *  queue the @p len bytes written there. */
+    std::uint8_t *reserve(std::size_t len) { return out_.prepare(len); }
+    void commit(std::size_t len) { out_.commit(len); }
+    /** @} */
 
     /**
      * Flush as much of the out-buffer as the socket accepts.
@@ -80,7 +102,7 @@ class Connection
     bool flush();
 
     /** Bytes queued but not yet written. */
-    std::size_t pendingOut() const { return out_.size() - out_pos_; }
+    std::size_t pendingOut() const { return out_.size(); }
 
     bool wantsWrite() const { return pendingOut() > 0; }
 
@@ -98,8 +120,7 @@ class Connection
     std::uint64_t id_;
     obs::Counter *writes_;
     Decoder decoder_;
-    std::vector<std::uint8_t> out_;
-    std::size_t out_pos_ = 0;
+    ByteBuffer out_;
 };
 
 } // namespace net

@@ -1,22 +1,28 @@
 /**
  * @file
- * Frame codec implementation. Encoding appends to a caller buffer
- * (one allocation-free path for a connection's write queue);
- * decoding is a bounds-checked cursor over the receive buffer that
- * treats ANY deviation — short body, long body, unknown type,
- * counts that disagree with the body length — as a poisoning
+ * Frame codec implementation. Encoding sizes a frame first and
+ * writes it in place, into a caller's vector or past the end of a
+ * ByteBuffer (one allocation-free path for a connection's write
+ * queue), and panics if the writer did not end exactly where the
+ * size said; decoding is a bounds-checked cursor over the receive
+ * buffer that treats ANY deviation — short body, long body, unknown
+ * type, counts that disagree with the body length — as a poisoning
  * protocol error.
  *
- * Header fields go through putU*()/getU*() one at a time; the
- * dest and payload arrays are converted in bulk (one bounds check
- * and one resize per array, then memcpy), which on a little-endian
- * host is a straight copy for the u64 arrays.
+ * Header fields go through putU*()/getU*() one at a time. A Submit's
+ * arrays are not copied at all by the parser: its view points at
+ * them in the buffer. The owning forms convert arrays in bulk (one
+ * bounds check and one resize per array, then memcpy), which on a
+ * little-endian host is a straight copy for the u64 arrays.
  */
 
 #include "net/protocol.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#include "common/logging.hh"
 
 namespace srbenes
 {
@@ -30,35 +36,34 @@ constexpr bool kLittleEndian =
 
 // ------------------------------------------------------------ writer
 
-void
-putU8(std::vector<std::uint8_t> &out, std::uint8_t v)
+std::uint8_t *
+putU8(std::uint8_t *p, std::uint8_t v)
 {
-    out.push_back(v);
+    *p = v;
+    return p + 1;
 }
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+std::uint8_t *
+putU32(std::uint8_t *p, std::uint32_t v)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
+    return p + 4;
 }
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+std::uint8_t *
+putU64(std::uint8_t *p, std::uint64_t v)
 {
-    putU32(out, static_cast<std::uint32_t>(v));
-    putU32(out, static_cast<std::uint32_t>(v >> 32));
+    p = putU32(p, static_cast<std::uint32_t>(v));
+    return putU32(p, static_cast<std::uint32_t>(v >> 32));
 }
 
-/** Append @p words as little-endian u32s (dest tags; narrowed). */
-void
-putU32s(std::vector<std::uint8_t> &out, const std::vector<Word> &words)
+/** Write @p words as little-endian u32s (dest tags; narrowed). */
+std::uint8_t *
+putU32s(std::uint8_t *p, const std::vector<Word> &words)
 {
-    const std::size_t at = out.size();
-    out.resize(at + words.size() * 4);
-    std::uint8_t *p = out.data() + at;
     for (Word w : words) {
         std::uint32_t v = static_cast<std::uint32_t>(w);
         if constexpr (!kLittleEndian)
@@ -66,23 +71,40 @@ putU32s(std::vector<std::uint8_t> &out, const std::vector<Word> &words)
         std::memcpy(p, &v, 4);
         p += 4;
     }
+    return p;
 }
 
-/** Append @p words as little-endian u64s. */
-void
-putU64s(std::vector<std::uint8_t> &out, const std::vector<Word> &words)
+/** Write @p words as little-endian u64s. */
+std::uint8_t *
+putU64s(std::uint8_t *p, const std::vector<Word> &words)
 {
-    const std::size_t at = out.size();
-    out.resize(at + words.size() * 8);
-    std::uint8_t *p = out.data() + at;
     if constexpr (kLittleEndian) {
         if (!words.empty())
             std::memcpy(p, words.data(), words.size() * 8);
+        return p + words.size() * 8;
     } else {
         for (Word w : words) {
             const std::uint64_t v = __builtin_bswap64(w);
             std::memcpy(p, &v, 8);
             p += 8;
+        }
+        return p;
+    }
+}
+
+/** Read @p count little-endian u64 lanes at @p p into @p out. */
+void
+getU64s(const std::uint8_t *p, std::size_t count, std::vector<Word> &out)
+{
+    out.resize(count);
+    if constexpr (kLittleEndian) {
+        if (count != 0)
+            std::memcpy(out.data(), p, count * 8);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            std::uint64_t v;
+            std::memcpy(&v, p + i * 8, 8);
+            out[i] = __builtin_bswap64(v);
         }
     }
 }
@@ -141,41 +163,13 @@ struct Reader
         return lo | hi << 32;
     }
 
-    /** Read @p count little-endian u32s into @p out (one check). */
-    void
-    getU32s(std::size_t count, std::vector<Word> &out)
-    {
-        if (!need(count * 4))
-            return;
-        out.resize(count);
-        const std::uint8_t *src = p + pos;
-        for (std::size_t i = 0; i < count; ++i) {
-            std::uint32_t v;
-            std::memcpy(&v, src + i * 4, 4);
-            if constexpr (!kLittleEndian)
-                v = __builtin_bswap32(v);
-            out[i] = v;
-        }
-        pos += count * 4;
-    }
-
     /** Read @p count little-endian u64s into @p out (one check). */
     void
     getU64s(std::size_t count, std::vector<Word> &out)
     {
         if (!need(count * 8))
             return;
-        out.resize(count);
-        if constexpr (kLittleEndian) {
-            if (count != 0)
-                std::memcpy(out.data(), p + pos, count * 8);
-        } else {
-            for (std::size_t i = 0; i < count; ++i) {
-                std::uint64_t v;
-                std::memcpy(&v, p + pos + i * 8, 8);
-                out[i] = __builtin_bswap64(v);
-            }
-        }
+        net::getU64s(p + pos, count, out);
         pos += count * 8;
     }
 
@@ -184,72 +178,140 @@ struct Reader
 
 // --------------------------------------------------------- per-type
 
-void
-encodeBody(const SubmitMsg &m, std::vector<std::uint8_t> &out)
+/** The frame's bytes, length prefix included. */
+std::size_t
+frameSize(const SubmitMsg &m)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::Submit));
-    putU64(out, m.id);
-    putU64(out, m.tenant);
-    putU64(out, m.deadline_rel_ns);
-    putU32(out, static_cast<std::uint32_t>(m.dest.size()));
-    putU8(out, m.has_payload ? 1 : 0);
-    putU32s(out, m.dest);
-    if (m.has_payload)
-        putU64s(out, m.payload);
+    return 4 + 1 + 3 * 8 + 4 + 1 + m.dest.size() * 4 +
+           (m.has_payload ? m.payload.size() * 8 : 0);
 }
 
-void
-encodeBody(const SubmitResultMsg &m, std::vector<std::uint8_t> &out)
+std::size_t
+frameSize(const SubmitResultMsg &m)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::SubmitResult));
-    putU64(out, m.id);
-    putU8(out, static_cast<std::uint8_t>(m.status));
-    putU8(out, static_cast<std::uint8_t>(m.tier));
-    putU64(out, m.server_ns);
-    putU32(out, static_cast<std::uint32_t>(m.payload.size()));
-    putU64s(out, m.payload);
+    return kSubmitResultHead + m.payload.size() * 8;
 }
 
-void
-encodeBody(const HealthMsg &, std::vector<std::uint8_t> &out)
+std::size_t
+frameSize(const HealthMsg &)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::Health));
+    return 4 + 1;
 }
 
-void
-encodeBody(const HealthResultMsg &m, std::vector<std::uint8_t> &out)
+std::size_t
+frameSize(const HealthResultMsg &)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::HealthResult));
-    putU8(out, static_cast<std::uint8_t>(m.state));
-    putU32(out, m.n);
-    putU32(out, m.workers);
-    putU64(out, m.uptime_ns);
-    putU64(out, m.served);
-    putU64(out, m.inflight);
+    return 4 + 1 + 1 + 4 + 4 + 3 * 8;
 }
 
-void
-encodeBody(const StatsMsg &m, std::vector<std::uint8_t> &out)
+std::size_t
+frameSize(const StatsMsg &)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::Stats));
-    putU8(out, static_cast<std::uint8_t>(m.format));
+    return 4 + 1 + 1;
 }
 
-void
-encodeBody(const StatsResultMsg &m, std::vector<std::uint8_t> &out)
+std::size_t
+frameSize(const StatsResultMsg &m)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::StatsResult));
-    putU8(out, static_cast<std::uint8_t>(m.format));
-    putU32(out, static_cast<std::uint32_t>(m.body.size()));
-    out.insert(out.end(), m.body.begin(), m.body.end());
+    return 4 + 1 + 1 + 4 + m.body.size();
 }
 
+/** The length prefix and type byte of a frame of @p size bytes. */
+std::uint8_t *
+putFrameHead(std::uint8_t *p, std::size_t size, MsgType type)
+{
+    p = putU32(p, static_cast<std::uint32_t>(size - 4));
+    return putU8(p, static_cast<std::uint8_t>(type));
+}
+
+/*
+ * Each writer returns the end of what it wrote, which encodeAt()
+ * checks against frameSize(): a field added to one but not the other
+ * would otherwise write past the bytes reserved for the frame.
+ */
+
+std::uint8_t *
+encodeFrame(std::uint8_t *p, const SubmitMsg &m)
+{
+    p = putFrameHead(p, frameSize(m), MsgType::Submit);
+    p = putU64(p, m.id);
+    p = putU64(p, m.tenant);
+    p = putU64(p, m.deadline_rel_ns);
+    p = putU32(p, static_cast<std::uint32_t>(m.dest.size()));
+    p = putU8(p, m.has_payload ? 1 : 0);
+    p = putU32s(p, m.dest);
+    return m.has_payload ? putU64s(p, m.payload) : p;
+}
+
+std::uint8_t *
+encodeFrame(std::uint8_t *p, const SubmitResultMsg &m)
+{
+    putSubmitResultHead(p, m.id, m.status, m.tier, m.server_ns,
+                        static_cast<std::uint32_t>(m.payload.size()));
+    return putU64s(p + kSubmitResultHead, m.payload);
+}
+
+std::uint8_t *
+encodeFrame(std::uint8_t *p, const HealthMsg &m)
+{
+    return putFrameHead(p, frameSize(m), MsgType::Health);
+}
+
+std::uint8_t *
+encodeFrame(std::uint8_t *p, const HealthResultMsg &m)
+{
+    p = putFrameHead(p, frameSize(m), MsgType::HealthResult);
+    p = putU8(p, static_cast<std::uint8_t>(m.state));
+    p = putU32(p, m.n);
+    p = putU32(p, m.workers);
+    p = putU64(p, m.uptime_ns);
+    p = putU64(p, m.served);
+    return putU64(p, m.inflight);
+}
+
+std::uint8_t *
+encodeFrame(std::uint8_t *p, const StatsMsg &m)
+{
+    p = putFrameHead(p, frameSize(m), MsgType::Stats);
+    return putU8(p, static_cast<std::uint8_t>(m.format));
+}
+
+std::uint8_t *
+encodeFrame(std::uint8_t *p, const StatsResultMsg &m)
+{
+    p = putFrameHead(p, frameSize(m), MsgType::StatsResult);
+    p = putU8(p, static_cast<std::uint8_t>(m.format));
+    p = putU32(p, static_cast<std::uint32_t>(m.body.size()));
+    if (!m.body.empty())
+        std::memcpy(p, m.body.data(), m.body.size());
+    return p + m.body.size();
+}
+
+/** Write @p msg's frame of @p size = frameSize(msg) bytes at @p p. */
+template <typename Msg>
+void
+encodeAt(std::uint8_t *p, std::size_t size, const Msg &msg)
+{
+    const std::uint8_t *end = encodeFrame(p, msg);
+    if (end != p + size)
+        panic("frame of type %u: its writer wrote %td bytes, frameSize "
+              "reserved %zu",
+              static_cast<unsigned>(p[4]), end - p, size);
+}
+
+/**
+ * The one Submit parser: @p body (the @p len bytes after the type)
+ * into @p v, in place. On a big-endian host the tag lanes are
+ * byte-swapped where they lie, so the view's lanes are native.
+ */
 bool
-decodeBody(Reader &r, SubmitMsg &m, std::string *error)
+parseSubmit(std::uint8_t *body, std::size_t len, SubmitView &v,
+            std::string *error)
 {
-    m.id = r.getU64();
-    m.tenant = r.getU64();
-    m.deadline_rel_ns = r.getU64();
+    Reader r{body, len, 0, true};
+    v.id = r.getU64();
+    v.tenant = r.getU64();
+    v.deadline_rel_ns = r.getU64();
     const std::uint32_t lines = r.getU32();
     const std::uint8_t has_payload = r.getU8();
     if (!r.ok || has_payload > 1) {
@@ -258,22 +320,30 @@ decodeBody(Reader &r, SubmitMsg &m, std::string *error)
         return false;
     }
     // The remaining body length must match the declared line count
-    // EXACTLY, so a hostile count cannot drive a huge allocation:
-    // the frame size cap already bounded len, and this check bounds
-    // lines by len.
-    const std::size_t want =
-        std::size_t{lines} * (has_payload ? 12 : 4);
-    if (r.len - r.pos != want) {
+    // EXACTLY, in 64 bits, so a hostile count can neither wrap nor
+    // point the view past the body: the frame size cap already
+    // bounded len, and this check bounds lines by len.
+    const std::uint64_t want =
+        std::uint64_t{lines} * (has_payload ? 12 : 4);
+    if (std::uint64_t{r.len - r.pos} != want) {
         if (error)
             *error = "submit body length disagrees with line count";
         return false;
     }
-    r.getU32s(lines, m.dest);
-    m.has_payload = has_payload != 0;
-    m.payload.clear();
-    if (m.has_payload)
-        r.getU64s(lines, m.payload);
-    return r.ok;
+    std::uint8_t *lanes = body + r.pos;
+    if constexpr (!kLittleEndian) {
+        for (std::uint32_t i = 0; i < lines; ++i) {
+            std::uint32_t t;
+            std::memcpy(&t, lanes + 4 * std::size_t{i}, 4);
+            t = __builtin_bswap32(t);
+            std::memcpy(lanes + 4 * std::size_t{i}, &t, 4);
+        }
+    }
+    v.num_lines = lines;
+    v.has_payload = has_payload != 0;
+    v.tags = lanes;
+    v.payload = v.has_payload ? lanes + 4 * std::size_t{lines} : nullptr;
+    return true;
 }
 
 bool
@@ -284,7 +354,7 @@ decodeBody(Reader &r, SubmitResultMsg &m, std::string *error)
     m.tier = static_cast<ServeTier>(r.getU8());
     m.server_ns = r.getU64();
     const std::uint32_t count = r.getU32();
-    if (!r.ok || r.len - r.pos != std::size_t{count} * 8) {
+    if (!r.ok || std::uint64_t{r.len - r.pos} != std::uint64_t{count} * 8) {
         if (error)
             *error = "submit-result body length disagrees with "
                      "payload count";
@@ -325,6 +395,61 @@ decodeBody(Reader &r, StatsResultMsg &m, std::string *error)
     m.body.assign(reinterpret_cast<const char *>(r.p + r.pos), len);
     r.pos += len;
     return true;
+}
+
+/** Every type but Submit, into its owning Message. */
+bool
+decodeOther(std::uint8_t type, Reader &r, Message &out,
+            std::string *error)
+{
+    switch (static_cast<MsgType>(type)) {
+      case MsgType::SubmitResult: {
+        SubmitResultMsg m;
+        if (!decodeBody(r, m, error) || !r.consumed())
+            return false;
+        out = std::move(m);
+        return true;
+      }
+      case MsgType::Health:
+        if (!r.consumed()) {
+            if (error)
+                *error = "health body must be empty";
+            return false;
+        }
+        out = HealthMsg{};
+        return true;
+      case MsgType::HealthResult: {
+        HealthResultMsg m;
+        if (!decodeBody(r, m, error))
+            return false;
+        out = std::move(m);
+        return true;
+      }
+      case MsgType::Stats: {
+        StatsMsg m;
+        m.format = static_cast<StatsFormat>(r.getU8());
+        if (!r.consumed() || (m.format != StatsFormat::PrometheusText &&
+                              m.format != StatsFormat::Json)) {
+            if (error)
+                *error = "stats body malformed";
+            return false;
+        }
+        out = m;
+        return true;
+      }
+      case MsgType::StatsResult: {
+        StatsResultMsg m;
+        if (!decodeBody(r, m, error) || !r.consumed())
+            return false;
+        out = std::move(m);
+        return true;
+      }
+      case MsgType::Submit:
+        break;
+    }
+    if (error)
+        *error = "unknown message type " + std::to_string(type);
+    return false;
 }
 
 } // namespace
@@ -390,31 +515,111 @@ messageType(const Message &m) noexcept
 void
 encode(const Message &m, std::vector<std::uint8_t> &out)
 {
-    const std::size_t frame_start = out.size();
-    putU32(out, 0); // length backpatched below
-    std::visit([&out](const auto &msg) { encodeBody(msg, out); }, m);
-    const std::size_t body_len = out.size() - frame_start - 4;
-    out[frame_start] = static_cast<std::uint8_t>(body_len);
-    out[frame_start + 1] = static_cast<std::uint8_t>(body_len >> 8);
-    out[frame_start + 2] = static_cast<std::uint8_t>(body_len >> 16);
-    out[frame_start + 3] = static_cast<std::uint8_t>(body_len >> 24);
+    std::visit(
+        [&out](const auto &msg) {
+            const std::size_t at = out.size();
+            const std::size_t size = frameSize(msg);
+            out.resize(at + size);
+            encodeAt(out.data() + at, size, msg);
+        },
+        m);
+}
+
+void
+encode(const Message &m, ByteBuffer &out)
+{
+    std::visit(
+        [&out](const auto &msg) {
+            const std::size_t size = frameSize(msg);
+            encodeAt(out.prepare(size), size, msg);
+            out.commit(size);
+        },
+        m);
+}
+
+void
+putSubmitResultHead(std::uint8_t *frame, std::uint64_t id, Status status,
+                    ServeTier tier, std::uint64_t server_ns,
+                    std::uint32_t payload_count)
+{
+    std::uint8_t *p = putFrameHead(
+        frame, kSubmitResultHead + std::size_t{payload_count} * 8,
+        MsgType::SubmitResult);
+    p = putU64(p, id);
+    p = putU8(p, static_cast<std::uint8_t>(status));
+    p = putU8(p, static_cast<std::uint8_t>(tier));
+    p = putU64(p, server_ns);
+    putU32(p, payload_count);
+}
+
+std::uint8_t *
+ByteBuffer::prepare(std::size_t n)
+{
+    if (capacity_ - tail_ >= n)
+        return buf_.get() + tail_;
+    // Move the live bytes to the front first, which is often room
+    // enough: what is left of a read is at most a partial frame.
+    const std::size_t live = tail_ - head_;
+    if (head_ > 0) {
+        if (live > 0)
+            std::memmove(buf_.get(), buf_.get() + head_, live);
+        head_ = 0;
+        tail_ = live;
+        if (capacity_ - tail_ >= n)
+            return buf_.get() + tail_;
+    }
+    // Grow without zero-filling: only the bytes written are touched.
+    const std::size_t capacity = std::max(capacity_ * 2, live + n);
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+    if (live > 0)
+        std::memcpy(grown.get(), buf_.get(), live);
+    buf_ = std::move(grown);
+    capacity_ = capacity;
+    return buf_.get() + tail_;
+}
+
+void
+SubmitView::copyTags(std::vector<Word> &out) const
+{
+    out.resize(num_lines);
+    for (std::size_t i = 0; i < num_lines; ++i)
+        out[i] = tag(i);
+}
+
+void
+SubmitView::copyPayload(std::vector<Word> &out) const
+{
+    if (!has_payload) {
+        out.clear();
+        return;
+    }
+    getU64s(payload, num_lines, out);
+}
+
+SubmitMsg
+SubmitView::toMessage() const
+{
+    SubmitMsg m;
+    m.id = id;
+    m.tenant = tenant;
+    m.deadline_rel_ns = deadline_rel_ns;
+    copyTags(m.dest);
+    m.has_payload = has_payload;
+    copyPayload(m.payload);
+    return m;
 }
 
 void
 Decoder::feed(const std::uint8_t *data, std::size_t len)
 {
-    // Compact once the consumed prefix dominates, so a long-lived
-    // connection's buffer does not grow with total traffic.
-    if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-        pos_ = 0;
-    }
-    buf_.insert(buf_.end(), data, data + len);
+    if (len == 0)
+        return;
+    std::memcpy(buf_.prepare(len), data, len);
+    buf_.commit(len);
 }
 
 DecodeStatus
-Decoder::next(Message &out, std::string *error)
+Decoder::next(Frame &out, std::string *error)
 {
     if (poisoned_) {
         if (error)
@@ -423,7 +628,7 @@ Decoder::next(Message &out, std::string *error)
     }
     if (buffered() < 4)
         return DecodeStatus::NeedMore;
-    const std::uint8_t *base = buf_.data() + pos_;
+    std::uint8_t *base = buf_.data();
     const std::uint32_t body_len =
         static_cast<std::uint32_t>(base[0]) |
         static_cast<std::uint32_t>(base[1]) << 8 |
@@ -440,62 +645,15 @@ Decoder::next(Message &out, std::string *error)
     if (buffered() < 4 + std::size_t{body_len})
         return DecodeStatus::NeedMore;
 
-    Reader r{base + 4 + 1, std::size_t{body_len} - 1, 0, true};
     const std::uint8_t type = base[4];
-    bool ok = false;
-    switch (static_cast<MsgType>(type)) {
-      case MsgType::Submit: {
-        SubmitMsg m;
-        ok = decodeBody(r, m, error) && r.consumed();
-        if (ok)
-            out = std::move(m);
-        break;
-      }
-      case MsgType::SubmitResult: {
-        SubmitResultMsg m;
-        ok = decodeBody(r, m, error) && r.consumed();
-        if (ok)
-            out = std::move(m);
-        break;
-      }
-      case MsgType::Health: {
-        ok = r.consumed();
-        if (ok)
-            out = HealthMsg{};
-        else if (error)
-            *error = "health body must be empty";
-        break;
-      }
-      case MsgType::HealthResult: {
-        HealthResultMsg m;
-        ok = decodeBody(r, m, error);
-        if (ok)
-            out = std::move(m);
-        break;
-      }
-      case MsgType::Stats: {
-        StatsMsg m;
-        m.format = static_cast<StatsFormat>(r.getU8());
-        ok = r.consumed() &&
-             (m.format == StatsFormat::PrometheusText ||
-              m.format == StatsFormat::Json);
-        if (ok)
-            out = std::move(m);
-        else if (error)
-            *error = "stats body malformed";
-        break;
-      }
-      case MsgType::StatsResult: {
-        StatsResultMsg m;
-        ok = decodeBody(r, m, error) && r.consumed();
-        if (ok)
-            out = std::move(m);
-        break;
-      }
-      default:
-        if (error)
-            *error = "unknown message type " + std::to_string(type);
-        break;
+    std::uint8_t *body = base + 4 + 1;
+    const std::size_t len = std::size_t{body_len} - 1;
+    bool ok;
+    if (type == static_cast<std::uint8_t>(MsgType::Submit)) {
+        ok = parseSubmit(body, len, out.submit, error);
+    } else {
+        Reader r{body, len, 0, true};
+        ok = decodeOther(type, r, out.message, error);
     }
     if (!ok) {
         poisoned_ = true;
@@ -503,8 +661,22 @@ Decoder::next(Message &out, std::string *error)
             *error = "malformed frame body";
         return DecodeStatus::Error;
     }
-    pos_ += 4 + std::size_t{body_len};
+    out.type = static_cast<MsgType>(type);
+    // The bytes stay where they are until the next prepare(), so a
+    // Submit's view outlives its consumption.
+    buf_.consume(4 + std::size_t{body_len});
     return DecodeStatus::Ok;
+}
+
+DecodeStatus
+Decoder::next(Message &out, std::string *error)
+{
+    Frame f;
+    const DecodeStatus st = next(f, error);
+    if (st == DecodeStatus::Ok)
+        out = f.type == MsgType::Submit ? Message{f.submit.toMessage()}
+                                        : std::move(f.message);
+    return st;
 }
 
 } // namespace net

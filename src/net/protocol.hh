@@ -27,12 +27,16 @@
  * in-process taxonomy plus the service-level refusals that only
  * exist once a socket and a tenant sit in front of the fabric.
  *
- * The Decoder is a pull parser over a growing byte buffer. It
- * never throws and never reads out of bounds: a frame longer than
- * the configured maximum, an unknown type, or a body that does not
- * parse exactly (trailing bytes included) yields
- * DecodeStatus::Error, after which the connection must be closed —
- * there is no resynchronization in a length-prefixed stream.
+ * The Decoder is a pull parser over a growing byte buffer that
+ * reads land in directly. It parses a Submit in place, as a
+ * SubmitView over that buffer, and decodes every other type into an
+ * owning Message; next(Message &) builds the owning SubmitMsg from
+ * the same view, so there is one Submit parser. It never throws and
+ * never reads out of bounds: a frame longer than the configured
+ * maximum, an unknown type, or a body that does not parse exactly
+ * (trailing bytes included) yields DecodeStatus::Error, after which
+ * the connection must be closed — there is no resynchronization in a
+ * length-prefixed stream.
  *
  * A Submit's largest frame grows 12 bytes a line, so under the
  * default 1 MiB cap the largest fabric that can be served is n = 16
@@ -43,11 +47,13 @@
 #define SRBENES_NET_PROTOCOL_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "common/bitops.hh"
+#include "core/fast_kernels.hh"
 #include "core/route_outcome.hh"
 
 namespace srbenes
@@ -118,6 +124,41 @@ struct SubmitMsg
     bool operator==(const SubmitMsg &) const = default;
 };
 
+/**
+ * A Submit read in place: the header's fields, and its arrays as
+ * lanes in the Decoder's buffer, valid until the Decoder's next read
+ * (prepare() or feed()), which may move or overwrite them. Lanes sit
+ * at any byte alignment (the tags start at frame offset 34, 2 mod 4),
+ * so both arrays are untyped bytes: they are read through tag(),
+ * copyTags() and copyPayload(), or handed to the kernels, which load
+ * them through memcpy or unaligned vector loads.
+ */
+struct SubmitView
+{
+    std::uint64_t id = 0;
+    std::uint64_t tenant = 0;
+    std::uint64_t deadline_rel_ns = 0;
+    std::uint32_t num_lines = 0;
+    bool has_payload = false;
+    /** num_lines u32 tag lanes: input i goes to output tag(i). On a
+     *  big-endian host the Decoder has byte-swapped them in place, so
+     *  they are native. */
+    const std::uint8_t *tags = nullptr;
+    /** num_lines u64 payload lanes, little-endian as on the wire;
+     *  null unless has_payload. */
+    const std::uint8_t *payload = nullptr;
+
+    std::uint32_t tag(std::size_t i) const { return tagLane(tags, i); }
+
+    /** The tags widened to Words, into @p out (resized). */
+    void copyTags(std::vector<Word> &out) const;
+    /** The payload lanes into @p out (resized; emptied when the
+     *  Submit carries none). */
+    void copyPayload(std::vector<Word> &out) const;
+    /** The owning SubmitMsg: tags widened, payload copied. */
+    SubmitMsg toMessage() const;
+};
+
 struct SubmitResultMsg
 {
     std::uint64_t id = 0;
@@ -173,8 +214,68 @@ MsgType messageType(const Message &m) noexcept;
 /** Frames larger than this are a protocol error by default. */
 constexpr std::size_t kDefaultMaxFrame = 1u << 20;
 
+/**
+ * A growable byte buffer whose spare capacity is never zero-filled:
+ * bytes are written in place past its end (a recv(), a reply frame's
+ * gather) and then committed, so capacity that is reserved but never
+ * written is never touched. The live bytes are [data(), data() +
+ * size()); consume() drops them from the front, and prepare() moves
+ * what is left to the start before it grows the buffer.
+ */
+class ByteBuffer
+{
+  public:
+    const std::uint8_t *data() const { return buf_.get() + head_; }
+    std::uint8_t *data() { return buf_.get() + head_; }
+    std::size_t size() const { return tail_ - head_; }
+
+    /**
+     * At least @p n writable bytes past the end, uninitialized; they
+     * join the live bytes only when commit()ted. Pointers into the
+     * buffer are valid until the next prepare().
+     */
+    std::uint8_t *prepare(std::size_t n);
+    void commit(std::size_t n) { tail_ += n; }
+    /** Drop @p n live bytes from the front (n <= size()). */
+    void
+    consume(std::size_t n)
+    {
+        head_ += n;
+        if (head_ == tail_)
+            head_ = tail_ = 0;
+    }
+
+  private:
+    std::unique_ptr<std::uint8_t[]> buf_;
+    std::size_t capacity_ = 0;
+    std::size_t head_ = 0;
+    std::size_t tail_ = 0;
+};
+
 /** Serialize @p m as one complete frame appended to @p out. */
 void encode(const Message &m, std::vector<std::uint8_t> &out);
+
+/** encode() into a ByteBuffer, written in place past its end. */
+void encode(const Message &m, ByteBuffer &out);
+
+/**
+ * Bytes of a SubmitResult frame ahead of its payload lanes: the
+ * length prefix, type, id, status, tier, server_ns and
+ * payload_count.
+ */
+constexpr std::size_t kSubmitResultHead = 4 + 1 + 8 + 1 + 1 + 8 + 4;
+
+/**
+ * Write a SubmitResult frame's head at @p frame, for @p payload_count
+ * payload lanes the caller writes (or has written) at
+ * frame + kSubmitResultHead: the one writer of this frame, shared by
+ * encode() and srbd's hit path, which gathers the payload into a
+ * frame it reserved.
+ */
+void putSubmitResultHead(std::uint8_t *frame, std::uint64_t id,
+                         Status status, ServeTier tier,
+                         std::uint64_t server_ns,
+                         std::uint32_t payload_count);
 
 enum class DecodeStatus
 {
@@ -184,15 +285,33 @@ enum class DecodeStatus
 };
 
 /**
- * Incremental frame parser: feed() raw bytes as they arrive, pull
- * complete messages with next(). After Error the decoder is poisoned
- * and every further next() returns Error.
+ * One decoded frame: a Submit as a view into the Decoder's buffer,
+ * anything else as an owning Message.
+ */
+struct Frame
+{
+    MsgType type = MsgType::Submit;
+    /** Set when type is Submit; message is then left alone. */
+    SubmitView submit;
+    /** Set for every other type. */
+    Message message;
+};
+
+/**
+ * Incremental frame parser over one receive buffer. Bytes arrive by
+ * prepare() and commit() — a socket read lands in the buffer itself —
+ * or by feed(), which copies them in; complete frames are pulled with
+ * next(). After Error the decoder is poisoned and every further
+ * next() returns Error.
  *
- * Array fields (Submit dest and payload, SubmitResult payload) are
- * checked against the body once — the declared count must account
- * for exactly the bytes that remain, computed in 64 bits so no count
- * can wrap — and then copied in bulk: one resize and one memcpy-based
- * conversion per array, never a bounds-checked call per element.
+ * A Submit is parsed in place: next(Frame &) returns it as a
+ * SubmitView, valid until the next prepare() or feed(), which may
+ * compact or grow the buffer. A server finishes a hit, and copies a
+ * miss out, before it reads again. next(Message &) builds the owning
+ * SubmitMsg from that same view, so clients, tools and tests keep
+ * one API and the Submit rules live in one parser: the declared
+ * count must account for exactly the bytes that remain, computed in
+ * 64 bits so no count can wrap, and has_payload must be 0 or 1.
  */
 class Decoder
 {
@@ -202,16 +321,24 @@ class Decoder
     {
     }
 
+    /** Copy @p len bytes in: prepare(), memcpy, commit(). */
     void feed(const std::uint8_t *data, std::size_t len);
+
+    /** @{ Room for at least @p len more bytes, uninitialized, then
+     *  how many of them arrived (ByteBuffer). */
+    std::uint8_t *prepare(std::size_t len) { return buf_.prepare(len); }
+    void commit(std::size_t len) { buf_.commit(len); }
+    /** @} */
+
+    DecodeStatus next(Frame &out, std::string *error = nullptr);
 
     DecodeStatus next(Message &out, std::string *error = nullptr);
 
     /** Bytes buffered but not yet consumed by next(). */
-    std::size_t buffered() const { return buf_.size() - pos_; }
+    std::size_t buffered() const { return buf_.size(); }
 
   private:
-    std::vector<std::uint8_t> buf_;
-    std::size_t pos_ = 0;
+    ByteBuffer buf_;
     std::size_t max_frame_;
     bool poisoned_ = false;
 };

@@ -335,41 +335,42 @@ Server::onConnEvent(std::uint64_t conn_id, std::uint32_t events)
         updateMask(conn);
     }
     if ((events & EPOLLIN) != 0 && !conn.reading_paused) {
-        std::vector<Message> msgs;
+        if (conn.readReady() == Connection::ReadResult::Closed) {
+            closeConnection(conn_id);
+            return;
+        }
+        // Every frame read is handled before the next read, so a
+        // Submit's view into the receive buffer outlives its serve.
+        // Answers are flushed once, at the end of the pass.
+        Frame frame;
         std::string error;
-        const Connection::ReadResult rr =
-            conn.readReady(msgs, &error);
-        for (Message &m : msgs) {
-            handleMessage(conn, std::move(m));
+        for (;;) {
+            const DecodeStatus st = conn.next(frame, &error);
+            if (st == DecodeStatus::NeedMore)
+                break;
+            if (st == DecodeStatus::Error) {
+                if (c_protocol_errors_)
+                    c_protocol_errors_->inc();
+                warn("srbd: protocol error on connection %llu: %s",
+                     static_cast<unsigned long long>(conn_id),
+                     error.c_str());
+                closeConnection(conn_id);
+                return;
+            }
+            if (frame.type == MsgType::Submit) {
+                handleSubmit(conn, frame.submit);
+                continue;
+            }
+            handleMessage(conn, std::move(frame.message));
             if (conns_.find(conn_id) == conns_.end())
                 return; // handler closed us
         }
-        switch (rr) {
-          case Connection::ReadResult::Ok:
-            break;
-          case Connection::ReadResult::Closed:
-            closeConnection(conn_id);
-            return;
-          case Connection::ReadResult::ProtocolError:
-            if (c_protocol_errors_)
-                c_protocol_errors_->inc();
-            warn("srbd: protocol error on connection %llu: %s",
-                 static_cast<unsigned long long>(conn_id),
-                 error.c_str());
-            closeConnection(conn_id);
-            return;
-        }
-        flushConnection(conn);
     }
 }
 
 void
 Server::handleMessage(Connection &conn, Message &&msg)
 {
-    if (auto *submit = std::get_if<SubmitMsg>(&msg)) {
-        handleSubmit(conn, std::move(*submit));
-        return;
-    }
     if (std::get_if<HealthMsg>(&msg) != nullptr) {
         HealthResultMsg h;
         h.state = draining() ? ServeState::Draining
@@ -380,6 +381,7 @@ Server::handleMessage(Connection &conn, Message &&msg)
         h.served = counterValue(c_responses_);
         h.inflight = producer_->inFlight();
         conn.queue(Message{h});
+        markFlush(conn);
         return;
     }
     if (auto *stats = std::get_if<StatsMsg>(&msg)) {
@@ -390,6 +392,7 @@ Server::handleMessage(Connection &conn, Message &&msg)
                          ? obs::exportJson(*opts_.metrics)
                          : obs::exposeText(*opts_.metrics);
         conn.queue(Message{s});
+        markFlush(conn);
         return;
     }
     // A client has no business sending server-to-client types;
@@ -407,59 +410,68 @@ Server::statusCounter(Status s) const
 }
 
 void
-Server::respond(Connection &conn, SubmitResultMsg &&m)
+Server::answered(Connection &conn, Status s)
 {
-    if (obs::Counter *c = statusCounter(m.status))
+    if (obs::Counter *c = statusCounter(s))
         c->inc();
     if (c_responses_)
         c_responses_->inc();
-    conn.queue(Message{std::move(m)});
+    markFlush(conn);
 }
 
 void
-Server::handleSubmit(Connection &conn, SubmitMsg &&m)
+Server::markFlush(Connection &conn)
+{
+    if (!conn.flush_pending) {
+        conn.flush_pending = true;
+        flush_ids_.push_back(conn.id());
+    }
+}
+
+void
+Server::respond(Connection &conn, SubmitResultMsg &&m)
+{
+    const Status s = m.status;
+    conn.queue(Message{std::move(m)});
+    answered(conn, s);
+}
+
+void
+Server::refuse(Connection &conn, std::uint64_t client_id, Status s)
+{
+    std::uint8_t *frame = conn.reserve(kSubmitResultHead);
+    putSubmitResultHead(frame, client_id, s, ServeTier::Failed, 0, 0);
+    conn.commit(kSubmitResultHead);
+    answered(conn, s);
+}
+
+void
+Server::handleSubmit(Connection &conn, const SubmitView &m)
 {
     if (c_submits_)
         c_submits_->inc();
-    SubmitResultMsg refusal;
-    refusal.id = m.id;
-    refusal.tier = ServeTier::Failed;
-
     if (draining()) {
-        refusal.status = Status::Draining;
-        respond(conn, std::move(refusal));
+        refuse(conn, m.id, Status::Draining);
         return;
     }
     // A wrong-sized pattern is refused at once. Whether a right-sized
     // one is a permutation is known only after the plan-tier lookup
     // (a hit proves it; the engine validates anything else), so such
     // a Submit is charged its quota token before it is refused.
-    if (m.dest.size() != numLines()) {
-        refusal.status = Status::BadRequest;
-        respond(conn, std::move(refusal));
+    const Word N = numLines();
+    if (m.num_lines != N) {
+        refuse(conn, m.id, Status::BadRequest);
         return;
     }
+    // One clock read stamps admission, the deadline and the submit.
     const std::uint64_t now = obs::monotonicNs();
     if (!quotas_.tryAdmit(m.tenant, now)) {
-        refusal.status = Status::OverQuota;
-        respond(conn, std::move(refusal));
+        refuse(conn, m.id, Status::OverQuota);
         return;
     }
     if (conn.inflight >= opts_.max_conn_inflight) {
-        refusal.status = Status::Shed;
-        respond(conn, std::move(refusal));
+        refuse(conn, m.id, Status::Shed);
         return;
-    }
-
-    std::vector<Word> payload;
-    if (m.has_payload) {
-        payload = std::move(m.payload);
-    } else {
-        // Control-plane submit: route the identity payload so the
-        // serve is still tag-verified end to end, echo nothing.
-        payload.resize(numLines());
-        for (Word i = 0; i < numLines(); ++i)
-            payload[i] = i;
     }
     // A deadline the clock cannot represent is no deadline: past
     // 2^64 ns the sum would wrap into the past.
@@ -468,25 +480,57 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
             ? now + m.deadline_rel_ns
             : 0;
 
+    // A hit is served where its bytes are: the tag lanes are hashed
+    // and checked in the receive buffer, and the payload is gathered
+    // from it straight into a SubmitResult frame reserved in the send
+    // buffer, which is committed only if the hit is served.
+    const Hash128 hash = hashTags128(m.tags, N);
+    const std::uint32_t count = m.has_payload ? m.num_lines : 0;
+    const std::size_t frame_len =
+        kSubmitResultHead + std::size_t{count} * 8;
+    std::uint8_t *frame = conn.reserve(frame_len);
+    if (const std::uint64_t done = producer_->serveHit(
+            m.tags, hash, m.payload, frame + kSubmitResultHead, now,
+            deadline)) {
+        putSubmitResultHead(frame, m.id, Status::Ok, ServeTier::Primary,
+                            done - now, count);
+        conn.commit(frame_len);
+        if (h_serve_ns_)
+            h_serve_ns_->observe(done - now);
+        answered(conn, Status::Ok);
+        return;
+    }
+
+    // Only a request that takes a ring copies its tags and payload
+    // out of the frame.
+    std::vector<Word> dest;
+    m.copyTags(dest);
+    std::vector<Word> payload;
+    if (m.has_payload) {
+        m.copyPayload(payload);
+    } else {
+        // Control-plane submit: route the identity payload so the
+        // serve is still tag-verified end to end, echo nothing.
+        payload.resize(N);
+        for (Word i = 0; i < N; ++i)
+            payload[i] = i;
+    }
     const std::uint64_t sid = next_request_id_++;
-    switch (producer_->trySubmit(sid, std::move(m.dest), payload,
-                                 deadline)) {
+    switch (producer_->submitMiss(sid, hash, now, std::move(dest), payload,
+                                  deadline)) {
       case SubmitOutcome::Accepted:
         break;
       case SubmitOutcome::Shed:
         // Engine backpressure: the affine ring and its spill
         // neighbour are full. This is the wire form of
         // shed-on-full-ring.
-        refusal.status = Status::Shed;
-        respond(conn, std::move(refusal));
+        refuse(conn, m.id, Status::Shed);
         return;
       case SubmitOutcome::Malformed:
-        refusal.status = Status::BadRequest;
-        respond(conn, std::move(refusal));
+        refuse(conn, m.id, Status::BadRequest);
         return;
     }
-    pending_.emplace(
-        sid, Pending{conn.id(), m.id, m.has_payload});
+    pending_.emplace(sid, Pending{conn.id(), m.id, m.has_payload});
     ++conn.inflight;
     if (g_inflight_)
         g_inflight_->set(static_cast<std::int64_t>(pending_.size()));
@@ -530,17 +574,14 @@ Server::pumpResults()
         if (h_serve_ns_)
             h_serve_ns_->observe(res.latencyNs());
         respond(conn, std::move(out));
-        if (!conn.flush_pending) {
-            conn.flush_pending = true;
-            flush_ids_.push_back(conn.id());
-        }
     }
     if (any && g_inflight_)
         g_inflight_->set(static_cast<std::int64_t>(pending_.size()));
 
     // One flush per connection per pass, however many answers the
-    // pass queued on it; the watermark check in updateMask() runs
-    // once per pass with it.
+    // pass queued on it — hits and refusals from its reads, results
+    // from the rings; the watermark check in updateMask() runs once
+    // per pass with it.
     for (std::uint64_t id : flush_ids_) {
         auto cit = conns_.find(id);
         if (cit == conns_.end())

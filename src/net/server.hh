@@ -21,13 +21,22 @@
  *   connection at cap    → Status::Shed
  *   dest no permutation  → Status::BadRequest  (the engine's
  *                          validation of a request that misses)
- *   engine rings full    → Status::Shed        (backpressure; a hit
- *                          the loop cannot queue takes a ring)
+ *   engine rings full    → Status::Shed        (backpressure on a
+ *                          miss; a hit never waits on a ring)
  *
- * A plan hit is its own validation (StreamEngine's tag-form
- * trySubmit), so whether a right-sized dest is a permutation is
- * known only inside the engine, after quota: a malformed Submit
- * costs its tenant a token. The engine's shed-on-full-ring
+ * A Submit is served where its bytes are. The decoder parses it in
+ * place, as a view over the connection's receive buffer; the loop
+ * hashes its u32 tag lanes there, and Producer::serveHit checks them
+ * against the resident plan and gathers the payload lanes straight
+ * into a SubmitResult frame reserved in the send buffer. A hit takes
+ * no pending_ entry, no result-queue slot and no heap allocation.
+ * Only a miss copies its tags and payload out, and the engine
+ * validates it (Producer::submitMiss) before its ring.
+ *
+ * A plan hit is its own validation, so whether a right-sized dest is
+ * a permutation is known only inside the engine, after quota: a
+ * malformed Submit costs its tenant a token. The engine's
+ * shed-on-full-ring
  * semantics surface on the wire unchanged, and a slow READER is
  * handled one layer up: when a
  * connection's out-buffer passes the high watermark the server
@@ -35,6 +44,7 @@
  * then pushes back on the client.
  *
  * Writes are coalesced per loop pass: every answer a pass produces
+ * (hits and refusals as its reads are handled, ring results after)
  * is queued first, then each connection it touched is flushed once
  * (one send() however many answers it carries), and EPOLL_CTL_MOD
  * is issued only when a connection's event mask actually changes.
@@ -182,8 +192,17 @@ class Server
     void onAccept();
     void onConnEvent(std::uint64_t conn_id, std::uint32_t events);
     void handleMessage(Connection &conn, Message &&msg);
-    void handleSubmit(Connection &conn, SubmitMsg &&m);
+    /** Admit and serve a Submit read in place: a hit is answered
+     *  from the view, a miss copies out and takes a ring. */
+    void handleSubmit(Connection &conn, const SubmitView &m);
     void respond(Connection &conn, SubmitResultMsg &&m);
+    /** A payload-less SubmitResult of status @p s, tier Failed. */
+    void refuse(Connection &conn, std::uint64_t client_id, Status s);
+    /** Count an answer queued on @p conn and mark it for the pass's
+     *  flush. */
+    void answered(Connection &conn, Status s);
+    /** Flush @p conn once at the end of this loop pass. */
+    void markFlush(Connection &conn);
     /** The srbd_responses_total series of @p s; null when metrics
      *  are off. */
     obs::Counter *statusCounter(Status s) const;
@@ -204,7 +223,8 @@ class Server
     std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
         conns_;
     std::unordered_map<std::uint64_t, Pending> pending_;
-    /** Connections pumpResults() queued answers on this pass. */
+    /** Connections with answers queued this pass, flushed once each
+     *  by pumpResults(). */
     std::vector<std::uint64_t> flush_ids_;
     std::uint64_t next_conn_id_ = 1;
     std::uint64_t next_request_id_ = 1;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Malformed neighbours of a valid pattern, for the tests of every
- * path on which a tag-form submit must refuse a pattern that is not
- * a permutation.
+ * path on which a Submit's tags must be refused when they are not a
+ * permutation.
  */
 
 #ifndef SRBENES_TESTS_MALFORMED_HH

@@ -11,8 +11,10 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,6 +101,43 @@ TEST(FastKernels, GatherMatchesScalarIncludingTails)
     }
 }
 
+TEST(FastKernels, GatherWorksAtAnyByteAlignment)
+{
+    // srbd gathers a Submit's payload from frame offset 34 + 4N into
+    // a SubmitResult frame at offset 27, so neither side is 8-byte
+    // aligned. Every level must gather between buffers at every byte
+    // offset mod 8, each sized exactly, so the asan-ubsan preset
+    // catches an overread, an overwrite, or a misaligned Word access.
+    Prng prng(72);
+    const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
+    for (SimdLevel level : supportedLevels()) {
+        const KernelTable &k = kernelsFor(level);
+        for (std::size_t count : {1u, 7u, 8u, 15u, 16u, 17u, 31u, 256u,
+                                  1031u}) {
+            const std::vector<Word> in = randomWords(count, prng);
+            std::vector<std::uint16_t> src(count);
+            for (auto &s : src)
+                s = static_cast<std::uint16_t>(prng.below(count));
+            std::vector<Word> expect(count);
+            ref.gather(expect.data(), in.data(), src.data(), count);
+            for (std::size_t in_off = 0; in_off < 8; ++in_off) {
+                for (std::size_t out_off = 0; out_off < 8; ++out_off) {
+                    std::vector<std::uint8_t> ibuf(in_off + 8 * count);
+                    std::memcpy(ibuf.data() + in_off, in.data(), 8 * count);
+                    std::vector<std::uint8_t> obuf(out_off + 8 * count);
+                    k.gather(obuf.data() + out_off, ibuf.data() + in_off,
+                             src.data(), count);
+                    ASSERT_EQ(std::memcmp(obuf.data() + out_off,
+                                          expect.data(), 8 * count),
+                              0)
+                        << k.name << " count=" << count
+                        << " in_off=" << in_off << " out_off=" << out_off;
+                }
+            }
+        }
+    }
+}
+
 /** A random permutation of [0, @p count) in 16-bit lanes: a plan's
  *  gather table. */
 std::vector<std::uint16_t>
@@ -108,48 +147,68 @@ randomSrc(std::size_t count, Prng &prng)
     return std::vector<std::uint16_t>(p.dest().begin(), p.dest().end());
 }
 
-/** The tags @p src gathers home: tags[src[j]] = j. */
-std::vector<Word>
+/** The tags @p src gathers home, as u32 lanes: tags[src[j]] = j. */
+std::vector<std::uint32_t>
 tagsOf(const std::vector<std::uint16_t> &src)
 {
-    std::vector<Word> tags(src.size());
+    std::vector<std::uint32_t> tags(src.size());
     for (std::size_t j = 0; j < src.size(); ++j)
-        tags[src[j]] = j;
+        tags[src[j]] = static_cast<std::uint32_t>(j);
     return tags;
+}
+
+/** @p lanes copied to byte offset @p off of an exactly sized buffer:
+ *  how a Submit's tags sit in its frame. */
+std::vector<std::uint8_t>
+atOffset(const std::vector<std::uint32_t> &lanes, std::size_t off)
+{
+    std::vector<std::uint8_t> buf(off + 4 * lanes.size());
+    std::memcpy(buf.data() + off, lanes.data(), 4 * lanes.size());
+    return buf;
+}
+
+/** The u32 lanes at byte offset @p off of @p buf, as the untyped
+ *  bytes the kernels take. */
+const std::uint8_t *
+lanesAt(const std::vector<std::uint8_t> &buf, std::size_t off)
+{
+    return buf.data() + off;
 }
 
 TEST(FastKernels, MatchesInverseFindsEverySingleDifferingLane)
 {
-    // The plan cache's identity check, differential against scalar:
-    // every level accepts the tags a gather table inverts at every
-    // count (every tail of the 8- and 16-lane bodies, those below 16
-    // lanes included), and refuses one differing lane at any position:
-    // a flip below 2^16, a flip at or above it that the low 16 bits
-    // do not see, a tag equal to count, and a neighbour's tag. Every
-    // buffer holds exactly count lanes, so the asan-ubsan preset
-    // catches a body that reads past count.
+    // The plan cache's identity check over u32 lanes, differential
+    // against scalar: every level accepts the tags a gather table
+    // inverts at every count (every tail of the 8- and 16-lane
+    // bodies, those below 16 lanes included), and refuses one
+    // differing lane at any position: a flip of bit 0 or 15, a flip of
+    // bit 16 or 31 that the low 16 bits do not see, a tag equal to
+    // count, and a neighbour's tag. Every buffer holds exactly count
+    // lanes, so the asan-ubsan preset catches a body that reads past
+    // count.
     Prng prng(78);
     std::vector<const KernelTable *> tables;
     for (SimdLevel level : supportedLevels())
         tables.push_back(&kernelsFor(level));
     for (std::size_t count = 1; count <= 4096; ++count) {
         const std::vector<std::uint16_t> src = randomSrc(count, prng);
-        const std::vector<Word> tags = tagsOf(src);
+        const std::vector<std::uint32_t> tags = tagsOf(src);
         for (const KernelTable *k : tables)
             ASSERT_TRUE(k->matchesInverse(src.data(), tags.data(), count))
                 << k->name << " count=" << count;
     }
     for (Word count : {1u, 7u, 8u, 15u, 16u, 17u, 33u, 255u, 4095u, 4096u}) {
         const std::vector<std::uint16_t> src = randomSrc(count, prng);
-        std::vector<Word> tags = tagsOf(src);
+        std::vector<std::uint32_t> tags = tagsOf(src);
         for (std::size_t pos = 0; pos < count; ++pos) {
-            const Word tag = tags[pos];
-            std::vector<Word> wrong = {count};
-            for (unsigned bit : {0u, 15u, 16u, 32u, 40u, 63u})
-                wrong.push_back(tag ^ (Word{1} << bit));
+            const std::uint32_t tag = tags[pos];
+            std::vector<std::uint32_t> wrong = {
+                static_cast<std::uint32_t>(count)};
+            for (unsigned bit : {0u, 15u, 16u, 31u})
+                wrong.push_back(tag ^ (std::uint32_t{1} << bit));
             if (count > 1)
                 wrong.push_back(tags[pos == 0 ? 1 : pos - 1]);
-            for (Word w : wrong) {
+            for (std::uint32_t w : wrong) {
                 tags[pos] = w;
                 for (const KernelTable *k : tables)
                     ASSERT_FALSE(
@@ -187,7 +246,7 @@ TEST(FastKernels, MatchesInverseWidensIndicesAboveTwoToTheFifteen)
                 ++from;
             std::swap(src[j], src[from++]);
         }
-        std::vector<Word> tags = tagsOf(src);
+        std::vector<std::uint32_t> tags = tagsOf(src);
         for (const KernelTable *k : tables)
             ASSERT_TRUE(k->matchesInverse(src.data(), tags.data(), count))
                 << k->name << " count=" << count;
@@ -200,11 +259,12 @@ TEST(FastKernels, MatchesInverseWidensIndicesAboveTwoToTheFifteen)
             lanes.push_back(j);
         }
         for (Word j : lanes) {
-            const Word tag = tags[src[j]];
-            std::vector<Word> wrong = {count};
-            for (unsigned bit : {0u, 15u, 16u, 32u, 63u})
-                wrong.push_back(tag ^ (Word{1} << bit));
-            for (Word w : wrong) {
+            const std::uint32_t tag = tags[src[j]];
+            std::vector<std::uint32_t> wrong = {
+                static_cast<std::uint32_t>(count)};
+            for (unsigned bit : {0u, 15u, 16u, 31u})
+                wrong.push_back(tag ^ (std::uint32_t{1} << bit));
+            for (std::uint32_t w : wrong) {
                 tags[src[j]] = w;
                 for (const KernelTable *k : tables)
                     ASSERT_FALSE(
@@ -229,28 +289,37 @@ randomKey(Prng &prng)
     return key;
 }
 
+/** @p words narrowed to u32 lanes (exact for a permutation's tags). */
+std::vector<std::uint32_t>
+narrowed(const std::vector<Word> &words)
+{
+    return std::vector<std::uint32_t>(words.begin(), words.end());
+}
+
 /**
- * Tag vectors for the hash kernel: every count from 1 to 64 (every
+ * Tag lanes for the hash kernel: every count from 1 to 64 (every
  * tail of a 32-tag stripe, and two stripes), then every power of two
  * up to 2^16, each a random permutation of its count; and copies of
- * a few with words raised above 2^16 and above 2^32.
+ * a few with lanes raised above 2^16 and to bit 31.
  */
-std::vector<std::vector<Word>>
+std::vector<std::vector<std::uint32_t>>
 hashInputs(Prng &prng)
 {
-    std::vector<std::vector<Word>> inputs;
+    std::vector<std::vector<std::uint32_t>> inputs;
     for (std::size_t count = 1; count <= 64; ++count)
-        inputs.push_back(Permutation::random(count, prng).dest());
+        inputs.push_back(narrowed(Permutation::random(count, prng).dest()));
     for (unsigned n = 0; n <= 16; ++n)
-        inputs.push_back(
-            Permutation::random(std::size_t{1} << n, prng).dest());
+        inputs.push_back(narrowed(
+            Permutation::random(std::size_t{1} << n, prng).dest()));
     for (std::size_t count : {std::size_t{5}, std::size_t{32},
                               std::size_t{33}, std::size_t{256},
                               std::size_t{4096}}) {
-        std::vector<Word> v = Permutation::random(count, prng).dest();
+        std::vector<std::uint32_t> v =
+            narrowed(Permutation::random(count, prng).dest());
         for (std::size_t i = 0; i < count; i += 3)
-            v[i] += (i % 2 ? Word{1} << 16 : Word{1} << 32) +
-                    (prng() << 33);
+            v[i] += (i % 2 ? std::uint32_t{1} << 16
+                           : std::uint32_t{1} << 31) +
+                    static_cast<std::uint32_t>(prng() << 17);
         inputs.push_back(v);
     }
     return inputs;
@@ -260,16 +329,16 @@ TEST(FastKernels, HashTagsMatchesScalarUnderEveryKey)
 {
     // The plan cache's key must not depend on the host's SIMD level:
     // every body returns the scalar body's 128 bits, under two keys,
-    // at every stripe tail, at every fabric width, and on words wider
+    // at every stripe tail, at every fabric width, and on lanes wider
     // than any tag.
     Prng prng(79);
     const KernelTable &ref = kernelsFor(SimdLevel::Scalar);
-    const std::vector<std::vector<Word>> inputs = hashInputs(prng);
+    const std::vector<std::vector<std::uint32_t>> inputs = hashInputs(prng);
     for (int k = 0; k < 2; ++k) {
         const HashKey key = randomKey(prng);
         for (SimdLevel level : supportedLevels()) {
             const KernelTable &kt = kernelsFor(level);
-            for (const std::vector<Word> &v : inputs)
+            for (const std::vector<std::uint32_t> &v : inputs)
                 ASSERT_EQ(kt.hashTags(v.data(), v.size(), key),
                           ref.hashTags(v.data(), v.size(), key))
                     << kt.name << " key=" << k << " count=" << v.size();
@@ -277,27 +346,107 @@ TEST(FastKernels, HashTagsMatchesScalarUnderEveryKey)
     }
 }
 
-TEST(FastKernels, HashTagsReadsTheLow32BitsOfEachWord)
+/**
+ * The tag hash as it was defined over 64-bit tag words: the low 32
+ * bits of each word, taken in pairs. Plan-cache keys are this hash of
+ * the pattern, so the lane form must return it bit for bit.
+ */
+Hash128
+wordFormHash(const std::vector<Word> &tags, const HashKey &key)
 {
-    // A bit at or above 2^32 is not hashed (the identity check still
-    // sees it), while one in [2^16, 2^32), above every tag, is.
+    std::uint64_t acc[kHashLanes];
+    std::copy(key.lane, key.lane + kHashLanes, acc);
+    const Word count = tags.size();
+    const Word stripes = (count + kHashStripe - 1) / kHashStripe;
+    for (Word s = 0; s < stripes; ++s) {
+        for (unsigned l = 0; l < kHashLanes; ++l) {
+            const Word i = s * kHashStripe + 2 * l;
+            const Word t0 = i < count ? tags[i] : 0;
+            const Word t1 = i + 1 < count ? tags[i + 1] : 0;
+            const std::uint64_t d = (t0 & 0xffffffffu) | (t1 << 32);
+            const std::uint64_t x = d ^ key.lane[l];
+            std::uint64_t a = acc[l] + (x & 0xffffffffu) * (x >> 32) + d;
+            a ^= a >> 47;
+            a ^= key.lane[l];
+            acc[l] = a * 2654435761u;
+        }
+    }
+    constexpr unsigned kPairs = kHashLanes / 2;
+    std::uint64_t pair[kPairs];
+    for (unsigned l = 0; l < kPairs; ++l)
+        pair[l] = acc[l] ^ std::rotl(acc[l + kPairs], 32);
+    Hash128 h;
+    h.lo = mix64(key.lo ^ count);
+    h.hi = mix64(key.hi ^ ~count);
+    for (unsigned l = 0; l < kPairs; ++l) {
+        h.lo = mix64(h.lo ^ pair[l]);
+        h.hi = mix64(h.hi ^ pair[kPairs - 1 - l]);
+    }
+    return h;
+}
+
+TEST(FastKernels, HashOfLanesIsTheWordFormsHash)
+{
+    // Keys do not change with the lanes: for every pattern, every
+    // level's hash of its u32 lanes equals the hash the tags had as
+    // 64-bit words, at every count from 1 to 64 and every n to 16,
+    // under two keys. A flip of lane bit 16 or 31, above every tag,
+    // changes it.
     Prng prng(80);
+    for (int k = 0; k < 2; ++k) {
+        const HashKey key = randomKey(prng);
+        std::vector<std::vector<Word>> patterns;
+        for (std::size_t count = 1; count <= 64; ++count)
+            patterns.push_back(Permutation::random(count, prng).dest());
+        for (unsigned n = 0; n <= 16; ++n)
+            patterns.push_back(
+                Permutation::random(std::size_t{1} << n, prng).dest());
+        for (const std::vector<Word> &d : patterns) {
+            const Hash128 want = wordFormHash(d, key);
+            std::vector<std::uint32_t> lanes = narrowed(d);
+            for (SimdLevel level : supportedLevels()) {
+                const KernelTable &kt = kernelsFor(level);
+                ASSERT_EQ(kt.hashTags(lanes.data(), lanes.size(), key), want)
+                    << kt.name << " count=" << d.size();
+                for (unsigned bit : {16u, 31u}) {
+                    lanes[d.size() / 2] ^= std::uint32_t{1} << bit;
+                    EXPECT_NE(kt.hashTags(lanes.data(), lanes.size(), key),
+                              want)
+                        << kt.name << " count=" << d.size() << " bit=" << bit;
+                    lanes[d.size() / 2] ^= std::uint32_t{1} << bit;
+                }
+            }
+        }
+    }
+}
+
+TEST(FastKernels, HashAndCheckReadLanesAtAnyByteAlignment)
+{
+    // A Submit's tag lanes start at frame offset 34, so the hash and
+    // the identity check read them at any byte offset: every level
+    // gives the aligned answer from a copy at each offset mod 8, in an
+    // exactly sized buffer.
+    Prng prng(82);
     const HashKey key = randomKey(prng);
-    for (SimdLevel level : supportedLevels()) {
-        const KernelTable &kt = kernelsFor(level);
-        for (std::size_t count : {std::size_t{3}, std::size_t{64},
-                                  std::size_t{1024}}) {
-            std::vector<Word> v = Permutation::random(count, prng).dest();
-            const Hash128 h = kt.hashTags(v.data(), count, key);
-            for (std::size_t pos : {std::size_t{0}, count / 2, count - 1}) {
-                v[pos] += Word{1} << 32;
-                EXPECT_EQ(kt.hashTags(v.data(), count, key), h)
-                    << kt.name << " count=" << count << " pos=" << pos;
-                v[pos] -= Word{1} << 32;
-                v[pos] += Word{1} << 16;
-                EXPECT_NE(kt.hashTags(v.data(), count, key), h)
-                    << kt.name << " count=" << count << " pos=" << pos;
-                v[pos] -= Word{1} << 16;
+    for (std::size_t count : {1u, 5u, 31u, 32u, 33u, 256u, 1024u}) {
+        const std::vector<std::uint16_t> src = randomSrc(count, prng);
+        std::vector<std::uint32_t> tags = tagsOf(src);
+        std::vector<std::uint32_t> wrong = tags;
+        wrong[count / 2] ^= std::uint32_t{1} << 16;
+        for (SimdLevel level : supportedLevels()) {
+            const KernelTable &kt = kernelsFor(level);
+            const Hash128 want = kt.hashTags(tags.data(), count, key);
+            for (std::size_t off = 0; off < 8; ++off) {
+                const std::vector<std::uint8_t> buf = atOffset(tags, off);
+                EXPECT_EQ(kt.hashTags(lanesAt(buf, off), count, key), want)
+                    << kt.name << " count=" << count << " off=" << off;
+                EXPECT_TRUE(
+                    kt.matchesInverse(src.data(), lanesAt(buf, off), count))
+                    << kt.name << " count=" << count << " off=" << off;
+                const std::vector<std::uint8_t> bad = atOffset(wrong, off);
+                EXPECT_FALSE(
+                    kt.matchesInverse(src.data(), lanesAt(bad, off), count))
+                    << kt.name << " count=" << count << " off=" << off;
             }
         }
     }
@@ -312,7 +461,7 @@ TEST(FastKernels, HashTagsDependsOnTheKey)
     const HashKey a = randomKey(prng);
     const HashKey b = randomKey(prng);
     const KernelTable &kt = activeKernels();
-    for (const std::vector<Word> &v : hashInputs(prng)) {
+    for (const std::vector<std::uint32_t> &v : hashInputs(prng)) {
         const Hash128 ha = kt.hashTags(v.data(), v.size(), a);
         const Hash128 hb = kt.hashTags(v.data(), v.size(), b);
         EXPECT_NE(ha.lo, hb.lo) << "count=" << v.size();
@@ -321,7 +470,7 @@ TEST(FastKernels, HashTagsDependsOnTheKey)
     HashKey seeds_only = a;
     seeds_only.lo ^= 1;
     seeds_only.hi ^= 1;
-    const std::vector<Word> v{1, 0};
+    const std::vector<std::uint32_t> v{1, 0};
     EXPECT_NE(kt.hashTags(v.data(), 2, a).lo,
               kt.hashTags(v.data(), 2, seeds_only).lo);
     EXPECT_NE(kt.hashTags(v.data(), 2, a).hi,

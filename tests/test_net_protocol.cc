@@ -5,14 +5,22 @@
  * truncated, oversized, and garbage frames without crashing,
  * over-reading, or resynchronizing. Golden frames, written out by
  * hand, pin the byte layout itself: a codec changed symmetrically
- * on both sides would pass every round trip but not these.
+ * on both sides would pass every round trip but not these. The
+ * in-place Submit view is checked against the owning decode and an
+ * independent reading of the spec, on hostile and awkward frames:
+ * random and mutated buffers, every byte offset mod 8, a frame split
+ * at every byte, miscounted and truncated bodies, and the largest
+ * frame srbd serves.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/router.hh"
 #include "net/protocol.hh"
 
 namespace srbenes
@@ -534,6 +542,386 @@ TEST(NetProtocol, GarbageFuzzNeverCrashes)
         }
     }
     SUCCEED();
+}
+
+// ------------------------------------------------- the in-place view
+
+/** A Submit frame's verdict and fields, read straight from the
+ *  header comment's layout: the reference the Decoder must agree
+ *  with. */
+struct RefSubmit
+{
+    DecodeStatus status = DecodeStatus::NeedMore;
+    SubmitMsg msg;
+};
+
+std::uint64_t
+leAt(const std::vector<std::uint8_t> &b, std::size_t at, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= std::uint64_t{b[at + i]} << (8 * i);
+    return v;
+}
+
+/** The first frame of @p wire, when its type byte says Submit. */
+RefSubmit
+referenceSubmit(const std::vector<std::uint8_t> &wire,
+                std::size_t max_frame = kDefaultMaxFrame)
+{
+    RefSubmit r;
+    if (wire.size() < 4)
+        return r;
+    const std::uint64_t len = leAt(wire, 0, 4);
+    if (len < 1 || len > max_frame) {
+        r.status = DecodeStatus::Error;
+        return r;
+    }
+    if (wire.size() < 4 + len)
+        return r;
+    r.status = DecodeStatus::Error;
+    if (len < 1 + 24 + 4 + 1)
+        return r;
+    const std::uint64_t lines = leAt(wire, 4 + 25, 4);
+    const unsigned has = wire[4 + 29];
+    if (has > 1 || len != 30 + lines * (has ? 12 : 4))
+        return r;
+    r.msg.id = leAt(wire, 5, 8);
+    r.msg.tenant = leAt(wire, 13, 8);
+    r.msg.deadline_rel_ns = leAt(wire, 21, 8);
+    r.msg.has_payload = has == 1;
+    for (std::uint64_t i = 0; i < lines; ++i)
+        r.msg.dest.push_back(leAt(wire, 34 + 4 * i, 4));
+    if (has)
+        for (std::uint64_t i = 0; i < lines; ++i)
+            r.msg.payload.push_back(leAt(wire, 34 + 4 * lines + 8 * i, 8));
+    r.status = DecodeStatus::Ok;
+    return r;
+}
+
+/** The view's fields, read through its lane accessors. */
+SubmitMsg
+fieldsOf(const SubmitView &v)
+{
+    SubmitMsg m;
+    m.id = v.id;
+    m.tenant = v.tenant;
+    m.deadline_rel_ns = v.deadline_rel_ns;
+    m.has_payload = v.has_payload;
+    for (std::uint32_t i = 0; i < v.num_lines; ++i)
+        m.dest.push_back(v.tag(i));
+    v.copyPayload(m.payload);
+    return m;
+}
+
+/**
+ * Decode @p wire's first frame both ways, each through a decoder fed
+ * the exact buffer (one feed, so an overread leaves the allocation),
+ * and check they agree with each other and, for a Submit, with the
+ * reference; returns the shared verdict.
+ */
+DecodeStatus
+expectFormsAgree(const std::vector<std::uint8_t> &wire,
+                 std::size_t max_frame = kDefaultMaxFrame)
+{
+    Decoder as_view(max_frame);
+    Decoder as_message(max_frame);
+    as_view.feed(wire.data(), wire.size());
+    as_message.feed(wire.data(), wire.size());
+    Frame frame;
+    Message msg;
+    const DecodeStatus v = as_view.next(frame);
+    const DecodeStatus m = as_message.next(msg);
+    EXPECT_EQ(v, m);
+    EXPECT_EQ(as_view.buffered(), as_message.buffered());
+    const bool is_submit =
+        wire.size() > 4 && wire[4] == static_cast<std::uint8_t>(MsgType::Submit);
+    if (is_submit) {
+        const RefSubmit ref = referenceSubmit(wire, max_frame);
+        EXPECT_EQ(v, ref.status);
+        if (v == DecodeStatus::Ok && ref.status == DecodeStatus::Ok) {
+            EXPECT_EQ(frame.type, MsgType::Submit);
+            EXPECT_EQ(fieldsOf(frame.submit), ref.msg);
+            EXPECT_EQ(frame.submit.toMessage(), ref.msg);
+            EXPECT_EQ(std::get<SubmitMsg>(msg), ref.msg);
+        }
+    } else if (v == DecodeStatus::Ok && m == DecodeStatus::Ok) {
+        EXPECT_EQ(frame.message, msg);
+    }
+    return v;
+}
+
+/** A Submit of @p lines lines, @p payload or not, with fields that
+ *  tell the lanes apart. */
+SubmitMsg
+sampleSubmit(std::uint32_t lines, bool payload, std::uint64_t salt = 0)
+{
+    SubmitMsg m;
+    m.id = 0x0101010101010101ULL * (salt + 1);
+    m.tenant = 0x7766554433221100ULL ^ salt;
+    m.deadline_rel_ns = 12345 + salt;
+    for (std::uint32_t i = 0; i < lines; ++i)
+        m.dest.push_back((i * 7 + salt) % (lines == 0 ? 1 : lines) |
+                         (i % 3 == 0 ? 0x80000000u : 0));
+    m.has_payload = payload;
+    if (payload)
+        for (std::uint32_t i = 0; i < lines; ++i)
+            m.payload.push_back(0x8000000000000001ULL * (i + 1) ^ salt);
+    return m;
+}
+
+TEST(NetProtocolView, ViewAndOwningDecodeAgreeOnHostileBuffers)
+{
+    // Differential fuzz: every buffer — random bytes, and valid
+    // frames of every type with bytes flipped, counts rewritten,
+    // has_payload set to 0..3, bodies cut or extended — gets the same
+    // verdict from the view and from next(Message &), identical
+    // fields when both accept it, and for a Submit the verdict and
+    // fields of the reference reading.
+    std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+    auto rnd = [&] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return state >> 33;
+    };
+    std::vector<std::vector<std::uint8_t>> seeds = {
+        encoded(Message{sampleSubmit(4, true)}),
+        encoded(Message{sampleSubmit(4, false)}),
+        encoded(Message{sampleSubmit(0, true)}),
+        encoded(Message{sampleSubmit(9, true, 3)}),
+        encoded(Message{goldenSubmitResult()}),
+        encoded(Message{HealthMsg{}}),
+        encoded(Message{StatsMsg{StatsFormat::Json}}),
+    };
+    std::size_t accepted = 0, refused = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::vector<std::uint8_t> wire;
+        if (trial % 4 == 0) {
+            wire.resize(1 + rnd() % 80);
+            for (auto &b : wire)
+                b = static_cast<std::uint8_t>(rnd());
+            if (wire.size() > 4) {
+                // Keep the length plausible often enough to reach
+                // the body checks.
+                if (rnd() % 2)
+                    reframe(wire);
+                if (rnd() % 2)
+                    wire[4] = static_cast<std::uint8_t>(MsgType::Submit);
+            }
+        } else {
+            wire = seeds[rnd() % seeds.size()];
+            switch (rnd() % 6) {
+              case 0:
+                wire[rnd() % wire.size()] ^=
+                    static_cast<std::uint8_t>(1u << (rnd() % 8));
+                break;
+              case 1:
+                if (wire[4] == static_cast<std::uint8_t>(MsgType::Submit))
+                    patchU32(wire, kSubmitLinesAt,
+                             static_cast<std::uint32_t>(
+                                 leAt(wire, 4 + kSubmitLinesAt, 4) +
+                                 (rnd() % 3) - 1));
+                break;
+              case 2:
+                if (wire.size() > 4 + kSubmitHasPayloadAt)
+                    wire[4 + kSubmitHasPayloadAt] =
+                        static_cast<std::uint8_t>(rnd() % 4);
+                break;
+              case 3:
+                wire.resize(wire.size() - 1 - rnd() % (wire.size() - 1));
+                if (rnd() % 2 && wire.size() > 4)
+                    reframe(wire);
+                break;
+              case 4:
+                for (std::uint64_t k = 1 + rnd() % 12; k > 0; --k)
+                    wire.push_back(static_cast<std::uint8_t>(rnd()));
+                if (rnd() % 2)
+                    reframe(wire);
+                break;
+              default:
+                break;
+            }
+        }
+        const DecodeStatus st = expectFormsAgree(wire);
+        accepted += st == DecodeStatus::Ok;
+        refused += st == DecodeStatus::Error;
+        if (HasFailure())
+            FAIL() << "trial " << trial;
+    }
+    // Both verdicts must actually be exercised.
+    EXPECT_GT(accepted, 500u);
+    EXPECT_GT(refused, 500u);
+}
+
+TEST(NetProtocolView, SubmitParsesInPlaceAtEveryOffsetModEight)
+{
+    // A Submit read after a frame of 10 + k bytes starts k bytes past
+    // an aligned buffer start, so its tag lanes sit at every offset
+    // mod 8 in turn. The view's fields, lanes and hash are the same at
+    // every offset, and its payload lanes gather from there.
+    const SubmitMsg want = sampleSubmit(37, true, 5);
+    std::vector<std::uint32_t> lanes(want.dest.begin(), want.dest.end());
+    const Hash128 h = hashTags128(lanes.data(), lanes.size());
+    for (std::size_t k = 0; k < 8; ++k) {
+        StatsResultMsg pad;
+        pad.body.assign(k + 8, 'x'); // a 10 + 8 + k byte frame
+        std::vector<std::uint8_t> wire = encoded(Message{pad});
+        encode(Message{want}, wire);
+        Decoder dec;
+        dec.feed(wire.data(), wire.size());
+        Frame f;
+        ASSERT_EQ(dec.next(f), DecodeStatus::Ok);
+        ASSERT_EQ(f.type, MsgType::StatsResult);
+        ASSERT_EQ(dec.next(f), DecodeStatus::Ok) << "k=" << k;
+        ASSERT_EQ(f.type, MsgType::Submit);
+        const auto at = reinterpret_cast<std::uintptr_t>(f.submit.tags);
+        EXPECT_EQ((at - 34) % 8, (18 + k) % 8) << "k=" << k;
+        EXPECT_EQ(fieldsOf(f.submit), want) << "k=" << k;
+        EXPECT_EQ(hashTags128(f.submit.tags, f.submit.num_lines), h);
+        std::vector<Word> out(want.payload.size());
+        std::vector<std::uint16_t> identity(want.payload.size());
+        for (std::size_t i = 0; i < identity.size(); ++i)
+            identity[i] = static_cast<std::uint16_t>(identity.size() - 1 - i);
+        activeKernels().gather(out.data(), f.submit.payload,
+                               identity.data(), out.size());
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], want.payload[out.size() - 1 - i]);
+        EXPECT_EQ(dec.buffered(), 0u);
+    }
+}
+
+TEST(NetProtocolView, FrameSplitBetweenTwoFeedsAtEveryByte)
+{
+    // For n <= 4, a Submit cut into two feeds at every byte boundary
+    // needs more until its last byte arrives, then parses whole, in
+    // both forms.
+    for (unsigned n = 0; n <= 4; ++n) {
+        for (bool payload : {false, true}) {
+            const SubmitMsg want = sampleSubmit(1u << n, payload, n);
+            const std::vector<std::uint8_t> wire = encoded(Message{want});
+            for (std::size_t cut = 0; cut <= wire.size(); ++cut) {
+                Decoder a, b;
+                a.feed(wire.data(), cut);
+                b.feed(wire.data(), cut);
+                Frame f;
+                Message m;
+                if (cut < wire.size()) {
+                    ASSERT_EQ(a.next(f), DecodeStatus::NeedMore)
+                        << "n=" << n << " cut=" << cut;
+                    ASSERT_EQ(b.next(m), DecodeStatus::NeedMore);
+                }
+                a.feed(wire.data() + cut, wire.size() - cut);
+                b.feed(wire.data() + cut, wire.size() - cut);
+                ASSERT_EQ(a.next(f), DecodeStatus::Ok)
+                    << "n=" << n << " cut=" << cut;
+                ASSERT_EQ(b.next(m), DecodeStatus::Ok);
+                EXPECT_EQ(fieldsOf(f.submit), want);
+                EXPECT_EQ(std::get<SubmitMsg>(m), want);
+                EXPECT_EQ(a.buffered(), 0u);
+            }
+        }
+    }
+}
+
+TEST(NetProtocolView, MiscountedAndTruncatedSubmitsAreRefused)
+{
+    // num_lines off by one either way, has_payload 0, 1 and 2 against
+    // bodies of each shape, and bodies cut short under a reframed
+    // length are errors in both forms; a frame whose declared body
+    // has not all arrived needs more.
+    for (bool payload : {false, true}) {
+        const std::vector<std::uint8_t> good =
+            encoded(Message{sampleSubmit(8, payload)});
+        ASSERT_EQ(expectFormsAgree(good), DecodeStatus::Ok);
+        for (std::uint32_t lines : {7u, 9u}) {
+            std::vector<std::uint8_t> wire = good;
+            patchU32(wire, kSubmitLinesAt, lines);
+            EXPECT_EQ(expectFormsAgree(wire), DecodeStatus::Error)
+                << "lines " << lines;
+        }
+        for (std::uint8_t has : {0, 1, 2}) {
+            std::vector<std::uint8_t> wire = good;
+            wire[4 + kSubmitHasPayloadAt] = has;
+            EXPECT_EQ(expectFormsAgree(wire),
+                      has == (payload ? 1 : 0) ? DecodeStatus::Ok
+                                               : DecodeStatus::Error)
+                << "has_payload " << int{has};
+        }
+        for (std::size_t cut : {1u, 3u, 4u, 8u, 12u, 30u}) {
+            std::vector<std::uint8_t> wire = good;
+            wire.resize(wire.size() - cut);
+            EXPECT_EQ(expectFormsAgree(wire), DecodeStatus::NeedMore)
+                << "cut " << cut;
+            reframe(wire);
+            EXPECT_EQ(expectFormsAgree(wire), DecodeStatus::Error)
+                << "cut " << cut << " reframed";
+        }
+    }
+}
+
+TEST(NetProtocolView, LargestServedSubmitParsesInPlace)
+{
+    // n = 16: the largest fabric srbd serves under the 1 MiB cap, a
+    // 786,462-byte body. It parses in place in both forms, its lanes
+    // read back whole, and one byte less of cap refuses it.
+    const SubmitMsg want = sampleSubmit(1u << 16, true, 16);
+    const std::vector<std::uint8_t> wire = encoded(Message{want});
+    ASSERT_EQ(wire.size(), 4u + 786462u);
+    EXPECT_EQ(expectFormsAgree(wire), DecodeStatus::Ok);
+    Decoder dec;
+    dec.feed(wire.data(), wire.size());
+    Frame f;
+    ASSERT_EQ(dec.next(f), DecodeStatus::Ok);
+    EXPECT_EQ(f.submit.num_lines, 1u << 16);
+    EXPECT_EQ(f.submit.tag(65535), want.dest[65535]);
+    std::vector<Word> payload;
+    f.submit.copyPayload(payload);
+    EXPECT_EQ(payload, want.payload);
+    std::vector<std::uint32_t> lanes(want.dest.begin(), want.dest.end());
+    EXPECT_EQ(hashTags128(f.submit.tags, 1u << 16),
+              hashTags128(lanes.data(), lanes.size()));
+    EXPECT_EQ(expectFormsAgree(wire, 786461), DecodeStatus::Error);
+}
+
+TEST(NetProtocolView, ReadsLandInTheBufferThroughPrepare)
+{
+    // prepare() hands out room that commit() publishes: frames
+    // written there in uneven pieces decode like fed ones, and a
+    // view survives its own consumption until the next prepare().
+    const SubmitMsg a = sampleSubmit(16, true, 1);
+    const SubmitMsg b = sampleSubmit(16, false, 2);
+    std::vector<std::uint8_t> wire = encoded(Message{a});
+    encode(Message{b}, wire);
+    Decoder dec;
+    for (std::size_t at = 0; at < wire.size();) {
+        const std::size_t piece = std::min<std::size_t>(97, wire.size() - at);
+        std::memcpy(dec.prepare(piece), wire.data() + at, piece);
+        dec.commit(piece);
+        at += piece;
+    }
+    Frame f;
+    ASSERT_EQ(dec.next(f), DecodeStatus::Ok);
+    EXPECT_EQ(fieldsOf(f.submit), a);
+    ASSERT_EQ(dec.next(f), DecodeStatus::Ok);
+    EXPECT_EQ(dec.buffered(), 0u);
+    EXPECT_EQ(fieldsOf(f.submit), b);
+    EXPECT_EQ(dec.next(f), DecodeStatus::NeedMore);
+}
+
+TEST(NetProtocolView, SubmitResultHeadIsTheEncodersHead)
+{
+    // srbd writes a hit's reply head in place and gathers the payload
+    // after it; the frame is byte for byte what encode() makes.
+    const SubmitResultMsg m = goldenSubmitResult();
+    std::vector<std::uint8_t> frame(kSubmitResultHead + 8 * m.payload.size());
+    putSubmitResultHead(frame.data(), m.id, m.status, m.tier, m.server_ns,
+                        static_cast<std::uint32_t>(m.payload.size()));
+    std::memcpy(frame.data() + kSubmitResultHead, m.payload.data(),
+                8 * m.payload.size());
+    EXPECT_EQ(frame, kGoldenSubmitResult);
+    ByteBuffer buf;
+    encode(Message{m}, buf);
+    ASSERT_EQ(buf.size(), frame.size());
+    EXPECT_EQ(std::memcmp(buf.data(), frame.data(), frame.size()), 0);
 }
 
 } // namespace

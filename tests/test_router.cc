@@ -680,27 +680,34 @@ TEST(Router, HashIsTheKernelUnderTheServingKey)
 {
     // One key per pattern everywhere: hashPermutation128, hashTags128
     // and Router::hashPermutation are the active kernel over the
-    // destination vector, under the one key this process draws.
+    // destination vector's u32 lanes, under the one key this process
+    // draws.
     Prng prng(37);
     EXPECT_EQ(&servingHashKey(), &servingHashKey());
     for (unsigned n : {1u, 4u, 5u, 8u, 12u}) {
         const Permutation d = Permutation::random(Word{1} << n, prng);
+        const std::uint32_t *narrowed = narrowTags(d);
+        const std::vector<std::uint32_t> lanes(narrowed, narrowed + d.size());
+        for (Word i = 0; i < d.size(); ++i)
+            ASSERT_EQ(lanes[i], d[i]);
         const Hash128 want = activeKernels().hashTags(
-            d.dest().data(), d.size(), servingHashKey());
+            lanes.data(), d.size(), servingHashKey());
         EXPECT_EQ(hashPermutation128(d), want) << "n=" << n;
-        EXPECT_EQ(hashTags128(d.dest().data(), d.size()), want);
+        EXPECT_EQ(hashTags128(lanes.data(), d.size()), want);
         EXPECT_EQ(Router::hashPermutation(d), want.lo);
     }
 }
 
 TEST(Router, RawFindCachedComparesEveryWordWhole)
 {
-    // The raw-tag lookup under a resident plan's key. The plan's own
-    // words hit. The same words with one raised by 2^16 (its low 16
-    // bits still the plan's tag) or by 2^32 (which the hash does not
-    // read, so the key is the plan's own) are refused, as are one word
-    // too few and one word too many; no refusal counts a hit or a
-    // miss.
+    // The raw-lane lookup under a resident plan's key. The plan's own
+    // lanes hit. The same lanes with one raised by 2^16 (its low 16
+    // bits still the plan's tag) or by 2^31 are refused, as are one
+    // lane too few and one lane too many; no refusal counts a hit or
+    // a miss. (A u32 lane holds no raise of 2^32: the one entry that
+    // takes 64-bit words, submitMiss, validates them before anything
+    // else, and StreamEngineTest's malformed-tag tests raise a word by
+    // 2^32 against it.)
     Prng prng(41);
     const unsigned n = 6;
     const Word N = Word{1} << n;
@@ -708,30 +715,71 @@ TEST(Router, RawFindCachedComparesEveryWordWhole)
     const Permutation d = Permutation::random(N, prng);
     const std::uint64_t key = Router::hashPermutation(d);
     const auto plan = sightTwice(router, d);
-    std::vector<Word> words = d.dest();
-    EXPECT_EQ(router.findCached(words.data(), N, key).get(), plan.get());
+    const std::uint32_t *narrowed = narrowTags(d);
+    std::vector<std::uint32_t> lanes(narrowed, narrowed + N);
+    EXPECT_EQ(router.findCached(lanes.data(), N, key).get(), plan.get());
 
     const CacheStats before = router.cacheStats();
     for (std::size_t pos : {std::size_t{0}, std::size_t{N / 2},
                             std::size_t{N - 1}}) {
-        for (Word raise : {Word{1} << 16, Word{1} << 32}) {
-            words[pos] += raise;
-            if (raise == Word{1} << 32) {
-                EXPECT_EQ(hashTags128(words.data(), N).lo, key);
-            }
-            EXPECT_EQ(router.findCached(words.data(), N, key), nullptr)
+        for (std::uint32_t raise :
+             {std::uint32_t{1} << 16, std::uint32_t{1} << 31}) {
+            lanes[pos] += raise;
+            EXPECT_EQ(router.findCached(lanes.data(), N, key), nullptr)
                 << "pos=" << pos << " raise=" << raise;
-            words[pos] -= raise;
+            lanes[pos] -= raise;
         }
     }
-    EXPECT_EQ(router.findCached(words.data(), N - 1, key), nullptr);
-    std::vector<Word> longer = words;
-    longer.push_back(N);
+    EXPECT_EQ(router.findCached(lanes.data(), N - 1, key), nullptr);
+    std::vector<std::uint32_t> longer = lanes;
+    longer.push_back(static_cast<std::uint32_t>(N));
     EXPECT_EQ(router.findCached(longer.data(), N + 1, key), nullptr);
     const CacheStats after = router.cacheStats();
     EXPECT_EQ(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(router.findCached(words.data(), N, key).get(), plan.get());
+    EXPECT_EQ(router.findCached(lanes.data(), N, key).get(), plan.get());
+}
+
+TEST(Router, KeysAndIdentityAgreeAcrossFormsAtEveryLevelAndWidth)
+{
+    // A Submit's tags are hashed and checked as the wire lanes they
+    // arrive in; a validated pattern's are narrowed first. At every
+    // SIMD level and every n from 1 to 16, the hash of the wire lanes
+    // (little-endian u32s at frame offset 34, so at byte offset 2 of
+    // a word) equals hashPermutation128, and a plan planCached made is
+    // found from the wire lanes.
+    Prng prng(44);
+    struct LevelGuard
+    {
+        ~LevelGuard() { setSimdLevel(detectSimdLevel()); }
+    } guard;
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    for (SimdLevel l : {SimdLevel::Avx2, SimdLevel::Avx512})
+        if (simdLevelSupported(l))
+            levels.push_back(l);
+    for (SimdLevel level : levels) {
+        setSimdLevel(level);
+        for (unsigned n = 1; n <= 16; ++n) {
+            const Word N = Word{1} << n;
+            const Router router(n, false, /*capacity=*/4, /*shards=*/1,
+                                nullptr);
+            const Permutation d = Permutation::random(N, prng);
+            std::vector<std::uint8_t> frame(34 + 4 * N);
+            for (Word i = 0; i < N; ++i) {
+                const std::uint32_t t = static_cast<std::uint32_t>(d[i]);
+                for (unsigned b = 0; b < 4; ++b)
+                    frame[34 + 4 * i + b] =
+                        static_cast<std::uint8_t>(t >> (8 * b));
+            }
+            const std::uint8_t *wire = frame.data() + 34;
+            const Hash128 h = hashTags128(wire, N);
+            ASSERT_EQ(h, hashPermutation128(d))
+                << simdLevelName(level) << " n=" << n;
+            const auto plan = sightTwice(router, d);
+            EXPECT_EQ(router.findCached(wire, N, h.lo).get(), plan.get())
+                << simdLevelName(level) << " n=" << n;
+        }
+    }
 }
 
 TEST(Router, ATranspositionOfAResidentPlanIsServedByItsOwnPlan)
@@ -750,7 +798,7 @@ TEST(Router, ATranspositionOfAResidentPlanIsServedByItsOwnPlan)
     const Permutation e(dest);
     const std::uint64_t key = Router::hashPermutation(e);
     EXPECT_NE(key, Router::hashPermutation(d));
-    EXPECT_EQ(router.findCached(e.dest().data(), N, key), nullptr);
+    EXPECT_EQ(router.findCached(e, key), nullptr);
 
     const auto plan = router.planCached(e, key);
     EXPECT_NE(plan.get(), resident.get());

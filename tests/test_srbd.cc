@@ -18,6 +18,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -411,11 +412,12 @@ TEST_F(SrbdTest, MalformedSubmitsPastTheirDeadlineAreRefused)
 
 TEST_F(SrbdTest, MalformedSubmitsBehindAFullLoopQueueAreRefused)
 {
-    // Two pipelined hits fill the loop's 2-slot result queue, so the
-    // malformed Submits behind them in the same read take the ring
-    // path and are validated there; the hit after them crosses to a
-    // worker. Every valid Submit is Ok, every malformed one
-    // BadRequest, and none of these reaches the tier.
+    // A pipelined burst in one read, with rings of 2 slots: the loop
+    // serves every hit from its frame, taking no result-queue slot,
+    // however many there are, and each malformed Submit among them
+    // misses the tier and is validated on its way to a ring. Every
+    // valid Submit is Ok, every malformed one BadRequest, and none of
+    // the malformed ones reaches the tier.
     ServerOptions opts = defaults();
     opts.n = 4;
     opts.stream.ring_capacity = 2;
@@ -1178,6 +1180,69 @@ TEST_F(SrbdTest, ServesTheLargestFabricThatFitsAFrame)
     EXPECT_EQ(res->status, Status::Ok);
     EXPECT_EQ(res->payload, expected);
     client.close();
+    EXPECT_TRUE(stopServer());
+}
+
+TEST_F(SrbdTest, LargestFabricHitIsServedFromAFrameSpanningReads)
+{
+    // n=16: one pattern sent three times. The first two sightings
+    // make it resident; the third Submit, a 786,466-byte frame that
+    // arrives over many 64 KiB reads, is a hit served from the receive
+    // buffer into a reserved reply frame. Its answer is byte for byte
+    // encode()'s frame of the routed payload, server_ns aside, and it
+    // took no pending entry: the in-flight gauge never moved.
+    ServerOptions opts = defaults();
+    opts.n = 16;
+    startServer(std::move(opts));
+    const Word N = server_->numLines();
+    Prng prng(48);
+    const Permutation perm = Permutation::random(N, prng);
+    const int fd = connectRaw(server_->port());
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Message response;
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        std::vector<std::uint8_t> wire;
+        encode(Message{submitOf(id, perm.dest())}, wire);
+        ASSERT_TRUE(sendAll(fd, wire));
+        ASSERT_TRUE(receiveRaw(fd, dec, response, 20000));
+        ASSERT_EQ(std::get<SubmitResultMsg>(response).status, Status::Ok);
+    }
+    const std::uint64_t served =
+        counterSum("srbenes_stream_inline_served_total");
+    const long long gauge = registry_.gauge("srbd_inflight_requests").value();
+
+    const SubmitMsg third = submitOf(3, perm.dest());
+    std::vector<std::uint8_t> wire;
+    encode(Message{third}, wire);
+    ASSERT_EQ(wire.size(), 4u + 786462u);
+    ASSERT_TRUE(sendAll(fd, wire));
+
+    SubmitResultMsg want;
+    want.id = 3;
+    want.status = Status::Ok;
+    want.tier = ServeTier::Primary;
+    want.payload = perm.applyTo(third.payload);
+    std::vector<std::uint8_t> expect;
+    encode(Message{want}, expect);
+    std::vector<std::uint8_t> got;
+    while (got.size() < expect.size()) {
+        pollfd pfd{fd, POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 20000), 1) << "answer stalled";
+        std::uint8_t chunk[65536];
+        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+        ASSERT_GT(n, 0);
+        got.insert(got.end(), chunk, chunk + n);
+    }
+    ASSERT_EQ(got.size(), expect.size());
+    // server_ns is the 8 bytes after the length, type, id, status and
+    // tier: the one field a time fills.
+    constexpr std::size_t kServerNsAt = 4 + 1 + 8 + 1 + 1;
+    std::fill_n(got.begin() + kServerNsAt, 8, 0);
+    EXPECT_TRUE(got == expect) << "the hit's reply differs";
+    EXPECT_EQ(counterSum("srbenes_stream_inline_served_total"), served + 1);
+    EXPECT_EQ(registry_.gauge("srbd_inflight_requests").value(), gauge);
+    ::close(fd);
     EXPECT_TRUE(stopServer());
 }
 

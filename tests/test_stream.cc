@@ -5,14 +5,16 @@
  * cache, and end-to-end StreamEngine runs checked payload-for-payload
  * against Permutation::applyTo and the reference simulator — over
  * the rings (plan tier disabled) and with plan hits served on the
- * producer thread, and the tag form's refusal of malformed tags on
- * every path a request can take.
+ * producer thread, and the refusal of malformed tags by srbd's two
+ * halves, serveHit and submitMiss, on every path a request can take.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -838,30 +840,37 @@ TEST(StreamEngineTest, HitWithFullResultQueueTakesARingThenSheds)
 
 // ----------------------------------- a hit is its own validation
 
-/**
- * malformedNeighbours (malformed.hh), and two the wire cannot carry:
- * @p d's tag plus 2^32, which the hash does not read, so its key is
- * @p d's own, and @p d one lane short.
- */
-std::vector<std::pair<std::string, std::vector<Word>>>
-everyMalformedNeighbour(const Permutation &d)
+/** @p words as a Submit carries them: little-endian u32 lanes at
+ *  byte offset 2 of an exactly sized buffer, as at frame offset 34. */
+std::vector<std::uint8_t>
+wireLanes(const std::vector<Word> &words)
 {
-    auto all = malformedNeighbours(d);
-    std::vector<Word> raised = d.dest();
-    raised[4] += Word{1} << 32;
-    all.emplace_back("tag plus 2^32", raised);
-    std::vector<Word> short_by_one = d.dest();
-    short_by_one.pop_back();
-    all.emplace_back("one lane short", short_by_one);
-    return all;
+    std::vector<std::uint8_t> buf(2 + 4 * words.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+        for (unsigned b = 0; b < 4; ++b)
+            buf[2 + 4 * i + b] = static_cast<std::uint8_t>(words[i] >> (8 * b));
+    return buf;
+}
+
+/** The lanes of a wireLanes buffer, as the untyped bytes serveHit,
+ *  hashTags128 and findCached take. */
+const std::uint8_t *
+lanesOf(const std::vector<std::uint8_t> &wire)
+{
+    return wire.data() + 2;
 }
 
 /**
- * Submit each of @p d's malformed neighbours through @p prod's tag
- * form: every one comes back Malformed with its payload untouched,
- * and none reaches the plan tier or a ring. The sketch records a
- * sighting only with a hit or a miss, so unchanged counts mean it
- * saw none either.
+ * Submit each of @p d's malformed neighbours as srbd does. Those the
+ * wire carries (malformedNeighbours) go by their wire lanes to
+ * serveHit, which must not serve them, and then by their words to
+ * submitMiss. Two the wire cannot carry go to submitMiss alone, the
+ * one entry that takes 64-bit words: @p d's tag plus 2^32, whose
+ * narrowed lanes would be @p d's own lanes, key and plan, and @p d
+ * one lane short. Every one comes back Malformed with its payload
+ * untouched, and none reaches the plan tier or a ring. The sketch
+ * records a sighting only with a hit or a miss, so unchanged counts
+ * mean it saw none either.
  */
 void
 expectEveryNeighbourRefused(const Router &router,
@@ -872,13 +881,33 @@ expectEveryNeighbourRefused(const Router &router,
     const Word N = d.size();
     const CacheStats before = router.cacheStats();
     const std::uint64_t submitted = prod.submitted();
-    for (const auto &[name, tags] : everyMalformedNeighbour(d)) {
-        std::vector<Word> payload = iotaPayload(N, 7);
-        EXPECT_EQ(prod.trySubmit(99, tags, payload, deadline_ns),
+    const std::vector<Word> payload = iotaPayload(N, 7);
+    auto refuseMiss = [&](const std::string &name,
+                          const std::vector<Word> &tags, const Hash128 &h) {
+        std::vector<Word> copy = payload;
+        EXPECT_EQ(prod.submitMiss(99, h, obs::monotonicNs(), tags, copy,
+                                  deadline_ns),
                   SubmitOutcome::Malformed)
             << name;
-        EXPECT_EQ(payload, iotaPayload(N, 7)) << name;
+        EXPECT_EQ(copy, payload) << name;
+    };
+    std::vector<std::uint8_t> out(8 * N);
+    for (const auto &[name, tags] : malformedNeighbours(d)) {
+        const std::vector<std::uint8_t> wire = wireLanes(tags);
+        const Hash128 h = hashTags128(lanesOf(wire), N);
+        EXPECT_EQ(prod.serveHit(lanesOf(wire), h, payload.data(),
+                                out.data(), obs::monotonicNs(), deadline_ns),
+                  0u)
+            << name;
+        refuseMiss(name, tags, h);
     }
+    std::vector<Word> raised = d.dest();
+    raised[4] += Word{1} << 32;
+    refuseMiss("tag plus 2^32", raised, hashPermutation128(d));
+    std::vector<Word> short_by_one = d.dest();
+    short_by_one.pop_back();
+    refuseMiss("one lane short", short_by_one, hashPermutation128(d));
+
     const CacheStats after = router.cacheStats();
     EXPECT_EQ(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
@@ -886,13 +915,39 @@ expectEveryNeighbourRefused(const Router &router,
     EXPECT_EQ(prod.submitted(), submitted);
 }
 
+/** serveHit over @p d's wire lanes, gathering @p payload into a buffer
+ *  of its own; the routed words, or nothing when not served. */
+std::optional<std::vector<Word>>
+serveWire(StreamEngine::Producer &prod, const Permutation &d,
+          const std::vector<Word> &payload, std::uint64_t deadline_ns = 0)
+{
+    const std::vector<std::uint8_t> wire = wireLanes(d.dest());
+    std::vector<Word> out(payload.size());
+    if (prod.serveHit(lanesOf(wire), hashTags128(lanesOf(wire), d.size()),
+                      payload.data(), out.data(), obs::monotonicNs(),
+                      deadline_ns) == 0)
+        return std::nullopt;
+    return out;
+}
+
+/** submitMiss of @p d's words under their wire hash, as srbd makes it
+ *  after serveHit did not serve them. */
+SubmitOutcome
+submitWireMiss(StreamEngine::Producer &prod, std::uint64_t id,
+               const Permutation &d, std::vector<Word> &payload,
+               std::uint64_t deadline_ns = 0)
+{
+    return prod.submitMiss(id, hashPermutation128(d), obs::monotonicNs(),
+                           d.dest(), payload, deadline_ns);
+}
+
 TEST(StreamEngineTest, MalformedTagsAreRefusedNearAResidentPlanOrNot)
 {
-    // The tag form looks a request up before validating it: a hit
-    // proves the tags are a permutation, and anything else is
-    // validated before it may take a ring. So malformed tags are
-    // refused whether or not the valid pattern next to them is
-    // resident, while that pattern itself is served on the producer
+    // srbd looks a Submit up by its wire lanes before validating them:
+    // a hit proves the tags are a permutation, and anything else is
+    // validated by submitMiss before it may take a ring. So malformed
+    // tags are refused whether or not the valid pattern next to them
+    // is resident, while that pattern itself is served on the producer
     // and a valid transposition of it is its own miss, planned by a
     // worker.
     const unsigned n = 6;
@@ -909,17 +964,17 @@ TEST(StreamEngineTest, MalformedTagsAreRefusedNearAResidentPlanOrNot)
     (void)sightTwice(eng.router(), d);
     expectEveryNeighbourRefused(eng.router(), prod, d);
 
-    std::vector<Word> payload = iotaPayload(N, 1);
-    EXPECT_EQ(prod.trySubmit(1, d.dest(), payload), SubmitOutcome::Accepted);
-    StreamResult res;
-    ASSERT_TRUE(prod.tryPoll(res)) << "a hit needs no worker";
-    EXPECT_EQ(res.payload, d.applyTo(iotaPayload(N, 1)));
+    EXPECT_EQ(serveWire(prod, d, iotaPayload(N, 1)),
+              d.applyTo(iotaPayload(N, 1)))
+        << "a hit needs no worker";
 
     std::vector<Word> swapped = d.dest();
     std::swap(swapped[0], swapped[N - 1]);
     const Permutation e(swapped);
-    payload = iotaPayload(N, 2);
-    EXPECT_EQ(prod.trySubmit(2, swapped, payload), SubmitOutcome::Accepted);
+    EXPECT_EQ(serveWire(prod, e, iotaPayload(N, 2)), std::nullopt);
+    std::vector<Word> payload = iotaPayload(N, 2);
+    EXPECT_EQ(submitWireMiss(prod, 2, e, payload), SubmitOutcome::Accepted);
+    StreamResult res;
     EXPECT_FALSE(prod.tryPoll(res)) << "a miss waits for a worker";
     eng.start();
     ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
@@ -953,8 +1008,9 @@ TEST(StreamEngineTest, MalformedTagsPastTheirDeadlineAreRefused)
     auto &prod = eng.producer(0);
     expectEveryNeighbourRefused(eng.router(), prod, d, /*deadline_ns=*/1);
 
+    EXPECT_EQ(serveWire(prod, d, iotaPayload(N, 3), 1), std::nullopt);
     std::vector<Word> payload = iotaPayload(N, 3);
-    EXPECT_EQ(prod.trySubmit(3, d.dest(), payload, 1),
+    EXPECT_EQ(submitWireMiss(prod, 3, d, payload, 1),
               SubmitOutcome::Accepted);
     eng.start();
     StreamResult res;
@@ -968,9 +1024,10 @@ TEST(StreamEngineTest, MalformedTagsPastTheirDeadlineAreRefused)
 
 TEST(StreamEngineTest, MalformedTagsAreRefusedWithTheResultQueueFull)
 {
-    // With the producer's result queue full a hit takes a ring, so
-    // every request is validated: malformed tags are refused, and
-    // the valid pattern crosses to a worker.
+    // The result queue holds only trySubmit's hits. With it full,
+    // trySubmit's hit of d takes a ring to a worker, while srbd's two
+    // halves go on as before: malformed tags are refused, and d's wire
+    // lanes are still served in place, taking no slot.
     const unsigned n = 5;
     const Word N = Word{1} << n;
     obs::MetricsRegistry reg;
@@ -979,37 +1036,41 @@ TEST(StreamEngineTest, MalformedTagsAreRefusedWithTheResultQueueFull)
     opts.ring_capacity = 2;
     StreamEngine eng(n, opts);
     Prng prng(58);
-    const Permutation d = Permutation::random(N, prng);
-    (void)sightTwice(eng.router(), d);
+    const auto d = std::make_shared<const Permutation>(
+        Permutation::random(N, prng));
+    (void)sightTwice(eng.router(), *d);
     auto &prod = eng.producer(0);
     for (std::uint64_t id = 0; id < 2; ++id) {
         std::vector<Word> payload = iotaPayload(N, id);
-        ASSERT_EQ(prod.trySubmit(id, d.dest(), payload),
-                  SubmitOutcome::Accepted);
+        ASSERT_TRUE(prod.trySubmit(id, d, payload));
     }
     ASSERT_EQ(eng.stats().inline_served, 2u);
-    expectEveryNeighbourRefused(eng.router(), prod, d);
+    expectEveryNeighbourRefused(eng.router(), prod, *d);
+    EXPECT_EQ(serveWire(prod, *d, iotaPayload(N, 5)),
+              d->applyTo(iotaPayload(N, 5)));
+    EXPECT_EQ(eng.stats().inline_served, 3u);
 
     std::vector<Word> payload = iotaPayload(N, 2);
-    EXPECT_EQ(prod.trySubmit(2, d.dest(), payload), SubmitOutcome::Accepted);
-    EXPECT_EQ(eng.stats().inline_served, 2u);
+    EXPECT_TRUE(prod.trySubmit(2, d, payload));
+    EXPECT_EQ(eng.stats().inline_served, 3u);
     eng.start();
     StreamResult res;
     for (int got = 0; got < 3; ++got) {
         ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
         EXPECT_TRUE(res.ok());
-        EXPECT_EQ(res.payload, d.applyTo(iotaPayload(N, res.id)));
+        EXPECT_EQ(res.payload, d->applyTo(iotaPayload(N, res.id)));
     }
     eng.stop();
-    EXPECT_EQ(eng.stats().requests, 3u);
+    EXPECT_EQ(eng.stats().requests, 4u);
     EXPECT_EQ(eng.router().planCacheMisses(), 2u);
 }
 
 TEST(StreamEngineTest, MalformedTagsAreRefusedByAResilientEngine)
 {
-    // A resilient engine serves every request on a worker, so every
-    // request is validated on the producer: malformed tags are
-    // refused before the chain sees them, resident neighbour or not.
+    // A resilient engine serves every request on a worker, so serveHit
+    // serves nothing and every Submit is validated on the producer:
+    // malformed tags are refused before the chain sees them, resident
+    // neighbour or not, past their deadline or not.
     const unsigned n = 5;
     const Word N = Word{1} << n;
     obs::MetricsRegistry reg;
@@ -1027,9 +1088,11 @@ TEST(StreamEngineTest, MalformedTagsAreRefusedByAResilientEngine)
     expectEveryNeighbourRefused(eng.router(), prod, d);
     (void)sightTwice(eng.router(), d);
     expectEveryNeighbourRefused(eng.router(), prod, d);
+    expectEveryNeighbourRefused(eng.router(), prod, d, /*deadline_ns=*/1);
 
+    EXPECT_EQ(serveWire(prod, d, iotaPayload(N, 4)), std::nullopt);
     std::vector<Word> payload = iotaPayload(N, 4);
-    EXPECT_EQ(prod.trySubmit(4, d.dest(), payload), SubmitOutcome::Accepted);
+    EXPECT_EQ(submitWireMiss(prod, 4, d, payload), SubmitOutcome::Accepted);
     eng.start();
     StreamResult res;
     ASSERT_TRUE(prod.awaitResultFor(res, 2'000'000'000ull));
@@ -1039,6 +1102,78 @@ TEST(StreamEngineTest, MalformedTagsAreRefusedByAResilientEngine)
     eng.stop();
     EXPECT_EQ(eng.stats().requests, 1u);
     EXPECT_EQ(eng.stats().route_failures, 0u);
+}
+
+TEST(StreamEngineTest, ServeHitGathersBetweenUnalignedBuffers)
+{
+    // srbd's hit: tag and payload lanes read in place at odd offsets,
+    // the payload gathered into the caller's memory at another, with
+    // the counters of an inline serve and no result-queue slot. A
+    // payload-less hit writes nothing; a miss, a request past its
+    // deadline and a resilient engine are not served and write
+    // nothing.
+    const unsigned n = 7;
+    const Word N = Word{1} << n;
+    obs::MetricsRegistry reg;
+    StreamOptions opts;
+    opts.metrics = &reg;
+    StreamEngine eng(n, opts);
+    Prng prng(61);
+    const Permutation d = Permutation::random(N, prng);
+    (void)sightTwice(eng.router(), d);
+    auto &prod = eng.producer(0);
+
+    const std::vector<std::uint8_t> wire = wireLanes(d.dest());
+    const std::uint8_t *tags = lanesOf(wire);
+    const Hash128 h = hashTags128(tags, N);
+    ASSERT_EQ(h, hashPermutation128(d));
+    const std::vector<Word> payload = iotaPayload(N, 9);
+    std::vector<std::uint8_t> in(5 + 8 * N);
+    std::memcpy(in.data() + 5, payload.data(), 8 * N);
+    std::vector<std::uint8_t> out(3 + 8 * N, 0xa5);
+
+    const std::uint64_t t0 = obs::monotonicNs();
+    const std::uint64_t done =
+        prod.serveHit(tags, h, in.data() + 5, out.data() + 3, t0, 0);
+    ASSERT_NE(done, 0u);
+    EXPECT_GE(done, t0);
+    std::vector<Word> routed(N);
+    std::memcpy(routed.data(), out.data() + 3, 8 * N);
+    EXPECT_EQ(routed, d.applyTo(payload));
+
+    const std::vector<std::uint8_t> untouched(3 + 8 * N, 0xa5);
+    out = untouched;
+    EXPECT_NE(prod.serveHit(tags, h, nullptr, out.data() + 3, t0, 0), 0u);
+    EXPECT_EQ(out, untouched) << "a payload-less hit gathers nothing";
+    EXPECT_EQ(prod.serveHit(tags, h, in.data() + 5, out.data() + 3, t0,
+                            /*deadline_ns=*/t0),
+              0u);
+    std::vector<Word> swapped = d.dest();
+    std::swap(swapped[1], swapped[2]);
+    const std::vector<std::uint8_t> other = wireLanes(swapped);
+    EXPECT_EQ(prod.serveHit(lanesOf(other), hashTags128(lanesOf(other), N),
+                            in.data() + 5, out.data() + 3, t0, 0),
+              0u);
+    EXPECT_EQ(out, untouched);
+
+    const StreamStats st = eng.stats();
+    EXPECT_EQ(st.inline_served, 2u);
+    EXPECT_EQ(st.requests, 2u);
+    EXPECT_EQ(prod.submitted(), 0u);
+    StreamResult res;
+    EXPECT_FALSE(prod.tryPoll(res)) << "a served hit takes no queue slot";
+
+    ResilientOptions ropts;
+    ropts.metrics = &reg;
+    ResilientRouter rr(n, ropts);
+    StreamOptions ropt = opts;
+    ropt.resilient = &rr;
+    StreamEngine reng(n, ropt);
+    (void)sightTwice(reng.router(), d);
+    EXPECT_EQ(reng.producer(0).serveHit(tags, h, in.data() + 5,
+                                        out.data() + 3, t0, 0),
+              0u);
+    EXPECT_EQ(out, untouched);
 }
 
 TEST(StreamEngineTest, ProducerHitsMatchRingOutcomes)
